@@ -267,14 +267,35 @@ def _oracle_probability(circuit: lo.CircuitSpec) -> float:
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise SchemaError(flag, "must be a comma-separated list of numbers")
+    if not values:
+        raise SchemaError(flag, "needs at least one number")
+    return values
+
+
+# flags each family of check-fpras / bounds needs beyond its list flags
+_CHECK_FPRAS_FLAGS = {
+    "hafnian": ("n", "r_max"),
+    "tor-thermal": ("lambda_min", "lambda_max"),
+    "tor-squeezed-thermal": ("n", "r_max"),
+    "gbs-noise": ("eta", "r_max", "n_th"),
+}
+_BOUNDS_FLAGS = {"hafnian-block-a": ("n",), "tor-squeezed-thermal": ("n",)}
+
+
+def _require_flags(args, names) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            flag = name.replace("_", "-")
+            raise SchemaError(f"/{flag}", f"--family {args.family} needs --{flag}")
 
 
 def _cmd_check_fpras(args) -> int:
     report = _base_report("check-fpras", args.seed)
     family = args.family
+    _require_flags(args, _CHECK_FPRAS_FLAGS.get(family, ()))
     if family == "permanent":
         lams = _parse_float_list(args.lambdas, "/lambdas")
         holds = fpras.fpras_condition_permanent(lams)
@@ -327,6 +348,7 @@ def _cmd_check_fpras(args) -> int:
 def _cmd_bounds(args) -> int:
     report = _base_report("bounds", args.seed)
     family = args.family
+    _require_flags(args, _BOUNDS_FLAGS.get(family, ()))
     if family == "permanent":
         lams = _parse_float_list(args.lambdas, "/lambdas")
         rep = bounds.permanent_bounds(lams)
@@ -371,6 +393,8 @@ def _cmd_oracle(args) -> int:
         circuit = circuit_file_parse(args.circuit)
         report["value"] = _oracle_probability(circuit)
     else:
+        if not args.matrix:
+            raise SchemaError("/matrix", "oracle needs --matrix or --circuit")
         mat = matrix_file_parse(args.matrix)
         if args.function == "permanent":
             val = oracles.permanent_exact(mat.data)

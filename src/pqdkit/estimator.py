@@ -99,7 +99,14 @@ class EstimateReport:
     method: str
     log_prefactor: float
     active_modes: tuple
-    trace: list = field(default_factory=list)
+    # one (n, running mean, running radius) row per chunk; a float array
+    # keeps reports small when many are held
+    trace_rows: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+
+    @property
+    def trace(self) -> list:
+        """Running (n, mean, radius) after each chunk, in chunk order."""
+        return [(int(n), mean, radius) for n, mean, radius in self.trace_rows.tolist()]
 
     def as_dict(self, include_wall_time: bool = True) -> dict:
         out = {
@@ -355,10 +362,10 @@ def resolve_gamma(circuit: CircuitSpec, s: float) -> GammaChoice:
 
 
 def _log_effective_bound(circuit: CircuitSpec, s: float, gamma: float, direction: str):
-    sampler = build_folded_sampler(circuit, s, gamma, direction)
-    log_b = sampler.log_prefactor
-    for j in sampler.active_modes:
-        log_b += math.log(sampler.active_sups[j])
+    fold = _fold(circuit, s, gamma, direction)
+    log_b = fold.log_prefactor
+    for j in fold.active_modes:
+        log_b += math.log(fold.active_sups[j])
     return log_b
 
 
@@ -407,25 +414,21 @@ def _numeric_gamma(circuit: CircuitSpec, s: float) -> GammaChoice:
 
 
 # ---------------------------------------------------------------------------
-# folded sampler
+# sampling kernel
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FoldedSampler:
-    """Correlated Gaussian sampler with Gaussian measurement factors absorbed.
+@dataclass(frozen=True)
+class _Fold:
+    """Gaussian measurement factors folded into the input Gaussian.
 
     ``chol_lower`` is the Cholesky factor of the effective precision on the
-    free coordinates (frozen delta quadratures are pinned to zero); the
-    active modes keep their full shifted factors as per-sample weights.
+    free coordinates ``free_idx`` (frozen delta quadratures are pinned to
+    zero); the active modes keep their full shifted factors as per-sample
+    weights.
     """
 
-    circuit: CircuitSpec
-    s: float
-    gamma: float
-    direction: str
     rate: float
-    u: np.ndarray
     free_idx: np.ndarray
     chol_lower: np.ndarray
     log_prefactor: float
@@ -433,50 +436,21 @@ class FoldedSampler:
     active_sups: dict
     active_norms: dict
 
-    @property
-    def m(self) -> int:
-        return self.circuit.m
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Sample n weight values (products of active measurement factors)."""
-        m = self.m
-        z = rng.standard_normal((len(self.free_idx), n))
-        if len(self.free_idx):
-            from scipy.linalg import solve_triangular
-
-            alpha_free = solve_triangular(self.chol_lower.T, z, lower=False)
-        else:
-            alpha_free = z
-        alpha = np.zeros((2 * m, n))
-        alpha[self.free_idx, :] = alpha_free
-        alpha_c = (alpha[:m, :] + 1j * alpha[m:, :]).T  # n x M
-        # pushforward beta = U alpha, matching the covariance convention
-        beta = alpha_c @ self.u.T
-        if not self.active_modes:
-            return np.ones(n)
-        w = np.ones(n)
-        for j in self.active_modes:
-            b = np.abs(beta[:, j]) ** 2
-            prof = pi_w_profile(self.circuit.pattern[j], self.s)
-            w *= self.active_norms[j] * prof(b) * np.exp(-self.rate * b)
-        return w
+def _mode_quadratic_form(row: np.ndarray) -> np.ndarray:
+    """Real PSD form Q_j with |beta_j|^2 = alpha_R^T Q_j alpha_R for the
+    pushforward beta_j = sum_k U_jk alpha_k, given row j of U."""
+    a_vec = np.concatenate([row, 1j * row])
+    return np.real(np.outer(a_vec, a_vec.conj()))
 
 
-def _mode_quadratic_forms(u: np.ndarray) -> list[np.ndarray]:
-    """Real PSD forms Q_j with |beta_j|^2 = alpha_R^T Q_j alpha_R for the
-    pushforward beta_j = sum_k U_jk alpha_k."""
-    m = u.shape[0]
-    forms = []
-    for j in range(m):
-        row = u[j, :]
-        a_vec = np.concatenate([row, 1j * row])
-        forms.append(np.real(np.outer(a_vec, a_vec.conj())))
-    return forms
+def _real_pushforward(u: np.ndarray) -> np.ndarray:
+    """Real 2M x 2M map W with [Re beta; Im beta] = W [Re alpha; Im alpha]
+    for the pushforward beta = U alpha."""
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
 
 
-def build_folded_sampler(
-    circuit: CircuitSpec, s: float, gamma: float, direction: str
-) -> FoldedSampler:
+def _fold(circuit: CircuitSpec, s: float, gamma: float, direction: str) -> _Fold:
     covs = circuit.covariances()
     m = circuit.m
     a_max = max(c.a_plus for c in covs)
@@ -494,7 +468,6 @@ def build_folded_sampler(
     free_idx = np.array([k for k in range(2 * m) if k not in frozen], dtype=int)
 
     lam = np.diag(precision)
-    forms = _mode_quadratic_forms(circuit.unitary.u)
     log_k = 0.0
     active = []
     active_sups = {}
@@ -506,7 +479,7 @@ def build_folded_sampler(
             log_k += log_n
             if out.kind != "marginal":
                 log_k += math.log(2.0 / sp)
-            lam += 2.0 * g * forms[j]
+            lam += 2.0 * g * _mode_quadratic_form(circuit.unitary.u[j])
         else:
             n_j = math.exp(log_n)
             active.append(j)
@@ -522,59 +495,127 @@ def build_folded_sampler(
         ) from exc
     logdet_eff = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
     logdet_in = float(np.sum(np.log(precision[free_idx])))
-    log_prefactor = log_k + 0.5 * (logdet_in - logdet_eff)
-    return FoldedSampler(
-        circuit=circuit,
-        s=s,
-        gamma=gamma,
-        direction=direction,
+    return _Fold(
         rate=rate,
-        u=circuit.unitary.u,
         free_idx=free_idx,
         chol_lower=chol,
-        log_prefactor=log_prefactor,
+        log_prefactor=log_k + 0.5 * (logdet_in - logdet_eff),
         active_modes=tuple(active),
         active_sups=active_sups,
         active_norms=active_norms,
     )
 
 
-@dataclass
-class _NaiveSampler:
-    """Independent per-mode input sampling; all measurement factors stay in
-    the weight."""
+# OpenBLAS computes a product with m*n*k <= 2^18 on the calling thread;
+# larger ones may wake its thread pool, and where the pool competes for few
+# cores the wake-up dominates (on 2 CPUs a 64 x 64 x 2952 product took 16 ms
+# as one call, 1.7 ms as column panels of at most 2^18 multiply-adds).
+GEMM_PANEL_MNK = 1 << 18
 
-    circuit: CircuitSpec
-    s: float
+
+@dataclass(frozen=True)
+class FoldedSampler:
+    """Weighted Gaussian sampler: one real matrix product per batch.
+
+    ``kernel`` (2A x F) maps F standard normals straight to
+    [Re beta; Im beta] of the A weighted modes; each sample's weight is the
+    product of those modes' shifted measurement factors.  The folded
+    sampler (``build_folded_sampler``) absorbs the Gaussian measurement
+    factors into the kernel and prefactor; the naive one
+    (``_build_naive_sampler``) folds nothing and weights every mode.
+    """
+
+    kernel: np.ndarray
     rate: float
-    stds: np.ndarray  # 2M per-coordinate standard deviations (0 = frozen)
-    norms: np.ndarray
+    profiles: tuple  # pi W(b) of each weighted mode, b = |beta|^2
+    scale: float  # product of the weighted modes' input normalizations
+    log_prefactor: float
+    active_modes: tuple  # the weighted modes, in kernel row order
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        m = self.circuit.m
-        z = rng.standard_normal((2 * m, n))
-        alpha = z * self.stds[:, None]
-        alpha_c = (alpha[:m, :] + 1j * alpha[m:, :]).T
-        beta = alpha_c @ self.circuit.unitary.u.T
-        w = np.ones(n)
-        for j, out in enumerate(self.circuit.pattern):
-            b = np.abs(beta[:, j]) ** 2
-            prof = pi_w_profile(out, self.s)
-            w *= self.norms[j] * prof(b) * np.exp(-self.rate * b)
+    def beta_sq(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """|beta_j|^2 of the weighted modes (rows) for normals z (F x n)."""
+        rows, f = self.kernel.shape
+        a = rows // 2
+        if out is None:
+            out = np.empty((a, z.shape[1]))
+        step = max(1, GEMM_PANEL_MNK // max(1, rows * f))
+        for col in range(0, z.shape[1], step):
+            y = self.kernel @ z[:, col : col + step]
+            np.square(y, out=y)
+            np.add(y[:a], y[a:], out=out[:, col : col + step])
+        return out
+
+    def draw(self, rng, n: int) -> np.ndarray:
+        """Sample n weight values (products of the weighted modes' factors).
+
+        ``rng`` is a Generator, or a sequence of (Generator, count) pieces
+        with counts summing to n that fill consecutive samples; a piece's
+        samples use exactly the normals its generator alone would draw for
+        shape (F, count).
+        """
+        if not self.active_modes:
+            return np.ones(n)
+        pieces = [(rng, n)] if isinstance(rng, np.random.Generator) else rng
+        b = np.empty((len(self.active_modes), n))
+        col = 0
+        for gen, count in pieces:
+            z = gen.standard_normal((self.kernel.shape[1], count))
+            self.beta_sq(z, out=b[:, col : col + count])
+            col += count
+        w = np.full(n, self.scale)
+        for prof, b_j in zip(self.profiles, b):
+            w *= prof(b_j) * np.exp(-self.rate * b_j)
         return w
 
 
-def _build_naive_sampler(circuit: CircuitSpec, s: float, gamma: float, direction: str):
+def build_folded_sampler(
+    circuit: CircuitSpec, s: float, gamma: float, direction: str
+) -> FoldedSampler:
+    """Folded sampler with kernel K = W_af L^{-T}: W restricted to the active
+    modes' rows and the free columns, L the Cholesky factor of the folded
+    precision (one solve here, none per batch)."""
+    fold = _fold(circuit, s, gamma, direction)
+    m = circuit.m
+    rows = list(fold.active_modes) + [m + j for j in fold.active_modes]
+    kernel = _real_pushforward(circuit.unitary.u)[np.ix_(rows, fold.free_idx)]
+    if kernel.size:
+        # numpy's LAPACK, not scipy's: a call into scipy's separate OpenBLAS
+        # leaves its threads spinning, which halved the speed of the batches
+        # that followed on a 2-CPU host
+        kernel = np.linalg.solve(fold.chol_lower, kernel.T).T
+    return FoldedSampler(
+        kernel=kernel,
+        rate=fold.rate,
+        profiles=tuple(pi_w_profile(circuit.pattern[j], s) for j in fold.active_modes),
+        scale=math.prod(fold.active_norms[j] for j in fold.active_modes),
+        log_prefactor=fold.log_prefactor,
+        active_modes=fold.active_modes,
+    )
+
+
+def _build_naive_sampler(
+    circuit: CircuitSpec, s: float, gamma: float, direction: str
+) -> FoldedSampler:
+    """Independent per-mode input sampling with every measurement factor in
+    the weight: kernel K = W diag(stds) over all 2M coordinates (a frozen
+    coordinate has std 0)."""
     covs = circuit.covariances()
     m = circuit.m
     rate = _rate(s, gamma, direction, max(c.a_plus for c in covs))
     stds = np.zeros(2 * m)
-    norms = np.empty(m)
+    log_norm = 0.0
     for i, cov in enumerate(covs):
         for k, c in zip((i, m + i), quadrature_exponents(cov, s, rate)):
             stds[k] = 0.0 if c is None else math.sqrt(1.0 / (2.0 * c))
-        norms[i] = math.exp(mode_lognorm(cov, s, rate))
-    return _NaiveSampler(circuit, s, rate, stds, norms)
+        log_norm += mode_lognorm(cov, s, rate)
+    return FoldedSampler(
+        kernel=_real_pushforward(circuit.unitary.u) * stds,
+        rate=rate,
+        profiles=tuple(pi_w_profile(out, s) for out in circuit.pattern),
+        scale=math.exp(log_norm),
+        log_prefactor=0.0,
+        active_modes=tuple(range(m)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +635,27 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     )
 
 
+# Samples per kernel call.  Consecutive chunks are fused up to this size so
+# that small chunks share the fixed cost of a call (about ten array
+# operations per weighted mode), while a batch's temporaries stay a few MB.
+FUSED_BATCH = 1 << 15
+
+
+def _fused_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
+    """Runs of consecutive (chunk, size) pairs holding at most FUSED_BATCH
+    samples; a chunk larger than that forms a run of its own."""
+    units: list[list[tuple[int, int]]] = []
+    total = 0
+    for chunk, size in enumerate(sizes):
+        if units and total + size <= FUSED_BATCH:
+            units[-1].append((chunk, size))
+            total += size
+        else:
+            units.append([(chunk, size)])
+            total = size
+    return units
+
+
 def estimate_probability(
     circuit: CircuitSpec,
     config: EstimatorConfig = EstimatorConfig(),
@@ -604,8 +666,10 @@ def estimate_probability(
 
     ``method`` selects the folded sampler (Gaussian measurement factors
     integrated analytically) or the naive per-mode sampler with every factor
-    kept in the weight.  ``threads`` parallelizes over sample chunks without
-    changing the result (chunk streams are merged in index order).
+    kept in the weight.  Each chunk draws from its own Philox stream;
+    consecutive chunks are fused into batches of at most ``FUSED_BATCH``
+    samples, and ``threads`` parallelizes over those batches without
+    changing the result (chunk subtotals are merged in index order).
     """
     t0 = time.perf_counter()
     s = _resolve_s(circuit, config)
@@ -614,26 +678,22 @@ def estimate_probability(
     else:
         gamma, direction = config.gamma_mode
 
-    folded = build_folded_sampler(circuit, s, gamma, direction)
+    if method == "folded":
+        sampler = build_folded_sampler(circuit, s, gamma, direction)
+        deterministic = not sampler.active_modes
+    elif method == "naive":
+        sampler = _build_naive_sampler(circuit, s, gamma, direction)
+        deterministic = False
+    else:
+        raise ValueError(f"unknown method {method!r}")
     all_sups = mode_sups(circuit, s, gamma, direction)
     mod_neg = float(np.prod(all_sups))
     c_max = float(np.max(all_sups)) if all_sups.size else 1.0
     neg = negativity_bound(circuit, s)
-
-    if method == "folded":
-        sampler = folded
-        log_b_samples = folded.log_prefactor + sum(
-            math.log(folded.active_sups[j]) for j in folded.active_modes
-        )
-        prefactor = math.exp(folded.log_prefactor)
-        deterministic = not folded.active_modes
-    elif method == "naive":
-        sampler = _build_naive_sampler(circuit, s, gamma, direction)
-        log_b_samples = float(np.sum(np.log(all_sups)))
-        prefactor = 1.0
-        deterministic = False
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    log_b_samples = sampler.log_prefactor + sum(
+        math.log(all_sups[j]) for j in sampler.active_modes
+    )
+    prefactor = math.exp(sampler.log_prefactor)
 
     b_eff = math.exp(log_b_samples)
     if config.n_samples is not None:
@@ -646,26 +706,29 @@ def estimate_probability(
             n_total = max(n_total, MIN_DIAGNOSTIC_SAMPLES)
 
     sizes = _chunk_sizes(n_total, config.chunks)
+    units = _fused_units(sizes)
 
-    def chunk_sum(args) -> float:
-        chunk, size = args
-        rng = _chunk_rng(config.seed, chunk)
-        done = 0
+    def unit_sums(unit) -> list[float]:
+        rngs = [_chunk_rng(config.seed, chunk) for chunk, _ in unit]
+        if len(unit) > 1:
+            counts = [size for _, size in unit]
+            w = sampler.draw(list(zip(rngs, counts)), sum(counts))
+            ends = np.cumsum(counts)
+            return [float(np.sum(w[e - k : e])) for e, k in zip(ends, counts)]
+        size = unit[0][1]
         subtotal = 0.0
-        while done < size:
-            batch = min(size - done, 1 << 18)
-            w = sampler.draw(rng, batch)
-            subtotal += float(np.sum(w))
-            done += batch
-        return subtotal
+        for done in range(0, size, FUSED_BATCH):
+            subtotal += float(np.sum(sampler.draw(rngs[0], min(FUSED_BATCH, size - done))))
+        return [subtotal]
 
-    if threads > 1 and len(sizes) > 1:
+    if threads > 1 and len(units) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            subtotals = list(pool.map(chunk_sum, enumerate(sizes)))
+            per_unit = list(pool.map(unit_sums, units))
     else:
-        subtotals = [chunk_sum(item) for item in enumerate(sizes)]
+        per_unit = [unit_sums(unit) for unit in units]
+    subtotals = [x for sums in per_unit for x in sums]
 
     running = 0.0
     n_done = 0
@@ -697,9 +760,9 @@ def estimate_probability(
         gamma=gamma,
         direction=direction,
         method=method,
-        log_prefactor=folded.log_prefactor if method == "folded" else 0.0,
-        active_modes=folded.active_modes,
-        trace=trace,
+        log_prefactor=sampler.log_prefactor,
+        active_modes=tuple(j for j, out in enumerate(circuit.pattern) if not out.is_gaussian),
+        trace_rows=np.array(trace, dtype=float).reshape(-1, 3),
     )
 
 

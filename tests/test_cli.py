@@ -253,3 +253,16 @@ class TestCommands:
 
     def test_missing_file_is_input_error(self):
         assert cli.main(["estimate-per", "--matrix", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, pointer",
+        [
+            (["oracle"], "/matrix"),
+            (["check-fpras", "--family", "tor-thermal"], "/lambda-min"),
+            (["check-fpras", "--family", "hafnian", "--n", "1"], "/r-max"),
+            (["bounds", "--family", "permanent"], "/lambdas"),
+        ],
+    )
+    def test_missing_flags_are_schema_errors(self, argv, pointer, capsys):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"input error: {pointer}: ")

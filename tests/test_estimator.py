@@ -8,7 +8,7 @@ import pytest
 from pqdkit import bounds, estimator as est, linear_optics as lo, oracles
 from pqdkit import factors
 from pqdkit.errors import BudgetOverflow, ShiftOutOfRange, SingularOrdering
-from pqdkit.phase_space import CLICK, MARGINAL, photon
+from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon
 
 
 def squeezed_circuit(r_list, seed, pattern=None, eta=1.0):
@@ -207,6 +207,107 @@ class TestSampleCount:
         assert n == pytest.approx(expected, rel=1e-9)
 
 
+def reference_beta_sq(circuit, stds, fold, z):
+    """|beta|^2 of every mode by the per-batch path the kernel replaces:
+    triangular solve (folded) or per-coordinate scale (naive), scatter into
+    all 2M coordinates, complex pushforward."""
+    from scipy.linalg import solve_triangular
+
+    m = circuit.m
+    if fold is None:
+        alpha = z * stds[:, None]
+    else:
+        alpha = np.zeros((2 * m, z.shape[1]))
+        if len(fold.free_idx):
+            alpha[fold.free_idx] = solve_triangular(fold.chol_lower.T, z, lower=False)
+    beta = (alpha[:m] + 1j * alpha[m:]).T @ circuit.unitary.u.T
+    return (np.abs(beta) ** 2).T
+
+
+def naive_stds(circuit, s, rate):
+    m = circuit.m
+    stds = np.zeros(2 * m)
+    for i, cov in enumerate(circuit.covariances()):
+        for k, c in zip((i, m + i), factors.quadrature_exponents(cov, s, rate)):
+            stds[k] = 0.0 if c is None else math.sqrt(1.0 / (2.0 * c))
+    return stds
+
+
+KERNEL_CASES = {
+    # s = s_max freezes one quadrature of the squeezed modes
+    "frozen-squeezed": (
+        lo.CircuitSpec(((0.5, 0.0), (0.3, 0.0)), lo.haar_unitary(2, 32), (photon(2), photon(0))),
+        "s_max",
+        (0.2, est.FORWARD),
+    ),
+    # s = s_max freezes both quadratures of the least classical thermal mode
+    "frozen-thermal": (
+        lo.CircuitSpec(((0.0, 0.8), (0.0, 0.3)), lo.haar_unitary(2, 31), (photon(1),) * 2),
+        "s_max",
+        (0.1, est.REVERSE),
+    ),
+    "noclick-marginal": (
+        lo.CircuitSpec(
+            ((0.4, 0.0), (0.5, 0.0), (0.3, 0.0), (0.2, 0.1)),
+            lo.haar_unitary(4, 33),
+            (CLICK, NOCLICK, MARGINAL, photon(1)),
+            eta=0.7,
+        ),
+        None,
+        (0.2, est.FORWARD),
+    ),
+    "all-marginal": (
+        lo.CircuitSpec(((0.5, 0.1), (0.2, 0.0)), lo.haar_unitary(2, 12), (MARGINAL, MARGINAL)),
+        None,
+        (0.4, est.FORWARD),
+    ),
+}
+
+
+class TestSamplingKernel:
+    @pytest.mark.parametrize("method", ["folded", "naive"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_kernel_matches_reference_pushforward(self, case, method):
+        circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
+        s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
+        if method == "folded":
+            sampler = est.build_folded_sampler(circuit, s, gamma, direction)
+            fold = est._fold(circuit, s, gamma, direction)
+            stds = None
+            assert sampler.active_modes == fold.active_modes
+        else:
+            sampler = est._build_naive_sampler(circuit, s, gamma, direction)
+            fold = None
+            stds = naive_stds(circuit, s, sampler.rate)
+            assert sampler.active_modes == tuple(range(circuit.m))
+        z = np.random.default_rng(5).standard_normal((sampler.kernel.shape[1], 3000))
+        expected = reference_beta_sq(circuit, stds, fold, z)[list(sampler.active_modes)]
+        got = sampler.beta_sq(z)
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+
+    def test_all_marginal_has_no_weighted_mode(self):
+        circuit, _, gamma_mode = KERNEL_CASES["all-marginal"]
+        s = circuit.s_max - est.S_MAX_MARGIN
+        sampler = est.build_folded_sampler(circuit, s, *gamma_mode)
+        assert sampler.active_modes == () and sampler.kernel.shape[0] == 0
+        assert np.array_equal(sampler.draw(np.random.default_rng(1), 7), np.ones(7))
+        rep = est.estimate_probability(circuit, est.EstimatorConfig(gamma_mode=gamma_mode))
+        assert rep.n_used == 1
+
+    def test_fused_batches_match_per_chunk_draws(self):
+        # fusing chunks into one batch leaves each chunk's samples unchanged
+        circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
+        cfg = est.EstimatorConfig(n_samples=30_001, seed=9, chunks=7, gamma_mode=(0.2, est.FORWARD))
+        rep = est.estimate_probability(circuit, cfg)
+        sampler = est.build_folded_sampler(circuit, rep.s, rep.gamma, rep.direction)
+        running, n_done = 0.0, 0
+        for chunk, size in enumerate(est._chunk_sizes(cfg.n_samples, cfg.chunks)):
+            running += float(np.sum(sampler.draw(est._chunk_rng(cfg.seed, chunk), size)))
+            n_done += size
+            assert rep.trace[chunk][:2] == (n_done, math.exp(sampler.log_prefactor) * running / n_done)
+
+
 class TestFoldedSampler:
     def test_all_marginal_is_exact_unity(self):
         circuit = lo.CircuitSpec(
@@ -346,10 +447,18 @@ class TestEstimateProbability:
 
     def test_threads_do_not_change_output(self):
         circuit = squeezed_circuit([0.3, 0.4], 20)
-        cfg = est.EstimatorConfig(n_samples=50_000, seed=7, chunks=8)
-        a = est.estimate_probability(circuit, cfg, threads=1).estimate
-        b = est.estimate_probability(circuit, cfg, threads=4).estimate
-        assert a == b
+        cap = est.FUSED_BATCH
+        for n_samples, chunks in [
+            (50_000, 8),
+            (2 * cap + 123, 2),  # chunks larger than the fused cap
+            (50_001, 7),  # n not divisible by chunks
+            (4 * cap, 16),  # several fused batches in one call
+        ]:
+            cfg = est.EstimatorConfig(n_samples=n_samples, seed=7, chunks=chunks)
+            reps = [est.estimate_probability(circuit, cfg, threads=t) for t in (1, 2, 4)]
+            for rep in reps[1:]:
+                assert rep.estimate == reps[0].estimate
+                assert rep.trace == reps[0].trace
 
     def test_trace_is_cumulative(self):
         circuit = squeezed_circuit([0.3], 21)
@@ -387,8 +496,6 @@ class TestSingularOrderingBranch:
 
 class TestMixedAndNoisyCircuits:
     def test_mixed_threshold_pattern_matches_oracle(self):
-        from pqdkit.phase_space import NOCLICK
-
         circuit = lo.CircuitSpec(
             ((0.4, 0.0), (0.5, 0.0), (0.3, 0.0)),
             lo.haar_unitary(3, 33),
