@@ -108,6 +108,14 @@ def _forward_rate(gamma: float, gap: float) -> float:
     return 0.0 if gap <= 1e-12 else 2.0 * gamma / gap
 
 
+def _shifted_sups(covs, outcome, s: float, rate: float) -> np.ndarray:
+    """Per-mode sup of the shifted measurement factor, each mode's input
+    normalization included."""
+    return np.array(
+        [measurement_sup(outcome, s, rate, math.exp(mode_lognorm(c, s, rate))) for c in covs]
+    )
+
+
 def budget_hafnian_block_a(n: float, r_list) -> Budget:
     """Haf(A) budget for the squeezed-thermal block family: per-mode factor
     sqrt|V_Q|_i times the supremum of the reverse-shifted single-photon
@@ -117,12 +125,8 @@ def budget_hafnian_block_a(n: float, r_list) -> Budget:
     s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
     gamma = math.exp(-math.tanh(r_max)) * n / (n + 1.0)
     rate = -2.0 * gamma / (s + 1.0)
-    factors = np.empty(r_arr.size)
-    for i, r in enumerate(r_arr):
-        cov = squeezed_thermal_covariance(float(r), n)
-        n_i = math.exp(mode_lognorm(cov, s, rate))
-        factors[i] = measurement_sup(photon(1), s, rate, n_i)
-    factors *= np.sqrt(_st_k_plus(n, r_arr))
+    covs = [squeezed_thermal_covariance(float(r), n) for r in r_arr]
+    factors = _shifted_sups(covs, photon(1), s, rate) * np.sqrt(_st_k_plus(n, r_arr))
     return Budget(factors, float(np.prod(factors)), "budget.hafnian.block_a")
 
 
@@ -138,12 +142,8 @@ def budget_torontonian(
         s = (1.0 - lam_max) / (1.0 + lam_max)
         gamma = 0.5 * (1.0 - lam_max)
         rate = _forward_rate(gamma, float(np.max(e2r)) - s)
-        factors = np.empty(lam.size)
-        for i, li in enumerate(lam):
-            cov = ModeCovariance(float(e2r[i]), float(1.0 / e2r[i]))
-            n_i = math.exp(mode_lognorm(cov, s, rate))
-            factors[i] = measurement_sup(CLICK, s, rate, n_i)
-        factors /= np.sqrt(1.0 - lam**2)
+        covs = [ModeCovariance(float(e), float(1.0 / e)) for e in e2r]
+        factors = _shifted_sups(covs, CLICK, s, rate) / np.sqrt(1.0 - lam**2)
         return Budget(factors, float(np.prod(factors)), "budget.torontonian.squeezed")
     if family == "thermal":
         lam = np.asarray(lambdas, dtype=float)
@@ -152,13 +152,8 @@ def budget_torontonian(
         s = 2.0 * float(np.min(n_list)) + 1.0
         gamma = 0.5 * (1.0 - lam_max)
         rate = _forward_rate(gamma, 2.0 * float(np.max(n_list)) + 1.0 - s)
-        factors = np.empty(lam.size)
-        for i, li in enumerate(lam):
-            a = 2.0 * float(n_list[i]) + 1.0
-            cov = ModeCovariance(a, a)
-            n_i = math.exp(mode_lognorm(cov, s, rate))
-            factors[i] = measurement_sup(CLICK, s, rate, n_i)
-        factors /= 1.0 - lam
+        covs = [ModeCovariance(float(a), float(a)) for a in 2.0 * n_list + 1.0]
+        factors = _shifted_sups(covs, CLICK, s, rate) / (1.0 - lam)
         return Budget(factors, float(np.prod(factors)), "budget.torontonian.thermal")
     if family == "squeezed_thermal":
         r_arr = np.asarray(r_list, dtype=float)
@@ -167,12 +162,8 @@ def budget_torontonian(
         a_max = (2.0 * n + 1.0) * math.exp(2.0 * r_max)
         gamma = math.exp(-math.tanh(r_max)) / (n + 1.0)
         rate = _forward_rate(gamma, a_max - s)
-        factors = np.empty(r_arr.size)
-        for i, r in enumerate(r_arr):
-            cov = squeezed_thermal_covariance(float(r), n)
-            n_i = math.exp(mode_lognorm(cov, s, rate))
-            factors[i] = measurement_sup(CLICK, s, rate, n_i)
-        factors *= np.sqrt(_st_k_plus(n, r_arr))
+        covs = [squeezed_thermal_covariance(float(r), n) for r in r_arr]
+        factors = _shifted_sups(covs, CLICK, s, rate) * np.sqrt(_st_k_plus(n, r_arr))
         return Budget(
             factors, float(np.prod(factors)), "budget.torontonian.squeezed_thermal"
         )
@@ -182,6 +173,12 @@ def budget_torontonian(
 # ---------------------------------------------------------------------------
 # sandwich bounds
 # ---------------------------------------------------------------------------
+
+
+def _sandwich(lower_factors, upper_factors, family: str, formula_id: str) -> BoundReport:
+    """Per-mode lower/upper factors and their products."""
+    lower, upper = float(np.prod(lower_factors)), float(np.prod(upper_factors))
+    return BoundReport(lower, upper, family, formula_id, lower_factors, upper_factors)
 
 
 def permanent_bounds(lambdas) -> BoundReport:
@@ -196,13 +193,7 @@ def permanent_bounds(lambdas) -> BoundReport:
     lam_min = float(np.min(lam))
     if lam_min <= 0.0:
         raise ZeroEigenvalue("permanent bounds need strictly positive eigenvalues")
-    upper_factors = lam_max**2 / lam
-    upper = float(np.prod(upper_factors))
-    lower_factors = lam_min**2 / lam
-    lower = float(np.prod(lower_factors))
-    return BoundReport(
-        lower, upper, "permanent", "bounds.permanent", lower_factors, upper_factors
-    )
+    return _sandwich(lam_min**2 / lam, lam_max**2 / lam, "permanent", "bounds.permanent")
 
 
 def _st_k_minus(n: float, r_list: np.ndarray) -> np.ndarray:
@@ -236,14 +227,7 @@ def hafnian_bounds(n: float, r_list) -> BoundReport:
         / ((1.0 + n) * math.cosh(r_max) + n * math.sinh(r_max))
     ) ** 2
     upper_factors = up_pref * ratio
-    return BoundReport(
-        float(np.prod(lower_factors)),
-        float(np.prod(upper_factors)),
-        "hafnian_block_a",
-        "bounds.hafnian.block_a",
-        lower_factors,
-        upper_factors,
-    )
+    return _sandwich(lower_factors, upper_factors, "hafnian_block_a", "bounds.hafnian.block_a")
 
 
 def torontonian_bounds(
@@ -261,14 +245,7 @@ def torontonian_bounds(
         lam_min = float(np.min(lam))
         lower_factors = lam_min**2 / (lam * (1.0 - lam_min))
         upper_factors = lam_max**2 / (lam * (1.0 - lam_max))
-        return BoundReport(
-            float(np.prod(lower_factors)),
-            float(np.prod(upper_factors)),
-            "torontonian_thermal",
-            "bounds.torontonian.thermal",
-            lower_factors,
-            upper_factors,
-        )
+        return _sandwich(lower_factors, upper_factors, "torontonian_thermal", "bounds.torontonian.thermal")
     if family == "squeezed_thermal":
         r_arr = np.asarray(r_list, dtype=float)
         _require_amin(n, r_arr)
@@ -287,14 +264,7 @@ def torontonian_bounds(
         )
         lower_factors = low_pref * ratio
         upper_factors = up_pref * ratio
-        return BoundReport(
-            float(np.prod(lower_factors)),
-            float(np.prod(upper_factors)),
-            "torontonian_block_a",
-            "bounds.torontonian.block_a",
-            lower_factors,
-            upper_factors,
-        )
+        return _sandwich(lower_factors, upper_factors, "torontonian_block_a", "bounds.torontonian.block_a")
     raise ValueError(f"unknown Torontonian bound family {family!r}")
 
 

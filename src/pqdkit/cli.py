@@ -6,13 +6,15 @@ suite.  All randomness flows from --seed, so reports are byte-identical for
 identical (input, flags, seed); wall-clock time is deliberately left out of
 the serialized reports.
 
-Exit codes: 0 success, 1 input error, 2 failed numerical condition.
+Exit codes: 0 success, 1 input error, 2 failed numerical condition.  Reports
+are strict JSON: a non-finite number (an unbounded factor) is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -40,27 +42,62 @@ _TAGS = {t.value: t for t in lo.MatrixTag}
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise SchemaError("/", f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise SchemaError("/", "must be a JSON object")
+    return obj
+
+
+def _number(value, pointer: str, message: str, valid=None) -> float:
+    """A JSON number as a finite float passing ``valid``; booleans, NaN,
+    infinities and out-of-range integers are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and (valid is None or valid(x)):
+            return x
+    raise SchemaError(pointer, message)
+
+
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _nonneg(x: float) -> bool:
+    return x >= 0.0
+
+
+def _real_matrix(rows, pointer: str) -> np.ndarray:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise SchemaError(pointer, "must be a matrix given as a list of rows")
+    values = [
+        [_number(x, f"{pointer}/{i}/{j}", "must be a finite number") for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    if len({len(row) for row in values}) > 1:
+        raise SchemaError(pointer, "rows must have equal length")
+    return np.array(values, dtype=float)
 
 
 def _parse_complex_matrix(obj: dict, pointer: str) -> np.ndarray:
     if "m" not in obj:
         raise SchemaError(pointer + "/m", "missing mode count")
     m = obj["m"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m, 1):
         raise SchemaError(pointer + "/m", "must be a positive integer")
-    re_part = obj.get("re")
-    if re_part is None:
+    if obj.get("re") is None:
         raise SchemaError(pointer + "/re", "missing real part")
-    im_part = obj.get("im", [[0.0] * len(row) for row in re_part])
-    try:
-        mat = np.asarray(re_part, dtype=float) + 1j * np.asarray(im_part, dtype=float)
-    except (ValueError, TypeError):
-        raise SchemaError(pointer, "re/im must be numeric matrices")
+    re_part = _real_matrix(obj["re"], pointer + "/re")
+    im_part = _real_matrix(obj["im"], pointer + "/im") if "im" in obj else np.zeros_like(re_part)
+    if im_part.shape != re_part.shape:
+        raise SchemaError(pointer + "/im", "must have the shape of re")
+    mat = re_part + 1j * im_part
     if mat.shape != (m, m) and mat.shape != (2 * m, 2 * m):
         raise SchemaError(pointer, f"matrix shape {mat.shape} does not match m = {m}")
     return mat
@@ -69,7 +106,7 @@ def _parse_complex_matrix(obj: dict, pointer: str) -> np.ndarray:
 def matrix_file_parse(path: str) -> lo.MatrixClass:
     obj = _load_json(path)
     tag_name = obj.get("tag")
-    if tag_name not in _TAGS:
+    if not isinstance(tag_name, str) or tag_name not in _TAGS:
         raise SchemaError("/tag", f"unknown tag {tag_name!r}; expected one of {sorted(_TAGS)}")
     mat = _parse_complex_matrix(obj, "")
     return lo.MatrixClass(_TAGS[tag_name], mat)
@@ -80,7 +117,7 @@ def _parse_pattern(entries, m: int) -> tuple:
         raise SchemaError("/pattern", f"pattern must list {m} entries")
     out = []
     for k, entry in enumerate(entries):
-        if isinstance(entry, int) and entry >= 0:
+        if _is_int(entry, 0):
             out.append(photon(entry))
         elif entry == "click":
             out.append(CLICK)
@@ -105,26 +142,20 @@ def circuit_file_parse(path: str) -> lo.CircuitSpec:
     for k, mode in enumerate(modes_obj):
         if not isinstance(mode, dict):
             raise SchemaError(f"/modes/{k}", "must be an object")
-        r = mode.get("r", 0.0)
-        n = mode.get("n", 0.0)
-        if not isinstance(r, (int, float)) or r < 0:
-            raise SchemaError(f"/modes/{k}/r", "must be a nonnegative number")
-        if not isinstance(n, (int, float)) or n < 0:
-            raise SchemaError(f"/modes/{k}/n", "must be a nonnegative number")
-        modes.append((float(r), float(n)))
+        r, n = (
+            _number(mode.get(key, 0.0), f"/modes/{k}/{key}", "must be a nonnegative number", _nonneg)
+            for key in ("r", "n")
+        )
+        modes.append((r, n))
     m = len(modes)
-    eta = obj.get("eta", 1.0)
-    if not isinstance(eta, (int, float)) or not (0.0 < eta <= 1.0):
-        raise SchemaError("/eta", "must lie in (0, 1]")
-    n_th = obj.get("n_th", 0.0)
-    if not isinstance(n_th, (int, float)) or n_th < 0:
-        raise SchemaError("/n_th", "must be a nonnegative number")
+    eta = _number(obj.get("eta", 1.0), "/eta", "must lie in (0, 1]", lambda x: 0.0 < x <= 1.0)
+    n_th = _number(obj.get("n_th", 0.0), "/n_th", "must be a nonnegative number", _nonneg)
     uni = obj.get("unitary")
     if not isinstance(uni, dict):
         raise SchemaError("/unitary", "must give 'haar_seed' or a matrix")
     if "haar_seed" in uni:
-        if not isinstance(uni["haar_seed"], int):
-            raise SchemaError("/unitary/haar_seed", "must be an integer")
+        if not _is_int(uni["haar_seed"], 0):
+            raise SchemaError("/unitary/haar_seed", "must be a nonnegative integer")
         interf = lo.haar_unitary(m, uni["haar_seed"])
     else:
         mat = _parse_complex_matrix(uni, "/unitary")
@@ -135,7 +166,7 @@ def circuit_file_parse(path: str) -> lo.CircuitSpec:
         except ValueError as exc:
             raise SchemaError("/unitary", str(exc))
     pattern = _parse_pattern(obj.get("pattern"), m)
-    return lo.CircuitSpec(tuple(modes), interf, pattern, float(eta), float(n_th))
+    return lo.CircuitSpec(tuple(modes), interf, pattern, eta, n_th)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +174,19 @@ def circuit_file_parse(path: str) -> lo.CircuitSpec:
 # ---------------------------------------------------------------------------
 
 
+def _strict(value):
+    """Non-finite floats, such as the bound of an unbounded shifted factor,
+    become null so that every report is strict JSON."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(report: dict, output: Optional[str]) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, default=float) + "\n"
+    text = json.dumps(_strict(report), sort_keys=True, indent=2, default=float, allow_nan=False)
+    text += "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -157,6 +199,8 @@ def _base_report(command: str, seed: int) -> dict:
 
 
 def _config_from_args(args) -> est.EstimatorConfig:
+    if args.samples is not None and args.samples < 1:
+        raise SchemaError("/samples", f"must be a positive integer, got {args.samples}")
     gamma_mode = "auto"
     if args.gamma is not None:
         gamma_mode = (args.gamma, args.direction)
@@ -171,68 +215,51 @@ def _config_from_args(args) -> est.EstimatorConfig:
     )
 
 
-def _matrix_result(result: est.MatrixEstimate) -> dict:
-    return result.as_dict(include_wall_time=False)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_estimate_haf(args) -> int:
+def _hafnian_sq_oracle(data: np.ndarray) -> float:
+    # odd-dimension hafnians vanish by parity; the brute-force oracle only
+    # accepts even dimensions
+    return 0.0 if data.shape[0] % 2 else abs(oracles.hafnian_exact(data)) ** 2
+
+
+# estimate-* command -> (accepted tags, tag error, estimator, exact oracle)
+_MATRIX_COMMANDS = {
+    "estimate-haf": (
+        {lo.MatrixTag.COMPLEX_SYMMETRIC_R},
+        "estimate-haf needs tag 'R'",
+        lambda mat, config, args: est.estimate_hafnian_sq(mat.data, config, a=args.rescale_a),
+        _hafnian_sq_oracle,
+    ),
+    "estimate-per": (
+        {lo.MatrixTag.HPSD_B},
+        "estimate-per needs tag 'B'",
+        lambda mat, config, args: est.estimate_permanent_hpsd(mat.data, config, a=args.rescale_a),
+        lambda data: oracles.permanent_exact(data).real,
+    ),
+    "estimate-tor": (
+        {lo.MatrixTag.BLOCK_R_PRIME, lo.MatrixTag.BLOCK_B_PRIME, lo.MatrixTag.BLOCK_A_PRIME},
+        "estimate-tor needs tag R', B', or A'",
+        lambda mat, config, args: est.estimate_torontonian(mat, config),
+        oracles.torontonian_exact,
+    ),
+}
+
+
+def _cmd_estimate_matrix(args) -> int:
+    tags, tag_error, estimate, oracle = _MATRIX_COMMANDS[args.command]
     mat = matrix_file_parse(args.matrix)
-    if mat.tag is not lo.MatrixTag.COMPLEX_SYMMETRIC_R:
-        raise SchemaError("/tag", "estimate-haf needs tag 'R'")
-    config = _config_from_args(args)
-    result = est.estimate_hafnian_sq(mat.data, config, a=args.rescale_a)
-    report = _base_report("estimate-haf", args.seed)
-    report["result"] = _matrix_result(result)
+    if mat.tag not in tags:
+        raise SchemaError("/tag", tag_error)
+    result = estimate(mat, _config_from_args(args), args)
+    report = _base_report(args.command, args.seed)
+    report["result"] = result.as_dict(include_wall_time=False)
     if args.oracle_check:
-        # odd-dimension hafnians vanish by parity; the brute-force oracle
-        # only accepts even dimensions
-        if mat.data.shape[0] % 2:
-            oracle = 0.0
-        else:
-            oracle = abs(oracles.hafnian_exact(mat.data)) ** 2
-        report["oracle"] = oracle
-        report["within_budget"] = bool(abs(result.value - oracle) <= result.budget)
-    _emit(report, args.output)
-    return 0
-
-
-def _cmd_estimate_per(args) -> int:
-    mat = matrix_file_parse(args.matrix)
-    if mat.tag is not lo.MatrixTag.HPSD_B:
-        raise SchemaError("/tag", "estimate-per needs tag 'B'")
-    config = _config_from_args(args)
-    result = est.estimate_permanent_hpsd(mat.data, config, a=args.rescale_a)
-    report = _base_report("estimate-per", args.seed)
-    report["result"] = _matrix_result(result)
-    if args.oracle_check:
-        oracle = oracles.permanent_exact(mat.data).real
-        report["oracle"] = oracle
-        report["within_budget"] = bool(abs(result.value - oracle) <= result.budget)
-    _emit(report, args.output)
-    return 0
-
-
-def _cmd_estimate_tor(args) -> int:
-    mat = matrix_file_parse(args.matrix)
-    if mat.tag not in (
-        lo.MatrixTag.BLOCK_R_PRIME,
-        lo.MatrixTag.BLOCK_B_PRIME,
-        lo.MatrixTag.BLOCK_A_PRIME,
-    ):
-        raise SchemaError("/tag", "estimate-tor needs tag R', B', or A'")
-    config = _config_from_args(args)
-    result = est.estimate_torontonian(mat, config)
-    report = _base_report("estimate-tor", args.seed)
-    report["result"] = _matrix_result(result)
-    if args.oracle_check:
-        oracle = oracles.torontonian_exact(mat.data)
-        report["oracle"] = oracle
-        report["within_budget"] = bool(abs(result.value - oracle) <= result.budget)
+        report["oracle"] = oracle(mat.data)
+        report["within_budget"] = bool(abs(result.value - report["oracle"]) <= result.budget)
     _emit(report, args.output)
     return 0
 
@@ -240,14 +267,13 @@ def _cmd_estimate_tor(args) -> int:
 def _cmd_estimate_prob(args) -> int:
     circuit = circuit_file_parse(args.circuit)
     config = _config_from_args(args)
+    report = _base_report("estimate-prob", args.seed)
     if args.multiplicative:
         result = fpras.estimate_multiplicative(circuit, args.epsilon, args.delta, config)
-        report = _base_report("estimate-prob", args.seed)
         report["mode"] = "multiplicative"
         report["result"] = result.as_dict()
     else:
         rep = est.estimate_probability(circuit, config, threads=args.threads)
-        report = _base_report("estimate-prob", args.seed)
         report["mode"] = "additive"
         report["result"] = rep.as_dict(include_wall_time=False)
     if args.oracle_check:
@@ -270,18 +296,47 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise SchemaError(flag, "must be a comma-separated list of numbers")
+    if not all(math.isfinite(v) for v in values):
+        raise SchemaError(flag, "numbers must be finite")
     if not values:
         raise SchemaError(flag, "needs at least one number")
     return values
 
 
-# flags each family of check-fpras / bounds needs beyond its list flags
-_CHECK_FPRAS_FLAGS = {
-    "hafnian": ("n", "r_max"),
-    "tor-thermal": ("lambda_min", "lambda_max"),
-    "tor-squeezed-thermal": ("n", "r_max"),
-    "gbs-noise": ("eta", "r_max", "n_th"),
+# check-fpras family -> (flags, condition, coefficients (a, b, c), certificate)
+_CHECK_FPRAS = {
+    "permanent": (
+        ("lambdas",),
+        fpras.fpras_condition_permanent,
+        lambda lams: fpras.permanent_coefficients(min(lams), max(lams)),
+        "QuadraticFactor",
+    ),
+    "hafnian": (
+        ("n", "r_max"),
+        fpras.fpras_condition_hafnian,
+        fpras.hafnian_st_coefficients,
+        "QuadraticFactor",
+    ),
+    "tor-thermal": (
+        ("lambda_min", "lambda_max"),
+        fpras.fpras_condition_tor_thermal,
+        fpras.tor_thermal_coefficients,
+        "ThresholdFactor",
+    ),
+    "tor-squeezed-thermal": (
+        ("n", "r_max"),
+        fpras.fpras_condition_tor_st,
+        fpras.tor_st_coefficients,
+        "ThresholdFactor",
+    ),
+    "gbs-noise": (
+        ("eta", "r_max", "n_th"),
+        fpras.fpras_condition_gbs_noise,
+        fpras.gbs_noise_coefficients,
+        "ThresholdFactor",
+    ),
 }
+# flags each bounds family needs beyond its list flags
 _BOUNDS_FLAGS = {"hafnian-block-a": ("n",), "tor-squeezed-thermal": ("n",)}
 
 
@@ -292,48 +347,32 @@ def _require_flags(args, names) -> None:
             raise SchemaError(f"/{flag}", f"--family {args.family} needs --{flag}")
 
 
+def _certificate(kind: str, a: float, b: float, c: float) -> fpras.LogConcavityCertificate:
+    """Certificate of the family's factor; a factor that is not positive
+    fails with its positivity margin."""
+    c = min(c, 1e300)
+    if kind == "QuadraticFactor":
+        if a < 0.0:
+            return fpras.LogConcavityCertificate(False, kind, a)
+        return fpras.check_quadratic_factor(a, b, c)
+    if a <= b:
+        return fpras.LogConcavityCertificate(False, kind, a - b)
+    return fpras.check_threshold_factor(a, b, c)
+
+
 def _cmd_check_fpras(args) -> int:
     report = _base_report("check-fpras", args.seed)
-    family = args.family
-    _require_flags(args, _CHECK_FPRAS_FLAGS.get(family, ()))
-    if family == "permanent":
-        lams = _parse_float_list(args.lambdas, "/lambdas")
-        holds = fpras.fpras_condition_permanent(lams)
-        a, b, c = fpras.permanent_coefficients(min(lams), max(lams))
-        cert = fpras.check_quadratic_factor(a, b, min(c, 1e300))
-    elif family == "hafnian":
-        holds = fpras.fpras_condition_hafnian(args.n, args.r_max)
-        a, b, c = fpras.hafnian_st_coefficients(args.n, args.r_max)
-        if a < 0.0:
-            cert = fpras.LogConcavityCertificate(False, "QuadraticFactor", a)
-        else:
-            cert = fpras.check_quadratic_factor(a, b, min(c, 1e300))
-    elif family == "tor-thermal":
-        holds = fpras.fpras_condition_tor_thermal(args.lambda_min, args.lambda_max)
-        a, b, c = fpras.tor_thermal_coefficients(args.lambda_min, args.lambda_max)
-        cert = (
-            fpras.check_threshold_factor(a, b, min(c, 1e300))
-            if a > b
-            else fpras.LogConcavityCertificate(False, "ThresholdFactor", a - b)
-        )
-    elif family == "tor-squeezed-thermal":
-        holds = fpras.fpras_condition_tor_st(args.n, args.r_max)
-        a, b, c = fpras.tor_st_coefficients(args.n, args.r_max)
-        cert = (
-            fpras.check_threshold_factor(a, b, min(c, 1e300))
-            if a > b
-            else fpras.LogConcavityCertificate(False, "ThresholdFactor", a - b)
-        )
-    else:  # gbs-noise
-        holds = fpras.fpras_condition_gbs_noise(args.eta, args.r_max, args.n_th)
-        a, b, c = fpras.gbs_noise_coefficients(args.eta, args.r_max, args.n_th)
-        cert = (
-            fpras.check_threshold_factor(a, b, min(c, 1e300))
-            if a > b
-            else fpras.LogConcavityCertificate(False, "ThresholdFactor", a - b)
-        )
+    flags, condition, coefficients, kind = _CHECK_FPRAS[args.family]
+    if flags == ("lambdas",):
+        values = [_parse_float_list(args.lambdas, "/lambdas")]
+    else:
+        _require_flags(args, flags)
+        values = [getattr(args, name) for name in flags]
+    holds = condition(*values)
+    cert = _certificate(kind, *coefficients(*values))
+    if args.family == "gbs-noise":
         report["noise_threshold"] = fpras.gbs_noise_threshold(args.eta, args.r_max)
-    report["family"] = family
+    report["family"] = args.family
     report["holds"] = bool(holds)
     report["certificate"] = {
         "holds": cert.holds,
@@ -396,14 +435,10 @@ def _cmd_oracle(args) -> int:
         if not args.matrix:
             raise SchemaError("/matrix", "oracle needs --matrix or --circuit")
         mat = matrix_file_parse(args.matrix)
-        if args.function == "permanent":
-            val = oracles.permanent_exact(mat.data)
-            report["value"] = val.real
-            report["value_imag"] = val.imag
-        elif args.function == "hafnian":
-            val = oracles.hafnian_exact(mat.data)
-            report["value"] = val.real
-            report["value_imag"] = val.imag
+        if args.function in ("permanent", "hafnian"):
+            exact = oracles.permanent_exact if args.function == "permanent" else oracles.hafnian_exact
+            val = exact(mat.data)
+            report["value"], report["value_imag"] = val.real, val.imag
         elif args.function == "hafnian-sq":
             report["value"] = abs(oracles.hafnian_exact(mat.data)) ** 2
         elif args.function == "torontonian":
@@ -480,18 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (
-        ("estimate-haf", _cmd_estimate_haf),
-        ("estimate-per", _cmd_estimate_per),
-        ("estimate-tor", _cmd_estimate_tor),
-    ):
+    for name in _MATRIX_COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--matrix", required=True, help="matrix JSON path")
         p.add_argument("--rescale-a", type=float, default=1.001)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None)
         _add_estimator_flags(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_estimate_matrix)
 
     p = sub.add_parser("estimate-prob")
     p.add_argument("--circuit", required=True, help="circuit JSON path")
@@ -576,6 +607,10 @@ def main(argv=None) -> int:
     except (PqdkitError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        # overflow or division by zero on extreme (but well-formed) inputs
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

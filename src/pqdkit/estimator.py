@@ -12,6 +12,7 @@ bound.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,31 +27,17 @@ from .errors import (
     ShiftOutOfRange,
     SingularOrdering,
 )
-from .factors import (
-    FREEZE_TOL,
-    measurement_sup,
-    mode_lognorm,
-    pi_w_profile,
-    quadrature_exponents,
-)
+from .factors import FREEZE_TOL, measurement_sup, mode_lognorm, quadrature_exponents
 from .linear_optics import (
     CircuitSpec,
     Embedding,
-    Interferometer,
     MatrixClass,
     MatrixTag,
     embed_hafnian,
     embed_permanent,
-    recover_block_a_params,
-    split_blocks,
-    sqrt_vq_factor,
+    embed_torontonian,
 )
-from .phase_space import (
-    CLICK,
-    MeasurementOutcome,
-    W_INV_E,
-    photon,
-)
+from .phase_space import W_INV_E, pi_w_profile
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -81,6 +68,8 @@ class EstimatorConfig:
             raise ValueError("epsilon and delta must lie in (0, 1)")
         if self.chunks < 1:
             raise ValueError("chunks must be positive")
+        if self.n_samples is not None and self.n_samples < 1:
+            raise ValueError(f"n_samples must be positive, got {self.n_samples}")
 
 
 @dataclass
@@ -192,37 +181,9 @@ def modified_negativity_bound(
     return float(np.prod(mode_sups(circuit, s, gamma, direction)))
 
 
-@dataclass(frozen=True)
-class FactorBound:
-    c_max: float
-    sups: np.ndarray
-
-
-def factor_bound(
-    circuit: CircuitSpec, s: float, gamma: float, direction: str
-) -> FactorBound:
-    sups = mode_sups(circuit, s, gamma, direction)
-    return FactorBound(float(np.max(sups)) if sups.size else 1.0, sups)
-
-
-def sample_count(c: float, m: int, epsilon: float, delta: float) -> int:
-    """Hoeffding sample rule N = ceil(2 C^{2M} ln(2/delta) / epsilon^2)."""
-    if c <= 0.0:
-        raise ValueError("factor bound C must be positive")
-    if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
-        raise ValueError("epsilon and delta must lie in (0, 1)")
-    log_n = (
-        math.log(2.0)
-        + 2.0 * m * math.log(c)
-        + math.log(math.log(2.0 / delta))
-        - 2.0 * math.log(epsilon)
-    )
-    if log_n > 63.0 * math.log(2.0):
-        raise BudgetOverflow(f"sample count exceeds 2^63 (log N = {log_n:.2f})")
-    return max(1, math.ceil(math.exp(log_n)))
-
-
 def _hoeffding_count(log_b: float, epsilon: float, delta: float) -> int:
+    """Hoeffding sample rule N = ceil(2 B^2 ln(2/delta) / epsilon^2) for
+    per-sample weights bounded by B = exp(log_b)."""
     log_n = (
         math.log(2.0)
         + 2.0 * log_b
@@ -797,25 +758,12 @@ class MatrixEstimate:
         return out
 
 
-def _matrix_sample_count(config: EstimatorConfig) -> int:
+def _run_embedding(emb: Embedding, config: EstimatorConfig, budget) -> MatrixEstimate:
     # N = O(1/eps^2) convention: the budget already carries the factor bound
-    return config.n_samples or _hoeffding_count(0.0, config.epsilon, config.delta)
-
-
-def _run_embedding(
-    emb: Embedding, config: EstimatorConfig, budget
-) -> MatrixEstimate:
-    n_samples = _matrix_sample_count(config)
-    inner = EstimatorConfig(
-        s=config.s,
-        gamma_mode=config.gamma_mode,
-        epsilon=config.epsilon,
-        delta=config.delta,
-        n_samples=n_samples,
-        seed=config.seed,
-        chunks=config.chunks,
-    )
-    report = estimate_probability(emb.circuit, inner)
+    n_samples = config.n_samples
+    if n_samples is None:
+        n_samples = _hoeffding_count(0.0, config.epsilon, config.delta)
+    report = estimate_probability(emb.circuit, dataclasses.replace(config, n_samples=n_samples))
     return MatrixEstimate(
         value=emb.prefactor * report.estimate,
         budget=config.epsilon * budget.product,
@@ -854,97 +802,23 @@ def estimate_torontonian(
     mat: MatrixClass, config: EstimatorConfig = EstimatorConfig()
 ) -> MatrixEstimate:
     """Torontonian of a block matrix in the R'/B'/A' families via all-click
-    threshold estimation."""
-    if mat.tag is MatrixTag.BLOCK_R_PRIME:
-        _, b_block = split_blocks(mat)
-        if np.max(np.abs(b_block)) > 1e-10:
-            raise ShiftOutOfRange("R' family requires a vanishing B block")
-        u, lam = mat.decompose()
-        if lam.size and lam[0] >= 1.0:
-            raise ValueError("singular values must lie in [0, 1) for Torontonians")
-        m = lam.size
-        r_list = np.arctanh(lam)
-        circuit = CircuitSpec(
-            modes=tuple((float(r), 0.0) for r in r_list),
-            unitary=Interferometer(m, u),
-            pattern=tuple(CLICK for _ in range(m)),
-        )
-        z = float(np.prod(np.cosh(r_list)))
-        budget = bounds_mod.budget_torontonian("squeezed", lambdas=lam)
-        gamma_mode = (
-            config.gamma_mode
-            if config.gamma_mode != "auto"
-            else tuple(optimal_gamma_threshold(float(np.max(lam)))[:2])
-        )
-    elif mat.tag is MatrixTag.BLOCK_B_PRIME:
-        u, lam = mat.decompose()
-        if lam.size and lam[0] >= 1.0:
-            raise ValueError("eigenvalues must lie in [0, 1) for Torontonians")
-        m = lam.size
-        n_list = lam / (1.0 - lam)
-        circuit = CircuitSpec(
-            modes=tuple((0.0, float(n)) for n in n_list),
-            unitary=Interferometer(m, u),
-            pattern=tuple(CLICK for _ in range(m)),
-        )
-        z = float(np.prod(1.0 + n_list))
-        budget = bounds_mod.budget_torontonian("thermal", lambdas=lam)
-        gamma_mode = (
-            config.gamma_mode
-            if config.gamma_mode != "auto"
-            else tuple(optimal_gamma_threshold(float(np.max(lam)))[:2])
-        )
-    elif mat.tag is MatrixTag.BLOCK_A_PRIME:
-        if mat.st_params is not None:
-            n, r_list, interf = mat.st_params
-            r_list = np.asarray(r_list, dtype=float)
-            from .linear_optics import block_a_prime
+    threshold estimation.
 
-            rebuilt = block_a_prime(n, r_list, interf)
-            dev = np.max(np.abs(rebuilt.data - mat.data))
-            if dev > 1e-8 * max(1.0, float(np.max(np.abs(mat.data)))):
-                from .errors import StructureMismatch
-
-                raise StructureMismatch(
-                    f"stored parameters do not rebuild the matrix (residual {dev:.3e})"
-                )
-        else:
-            n, r_list, interf = recover_block_a_params(mat)
-        m = interf.m
-        circuit = CircuitSpec(
-            modes=tuple((float(r), float(n)) for r in r_list),
-            unitary=interf,
-            pattern=tuple(CLICK for _ in range(m)),
-        )
-        z = sqrt_vq_factor(n, r_list)
-        budget = bounds_mod.budget_torontonian(
-            "squeezed_thermal", n=n, r_list=r_list
-        )
-        gamma_mode = (
-            config.gamma_mode
-            if config.gamma_mode != "auto"
-            else tuple(optimal_gamma_threshold_st(n, float(np.max(r_list)))[:2])
-        )
+    Unless ``config`` fixes the shift, each family runs at the analytic
+    shift its budget is derived at: ``optimal_gamma_threshold`` for R' and
+    B', ``optimal_gamma_threshold_st`` for A' (also at n = 0, where the
+    automatic choice would differ).
+    """
+    emb = embed_torontonian(mat)
+    if mat.tag is MatrixTag.BLOCK_A_PRIME:
+        n = emb.circuit.modes[0][1]
+        r_list = np.array([r for r, _ in emb.circuit.modes])
+        budget = bounds_mod.budget_torontonian("squeezed_thermal", n=n, r_list=r_list)
+        shift = optimal_gamma_threshold_st(n, float(np.max(r_list)))
     else:
-        raise ValueError(f"unsupported Torontonian tag {mat.tag}")
-
-    n_samples = _matrix_sample_count(config)
-    inner = EstimatorConfig(
-        s=config.s,
-        gamma_mode=gamma_mode,
-        epsilon=config.epsilon,
-        delta=config.delta,
-        n_samples=n_samples,
-        seed=config.seed,
-        chunks=config.chunks,
-    )
-    report = estimate_probability(circuit, inner)
-    return MatrixEstimate(
-        value=z * report.estimate,
-        budget=config.epsilon * budget.product,
-        conf_radius=z * report.conf_radius,
-        prefactor=z,
-        report=report,
-        budget_factors=budget.factors,
-        formula_id=budget.formula_id,
-    )
+        family = "squeezed" if mat.tag is MatrixTag.BLOCK_R_PRIME else "thermal"
+        budget = bounds_mod.budget_torontonian(family, lambdas=emb.lambdas)
+        shift = optimal_gamma_threshold(float(np.max(emb.lambdas)))
+    if config.gamma_mode == "auto":
+        config = dataclasses.replace(config, gamma_mode=tuple(shift[:2]))
+    return _run_embedding(emb, config, budget)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ShiftOutOfRange, SingularOrdering
-from .phase_space import MeasurementOutcome, ModeCovariance, laguerre
+from .phase_space import MeasurementOutcome, ModeCovariance, pi_w_profile
 
 FREEZE_TOL = 1e-12
 B_MAX = 400.0  # |beta| <= 20
@@ -51,30 +51,6 @@ def mode_lognorm(cov: ModeCovariance, s: float, rate: float) -> float:
             continue
         total += 0.5 * (math.log(2.0 / (a - s)) - math.log(c))
     return total
-
-
-def pi_w_profile(outcome: MeasurementOutcome, s: float) -> Callable:
-    """pi * W^(-s) of the outcome as a function of b = |beta|^2 (vectorized)."""
-    sp = s + 1.0
-    if outcome.kind == "marginal":
-        return lambda b: np.ones_like(np.asarray(b, dtype=float))
-    if outcome.kind == "click":
-        return lambda b: 1.0 - (2.0 / sp) * np.exp(-2.0 * np.asarray(b) / sp)
-    m = 0 if outcome.kind == "noclick" else outcome.m
-    if m == 0:
-        return lambda b: (2.0 / sp) * np.exp(-2.0 * np.asarray(b) / sp)
-    ratio = (s - 1.0) / sp
-
-    def profile(b):
-        b = np.asarray(b, dtype=float)
-        return (
-            (2.0 / sp)
-            * ratio**m
-            * laguerre(m, 4.0 * b / (1.0 - s * s))
-            * np.exp(-2.0 * b / sp)
-        )
-
-    return profile
 
 
 def shifted_factor_profile(

@@ -86,12 +86,6 @@ def check_threshold_factor(a: float, b: float, c: float) -> LogConcavityCertific
     return LogConcavityCertificate(margin >= 0.0, "ThresholdFactor", margin, witness)
 
 
-def violation_boundary_threshold(b: float, c: float) -> float:
-    """Largest ``a`` at which the threshold family actually loses
-    log-concavity (the certificate boundary sits at (b^2 + 2bc)/c above it)."""
-    return b + b * b / c
-
-
 # ---------------------------------------------------------------------------
 # coefficient extraction per condition family
 # ---------------------------------------------------------------------------

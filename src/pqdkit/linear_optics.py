@@ -20,11 +20,13 @@ from .errors import (
     DimensionMismatch,
     NotHpsd,
     NotSymmetric,
+    ShiftOutOfRange,
     SingularVQ,
     StructureMismatch,
     ZeroMatrix,
 )
 from .phase_space import (
+    CLICK,
     MeasurementOutcome,
     ModeCovariance,
     classicality,
@@ -69,16 +71,6 @@ def haar_unitary(m: int, seed: int) -> Interferometer:
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return Interferometer(m, q)
-
-
-def propagate(interf: Interferometer, alpha: np.ndarray) -> np.ndarray:
-    """Phase-space image beta_i = sum_j U_ji alpha_j of input points alpha."""
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape[-1] != interf.m:
-        raise DimensionMismatch(
-            f"vector length {alpha.shape[-1]} != mode count {interf.m}"
-        )
-    return alpha @ interf.u
 
 
 @dataclass(frozen=True)
@@ -464,11 +456,59 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
         raise StructureMismatch("recovered cosh 2r below 1")
     r_list = 0.5 * np.arccosh(np.clip(cosh2r, 1.0, None))
     interf = Interferometer(m, u)
-    rebuilt = block_a_prime(n, r_list, interf)
-    dev = np.max(np.abs(rebuilt.data - mat.data))
-    if dev > 1e-8 * max(1.0, np.max(np.abs(mat.data))):
-        raise StructureMismatch(f"block structure verification failed: residual {dev:.3e}")
+    _verify_block_a_prime(mat, n, r_list, interf)
     return n, r_list, interf
+
+
+def _verify_block_a_prime(mat: MatrixClass, n: float, r_list, interf: Interferometer) -> None:
+    """Raise StructureMismatch unless (n, r_list, interf) rebuild ``mat``."""
+    dev = np.max(np.abs(block_a_prime(n, r_list, interf).data - mat.data))
+    if dev > 1e-8 * max(1.0, np.max(np.abs(mat.data))):
+        raise StructureMismatch(f"(n, r, U) do not rebuild the A' matrix: residual {dev:.3e}")
+
+
+def embed_torontonian(mat: MatrixClass) -> Embedding:
+    """All-click circuit whose probability times ``z`` is Tor(mat).
+
+    R' embeds as pure squeezing r = arctanh(lam) and B' as thermal occupation
+    n = lam / (1 - lam), with ``lam`` the singular values of R or the
+    eigenvalues of B (which must lie in [0, 1)).  A' embeds as squeezed
+    thermal light with shared occupation n; its ``lambdas`` are the
+    singular values of its R block.  Nothing is rescaled.
+    """
+    if mat.tag is MatrixTag.BLOCK_R_PRIME:
+        _, b_block = split_blocks(mat)
+        if np.max(np.abs(b_block)) > 1e-10:
+            raise ShiftOutOfRange("R' family requires a vanishing B block")
+        u, lam = mat.decompose()
+        if lam.size and lam[0] >= 1.0:
+            raise ValueError("singular values must lie in [0, 1) for Torontonians")
+        r_list = np.arctanh(lam)
+        modes = tuple((float(r), 0.0) for r in r_list)
+        z = float(np.prod(np.cosh(r_list)))
+        interf = Interferometer(lam.size, u)
+    elif mat.tag is MatrixTag.BLOCK_B_PRIME:
+        u, lam = mat.decompose()
+        if lam.size and lam[0] >= 1.0:
+            raise ValueError("eigenvalues must lie in [0, 1) for Torontonians")
+        n_list = lam / (1.0 - lam)
+        modes = tuple((0.0, float(n)) for n in n_list)
+        z = float(np.prod(1.0 + n_list))
+        interf = Interferometer(lam.size, u)
+    elif mat.tag is MatrixTag.BLOCK_A_PRIME:
+        if mat.st_params is None:
+            n, r_list, interf = recover_block_a_params(mat)
+        else:
+            n, r_list, interf = mat.st_params
+            r_list = np.asarray(r_list, dtype=float)
+            _verify_block_a_prime(mat, n, r_list, interf)
+        modes = tuple((float(r), float(n)) for r in r_list)
+        z = sqrt_vq_factor(n, r_list)
+        lam = _st_diagonals(n, r_list)[0]
+    else:
+        raise ValueError(f"unsupported Torontonian tag {mat.tag}")
+    circuit = CircuitSpec(modes, interf, (CLICK,) * interf.m)
+    return Embedding(circuit, z, 1.0, lam, lam)
 
 
 # ---------------------------------------------------------------------------

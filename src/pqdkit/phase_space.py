@@ -6,27 +6,22 @@ dimensionless quadrature variances ``a_plus = 2*V_xx`` and ``a_minus =
 gives the Glauber-Sudarshan P, Wigner, and Husimi Q distributions at
 ``s = 1, 0, -1``.
 
-Gaussian-factor shifting: a factor ``exp(rate*|alpha|^2)`` can be moved from
-the input side to the measurement side of a circuit (norm preservation of
-passive linear optics).  ``rate = 2*gamma/denom_scale`` with a *signed*
-normalized ``gamma``: positive gamma with ``denom_scale = a_max - s`` shifts
-forward, negative gamma with ``denom_scale = s + 1`` shifts in reverse.
+Measurement PQDs are radial, so each is written once as a profile over
+b = |beta|^2 (``pi_w_profile``).  The Gaussian-factor shift that moves
+``exp(rate*|alpha|^2)`` from the input to the measurement side lives in
+``factors`` (per-mode exponents, normalizations, suprema) and
+``estimator._rate`` (normalized gamma in [0, 1) plus a direction).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    OrderingOutOfRange,
-    ShiftOutOfRange,
-    SingularOrdering,
-)
+from .errors import DomainError, OrderingOutOfRange, SingularOrdering
 
 _PHYS_TOL = 1e-12
 
@@ -101,43 +96,6 @@ def photon(m: int) -> MeasurementOutcome:
 CLICK = MeasurementOutcome("click")
 NOCLICK = MeasurementOutcome("noclick")
 MARGINAL = MeasurementOutcome("marginal")
-
-
-@dataclass(frozen=True)
-class PqdParams:
-    """Ordering and shift parameters with their admissible ranges."""
-
-    s: float
-    gamma: float
-    gamma_R: float
-    gamma_F: float
-    a_max: float
-    s_max: float
-
-    @classmethod
-    def from_covariances(
-        cls, covs: Sequence[ModeCovariance], s: float, gamma: float = 0.0
-    ) -> "PqdParams":
-        a_max = max(c.a_plus for c in covs)
-        s_max = classicality(covs)
-        if s <= -1.0:
-            raise OrderingOutOfRange(f"s must exceed -1, got {s}")
-        if s > s_max:
-            raise SingularOrdering(f"s = {s} exceeds classicality s_max = {s_max}")
-        return cls(
-            s=s,
-            gamma=gamma,
-            gamma_R=2.0 / (s + 1.0),
-            gamma_F=2.0 / (a_max - s) if a_max > s else math.inf,
-            a_max=a_max,
-            s_max=s_max,
-        )
-
-    def validate(self):
-        if not (-self.gamma_R < self.gamma < self.gamma_F):
-            raise ShiftOutOfRange(
-                f"gamma = {self.gamma} outside (-{self.gamma_R}, {self.gamma_F})"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +182,31 @@ def spqd_gaussian(cov: ModeCovariance, s: float, alpha: complex) -> float:
     )
 
 
+def pi_w_profile(outcome: MeasurementOutcome, s: float) -> Callable:
+    """pi * W^(-s) of the outcome as a function of b = |beta|^2 (vectorized);
+    1 for a marginalized mode."""
+    sp = s + 1.0
+    if outcome.kind == "marginal":
+        return lambda b: np.ones_like(np.asarray(b, dtype=float))
+    if outcome.kind == "click":
+        return lambda b: 1.0 - (2.0 / sp) * np.exp(-2.0 * np.asarray(b) / sp)
+    m = 0 if outcome.kind == "noclick" else outcome.m
+    if m == 0:
+        return lambda b: (2.0 / sp) * np.exp(-2.0 * np.asarray(b) / sp)
+    ratio = (s - 1.0) / sp
+
+    def profile(b):
+        b = np.asarray(b, dtype=float)
+        return (
+            (2.0 / sp)
+            * ratio**m
+            * laguerre(m, 4.0 * b / (1.0 - s * s))
+            * np.exp(-2.0 * b / sp)
+        )
+
+    return profile
+
+
 def pqd_photon_number(m: int, s: float, beta):
     """(-s)-PQD of the photon-number projector ``|m><m|``.
 
@@ -234,19 +217,7 @@ def pqd_photon_number(m: int, s: float, beta):
         raise OrderingOutOfRange(f"photon-number PQD needs s > -1, got {s}")
     if s == 1.0 and m > 0:
         raise OrderingOutOfRange("s = 1 with m >= 1 is outside this branch")
-    b = np.abs(np.asarray(beta)) ** 2
-    sp = s + 1.0
-    if m == 0:
-        val = (2.0 / (math.pi * sp)) * np.exp(-2.0 * b / sp)
-    else:
-        ratio = (s - 1.0) / sp
-        val = (
-            (2.0 / (math.pi * sp))
-            * ratio**m
-            * laguerre(m, 4.0 * b / (1.0 - s * s))
-            * np.exp(-2.0 * b / sp)
-        )
-    val = np.asarray(val)
+    val = np.asarray(pi_w_profile(photon(m), s)(np.abs(np.asarray(beta)) ** 2) / math.pi)
     return val if val.ndim else float(val)
 
 
@@ -254,91 +225,5 @@ def pqd_threshold_click(s: float, beta):
     """(-s)-PQD of the click POVM element, already multiplied by pi."""
     if s <= -1.0:
         raise OrderingOutOfRange(f"threshold PQD needs s > -1, got {s}")
-    b = np.abs(np.asarray(beta)) ** 2
-    sp = s + 1.0
-    val = np.asarray(1.0 - (2.0 / sp) * np.exp(-2.0 * b / sp))
-    return val if val.ndim else float(val)
-
-
-def measurement_pqd_pi(outcome: MeasurementOutcome, s: float, beta):
-    """pi * W^(-s) of any supported measurement outcome (1 for marginals)."""
-    if outcome.kind == "marginal":
-        b = np.abs(np.asarray(beta)) ** 2
-        val = np.ones_like(np.asarray(b, dtype=float))
-        return val if val.ndim else 1.0
-    if outcome.kind == "click":
-        return pqd_threshold_click(s, beta)
-    m = 0 if outcome.kind == "noclick" else outcome.m
-    val = np.asarray(math.pi * np.asarray(pqd_photon_number(m, s, beta)))
-    return val if val.ndim else float(val)
-
-
-# ---------------------------------------------------------------------------
-# shifted factors
-# ---------------------------------------------------------------------------
-
-
-def shift_rate(gamma: float, denom_scale: float) -> float:
-    """Raw exponent moved between input and measurement factors."""
-    if denom_scale <= 0.0:
-        raise ShiftOutOfRange(f"denominator scale must be positive, got {denom_scale}")
-    return 2.0 * gamma / denom_scale
-
-
-def input_exponents(cov: ModeCovariance, s: float, rate: float) -> tuple[float, float]:
-    """Shifted Gaussian exponents (c_x, c_y) of a normalized input factor."""
-    ap, am = cov.a_plus - s, cov.a_minus - s
-    if am <= _PHYS_TOL:
-        raise SingularOrdering(
-            f"s = {s} reaches a_minus = {cov.a_minus}; use the singular branch"
-        )
-    cx = 2.0 / ap - rate
-    cy = 2.0 / am - rate
-    if cx <= 0.0 or cy <= 0.0:
-        raise ShiftOutOfRange(
-            f"shifted exponent nonpositive (cx={cx}, cy={cy}) for rate {rate}"
-        )
-    return cx, cy
-
-
-def input_norm(cov: ModeCovariance, s: float, rate: float) -> float:
-    """Normalization constant N_i of the shifted input factor."""
-    cx, cy = input_exponents(cov, s, rate)
-    c0x = 2.0 / (cov.a_plus - s)
-    c0y = 2.0 / (cov.a_minus - s)
-    return math.sqrt(c0x / cx) * math.sqrt(c0y / cy)
-
-
-def shifted_input_factor(
-    cov: ModeCovariance,
-    s: float,
-    gamma: float,
-    denom_scale: float,
-    alpha: complex,
-) -> tuple[float, float]:
-    """Normalized, gamma-shifted input density P_i at ``alpha``.
-
-    Returns ``(density, N_i)`` where N_i is the normalization constant that
-    re-appears in the paired measurement factor.
-    """
-    rate = shift_rate(gamma, denom_scale)
-    cx, cy = input_exponents(cov, s, rate)
-    n_i = input_norm(cov, s, rate)
-    ax, ay = alpha.real, alpha.imag
-    dens = math.sqrt(cx * cy) / math.pi * math.exp(-cx * ax * ax - cy * ay * ay)
-    return dens, n_i
-
-
-def shifted_meas_factor(
-    outcome: MeasurementOutcome,
-    s: float,
-    gamma: float,
-    denom_scale: float,
-    n_j: float,
-    beta,
-):
-    """Shifted measurement factor f_j = N_j * pi*W^(-s)(beta) * exp(-rate*|beta|^2)."""
-    rate = shift_rate(gamma, denom_scale)
-    b = np.abs(np.asarray(beta)) ** 2
-    val = np.asarray(n_j * np.asarray(measurement_pqd_pi(outcome, s, beta)) * np.exp(-rate * b))
+    val = np.asarray(pi_w_profile(CLICK, s)(np.abs(np.asarray(beta)) ** 2))
     return val if val.ndim else float(val)

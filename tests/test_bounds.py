@@ -11,7 +11,7 @@ from pqdkit.errors import (
     UnsupportedBound,
     ZeroEigenvalue,
 )
-from pqdkit.phase_space import W_INV_E
+from pqdkit.phase_space import CLICK, W_INV_E, photon
 
 
 class TestPaperConstants:
@@ -86,8 +86,8 @@ class TestBudgetPermanent:
             emb = lo.embed_permanent(b_mat, a)
             s = emb.circuit.s_max - 1e-9
             gamma, direction = est.resolve_gamma(emb.circuit, s)[:2]
-            fb = est.factor_bound(emb.circuit, s, gamma, direction)
-            recon = a * emb.lambdas.max() * fb.sups / (1.0 - emb.lambdas_scaled)
+            sups = est.mode_sups(emb.circuit, s, gamma, direction)
+            recon = a * emb.lambdas.max() * sups / (1.0 - emb.lambdas_scaled)
             budget = bounds.budget_permanent(emb.lambdas)
             assert np.max(np.abs(np.sort(budget.factors) / np.sort(recon) - 1.0)) <= 1e-6
 
@@ -99,8 +99,8 @@ class TestBudgetPermanent:
         emb = lo.embed_hafnian(r_mat, a)
         s = emb.circuit.s_max - 1e-9
         gamma, direction = est.resolve_gamma(emb.circuit, s)[:2]
-        fb = est.factor_bound(emb.circuit, s, gamma, direction)
-        recon = a * emb.lambdas.max() * fb.sups / np.sqrt(1.0 - emb.lambdas_scaled**2)
+        sups = est.mode_sups(emb.circuit, s, gamma, direction)
+        recon = a * emb.lambdas.max() * sups / np.sqrt(1.0 - emb.lambdas_scaled**2)
         budget = bounds.budget_hafnian(emb.lambdas)
         assert np.max(np.abs(np.sort(budget.factors) / np.sort(recon) - 1.0)) <= 1e-6
 
@@ -138,11 +138,11 @@ class TestBudgetTorontonian:
         circuit = lo.CircuitSpec(
             tuple((float(np.arctanh(v)), 0.0) for v in lam),
             lo.haar_unitary(3, 3),
-            (est.CLICK,) * 3,
+            (CLICK,) * 3,
         )
         gamma, direction = est.optimal_gamma_threshold(0.5)[:2]
-        fb = est.factor_bound(circuit, circuit.s_max, gamma, direction)
-        recon = fb.sups / np.sqrt(1.0 - lam**2)
+        sups = est.mode_sups(circuit, circuit.s_max, gamma, direction)
+        recon = sups / np.sqrt(1.0 - lam**2)
         assert np.max(np.abs(np.sort(budget.factors) / np.sort(recon) - 1.0)) <= 1e-9
 
 
@@ -243,10 +243,10 @@ class TestBlockABudget:
         # budget dominates the realized sampling radius of the estimator
         u = lo.haar_unitary(3, 8)
         circuit = lo.CircuitSpec(
-            tuple((float(r), n) for r in r_list), u, (est.photon(1),) * 3
+            tuple((float(r), n) for r in r_list), u, (photon(1),) * 3
         )
         gamma, direction = est.optimal_gamma_st(n, float(np.max(r_list)))[:2]
         s = circuit.s_max
-        fb = est.factor_bound(circuit, s, gamma, direction)
+        sups = est.mode_sups(circuit, s, gamma, direction)
         sq_vq = lo.sqrt_vq_factor(n, r_list)
-        assert sq_vq * float(np.prod(fb.sups)) <= budget.product * (1 + 1e-9)
+        assert sq_vq * float(np.prod(sups)) <= budget.product * (1 + 1e-9)

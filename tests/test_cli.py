@@ -1,9 +1,14 @@
 """Command-line interface: schemas, reports, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqdkit import cli
 from pqdkit.errors import SchemaError
@@ -266,3 +271,125 @@ class TestCommands:
     def test_missing_flags_are_schema_errors(self, argv, pointer, capsys):
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith(f"input error: {pointer}: ")
+
+
+def _circuit_json(**changes):
+    obj = {"modes": [{"r": 0.4}, {"r": 0.3}], "unitary": {"haar_seed": 5}, "pattern": [1, 1]}
+    obj.update(changes)
+    return obj
+
+
+class TestInputHardening:
+    @pytest.mark.parametrize(
+        "kind, payload, pointer",
+        [
+            ("circuit", _circuit_json(pattern=[True, 0]), "/pattern/0"),
+            ("circuit", _circuit_json(eta=True), "/eta"),
+            ("circuit", _circuit_json(modes=[{"r": float("nan")}, {"r": 0.3}]), "/modes/0/r"),
+            ("circuit", _circuit_json(modes=[{"r": 0.4}, {"n": float("inf")}]), "/modes/1/n"),
+            ("circuit", _circuit_json(modes=[{"r": False}, {"r": 0.3}]), "/modes/0/r"),
+            ("circuit", _circuit_json(eta=0.5, n_th=float("-inf")), "/n_th"),
+            ("circuit", _circuit_json(unitary={"haar_seed": True}), "/unitary/haar_seed"),
+            ("circuit", _circuit_json(unitary={"m": 2, "re": [[True, 0], [0, 1]]}), "/unitary/re/0/0"),
+            (
+                "circuit",
+                _circuit_json(unitary={"m": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, float("nan")]]}),
+                "/unitary/im/1/1",
+            ),
+            ("circuit", _circuit_json(unitary={"m": True, "re": [[1.0]]}), "/unitary/m"),
+            ("matrix", {"m": 2, "re": [[2.0, float("inf")], [1.0, 2.0]], "tag": "B"}, "/re/0/1"),
+            ("matrix", {"m": 1, "re": [[2.0]], "im": [[False]], "tag": "B"}, "/im/0/0"),
+            ("matrix", {"m": 1, "re": 2.0, "tag": "B"}, "/re"),
+            ("matrix", {"m": 1, "re": [[2.0]], "tag": ["B"]}, "/tag"),
+            ("matrix", [1, 2], "/"),
+            ("lambdas", "nan,1", "/lambdas"),
+            ("lambdas", "0.5,inf", "/lambdas"),
+        ],
+    )
+    def test_rejected_with_pointer(self, kind, payload, pointer, tmp_path, capsys):
+        if kind == "lambdas":
+            argv = ["bounds", "--family", "permanent", "--lambdas", payload]
+        elif kind == "circuit":
+            argv = ["estimate-prob", "--circuit", write_json(tmp_path / "c.json", payload)]
+        else:
+            argv = ["estimate-per", "--matrix", write_json(tmp_path / "m.json", payload)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {pointer}: ")
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples(self, samples, circuit_file, per_matrix, capsys):
+        for argv in (["estimate-prob", "--circuit", circuit_file], ["estimate-per", "--matrix", per_matrix]):
+            assert cli.main(argv + ["--samples", samples]) == 1
+            assert capsys.readouterr().err.startswith("input error: /samples: ")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+# values a mutation puts in place of a valid one: JSON booleans, non-finite
+# and negative numbers, large magnitudes, strings, null and containers
+_MUTANT = st.one_of(
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -2, 0, 1e3, 1e300, 10**400]),
+    st.text(max_size=3),
+    st.none(),
+    st.just([]),
+    st.just({}),
+)
+
+
+def _locations(obj):
+    """(container, key) of every value inside a JSON document."""
+    for key in list(obj) if isinstance(obj, dict) else range(len(obj)):
+        yield obj, key
+        if isinstance(obj[key], (dict, list)):
+            yield from _locations(obj[key])
+
+
+@st.composite
+def circuit_documents(draw):
+    """A valid circuit document with up to two mutations: a value replaced,
+    a key or list entry removed (missing keys, wrong pattern lengths), or a
+    list entry duplicated."""
+    m = draw(st.integers(1, 3))
+    unit = st.floats(0.0, 1.0)
+    entry = st.one_of(st.integers(0, 2), st.sampled_from(["click", "noclick", "marginal"]))
+    doc = {
+        "modes": [draw(st.fixed_dictionaries({}, optional={"r": unit, "n": unit})) for _ in range(m)],
+        "eta": draw(st.floats(0.05, 1.0)),
+        "n_th": draw(unit),
+        "pattern": [draw(entry) for _ in range(m)],
+    }
+    if draw(st.booleans()):
+        doc["unitary"] = {"haar_seed": draw(st.integers(0, 99))}
+    else:
+        perm = draw(st.permutations(range(m)))
+        doc["unitary"] = {"m": m, "re": [[float(perm[i] == j) for j in range(m)] for i in range(m)]}
+    for _ in range(draw(st.sampled_from([1, 0, 2]))):
+        container, key = draw(st.sampled_from(list(_locations(doc))))
+        action = draw(st.sampled_from(["replace", "remove", "duplicate"]))
+        if action == "remove":
+            del container[key]
+        elif action == "duplicate" and isinstance(container, list):
+            container.append(container[key])
+        else:
+            container[key] = draw(_MUTANT)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(doc=circuit_documents())
+def test_schema_fuzz_exit_codes(doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "circuit.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["estimate-prob", "--circuit", str(path), "--samples", "64"])
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert err.getvalue() and "Traceback" not in err.getvalue()

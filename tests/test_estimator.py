@@ -1,6 +1,7 @@
 """Monte-Carlo estimator: bounds, shifts, folding, coverage, matrix targets."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,9 +162,9 @@ class TestFactorBound:
         circuit = squeezed_circuit([math.atanh(lam)] * 2, 9)
         s = circuit.s_max
         gamma, direction = est.optimal_gamma_squeezed([lam, lam])[:2]
-        fb = est.factor_bound(circuit, s, gamma, direction)
+        sups = est.mode_sups(circuit, s, gamma, direction)
         rate = 2.0 * gamma / ((1.0 + lam) / (1.0 - lam) - s)
-        for j, sup in enumerate(fb.sups):
+        for j, sup in enumerate(sups):
             cov = circuit.covariances()[j]
             n_j = math.exp(factors.mode_lognorm(cov, s, rate))
             numeric = n_j * factors.numeric_sup(
@@ -184,25 +185,28 @@ class TestFactorBound:
         # per-mode budget equals Z * sup of the shifted click factor
         circuit = squeezed_circuit([math.atanh(lam_max)], 11, pattern=(CLICK,))
         s = circuit.s_max
-        fb = est.factor_bound(circuit, s, 0.25, est.FORWARD)
+        sups = est.mode_sups(circuit, s, 0.25, est.FORWARD)
         assert budget.factors[0] == pytest.approx(
-            fb.sups[0] / math.sqrt(1.0 - lam_max**2), rel=1e-9
+            sups[0] / math.sqrt(1.0 - lam_max**2), rel=1e-9
         )
 
 
 class TestSampleCount:
+    """Hoeffding rule N = ceil(2 C^{2M} ln(2/delta) / eps^2) for per-mode
+    factor bound C over M modes, i.e. log B = M ln C."""
+
     def test_unit_bound(self):
-        assert est.sample_count(1.0, 4, 0.1, 0.05) == 738
+        assert est._hoeffding_count(4 * math.log(1.0), 0.1, 0.05) == 738
 
     def test_floor_one(self):
-        assert est.sample_count(0.2, 30, 0.5, 0.5) == 1
+        assert est._hoeffding_count(30 * math.log(0.2), 0.5, 0.5) == 1
 
     def test_overflow(self):
         with pytest.raises(BudgetOverflow):
-            est.sample_count(1.2, 300, 0.01, 0.05)
+            est._hoeffding_count(300 * math.log(1.2), 0.01, 0.05)
 
     def test_log_space_large(self):
-        n = est.sample_count(1.2, 30, 0.01, 0.05)
+        n = est._hoeffding_count(30 * math.log(1.2), 0.01, 0.05)
         expected = 2.0 * 1.2 ** 60 * math.log(40.0) / 1e-4
         assert n == pytest.approx(expected, rel=1e-9)
 
@@ -584,3 +588,59 @@ class TestMatrixEstimators:
             est.estimate_probability(
                 circuit, est.EstimatorConfig(gamma_mode=(1.2, est.FORWARD))
             )
+
+
+def _torontonian_case(family, seed, m=3):
+    """Block matrix of one Torontonian family and the (n, r) it was built from."""
+    rng = np.random.default_rng(seed)
+    u = lo.haar_unitary(m, seed).u
+    lam = rng.uniform(0.1, 0.5, m)
+    if family == "R'":
+        r_mat = (u * lam) @ u.T
+        return lo.block_r_prime((r_mat + r_mat.T) / 2.0), None
+    if family == "B'":
+        b_mat = (u * lam) @ u.conj().T
+        return lo.block_b_prime((b_mat + b_mat.conj().T) / 2.0), None
+    n, r_list = (0.0 if family == "A' n=0" else 0.7), rng.uniform(0.1, 0.3, m)
+    return lo.block_a_prime(n, r_list, lo.Interferometer(m, u)), (n, r_list)
+
+
+class TestTorontonianShift:
+    """Each Torontonian family runs at the analytic shift its budget is
+    derived at, not at the automatic choice for its circuit; the seeds are
+    instances where the two differ (in the last bit for R', B' and A' with
+    n > 0, where the automatic rule re-derives lambda from the circuit)."""
+
+    @pytest.mark.parametrize(
+        "family, seed", [("R'", 3), ("B'", 0), ("A' n=0", 0), ("A' n>0", 0)]
+    )
+    def test_analytic_shift(self, family, seed):
+        mat, st_params = _torontonian_case(family, seed)
+        if st_params is None:
+            expected = est.optimal_gamma_threshold(float(np.max(mat.decompose()[1])))
+        else:
+            n, r_list = st_params
+            expected = est.optimal_gamma_threshold_st(n, float(np.max(r_list)))
+        circuit = lo.embed_torontonian(mat).circuit
+        auto = est.resolve_gamma(circuit, circuit.s_max - est.S_MAX_MARGIN)
+        assert tuple(auto[:2]) != tuple(expected[:2])
+
+        cfg = est.EstimatorConfig(n_samples=100, seed=1)
+        report = est.estimate_torontonian(mat, cfg).report
+        assert (report.gamma, report.direction) == tuple(expected[:2])
+        fixed = est.estimate_torontonian(mat, replace(cfg, gamma_mode=(0.1, est.REVERSE)))
+        assert (fixed.report.gamma, fixed.report.direction) == (0.1, est.REVERSE)
+
+
+class TestSampleOverride:
+    def test_nonpositive_rejected(self):
+        for n in (0, -5):
+            with pytest.raises(ValueError):
+                est.EstimatorConfig(n_samples=n)
+
+    def test_probability_and_matrix_paths_agree(self):
+        cfg = est.EstimatorConfig(n_samples=7, seed=2)
+        circuit = squeezed_circuit([0.3, 0.2], 5)
+        assert est.estimate_probability(circuit, cfg).n_used == 7
+        b_mat = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert est.estimate_permanent_hpsd(b_mat, cfg).report.n_used == 7

@@ -74,10 +74,15 @@ class TestThresholdCertificate:
         assert cert.holds and cert.margin == pytest.approx(0.0, abs=1e-14)
 
     def test_below_true_boundary_violation_found(self):
+        # the true boundary b + b^2/c is 0.75 here; the witness line through
+        # the origin has a positive second derivative of log f below it
         b, c = 0.5, 1.0
-        a = fpras.violation_boundary_threshold(b, c) * 0.9
+        a = 0.9 * 0.75
         cert = fpras.check_threshold_factor(a, b, c)
         assert not cert.holds and cert.witness_line is not None
+        assert cert.witness_line[2] > 0.0
+        edge = fpras.check_threshold_factor(0.75 * (1.0 + 1e-9), b, c)
+        assert edge.witness_line is None
         prof = lambda q: (a - b * np.exp(-b * q)) * np.exp(-c * q)
         assert second_difference_scan(prof) > 0.0
 
@@ -85,7 +90,7 @@ class TestThresholdCertificate:
         # between the true boundary b + b^2/c and the certificate boundary
         # (b^2 + 2bc)/c the certificate declines but no violating line exists
         b, c = 0.5, 1.0
-        a = 0.5 * (fpras.violation_boundary_threshold(b, c) + (b * b + 2 * b * c) / c)
+        a = 0.5 * (0.75 + (b * b + 2 * b * c) / c)
         cert = fpras.check_threshold_factor(a, b, c)
         assert not cert.holds and cert.witness_line is None
         prof = lambda q: (a - b * np.exp(-b * q)) * np.exp(-c * q)

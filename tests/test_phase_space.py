@@ -7,6 +7,9 @@ import pytest
 import scipy.special
 from scipy.integrate import simpson
 
+from pqdkit import estimator as est
+from pqdkit import factors
+from pqdkit import linear_optics as lo
 from pqdkit import phase_space as ps
 from pqdkit.errors import (
     DomainError,
@@ -216,20 +219,34 @@ class TestLaguerre:
             assert np.allclose(ours, ref, rtol=1e-9, atol=1e-9)
 
 
+def shifted_input_density(cov, s, rate, x, y):
+    """Normalized shifted input factor as the samplers draw it: a Gaussian
+    with precision 2 c per quadrature, (c_x, c_y) = quadrature_exponents."""
+    cx, cy = factors.quadrature_exponents(cov, s, rate)
+    return math.sqrt(cx * cy) / math.pi * np.exp(-cx * x * x - cy * y * y)
+
+
 class TestShiftedFactors:
+    """The shift moves exp(rate |alpha|^2) from the input factor, whose
+    exponents and normalization come from ``factors``, to the measurement
+    factor ``factors.shifted_factor_profile``; ``estimator._rate`` maps a
+    normalized gamma and a direction to the rate."""
+
     def test_zero_shift_reduces_to_plain_pqd(self):
         cov = ps.squeezed_thermal_covariance(0.4, 0.2)
         s = 0.3
         alpha = 0.5 - 0.2j
-        dens, n_i = ps.shifted_input_factor(cov, s, 0.0, cov.a_plus - s, alpha)
-        assert n_i == pytest.approx(1.0, rel=1e-12)
+        dens = shifted_input_density(cov, s, 0.0, alpha.real, alpha.imag)
+        assert math.exp(factors.mode_lognorm(cov, s, 0.0)) == pytest.approx(1.0, rel=1e-12)
         assert dens == pytest.approx(ps.spqd_gaussian(cov, s, alpha), rel=1e-12)
 
     def test_forward_limit_rejected(self):
         cov = ps.squeezed_thermal_covariance(0.5, 0.0)
         s = 0.2
         with pytest.raises(ShiftOutOfRange):
-            ps.shifted_input_factor(cov, s, 1.0, cov.a_plus - s, 0j)
+            est._rate(s, 1.0, est.FORWARD, cov.a_plus)
+        with pytest.raises(ShiftOutOfRange):
+            factors.quadrature_exponents(cov, s, 2.0 / (cov.a_plus - s))
 
     def test_density_and_norm_by_quadrature(self):
         # 2-D quadrature of the unnormalized shifted form; the squeezing sits
@@ -237,9 +254,8 @@ class TestShiftedFactors:
         r, n_th = 0.4, 0.0
         cov = ps.squeezed_thermal_covariance(r, n_th)
         s = math.exp(-1.0)
-        gamma = 0.2
-        denom = cov.a_plus - s
-        rate = 2.0 * gamma / denom
+        rate = est._rate(s, 0.2, est.FORWARD, cov.a_plus)
+        assert rate == pytest.approx(2.0 * 0.2 / (cov.a_plus - s), rel=1e-15)
         sx = math.sqrt((cov.a_plus - s) / 4.0 / (1.0 - rate * (cov.a_plus - s) / 2.0))
         sy = math.sqrt((cov.a_minus - s) / 4.0)
         raw = lambda x, y: np.vectorize(
@@ -247,17 +263,9 @@ class TestShiftedFactors:
             * math.exp(rate * (xx * xx + yy * yy))
         )(x, y)
         n_quad = gauss_2d_integral(raw, sx, sy, n=601)
-        dens, n_i = ps.shifted_input_factor(cov, s, gamma, denom, 0.3 + 0.4j)
-        assert n_i == pytest.approx(n_quad, rel=1e-7)
+        assert math.exp(factors.mode_lognorm(cov, s, rate)) == pytest.approx(n_quad, rel=1e-7)
         total = gauss_2d_integral(
-            lambda x, y: np.vectorize(
-                lambda xx, yy: ps.shifted_input_factor(
-                    cov, s, gamma, denom, complex(xx, yy)
-                )[0]
-            )(x, y),
-            sx,
-            sy,
-            n=601,
+            lambda x, y: shifted_input_density(cov, s, rate, x, y), sx, sy, n=601
         )
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -267,78 +275,71 @@ class TestShiftedFactors:
             cov = ps.squeezed_thermal_covariance(rng.uniform(0, 0.8), rng.uniform(0, 1))
             s = rng.uniform(-0.5, cov.a_minus - 0.05)
             gamma = rng.uniform(-0.8, 0.8)
-            denom = (cov.a_plus - s) if gamma >= 0 else (s + 1.0)
-            rate = 2.0 * gamma / denom
+            direction = est.FORWARD if gamma >= 0 else est.REVERSE
+            rate = est._rate(s, abs(gamma), direction, cov.a_plus)
             cx = 2.0 / (cov.a_plus - s) - rate
             cy = 2.0 / (cov.a_minus - s) - rate
             if cx <= 0 or cy <= 0:
                 continue
             sx, sy = math.sqrt(0.5 / cx), math.sqrt(0.5 / cy)
             total = gauss_2d_integral(
-                lambda x, y: np.vectorize(
-                    lambda xx, yy: ps.shifted_input_factor(
-                        cov, s, gamma, denom, complex(xx, yy)
-                    )[0]
-                )(x, y),
-                sx,
-                sy,
-                n=401,
+                lambda x, y: shifted_input_density(cov, s, rate, x, y), sx, sy, n=401
             )
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_marginal_factor_is_unity_without_shift(self):
-        vals = ps.shifted_meas_factor(
-            ps.MARGINAL, 0.4, 0.0, 1.0, 1.0, np.array([0.0, 1.0, 2.0 + 1j])
-        )
-        assert np.allclose(vals, 1.0)
+        b = np.abs(np.array([0.0, 1.0, 2.0 + 1j])) ** 2
+        assert np.allclose(factors.shifted_factor_profile(ps.MARGINAL, 0.4, 0.0)(b), 1.0)
 
     def test_threshold_factor_product_form(self):
         s, gamma, beta = 0.5, 0.1, 0.7
-        denom = 3.0
+        a_max = s + 3.0
         n_j = 1.2
-        rate = 2.0 * gamma / denom
+        rate = est._rate(s, gamma, est.FORWARD, a_max)
         expected = (
             n_j
             * (1.0 - (2.0 / (s + 1.0)) * math.exp(-2.0 * abs(beta) ** 2 / (s + 1.0)))
-            * math.exp(-rate * abs(beta) ** 2)
+            * math.exp(-2.0 * gamma / 3.0 * abs(beta) ** 2)
         )
-        got = ps.shifted_meas_factor(ps.CLICK, s, gamma, denom, n_j, beta)
+        got = factors.shifted_factor_profile(ps.CLICK, s, rate, n_j)(abs(beta) ** 2)
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_optimally_shifted_single_photon_factor_below_one(self):
         # identical pure squeezed modes at the balance-optimal shift
-        from pqdkit import estimator as est
-
         for lam in (0.2, 0.5, 0.9):
             gamma, direction = est.optimal_gamma_squeezed([lam])[:2]
             e2r = (1.0 + lam) / (1.0 - lam)
             s = 1.0 / e2r
             cov = ps.ModeCovariance(e2r, 1.0 / e2r)
-            denom = (e2r - s) if direction == est.FORWARD else (s + 1.0)
-            signed = gamma if direction == est.FORWARD else -gamma
-            rate = 2.0 * signed / denom
-            from pqdkit.factors import mode_lognorm
-
-            n_j = math.exp(mode_lognorm(cov, s, rate))
-            grid = np.sqrt(np.linspace(0.0, 200.0, 5001))
-            vals = ps.shifted_meas_factor(ps.photon(1), s, signed, denom, n_j, grid)
+            rate = est._rate(s, gamma, direction, e2r)
+            n_j = math.exp(factors.mode_lognorm(cov, s, rate))
+            b = np.linspace(0.0, 200.0, 5001)
+            vals = factors.shifted_factor_profile(ps.photon(1), s, rate, n_j)(b)
             assert np.max(np.abs(vals)) < 1.0
 
 
 class TestPqdParams:
+    """Admissible orderings and shift windows: s <= s_max = min a_minus,
+    rates in (-2/(s+1), 2/(a_max-s)), reached by normalized gamma in [0, 1)."""
+
     def test_ranges(self):
-        covs = [ps.squeezed_thermal_covariance(0.5, 0.0), ps.VACUUM]
-        params = ps.PqdParams.from_covariances(covs, 0.2, 0.0)
-        assert params.a_max == pytest.approx(math.exp(1.0))
-        assert params.s_max == pytest.approx(math.exp(-1.0))
-        assert params.gamma_R == pytest.approx(2.0 / 1.2)
-        assert params.gamma_F == pytest.approx(2.0 / (math.exp(1.0) - 0.2))
+        circuit = lo.CircuitSpec(
+            ((0.5, 0.0), (0.0, 0.0)), lo.identity_interferometer(2), (ps.MARGINAL,) * 2
+        )
+        s, g = 0.2, 0.5
+        assert circuit.a_max == pytest.approx(math.exp(1.0))
+        assert circuit.s_max == pytest.approx(math.exp(-1.0))
+        assert -est._rate(s, g, est.REVERSE, circuit.a_max) / g == pytest.approx(2.0 / 1.2)
+        assert est._rate(s, g, est.FORWARD, circuit.a_max) / g == pytest.approx(
+            2.0 / (math.exp(1.0) - 0.2)
+        )
 
     def test_invalid_ordering(self):
+        circuit = lo.CircuitSpec(((0.0, 0.0),), lo.identity_interferometer(1), (ps.photon(0),))
         with pytest.raises(SingularOrdering):
-            ps.PqdParams.from_covariances([ps.VACUUM], 1.5)
+            est.estimate_probability(circuit, est.EstimatorConfig(s=1.5))
 
     def test_gamma_window(self):
-        params = ps.PqdParams.from_covariances([ps.VACUUM], 0.0, gamma=5.0)
-        with pytest.raises(ShiftOutOfRange):
-            params.validate()
+        for direction in (est.FORWARD, est.REVERSE):
+            with pytest.raises(ShiftOutOfRange):
+                est._rate(0.0, 5.0, direction, 1.0)
