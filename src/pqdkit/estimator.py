@@ -37,7 +37,7 @@ from .linear_optics import (
     embed_permanent,
     embed_torontonian,
 )
-from .phase_space import W_INV_E, pi_w_profile
+from .phase_space import W_INV_E, pi_w_log_slope, pi_w_profile
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -385,11 +385,11 @@ class _Fold:
 
     ``chol_lower`` is the Cholesky factor of the effective precision on the
     free coordinates ``free_idx`` (frozen delta quadratures are pinned to
-    zero); the active modes keep their full shifted factors as per-sample
-    weights.
+    zero); active mode j keeps n_j * pi W_j(b) * exp(-rate_j * b) as its
+    per-sample weight, with ``rates`` in active-mode order.
     """
 
-    rate: float
+    rates: tuple
     free_idx: np.ndarray
     chol_lower: np.ndarray
     log_prefactor: float
@@ -411,7 +411,14 @@ def _real_pushforward(u: np.ndarray) -> np.ndarray:
     return np.block([[u.real, -u.imag], [u.imag, u.real]])
 
 
-def _fold(circuit: CircuitSpec, s: float, gamma: float, direction: str) -> _Fold:
+def _fold(
+    circuit: CircuitSpec, s: float, gamma: float, direction: str, laplace: bool = False
+) -> _Fold:
+    """A Gaussian factor is pi W(0) * exp(kappa * b), kappa = pi_w_log_slope,
+    and adds 2 (rate - kappa) Q_j to the precision.  ``laplace`` folds the
+    same exponent of every non-Gaussian factor, whose weight keeps
+    pi W_j(b) * exp(-kappa_j * b): the precision is then minus the
+    log-Hessian of the integrand at the origin (the Laplace proposal)."""
     covs = circuit.covariances()
     m = circuit.m
     a_max = max(c.a_plus for c in covs)
@@ -433,19 +440,22 @@ def _fold(circuit: CircuitSpec, s: float, gamma: float, direction: str) -> _Fold
     active = []
     active_sups = {}
     active_norms = {}
+    weight_rates = []
     for j, out in enumerate(circuit.pattern):
         log_n = mode_lognorm(covs[j], s, rate)
+        if out.is_gaussian or laplace:
+            kappa = pi_w_log_slope(out, s)
+            lam += 2.0 * (rate - kappa) * _mode_quadratic_form(circuit.unitary.u[j])
         if out.is_gaussian:
-            g = rate if out.kind == "marginal" else rate + 2.0 / sp
             log_k += log_n
             if out.kind != "marginal":
                 log_k += math.log(2.0 / sp)
-            lam += 2.0 * g * _mode_quadratic_form(circuit.unitary.u[j])
         else:
             n_j = math.exp(log_n)
             active.append(j)
             active_norms[j] = n_j
             active_sups[j] = measurement_sup(out, s, rate, n_j)
+            weight_rates.append(kappa if laplace else rate)
 
     lam_free = lam[np.ix_(free_idx, free_idx)]
     try:
@@ -457,7 +467,7 @@ def _fold(circuit: CircuitSpec, s: float, gamma: float, direction: str) -> _Fold
     logdet_eff = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
     logdet_in = float(np.sum(np.log(precision[free_idx])))
     return _Fold(
-        rate=rate,
+        rates=tuple(weight_rates),
         free_idx=free_idx,
         chol_lower=chol,
         log_prefactor=log_k + 0.5 * (logdet_in - logdet_eff),
@@ -479,15 +489,16 @@ class FoldedSampler:
     """Weighted Gaussian sampler: one real matrix product per batch.
 
     ``kernel`` (2A x F) maps F standard normals straight to
-    [Re beta; Im beta] of the A weighted modes; each sample's weight is the
-    product of those modes' shifted measurement factors.  The folded
-    sampler (``build_folded_sampler``) absorbs the Gaussian measurement
-    factors into the kernel and prefactor; the naive one
-    (``_build_naive_sampler``) folds nothing and weights every mode.
+    [Re beta; Im beta] of the A weighted modes; each sample's weight is
+    ``scale`` times the product over those modes of
+    pi W_j(b_j) * exp(-rates[j] * b_j).  The folded sampler
+    (``build_folded_sampler``) absorbs the Gaussian measurement factors into
+    the kernel and prefactor; the naive one (``_build_naive_sampler``) folds
+    nothing and weights every mode.
     """
 
     kernel: np.ndarray
-    rate: float
+    rates: np.ndarray  # exponent of each weighted mode's Gaussian reweight
     profiles: tuple  # pi W(b) of each weighted mode, b = |beta|^2
     scale: float  # product of the weighted modes' input normalizations
     log_prefactor: float
@@ -524,18 +535,19 @@ class FoldedSampler:
             self.beta_sq(z, out=b[:, col : col + count])
             col += count
         w = np.full(n, self.scale)
-        for prof, b_j in zip(self.profiles, b):
-            w *= prof(b_j) * np.exp(-self.rate * b_j)
+        for prof, rate, b_j in zip(self.profiles, self.rates, b):
+            w *= prof(b_j) * np.exp(-rate * b_j)
         return w
 
 
 def build_folded_sampler(
-    circuit: CircuitSpec, s: float, gamma: float, direction: str
+    circuit: CircuitSpec, s: float, gamma: float, direction: str, laplace: bool = False
 ) -> FoldedSampler:
     """Folded sampler with kernel K = W_af L^{-T}: W restricted to the active
     modes' rows and the free columns, L the Cholesky factor of the folded
-    precision (one solve here, none per batch)."""
-    fold = _fold(circuit, s, gamma, direction)
+    precision (one solve here, none per batch).  ``laplace`` selects the
+    Laplace fold of ``_fold`` (the multiplicative estimator's proposal)."""
+    fold = _fold(circuit, s, gamma, direction, laplace)
     m = circuit.m
     rows = list(fold.active_modes) + [m + j for j in fold.active_modes]
     kernel = _real_pushforward(circuit.unitary.u)[np.ix_(rows, fold.free_idx)]
@@ -546,7 +558,7 @@ def build_folded_sampler(
         kernel = np.linalg.solve(fold.chol_lower, kernel.T).T
     return FoldedSampler(
         kernel=kernel,
-        rate=fold.rate,
+        rates=np.array(fold.rates),
         profiles=tuple(pi_w_profile(circuit.pattern[j], s) for j in fold.active_modes),
         scale=math.prod(fold.active_norms[j] for j in fold.active_modes),
         log_prefactor=fold.log_prefactor,
@@ -571,7 +583,7 @@ def _build_naive_sampler(
         log_norm += mode_lognorm(cov, s, rate)
     return FoldedSampler(
         kernel=_real_pushforward(circuit.unitary.u) * stds,
-        rate=rate,
+        rates=np.full(m, rate),
         profiles=tuple(pi_w_profile(out, s) for out in circuit.pattern),
         scale=math.exp(log_norm),
         log_prefactor=0.0,
@@ -706,6 +718,8 @@ def estimate_probability(
             )
         )
 
+    if not math.isfinite(running):
+        raise FloatingPointError(f"sample weights sum to {running}; a factor overflowed")
     estimate = prefactor * running / n_total if n_total else prefactor
     conf_radius = radius_scale / math.sqrt(n_total)
     return EstimateReport(

@@ -10,8 +10,10 @@ line-restricted second derivative is attained at the origin), so
 certificates in the conservative band report no witness.
 
 The multiplicative estimator importance-samples the full 2M-dimensional
-integrand with a Laplace (mode + inverse negative log-Hessian) Gaussian
-proposal, which is sharp because certified integrands are log-concave.
+integrand with its Laplace Gaussian at the origin, the mode of every
+certified (log-concave, centered) integrand.  The proposal is the additive
+sampler's Laplace fold, whose precision is the closed-form negative
+log-Hessian there, so no derivative is taken numerically.
 """
 
 from __future__ import annotations
@@ -28,18 +30,14 @@ from .errors import (
     NonConvergent,
     NonPositiveFactor,
     NotLogConcave,
-    NotPositiveDefinite,
     TooLarge,
     ZeroEigenvalue,
 )
-from .estimator import EstimatorConfig
-from .factors import quadrature_exponents
+from .estimator import FORWARD, S_MAX_MARGIN, EstimatorConfig, build_folded_sampler
 from .linear_optics import CircuitSpec
 
 ESS_PER_EPS_SQ = 50.0
 SAMPLE_CAP = 10**8
-HESSIAN_STEP = 1e-5
-GRAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,10 @@ def check_threshold_factor(a: float, b: float, c: float) -> LogConcavityCertific
 
 def permanent_coefficients(lambda_min: float, lambda_max: float):
     """(a, b, c) of the single-photon factor for thermal inputs at full
-    forward shift and s at the classicality."""
+    forward shift and s at the classicality; the spectrum must be rescaled
+    into (0, 1) as ``embed_permanent`` does."""
+    if not (0.0 < lambda_min <= lambda_max < 1.0):
+        raise ValueError("need 0 < lambda_min <= lambda_max < 1")
     n_min = lambda_min / (1.0 - lambda_min)
     n_max = lambda_max / (1.0 - lambda_max)
     s = 2.0 * n_min + 1.0
@@ -258,99 +259,6 @@ class MultiplicativeEstimate:
         }
 
 
-class _LogIntegrand:
-    """Full-shift log-integrand over the free real coordinates."""
-
-    def __init__(self, circuit: CircuitSpec, s: float, gamma: float):
-        covs = circuit.covariances()
-        m = circuit.m
-        a_max = max(c.a_plus for c in covs)
-        self.rate = 2.0 * gamma / (a_max - s)
-        self.s = s
-        self.m = m
-        self.u = circuit.unitary.u
-        self.pattern = circuit.pattern
-        coeff = np.zeros(2 * m)
-        log_const = 0.0
-        for i, cov in enumerate(covs):
-            exps = quadrature_exponents(cov, s, self.rate)
-            for k, c in zip((i, m + i), exps):
-                coeff[k] = c if c is not None else math.inf
-            log_const += math.log(2.0 / math.pi) - 0.5 * (
-                math.log(cov.a_plus - s) + math.log(cov.a_minus - s)
-            )
-        self.coeff = coeff
-        self.log_const = log_const
-        self.free_idx = np.where(np.isfinite(coeff))[0]
-        self.dim = len(self.free_idx)
-
-    def _log_meas(self, b: np.ndarray, out) -> np.ndarray:
-        sp = self.s + 1.0
-        if out.kind == "marginal":
-            return -self.rate * b
-        if out.kind == "click":
-            return (
-                np.log1p(-(2.0 / sp) * np.exp(-2.0 * b / sp)) - self.rate * b
-            )
-        if out.kind == "photon" and out.m == 1:
-            a = 2.0 * (self.s**2 - 1.0)
-            return (
-                np.log(8.0 * b + a)
-                - 3.0 * math.log(sp)
-                - (2.0 / sp + self.rate) * b
-            )
-        # vacuum projection / no-click
-        return math.log(2.0 / sp) - (2.0 / sp + self.rate) * b
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """x: (n, dim) free coordinates -> log integrand values."""
-        n = x.shape[0]
-        alpha = np.zeros((n, 2 * self.m))
-        alpha[:, self.free_idx] = x
-        finite_coeff = np.where(np.isfinite(self.coeff), self.coeff, 0.0)
-        quad = (alpha * alpha) @ finite_coeff
-        alpha_c = alpha[:, : self.m] + 1j * alpha[:, self.m :]
-        beta = alpha_c @ self.u.T
-        total = self.log_const - quad
-        for j, out in enumerate(self.pattern):
-            b = np.abs(beta[:, j]) ** 2
-            total = total + self._log_meas(b, out)
-        return total
-
-
-def _fd_hessian(fn, x0: np.ndarray, step: float = HESSIAN_STEP) -> np.ndarray:
-    dim = x0.size
-    hess = np.empty((dim, dim))
-    f0 = float(fn(x0[None, :])[0])
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = step
-        fpp = float(fn((x0 + ei)[None, :])[0])
-        fmm = float(fn((x0 - ei)[None, :])[0])
-        hess[i, i] = (fpp - 2.0 * f0 + fmm) / step**2
-        for j in range(i + 1, dim):
-            ej = np.zeros(dim)
-            ej[j] = step
-            fpj = float(fn((x0 + ei + ej)[None, :])[0])
-            fmj = float(fn((x0 - ei - ej)[None, :])[0])
-            fpm = float(fn((x0 + ei - ej)[None, :])[0])
-            fmp = float(fn((x0 - ei + ej)[None, :])[0])
-            hess[i, j] = hess[j, i] = (fpj + fmj - fpm - fmp) / (4.0 * step**2)
-    return hess
-
-
-def _fd_gradient(fn, x0: np.ndarray, step: float = HESSIAN_STEP) -> np.ndarray:
-    dim = x0.size
-    grad = np.empty(dim)
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = step
-        grad[i] = (
-            float(fn((x0 + ei)[None, :])[0]) - float(fn((x0 - ei)[None, :])[0])
-        ) / (2.0 * step)
-    return grad
-
-
 def estimate_multiplicative(
     circuit: CircuitSpec,
     epsilon: float,
@@ -360,9 +268,13 @@ def estimate_multiplicative(
     """Relative-error estimate of the circuit probability for certified
     log-concave integrands.
 
-    Proposal: Gaussian at the integrand's mode with covariance from the
-    inverse negative log-Hessian; stopping on effective sample size and the
-    normal-theory relative radius; log-space accumulation throughout.
+    Proposal: the Laplace Gaussian at the origin, the integrand's mode
+    (centered inputs make the log-integrand even, the certificates make it
+    concave), drawn by ``build_folded_sampler(..., laplace=True)``; the
+    importance weight is exp(log_prefactor) times the sampler's weight,
+    which log-concavity bounds by its value at the origin, so the sums stay
+    in linear space.  Stopping is on effective sample size and the
+    normal-theory relative radius.
     """
     if circuit.m > 12:
         raise TooLarge("multiplicative estimation limited to 12 modes at desk scale")
@@ -375,78 +287,31 @@ def estimate_multiplicative(
     if all(out.kind == "marginal" for out in circuit.pattern):
         return MultiplicativeEstimate(1.0, 0.0, 0, math.inf, certs)
 
-    s = circuit.s_max - 1e-9
-    gamma = 1.0 - 1e-9
-    logf = _LogIntegrand(circuit, s, gamma)
-
-    # damped ascent to the mode; centered circuits peak at the origin
-    x = np.zeros(logf.dim)
-    for _ in range(50):
-        grad = _fd_gradient(logf, x)
-        if float(np.linalg.norm(grad)) <= GRAD_TOL * max(1.0, float(np.linalg.norm(x))):
-            break
-        hess = _fd_hessian(logf, x)
-        try:
-            step_vec = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step_vec = grad
-        t = 1.0
-        f_cur = float(logf(x[None, :])[0])
-        while t > 1e-6 and float(logf((x + t * step_vec)[None, :])[0]) < f_cur:
-            t *= 0.5
-        x = x + t * step_vec
-
-    hess = _fd_hessian(logf, x)
-    neg_h = -hess
-    try:
-        chol = np.linalg.cholesky(neg_h)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("log-Hessian is not negative definite") from exc
-    logdet_neg_h = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-    dim = logf.dim
-
+    sampler = build_folded_sampler(
+        circuit, circuit.s_max - S_MAX_MARGIN, 1.0 - 1e-9, FORWARD, laplace=True
+    )
     z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
     ess_target = ESS_PER_EPS_SQ / epsilon**2
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     )
-    from scipy.linalg import solve_triangular
-
-    shift = None
-    s1 = 0.0  # sum of exp(logw - shift)
-    s2 = 0.0  # sum of exp(2*(logw - shift))
+    s1 = 0.0  # sum of weights
+    s2 = 0.0  # sum of squared weights
     n_used = 0
     batch = 4096
     while n_used < SAMPLE_CAP:
-        z = rng.standard_normal((dim, batch))
-        y = solve_triangular(chol.T, z, lower=False)
-        pts = x[None, :] + y.T
-        logq = (
-            -0.5 * np.sum(z * z, axis=0)
-            + 0.5 * logdet_neg_h
-            - 0.5 * dim * math.log(2.0 * math.pi)
-        )
-        logw = logf(pts) - logq
-        m_batch = float(np.max(logw))
-        if shift is None:
-            shift = m_batch
-        elif m_batch > shift:
-            scale = math.exp(shift - m_batch)
-            s1 *= scale
-            s2 *= scale * scale
-            shift = m_batch
-        w = np.exp(logw - shift)
+        w = sampler.draw(rng, batch)
         s1 += float(np.sum(w))
         s2 += float(np.sum(w * w))
         n_used += batch
+        if not math.isfinite(s2):
+            raise FloatingPointError(f"importance weights overflowed (sum of squares {s2})")
         ess = s1 * s1 / s2 if s2 > 0.0 else 0.0
-        mean_sh = s1 / n_used
-        var_sh = max(s2 / n_used - mean_sh * mean_sh, 0.0)
-        rel_se = (
-            math.sqrt(var_sh / n_used) / mean_sh if mean_sh > 0.0 else math.inf
-        )
+        mean = s1 / n_used
+        var = max(s2 / n_used - mean * mean, 0.0)
+        rel_se = math.sqrt(var / n_used) / mean if mean > 0.0 else math.inf
         if ess >= ess_target and z_score * rel_se <= epsilon:
-            value = math.exp(shift) * mean_sh
+            value = math.exp(sampler.log_prefactor) * mean
             return MultiplicativeEstimate(
                 float(value), float(z_score * rel_se), n_used, float(ess), certs
             )

@@ -7,7 +7,8 @@ gives the Glauber-Sudarshan P, Wigner, and Husimi Q distributions at
 ``s = 1, 0, -1``.
 
 Measurement PQDs are radial, so each is written once as a profile over
-b = |beta|^2 (``pi_w_profile``).  The Gaussian-factor shift that moves
+b = |beta|^2 (``pi_w_profile``), with its log-slope at the origin
+(``pi_w_log_slope``) beside it.  The Gaussian-factor shift that moves
 ``exp(rate*|alpha|^2)`` from the input to the measurement side lives in
 ``factors`` (per-mode exponents, normalizations, suprema) and
 ``estimator._rate`` (normalized gamma in [0, 1) plus a direction).
@@ -205,6 +206,20 @@ def pi_w_profile(outcome: MeasurementOutcome, s: float) -> Callable:
         )
 
     return profile
+
+
+def pi_w_log_slope(outcome: MeasurementOutcome, s: float) -> float:
+    """d/db log(pi W^(-s))(b) at b = 0 for the profile of ``pi_w_profile``:
+    the exponent kappa with pi W(b) ~ pi W(0) * exp(kappa*b) near the origin."""
+    if outcome.kind == "marginal":
+        return 0.0
+    if outcome.kind == "click":
+        return 4.0 / (s * s - 1.0)
+    m = 0 if outcome.kind == "noclick" else outcome.m
+    if m == 0:
+        return -2.0 / (s + 1.0)
+    # L_m(x) = 1 - m*x + O(x^2) at x = 4b/(1 - s^2)
+    return 4.0 * m / (s * s - 1.0) - 2.0 / (s + 1.0)
 
 
 def pqd_photon_number(m: int, s: float, beta):

@@ -324,6 +324,26 @@ class TestInputHardening:
             assert cli.main(argv + ["--samples", samples]) == 1
             assert capsys.readouterr().err.startswith("input error: /samples: ")
 
+    # overflow inside the sampler warns before the weight sum is checked
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_estimate_is_numerical_failure(self, tmp_path, capsys):
+        circ = write_json(
+            tmp_path / "c.json",
+            {"modes": [{}, {"n": 1e300}], "unitary": {"haar_seed": 0}, "pattern": [1, "click"]},
+        )
+        assert cli.main(["estimate-prob", "--circuit", circ, "--samples", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("lambdas", ["1,1.5", "0.3,1.7"])
+    def test_permanent_spectrum_outside_unit_interval(self, lambdas, capsys):
+        argv = ["check-fpras", "--family", "permanent", "--lambdas", lambdas]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+
 
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")

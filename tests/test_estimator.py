@@ -282,7 +282,8 @@ class TestSamplingKernel:
         else:
             sampler = est._build_naive_sampler(circuit, s, gamma, direction)
             fold = None
-            stds = naive_stds(circuit, s, sampler.rate)
+            assert np.all(sampler.rates == sampler.rates[0])
+            stds = naive_stds(circuit, s, float(sampler.rates[0]))
             assert sampler.active_modes == tuple(range(circuit.m))
         z = np.random.default_rng(5).standard_normal((sampler.kernel.shape[1], 3000))
         expected = reference_beta_sq(circuit, stds, fold, z)[list(sampler.active_modes)]

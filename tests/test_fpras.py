@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pqdkit import estimator as est, fpras, linear_optics as lo, oracles
+from pqdkit import phase_space as ps
 from pqdkit.errors import (
     NegativeCoefficient,
     NonPositiveFactor,
@@ -13,7 +14,7 @@ from pqdkit.errors import (
     TooLarge,
     ZeroEigenvalue,
 )
-from pqdkit.phase_space import CLICK, MARGINAL, photon
+from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon
 
 
 def second_difference_scan(profile, q_max=8.0, step=1e-3):
@@ -301,3 +302,119 @@ class TestMultiplicative:
         )
         z_prime = float(np.prod(1.0 + n_list))
         assert abs(z_prime * res.value / exact - 1.0) <= 0.1
+
+
+def log_integrand(circuit, s, x):
+    """log of the unshifted integrand at real coordinates x = [Re a; Im a],
+    built from the input s-PQDs and the measurement profiles (the shift
+    cancels between the two sides)."""
+    m = circuit.m
+    alpha = x[:m] + 1j * x[m:]
+    total = sum(
+        math.log(ps.spqd_gaussian(cov, s, complex(a)))
+        for cov, a in zip(circuit.covariances(), alpha)
+    )
+    beta = circuit.unitary.u @ alpha
+    for out, b in zip(circuit.pattern, beta):
+        total += math.log(abs(float(ps.pi_w_profile(out, s)(abs(b) ** 2))))
+    return total
+
+
+def central_hessian(fn, dim, h=1e-4):
+    hess = np.empty((dim, dim))
+    eye = np.eye(dim) * h
+    for i in range(dim):
+        for j in range(dim):
+            hess[i, j] = (
+                fn(eye[i] + eye[j]) - fn(eye[i] - eye[j]) - fn(eye[j] - eye[i]) + fn(-eye[i] - eye[j])
+            ) / (4.0 * h * h)
+    return hess
+
+
+LAPLACE_CASES = [
+    lo.CircuitSpec(((0.0, 1.5), (0.0, 2.0)), lo.haar_unitary(2, 14), (photon(1), CLICK)),
+    lo.CircuitSpec(((0.05, 1.8), (0.0, 1.6), (0.05, 2.0)), lo.haar_unitary(3, 21), (photon(1), MARGINAL, CLICK)),
+    lo.CircuitSpec(((0.0, 1.7), (0.0, 1.9), (0.0, 1.5)), lo.haar_unitary(3, 5), (CLICK, NOCLICK, photon(1))),
+]
+
+
+class TestLaplaceFold:
+    @pytest.mark.parametrize("case", range(len(LAPLACE_CASES)))
+    def test_precision_is_negative_log_hessian_at_origin(self, case):
+        circuit = LAPLACE_CASES[case]
+        s = circuit.s_max - 0.5
+        fold = est._fold(circuit, s, 0.5, est.FORWARD, laplace=True)
+        assert len(fold.free_idx) == 2 * circuit.m
+        precision = fold.chol_lower @ fold.chol_lower.T
+        hess = central_hessian(lambda x: log_integrand(circuit, s, x), 2 * circuit.m)
+        np.testing.assert_allclose(precision, -hess, rtol=1e-5, atol=1e-5 * np.abs(hess).max())
+        kappas = [ps.pi_w_log_slope(circuit.pattern[j], s) for j in fold.active_modes]
+        assert fold.rates == tuple(kappas)
+
+    @pytest.mark.parametrize("case", range(len(LAPLACE_CASES)))
+    def test_weight_is_integrand_over_proposal(self, case):
+        # f(x) = exp(log_prefactor) * q(x) * w(x) with q the folded Gaussian
+        circuit = LAPLACE_CASES[case]
+        s = circuit.s_max - 0.5
+        fold = est._fold(circuit, s, 0.5, est.FORWARD, laplace=True)
+        sampler = est.build_folded_sampler(circuit, s, 0.5, est.FORWARD, laplace=True)
+        dim = 2 * circuit.m
+        z = np.random.default_rng(case).standard_normal((dim, 5))
+        b = sampler.beta_sq(z)
+        w = sampler.scale * np.prod(
+            [prof(b_j) * np.exp(-rate * b_j) for prof, rate, b_j in zip(sampler.profiles, sampler.rates, b)],
+            axis=0,
+        )
+        x = np.linalg.solve(fold.chol_lower.T, z)
+        log_q = (
+            -0.5 * np.sum(z * z, axis=0)
+            + float(np.sum(np.log(np.diagonal(fold.chol_lower))))
+            - 0.5 * dim * math.log(2.0 * math.pi)
+        )
+        for k in range(z.shape[1]):
+            expected = log_integrand(circuit, s, x[:, k]) - log_q[k]
+            assert sampler.log_prefactor + math.log(w[k]) == pytest.approx(expected, abs=1e-9)
+
+
+def hpsd_with_spectrum(q, lam):
+    b_mat = (q * lam) @ q.conj().T
+    return (b_mat + b_mat.conj().T) / 2.0
+
+
+# the circuits the multiplicative tests above certify and estimate
+CERTIFIED = {
+    "permanent": lo.embed_permanent(
+        hpsd_with_spectrum(lo.haar_unitary(4, 7).u, np.random.default_rng(6).uniform(1.0, 2.0, 4))
+    ).circuit,
+    "block-a": lo.CircuitSpec(
+        tuple((r, 1.2) for r in (0.1, 0.18, 0.15, 0.12)), lo.haar_unitary(4, 9), (photon(1),) * 4
+    ),
+    "thermal": lo.CircuitSpec(
+        ((0.0, 1.5), (0.0, 2.0)), lo.haar_unitary(2, 14), (photon(1),) * 2
+    ),
+    "noisy-threshold": lo.CircuitSpec(
+        ((0.4, 0.0), (0.3, 0.0)),
+        lo.haar_unitary(2, 17),
+        (CLICK, CLICK),
+        eta=0.6,
+        n_th=fpras.gbs_noise_threshold(0.6, 0.4) * 1.1,
+    ),
+    "thermal-threshold": lo.CircuitSpec(
+        tuple((0.0, x / (1.0 - x)) for x in (0.55, 0.6, 0.58)), lo.haar_unitary(3, 15), (CLICK,) * 3
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_laplace_weights_peak_at_origin(name):
+    # log-concave profiles with their tangent exponent removed peak at b = 0,
+    # which is what lets the multiplicative sums stay in linear space
+    circuit = CERTIFIED[name]
+    assert all(cert.holds for cert in fpras.circuit_certificates(circuit))
+    sampler = est.build_folded_sampler(
+        circuit, circuit.s_max - est.S_MAX_MARGIN, 1.0 - 1e-9, est.FORWARD, laplace=True
+    )
+    peak = sampler.scale * math.prod(float(prof(0.0)) for prof in sampler.profiles)
+    w = sampler.draw(np.random.default_rng(0), 20_000)
+    assert np.all(w > 0.0)
+    assert float(np.max(w)) <= peak * (1.0 + 1e-12)

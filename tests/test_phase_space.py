@@ -219,6 +219,30 @@ class TestLaguerre:
             assert np.allclose(ours, ref, rtol=1e-9, atol=1e-9)
 
 
+class TestPiWLogSlope:
+    @pytest.mark.parametrize(
+        "outcome",
+        [ps.photon(0), ps.photon(1), ps.photon(2), ps.photon(3), ps.CLICK, ps.NOCLICK, ps.MARGINAL],
+    )
+    @pytest.mark.parametrize("s", [-0.5, 0.3, 1.5, 3.0])
+    def test_matches_central_difference(self, outcome, s):
+        # the profiles are analytic in b, so the difference may straddle b = 0
+        h = 1e-6
+        log_abs = lambda b: math.log(abs(float(ps.pi_w_profile(outcome, s)(b))))
+        numeric = (log_abs(h) - log_abs(-h)) / (2.0 * h)
+        assert ps.pi_w_log_slope(outcome, s) == pytest.approx(numeric, rel=1e-6, abs=1e-8)
+
+    def test_closed_forms(self):
+        # the Gaussian kinds must be exact: the additive fold's precision
+        # uses rate - kappa and must keep its bits
+        s = 2.0
+        assert ps.pi_w_log_slope(ps.MARGINAL, s) == 0.0
+        assert ps.pi_w_log_slope(ps.NOCLICK, s) == -2.0 / 3.0
+        assert ps.pi_w_log_slope(ps.photon(0), s) == -2.0 / 3.0
+        assert ps.pi_w_log_slope(ps.photon(2), s) == pytest.approx(8.0 / 3.0 - 2.0 / 3.0)
+        assert ps.pi_w_log_slope(ps.CLICK, s) == pytest.approx(4.0 / 3.0)
+
+
 def shifted_input_density(cov, s, rate, x, y):
     """Normalized shifted input factor as the samplers draw it: a Gaussian
     with precision 2 c per quadrature, (c_x, c_y) = quadrature_exponents."""
