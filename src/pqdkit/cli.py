@@ -24,6 +24,7 @@ from . import __version__, bounds, fpras, oracles
 from . import estimator as est
 from . import linear_optics as lo
 from .errors import (
+    BoundViolation,
     NonConvergent,
     NotLogConcave,
     PqdkitError,
@@ -601,7 +602,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotLogConcave, NonConvergent) as exc:
+    except (NotLogConcave, NonConvergent, BoundViolation) as exc:
         print(f"condition failure: {exc}", file=sys.stderr)
         return 2
     except (PqdkitError, ValueError) as exc:

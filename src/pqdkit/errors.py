@@ -86,6 +86,10 @@ class NotLogConcave(PqdkitError):
     """Integrand fails the log-concavity condition for multiplicative runs."""
 
 
+class BoundViolation(PqdkitError):
+    """A sample weight exceeded the supremum its sample count relies on."""
+
+
 class NonConvergent(PqdkitError):
     """Sampler hit its cap before meeting the stopping rule."""
 

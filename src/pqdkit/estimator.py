@@ -22,6 +22,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .errors import (
+    BoundViolation,
     BudgetOverflow,
     NotPositiveDefinite,
     ShiftOutOfRange,
@@ -43,6 +44,7 @@ FORWARD = "forward"
 REVERSE = "reverse"
 S_MAX_MARGIN = 1e-9
 MIN_DIAGNOSTIC_SAMPLES = 10_000
+WEIGHT_BOUND_RTOL = 1e-9
 
 
 class GammaChoice(NamedTuple):
@@ -331,47 +333,61 @@ def _log_effective_bound(circuit: CircuitSpec, s: float, gamma: float, direction
 
 
 def _numeric_gamma(circuit: CircuitSpec, s: float) -> GammaChoice:
-    """Grid-plus-refinement minimization of the effective sample bound."""
+    """Golden-section minimization of log B_eff over the signed rate.
 
-    def objective(gamma: float, direction: str) -> float:
+    log B_eff(rate) = const - 1/2 log det Lambda(rate) + sum over active
+    modes of log sup_b |pi W_j(b)| exp(-rate b); the input normalizations
+    cancel between the prefactor and the active n_j.  The folded precision
+    Lambda is affine in the rate, so -1/2 log det is convex, and each
+    log-supremum is a supremum of affine functions of the rate, so convex
+    too.  The objective is thus convex on one interval of feasible rates,
+    which holds rate 0, and one bracket-free line search over the window
+    [-0.98 * 2/(s+1), 0.98 * 2/(a_max-s)] finds its minimum.  The best
+    point probed wins, rate 0 included.
+    """
+    a_max = circuit.a_max
+
+    def choice(rate: float) -> GammaChoice:
+        if rate >= 0.0:
+            return GammaChoice(rate * (a_max - s) / 2.0, FORWARD)
+        return GammaChoice(-rate * (s + 1.0) / 2.0, REVERSE)
+
+    best_value, best_rate = math.inf, 0.0
+
+    def objective(rate: float) -> float:
+        nonlocal best_value, best_rate
         try:
-            return _log_effective_bound(circuit, s, gamma, direction)
+            value = _log_effective_bound(circuit, s, *choice(rate)[:2])
         except (ShiftOutOfRange, NotPositiveDefinite, SingularOrdering):
             return math.inf
+        if value < best_value:
+            best_value, best_rate = value, rate
+        return value
 
-    candidates = [(0.0, FORWARD)]
-    grid = np.geomspace(1e-4, 0.98, 64)
-    for direction in (FORWARD, REVERSE):
-        candidates.extend((float(g), direction) for g in grid)
-    scored = [(objective(g, d), g, d) for g, d in candidates]
-    best, g_best, d_best = min(scored, key=lambda t: t[0])
-    if not math.isfinite(best):
-        return GammaChoice(0.0, FORWARD)
-    # golden refinement inside the bracketing grid interval
-    same = sorted([g for _, g, d in scored if d == d_best] + [0.0])
-    idx = same.index(g_best)
-    lo = same[max(idx - 1, 0)]
-    hi = same[min(idx + 1, len(same) - 1)]
+    objective(0.0)
+    a = -0.98 * 2.0 / (s + 1.0)
+    b = 0.98 * 2.0 / (a_max - s) if a_max > s else 0.0
+    tol = 1e-6 * (b - a)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c, d_best), objective(d, d_best)
-    for _ in range(60):
-        if b - a < 1e-4:
-            break
-        if fc <= fd:
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > tol:
+        if math.isinf(fc) and math.isinf(fd):
+            # both probes outside the feasible interval, which holds 0
+            a, b = (a, c) if c > 0.0 else (d, b)
+            c, d = b - invphi * (b - a), a + invphi * (b - a)
+            fc, fd = objective(c), objective(d)
+        elif fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = objective(c, d_best)
+            fc = objective(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = objective(d, d_best)
-    g_ref = 0.5 * (a + b)
-    if objective(g_ref, d_best) < best:
-        return GammaChoice(g_ref, d_best)
-    return GammaChoice(g_best, d_best)
+            fd = objective(d)
+    objective(a)  # the ends of the last bracket catch a minimum at a window edge
+    objective(b)
+    return choice(best_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +568,9 @@ def build_folded_sampler(
     rows = list(fold.active_modes) + [m + j for j in fold.active_modes]
     kernel = _real_pushforward(circuit.unitary.u)[np.ix_(rows, fold.free_idx)]
     if kernel.size:
-        # numpy's LAPACK, not scipy's: a call into scipy's separate OpenBLAS
-        # leaves its threads spinning, which halved the speed of the batches
-        # that followed on a 2-CPU host
+        # numpy's LAPACK: a call into a second bundled OpenBLAS leaves its
+        # threads spinning, which halved the speed of the batches that
+        # followed on a 2-CPU host
         kernel = np.linalg.solve(fold.chol_lower, kernel.T).T
     return FoldedSampler(
         kernel=kernel,
@@ -680,18 +696,30 @@ def estimate_probability(
 
     sizes = _chunk_sizes(n_total, config.chunks)
     units = _fused_units(sizes)
+    # every weight is bounded by the product of its modes' claimed suprema;
+    # the sample count and the radius are void if one is not
+    w_limit = (1.0 + WEIGHT_BOUND_RTOL) * math.prod(all_sups[j] for j in sampler.active_modes)
+
+    def draw(rng, n: int) -> np.ndarray:
+        w = sampler.draw(rng, n)
+        peak = float(np.max(np.abs(w)))
+        if peak > w_limit and math.isfinite(peak):
+            raise BoundViolation(
+                f"sample weight {peak:.6e} exceeds the claimed bound {w_limit:.6e}"
+            )
+        return w
 
     def unit_sums(unit) -> list[float]:
         rngs = [_chunk_rng(config.seed, chunk) for chunk, _ in unit]
         if len(unit) > 1:
             counts = [size for _, size in unit]
-            w = sampler.draw(list(zip(rngs, counts)), sum(counts))
+            w = draw(list(zip(rngs, counts)), sum(counts))
             ends = np.cumsum(counts)
             return [float(np.sum(w[e - k : e])) for e, k in zip(ends, counts)]
         size = unit[0][1]
         subtotal = 0.0
         for done in range(0, size, FUSED_BATCH):
-            subtotal += float(np.sum(sampler.draw(rngs[0], min(FUSED_BATCH, size - done))))
+            subtotal += float(np.sum(draw(rngs[0], min(FUSED_BATCH, size - done))))
         return [subtotal]
 
     if threads > 1 and len(units) > 1:

@@ -1,27 +1,25 @@
-"""Per-mode shifted-factor machinery: radial profiles, normalizations, and
-supremum searches.
+"""Per-mode shifted-factor machinery: input exponents, normalizations, and
+measurement-factor suprema.
 
 A measurement factor is f(beta) = N * piW(|beta|^2) * exp(-rate*|beta|^2)
 where ``rate`` is the raw Gaussian shift (positive = forward, negative =
 reverse) and N the normalization constant of the paired input factor.  All
-profiles are radial, so suprema reduce to 1-D searches over b = |beta|^2;
-the photon-number (m = 0, 1) and threshold families have analytic
-stationary points, everything else falls back to a dense grid with
-golden-section refinement.
+profiles are radial, so a supremum is a maximum over b = |beta|^2 >= 0,
+taken exactly at b = 0 and at the stationary points: closed forms for the
+vacuum, single-photon and threshold factors, the real roots of a degree-m
+Laguerre series for m >= 2 photons.  No grid is searched.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from .errors import ShiftOutOfRange, SingularOrdering
-from .phase_space import MeasurementOutcome, ModeCovariance, pi_w_profile
+from .phase_space import MeasurementOutcome, ModeCovariance, laguerre
 
 FREEZE_TOL = 1e-12
-B_MAX = 400.0  # |beta| <= 20
 
 
 def quadrature_exponents(cov: ModeCovariance, s: float, rate: float):
@@ -53,58 +51,14 @@ def mode_lognorm(cov: ModeCovariance, s: float, rate: float) -> float:
     return total
 
 
-def shifted_factor_profile(
-    outcome: MeasurementOutcome, s: float, rate: float, n_j: float = 1.0
-) -> Callable:
-    """Full shifted measurement factor over b = |beta|^2."""
-    base = pi_w_profile(outcome, s)
-
-    def profile(b):
-        b = np.asarray(b, dtype=float)
-        return n_j * base(b) * np.exp(-rate * b)
-
-    return profile
-
-
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section maximization of a scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def numeric_sup(profile: Callable, b_max: float = B_MAX, n_grid: int = 4001) -> float:
-    """Supremum of |profile| on [0, b_max]: dense grid plus golden refinement."""
-    grid = np.linspace(0.0, b_max, n_grid)
-    vals = np.abs(profile(grid))
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, n_grid - 1)]
-    _, peak = _golden_max(lambda b: float(np.abs(profile(b))), lo, hi)
-    return max(float(vals[k]), peak)
-
-
 def measurement_sup(
     outcome: MeasurementOutcome, s: float, rate: float, n_j: float = 1.0
 ) -> float:
     """sup_b |f(b)| of the shifted measurement factor.
 
     Uses the analytic stationary points of the vacuum, single-photon, and
-    threshold families; higher photon numbers use the numeric search.
-    Returns inf when a reverse shift makes the factor unbounded.
+    threshold families and the exact stationary points of higher photon
+    numbers.  Returns inf when a reverse shift makes the factor unbounded.
     """
     sp = s + 1.0
     if outcome.kind == "marginal":
@@ -129,7 +83,7 @@ def measurement_sup(
                     * math.exp(-rate * b_star)
                 )
         return n_j * max(candidates)
-    # photon number m >= 1
+    # photon number m >= 1: f(b) = (2/sp) ((s-1)/sp)^m L_m(k b) exp(-c b)
     m = outcome.m
     c = 2.0 / sp + rate
     if c <= 0.0:
@@ -143,4 +97,11 @@ def measurement_sup(
                 (8.0 * b_star + a_coef) * math.exp(-c * b_star) / sp**3
             )
         return n_j * max(candidates)
-    return n_j * numeric_sup(shifted_factor_profile(outcome, s, rate))
+    # f'(b) = 0 where k L_m'(x) = c L_m(x), x = k b; L_m' = -(L_0 + ... +
+    # L_{m-1}) in the Laguerre basis.  Real parts of every root are probed
+    # (a complex root's is a harmless extra point), f -> 0 as b -> inf.
+    k = 4.0 / (1.0 - s * s)
+    x = np.polynomial.laguerre.lagroots([-k] * m + [-c]).real
+    x = np.concatenate(([0.0], x[x / k >= 0.0]))
+    peak = np.max(np.abs(laguerre(m, x) * np.exp(-c * x / k)))
+    return n_j * (2.0 / sp) * abs((s - 1.0) / sp) ** m * float(peak)

@@ -33,7 +33,13 @@ from .errors import (
     TooLarge,
     ZeroEigenvalue,
 )
-from .estimator import FORWARD, S_MAX_MARGIN, EstimatorConfig, build_folded_sampler
+from .estimator import (
+    FORWARD,
+    FUSED_BATCH,
+    S_MAX_MARGIN,
+    EstimatorConfig,
+    build_folded_sampler,
+)
 from .linear_optics import CircuitSpec
 
 ESS_PER_EPS_SQ = 50.0
@@ -300,9 +306,11 @@ def estimate_multiplicative(
     n_used = 0
     batch = 4096
     while n_used < SAMPLE_CAP:
-        w = sampler.draw(rng, batch)
-        s1 += float(np.sum(w))
-        s2 += float(np.sum(w * w))
+        # drawn in pieces from the one stream so that memory stays bounded
+        for done in range(0, batch, FUSED_BATCH):
+            w = sampler.draw(rng, min(FUSED_BATCH, batch - done))
+            s1 += float(np.sum(w))
+            s2 += float(np.sum(w * w))
         n_used += batch
         if not math.isfinite(s2):
             raise FloatingPointError(f"importance weights overflowed (sum of squares {s2})")

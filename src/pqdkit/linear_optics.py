@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -218,11 +217,12 @@ def takagi(r_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         else:
             groups.append([idx])
 
-    blocks = []
+    # each group's z = V diag(mu) V^{-1} is a symmetric unitary; its block
+    # of q is the principal square root V diag(sqrt mu) V^{-1}
+    q = np.zeros((lam.size, lam.size), dtype=complex)
     for idx in groups:
-        z = v[:, idx].T @ w[:, idx]
-        blocks.append(scipy.linalg.sqrtm(z))
-    q = scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
+        mu, vec = np.linalg.eig(v[:, idx].T @ w[:, idx])
+        q[np.ix_(idx, idx)] = np.linalg.solve(vec.T, (vec * np.sqrt(mu)).T).T
     u = v @ q.conj()
 
     resid = np.max(np.abs(u @ np.diag(lam) @ u.T - r_mat)) if r_mat.size else 0.0
@@ -404,7 +404,7 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
     """Recover (n, r_list, U) from an A'-tagged matrix.
 
     Uses the Takagi basis of R, requires B to be diagonal in the same basis,
-    and solves the shared-n consistency equation per mode.  Raises
+    and reads n off the first mode in closed form; the rest follow.  Raises
     StructureMismatch when the rebuilt matrix disagrees with the input.
     """
     r_block, b_block = split_blocks(mat)
@@ -422,35 +422,17 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
     if np.min(dp) <= 0.0:
         raise StructureMismatch("B eigenvalues must be positive for shared n > 0")
 
-    # per-mode consistency: cosh^2 - sinh^2 = 1 as a function of u = 2n+1
-    def residual(u_var: float, di: float, dpi: float) -> float:
-        k = (u_var * u_var - 1.0) / (2.0 * dpi)
-        cosh_term = (k - (u_var * u_var + 1.0) / 2.0) / u_var
-        sinh_term = di * k / u_var
-        return cosh_term * cosh_term - sinh_term * sinh_term - 1.0
-
-    d0, dp0 = float(d[0]), float(dp[0])
-    lo, hi = 1.0 + 1e-12, 1e6
-    f_lo = residual(lo, d0, dp0)
-    u_var = None
-    # bracket and bisect; residual is monotone-ish in the physical range
-    grid = np.geomspace(lo, hi, 4000)
-    vals = [residual(g, d0, dp0) for g in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            a_lo, a_hi = grid[i], grid[i + 1]
-            for _ in range(200):
-                mid = 0.5 * (a_lo + a_hi)
-                if residual(a_lo, d0, dp0) * residual(mid, d0, dp0) <= 0.0:
-                    a_hi = mid
-                else:
-                    a_lo = mid
-            u_var = 0.5 * (a_lo + a_hi)
-            break
-    if u_var is None:
+    # cosh^2 2r - sinh^2 2r = 1 is a quadratic in X = (2n+1)^2 whose roots
+    # are X = 1 (n = 0) and X = ((1+p)^2 - d^2) / ((1-p)^2 - d^2), which
+    # exceeds 1 whenever p > 0 and the denominator is positive
+    d0, p0 = float(d[0]), float(dp[0])
+    denom = (1.0 - p0) ** 2 - d0 * d0
+    if denom <= 0.0:
         raise StructureMismatch("no shared thermal occupation solves the block structure")
-    n = (u_var - 1.0) / 2.0
-    k_list = (u_var * u_var - 1.0) / (2.0 * dp)
+    x_minus_1 = 4.0 * p0 / denom
+    u_var = math.sqrt(1.0 + x_minus_1)
+    n = 0.5 * x_minus_1 / (u_var + 1.0)  # (u - 1)/2 without cancellation
+    k_list = x_minus_1 / (2.0 * dp)
     cosh2r = (k_list - (u_var * u_var + 1.0) / 2.0) / u_var
     if np.min(cosh2r) < 1.0 - 1e-9:
         raise StructureMismatch("recovered cosh 2r below 1")

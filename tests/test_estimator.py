@@ -1,15 +1,20 @@
 """Monte-Carlo estimator: bounds, shifts, folding, coverage, matrix targets."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pqdkit import bounds, estimator as est, linear_optics as lo, oracles
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_laguerre
+
+from pqdkit import bounds, cli, estimator as est, linear_optics as lo, oracles
 from pqdkit import factors
-from pqdkit.errors import BudgetOverflow, ShiftOutOfRange, SingularOrdering
-from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon
+from pqdkit.errors import BoundViolation, BudgetOverflow, ShiftOutOfRange, SingularOrdering
+from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon, pi_w_profile
 
 
 def squeezed_circuit(r_list, seed, pattern=None, eta=1.0):
@@ -21,6 +26,34 @@ def squeezed_circuit(r_list, seed, pattern=None, eta=1.0):
         pattern=tuple(pattern),
         eta=eta,
     )
+
+
+def shifted_profile(outcome, s, rate, n_j=1.0):
+    """Reference shifted measurement factor n_j * pi W(b) * exp(-rate * b)."""
+    base = pi_w_profile(outcome, s)
+    return lambda b: n_j * base(b) * np.exp(-rate * np.asarray(b, dtype=float))
+
+
+def photon_factor(m, s, rate):
+    """pi W of photon(m) times exp(-rate * b) with the two exponents combined,
+    so that reverse rates do not overflow; scipy's Laguerre polynomial."""
+    sp = s + 1.0
+    c = 2.0 / sp + rate
+    k = 4.0 / (1.0 - s * s)
+    return lambda b: (2.0 / sp) * ((s - 1.0) / sp) ** m * eval_laguerre(m, k * b) * np.exp(-c * b)
+
+
+def dense_sup(profile, grid, n_fine=2_001):
+    """Reference supremum of |profile| over a dense sorted grid, refined by a
+    second dense grid around each of its local maxima."""
+    v = np.abs(profile(grid))
+    left = np.concatenate(([-np.inf], v[:-1]))
+    right = np.concatenate((v[1:], [-np.inf]))
+    best = float(np.max(v))
+    for i in np.flatnonzero((v > left) & (v >= right)):
+        fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], n_fine)
+        best = max(best, float(np.max(np.abs(profile(fine)))))
+    return best
 
 
 class TestNegativityBound:
@@ -52,8 +85,7 @@ class TestNegativityBound:
         circuit = squeezed_circuit([r], 4)
         s = circuit.s_max
         analytic = est.negativity_bound(circuit, s)
-        prof = factors.shifted_factor_profile(photon(1), s, 0.0)
-        numeric = factors.numeric_sup(prof)
+        numeric = dense_sup(shifted_profile(photon(1), s, 0.0), np.linspace(0.0, 400.0, 4001))
         assert analytic == pytest.approx(numeric, abs=1e-9)
 
     def test_rejects_super_classical_ordering(self):
@@ -167,8 +199,8 @@ class TestFactorBound:
         for j, sup in enumerate(sups):
             cov = circuit.covariances()[j]
             n_j = math.exp(factors.mode_lognorm(cov, s, rate))
-            numeric = n_j * factors.numeric_sup(
-                factors.shifted_factor_profile(photon(1), s, rate)
+            numeric = dense_sup(
+                shifted_profile(photon(1), s, rate, n_j), np.linspace(0.0, 400.0, 4001)
             )
             assert sup <= numeric + 1e-9
             assert sup == pytest.approx(numeric, abs=1e-9)
@@ -189,6 +221,167 @@ class TestFactorBound:
         assert budget.factors[0] == pytest.approx(
             sups[0] / math.sqrt(1.0 - lam_max**2), rel=1e-9
         )
+
+
+class TestPhotonSuprema:
+    """Exact suprema of the shifted photon(m >= 2) factors against a dense
+    reference that reaches the peak near b = m / c."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(2, 8),
+        s=st.floats(-0.95, 3.0),
+        g=st.floats(-0.999, 2.0),  # rate = g * 2/(s+1): c = 2/(s+1) + rate > 0
+    )
+    def test_matches_dense_reference(self, m, s, g):
+        assume(abs(s - 1.0) > 1e-3)
+        sp = s + 1.0
+        rate = g * 2.0 / sp
+        c = 2.0 / sp + rate
+        k = 4.0 / (1.0 - s * s)
+        # b = 50/c covers the far peak; a finer grid covers the Laguerre
+        # oscillations, whose roots lie below x = k b = 4m + 2
+        grid = np.union1d(
+            np.linspace(0.0, 50.0 / c, 20_001),
+            np.linspace(0.0, min(50.0 / c, (4 * m + 10) / abs(k)), 20_001),
+        )
+        ref = dense_sup(photon_factor(m, s, rate), grid)
+        sup = factors.measurement_sup(photon(m), s, rate)
+        assert sup >= ref * (1.0 - 1e-13)  # equal up to the rounding of two evaluations
+        assert sup == pytest.approx(ref, rel=1e-9)
+
+    def test_reference_matches_sampler_profile(self):
+        for m, s, rate in [(2, 0.4, 0.3), (3, -0.5, -0.2), (5, 1.5, 0.1)]:
+            b = np.linspace(0.0, 30.0, 301)
+            expected = shifted_profile(photon(m), s, rate)(b)
+            np.testing.assert_allclose(photon_factor(m, s, rate)(b), expected, rtol=1e-9)
+
+    def test_unbounded_without_decay(self):
+        assert factors.measurement_sup(photon(2), 0.5, -2.0 / 1.5) == math.inf
+
+    def test_reverse_shift_near_limit(self, tmp_path, capsys):
+        # the peak sits near b = m/c ~ 1.5e3, far outside |beta| <= 20
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"modes": [{"r": 0.3}, {"r": 0.3}], "unitary": {"haar_seed": 1},'
+            ' "pattern": [2, "marginal"]}'
+        )
+        argv = ["estimate-prob", "--circuit", str(path), "--gamma", "0.999",
+                "--direction", "reverse", "--samples", "2000"]
+        assert cli.main(argv) == 0
+        rep = json.loads(capsys.readouterr().out)["result"]
+        circuit = cli.circuit_file_parse(str(path))
+        s = rep["s"]
+        sup = est.mode_sups(circuit, s, 0.999, est.REVERSE)[0]
+        assert sup == pytest.approx(4.317e5, rel=1e-3)
+        rate = est._rate(s, 0.999, est.REVERSE, circuit.a_max)
+        n_0 = math.exp(factors.mode_lognorm(circuit.covariances()[0], s, rate))
+        c = 2.0 / (s + 1.0) + rate
+        ref = n_0 * dense_sup(photon_factor(2, s, rate), np.linspace(0.0, 50.0 / c, 20_001))
+        assert sup == pytest.approx(ref, rel=1e-9)
+        # Hoeffding radius B_eff * sqrt(2 ln(2/delta) / n) at the default delta = 0.05
+        sampler = est.build_folded_sampler(circuit, s, 0.999, est.REVERSE)
+        radius = math.exp(sampler.log_prefactor) * sup * math.sqrt(2.0 * math.log(40.0) / 2000)
+        assert rep["conf_radius"] == pytest.approx(radius, rel=1e-12)
+
+    def test_strong_reverse_shift_does_not_overflow(self, tmp_path, capsys):
+        # rate < -709/400: exp(-rate * b) alone overflows where the factor is bounded
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"modes": [{}, {}, {"r": 1.8911, "n": 1.6150}],'
+            ' "unitary": {"m": 3, "re": [[1,0,0],[0,1,0],[0,0,1]]},'
+            ' "pattern": [3, "marginal", "click"]}'
+        )
+        assert cli.main(["estimate-prob", "--circuit", str(path), "--samples", "64"]) == 0
+        rep = json.loads(capsys.readouterr().out)["result"]
+        s = rep["s"]
+        rate = -0.98 * 2.0 / (s + 1.0)
+        assert rate < -709.0 / 400.0
+        sup = factors.measurement_sup(photon(3), s, rate)
+        c = 2.0 / (s + 1.0) + rate
+        ref = dense_sup(photon_factor(3, s, rate), np.linspace(0.0, 50.0 / c, 20_001))
+        assert math.isfinite(sup) and sup == pytest.approx(ref, rel=1e-9)
+
+
+def generic_circuits():
+    """Mixed patterns and lossy inputs, outside every analytic shift rule."""
+    lossy = dict(eta=0.5, n_th=0.1)
+    out = []
+    for m, seed in ((3, 40), (4, 41)):
+        u = lo.haar_unitary(m, seed)
+        specs = ((photon(1),), (photon(2),), (photon(1), photon(2)), (CLICK,), (CLICK, NOCLICK))
+        for spec in specs:
+            pattern = spec + (MARGINAL,) * (m - len(spec))
+            out.append(lo.CircuitSpec(((0.5, 0.0),) * m, u, pattern, **lossy))
+    u3 = lo.haar_unitary(3, 7)
+    mixed = ((0.3, 0.1), (0.6, 0.3), (0.2, 0.0))
+    out.append(lo.CircuitSpec(((0.4, 0.2),), lo.haar_unitary(1, 1), (NOCLICK,)))
+    out.append(lo.CircuitSpec(mixed, u3, (photon(1), photon(1), CLICK)))
+    out.append(lo.CircuitSpec(mixed, u3, (CLICK, CLICK, NOCLICK)))
+    out.append(lo.CircuitSpec(((0.3, 0.0), (0.6, 0.0)), lo.haar_unitary(2, 3), (photon(1), CLICK)))
+    # minima on the reverse side
+    for modes, seed, pattern in (
+        (((0.9, 0.0), (0.9, 0.0), (0.5, 0.0)), 8, (photon(1), photon(1), NOCLICK)),
+        (((0.0, 2.0), (0.0, 3.0)), 9, (photon(1), photon(2))),
+        (((1.0, 0.0), (0.8, 0.0)), 10, (photon(2), photon(2))),
+        (((0.5, 1.0), (0.3, 1.0), (0.2, 1.0)), 11, (photon(1), photon(1), NOCLICK)),
+    ):
+        out.append(lo.CircuitSpec(modes, lo.haar_unitary(len(modes), seed), pattern))
+    return out
+
+
+class TestShiftSearch:
+    @pytest.mark.parametrize("index", range(len(generic_circuits())))
+    def test_not_worse_than_dense_rate_scan(self, index):
+        circuit = generic_circuits()[index]
+        s = circuit.s_max - est.S_MAX_MARGIN
+        a_max = circuit.a_max
+
+        def log_b(rate):
+            if rate >= 0.0:
+                shift = (rate * (a_max - s) / 2.0, est.FORWARD)
+            else:
+                shift = (-rate * (s + 1.0) / 2.0, est.REVERSE)
+            try:
+                return est._log_effective_bound(circuit, s, *shift)
+            except (ShiftOutOfRange, est.NotPositiveDefinite):
+                return math.inf
+
+        rates = np.linspace(-0.98 * 2.0 / (s + 1.0), 0.98 * 2.0 / (a_max - s), 801)
+        scan = min(log_b(float(r)) for r in rates)
+        gamma, direction = est._numeric_gamma(circuit, s)[:2]
+        assert est._log_effective_bound(circuit, s, gamma, direction) <= scan + 1e-6
+
+
+class TestWeightBound:
+    @staticmethod
+    def halve_sups(monkeypatch):
+        true_sup = est.measurement_sup
+        monkeypatch.setattr(est, "measurement_sup", lambda *args: 0.5 * true_sup(*args))
+
+    def test_planted_wrong_supremum_raises(self, monkeypatch):
+        circuit = squeezed_circuit([0.4, 0.3], 17, pattern=(photon(1), CLICK))
+        cfg = est.EstimatorConfig(n_samples=4000, gamma_mode=(0.2, est.FORWARD))
+        for method in ("folded", "naive"):
+            est.estimate_probability(circuit, cfg, method=method)
+        self.halve_sups(monkeypatch)
+        for method in ("folded", "naive"):
+            with pytest.raises(BoundViolation):
+                est.estimate_probability(circuit, cfg, method=method)
+
+    def test_planted_wrong_supremum_exits_2(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"modes": [{"r": 0.4}, {"r": 0.3}], "unitary": {"haar_seed": 5}, "pattern": [1, 1]}'
+        )
+        argv = ["estimate-prob", "--circuit", str(path), "--samples", "4000"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        self.halve_sups(monkeypatch)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the claimed bound" in captured.err
 
 
 class TestSampleCount:

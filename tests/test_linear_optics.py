@@ -226,15 +226,34 @@ class TestBlockA:
         expected = math.sqrt(0.5 + n * (n + 1) + (n + 0.5) * math.cosh(2 * r))
         assert sqrt_vq == pytest.approx(expected, rel=1e-12)
 
+    # (n, r_list, Haar seed) over M = 1..6, zero squeezing included
+    RECOVER_CASES = [
+        (0.9, [0.2, 0.45, 0.3], 21),
+        (0.05, [0.0], 1),
+        (0.3, [0.1, 0.8], 2),
+        (2.5, [0.05, 0.3, 0.6, 0.7], 4),
+        (3.0, [0.4, 0.0, 0.25, 0.75, 0.1, 0.6], 5),
+    ]
+
     def test_recover_params(self):
-        n = 0.9
-        r_list = np.array([0.2, 0.45, 0.3])
-        interf = lo.haar_unitary(3, 21)
-        mat = lo.block_a_prime(n, r_list, interf)
-        mat_anon = lo.MatrixClass(lo.MatrixTag.BLOCK_A_PRIME, mat.data)
-        n_rec, r_rec, _ = lo.recover_block_a_params(mat_anon)
-        assert n_rec == pytest.approx(n, abs=1e-7)
-        assert np.allclose(np.sort(r_rec), np.sort(r_list), atol=1e-7)
+        for n, r_list, seed in self.RECOVER_CASES:
+            interf = lo.haar_unitary(len(r_list), seed)
+            mat = lo.block_a_prime(n, r_list, interf)
+            mat_anon = lo.MatrixClass(lo.MatrixTag.BLOCK_A_PRIME, mat.data)
+            n_rec, r_rec, u_rec = lo.recover_block_a_params(mat_anon)
+            assert n_rec == pytest.approx(n, rel=1e-9)
+            assert np.allclose(np.sort(r_rec), np.sort(r_list), atol=1e-8)
+            rebuilt = lo.block_a_prime(n_rec, r_rec, u_rec).data
+            assert np.allclose(rebuilt, mat.data, atol=1e-10)
+
+    def test_recover_rejects_no_shared_occupation(self):
+        # B is diagonal in the Takagi basis of R, but d^2 >= (1 - d')^2
+        u = lo.haar_unitary(2, 3).u
+        r_block = u @ np.diag([0.9, 0.5]) @ u.T
+        b_block = u @ np.diag([0.2, 0.1]) @ u.conj().T
+        a_prime = np.block([[b_block.T, r_block.conj()], [r_block, b_block]])
+        with pytest.raises(StructureMismatch):
+            lo.recover_block_a_params(lo.MatrixClass(lo.MatrixTag.BLOCK_A_PRIME, a_prime))
 
     def test_recover_rejects_mismatched_structure(self):
         rng = np.random.default_rng(13)

@@ -250,11 +250,18 @@ def shifted_input_density(cov, s, rate, x, y):
     return math.sqrt(cx * cy) / math.pi * np.exp(-cx * x * x - cy * y * y)
 
 
+def shifted_meas_factor(outcome, s, rate, n_j=1.0):
+    """Shifted measurement factor n_j * pi W(b) * exp(-rate * b) over
+    b = |beta|^2, the per-mode weight of the samplers."""
+    base = ps.pi_w_profile(outcome, s)
+    return lambda b: n_j * base(b) * np.exp(-rate * np.asarray(b, dtype=float))
+
+
 class TestShiftedFactors:
     """The shift moves exp(rate |alpha|^2) from the input factor, whose
     exponents and normalization come from ``factors``, to the measurement
-    factor ``factors.shifted_factor_profile``; ``estimator._rate`` maps a
-    normalized gamma and a direction to the rate."""
+    factor (``shifted_meas_factor``); ``estimator._rate`` maps a normalized
+    gamma and a direction to the rate."""
 
     def test_zero_shift_reduces_to_plain_pqd(self):
         cov = ps.squeezed_thermal_covariance(0.4, 0.2)
@@ -313,7 +320,7 @@ class TestShiftedFactors:
 
     def test_marginal_factor_is_unity_without_shift(self):
         b = np.abs(np.array([0.0, 1.0, 2.0 + 1j])) ** 2
-        assert np.allclose(factors.shifted_factor_profile(ps.MARGINAL, 0.4, 0.0)(b), 1.0)
+        assert np.allclose(shifted_meas_factor(ps.MARGINAL, 0.4, 0.0)(b), 1.0)
 
     def test_threshold_factor_product_form(self):
         s, gamma, beta = 0.5, 0.1, 0.7
@@ -325,7 +332,7 @@ class TestShiftedFactors:
             * (1.0 - (2.0 / (s + 1.0)) * math.exp(-2.0 * abs(beta) ** 2 / (s + 1.0)))
             * math.exp(-2.0 * gamma / 3.0 * abs(beta) ** 2)
         )
-        got = factors.shifted_factor_profile(ps.CLICK, s, rate, n_j)(abs(beta) ** 2)
+        got = shifted_meas_factor(ps.CLICK, s, rate, n_j)(abs(beta) ** 2)
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_optimally_shifted_single_photon_factor_below_one(self):
@@ -338,7 +345,7 @@ class TestShiftedFactors:
             rate = est._rate(s, gamma, direction, e2r)
             n_j = math.exp(factors.mode_lognorm(cov, s, rate))
             b = np.linspace(0.0, 200.0, 5001)
-            vals = factors.shifted_factor_profile(ps.photon(1), s, rate, n_j)(b)
+            vals = shifted_meas_factor(ps.photon(1), s, rate, n_j)(b)
             assert np.max(np.abs(vals)) < 1.0
 
 
