@@ -619,8 +619,10 @@ def _chunk_sizes(n: int, chunks: int) -> list[int]:
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    """The SFC64 stream of one chunk: a child of ``seed`` keyed by the chunk
+    index, so a chunk draws the same normals whichever thread runs it."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+        np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
     )
 
 
@@ -655,7 +657,7 @@ def estimate_probability(
 
     ``method`` selects the folded sampler (Gaussian measurement factors
     integrated analytically) or the naive per-mode sampler with every factor
-    kept in the weight.  Each chunk draws from its own Philox stream;
+    kept in the weight.  Each chunk draws from its own SFC64 stream;
     consecutive chunks are fused into batches of at most ``FUSED_BATCH``
     samples, and ``threads`` parallelizes over those batches without
     changing the result (chunk subtotals are merged in index order).

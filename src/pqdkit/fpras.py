@@ -38,6 +38,7 @@ from .estimator import (
     FUSED_BATCH,
     S_MAX_MARGIN,
     EstimatorConfig,
+    _chunk_rng,
     build_folded_sampler,
 )
 from .linear_optics import CircuitSpec
@@ -298,9 +299,7 @@ def estimate_multiplicative(
     )
     z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
     ess_target = ESS_PER_EPS_SQ / epsilon**2
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
-    )
+    rng = _chunk_rng(config.seed, 0)
     s1 = 0.0  # sum of weights
     s2 = 0.0  # sum of squared weights
     n_used = 0
