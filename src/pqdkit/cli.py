@@ -27,6 +27,7 @@ from .errors import (
     BoundViolation,
     NonConvergent,
     NotLogConcave,
+    OrderingOutOfRange,
     PqdkitError,
     SchemaError,
 )
@@ -605,6 +606,10 @@ def main(argv=None) -> int:
     except (NotLogConcave, NonConvergent, BoundViolation) as exc:
         print(f"condition failure: {exc}", file=sys.stderr)
         return 2
+    except OrderingOutOfRange as exc:
+        # the one ordering a caller sets is --s (its default sits below s_max)
+        print(f"input error: /s: {exc}", file=sys.stderr)
+        return 1
     except (PqdkitError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

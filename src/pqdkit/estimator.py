@@ -5,9 +5,11 @@ The sampler draws the input phase-space points from the (shifted, normalized)
 Gaussian input factors and averages the product of measurement factors.
 Gaussian measurement factors (vacuum projections, no-click, marginalized
 modes) are folded analytically into one correlated 2M-dimensional Gaussian;
-only the non-Gaussian factors are averaged, each keeping its own shift
+only the A non-Gaussian factors are averaged, each keeping its own shift
 reweight so the per-sample range stays controlled by the modified negativity
-bound.
+bound.  A sample costs at most 2A standard normals from its chunk's SFC64
+stream (marginal and other folded modes add none) and one exp for all
+weighted modes together; a click factor keeps one exp of its own.
 """
 
 from __future__ import annotations
@@ -140,6 +142,8 @@ def _resolve_s(circuit: CircuitSpec, config: EstimatorConfig) -> float:
         return s_max - S_MAX_MARGIN
     if config.s > s_max + FREEZE_TOL:
         raise SingularOrdering(f"s = {config.s} exceeds circuit classicality {s_max}")
+    for out in circuit.pattern:
+        pi_w_profile(out, config.s)  # raises OrderingOutOfRange outside its range
     return config.s
 
 
@@ -327,8 +331,8 @@ def resolve_gamma(circuit: CircuitSpec, s: float) -> GammaChoice:
 def _log_effective_bound(circuit: CircuitSpec, s: float, gamma: float, direction: str):
     fold = _fold(circuit, s, gamma, direction)
     log_b = fold.log_prefactor
-    for j in fold.active_modes:
-        log_b += math.log(fold.active_sups[j])
+    for j, rate, n_j in zip(fold.active_modes, fold.rates, fold.norms):
+        log_b += math.log(measurement_sup(circuit.pattern[j], s, rate, n_j))
     return log_b
 
 
@@ -402,7 +406,7 @@ class _Fold:
     ``chol_lower`` is the Cholesky factor of the effective precision on the
     free coordinates ``free_idx`` (frozen delta quadratures are pinned to
     zero); active mode j keeps n_j * pi W_j(b) * exp(-rate_j * b) as its
-    per-sample weight, with ``rates`` in active-mode order.
+    per-sample weight, with ``rates`` and ``norms`` in active-mode order.
     """
 
     rates: tuple
@@ -410,8 +414,7 @@ class _Fold:
     chol_lower: np.ndarray
     log_prefactor: float
     active_modes: tuple
-    active_sups: dict
-    active_norms: dict
+    norms: tuple
 
 
 def _mode_quadratic_form(row: np.ndarray) -> np.ndarray:
@@ -454,8 +457,7 @@ def _fold(
     lam = np.diag(precision)
     log_k = 0.0
     active = []
-    active_sups = {}
-    active_norms = {}
+    norms = []
     weight_rates = []
     for j, out in enumerate(circuit.pattern):
         log_n = mode_lognorm(covs[j], s, rate)
@@ -467,10 +469,8 @@ def _fold(
             if out.kind != "marginal":
                 log_k += math.log(2.0 / sp)
         else:
-            n_j = math.exp(log_n)
             active.append(j)
-            active_norms[j] = n_j
-            active_sups[j] = measurement_sup(out, s, rate, n_j)
+            norms.append(math.exp(log_n))
             weight_rates.append(kappa if laplace else rate)
 
     lam_free = lam[np.ix_(free_idx, free_idx)]
@@ -488,8 +488,7 @@ def _fold(
         chol_lower=chol,
         log_prefactor=log_k + 0.5 * (logdet_in - logdet_eff),
         active_modes=tuple(active),
-        active_sups=active_sups,
-        active_norms=active_norms,
+        norms=tuple(norms),
     )
 
 
@@ -498,6 +497,10 @@ def _fold(
 # cores the wake-up dominates (on 2 CPUs a 64 x 64 x 2952 product took 16 ms
 # as one call, 1.7 ms as column panels of at most 2^18 multiply-adds).
 GEMM_PANEL_MNK = 1 << 18
+# A product of one row with a matrix is threaded from 2^14 columns on
+# (measured with OpenBLAS 0.3.31), so the weights' exponent sums use panels
+# of at most 2^13 columns as well as at most GEMM_PANEL_MNK multiply-adds.
+GEMV_PANEL_COLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -505,18 +508,21 @@ class FoldedSampler:
     """Weighted Gaussian sampler: one real matrix product per batch.
 
     ``kernel`` (2A x F) maps F standard normals straight to
-    [Re beta; Im beta] of the A weighted modes; each sample's weight is
-    ``scale`` times the product over those modes of
-    pi W_j(b_j) * exp(-rates[j] * b_j).  The folded sampler
-    (``build_folded_sampler``) absorbs the Gaussian measurement factors into
-    the kernel and prefactor; the naive one (``_build_naive_sampler``) folds
-    nothing and weights every mode.
+    [Re beta; Im beta] of the A weighted modes.  With each weighted mode's
+    factor written as const_j * poly_j(b) * exp(-decay_j * b) and its
+    Gaussian reweight exp(-rate_j * b), a sample's weight is
+    ``scale * exp(-exponents @ b) * prod_j polys[j](b_j)``: ``scale`` holds
+    the input normalizations and the constants, ``exponents`` the sums
+    decay_j + rate_j.  The folded sampler (``build_folded_sampler``)
+    absorbs the Gaussian measurement factors into the kernel and prefactor;
+    the naive one (``_build_naive_sampler``) folds nothing and weights
+    every mode.
     """
 
     kernel: np.ndarray
-    rates: np.ndarray  # exponent of each weighted mode's Gaussian reweight
-    profiles: tuple  # pi W(b) of each weighted mode, b = |beta|^2
-    scale: float  # product of the weighted modes' input normalizations
+    exponents: np.ndarray  # decay plus reweight rate of each weighted mode
+    polys: tuple  # polynomial part of each weighted mode's factor, or None
+    scale: float
     log_prefactor: float
     active_modes: tuple  # the weighted modes, in kernel row order
 
@@ -539,7 +545,8 @@ class FoldedSampler:
         ``rng`` is a Generator, or a sequence of (Generator, count) pieces
         with counts summing to n that fill consecutive samples; a piece's
         samples use exactly the normals its generator alone would draw for
-        shape (F, count).
+        shape (F, count).  A sample costs F normals, one exp, and each
+        polynomial (a click's with its own exp).
         """
         if not self.active_modes:
             return np.ones(n)
@@ -550,10 +557,27 @@ class FoldedSampler:
             z = gen.standard_normal((self.kernel.shape[1], count))
             self.beta_sq(z, out=b[:, col : col + count])
             col += count
-        w = np.full(n, self.scale)
-        for prof, rate, b_j in zip(self.profiles, self.rates, b):
-            w *= prof(b_j) * np.exp(-rate * b_j)
+        w = np.empty(n)
+        neg = -self.exponents
+        step = max(1, min(GEMV_PANEL_COLS, GEMM_PANEL_MNK // len(neg)))
+        for col in range(0, n, step):
+            np.dot(neg, b[:, col : col + step], out=w[col : col + step])
+        np.exp(w, out=w)
+        w *= self.scale
+        for poly, b_j in zip(self.polys, b):
+            if poly is not None:
+                w *= poly(b_j)
         return w
+
+
+def _weights(circuit: CircuitSpec, s: float, modes, rates, norms) -> tuple:
+    """(exponents, polys, scale) of a sampler weighting ``modes`` with
+    Gaussian reweight exponents ``rates`` and input normalizations
+    ``norms``."""
+    radial = [pi_w_profile(circuit.pattern[j], s) for j in modes]
+    exponents = np.array([f.decay + rate for f, rate in zip(radial, rates)])
+    scale = math.prod(f.const * n_j for f, n_j in zip(radial, norms))
+    return exponents, tuple(f.poly for f in radial), scale
 
 
 def build_folded_sampler(
@@ -561,8 +585,11 @@ def build_folded_sampler(
 ) -> FoldedSampler:
     """Folded sampler with kernel K = W_af L^{-T}: W restricted to the active
     modes' rows and the free columns, L the Cholesky factor of the folded
-    precision (one solve here, none per batch).  ``laplace`` selects the
-    Laplace fold of ``_fold`` (the multiplicative estimator's proposal)."""
+    precision (one solve here, none per batch).  When K has fewer rows than
+    columns it is replaced by R^T from K^T = QR: R^T z has the law of K z
+    (both covariances are K K^T = R^T R, also for rank-deficient K), so a
+    sample draws 2A normals, not F.  ``laplace`` selects the Laplace fold of
+    ``_fold`` (the multiplicative estimator's proposal)."""
     fold = _fold(circuit, s, gamma, direction, laplace)
     m = circuit.m
     rows = list(fold.active_modes) + [m + j for j in fold.active_modes]
@@ -572,11 +599,14 @@ def build_folded_sampler(
         # threads spinning, which halved the speed of the batches that
         # followed on a 2-CPU host
         kernel = np.linalg.solve(fold.chol_lower, kernel.T).T
+        if kernel.shape[0] < kernel.shape[1]:
+            kernel = np.ascontiguousarray(np.linalg.qr(kernel.T, mode="r").T)
+    exponents, polys, scale = _weights(circuit, s, fold.active_modes, fold.rates, fold.norms)
     return FoldedSampler(
         kernel=kernel,
-        rates=np.array(fold.rates),
-        profiles=tuple(pi_w_profile(circuit.pattern[j], s) for j in fold.active_modes),
-        scale=math.prod(fold.active_norms[j] for j in fold.active_modes),
+        exponents=exponents,
+        polys=polys,
+        scale=scale,
         log_prefactor=fold.log_prefactor,
         active_modes=fold.active_modes,
     )
@@ -592,16 +622,16 @@ def _build_naive_sampler(
     m = circuit.m
     rate = _rate(s, gamma, direction, max(c.a_plus for c in covs))
     stds = np.zeros(2 * m)
-    log_norm = 0.0
     for i, cov in enumerate(covs):
         for k, c in zip((i, m + i), quadrature_exponents(cov, s, rate)):
             stds[k] = 0.0 if c is None else math.sqrt(1.0 / (2.0 * c))
-        log_norm += mode_lognorm(cov, s, rate)
+    norms = [math.exp(mode_lognorm(cov, s, rate)) for cov in covs]
+    exponents, polys, scale = _weights(circuit, s, range(m), [rate] * m, norms)
     return FoldedSampler(
         kernel=_real_pushforward(circuit.unitary.u) * stds,
-        rates=np.full(m, rate),
-        profiles=tuple(pi_w_profile(out, s) for out in circuit.pattern),
-        scale=math.exp(log_norm),
+        exponents=exponents,
+        polys=polys,
+        scale=scale,
         log_prefactor=0.0,
         active_modes=tuple(range(m)),
     )
@@ -657,10 +687,13 @@ def estimate_probability(
 
     ``method`` selects the folded sampler (Gaussian measurement factors
     integrated analytically) or the naive per-mode sampler with every factor
-    kept in the weight.  Each chunk draws from its own SFC64 stream;
-    consecutive chunks are fused into batches of at most ``FUSED_BATCH``
-    samples, and ``threads`` parallelizes over those batches without
-    changing the result (chunk subtotals are merged in index order).
+    kept in the weight.  Each chunk draws from its own SFC64 stream, F
+    normals per sample for a sampler kernel of F columns (at most 2A for A
+    weighted modes when folded, 2M when naive); consecutive chunks are
+    fused into batches of at most ``FUSED_BATCH`` samples, and ``threads``
+    parallelizes over those batches without changing the result (chunk
+    subtotals are merged in index order).  The suprema of the measurement
+    factors are computed once per call, for every mode.
     """
     t0 = time.perf_counter()
     s = _resolve_s(circuit, config)

@@ -30,6 +30,7 @@ from .errors import (
     NonConvergent,
     NonPositiveFactor,
     NotLogConcave,
+    NotPositiveDefinite,
     TooLarge,
     ZeroEigenvalue,
 )
@@ -55,12 +56,22 @@ class LogConcavityCertificate:
     witness_line: Optional[tuple] = None  # (offset q0, second derivative)
 
 
+# relative rounding allowance of the quadratic certificate's margin c*a - b
+QUADRATIC_MARGIN_RTOL = 1e-12
+
+
 def check_quadratic_factor(a: float, b: float, c: float) -> LogConcavityCertificate:
-    """Certificate for (a + b*q)*exp(-c*q): holds iff c*a >= b (tight)."""
+    """Certificate for (a + b*q)*exp(-c*q): holds iff c*a >= b (tight).
+
+    A margin down to -QUADRATIC_MARGIN_RTOL * (c*a + b) is accepted: that
+    covers only the rounding of coefficients computed from a rescaled
+    spectrum (a permanent spectrum ratio of exactly 2 lands at margin
+    -1.8e-15), not a real violation.
+    """
     if a < 0.0 or b < 0.0 or c < 0.0:
         raise NegativeCoefficient("coefficients must be nonnegative")
     margin = c * a - b
-    if margin >= 0.0:
+    if margin >= -QUADRATIC_MARGIN_RTOL * (c * a + b):
         return LogConcavityCertificate(True, "QuadraticFactor", margin)
     if a > 0.0:
         q0 = 0.0
@@ -294,9 +305,18 @@ def estimate_multiplicative(
     if all(out.kind == "marginal" for out in circuit.pattern):
         return MultiplicativeEstimate(1.0, 0.0, 0, math.inf, certs)
 
-    sampler = build_folded_sampler(
-        circuit, circuit.s_max - S_MAX_MARGIN, 1.0 - 1e-9, FORWARD, laplace=True
-    )
+    try:
+        sampler = build_folded_sampler(
+            circuit, circuit.s_max - S_MAX_MARGIN, 1.0 - 1e-9, FORWARD, laplace=True
+        )
+    except NotPositiveDefinite as exc:
+        # certified but not strictly log-concave: on the condition's boundary
+        # (a permanent spectrum ratio of exactly 2) the log-Hessian at the
+        # origin is singular, so no Laplace Gaussian exists
+        raise NotLogConcave(
+            "the log-integrand's Hessian at the origin is singular: the circuit sits "
+            "on the boundary of its log-concavity condition"
+        ) from exc
     z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
     ess_target = ESS_PER_EPS_SQ / epsilon**2
     rng = _chunk_rng(config.seed, 0)

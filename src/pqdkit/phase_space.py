@@ -6,9 +6,10 @@ dimensionless quadrature variances ``a_plus = 2*V_xx`` and ``a_minus =
 gives the Glauber-Sudarshan P, Wigner, and Husimi Q distributions at
 ``s = 1, 0, -1``.
 
-Measurement PQDs are radial, so each is written once as a profile over
-b = |beta|^2 (``pi_w_profile``), with its log-slope at the origin
-(``pi_w_log_slope``) beside it.  The Gaussian-factor shift that moves
+Measurement PQDs are radial, so each is written once over b = |beta|^2 as
+a ``RadialFactor`` const * poly(b) * exp(-decay * b) (``pi_w_profile``),
+with its log-slope at the origin (``pi_w_log_slope``) beside it; the
+samplers add every weighted mode's decay into one exp per sample.  The Gaussian-factor shift that moves
 ``exp(rate*|alpha|^2)`` from the input to the measurement side lives in
 ``factors`` (per-mode exponents, normalizations, suprema) and
 ``estimator._rate`` (normalized gamma in [0, 1) plus a direction).
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -149,10 +150,10 @@ def laguerre(m: int, x):
     if m < 0:
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
     if m == 0:
+        prev = np.ones_like(x)
         return prev if prev.ndim else float(prev)
-    cur = 1.0 - x
+    prev, cur = 1.0, 1.0 - x
     for k in range(1, m):
         prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
     return cur if cur.ndim else float(cur)
@@ -183,29 +184,46 @@ def spqd_gaussian(cov: ModeCovariance, s: float, alpha: complex) -> float:
     )
 
 
-def pi_w_profile(outcome: MeasurementOutcome, s: float) -> Callable:
-    """pi * W^(-s) of the outcome as a function of b = |beta|^2 (vectorized);
-    1 for a marginalized mode."""
-    sp = s + 1.0
+@dataclass(frozen=True)
+class RadialFactor:
+    """pi * W^(-s) of one outcome over b = |beta|^2, written once as
+    ``const * poly(b) * exp(-decay * b)``.
+
+    ``poly`` is the Laguerre polynomial L_m(4b/(1 - s^2)) of m >= 1 photons
+    and 1 - (2/(s+1)) exp(-2b/(s+1)) for a click, which keeps its own exp;
+    it is None (the constant 1) for vacuum, no-click and marginal factors.
+    Callable on scalars or arrays of b.
+    """
+
+    const: float
+    decay: float
+    poly: Optional[Callable] = None
+
+    def __call__(self, b):
+        b = np.asarray(b, dtype=float)
+        out = self.const * np.exp(-self.decay * b)
+        return out if self.poly is None else out * self.poly(b)
+
+
+def pi_w_profile(outcome: MeasurementOutcome, s: float) -> RadialFactor:
+    """pi * W^(-s) of the outcome as a function of b = |beta|^2; 1 for a
+    marginalized mode.  Orderings outside a factor's range raise
+    ``OrderingOutOfRange``: s <= -1, and s = 1 for m >= 1 photons."""
     if outcome.kind == "marginal":
-        return lambda b: np.ones_like(np.asarray(b, dtype=float))
+        return RadialFactor(1.0, 0.0)
+    if s <= -1.0:
+        raise OrderingOutOfRange(f"{outcome.kind} factor needs s > -1, got {s}")
+    sp = s + 1.0
+    decay = 2.0 / sp
     if outcome.kind == "click":
-        return lambda b: 1.0 - (2.0 / sp) * np.exp(-2.0 * np.asarray(b) / sp)
+        return RadialFactor(1.0, 0.0, lambda b: 1.0 - decay * np.exp(-decay * b))
     m = 0 if outcome.kind == "noclick" else outcome.m
     if m == 0:
-        return lambda b: (2.0 / sp) * np.exp(-2.0 * np.asarray(b) / sp)
-    ratio = (s - 1.0) / sp
-
-    def profile(b):
-        b = np.asarray(b, dtype=float)
-        return (
-            (2.0 / sp)
-            * ratio**m
-            * laguerre(m, 4.0 * b / (1.0 - s * s))
-            * np.exp(-2.0 * b / sp)
-        )
-
-    return profile
+        return RadialFactor(decay, decay)
+    if s == 1.0:
+        raise OrderingOutOfRange(f"s = 1 is outside the range of the {m}-photon factor")
+    k = 4.0 / (1.0 - s * s)
+    return RadialFactor(decay * ((s - 1.0) / sp) ** m, decay, lambda b: laguerre(m, k * b))
 
 
 def pi_w_log_slope(outcome: MeasurementOutcome, s: float) -> float:
@@ -228,17 +246,11 @@ def pqd_photon_number(m: int, s: float, beta):
     Not multiplied by pi.  The s = 1 limit is only defined for m = 0 here;
     higher counts at s = 1 are served by the hafnian route instead.
     """
-    if s <= -1.0:
-        raise OrderingOutOfRange(f"photon-number PQD needs s > -1, got {s}")
-    if s == 1.0 and m > 0:
-        raise OrderingOutOfRange("s = 1 with m >= 1 is outside this branch")
     val = np.asarray(pi_w_profile(photon(m), s)(np.abs(np.asarray(beta)) ** 2) / math.pi)
     return val if val.ndim else float(val)
 
 
 def pqd_threshold_click(s: float, beta):
     """(-s)-PQD of the click POVM element, already multiplied by pi."""
-    if s <= -1.0:
-        raise OrderingOutOfRange(f"threshold PQD needs s > -1, got {s}")
     val = np.asarray(pi_w_profile(CLICK, s)(np.abs(np.asarray(beta)) ** 2))
     return val if val.ndim else float(val)

@@ -336,6 +336,20 @@ class TestInputHardening:
         assert captured.out == ""
         assert captured.err.startswith("numerical failure: ")
 
+    @pytest.mark.parametrize("s", ["1", "-1"])
+    def test_ordering_outside_photon_factor_range(self, s, tmp_path, capsys):
+        # pi W^(-s) of m >= 1 photons divides by 1 - s^2, and every
+        # measured factor by s + 1
+        circ = write_json(
+            tmp_path / "c.json",
+            {"modes": [{}, {"n": 0.5}], "unitary": {"haar_seed": 0}, "pattern": [2, 1]},
+        )
+        argv = ["estimate-prob", "--circuit", circ, "--s", s, "--samples", "64"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: /s: ")
+
     @pytest.mark.parametrize("lambdas", ["1,1.5", "0.3,1.7"])
     def test_permanent_spectrum_outside_unit_interval(self, lambdas, capsys):
         argv = ["check-fpras", "--family", "permanent", "--lambdas", lambdas]

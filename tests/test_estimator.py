@@ -461,6 +461,21 @@ KERNEL_CASES = {
 }
 
 
+def reference_covariance(circuit, fold, modes):
+    """Covariance of [Re beta; Im beta] of ``modes`` under the folded
+    Gaussian: the free coordinates have covariance (L L^T)^{-1}, the frozen
+    ones are pinned to zero, and beta = U alpha."""
+    m = circuit.m
+    cov_alpha = np.zeros((2 * m, 2 * m))
+    free = fold.free_idx
+    chol = fold.chol_lower
+    cov_alpha[np.ix_(free, free)] = np.linalg.inv(chol @ chol.T)
+    u = circuit.unitary.u
+    push = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    rows = list(modes) + [m + j for j in modes]
+    return push[rows] @ cov_alpha @ push[rows].T
+
+
 class TestSamplingKernel:
     @pytest.mark.parametrize("method", ["folded", "naive"])
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -471,18 +486,38 @@ class TestSamplingKernel:
             sampler = est.build_folded_sampler(circuit, s, gamma, direction)
             fold = est._fold(circuit, s, gamma, direction)
             stds = None
+            width = len(fold.free_idx)
             assert sampler.active_modes == fold.active_modes
         else:
             sampler = est._build_naive_sampler(circuit, s, gamma, direction)
             fold = None
-            assert np.all(sampler.rates == sampler.rates[0])
-            stds = naive_stds(circuit, s, float(sampler.rates[0]))
+            stds = naive_stds(circuit, s, est._rate(s, gamma, direction, circuit.a_max))
+            width = 2 * circuit.m
             assert sampler.active_modes == tuple(range(circuit.m))
-        z = np.random.default_rng(5).standard_normal((sampler.kernel.shape[1], 3000))
+        rows, cols = sampler.kernel.shape
+        if cols < width:
+            # rank-reduced kernel: the same law from fewer normals
+            assert method == "folded" and cols == rows
+            expected = reference_covariance(circuit, fold, sampler.active_modes)
+            got = sampler.kernel @ sampler.kernel.T
+            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+            return
+        z = np.random.default_rng(5).standard_normal((width, 3000))
         expected = reference_beta_sq(circuit, stds, fold, z)[list(sampler.active_modes)]
         got = sampler.beta_sq(z)
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+
+    # all-marginal has no rows (test_all_marginal_has_no_weighted_mode)
+    @pytest.mark.parametrize("case", sorted(set(KERNEL_CASES) - {"all-marginal"}))
+    def test_wide_kernels_are_reduced(self, case):
+        # 2A rows never need more than 2A normals
+        circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
+        s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
+        fold = est._fold(circuit, s, gamma, direction)
+        rows = 2 * len(fold.active_modes)
+        sampler = est.build_folded_sampler(circuit, s, gamma, direction)
+        assert sampler.kernel.shape == (rows, min(rows, fold.free_idx.size))
 
     def test_all_marginal_has_no_weighted_mode(self):
         circuit, _, gamma_mode = KERNEL_CASES["all-marginal"]
@@ -504,6 +539,51 @@ class TestSamplingKernel:
             running += float(np.sum(sampler.draw(est._chunk_rng(cfg.seed, chunk), size)))
             n_done += size
             assert rep.trace[chunk][:2] == (n_done, math.exp(sampler.log_prefactor) * running / n_done)
+
+
+FUSED_OUTCOMES = [photon(m) for m in range(5)] + [CLICK, NOCLICK, MARGINAL]
+
+
+class TestFusedWeight:
+    """The sampler evaluates one exp of the summed exponents per sample and
+    multiplies the polynomial parts; the reference is each mode's factor
+    n_j * pi W_j(b) * exp(-rate * b) as ``pi_w_profile`` writes it."""
+
+    @pytest.mark.parametrize("direction", [est.FORWARD, est.REVERSE])
+    @pytest.mark.parametrize(
+        "outcome", FUSED_OUTCOMES, ids=lambda o: f"{o.kind}{o.m if o.kind == 'photon' else ''}"
+    )
+    def test_fused_weight_matches_profile_times_reweight(self, outcome, direction):
+        # one mode through the naive sampler: the weight is the whole factor
+        circuit = lo.CircuitSpec(((0.3, 0.4),), lo.identity_interferometer(1), (outcome,))
+        s, gamma = 0.5, 0.6
+        rate = est._rate(s, gamma, direction, circuit.a_max)
+        n_j = math.exp(factors.mode_lognorm(circuit.covariances()[0], s, rate))
+        sampler = est._build_naive_sampler(circuit, s, gamma, direction)
+        b = sampler.beta_sq(np.random.default_rng(7).standard_normal((2, 4000)))[0]
+        got = sampler.draw(np.random.default_rng(7), 4000)
+        expected = shifted_profile(outcome, s, rate, n_j)(b)
+        sup = factors.measurement_sup(outcome, s, rate, n_j)
+        # a reverse shift leaves click and marginal factors unbounded
+        tol = 1e-12 * sup if math.isfinite(sup) else 1e-12 * np.abs(expected)
+        assert np.all(np.abs(got - expected) <= tol)
+
+    def test_wide_marginal_circuit_draws_two_normals(self):
+        m = 16
+        circuit = lo.CircuitSpec(
+            tuple((float(r), 0.2) for r in np.linspace(0.1, 0.5, m)),
+            lo.haar_unitary(m, 41),
+            (photon(1), NOCLICK) + (MARGINAL,) * (m - 2),
+        )
+        s = circuit.s_max - est.S_MAX_MARGIN
+        gamma, direction = est.resolve_gamma(circuit, s)[:2]
+        assert est.build_folded_sampler(circuit, s, gamma, direction).kernel.shape == (2, 2)
+        cfg = est.EstimatorConfig(n_samples=200_000, seed=8)
+        reports = [est.estimate_probability(circuit, cfg, threads=k) for k in (1, 2, 4)]
+        blobs = {json.dumps(rep.as_dict(include_wall_time=False)) for rep in reports}
+        assert len(blobs) == 1
+        exact = oracles.exact_probability(circuit, [1, 0] + ["marginal"] * (m - 2))
+        assert abs(reports[0].estimate - exact) <= reports[0].conf_radius
 
 
 class TestFoldedSampler:

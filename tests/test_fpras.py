@@ -360,12 +360,15 @@ class TestLaplaceFold:
         sampler = est.build_folded_sampler(circuit, s, 0.5, est.FORWARD, laplace=True)
         dim = 2 * circuit.m
         z = np.random.default_rng(case).standard_normal((dim, 5))
-        b = sampler.beta_sq(z)
-        w = sampler.scale * np.prod(
-            [prof(b_j) * np.exp(-rate * b_j) for prof, rate, b_j in zip(sampler.profiles, sampler.rates, b)],
-            axis=0,
-        )
         x = np.linalg.solve(fold.chol_lower.T, z)
+        # |beta|^2 of the weighted modes at x, without the (possibly
+        # rank-reduced) kernel
+        beta = circuit.unitary.u @ (x[: circuit.m] + 1j * x[circuit.m :])
+        b = np.abs(beta[list(sampler.active_modes)]) ** 2
+        w = sampler.scale * np.exp(-sampler.exponents @ b)
+        for poly, b_j in zip(sampler.polys, b):
+            if poly is not None:
+                w = w * poly(b_j)
         log_q = (
             -0.5 * np.sum(z * z, axis=0)
             + float(np.sum(np.log(np.diagonal(fold.chol_lower))))
@@ -414,7 +417,38 @@ def test_laplace_weights_peak_at_origin(name):
     sampler = est.build_folded_sampler(
         circuit, circuit.s_max - est.S_MAX_MARGIN, 1.0 - 1e-9, est.FORWARD, laplace=True
     )
-    peak = sampler.scale * math.prod(float(prof(0.0)) for prof in sampler.profiles)
+    peak = sampler.scale * math.prod(float(poly(0.0)) for poly in sampler.polys if poly is not None)
     w = sampler.draw(np.random.default_rng(0), 20_000)
     assert np.all(w > 0.0)
     assert float(np.max(w)) <= peak * (1.0 + 1e-12)
+
+
+def boundary_permanent(ratio):
+    """The 8-mode permanent circuit whose spectrum runs from 1 to ``ratio``."""
+    lam = np.linspace(1.0, ratio, 8)
+    return lam, lo.embed_permanent(hpsd_with_spectrum(lo.haar_unitary(8, 3).u, lam)).circuit
+
+
+class TestConditionBoundary:
+    def test_margin_tolerance_covers_rounding_only(self):
+        assert fpras.check_quadratic_factor(1.0, 1.0 + 1e-15, 1.0).holds
+        assert not fpras.check_quadratic_factor(1.0, 1.0 + 1e-10, 1.0).holds
+
+    def test_ratio_two_certifies(self):
+        # the embedding's rescaling rounds the margin to -1.8e-15
+        lam, circuit = boundary_permanent(2.0)
+        assert fpras.fpras_condition_permanent(lam)
+        certs = fpras.circuit_certificates(circuit)
+        assert all(cert.holds for cert in certs)
+        assert min(cert.margin for cert in certs) < 0.0
+
+    def test_ratio_two_has_no_laplace_proposal(self):
+        _, circuit = boundary_permanent(2.0)
+        with pytest.raises(NotLogConcave, match="boundary"):
+            fpras.estimate_multiplicative(circuit, 0.1, 0.05)
+
+    def test_ratio_above_two_rejected(self):
+        lam, circuit = boundary_permanent(2.01)
+        assert not fpras.fpras_condition_permanent(lam)
+        with pytest.raises(NotLogConcave, match="certificate failed"):
+            fpras.estimate_multiplicative(circuit, 0.1, 0.05)
