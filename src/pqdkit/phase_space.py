@@ -9,10 +9,11 @@ gives the Glauber-Sudarshan P, Wigner, and Husimi Q distributions at
 Measurement PQDs are radial, so each is written once over b = |beta|^2 as
 a ``RadialFactor`` const * poly(b) * exp(-decay * b) (``pi_w_profile``),
 with its log-slope at the origin (``pi_w_log_slope``) beside it; the
-samplers add every weighted mode's decay into one exp per sample.  The Gaussian-factor shift that moves
-``exp(rate*|alpha|^2)`` from the input to the measurement side lives in
-``factors`` (per-mode exponents, normalizations, suprema) and
-``estimator._rate`` (normalized gamma in [0, 1) plus a direction).
+samplers add every weighted mode's decay into one exp per sample.  The
+Gaussian-factor shift that moves ``exp(rate*|alpha|^2)`` from the input to
+the measurement side lives in ``factors`` (per-mode exponents,
+normalizations, suprema) and ``estimator._rate`` (normalized gamma in
+[0, 1) plus a direction).
 """
 
 from __future__ import annotations
