@@ -203,6 +203,8 @@ def _base_report(command: str, seed: int) -> dict:
 def _config_from_args(args) -> est.EstimatorConfig:
     if args.samples is not None and args.samples < 1:
         raise SchemaError("/samples", f"must be a positive integer, got {args.samples}")
+    if args.threads is not None and args.threads < 1:
+        raise SchemaError("/threads", f"must be a positive integer, got {args.threads}")
     gamma_mode = "auto"
     if args.gamma is not None:
         gamma_mode = (args.gamma, args.direction)
@@ -233,19 +235,23 @@ _MATRIX_COMMANDS = {
     "estimate-haf": (
         {lo.MatrixTag.COMPLEX_SYMMETRIC_R},
         "estimate-haf needs tag 'R'",
-        lambda mat, config, args: est.estimate_hafnian_sq(mat.data, config, a=args.rescale_a),
+        lambda mat, config, args: est.estimate_hafnian_sq(
+            mat.data, config, a=args.rescale_a, threads=args.threads
+        ),
         _hafnian_sq_oracle,
     ),
     "estimate-per": (
         {lo.MatrixTag.HPSD_B},
         "estimate-per needs tag 'B'",
-        lambda mat, config, args: est.estimate_permanent_hpsd(mat.data, config, a=args.rescale_a),
+        lambda mat, config, args: est.estimate_permanent_hpsd(
+            mat.data, config, a=args.rescale_a, threads=args.threads
+        ),
         lambda data: oracles.permanent_exact(data).real,
     ),
     "estimate-tor": (
         {lo.MatrixTag.BLOCK_R_PRIME, lo.MatrixTag.BLOCK_B_PRIME, lo.MatrixTag.BLOCK_A_PRIME},
         "estimate-tor needs tag R', B', or A'",
-        lambda mat, config, args: est.estimate_torontonian(mat, config),
+        lambda mat, config, args: est.estimate_torontonian(mat, config, threads=args.threads),
         oracles.torontonian_exact,
     ),
 }
@@ -505,7 +511,9 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
         "--direction", choices=["forward", "reverse"], default="forward"
     )
     parser.add_argument("--chunks", type=int, default=16, help="sample stream count")
-    parser.add_argument("--threads", type=int, default=1, help="parallel chunk workers")
+    parser.add_argument(
+        "--threads", type=int, default=None, help="parallel chunk workers (default: usable CPUs)"
+    )
     parser.add_argument("--oracle-check", action="store_true")
 
 

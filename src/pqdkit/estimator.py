@@ -9,13 +9,17 @@ only the A non-Gaussian factors are averaged, each keeping its own shift
 reweight so the per-sample range stays controlled by the modified negativity
 bound.  A sample costs at most 2A standard normals from its chunk's SFC64
 stream (marginal and other folded modes add none) and one exp for all
-weighted modes together; a click factor keeps one exp of its own.
+weighted modes together; a click factor keeps one exp of its own.  Normals
+are drawn sample-major in fixed pieces of ``DRAW_PIECE`` samples, so memory
+stays bounded whatever the batch, and batches of chunks run on every usable
+CPU by default; neither the pieces nor the thread count changes a value.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -498,14 +502,18 @@ def _fold(
 # as one call, 1.7 ms as column panels of at most 2^18 multiply-adds).
 GEMM_PANEL_MNK = 1 << 18
 # A product of one row with a matrix is threaded from 2^14 columns on
-# (measured with OpenBLAS 0.3.31), so the weights' exponent sums use panels
-# of at most 2^13 columns as well as at most GEMM_PANEL_MNK multiply-adds.
+# (measured with OpenBLAS 0.3.31), so panels also have at most 2^13 columns.
 GEMV_PANEL_COLS = 1 << 13
+# Samples a draw fills with normals and weighs at a time (rounded up to
+# whole panels).  A piece spans generator boundaries, so small chunks share
+# the fixed cost of the weight arithmetic, while the (DRAW_PIECE, F)
+# normals stay 1 MB at F = 32.
+DRAW_PIECE = 1 << 12
 
 
 @dataclass(frozen=True)
 class FoldedSampler:
-    """Weighted Gaussian sampler: one real matrix product per batch.
+    """Weighted Gaussian sampler: one real matrix product per panel.
 
     ``kernel`` (2A x F) maps F standard normals straight to
     [Re beta; Im beta] of the A weighted modes.  With each weighted mode's
@@ -526,13 +534,22 @@ class FoldedSampler:
     log_prefactor: float
     active_modes: tuple  # the weighted modes, in kernel row order
 
+    @property
+    def panel(self) -> int:
+        """Samples per BLAS call (kernel product or exponent sum): at most
+        GEMM_PANEL_MNK multiply-adds and GEMV_PANEL_COLS columns.  BLAS
+        results can depend on a call's shape and on a column's place in it;
+        in calls of one fixed width they do not, so ``draw`` pads its last
+        panel rather than shorten it."""
+        rows, f = self.kernel.shape
+        return max(1, min(GEMV_PANEL_COLS, GEMM_PANEL_MNK // (max(1, rows) * max(1, f))))
+
     def beta_sq(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """|beta_j|^2 of the weighted modes (rows) for normals z (F x n)."""
-        rows, f = self.kernel.shape
-        a = rows // 2
+        a = len(self.active_modes)
         if out is None:
             out = np.empty((a, z.shape[1]))
-        step = max(1, GEMM_PANEL_MNK // max(1, rows * f))
+        step = self.panel
         for col in range(0, z.shape[1], step):
             y = self.kernel @ z[:, col : col + step]
             np.square(y, out=y)
@@ -543,30 +560,49 @@ class FoldedSampler:
         """Sample n weight values (products of the weighted modes' factors).
 
         ``rng`` is a Generator, or a sequence of (Generator, count) pieces
-        with counts summing to n that fill consecutive samples; a piece's
-        samples use exactly the normals its generator alone would draw for
-        shape (F, count).  A sample costs F normals, one exp, and each
-        polynomial (a click's with its own exp).
+        with counts summing to n that fill consecutive samples.  Normals are
+        sample-major: a piece's samples use exactly the normals its
+        generator alone would draw for shape (count, F), so a sample's F
+        normals are consecutive in its stream.  They fill a reused buffer
+        of DRAW_PIECE samples across piece boundaries, and each fill is
+        weighed at once in BLAS calls of one fixed width.  A sample's weight
+        thus depends only on its normals, not on how the draw is split, and
+        a draw's temporaries are O(DRAW_PIECE * F) besides the n weights.
+        A sample costs F normals, one exp, and each polynomial (a click's
+        with its own exp).
         """
         if not self.active_modes:
             return np.ones(n)
-        pieces = [(rng, n)] if isinstance(rng, np.random.Generator) else rng
-        b = np.empty((len(self.active_modes), n))
-        col = 0
-        for gen, count in pieces:
-            z = gen.standard_normal((self.kernel.shape[1], count))
-            self.beta_sq(z, out=b[:, col : col + count])
-            col += count
+        pieces = iter([(rng, n)] if isinstance(rng, np.random.Generator) else rng)
+        panel = self.panel
+        size = panel * -(-max(1, min(DRAW_PIECE, n)) // panel)
+        z = np.empty((size, self.kernel.shape[1]))
+        b = np.empty((len(self.active_modes), size))
+        e = np.empty(size)
         w = np.empty(n)
         neg = -self.exponents
-        step = max(1, min(GEMV_PANEL_COLS, GEMM_PANEL_MNK // len(neg)))
-        for col in range(0, n, step):
-            np.dot(neg, b[:, col : col + step], out=w[col : col + step])
-        np.exp(w, out=w)
-        w *= self.scale
-        for poly, b_j in zip(self.polys, b):
-            if poly is not None:
-                w *= poly(b_j)
+        gen, left = None, 0
+        for start in range(0, n, size):
+            count = min(size, n - start)
+            row = 0
+            while row < count:
+                if not left:
+                    gen, left = next(pieces)
+                take = min(left, count - row)
+                gen.standard_normal(out=z[row : row + take])
+                row += take
+                left -= take
+            padded = panel * -(-count // panel)
+            z[count:padded] = 0.0
+            self.beta_sq(z[:padded].T, out=b[:, :padded])
+            for col in range(0, padded, panel):
+                np.dot(neg, b[:, col : col + panel], out=e[col : col + panel])
+            w_k = w[start : start + count]
+            np.exp(e[:count], out=w_k)
+            w_k *= self.scale
+            for poly, b_j in zip(self.polys, b[:, :count]):
+                if poly is not None:
+                    w_k *= poly(b_j)
         return w
 
 
@@ -643,9 +679,18 @@ def _build_naive_sampler(
 
 
 def _chunk_sizes(n: int, chunks: int) -> list[int]:
-    base = n // chunks
-    sizes = [base + (1 if i < n % chunks else 0) for i in range(chunks)]
-    return [sz for sz in sizes if sz > 0]
+    """Sizes of the non-empty chunks: n split as evenly as possible, the
+    first n % chunks chunks one larger (at most n chunks are non-empty)."""
+    base, extra = divmod(n, chunks)
+    return [base + (1 if i < extra else 0) for i in range(min(chunks, n))]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -681,7 +726,7 @@ def estimate_probability(
     circuit: CircuitSpec,
     config: EstimatorConfig = EstimatorConfig(),
     method: str = "folded",
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> EstimateReport:
     """Unbiased estimate of the outcome probability of ``circuit``.
 
@@ -689,13 +734,20 @@ def estimate_probability(
     integrated analytically) or the naive per-mode sampler with every factor
     kept in the weight.  Each chunk draws from its own SFC64 stream, F
     normals per sample for a sampler kernel of F columns (at most 2A for A
-    weighted modes when folded, 2M when naive); consecutive chunks are
-    fused into batches of at most ``FUSED_BATCH`` samples, and ``threads``
-    parallelizes over those batches without changing the result (chunk
-    subtotals are merged in index order).  The suprema of the measurement
-    factors are computed once per call, for every mode.
+    weighted modes when folded, 2M when naive).  Consecutive chunks are
+    fused into batches of at most ``FUSED_BATCH`` samples; the batches
+    depend only on the sample count and ``config.chunks``.  ``threads``
+    workers (default: every CPU the process may use, never more than there
+    are batches) draw the batches in parallel, and chunk subtotals are
+    merged in index order, so the result does not depend on ``threads``.
+    The suprema of the measurement factors are computed once per call, for
+    every mode.
     """
     t0 = time.perf_counter()
+    if threads is None:
+        threads = _usable_cpus()
+    elif threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
     s = _resolve_s(circuit, config)
     if config.gamma_mode == "auto":
         gamma, direction = resolve_gamma(circuit, s)[:2]
@@ -757,10 +809,11 @@ def estimate_probability(
             subtotal += float(np.sum(draw(rngs[0], min(FUSED_BATCH, size - done))))
         return [subtotal]
 
-    if threads > 1 and len(units) > 1:
+    workers = min(threads, len(units))
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             per_unit = list(pool.map(unit_sums, units))
     else:
         per_unit = [unit_sums(unit) for unit in units]
@@ -835,12 +888,16 @@ class MatrixEstimate:
         return out
 
 
-def _run_embedding(emb: Embedding, config: EstimatorConfig, budget) -> MatrixEstimate:
+def _run_embedding(
+    emb: Embedding, config: EstimatorConfig, budget, threads: Optional[int]
+) -> MatrixEstimate:
     # N = O(1/eps^2) convention: the budget already carries the factor bound
     n_samples = config.n_samples
     if n_samples is None:
         n_samples = _hoeffding_count(0.0, config.epsilon, config.delta)
-    report = estimate_probability(emb.circuit, dataclasses.replace(config, n_samples=n_samples))
+    report = estimate_probability(
+        emb.circuit, dataclasses.replace(config, n_samples=n_samples), threads=threads
+    )
     return MatrixEstimate(
         value=emb.prefactor * report.estimate,
         budget=config.epsilon * budget.product,
@@ -853,22 +910,30 @@ def _run_embedding(emb: Embedding, config: EstimatorConfig, budget) -> MatrixEst
 
 
 def estimate_hafnian_sq(
-    r_mat: np.ndarray, config: EstimatorConfig = EstimatorConfig(), a: float = 1.001
+    r_mat: np.ndarray,
+    config: EstimatorConfig = EstimatorConfig(),
+    a: float = 1.001,
+    threads: Optional[int] = None,
 ) -> MatrixEstimate:
-    """|Haf(R)|^2 of a complex symmetric matrix within an additive budget."""
+    """|Haf(R)|^2 of a complex symmetric matrix within an additive budget;
+    ``threads`` as in ``estimate_probability``."""
     emb = embed_hafnian(r_mat, a)
     budget = bounds_mod.budget_hafnian(emb.lambdas)
-    return _run_embedding(emb, config, budget)
+    return _run_embedding(emb, config, budget, threads)
 
 
 def estimate_permanent_hpsd(
-    b_mat: np.ndarray, config: EstimatorConfig = EstimatorConfig(), a: float = 1.001
+    b_mat: np.ndarray,
+    config: EstimatorConfig = EstimatorConfig(),
+    a: float = 1.001,
+    threads: Optional[int] = None,
 ) -> MatrixEstimate:
     """Per(B) of an HPSD matrix within an additive budget, with the
-    precision-vs-spectral-norm comparison predicate."""
+    precision-vs-spectral-norm comparison predicate; ``threads`` as in
+    ``estimate_probability``."""
     emb = embed_permanent(b_mat, a)
     budget = bounds_mod.budget_permanent(emb.lambdas)
-    result = _run_embedding(emb, config, budget)
+    result = _run_embedding(emb, config, budget, threads)
     lam_max = float(np.max(emb.lambdas))
     log_budget = float(np.sum(np.log(budget.factors)))
     result.gurvits_beaten = bool(log_budget < emb.lambdas.size * math.log(lam_max))
@@ -876,10 +941,10 @@ def estimate_permanent_hpsd(
 
 
 def estimate_torontonian(
-    mat: MatrixClass, config: EstimatorConfig = EstimatorConfig()
+    mat: MatrixClass, config: EstimatorConfig = EstimatorConfig(), threads: Optional[int] = None
 ) -> MatrixEstimate:
     """Torontonian of a block matrix in the R'/B'/A' families via all-click
-    threshold estimation.
+    threshold estimation; ``threads`` as in ``estimate_probability``.
 
     Unless ``config`` fixes the shift, each family runs at the analytic
     shift its budget is derived at: ``optimal_gamma_threshold`` for R' and
@@ -898,4 +963,4 @@ def estimate_torontonian(
         shift = optimal_gamma_threshold(float(np.max(emb.lambdas)))
     if config.gamma_mode == "auto":
         config = dataclasses.replace(config, gamma_mode=tuple(shift[:2]))
-    return _run_embedding(emb, config, budget)
+    return _run_embedding(emb, config, budget, threads)

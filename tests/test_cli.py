@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqdkit import cli
+from pqdkit import estimator as est
 from pqdkit.errors import SchemaError
 
 
@@ -102,6 +103,35 @@ class TestCommands:
         assert cli.main(args + ["--output", str(out1)]) == 0
         assert cli.main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_reports_do_not_depend_on_threads(self, circuit_file, per_matrix, tmp_path):
+        # 80000 samples in 4 chunks make 3 fused batches
+        runs = {
+            "prob": ["estimate-prob", "--circuit", circuit_file, "--samples", "80000", "--chunks", "4"],
+            "per": ["estimate-per", "--matrix", per_matrix, "--samples", "80000", "--chunks", "4"],
+        }
+        for name, argv in runs.items():
+            blobs = set()
+            for threads in ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "4"]):
+                out = tmp_path / f"{name}{len(blobs)}.json"
+                assert cli.main(argv + threads + ["--seed", "2", "--output", str(out)]) == 0
+                blobs.add(out.read_bytes())
+            assert len(blobs) == 1
+
+    def test_matrix_commands_pass_threads_on(self, per_matrix, tmp_path, monkeypatch):
+        seen = []
+        run = est.estimate_probability
+
+        def spy(circuit, config, method="folded", threads=None):
+            seen.append(threads)
+            return run(circuit, config, method, threads)
+
+        monkeypatch.setattr(est, "estimate_probability", spy)
+        tor = write_json(tmp_path / "bp.json", {"m": 1, "re": [[0.4, 0.0], [0.0, 0.4]], "tag": "B'"})
+        haf = write_json(tmp_path / "r.json", {"m": 2, "re": [[0.0, 1.0], [1.0, 0.0]], "tag": "R"})
+        for command, path in (("estimate-per", per_matrix), ("estimate-haf", haf), ("estimate-tor", tor)):
+            assert cli.main([command, "--matrix", path, "--threads", "3", "--samples", "64"]) == 0
+        assert seen == [3, 3, 3]
 
     def test_wrong_tag_is_input_error(self, per_matrix):
         assert cli.main(["estimate-haf", "--matrix", per_matrix]) == 1
@@ -323,6 +353,16 @@ class TestInputHardening:
         for argv in (["estimate-prob", "--circuit", circuit_file], ["estimate-per", "--matrix", per_matrix]):
             assert cli.main(argv + ["--samples", samples]) == 1
             assert capsys.readouterr().err.startswith("input error: /samples: ")
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_nonpositive_threads(self, threads, circuit_file, per_matrix, capsys):
+        for argv in (
+            ["estimate-prob", "--circuit", circuit_file],
+            ["estimate-per", "--matrix", per_matrix],
+            ["convergence", "--circuit", circuit_file, "--samples", "64"],
+        ):
+            assert cli.main(argv + ["--threads", threads]) == 1
+            assert capsys.readouterr().err.startswith("input error: /threads: ")
 
     # overflow inside the sampler warns before the weight sum is checked
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -540,6 +540,63 @@ class TestSamplingKernel:
             n_done += size
             assert rep.trace[chunk][:2] == (n_done, math.exp(sampler.log_prefactor) * running / n_done)
 
+    def test_chunk_sizes_do_not_scale_with_chunk_count(self):
+        # at most n chunks are non-empty; the rest are never built
+        assert est._chunk_sizes(100, 10**12) == [1] * 100
+        assert est._chunk_sizes(10, 4) == [3, 3, 2, 2]
+        assert est._chunk_sizes(0, 3) == []
+
+
+def wide_naive_sampler():
+    """Naive sampler of a 16-mode circuit: F = 32 normals and 16 weighted
+    modes (photon, click and no-click factors) per sample."""
+    m = 16
+    rng = np.random.default_rng(3)
+    circuit = lo.CircuitSpec(
+        tuple((float(r), 0.2) for r in rng.uniform(0.1, 0.5, m)),
+        lo.haar_unitary(m, 4),
+        (photon(1), CLICK, photon(2)) + (NOCLICK,) * (m - 3),
+    )
+    s = circuit.s_max - est.S_MAX_MARGIN
+    sampler = est._build_naive_sampler(circuit, s, 0.2, est.FORWARD)
+    assert sampler.kernel.shape == (32, 32)
+    return sampler
+
+
+class TestDrawPieces:
+    @pytest.mark.parametrize("piece", [1, 7, 4096])
+    def test_draw_does_not_depend_on_piece_size(self, piece, monkeypatch):
+        # pieces of 5, 0, 3000, 1 and 4100 samples cross several
+        # generator boundaries inside one buffer fill
+        sampler = wide_naive_sampler()
+        counts = [5, 0, 3000, 1, 4100]
+
+        def draw():
+            pieces = [(est._chunk_rng(3, c), k) for c, k in enumerate(counts)]
+            return sampler.draw(pieces, sum(counts))
+
+        reference = draw()
+        monkeypatch.setattr(est, "DRAW_PIECE", piece)
+        assert np.array_equal(draw(), reference)
+        # a piece's samples take its generator's normals in (count, F) order
+        gen = est._chunk_rng(3, 2)
+        assert np.array_equal(sampler.draw(gen, 3000), reference[5:3005])
+
+    def test_draw_memory_is_bounded_by_the_piece(self):
+        import tracemalloc
+
+        sampler = wide_naive_sampler()
+        rng = est._chunk_rng(0, 0)
+        sampler.draw(rng, 64)
+        tracemalloc.start()
+        try:
+            sampler.draw(rng, 2**15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the weights alone are 256 kB; (F, n) normals would be 8 MB
+        assert peak < 4 * 2**20
+
 
 FUSED_OUTCOMES = [photon(m) for m in range(5)] + [CLICK, NOCLICK, MARGINAL]
 
@@ -560,7 +617,8 @@ class TestFusedWeight:
         rate = est._rate(s, gamma, direction, circuit.a_max)
         n_j = math.exp(factors.mode_lognorm(circuit.covariances()[0], s, rate))
         sampler = est._build_naive_sampler(circuit, s, gamma, direction)
-        b = sampler.beta_sq(np.random.default_rng(7).standard_normal((2, 4000)))[0]
+        # sample-major normals: a sample's two normals are consecutive
+        b = sampler.beta_sq(np.random.default_rng(7).standard_normal((4000, 2)).T)[0]
         got = sampler.draw(np.random.default_rng(7), 4000)
         expected = shifted_profile(outcome, s, rate, n_j)(b)
         sup = factors.measurement_sup(outcome, s, rate, n_j)
@@ -737,6 +795,28 @@ class TestEstimateProbability:
             for rep in reps[1:]:
                 assert rep.estimate == reps[0].estimate
                 assert rep.trace == reps[0].trace
+
+    def test_default_threads_match_one_thread(self):
+        circuit = squeezed_circuit([0.3, 0.4], 20)
+        cfg = est.EstimatorConfig(n_samples=3 * est.FUSED_BATCH, seed=5, chunks=6)
+        assert len(est._fused_units(est._chunk_sizes(cfg.n_samples, cfg.chunks))) == 3
+        blobs = {
+            json.dumps(rep.as_dict(include_wall_time=False))
+            for rep in (
+                est.estimate_probability(circuit, cfg),
+                est.estimate_probability(circuit, cfg, threads=1),
+            )
+        }
+        assert len(blobs) == 1
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_nonpositive_threads_rejected(self, threads):
+        circuit = squeezed_circuit([0.3], 21)
+        cfg = est.EstimatorConfig(n_samples=100)
+        with pytest.raises(ValueError, match="threads"):
+            est.estimate_probability(circuit, cfg, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            est.estimate_permanent_hpsd(np.eye(2), cfg, threads=threads)
 
     def test_trace_is_cumulative(self):
         circuit = squeezed_circuit([0.3], 21)
