@@ -13,6 +13,8 @@ weighted modes together; a click factor keeps one exp of its own.  Normals
 are drawn sample-major in fixed pieces of ``DRAW_PIECE`` samples, so memory
 stays bounded whatever the batch, and batches of chunks run on every usable
 CPU by default; neither the pieces nor the thread count changes a value.
+Setup (decompositions, folds, the kernel's solve and QR) runs on one
+OpenBLAS thread, so no BLAS pool spins while the samples are drawn.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import bounds as bounds_mod
+from ._blas import one_blas_thread
 from .errors import (
     BoundViolation,
     BudgetOverflow,
@@ -175,7 +178,7 @@ def mode_sups(
 ) -> np.ndarray:
     """Per-mode suprema of the shifted measurement factors |f_j|."""
     covs = circuit.covariances()
-    rate = _rate(s, gamma, direction, max(c.a_plus for c in covs))
+    rate = _rate(s, gamma, direction, circuit.a_max)
     sups = np.empty(circuit.m)
     for j, out in enumerate(circuit.pattern):
         n_j = math.exp(mode_lognorm(covs[j], s, rate))
@@ -434,6 +437,7 @@ def _real_pushforward(u: np.ndarray) -> np.ndarray:
     return np.block([[u.real, -u.imag], [u.imag, u.real]])
 
 
+@one_blas_thread()
 def _fold(
     circuit: CircuitSpec, s: float, gamma: float, direction: str, laplace: bool = False
 ) -> _Fold:
@@ -444,8 +448,7 @@ def _fold(
     log-Hessian of the integrand at the origin (the Laplace proposal)."""
     covs = circuit.covariances()
     m = circuit.m
-    a_max = max(c.a_plus for c in covs)
-    rate = _rate(s, gamma, direction, a_max)
+    rate = _rate(s, gamma, direction, circuit.a_max)
     sp = s + 1.0
 
     precision = np.zeros(2 * m)
@@ -616,6 +619,7 @@ def _weights(circuit: CircuitSpec, s: float, modes, rates, norms) -> tuple:
     return exponents, tuple(f.poly for f in radial), scale
 
 
+@one_blas_thread()
 def build_folded_sampler(
     circuit: CircuitSpec, s: float, gamma: float, direction: str, laplace: bool = False
 ) -> FoldedSampler:
@@ -631,9 +635,8 @@ def build_folded_sampler(
     rows = list(fold.active_modes) + [m + j for j in fold.active_modes]
     kernel = _real_pushforward(circuit.unitary.u)[np.ix_(rows, fold.free_idx)]
     if kernel.size:
-        # numpy's LAPACK: a call into a second bundled OpenBLAS leaves its
-        # threads spinning, which halved the speed of the batches that
-        # followed on a 2-CPU host
+        # numpy's LAPACK, on one thread (``one_blas_thread``): an OpenBLAS
+        # pool woken here would spin through the draws that follow
         kernel = np.linalg.solve(fold.chol_lower, kernel.T).T
         if kernel.shape[0] < kernel.shape[1]:
             kernel = np.ascontiguousarray(np.linalg.qr(kernel.T, mode="r").T)
@@ -656,7 +659,7 @@ def _build_naive_sampler(
     coordinate has std 0)."""
     covs = circuit.covariances()
     m = circuit.m
-    rate = _rate(s, gamma, direction, max(c.a_plus for c in covs))
+    rate = _rate(s, gamma, direction, circuit.a_max)
     stds = np.zeros(2 * m)
     for i, cov in enumerate(covs):
         for k, c in zip((i, m + i), quadrature_exponents(cov, s, rate)):

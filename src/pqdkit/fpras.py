@@ -228,10 +228,8 @@ def fpras_condition_gbs_noise(eta: float, r_max: float, n_th: float) -> bool:
 def circuit_certificates(circuit: CircuitSpec) -> list[LogConcavityCertificate]:
     """Per-mode log-concavity certificates at full forward shift and the
     circuit's exact classicality."""
-    covs = circuit.covariances()
     s = circuit.s_max
-    a_max = max(c.a_plus for c in covs)
-    gap = a_max - s
+    gap = circuit.a_max - s
     rate = math.inf if gap <= 0.0 else 2.0 / gap
     certs = []
     for out in circuit.pattern:

@@ -3,7 +3,8 @@
 Circuits are zero-mean Gaussian states (per-mode squeezed thermal inputs,
 optionally lossy) followed by a passive unitary.  Matrix-function targets are
 embedded into such circuits by rescaling their spectrum into [0, 1) and
-reading squeezing / thermal parameters off the rescaled values.
+reading squeezing / thermal parameters off the rescaled values.  The
+decompositions and embeddings run on one OpenBLAS thread (``_blas``).
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import (
     DimensionMismatch,
     NotHpsd,
@@ -58,6 +61,7 @@ def identity_interferometer(m: int) -> Interferometer:
     return Interferometer(m, np.eye(m, dtype=complex))
 
 
+@one_blas_thread()
 def haar_unitary(m: int, seed: int) -> Interferometer:
     """Haar-random unitary via QR of a complex Gaussian matrix.
 
@@ -102,16 +106,21 @@ class CircuitSpec:
     def m(self) -> int:
         return self.unitary.m
 
-    def covariances(self) -> list[ModeCovariance]:
-        return [lossy_covariance(r, n, self.eta, self.n_th) for r, n in self.modes]
+    @cached_property
+    def _covariances(self) -> tuple[ModeCovariance, ...]:
+        return tuple(lossy_covariance(r, n, self.eta, self.n_th) for r, n in self.modes)
 
-    @property
+    def covariances(self) -> tuple[ModeCovariance, ...]:
+        """Per-mode input covariances, computed once per circuit."""
+        return self._covariances
+
+    @cached_property
     def s_max(self) -> float:
-        return classicality(self.covariances())
+        return classicality(self._covariances)
 
-    @property
+    @cached_property
     def a_max(self) -> float:
-        return max(c.a_plus for c in self.covariances())
+        return max(c.a_plus for c in self._covariances)
 
     def with_pattern(self, pattern: Sequence[MeasurementOutcome]) -> "CircuitSpec":
         return CircuitSpec(
@@ -196,6 +205,7 @@ def _check_hermitian(mat: np.ndarray, tol: float = 1e-10):
 # ---------------------------------------------------------------------------
 
 
+@one_blas_thread()
 def takagi(r_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Takagi factorization R = U diag(lam) U^T of a complex symmetric matrix.
 
@@ -231,6 +241,7 @@ def takagi(r_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, lam
 
 
+@one_blas_thread()
 def hpsd_eigendecompose(b_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition B = U diag(lam) U^dagger of an HPSD matrix.
 
@@ -274,6 +285,7 @@ class Embedding:
         return self.scale_pow * self.z
 
 
+@one_blas_thread()
 def embed_hafnian(r_mat: np.ndarray, a: float = 1.001) -> Embedding:
     """Pure-squeezed circuit whose all-single-photon probability encodes
     |Haf(R)|^2 after rescaling the singular values into [0, 1/a]."""
@@ -293,6 +305,7 @@ def embed_hafnian(r_mat: np.ndarray, a: float = 1.001) -> Embedding:
     return Embedding(circuit, z, (a * lam_max) ** m, lam, lam_scaled)
 
 
+@one_blas_thread()
 def embed_permanent(b_mat: np.ndarray, a: float = 1.001) -> Embedding:
     """Thermal circuit whose all-single-photon probability encodes Per(B)."""
     u, lam = hpsd_eigendecompose(b_mat)
@@ -400,6 +413,7 @@ def split_blocks(mat: MatrixClass) -> tuple[np.ndarray, np.ndarray]:
     return r_block, b_block
 
 
+@one_blas_thread()
 def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interferometer]:
     """Recover (n, r_list, U) from an A'-tagged matrix.
 
@@ -449,6 +463,7 @@ def _verify_block_a_prime(mat: MatrixClass, n: float, r_list, interf: Interferom
         raise StructureMismatch(f"(n, r, U) do not rebuild the A' matrix: residual {dev:.3e}")
 
 
+@one_blas_thread()
 def embed_torontonian(mat: MatrixClass) -> Embedding:
     """All-click circuit whose probability times ``z`` is Tor(mat).
 

@@ -310,6 +310,22 @@ class TestCircuitSpec:
         assert cov.a_plus == pytest.approx(0.5 * math.exp(2.0) + 0.5 * 1.4)
         assert cov.a_minus == pytest.approx(0.5 * math.exp(-2.0) + 0.5 * 1.4)
 
+    def test_covariances_computed_once_per_circuit(self, monkeypatch):
+        calls = []
+        original = lo.lossy_covariance
+        monkeypatch.setattr(
+            lo, "lossy_covariance", lambda *args: calls.append(args) or original(*args)
+        )
+        b_mat = np.diag([0.5, 0.4, 0.3, 0.2]).astype(complex)
+        estimator.estimate_permanent_hpsd(b_mat, estimator.EstimatorConfig(n_samples=64))
+        assert len(calls) == 4  # one call per mode of the one embedded circuit
+        emb = lo.embed_permanent(b_mat)
+        assert emb.circuit.covariances() is emb.circuit.covariances()
+        assert emb.circuit.s_max == min(c.a_minus for c in emb.circuit.covariances())
+        assert emb.circuit.a_max == max(c.a_plus for c in emb.circuit.covariances())
+        with pytest.raises(AttributeError):
+            emb.circuit.eta = 0.5  # the cache leaves the circuit frozen
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lo.CircuitSpec(
