@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionAminBelowOne, UnsupportedBound, ZeroEigenvalue
-from .factors import measurement_sup, mode_lognorm
+from .factors import input_exponents, measurement_sup
 from .phase_space import (
     CLICK,
     W_INV_E,
@@ -110,10 +110,9 @@ def _forward_rate(gamma: float, gap: float) -> float:
 
 def _shifted_sups(covs, outcome, s: float, rate: float) -> np.ndarray:
     """Per-mode sup of the shifted measurement factor, each mode's input
-    normalization included."""
-    return np.array(
-        [measurement_sup(outcome, s, rate, math.exp(mode_lognorm(c, s, rate))) for c in covs]
-    )
+    normalization included (a supremum is linear in the normalization, so
+    the shared outcome's is taken once)."""
+    return measurement_sup(outcome, s, rate) * np.exp(input_exponents(covs, s, rate)[1])
 
 
 def budget_hafnian_block_a(n: float, r_list) -> Budget:

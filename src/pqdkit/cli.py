@@ -205,6 +205,13 @@ def _config_from_args(args) -> est.EstimatorConfig:
         raise SchemaError("/samples", f"must be a positive integer, got {args.samples}")
     if args.threads is not None and args.threads < 1:
         raise SchemaError("/threads", f"must be a positive integer, got {args.threads}")
+    if args.seed < 0:
+        raise SchemaError("/seed", f"must be a nonnegative integer, got {args.seed}")
+    if args.chunks < 1:
+        raise SchemaError("/chunks", f"must be a positive integer, got {args.chunks}")
+    for name in ("epsilon", "delta"):
+        if not 0.0 < getattr(args, name) < 1.0:
+            raise SchemaError(f"/{name}", f"must lie in (0, 1), got {getattr(args, name)}")
     gamma_mode = "auto"
     if args.gamma is not None:
         gamma_mode = (args.gamma, args.direction)

@@ -7,19 +7,24 @@ Gaussian measurement factors (vacuum projections, no-click, marginalized
 modes) are folded analytically into one correlated 2M-dimensional Gaussian;
 only the A non-Gaussian factors are averaged, each keeping its own shift
 reweight so the per-sample range stays controlled by the modified negativity
-bound.  A sample costs at most 2A standard normals from its chunk's SFC64
+bound.  With nothing to fold (every matrix embedding) the precision stays
+diagonal and its square root stands in for a Cholesky factor.  A sample costs at most 2A standard normals from its chunk's SFC64
 stream (marginal and other folded modes add none) and one exp for all
-weighted modes together; a click factor keeps one exp of its own.  Normals
-are drawn sample-major in fixed pieces of ``DRAW_PIECE`` samples, so memory
-stays bounded whatever the batch, and batches of chunks run on every usable
-CPU by default; neither the pieces nor the thread count changes a value.
-Setup (decompositions, folds, the kernel's solve and QR) runs on one
-OpenBLAS thread, so no BLAS pool spins while the samples are drawn.
+weighted modes together; a click factor keeps one exp of its own.  A call
+seeds every chunk's stream from one SeedSequence (``_chunk_words``).
+Normals are drawn sample-major in fixed pieces of ``DRAW_PIECE`` samples,
+so memory stays bounded whatever the batch, and batches of chunks run on
+every usable CPU by default; neither the pieces nor the thread count
+changes a value.  Setup (decompositions, folds, the kernel's solve and QR)
+runs on one OpenBLAS thread, so no BLAS pool spins while the samples are
+drawn.  Per-mode values are computed once per call, and a factor's
+supremum once per distinct outcome.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import time
@@ -37,7 +42,7 @@ from .errors import (
     ShiftOutOfRange,
     SingularOrdering,
 )
-from .factors import FREEZE_TOL, measurement_sup, mode_lognorm, quadrature_exponents
+from .factors import FREEZE_TOL, input_exponents, measurement_sup
 from .linear_optics import (
     CircuitSpec,
     Embedding,
@@ -149,7 +154,7 @@ def _resolve_s(circuit: CircuitSpec, config: EstimatorConfig) -> float:
         return s_max - S_MAX_MARGIN
     if config.s > s_max + FREEZE_TOL:
         raise SingularOrdering(f"s = {config.s} exceeds circuit classicality {s_max}")
-    for out in circuit.pattern:
+    for out in circuit.outcome_index[0]:
         pi_w_profile(out, config.s)  # raises OrderingOutOfRange outside its range
     return config.s
 
@@ -167,23 +172,27 @@ def negativity_bound(circuit: CircuitSpec, s: float) -> float:
     """
     if s > circuit.s_max + FREEZE_TOL:
         raise SingularOrdering(f"s = {s} exceeds circuit classicality")
-    total = 1.0
-    for out in circuit.pattern:
-        total *= measurement_sup(out, s, 0.0, 1.0)
-    return total
+    return float(np.prod(_unit_sups(circuit, s, 0.0)))
+
+
+def _unit_sups(circuit: CircuitSpec, s: float, rate: float) -> np.ndarray:
+    """sup_b |pi W_j(b)| exp(-rate * b) of every mode, one
+    ``measurement_sup`` per distinct outcome; a supremum is linear in the
+    input normalization, which callers multiply in."""
+    distinct, index = circuit.outcome_index
+    return np.array([measurement_sup(out, s, rate) for out in distinct])[index]
 
 
 def mode_sups(
-    circuit: CircuitSpec, s: float, gamma: float, direction: str
+    circuit: CircuitSpec, s: float, gamma: float, direction: str, log_norms=None
 ) -> np.ndarray:
-    """Per-mode suprema of the shifted measurement factors |f_j|."""
-    covs = circuit.covariances()
+    """Per-mode suprema of the shifted measurement factors |f_j|; the modes'
+    log input normalizations at this shift are computed unless given as
+    ``log_norms`` (``FoldedSampler.log_norms``)."""
     rate = _rate(s, gamma, direction, circuit.a_max)
-    sups = np.empty(circuit.m)
-    for j, out in enumerate(circuit.pattern):
-        n_j = math.exp(mode_lognorm(covs[j], s, rate))
-        sups[j] = measurement_sup(out, s, rate, n_j)
-    return sups
+    if log_norms is None:
+        log_norms = input_exponents(circuit.covariances(), s, rate)[1]
+    return np.exp(log_norms) * _unit_sups(circuit, s, rate)
 
 
 def modified_negativity_bound(
@@ -337,10 +346,10 @@ def resolve_gamma(circuit: CircuitSpec, s: float) -> GammaChoice:
 
 def _log_effective_bound(circuit: CircuitSpec, s: float, gamma: float, direction: str):
     fold = _fold(circuit, s, gamma, direction)
-    log_b = fold.log_prefactor
-    for j, rate, n_j in zip(fold.active_modes, fold.rates, fold.norms):
-        log_b += math.log(measurement_sup(circuit.pattern[j], s, rate, n_j))
-    return log_b
+    active = list(fold.active_modes)
+    rate = _rate(s, gamma, direction, circuit.a_max)
+    sups = _unit_sups(circuit, s, rate)[active]
+    return fold.log_prefactor + float(np.sum(np.log(sups) + fold.log_norms[active]))
 
 
 def _numeric_gamma(circuit: CircuitSpec, s: float) -> GammaChoice:
@@ -410,31 +419,29 @@ def _numeric_gamma(circuit: CircuitSpec, s: float) -> GammaChoice:
 class _Fold:
     """Gaussian measurement factors folded into the input Gaussian.
 
-    ``chol_lower`` is the Cholesky factor of the effective precision on the
-    free coordinates ``free_idx`` (frozen delta quadratures are pinned to
-    zero); active mode j keeps n_j * pi W_j(b) * exp(-rate_j * b) as its
-    per-sample weight, with ``rates`` and ``norms`` in active-mode order.
+    ``root`` is a square root of the effective precision on the free
+    coordinates ``free_idx`` (frozen delta quadratures are pinned to zero):
+    its lower Cholesky factor L, or, when the precision is diagonal because
+    nothing is folded, the 1-D vector of the diagonal's square roots.
+    Active mode j keeps n_j * pi W_j(b) * exp(-rate_j * b) as its
+    per-sample weight, with ``rates`` in active-mode order; ``log_norms``
+    holds log n_j of every mode.
     """
 
     rates: tuple
     free_idx: np.ndarray
-    chol_lower: np.ndarray
+    root: np.ndarray
     log_prefactor: float
     active_modes: tuple
-    norms: tuple
-
-
-def _mode_quadratic_form(row: np.ndarray) -> np.ndarray:
-    """Real PSD form Q_j with |beta_j|^2 = alpha_R^T Q_j alpha_R for the
-    pushforward beta_j = sum_k U_jk alpha_k, given row j of U."""
-    a_vec = np.concatenate([row, 1j * row])
-    return np.real(np.outer(a_vec, a_vec.conj()))
+    log_norms: np.ndarray
 
 
 def _real_pushforward(u: np.ndarray) -> np.ndarray:
-    """Real 2M x 2M map W with [Re beta; Im beta] = W [Re alpha; Im alpha]
-    for the pushforward beta = U alpha."""
-    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+    """Real map W with [Re beta; Im beta] = W [Re alpha; Im alpha] for the
+    pushforward beta = U alpha; rows of U give the rows of W for their
+    modes."""
+    re, im = u.real, u.imag
+    return np.concatenate([np.concatenate([re, -im], axis=1), np.concatenate([im, re], axis=1)])
 
 
 @one_blas_thread()
@@ -442,60 +449,55 @@ def _fold(
     circuit: CircuitSpec, s: float, gamma: float, direction: str, laplace: bool = False
 ) -> _Fold:
     """A Gaussian factor is pi W(0) * exp(kappa * b), kappa = pi_w_log_slope,
-    and adds 2 (rate - kappa) Q_j to the precision.  ``laplace`` folds the
-    same exponent of every non-Gaussian factor, whose weight keeps
-    pi W_j(b) * exp(-kappa_j * b): the precision is then minus the
-    log-Hessian of the integrand at the origin (the Laplace proposal)."""
-    covs = circuit.covariances()
-    m = circuit.m
+    and adds c_j Q_j, c_j = 2 (rate - kappa), to the precision, where
+    |beta_j|^2 = x^T Q_j x and Q_j = W_j^T W_j + W_{M+j}^T W_{M+j}; the
+    folded modes add W_r^T diag(c, c) W_r in one product over their rows
+    W_r of W.  With nothing folded the precision stays the inputs'
+    diagonal.  ``laplace`` folds the same exponent of every non-Gaussian
+    factor, whose weight keeps pi W_j(b) * exp(-kappa_j * b): the precision
+    is then minus the log-Hessian of the integrand at the origin (the
+    Laplace proposal)."""
+    distinct, index = circuit.outcome_index
     rate = _rate(s, gamma, direction, circuit.a_max)
-    sp = s + 1.0
+    exponents, log_norms = input_exponents(circuit.covariances(), s, rate)
+    free_idx = np.flatnonzero(~np.isnan(exponents))
+    precision = 2.0 * exponents[free_idx]
 
-    precision = np.zeros(2 * m)
-    frozen: set[int] = set()
-    for i, cov in enumerate(covs):
-        for k, c in zip((i, m + i), quadrature_exponents(cov, s, rate)):
-            if c is None:
-                frozen.add(k)
-            else:
-                precision[k] = 2.0 * c
-    free_idx = np.array([k for k in range(2 * m) if k not in frozen], dtype=int)
-
-    lam = np.diag(precision)
-    log_k = 0.0
-    active = []
-    norms = []
-    weight_rates = []
-    for j, out in enumerate(circuit.pattern):
-        log_n = mode_lognorm(covs[j], s, rate)
-        if out.is_gaussian or laplace:
-            kappa = pi_w_log_slope(out, s)
-            lam += 2.0 * (rate - kappa) * _mode_quadratic_form(circuit.unitary.u[j])
-        if out.is_gaussian:
-            log_k += log_n
-            if out.kind != "marginal":
-                log_k += math.log(2.0 / sp)
-        else:
-            active.append(j)
-            norms.append(math.exp(log_n))
-            weight_rates.append(kappa if laplace else rate)
-
-    lam_free = lam[np.ix_(free_idx, free_idx)]
-    try:
-        chol = np.linalg.cholesky(lam_free)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            "effective covariance lost positive definiteness; shift out of window"
-        ) from exc
-    logdet_eff = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-    logdet_in = float(np.sum(np.log(precision[free_idx])))
+    # per mode: whether its factor is Gaussian, log pi W(0) of a Gaussian
+    # factor, and the exponent rate_j its weight keeps: kappa_j when folded,
+    # the shift rate when not (so that unfolded modes add nothing)
+    gaussian = np.array([out.is_gaussian for out in distinct])[index]
+    log_w0 = np.array(
+        [math.log(pi_w_profile(out, s).const) if out.is_gaussian else 0.0 for out in distinct]
+    )[index]
+    weight_rates = np.array(
+        [pi_w_log_slope(out, s) if out.is_gaussian or laplace else rate for out in distinct]
+    )[index]
+    log_prefactor = float(np.sum(log_norms[gaussian] + log_w0[gaussian]))
+    coefs = 2.0 * (rate - weight_rates)
+    folded = np.flatnonzero(coefs)
+    if folded.size:
+        w_r = _real_pushforward(circuit.unitary.u[folded])[:, free_idx]
+        lam = (w_r.T * np.tile(coefs[folded], 2)) @ w_r
+        lam[np.diag_indices_from(lam)] += precision
+        try:
+            root = np.linalg.cholesky(lam)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                "effective covariance lost positive definiteness; shift out of window"
+            ) from exc
+        logdet_eff = 2.0 * float(np.sum(np.log(np.diagonal(root))))
+        log_prefactor += 0.5 * (float(np.sum(np.log(precision))) - logdet_eff)
+    else:
+        root = np.sqrt(precision)
+    active = np.flatnonzero(~gaussian)
     return _Fold(
-        rates=tuple(weight_rates),
+        rates=tuple(weight_rates[active].tolist()),
         free_idx=free_idx,
-        chol_lower=chol,
-        log_prefactor=log_k + 0.5 * (logdet_in - logdet_eff),
-        active_modes=tuple(active),
-        norms=tuple(norms),
+        root=root,
+        log_prefactor=log_prefactor,
+        active_modes=tuple(active.tolist()),
+        log_norms=log_norms,
     )
 
 
@@ -536,6 +538,7 @@ class FoldedSampler:
     scale: float
     log_prefactor: float
     active_modes: tuple  # the weighted modes, in kernel row order
+    log_norms: np.ndarray  # log input normalization of every mode
 
     @property
     def panel(self) -> int:
@@ -609,14 +612,23 @@ class FoldedSampler:
         return w
 
 
-def _weights(circuit: CircuitSpec, s: float, modes, rates, norms) -> tuple:
-    """(exponents, polys, scale) of a sampler weighting ``modes`` with
-    Gaussian reweight exponents ``rates`` and input normalizations
-    ``norms``."""
-    radial = [pi_w_profile(circuit.pattern[j], s) for j in modes]
-    exponents = np.array([f.decay + rate for f, rate in zip(radial, rates)])
-    scale = math.prod(f.const * n_j for f, n_j in zip(radial, norms))
-    return exponents, tuple(f.poly for f in radial), scale
+def _sampler(
+    circuit: CircuitSpec, s: float, kernel, modes, rates, log_norms, log_prefactor: float
+) -> FoldedSampler:
+    """A sampler weighting ``modes`` with Gaussian reweight exponents
+    ``rates``; ``log_norms`` are every mode's log input normalizations."""
+    distinct, index = circuit.outcome_index
+    radial = [pi_w_profile(out, s) for out in distinct]
+    profiles = [radial[index[j]] for j in modes]
+    return FoldedSampler(
+        kernel=kernel,
+        exponents=np.array([f.decay + rate for f, rate in zip(profiles, rates)]),
+        polys=tuple(f.poly for f in profiles),
+        scale=math.prod(f.const * math.exp(log_norms[j]) for f, j in zip(profiles, modes)),
+        log_prefactor=log_prefactor,
+        active_modes=tuple(modes),
+        log_norms=log_norms,
+    )
 
 
 @one_blas_thread()
@@ -624,30 +636,26 @@ def build_folded_sampler(
     circuit: CircuitSpec, s: float, gamma: float, direction: str, laplace: bool = False
 ) -> FoldedSampler:
     """Folded sampler with kernel K = W_af L^{-T}: W restricted to the active
-    modes' rows and the free columns, L the Cholesky factor of the folded
-    precision (one solve here, none per batch).  When K has fewer rows than
-    columns it is replaced by R^T from K^T = QR: R^T z has the law of K z
-    (both covariances are K K^T = R^T R, also for rank-deficient K), so a
-    sample draws 2A normals, not F.  ``laplace`` selects the Laplace fold of
-    ``_fold`` (the multiplicative estimator's proposal)."""
+    modes' rows and the free columns, L the fold's precision root (one
+    solve here, none per batch; a diagonal root scales the columns).  When
+    K has fewer rows than columns it is replaced by R^T from K^T = QR: R^T z
+    has the law of K z (both covariances are K K^T = R^T R, also for
+    rank-deficient K), so a sample draws 2A normals, not F.  ``laplace``
+    selects the Laplace fold of ``_fold`` (the multiplicative estimator's
+    proposal)."""
     fold = _fold(circuit, s, gamma, direction, laplace)
-    m = circuit.m
-    rows = list(fold.active_modes) + [m + j for j in fold.active_modes]
-    kernel = _real_pushforward(circuit.unitary.u)[np.ix_(rows, fold.free_idx)]
+    kernel = _real_pushforward(circuit.unitary.u[list(fold.active_modes)])[:, fold.free_idx]
     if kernel.size:
-        # numpy's LAPACK, on one thread (``one_blas_thread``): an OpenBLAS
-        # pool woken here would spin through the draws that follow
-        kernel = np.linalg.solve(fold.chol_lower, kernel.T).T
+        if fold.root.ndim == 1:
+            kernel = kernel / fold.root
+        else:
+            # numpy's LAPACK, on one thread (``one_blas_thread``): an OpenBLAS
+            # pool woken here would spin through the draws that follow
+            kernel = np.linalg.solve(fold.root, kernel.T).T
         if kernel.shape[0] < kernel.shape[1]:
             kernel = np.ascontiguousarray(np.linalg.qr(kernel.T, mode="r").T)
-    exponents, polys, scale = _weights(circuit, s, fold.active_modes, fold.rates, fold.norms)
-    return FoldedSampler(
-        kernel=kernel,
-        exponents=exponents,
-        polys=polys,
-        scale=scale,
-        log_prefactor=fold.log_prefactor,
-        active_modes=fold.active_modes,
+    return _sampler(
+        circuit, s, kernel, fold.active_modes, fold.rates, fold.log_norms, fold.log_prefactor
     )
 
 
@@ -657,23 +665,12 @@ def _build_naive_sampler(
     """Independent per-mode input sampling with every measurement factor in
     the weight: kernel K = W diag(stds) over all 2M coordinates (a frozen
     coordinate has std 0)."""
-    covs = circuit.covariances()
     m = circuit.m
     rate = _rate(s, gamma, direction, circuit.a_max)
-    stds = np.zeros(2 * m)
-    for i, cov in enumerate(covs):
-        for k, c in zip((i, m + i), quadrature_exponents(cov, s, rate)):
-            stds[k] = 0.0 if c is None else math.sqrt(1.0 / (2.0 * c))
-    norms = [math.exp(mode_lognorm(cov, s, rate)) for cov in covs]
-    exponents, polys, scale = _weights(circuit, s, range(m), [rate] * m, norms)
-    return FoldedSampler(
-        kernel=_real_pushforward(circuit.unitary.u) * stds,
-        exponents=exponents,
-        polys=polys,
-        scale=scale,
-        log_prefactor=0.0,
-        active_modes=tuple(range(m)),
-    )
+    exponents, log_norms = input_exponents(circuit.covariances(), s, rate)
+    stds = np.nan_to_num(np.sqrt(1.0 / (2.0 * exponents)))
+    kernel = _real_pushforward(circuit.unitary.u) * stds
+    return _sampler(circuit, s, kernel, range(m), [rate] * m, log_norms, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -696,12 +693,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    """The SFC64 stream of one chunk: a child of ``seed`` keyed by the chunk
-    index, so a chunk draws the same normals whichever thread runs it."""
-    return np.random.Generator(
-        np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
-    )
+SEED_WORDS = 4  # 64-bit seed words per chunk stream
+
+
+@functools.cache
+def _seed_words() -> type:
+    """The seed source of one chunk: its words, handed to SFC64's own seeding
+    routine (which asks for three 64-bit words).  Defined on first use, so
+    that importing pqdkit does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words.view(dtype)[:n_words]
+
+    return SeedWords
+
+
+def _chunk_words(seed: int, chunks: int) -> np.ndarray:
+    """Seed words of the first ``chunks`` chunk streams of ``seed``, one row
+    of SEED_WORDS per chunk: words 4c..4c+3 of one SeedSequence(seed)'s
+    state.  That state is prefix-consistent, so row c depends only on
+    (seed, c), not on how many chunks a call has."""
+    state = np.random.SeedSequence(seed).generate_state(SEED_WORDS * chunks, np.uint64)
+    return state.reshape(chunks, SEED_WORDS)
+
+
+def _chunk_rng(words: np.ndarray) -> np.random.Generator:
+    """The SFC64 stream of one chunk, seeded by SFC64's own routine from the
+    chunk's row of ``_chunk_words``; a chunk draws the same normals whichever
+    thread runs it and whatever the call's chunk count."""
+    return np.random.Generator(np.random.SFC64(_seed_words()(words)))
 
 
 # Samples per kernel call.  Consecutive chunks are fused up to this size so
@@ -735,14 +760,15 @@ def estimate_probability(
 
     ``method`` selects the folded sampler (Gaussian measurement factors
     integrated analytically) or the naive per-mode sampler with every factor
-    kept in the weight.  Each chunk draws from its own SFC64 stream, F
-    normals per sample for a sampler kernel of F columns (at most 2A for A
+    kept in the weight.  Each chunk draws from its own SFC64 stream
+    (``_chunk_rng``; one SeedSequence seeds them all), F normals per sample for a sampler kernel of F columns (at most 2A for A
     weighted modes when folded, 2M when naive).  Consecutive chunks are
     fused into batches of at most ``FUSED_BATCH`` samples; the batches
     depend only on the sample count and ``config.chunks``.  ``threads``
     workers (default: every CPU the process may use, never more than there
-    are batches) draw the batches in parallel, and chunk subtotals are
-    merged in index order, so the result does not depend on ``threads``.
+    are batches) draw the batches in parallel, and chunk subtotals (one
+    ``np.add.reduceat`` per fused batch) are merged in index order, so the
+    result does not depend on ``threads``.
     The suprema of the measurement factors are computed once per call, for
     every mode.
     """
@@ -765,13 +791,12 @@ def estimate_probability(
         deterministic = False
     else:
         raise ValueError(f"unknown method {method!r}")
-    all_sups = mode_sups(circuit, s, gamma, direction)
+    all_sups = mode_sups(circuit, s, gamma, direction, sampler.log_norms)
     mod_neg = float(np.prod(all_sups))
     c_max = float(np.max(all_sups)) if all_sups.size else 1.0
     neg = negativity_bound(circuit, s)
-    log_b_samples = sampler.log_prefactor + sum(
-        math.log(all_sups[j]) for j in sampler.active_modes
-    )
+    active_sups = all_sups[list(sampler.active_modes)]
+    log_b_samples = sampler.log_prefactor + float(np.sum(np.log(active_sups)))
     prefactor = math.exp(sampler.log_prefactor)
 
     b_eff = math.exp(log_b_samples)
@@ -786,13 +811,14 @@ def estimate_probability(
 
     sizes = _chunk_sizes(n_total, config.chunks)
     units = _fused_units(sizes)
+    seeds = _chunk_words(config.seed, len(sizes))
     # every weight is bounded by the product of its modes' claimed suprema;
     # the sample count and the radius are void if one is not
-    w_limit = (1.0 + WEIGHT_BOUND_RTOL) * math.prod(all_sups[j] for j in sampler.active_modes)
+    w_limit = (1.0 + WEIGHT_BOUND_RTOL) * float(np.prod(active_sups))
 
     def draw(rng, n: int) -> np.ndarray:
         w = sampler.draw(rng, n)
-        peak = float(np.max(np.abs(w)))
+        peak = float(np.abs(w).max())
         if peak > w_limit and math.isfinite(peak):
             raise BoundViolation(
                 f"sample weight {peak:.6e} exceeds the claimed bound {w_limit:.6e}"
@@ -800,12 +826,11 @@ def estimate_probability(
         return w
 
     def unit_sums(unit) -> list[float]:
-        rngs = [_chunk_rng(config.seed, chunk) for chunk, _ in unit]
+        rngs = [_chunk_rng(seeds[chunk]) for chunk, _ in unit]
         if len(unit) > 1:
             counts = [size for _, size in unit]
             w = draw(list(zip(rngs, counts)), sum(counts))
-            ends = np.cumsum(counts)
-            return [float(np.sum(w[e - k : e])) for e, k in zip(ends, counts)]
+            return np.add.reduceat(w, np.cumsum([0] + counts[:-1])).tolist()
         size = unit[0][1]
         subtotal = 0.0
         for done in range(0, size, FUSED_BATCH):
@@ -820,22 +845,12 @@ def estimate_probability(
             per_unit = list(pool.map(unit_sums, units))
     else:
         per_unit = [unit_sums(unit) for unit in units]
-    subtotals = [x for sums in per_unit for x in sums]
-
-    running = 0.0
-    n_done = 0
-    trace = []
+    # running sums after each chunk, added in chunk order
+    running = np.cumsum([x for sums in per_unit for x in sums])
+    n_done = np.cumsum(sizes)
     radius_scale = b_eff * math.sqrt(2.0 * math.log(2.0 / config.delta))
-    for size, subtotal in zip(sizes, subtotals):
-        running += subtotal
-        n_done += size
-        trace.append(
-            (
-                n_done,
-                prefactor * running / n_done,
-                radius_scale / math.sqrt(n_done),
-            )
-        )
+    trace = np.column_stack([n_done, prefactor * running / n_done, radius_scale / np.sqrt(n_done)])
+    running = float(running[-1])
 
     if not math.isfinite(running):
         raise FloatingPointError(f"sample weights sum to {running}; a factor overflowed")
@@ -856,7 +871,7 @@ def estimate_probability(
         method=method,
         log_prefactor=sampler.log_prefactor,
         active_modes=tuple(j for j, out in enumerate(circuit.pattern) if not out.is_gaussian),
-        trace_rows=np.array(trace, dtype=float).reshape(-1, 3),
+        trace_rows=trace,
     )
 
 

@@ -17,38 +17,34 @@ import math
 import numpy as np
 
 from .errors import ShiftOutOfRange, SingularOrdering
-from .phase_space import MeasurementOutcome, ModeCovariance, laguerre
+from .phase_space import MeasurementOutcome, laguerre
 
 FREEZE_TOL = 1e-12
 
 
-def quadrature_exponents(cov: ModeCovariance, s: float, rate: float):
-    """Shifted exponents per quadrature; None marks a frozen (delta) axis."""
-    out = []
-    for a in (cov.a_plus, cov.a_minus):
-        d = a - s
-        if d < -FREEZE_TOL:
-            raise SingularOrdering(f"s = {s} exceeds variance {a}")
-        if d <= FREEZE_TOL:
-            out.append(None)
-            continue
-        c = 2.0 / d - rate
-        if c <= 0.0:
-            raise ShiftOutOfRange(
-                f"shifted input exponent {c} nonpositive (a = {a}, s = {s}, rate = {rate})"
-            )
-        out.append(c)
-    return tuple(out)
+def input_exponents(covs, s: float, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted input exponents and normalizations of every mode at once.
 
-
-def mode_lognorm(cov: ModeCovariance, s: float, rate: float) -> float:
-    """log N_i of the shifted input factor; frozen quadratures contribute 0."""
-    total = 0.0
-    for a, c in zip((cov.a_plus, cov.a_minus), quadrature_exponents(cov, s, rate)):
-        if c is None:
-            continue
-        total += 0.5 * (math.log(2.0 / (a - s)) - math.log(c))
-    return total
+    Returns the exponent c of each of the 2M quadratures (x of every mode,
+    then p; NaN marks a frozen delta axis, whose variance is within
+    FREEZE_TOL of s) and log N_i of each mode's shifted input factor, to
+    which a frozen quadrature contributes 0.
+    """
+    m = len(covs)
+    a = np.array([c.a_plus for c in covs] + [c.a_minus for c in covs], dtype=float)
+    d = a - s
+    if d.min(initial=0.0) < -FREEZE_TOL:
+        raise SingularOrdering(f"s = {s} exceeds variance {a[np.argmin(d)]}")
+    free = d > FREEZE_TOL
+    d = np.where(free, d, np.nan)  # NaN carries a frozen axis through, silently
+    c = 2.0 / d - rate
+    if (c <= 0.0).any():
+        k = np.argmax(c <= 0.0)
+        raise ShiftOutOfRange(
+            f"shifted input exponent {c[k]} nonpositive (a = {a[k]}, s = {s}, rate = {rate})"
+        )
+    log_q = np.where(free, 0.5 * (np.log(2.0 / d) - np.log(c)), 0.0)
+    return c, log_q[:m] + log_q[m:]
 
 
 def measurement_sup(

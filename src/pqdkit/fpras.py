@@ -40,6 +40,7 @@ from .estimator import (
     S_MAX_MARGIN,
     EstimatorConfig,
     _chunk_rng,
+    _chunk_words,
     build_folded_sampler,
 )
 from .linear_optics import CircuitSpec
@@ -317,7 +318,7 @@ def estimate_multiplicative(
         ) from exc
     z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
     ess_target = ESS_PER_EPS_SQ / epsilon**2
-    rng = _chunk_rng(config.seed, 0)
+    rng = _chunk_rng(_chunk_words(config.seed, 1)[0])
     s1 = 0.0  # sum of weights
     s2 = 0.0  # sum of squared weights
     n_used = 0

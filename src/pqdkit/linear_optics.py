@@ -122,6 +122,15 @@ class CircuitSpec:
     def a_max(self) -> float:
         return max(c.a_plus for c in self._covariances)
 
+    @cached_property
+    def outcome_index(self) -> tuple[tuple, np.ndarray]:
+        """The distinct outcomes of ``pattern`` and each mode's index among
+        them, so that a per-outcome quantity is computed once per outcome."""
+        keys = [(out.kind, out.m) for out in self.pattern]
+        slots = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        distinct = tuple(MeasurementOutcome(*key) for key in slots)
+        return distinct, np.array([slots[key] for key in keys], dtype=int)
+
     def with_pattern(self, pattern: Sequence[MeasurementOutcome]) -> "CircuitSpec":
         return CircuitSpec(
             self.modes, self.unitary, tuple(pattern), self.eta, self.n_th
@@ -227,15 +236,18 @@ def takagi(r_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         else:
             groups.append([idx])
 
-    # each group's z = V diag(mu) V^{-1} is a symmetric unitary; its block
-    # of q is the principal square root V diag(sqrt mu) V^{-1}
-    q = np.zeros((lam.size, lam.size), dtype=complex)
+    # each group's z = v^T w = V diag(mu) V^{-1} is a symmetric unitary, and
+    # u's block is v times the conjugate of its principal square root
+    # V diag(sqrt mu) V^{-1}; a lone value's z is the number v_i^T w_i, so
+    # every lone value's root is taken at once
+    u = v * np.sqrt(np.einsum("ij,ij->j", v, w)).conj()
     for idx in groups:
-        mu, vec = np.linalg.eig(v[:, idx].T @ w[:, idx])
-        q[np.ix_(idx, idx)] = np.linalg.solve(vec.T, (vec * np.sqrt(mu)).T).T
-    u = v @ q.conj()
+        if len(idx) > 1:
+            mu, vec = np.linalg.eig(v[:, idx].T @ w[:, idx])
+            root = np.linalg.solve(vec.T, (vec * np.sqrt(mu)).T).T
+            u[:, idx] = v[:, idx] @ root.conj()
 
-    resid = np.max(np.abs(u @ np.diag(lam) @ u.T - r_mat)) if r_mat.size else 0.0
+    resid = np.max(np.abs((u * lam) @ u.T - r_mat)) if r_mat.size else 0.0
     if resid > RECONSTRUCT_TOL * max(1.0, np.max(np.abs(r_mat))):
         raise NotSymmetric(f"takagi reconstruction failed: residual {resid:.3e}")
     return u, lam

@@ -364,6 +364,30 @@ class TestInputHardening:
             assert cli.main(argv + ["--threads", threads]) == 1
             assert capsys.readouterr().err.startswith("input error: /threads: ")
 
+    @pytest.mark.parametrize(
+        "flag, value, pointer",
+        [
+            ("--seed", "-1", "/seed"),
+            ("--chunks", "0", "/chunks"),
+            ("--chunks", "-3", "/chunks"),
+            ("--epsilon", "2", "/epsilon"),
+            ("--epsilon", "0", "/epsilon"),
+            ("--delta", "1", "/delta"),
+            ("--delta", "nan", "/delta"),
+        ],
+    )
+    def test_estimator_flags_rejected_with_pointer(self, flag, value, pointer, circuit_file, per_matrix, capsys):
+        for argv in (
+            ["estimate-prob", "--circuit", circuit_file],
+            ["estimate-prob", "--circuit", circuit_file, "--multiplicative"],
+            ["estimate-per", "--matrix", per_matrix],
+            ["convergence", "--circuit", circuit_file, "--samples", "64"],
+        ):
+            assert cli.main(argv + [flag, value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"input error: {pointer}: ")
+
     # overflow inside the sampler warns before the weight sum is checked
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_estimate_is_numerical_failure(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from scipy.special import eval_laguerre
 
 from pqdkit import bounds, cli, estimator as est, linear_optics as lo, oracles
 from pqdkit import factors
+from pqdkit import phase_space as ps
 from pqdkit.errors import BoundViolation, BudgetOverflow, ShiftOutOfRange, SingularOrdering
 from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon, pi_w_profile
 
@@ -41,6 +42,22 @@ def photon_factor(m, s, rate):
     c = 2.0 / sp + rate
     k = 4.0 / (1.0 - s * s)
     return lambda b: (2.0 / sp) * ((s - 1.0) / sp) ** m * eval_laguerre(m, k * b) * np.exp(-c * b)
+
+
+def log_norm(cov, s, rate):
+    """log N of one mode's shifted input factor."""
+    return float(factors.input_exponents([cov], s, rate)[1][0])
+
+
+def lower_root(fold):
+    """The fold's precision root as a lower-triangular matrix (a diagonal
+    fold stores only the diagonal)."""
+    return np.diag(fold.root) if fold.root.ndim == 1 else fold.root
+
+
+def chunk_rng(seed, chunk):
+    """Chunk ``chunk``'s stream as ``estimate_probability`` seeds it."""
+    return est._chunk_rng(est._chunk_words(seed, chunk + 1)[chunk])
 
 
 def dense_sup(profile, grid, n_fine=2_001):
@@ -198,12 +215,27 @@ class TestFactorBound:
         rate = 2.0 * gamma / ((1.0 + lam) / (1.0 - lam) - s)
         for j, sup in enumerate(sups):
             cov = circuit.covariances()[j]
-            n_j = math.exp(factors.mode_lognorm(cov, s, rate))
+            n_j = math.exp(log_norm(cov, s, rate))
             numeric = dense_sup(
                 shifted_profile(photon(1), s, rate, n_j), np.linspace(0.0, 400.0, 4001)
             )
             assert sup <= numeric + 1e-9
             assert sup == pytest.approx(numeric, abs=1e-9)
+
+    def test_one_supremum_per_distinct_outcome(self, monkeypatch):
+        circuit = squeezed_circuit([0.3] * 8, 9, pattern=(photon(1),) * 6 + (CLICK, photon(1)))
+        s = circuit.s_max - est.S_MAX_MARGIN
+        expected = est.mode_sups(circuit, s, 0.2, est.FORWARD)
+        calls = []
+        true_sup = est.measurement_sup
+        monkeypatch.setattr(est, "measurement_sup", lambda *args: calls.append(args) or true_sup(*args))
+        got = est.mode_sups(circuit, s, 0.2, est.FORWARD)
+        assert len(calls) == 2
+        assert np.array_equal(got, expected)
+        rate = est._rate(s, 0.2, est.FORWARD, circuit.a_max)
+        for j, cov in enumerate(circuit.covariances()):
+            n_j = math.exp(log_norm(cov, s, rate))
+            assert got[j] == pytest.approx(factors.measurement_sup(circuit.pattern[j], s, rate, n_j), rel=1e-14)
 
     def test_thermal_rank_deficient_top_factor(self):
         lam = 0.4
@@ -275,7 +307,7 @@ class TestPhotonSuprema:
         sup = est.mode_sups(circuit, s, 0.999, est.REVERSE)[0]
         assert sup == pytest.approx(4.317e5, rel=1e-3)
         rate = est._rate(s, 0.999, est.REVERSE, circuit.a_max)
-        n_0 = math.exp(factors.mode_lognorm(circuit.covariances()[0], s, rate))
+        n_0 = math.exp(log_norm(circuit.covariances()[0], s, rate))
         c = 2.0 / (s + 1.0) + rate
         ref = n_0 * dense_sup(photon_factor(2, s, rate), np.linspace(0.0, 50.0 / c, 20_001))
         assert sup == pytest.approx(ref, rel=1e-9)
@@ -416,18 +448,14 @@ def reference_beta_sq(circuit, stds, fold, z):
     else:
         alpha = np.zeros((2 * m, z.shape[1]))
         if len(fold.free_idx):
-            alpha[fold.free_idx] = solve_triangular(fold.chol_lower.T, z, lower=False)
+            alpha[fold.free_idx] = solve_triangular(lower_root(fold).T, z, lower=False)
     beta = (alpha[:m] + 1j * alpha[m:]).T @ circuit.unitary.u.T
     return (np.abs(beta) ** 2).T
 
 
 def naive_stds(circuit, s, rate):
-    m = circuit.m
-    stds = np.zeros(2 * m)
-    for i, cov in enumerate(circuit.covariances()):
-        for k, c in zip((i, m + i), factors.quadrature_exponents(cov, s, rate)):
-            stds[k] = 0.0 if c is None else math.sqrt(1.0 / (2.0 * c))
-    return stds
+    exponents = factors.input_exponents(circuit.covariances(), s, rate)[0]
+    return np.array([0.0 if math.isnan(c) else math.sqrt(1.0 / (2.0 * c)) for c in exponents])
 
 
 KERNEL_CASES = {
@@ -468,7 +496,7 @@ def reference_covariance(circuit, fold, modes):
     m = circuit.m
     cov_alpha = np.zeros((2 * m, 2 * m))
     free = fold.free_idx
-    chol = fold.chol_lower
+    chol = lower_root(fold)
     cov_alpha[np.ix_(free, free)] = np.linalg.inv(chol @ chol.T)
     u = circuit.unitary.u
     push = np.block([[u.real, -u.imag], [u.imag, u.real]])
@@ -529,14 +557,16 @@ class TestSamplingKernel:
         assert rep.n_used == 1
 
     def test_fused_batches_match_per_chunk_draws(self):
-        # fusing chunks into one batch leaves each chunk's samples unchanged
+        # fusing chunks into one batch leaves each chunk's samples unchanged;
+        # a fused chunk's subtotal is the np.add.reduceat sum of its weights
         circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
         cfg = est.EstimatorConfig(n_samples=30_001, seed=9, chunks=7, gamma_mode=(0.2, est.FORWARD))
         rep = est.estimate_probability(circuit, cfg)
         sampler = est.build_folded_sampler(circuit, rep.s, rep.gamma, rep.direction)
         running, n_done = 0.0, 0
         for chunk, size in enumerate(est._chunk_sizes(cfg.n_samples, cfg.chunks)):
-            running += float(np.sum(sampler.draw(est._chunk_rng(cfg.seed, chunk), size)))
+            w = sampler.draw(chunk_rng(cfg.seed, chunk), size)
+            running += float(np.add.reduceat(w, [0])[0])
             n_done += size
             assert rep.trace[chunk][:2] == (n_done, math.exp(sampler.log_prefactor) * running / n_done)
 
@@ -545,6 +575,126 @@ class TestSamplingKernel:
         assert est._chunk_sizes(100, 10**12) == [1] * 100
         assert est._chunk_sizes(10, 4) == [3, 3, 2, 2]
         assert est._chunk_sizes(0, 3) == []
+
+
+def outer_product_precision(circuit, s, gamma, direction, laplace=False):
+    """The folded precision on the free coordinates, assembled as one outer
+    product per folded mode: Q_j = Re(a a^H) with a = [U_j, i U_j]."""
+    rate = est._rate(s, gamma, direction, circuit.a_max)
+    exponents = factors.input_exponents(circuit.covariances(), s, rate)[0]
+    lam = np.diag(np.nan_to_num(2.0 * exponents))
+    for j, out in enumerate(circuit.pattern):
+        if out.is_gaussian or laplace:
+            a_vec = np.concatenate([circuit.unitary.u[j], 1j * circuit.unitary.u[j]])
+            kappa = ps.pi_w_log_slope(out, s)
+            lam += 2.0 * (rate - kappa) * np.real(np.outer(a_vec, a_vec.conj()))
+    free = np.flatnonzero(~np.isnan(exponents))
+    return lam[np.ix_(free, free)]
+
+
+def cholesky_reference(circuit, s, gamma, direction):
+    """(K K^T, log_prefactor) of the folded sampler through a Cholesky factor
+    L of the precision and the solve K = W_af L^{-T}."""
+    m = circuit.m
+    rate = est._rate(s, gamma, direction, circuit.a_max)
+    exponents, log_norms = factors.input_exponents(circuit.covariances(), s, rate)
+    free = np.flatnonzero(~np.isnan(exponents))
+    chol = np.linalg.cholesky(outer_product_precision(circuit, s, gamma, direction))
+    log_k = sum(
+        log_norms[j] + (0.0 if out.kind == "marginal" else math.log(2.0 / (s + 1.0)))
+        for j, out in enumerate(circuit.pattern)
+        if out.is_gaussian
+    )
+    logdet_in = float(np.sum(np.log(2.0 * exponents[free])))
+    log_prefactor = log_k + 0.5 * logdet_in - float(np.sum(np.log(np.diagonal(chol))))
+    active = [j for j, out in enumerate(circuit.pattern) if not out.is_gaussian]
+    w_af = est._real_pushforward(circuit.unitary.u)[active + [m + j for j in active]][:, free]
+    kernel = np.linalg.solve(chol, w_af.T).T
+    return kernel @ kernel.T, log_prefactor
+
+
+def matrix_embedding(name, m):
+    """The circuit of one of the five matrix embeddings at M = m."""
+    rng = np.random.default_rng(m)
+    q = lo.haar_unitary(m, 60 + m)
+    lam = rng.uniform(0.2, 0.6, m)
+    symmetric = (q.u * lam) @ q.u.T
+    hpsd = (q.u * lam) @ q.u.conj().T
+    hpsd = (hpsd + hpsd.conj().T) / 2.0
+    if name == "haf":
+        return lo.embed_hafnian(symmetric).circuit
+    if name == "per":
+        return lo.embed_permanent(hpsd).circuit
+    if name == "torR":
+        return lo.embed_torontonian(lo.block_r_prime(symmetric)).circuit
+    if name == "torB":
+        return lo.embed_torontonian(lo.block_b_prime(hpsd)).circuit
+    return lo.embed_torontonian(lo.block_a_prime(1.0, 0.1 + 0.4 * lam, q)).circuit
+
+
+class TestFoldPaths:
+    @pytest.mark.parametrize(
+        "name, m",
+        [(name, m) for m in (4, 16) for name in ("haf", "per", "torR", "torB", "torA")]
+        + [("frozen-thermal", 2)],
+    )
+    def test_diagonal_fold_matches_cholesky_path(self, name, m):
+        # nothing is folded for matrix embeddings (all-photon or all-click)
+        if name == "frozen-thermal":
+            circuit, _, (gamma, direction) = KERNEL_CASES[name]
+            s = circuit.s_max  # freezes both quadratures of one mode
+        else:
+            circuit = matrix_embedding(name, m)
+            s = circuit.s_max - est.S_MAX_MARGIN
+            gamma, direction = est.resolve_gamma(circuit, s)[:2]
+        fold = est._fold(circuit, s, gamma, direction)
+        assert fold.root.ndim == 1
+        assert len(fold.free_idx) == (2 * m - 2 if name == "frozen-thermal" else 2 * m)
+        sampler = est.build_folded_sampler(circuit, s, gamma, direction)
+        cov, log_prefactor = cholesky_reference(circuit, s, gamma, direction)
+        got = sampler.kernel @ sampler.kernel.T
+        np.testing.assert_allclose(got, cov, rtol=0.0, atol=1e-12 * np.abs(cov).max())
+        assert sampler.log_prefactor == pytest.approx(log_prefactor, abs=1e-12)
+
+    @pytest.mark.parametrize("laplace", [False, True])
+    @pytest.mark.parametrize("case", ["frozen-squeezed", "noclick-marginal"])
+    def test_one_product_fold_matches_outer_products(self, case, laplace):
+        circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
+        s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
+        fold = est._fold(circuit, s, gamma, direction, laplace=laplace)
+        assert fold.root.ndim == 2
+        expected = outer_product_precision(circuit, s, gamma, direction, laplace)
+        got = fold.root @ fold.root.T
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
+
+class TestChunkStreams:
+    def test_one_seed_sequence_per_call(self, monkeypatch):
+        circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
+        built = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        cfg = est.EstimatorConfig(n_samples=5000, seed=4, gamma_mode=(0.2, est.FORWARD))
+        assert cfg.chunks == 16
+        est.estimate_probability(circuit, cfg, threads=1)
+        assert len(built) == 1
+
+    def test_stream_does_not_depend_on_chunk_count(self):
+        few, many = est._chunk_words(7, 4), est._chunk_words(7, 64)
+        for chunk in range(4):
+            a = est._chunk_rng(few[chunk]).standard_normal(8)
+            b = est._chunk_rng(many[chunk]).standard_normal(8)
+            assert np.array_equal(a, b)
+
+    def test_streams_differ_pairwise(self):
+        words = est._chunk_words(7, 16)
+        firsts = {tuple(est._chunk_rng(row).standard_normal(4)) for row in words}
+        assert len(firsts) == 16
 
 
 def wide_naive_sampler():
@@ -572,21 +722,21 @@ class TestDrawPieces:
         counts = [5, 0, 3000, 1, 4100]
 
         def draw():
-            pieces = [(est._chunk_rng(3, c), k) for c, k in enumerate(counts)]
+            pieces = [(chunk_rng(3, c), k) for c, k in enumerate(counts)]
             return sampler.draw(pieces, sum(counts))
 
         reference = draw()
         monkeypatch.setattr(est, "DRAW_PIECE", piece)
         assert np.array_equal(draw(), reference)
         # a piece's samples take its generator's normals in (count, F) order
-        gen = est._chunk_rng(3, 2)
+        gen = chunk_rng(3, 2)
         assert np.array_equal(sampler.draw(gen, 3000), reference[5:3005])
 
     def test_draw_memory_is_bounded_by_the_piece(self):
         import tracemalloc
 
         sampler = wide_naive_sampler()
-        rng = est._chunk_rng(0, 0)
+        rng = chunk_rng(0, 0)
         sampler.draw(rng, 64)
         tracemalloc.start()
         try:
@@ -615,7 +765,7 @@ class TestFusedWeight:
         circuit = lo.CircuitSpec(((0.3, 0.4),), lo.identity_interferometer(1), (outcome,))
         s, gamma = 0.5, 0.6
         rate = est._rate(s, gamma, direction, circuit.a_max)
-        n_j = math.exp(factors.mode_lognorm(circuit.covariances()[0], s, rate))
+        n_j = math.exp(log_norm(circuit.covariances()[0], s, rate))
         sampler = est._build_naive_sampler(circuit, s, gamma, direction)
         # sample-major normals: a sample's two normals are consecutive
         b = sampler.beta_sq(np.random.default_rng(7).standard_normal((4000, 2)).T)[0]

@@ -15,7 +15,7 @@ from pqdkit.errors import (
     StructureMismatch,
     ZeroMatrix,
 )
-from pqdkit.phase_space import photon
+from pqdkit.phase_space import CLICK, MARGINAL, photon
 
 
 class TestInterferometer:
@@ -102,6 +102,40 @@ class TestTakagi:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             lo.takagi(np.array([[0.0, 1.0], [0.2, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            [0.9, 0.7, 0.5, 0.3, 0.2, 0.1],  # generic
+            [0.9, 0.9, 0.9, 0.4, 0.4, 0.1],  # exactly degenerate
+            # gaps of about 1e-11 * scale, at and below the grouping rule
+            [3.0, 3.0 - 3e-11, 0.9, 0.9 - 1e-11, 0.4, 0.1],
+            [3.0, 3.0 - 1.5e-11, 0.9, 0.9 - 0.5e-11, 0.4, 0.1],
+        ],
+        ids=["generic", "degenerate", "near-degenerate", "near-degenerate-half-gap"],
+    )
+    def test_closed_form_roots_match_eig_path(self, spectrum):
+        # the lone values' roots sqrt(v_i^T w_i) against the eig + solve of a
+        # 1 x 1 block that every group took before, on the same SVD
+        u_mat = lo.haar_unitary(len(spectrum), 11).u
+        r_mat = (u_mat * np.array(spectrum)) @ u_mat.T
+        r_mat = (r_mat + r_mat.T) / 2.0
+        v, lam, wh = np.linalg.svd(r_mat)
+        w = wh.conj().T
+        scale = max(1.0, lam[0])
+        groups = []
+        for idx, val in enumerate(lam):
+            if groups and abs(lam[groups[-1][0]] - val) <= 1e-11 * scale:
+                groups[-1].append(idx)
+            else:
+                groups.append([idx])
+        q = np.zeros((lam.size, lam.size), dtype=complex)
+        for idx in groups:
+            mu, vec = np.linalg.eig(v[:, idx].T @ w[:, idx])
+            q[np.ix_(idx, idx)] = np.linalg.solve(vec.T, (vec * np.sqrt(mu)).T).T
+        u, got_lam = lo.takagi(r_mat)
+        np.testing.assert_array_equal(got_lam, lam)
+        np.testing.assert_allclose(u, v @ q.conj(), rtol=0.0, atol=1e-12)
 
 
 class TestHpsdEigendecompose:
@@ -325,6 +359,13 @@ class TestCircuitSpec:
         assert emb.circuit.a_max == max(c.a_plus for c in emb.circuit.covariances())
         with pytest.raises(AttributeError):
             emb.circuit.eta = 0.5  # the cache leaves the circuit frozen
+
+    def test_outcome_index(self):
+        pattern = (photon(1), CLICK, photon(1), MARGINAL, photon(2))
+        circuit = lo.CircuitSpec(((0.1, 0.0),) * 5, lo.identity_interferometer(5), pattern)
+        distinct, index = circuit.outcome_index
+        assert distinct == (photon(1), CLICK, MARGINAL, photon(2))
+        assert tuple(distinct[k] for k in index) == pattern
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -245,8 +245,8 @@ class TestPiWLogSlope:
 
 def shifted_input_density(cov, s, rate, x, y):
     """Normalized shifted input factor as the samplers draw it: a Gaussian
-    with precision 2 c per quadrature, (c_x, c_y) = quadrature_exponents."""
-    cx, cy = factors.quadrature_exponents(cov, s, rate)
+    with precision 2 c per quadrature, (c_x, c_y) from input_exponents."""
+    cx, cy = factors.input_exponents([cov], s, rate)[0]
     return math.sqrt(cx * cy) / math.pi * np.exp(-cx * x * x - cy * y * y)
 
 
@@ -268,8 +268,29 @@ class TestShiftedFactors:
         s = 0.3
         alpha = 0.5 - 0.2j
         dens = shifted_input_density(cov, s, 0.0, alpha.real, alpha.imag)
-        assert math.exp(factors.mode_lognorm(cov, s, 0.0)) == pytest.approx(1.0, rel=1e-12)
+        assert math.exp(factors.input_exponents([cov], s, 0.0)[1][0]) == pytest.approx(1.0, rel=1e-12)
         assert dens == pytest.approx(ps.spqd_gaussian(cov, s, alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("rate", [-0.5, 0.0, 0.3])
+    def test_input_exponents_match_per_quadrature_loop(self, rate):
+        # s equals the first mode's a_minus, freezing that quadrature
+        covs = [ps.squeezed_thermal_covariance(0.4, 0.0), ps.squeezed_thermal_covariance(0.1, 0.3),
+                ps.ModeCovariance(1.2, 1.2)]
+        s = covs[0].a_minus
+        exponents, log_norms = factors.input_exponents(covs, s, rate)
+        m = len(covs)
+        for i, cov in enumerate(covs):
+            log_n = 0.0
+            for k, a in zip((i, m + i), (cov.a_plus, cov.a_minus)):
+                if a - s <= factors.FREEZE_TOL:
+                    assert math.isnan(exponents[k])
+                    continue
+                c = 2.0 / (a - s) - rate
+                assert exponents[k] == c
+                log_n += 0.5 * (math.log(2.0 / (a - s)) - math.log(c))
+            assert log_norms[i] == pytest.approx(log_n, rel=1e-14, abs=1e-15)
+        with pytest.raises(SingularOrdering):
+            factors.input_exponents(covs, covs[0].a_minus + 1e-6, rate)
 
     def test_forward_limit_rejected(self):
         cov = ps.squeezed_thermal_covariance(0.5, 0.0)
@@ -277,7 +298,7 @@ class TestShiftedFactors:
         with pytest.raises(ShiftOutOfRange):
             est._rate(s, 1.0, est.FORWARD, cov.a_plus)
         with pytest.raises(ShiftOutOfRange):
-            factors.quadrature_exponents(cov, s, 2.0 / (cov.a_plus - s))
+            factors.input_exponents([cov], s, 2.0 / (cov.a_plus - s))
 
     def test_density_and_norm_by_quadrature(self):
         # 2-D quadrature of the unnormalized shifted form; the squeezing sits
@@ -294,7 +315,7 @@ class TestShiftedFactors:
             * math.exp(rate * (xx * xx + yy * yy))
         )(x, y)
         n_quad = gauss_2d_integral(raw, sx, sy, n=601)
-        assert math.exp(factors.mode_lognorm(cov, s, rate)) == pytest.approx(n_quad, rel=1e-7)
+        assert math.exp(factors.input_exponents([cov], s, rate)[1][0]) == pytest.approx(n_quad, rel=1e-7)
         total = gauss_2d_integral(
             lambda x, y: shifted_input_density(cov, s, rate, x, y), sx, sy, n=601
         )
@@ -343,7 +364,7 @@ class TestShiftedFactors:
             s = 1.0 / e2r
             cov = ps.ModeCovariance(e2r, 1.0 / e2r)
             rate = est._rate(s, gamma, direction, e2r)
-            n_j = math.exp(factors.mode_lognorm(cov, s, rate))
+            n_j = math.exp(factors.input_exponents([cov], s, rate)[1][0])
             b = np.linspace(0.0, 200.0, 5001)
             vals = shifted_meas_factor(ps.photon(1), s, rate, n_j)(b)
             assert np.max(np.abs(vals)) < 1.0
