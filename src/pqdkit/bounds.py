@@ -265,8 +265,3 @@ def torontonian_bounds(
         upper_factors = up_pref * ratio
         return _sandwich(lower_factors, upper_factors, "torontonian_block_a", "bounds.torontonian.block_a")
     raise ValueError(f"unknown Torontonian bound family {family!r}")
-
-
-def hafnian_sq_bounds(*_args, **_kwargs):
-    """|Haf(R)|^2 sandwich bounds are unknown for general complex symmetric R."""
-    raise UnsupportedBound("no bounds are known for |Haf(R)|^2")

@@ -8,10 +8,11 @@ modes) are folded analytically into one correlated 2M-dimensional Gaussian;
 only the A non-Gaussian factors are averaged, each keeping its own shift
 reweight so the per-sample range stays controlled by the modified negativity
 bound.  With nothing to fold (every matrix embedding) the precision stays
-diagonal and its square root stands in for a Cholesky factor.  A sample costs at most 2A standard normals from its chunk's SFC64
-stream (marginal and other folded modes add none) and one exp for all
-weighted modes together; a click factor keeps one exp of its own.  A call
-seeds every chunk's stream from one SeedSequence (``_chunk_words``).
+diagonal and its square root stands in for a Cholesky factor.  A sample
+costs at most 2A standard normals from its chunk's SFC64 stream (marginal
+and other folded modes add none) and one exp for all weighted modes
+together; a click factor keeps one exp of its own.  A call seeds every
+chunk's stream from one SeedSequence (``_chunk_words``).
 Normals are drawn sample-major in fixed pieces of ``DRAW_PIECE`` samples,
 so memory stays bounded whatever the batch, and batches of chunks run on
 every usable CPU by default; neither the pieces nor the thread count
@@ -52,7 +53,7 @@ from .linear_optics import (
     embed_permanent,
     embed_torontonian,
 )
-from .phase_space import W_INV_E, pi_w_log_slope, pi_w_profile
+from .phase_space import W_INV_E, pi_w_profile
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -448,7 +449,7 @@ def _real_pushforward(u: np.ndarray) -> np.ndarray:
 def _fold(
     circuit: CircuitSpec, s: float, gamma: float, direction: str, laplace: bool = False
 ) -> _Fold:
-    """A Gaussian factor is pi W(0) * exp(kappa * b), kappa = pi_w_log_slope,
+    """A Gaussian factor is pi W(0) * exp(kappa * b), kappa its log-slope,
     and adds c_j Q_j, c_j = 2 (rate - kappa), to the precision, where
     |beta_j|^2 = x^T Q_j x and Q_j = W_j^T W_j + W_{M+j}^T W_{M+j}; the
     folded modes add W_r^T diag(c, c) W_r in one product over their rows
@@ -467,11 +468,12 @@ def _fold(
     # factor, and the exponent rate_j its weight keeps: kappa_j when folded,
     # the shift rate when not (so that unfolded modes add nothing)
     gaussian = np.array([out.is_gaussian for out in distinct])[index]
+    radial = [pi_w_profile(out, s) for out in distinct]
     log_w0 = np.array(
-        [math.log(pi_w_profile(out, s).const) if out.is_gaussian else 0.0 for out in distinct]
+        [math.log(f.const) if out.is_gaussian else 0.0 for f, out in zip(radial, distinct)]
     )[index]
     weight_rates = np.array(
-        [pi_w_log_slope(out, s) if out.is_gaussian or laplace else rate for out in distinct]
+        [f.log_slope if out.is_gaussian or laplace else rate for f, out in zip(radial, distinct)]
     )[index]
     log_prefactor = float(np.sum(log_norms[gaussian] + log_w0[gaussian]))
     coefs = 2.0 * (rate - weight_rates)
@@ -761,8 +763,9 @@ def estimate_probability(
     ``method`` selects the folded sampler (Gaussian measurement factors
     integrated analytically) or the naive per-mode sampler with every factor
     kept in the weight.  Each chunk draws from its own SFC64 stream
-    (``_chunk_rng``; one SeedSequence seeds them all), F normals per sample for a sampler kernel of F columns (at most 2A for A
-    weighted modes when folded, 2M when naive).  Consecutive chunks are
+    (``_chunk_rng``; one SeedSequence seeds them all), F normals per
+    sample for a sampler kernel of F columns (at most 2A for A weighted
+    modes when folded, 2M when naive).  Consecutive chunks are
     fused into batches of at most ``FUSED_BATCH`` samples; the batches
     depend only on the sample count and ``config.chunks``.  ``threads``
     workers (default: every CPU the process may use, never more than there

@@ -44,6 +44,7 @@ from .estimator import (
     build_folded_sampler,
 )
 from .linear_optics import CircuitSpec
+from .phase_space import pi_w_profile
 
 ESS_PER_EPS_SQ = 50.0
 SAMPLE_CAP = 10**8
@@ -238,20 +239,19 @@ def circuit_certificates(circuit: CircuitSpec) -> list[LogConcavityCertificate]:
             certs.append(LogConcavityCertificate(True, "QuadraticFactor", math.inf))
             continue
         if out.kind == "click":
-            b = 2.0 / (s + 1.0)
-            if 1.0 <= b:
+            a, b, c = pi_w_profile(out, s).certificate_coefficients(rate)
+            if a <= b:
                 raise NotLogConcave(
                     "threshold factor is not strictly positive at this classicality"
                 )
-            certs.append(check_threshold_factor(1.0, b, rate))
+            certs.append(check_threshold_factor(a, b, c))
         elif out.kind == "photon" and out.m == 1:
-            a = 2.0 * (s * s - 1.0)
-            if a < 0.0:
+            if s <= 1.0:
                 raise NotLogConcave(
-                    "single-photon factor changes sign below unit classicality"
+                    "single-photon factor vanishes or changes sign at or below unit classicality"
                 )
-            c = 2.0 / (s + 1.0) + rate
-            certs.append(check_quadratic_factor(a, 8.0, c))
+            coefs = pi_w_profile(out, s).certificate_coefficients(rate)
+            certs.append(check_quadratic_factor(*coefs))
         else:
             raise NotLogConcave(
                 f"no log-concavity certificate for photon count {out.m}"

@@ -218,34 +218,23 @@ def _check_hermitian(mat: np.ndarray, tol: float = 1e-10):
 def takagi(r_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Takagi factorization R = U diag(lam) U^T of a complex symmetric matrix.
 
-    SVD-based with a blockwise unitary square root over groups of equal
-    singular values, so degenerate spectra reconstruct correctly.  ``lam`` is
-    sorted in descending order (stable in the original SVD order on ties).
+    One ``eigh`` of the real symmetric H = [[Re R, Im R], [Im R, -Re R]],
+    whose spectrum is +-lam: an eigenvector [x; y] of l > 0 gives
+    u = x + i y with R conj(u) = l u, orthonormal in C^M because [-y; x]
+    belongs to -l.  No singular vectors are paired, so (nearly) degenerate
+    spectra stay exact.  A QR whose diagonal is rescaled to unit modulus
+    completes a zero block and keeps the other columns' phases.  ``lam`` is
+    sorted in descending order.
     """
     r_mat = np.asarray(r_mat, dtype=complex)
     _check_symmetric(r_mat)
-    v, lam, wh = np.linalg.svd(r_mat)
-    w = wh.conj().T
-
-    # group indices of (numerically) equal singular values
-    groups: list[list[int]] = []
-    scale = max(1.0, lam[0] if lam.size else 1.0)
-    for idx, val in enumerate(lam):
-        if groups and abs(lam[groups[-1][0]] - val) <= 1e-11 * scale:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-
-    # each group's z = v^T w = V diag(mu) V^{-1} is a symmetric unitary, and
-    # u's block is v times the conjugate of its principal square root
-    # V diag(sqrt mu) V^{-1}; a lone value's z is the number v_i^T w_i, so
-    # every lone value's root is taken at once
-    u = v * np.sqrt(np.einsum("ij,ij->j", v, w)).conj()
-    for idx in groups:
-        if len(idx) > 1:
-            mu, vec = np.linalg.eig(v[:, idx].T @ w[:, idx])
-            root = np.linalg.solve(vec.T, (vec * np.sqrt(mu)).T).T
-            u[:, idx] = v[:, idx] @ root.conj()
+    m = r_mat.shape[0]
+    re, im = r_mat.real, r_mat.imag
+    ev, vec = np.linalg.eigh(np.concatenate([np.hstack([re, im]), np.hstack([im, -re])]))
+    lam = np.maximum(ev[::-1][:m], 0.0)
+    top = vec[:, ::-1][:, :m]
+    u, tri = np.linalg.qr(top[:m] + 1j * top[m:])
+    u = u * np.exp(1j * np.angle(np.diagonal(tri)))
 
     resid = np.max(np.abs((u * lam) @ u.T - r_mat)) if r_mat.size else 0.0
     if resid > RECONSTRUCT_TOL * max(1.0, np.max(np.abs(r_mat))):
@@ -458,11 +447,9 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
     x_minus_1 = 4.0 * p0 / denom
     u_var = math.sqrt(1.0 + x_minus_1)
     n = 0.5 * x_minus_1 / (u_var + 1.0)  # (u - 1)/2 without cancellation
-    k_list = x_minus_1 / (2.0 * dp)
-    cosh2r = (k_list - (u_var * u_var + 1.0) / 2.0) / u_var
-    if np.min(cosh2r) < 1.0 - 1e-9:
-        raise StructureMismatch("recovered cosh 2r below 1")
-    r_list = 0.5 * np.arccosh(np.clip(cosh2r, 1.0, None))
+    # d / d' = u sinh(2r) / (2n(n+1)) = 2 u sinh(2r) / (X - 1): unlike
+    # cosh 2r, sinh 2r is well conditioned at r = 0
+    r_list = 0.5 * np.arcsinh(d * x_minus_1 / (2.0 * u_var * dp))
     interf = Interferometer(m, u)
     _verify_block_a_prime(mat, n, r_list, interf)
     return n, r_list, interf

@@ -7,17 +7,18 @@ gives the Glauber-Sudarshan P, Wigner, and Husimi Q distributions at
 ``s = 1, 0, -1``.
 
 Measurement PQDs are radial, so each is written once over b = |beta|^2 as
-a ``RadialFactor`` const * poly(b) * exp(-decay * b) (``pi_w_profile``),
-with its log-slope at the origin (``pi_w_log_slope``) beside it; the
-samplers add every weighted mode's decay into one exp per sample.  The
-Gaussian-factor shift that moves ``exp(rate*|alpha|^2)`` from the input to
-the measurement side lives in ``factors`` (per-mode exponents,
-normalizations, suprema) and ``estimator._rate`` (normalized gamma in
-[0, 1) plus a direction).
+a ``RadialFactor`` const * (L_m(k*b) - a*exp(-a*b)) * exp(-decay*b)
+(``pi_w_profile``), which also gives its log-slope at the origin, its
+shifted supremum and its certificate coefficients; the samplers add every
+weighted mode's decay into one exp per sample.  The Gaussian-factor shift
+that moves ``exp(rate*|alpha|^2)`` from the input to the measurement side
+lives in ``factors`` (per-mode exponents, normalizations, suprema) and
+``estimator._rate`` (normalized gamma in [0, 1) plus a direction).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -188,28 +189,91 @@ def spqd_gaussian(cov: ModeCovariance, s: float, alpha: complex) -> float:
 @dataclass(frozen=True)
 class RadialFactor:
     """pi * W^(-s) of one outcome over b = |beta|^2, written once as
-    ``const * poly(b) * exp(-decay * b)``.
-
-    ``poly`` is the Laguerre polynomial L_m(4b/(1 - s^2)) of m >= 1 photons
-    and 1 - (2/(s+1)) exp(-2b/(s+1)) for a click, which keeps its own exp;
-    it is None (the constant 1) for vacuum, no-click and marginal factors.
-    Callable on scalars or arrays of b.
+    ``const * (L_m(k*b) - a*exp(-a*b)) * exp(-decay*b)``: m photons with
+    k = 4/(1 - s^2), a = 2/(s+1) for a click (decay 0), and m = k = a = 0
+    for vacuum, no-click and marginal factors.  Its value, log-slope at the
+    origin, shifted supremum and certificate coefficients derive from these
+    numbers.  Callable on scalars or arrays of b.
     """
 
     const: float
     decay: float
-    poly: Optional[Callable] = None
+    m: int = 0
+    k: float = 0.0
+    a: float = 0.0
 
     def __call__(self, b):
         b = np.asarray(b, dtype=float)
         out = self.const * np.exp(-self.decay * b)
         return out if self.poly is None else out * self.poly(b)
 
+    @property
+    def poly(self) -> Optional[Callable]:
+        """L_m(k*b) - a*exp(-a*b) as the samplers evaluate it, or None (1)."""
+        return self._poly if self.m or self.a else None
 
+    def _poly(self, b):
+        out = laguerre(self.m, self.k * b) if self.m else 1.0
+        return out - self.a * np.exp(-self.a * b) if self.a else out
+
+    @property
+    def log_slope(self) -> float:
+        """d/db log|pi W(b)| at b = 0, from L_m(k*b) = 1 - m*k*b + O(b^2)
+        and a*exp(-a*b) = a - a^2*b + O(b^2)."""
+        return (self.a * self.a - self.m * self.k) / (1.0 - self.a) - self.decay
+
+    def sup(self, rate: float) -> float:
+        """sup_b |pi W(b) * exp(-rate*b)| over b >= 0, inf when unbounded
+        (c = decay + rate < 0, or c = 0 cancelling a decay).
+
+        The supremum is at b = 0 or at a stationary point: in closed form for
+        a click, else where k L_m'(x) = c L_m(x) at x = k*b, with L_m' =
+        -(L_0 + ... + L_{m-1}) in the Laguerre basis (none for m = 0, solved
+        directly for m = 1).  Real parts of all roots are probed (a complex
+        root's is a harmless extra point).
+        """
+        c = self.decay + rate
+        if c < 0.0 or c == 0.0 < self.decay:
+            return math.inf
+        a = self.a
+        if a:  # stationary where exp(a*b) = a*(a + c)/c
+            peak = abs(1.0 - a) if c else max(abs(1.0 - a), 1.0)
+            arg = a * (a + c) / c if c else 0.0
+            if arg > 1.0:
+                b_star = math.log(arg) / a
+                peak = max(peak, (1.0 - a * math.exp(-a * b_star)) * math.exp(-c * b_star))
+            return abs(self.const) * peak
+        m, k = self.m, self.k
+        peak = 1.0  # L_m(0) at b = 0; stationary points count at b = x/k > 0
+        if m == 1:  # degree 1: x = (k + c)/c
+            x = (k + c) / c
+            if x * k > 0.0:
+                peak = max(peak, abs(1.0 - x) * math.exp(-c * x / k))
+        elif m > 1:
+            x = np.polynomial.laguerre.lagroots([-k] * m + [-c]).real
+            x = x[x * k > 0.0]
+            peak = float(np.max(np.abs(laguerre(m, x) * np.exp(-c * x / k)), initial=peak))
+        return abs(self.const) * peak
+
+    def certificate_coefficients(self, rate: float) -> tuple[float, float, float]:
+        """(a, b, c) of the shifted factor in an fpras certificate's form, up
+        to a positive constant: a click's (1 - a*exp(-a*q)) * exp(-c*q), one
+        photon's (a + b*q) * exp(-c*q) scaled to b = 8 as the condition
+        families write it."""
+        c = self.decay + rate
+        if self.a:
+            return 1.0, self.a, c
+        if self.m != 1:
+            raise ValueError(f"no certificate form for a {self.m}-photon factor")
+        return -8.0 / self.k, 8.0, c
+
+
+@functools.lru_cache(maxsize=1024)
 def pi_w_profile(outcome: MeasurementOutcome, s: float) -> RadialFactor:
     """pi * W^(-s) of the outcome as a function of b = |beta|^2; 1 for a
     marginalized mode.  Orderings outside a factor's range raise
-    ``OrderingOutOfRange``: s <= -1, and s = 1 for m >= 1 photons."""
+    ``OrderingOutOfRange``: s <= -1, and s = 1 for m >= 1 photons.  Cached:
+    a shift search asks for the same factors at every probe."""
     if outcome.kind == "marginal":
         return RadialFactor(1.0, 0.0)
     if s <= -1.0:
@@ -217,28 +281,13 @@ def pi_w_profile(outcome: MeasurementOutcome, s: float) -> RadialFactor:
     sp = s + 1.0
     decay = 2.0 / sp
     if outcome.kind == "click":
-        return RadialFactor(1.0, 0.0, lambda b: 1.0 - decay * np.exp(-decay * b))
+        return RadialFactor(1.0, 0.0, a=decay)
     m = 0 if outcome.kind == "noclick" else outcome.m
     if m == 0:
         return RadialFactor(decay, decay)
     if s == 1.0:
         raise OrderingOutOfRange(f"s = 1 is outside the range of the {m}-photon factor")
-    k = 4.0 / (1.0 - s * s)
-    return RadialFactor(decay * ((s - 1.0) / sp) ** m, decay, lambda b: laguerre(m, k * b))
-
-
-def pi_w_log_slope(outcome: MeasurementOutcome, s: float) -> float:
-    """d/db log(pi W^(-s))(b) at b = 0 for the profile of ``pi_w_profile``:
-    the exponent kappa with pi W(b) ~ pi W(0) * exp(kappa*b) near the origin."""
-    if outcome.kind == "marginal":
-        return 0.0
-    if outcome.kind == "click":
-        return 4.0 / (s * s - 1.0)
-    m = 0 if outcome.kind == "noclick" else outcome.m
-    if m == 0:
-        return -2.0 / (s + 1.0)
-    # L_m(x) = 1 - m*x + O(x^2) at x = 4b/(1 - s^2)
-    return 4.0 * m / (s * s - 1.0) - 2.0 / (s + 1.0)
+    return RadialFactor(decay * ((s - 1.0) / sp) ** m, decay, m, 4.0 / (1.0 - s * s))
 
 
 def pqd_photon_number(m: int, s: float, beta):

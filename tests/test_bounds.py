@@ -231,8 +231,6 @@ class TestTorontonianBounds:
     def test_unsupported_families(self):
         with pytest.raises(UnsupportedBound):
             bounds.torontonian_bounds("squeezed", lambdas=[0.3])
-        with pytest.raises(UnsupportedBound):
-            bounds.hafnian_sq_bounds([0.3, 0.2])
 
 
 class TestBlockABudget:

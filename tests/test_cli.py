@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -491,3 +495,29 @@ def test_schema_fuzz_exit_codes(doc, tmp_path_factory):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_cli_import_is_numpy_only():
+    # a fresh interpreter: importing the CLI loads no scipy module, and no
+    # numpy.random module beyond those a bare ``import numpy`` loads (numpy
+    # 1.26 imports numpy.random eagerly, 2.x lazily); seeding defers it
+    probe = (
+        "import sys, json, numpy\n"
+        "before = set(sys.modules)\n"
+        "import pqdkit.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    added = json.loads(out.stdout)
+    assert "pqdkit.cli" in added
+    assert [name for name in added if name.split(".")[0] == "scipy"] == []
+    assert [name for name in added if name.startswith("numpy.random")] == []

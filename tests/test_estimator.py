@@ -255,20 +255,62 @@ class TestFactorBound:
         )
 
 
+def case_sup(outcome, s, rate):
+    """sup_b |pi W(b)| exp(-rate * b) in closed form, written per outcome
+    kind: vacuum, no-click, marginal, one photon and click."""
+    sp = s + 1.0
+    if outcome.kind == "marginal":
+        return 1.0 if rate >= 0.0 else math.inf
+    if outcome.kind == "click":
+        if rate < 0.0:
+            return math.inf
+        b_coef = 2.0 / sp
+        candidates = [abs(1.0 - b_coef)]
+        if rate == 0.0:
+            candidates.append(1.0)
+        else:
+            arg = b_coef * (b_coef + rate) / rate
+            if arg > 1.0:
+                b_star = (sp / 2.0) * math.log(arg)
+                candidates.append(
+                    (1.0 - b_coef * math.exp(-2.0 * b_star / sp)) * math.exp(-rate * b_star)
+                )
+        return max(candidates)
+    c = 2.0 / sp + rate
+    if c <= 0.0:
+        return math.inf
+    if outcome.kind == "noclick" or outcome.m == 0:
+        return 2.0 / sp
+    assert outcome.m == 1
+    a_coef = 2.0 * (s * s - 1.0)
+    candidates = [abs(a_coef) / sp**3]
+    b_star = 1.0 / c - a_coef / 8.0
+    if b_star > 0.0:
+        candidates.append((8.0 * b_star + a_coef) * math.exp(-c * b_star) / sp**3)
+    return max(candidates)
+
+
 class TestPhotonSuprema:
-    """Exact suprema of the shifted photon(m >= 2) factors against a dense
-    reference that reaches the peak near b = m / c."""
+    """Exact suprema of the shifted photon(m), no-click and marginal factors
+    against a dense reference that reaches the peak near b = m / c, and of
+    every closed-form case against its own formula."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
-        m=st.integers(2, 8),
+        outcome=st.one_of(st.integers(0, 8).map(photon), st.sampled_from([NOCLICK, MARGINAL])),
         s=st.floats(-0.95, 3.0),
         g=st.floats(-0.999, 2.0),  # rate = g * 2/(s+1): c = 2/(s+1) + rate > 0
     )
-    def test_matches_dense_reference(self, m, s, g):
+    def test_matches_dense_reference(self, outcome, s, g):
         assume(abs(s - 1.0) > 1e-3)
         sp = s + 1.0
         rate = g * 2.0 / sp
+        sup = factors.measurement_sup(outcome, s, rate)
+        if outcome == MARGINAL:
+            # exp(-rate * b) peaks at b = 0 unless the shift is reversed
+            assert sup == (1.0 if rate >= 0.0 else math.inf)
+            return
+        m = outcome.m  # a no-click factor is the vacuum projection's
         c = 2.0 / sp + rate
         k = 4.0 / (1.0 - s * s)
         # b = 50/c covers the far peak; a finer grid covers the Laguerre
@@ -278,9 +320,26 @@ class TestPhotonSuprema:
             np.linspace(0.0, min(50.0 / c, (4 * m + 10) / abs(k)), 20_001),
         )
         ref = dense_sup(photon_factor(m, s, rate), grid)
-        sup = factors.measurement_sup(photon(m), s, rate)
         assert sup >= ref * (1.0 - 1e-13)  # equal up to the rounding of two evaluations
         assert sup == pytest.approx(ref, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        outcome=st.sampled_from([photon(0), photon(1), NOCLICK, MARGINAL, CLICK]),
+        s=st.floats(-0.95, 3.5),
+        # rate = g * 2/(s+1), forward and reverse, across c = 0 (g = -1)
+        g=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 0.0])),
+        n_j=st.floats(0.1, 10.0),
+    )
+    def test_matches_case_closed_forms(self, outcome, s, g, n_j):
+        assume(abs(s - 1.0) > 1e-3)
+        rate = g * 2.0 / (s + 1.0)
+        sup = factors.measurement_sup(outcome, s, rate, n_j)
+        ref = n_j * case_sup(outcome, s, rate)
+        if math.isinf(ref):
+            assert sup == math.inf
+        else:
+            assert sup == pytest.approx(ref, rel=1e-12)
 
     def test_reference_matches_sampler_profile(self):
         for m, s, rate in [(2, 0.4, 0.3), (3, -0.5, -0.2), (5, 1.5, 0.1)]:
@@ -586,7 +645,7 @@ def outer_product_precision(circuit, s, gamma, direction, laplace=False):
     for j, out in enumerate(circuit.pattern):
         if out.is_gaussian or laplace:
             a_vec = np.concatenate([circuit.unitary.u[j], 1j * circuit.unitary.u[j]])
-            kappa = ps.pi_w_log_slope(out, s)
+            kappa = ps.pi_w_profile(out, s).log_slope
             lam += 2.0 * (rate - kappa) * np.real(np.outer(a_vec, a_vec.conj()))
     free = np.flatnonzero(~np.isnan(exponents))
     return lam[np.ix_(free, free)]
@@ -1111,23 +1170,24 @@ def _torontonian_case(family, seed, m=3):
 
 class TestTorontonianShift:
     """Each Torontonian family runs at the analytic shift its budget is
-    derived at, not at the automatic choice for its circuit; the seeds are
-    instances where the two differ (in the last bit for R', B' and A' with
-    n > 0, where the automatic rule re-derives lambda from the circuit)."""
+    derived at, not at the automatic choice for its circuit.  The two can
+    differ in only the last bit (for R', B' and A' with n > 0 the automatic
+    rule re-derives lambda from the circuit), so the automatic rule is
+    replaced by one that picks an unmistakably different shift."""
 
     @pytest.mark.parametrize(
         "family, seed", [("R'", 3), ("B'", 0), ("A' n=0", 0), ("A' n>0", 0)]
     )
-    def test_analytic_shift(self, family, seed):
+    def test_analytic_shift(self, family, seed, monkeypatch):
         mat, st_params = _torontonian_case(family, seed)
         if st_params is None:
             expected = est.optimal_gamma_threshold(float(np.max(mat.decompose()[1])))
         else:
             n, r_list = st_params
             expected = est.optimal_gamma_threshold_st(n, float(np.max(r_list)))
-        circuit = lo.embed_torontonian(mat).circuit
-        auto = est.resolve_gamma(circuit, circuit.s_max - est.S_MAX_MARGIN)
+        auto = est.GammaChoice(0.25, est.REVERSE)
         assert tuple(auto[:2]) != tuple(expected[:2])
+        monkeypatch.setattr(est, "resolve_gamma", lambda *_: auto)
 
         cfg = est.EstimatorConfig(n_samples=100, seed=1)
         report = est.estimate_torontonian(mat, cfg).report

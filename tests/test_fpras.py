@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqdkit import estimator as est, fpras, linear_optics as lo, oracles
 from pqdkit import phase_space as ps
@@ -354,7 +356,7 @@ class TestLaplaceFold:
         precision = lower_root(fold) @ lower_root(fold).T
         hess = central_hessian(lambda x: log_integrand(circuit, s, x), 2 * circuit.m)
         np.testing.assert_allclose(precision, -hess, rtol=1e-5, atol=1e-5 * np.abs(hess).max())
-        kappas = [ps.pi_w_log_slope(circuit.pattern[j], s) for j in fold.active_modes]
+        kappas = [ps.pi_w_profile(circuit.pattern[j], s).log_slope for j in fold.active_modes]
         assert fold.rates == tuple(kappas)
 
     @pytest.mark.parametrize("case", range(len(LAPLACE_CASES)))
@@ -458,3 +460,58 @@ class TestConditionBoundary:
         assert not fpras.fpras_condition_permanent(lam)
         with pytest.raises(NotLogConcave, match="certificate failed"):
             fpras.estimate_multiplicative(circuit, 0.1, 0.05)
+
+
+def case_certificates(circuit):
+    """(family, a, b, c) of every non-Gaussian mode, written per outcome
+    kind at the circuit's classicality and full forward shift."""
+    s = circuit.s_max
+    gap = circuit.a_max - s
+    rate = math.inf if gap <= 0.0 else 2.0 / gap
+    out = []
+    for outcome in circuit.pattern:
+        if outcome.kind == "click":
+            out.append((fpras.check_threshold_factor, 1.0, 2.0 / (s + 1.0), rate))
+        elif not outcome.is_gaussian:
+            a = 2.0 * (s * s - 1.0)
+            out.append((fpras.check_quadratic_factor, a, 8.0, 2.0 / (s + 1.0) + rate))
+    return out
+
+
+class TestCertificateCoefficients:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        s=st.floats(1.001, 6.0),
+        rate=st.one_of(st.floats(0.0, 50.0), st.just(math.inf)),
+    )
+    def test_factor_coefficients_match_case_forms(self, s, rate):
+        sp = s + 1.0
+        assert ps.pi_w_profile(CLICK, s).certificate_coefficients(rate) == (1.0, 2.0 / sp, rate)
+        a, b, c = ps.pi_w_profile(photon(1), s).certificate_coefficients(rate)
+        assert (b, c) == (8.0, 2.0 / sp + rate)
+        assert a == pytest.approx(2.0 * (s * s - 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "name", sorted(CERTIFIED) + ["ratio-1.5", "ratio-1.9", "ratio-2", "ratio-2.01"]
+    )
+    def test_circuit_margins_match_case_forms(self, name):
+        circuit = CERTIFIED[name] if name in CERTIFIED else boundary_permanent(float(name[6:]))[1]
+        got = [cert for cert in fpras.circuit_certificates(circuit) if cert.margin != math.inf]
+        ref = [check(a, b, c) for check, a, b, c in case_certificates(circuit)]
+        assert len(got) == len(ref)
+        for cert, want, (_, a, b, c) in zip(got, ref, case_certificates(circuit)):
+            assert (cert.family, cert.holds) == (want.family, want.holds)
+            scale = abs(c * a) + b  # the margin is a difference of terms of this size
+            assert cert.margin == pytest.approx(want.margin, rel=1e-12, abs=1e-12 * scale)
+
+    def test_other_factors_have_no_form(self):
+        for outcome in (photon(0), photon(2), NOCLICK, MARGINAL):
+            with pytest.raises(ValueError):
+                ps.pi_w_profile(outcome, 1.5).certificate_coefficients(0.3)
+
+    def test_unit_classicality_photon_is_not_log_concave(self):
+        # vacuum inputs put s_max at 1, where one photon's factor vanishes at b = 0
+        circuit = lo.CircuitSpec(((0.0, 0.0), (0.0, 1.0)), lo.haar_unitary(2, 3), (photon(1),) * 2)
+        assert circuit.s_max == 1.0
+        with pytest.raises(NotLogConcave, match="unit classicality"):
+            fpras.circuit_certificates(circuit)

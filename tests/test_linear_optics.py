@@ -108,34 +108,44 @@ class TestTakagi:
         [
             [0.9, 0.7, 0.5, 0.3, 0.2, 0.1],  # generic
             [0.9, 0.9, 0.9, 0.4, 0.4, 0.1],  # exactly degenerate
-            # gaps of about 1e-11 * scale, at and below the grouping rule
+            # gaps of about 1e-11 * scale
             [3.0, 3.0 - 3e-11, 0.9, 0.9 - 1e-11, 0.4, 0.1],
             [3.0, 3.0 - 1.5e-11, 0.9, 0.9 - 0.5e-11, 0.4, 0.1],
         ],
         ids=["generic", "degenerate", "near-degenerate", "near-degenerate-half-gap"],
     )
     def test_closed_form_roots_match_eig_path(self, spectrum):
-        # the lone values' roots sqrt(v_i^T w_i) against the eig + solve of a
-        # 1 x 1 block that every group took before, on the same SVD
+        # generic, degenerate and nearly degenerate spectra all reconstruct
+        # with a unitary U and the singular values in descending order
         u_mat = lo.haar_unitary(len(spectrum), 11).u
         r_mat = (u_mat * np.array(spectrum)) @ u_mat.T
         r_mat = (r_mat + r_mat.T) / 2.0
-        v, lam, wh = np.linalg.svd(r_mat)
-        w = wh.conj().T
-        scale = max(1.0, lam[0])
-        groups = []
-        for idx, val in enumerate(lam):
-            if groups and abs(lam[groups[-1][0]] - val) <= 1e-11 * scale:
-                groups[-1].append(idx)
-            else:
-                groups.append([idx])
-        q = np.zeros((lam.size, lam.size), dtype=complex)
-        for idx in groups:
-            mu, vec = np.linalg.eig(v[:, idx].T @ w[:, idx])
-            q[np.ix_(idx, idx)] = np.linalg.solve(vec.T, (vec * np.sqrt(mu)).T).T
-        u, got_lam = lo.takagi(r_mat)
-        np.testing.assert_array_equal(got_lam, lam)
-        np.testing.assert_allclose(u, v @ q.conj(), rtol=0.0, atol=1e-12)
+        u, lam = lo.takagi(r_mat)
+        ref = np.linalg.svd(r_mat, compute_uv=False)
+        np.testing.assert_allclose(lam, ref, rtol=0.0, atol=1e-14)
+        assert np.max(np.abs((u * lam) @ u.T - r_mat)) <= 1e-14
+        assert np.max(np.abs(u.conj().T @ u - np.eye(len(spectrum)))) <= 1e-14
+
+    @pytest.mark.parametrize("gap", [1.5e-11, 1e-10, 1e-9])
+    def test_near_degenerate_pair_reconstructs(self, gap):
+        # singular values 1 and 1 - gap: an SVD's vectors mix inside the pair,
+        # which once made the reconstruction check reject these valid matrices
+        u_mat = lo.haar_unitary(6, 3).u
+        r_mat = (u_mat * np.array([1.0, 1.0 - gap, 0.7, 0.7, 0.4, 0.1])) @ u_mat.T
+        r_mat = (r_mat + r_mat.T) / 2.0
+        u, lam = lo.takagi(r_mat)
+        assert np.max(np.abs((u * lam) @ u.T - r_mat)) <= 1e-14
+        assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-14
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_zero_block_is_completed(self, rank):
+        u_mat = lo.haar_unitary(5, 8).u
+        spectrum = np.array([0.9, 0.5, 0.0, 0.0, 0.0])
+        spectrum[rank:] = 0.0
+        r_mat = (u_mat * spectrum) @ u_mat.T
+        u, lam = lo.takagi((r_mat + r_mat.T) / 2.0)
+        np.testing.assert_allclose(lam, spectrum, rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(5))) <= 1e-14
 
 
 class TestHpsdEigendecompose:

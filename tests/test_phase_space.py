@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from pqdkit import estimator as est
@@ -230,17 +232,47 @@ class TestPiWLogSlope:
         h = 1e-6
         log_abs = lambda b: math.log(abs(float(ps.pi_w_profile(outcome, s)(b))))
         numeric = (log_abs(h) - log_abs(-h)) / (2.0 * h)
-        assert ps.pi_w_log_slope(outcome, s) == pytest.approx(numeric, rel=1e-6, abs=1e-8)
+        assert ps.pi_w_profile(outcome, s).log_slope == pytest.approx(numeric, rel=1e-6, abs=1e-8)
 
     def test_closed_forms(self):
         # the Gaussian kinds must be exact: the additive fold's precision
         # uses rate - kappa and must keep its bits
         s = 2.0
-        assert ps.pi_w_log_slope(ps.MARGINAL, s) == 0.0
-        assert ps.pi_w_log_slope(ps.NOCLICK, s) == -2.0 / 3.0
-        assert ps.pi_w_log_slope(ps.photon(0), s) == -2.0 / 3.0
-        assert ps.pi_w_log_slope(ps.photon(2), s) == pytest.approx(8.0 / 3.0 - 2.0 / 3.0)
-        assert ps.pi_w_log_slope(ps.CLICK, s) == pytest.approx(4.0 / 3.0)
+        slope = lambda outcome: ps.pi_w_profile(outcome, s).log_slope
+        assert slope(ps.MARGINAL) == 0.0
+        assert slope(ps.NOCLICK) == -2.0 / 3.0
+        assert slope(ps.photon(0)) == -2.0 / 3.0
+        assert slope(ps.photon(2)) == pytest.approx(8.0 / 3.0 - 2.0 / 3.0)
+        assert slope(ps.CLICK) == pytest.approx(4.0 / 3.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        outcome=st.sampled_from(
+            [ps.MARGINAL, ps.NOCLICK, ps.CLICK] + [ps.photon(m) for m in range(9)]
+        ),
+        s=st.floats(-0.95, 3.5),
+    )
+    def test_matches_case_closed_forms(self, outcome, s):
+        # one formula (a^2 - m k)/(1 - a) - decay against the four cases it
+        # replaced; the click's 1 - a = (s-1)/(s+1) cancels near s = 1
+        assume(abs(s - 1.0) > 1e-3)
+        got = ps.pi_w_profile(outcome, s).log_slope
+        ref = case_log_slope(outcome, s)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+        if outcome.is_gaussian or outcome == ps.photon(1):
+            assert got == ref  # the folds' exponents keep their bits
+
+
+def case_log_slope(outcome, s):
+    """d/db log pi W(b) at b = 0, written per outcome kind."""
+    if outcome.kind == "marginal":
+        return 0.0
+    if outcome.kind == "click":
+        return 4.0 / (s * s - 1.0)
+    m = 0 if outcome.kind == "noclick" else outcome.m
+    if m == 0:
+        return -2.0 / (s + 1.0)
+    return 4.0 * m / (s * s - 1.0) - 2.0 / (s + 1.0)
 
 
 def shifted_input_density(cov, s, rate, x, y):
