@@ -122,6 +122,8 @@ def budget_hafnian_block_a(n: float, r_list) -> Budget:
     r_arr = np.asarray(r_list, dtype=float)
     r_max = float(np.max(r_arr))
     s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
+    if s == 1.0:  # k_minus = 0 at r_max, and no photon factor exists at s = 1
+        raise PreconditionAminBelowOne("degenerate boundary a_min = 1 with r_i = r_max")
     gamma = math.exp(-math.tanh(r_max)) * n / (n + 1.0)
     rate = -2.0 * gamma / (s + 1.0)
     covs = [squeezed_thermal_covariance(float(r), n) for r in r_arr]

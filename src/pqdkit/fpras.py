@@ -31,6 +31,7 @@ from .errors import (
     NonPositiveFactor,
     NotLogConcave,
     NotPositiveDefinite,
+    OrderingOutOfRange,
     TooLarge,
     ZeroEigenvalue,
 )
@@ -227,6 +228,9 @@ def fpras_condition_gbs_noise(eta: float, r_max: float, n_th: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_CHECKS = {"QuadraticFactor": check_quadratic_factor, "ThresholdFactor": check_threshold_factor}
+
+
 def circuit_certificates(circuit: CircuitSpec) -> list[LogConcavityCertificate]:
     """Per-mode log-concavity certificates at full forward shift and the
     circuit's exact classicality."""
@@ -238,24 +242,11 @@ def circuit_certificates(circuit: CircuitSpec) -> list[LogConcavityCertificate]:
         if out.is_gaussian:
             certs.append(LogConcavityCertificate(True, "QuadraticFactor", math.inf))
             continue
-        if out.kind == "click":
-            a, b, c = pi_w_profile(out, s).certificate_coefficients(rate)
-            if a <= b:
-                raise NotLogConcave(
-                    "threshold factor is not strictly positive at this classicality"
-                )
-            certs.append(check_threshold_factor(a, b, c))
-        elif out.kind == "photon" and out.m == 1:
-            if s <= 1.0:
-                raise NotLogConcave(
-                    "single-photon factor vanishes or changes sign at or below unit classicality"
-                )
-            coefs = pi_w_profile(out, s).certificate_coefficients(rate)
-            certs.append(check_quadratic_factor(*coefs))
-        else:
-            raise NotLogConcave(
-                f"no log-concavity certificate for photon count {out.m}"
-            )
+        try:
+            family, coefs = pi_w_profile(out, s).certificate_form(rate)
+        except OrderingOutOfRange as err:  # s = 1: a photon factor vanishes at b = 0
+            raise NotLogConcave(f"{err}; it vanishes at unit classicality") from err
+        certs.append(_CHECKS[family](*coefs))
     return certs
 
 

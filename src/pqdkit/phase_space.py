@@ -9,23 +9,22 @@ gives the Glauber-Sudarshan P, Wigner, and Husimi Q distributions at
 Measurement PQDs are radial, so each is written once over b = |beta|^2 as
 a ``RadialFactor`` const * (L_m(k*b) - a*exp(-a*b)) * exp(-decay*b)
 (``pi_w_profile``), which also gives its log-slope at the origin, its
-shifted supremum and its certificate coefficients; the samplers add every
-weighted mode's decay into one exp per sample.  The Gaussian-factor shift
-that moves ``exp(rate*|alpha|^2)`` from the input to the measurement side
-lives in ``factors`` (per-mode exponents, normalizations, suprema) and
+shifted supremum and its log-concavity certificate form; the samplers add
+every weighted mode's decay into one exp per sample.  The Gaussian-factor
+shift that moves ``exp(rate*|alpha|^2)`` from the input to the measurement
+side lives in ``factors`` (per-mode exponents, normalizations, suprema) and
 ``estimator._rate`` (normalized gamma in [0, 1) plus a direction).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DomainError, OrderingOutOfRange, SingularOrdering
+from .errors import DomainError, NotLogConcave, OrderingOutOfRange, SingularOrdering
 
 _PHYS_TOL = 1e-12
 
@@ -192,7 +191,7 @@ class RadialFactor:
     ``const * (L_m(k*b) - a*exp(-a*b)) * exp(-decay*b)``: m photons with
     k = 4/(1 - s^2), a = 2/(s+1) for a click (decay 0), and m = k = a = 0
     for vacuum, no-click and marginal factors.  Its value, log-slope at the
-    origin, shifted supremum and certificate coefficients derive from these
+    origin, shifted supremum and certificate form derive from these
     numbers.  Callable on scalars or arrays of b.
     """
 
@@ -209,12 +208,12 @@ class RadialFactor:
 
     @property
     def poly(self) -> Optional[Callable]:
-        """L_m(k*b) - a*exp(-a*b) as the samplers evaluate it, or None (1)."""
-        return self._poly if self.m or self.a else None
-
-    def _poly(self, b):
-        out = laguerre(self.m, self.k * b) if self.m else 1.0
-        return out - self.a * np.exp(-self.a * b) if self.a else out
+        """L_m(k*b) - a*exp(-a*b) as the samplers evaluate it (a click has
+        m = 0), or None for the constant 1."""
+        m, k, a = self.m, self.k, self.a
+        if a:
+            return lambda b: 1.0 - a * np.exp(-a * b)
+        return (lambda b: laguerre(m, k * b)) if m else None
 
     @property
     def log_slope(self) -> float:
@@ -255,25 +254,31 @@ class RadialFactor:
             peak = float(np.max(np.abs(laguerre(m, x) * np.exp(-c * x / k)), initial=peak))
         return abs(self.const) * peak
 
-    def certificate_coefficients(self, rate: float) -> tuple[float, float, float]:
-        """(a, b, c) of the shifted factor in an fpras certificate's form, up
-        to a positive constant: a click's (1 - a*exp(-a*q)) * exp(-c*q), one
-        photon's (a + b*q) * exp(-c*q) scaled to b = 8 as the condition
-        families write it."""
+    def certificate_form(self, rate: float) -> tuple[str, tuple[float, float, float]]:
+        """The log-concavity certificate family of the shifted factor and its
+        (a, b, c), up to a positive constant: a click's (1 - b*exp(-b*q)) *
+        exp(-c*q) with a = 1 ("ThresholdFactor"), one photon's (a + b*q) *
+        exp(-c*q) scaled to b = 8 ("QuadraticFactor").  Raises
+        ``NotLogConcave`` where the factor is not strictly positive or no
+        family covers it."""
         c = self.decay + rate
         if self.a:
-            return 1.0, self.a, c
+            if self.a >= 1.0:
+                raise NotLogConcave(
+                    "threshold factor is not strictly positive at this classicality"
+                )
+            return "ThresholdFactor", (1.0, self.a, c)
         if self.m != 1:
-            raise ValueError(f"no certificate form for a {self.m}-photon factor")
-        return -8.0 / self.k, 8.0, c
+            raise NotLogConcave(f"no log-concavity certificate for photon count {self.m}")
+        if self.k > 0.0:
+            raise NotLogConcave("single-photon factor changes sign below unit classicality")
+        return "QuadraticFactor", (-8.0 / self.k, 8.0, c)
 
 
-@functools.lru_cache(maxsize=1024)
 def pi_w_profile(outcome: MeasurementOutcome, s: float) -> RadialFactor:
     """pi * W^(-s) of the outcome as a function of b = |beta|^2; 1 for a
     marginalized mode.  Orderings outside a factor's range raise
-    ``OrderingOutOfRange``: s <= -1, and s = 1 for m >= 1 photons.  Cached:
-    a shift search asks for the same factors at every probe."""
+    ``OrderingOutOfRange``: s <= -1, and s = 1 for m >= 1 photons."""
     if outcome.kind == "marginal":
         return RadialFactor(1.0, 0.0)
     if s <= -1.0:

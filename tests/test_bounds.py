@@ -248,3 +248,8 @@ class TestBlockABudget:
         sups = est.mode_sups(circuit, s, gamma, direction)
         sq_vq = lo.sqrt_vq_factor(n, r_list)
         assert sq_vq * float(np.prod(sups)) <= budget.product * (1 + 1e-9)
+
+    def test_degenerate_boundary_rejected(self):
+        # vacuum inputs: s = a_min = 1, where k_minus = 0 and no photon factor exists
+        with pytest.raises(PreconditionAminBelowOne, match="degenerate boundary"):
+            bounds.budget_hafnian_block_a(0.0, [0.0, 0.0])

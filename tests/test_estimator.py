@@ -7,14 +7,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 from pqdkit import bounds, cli, estimator as est, linear_optics as lo, oracles
 from pqdkit import factors
 from pqdkit import phase_space as ps
-from pqdkit.errors import BoundViolation, BudgetOverflow, ShiftOutOfRange, SingularOrdering
+from pqdkit.errors import (
+    BoundViolation,
+    BudgetOverflow,
+    OrderingOutOfRange,
+    ShiftOutOfRange,
+    SingularOrdering,
+)
 from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon, pi_w_profile
 
 
@@ -331,9 +337,19 @@ class TestPhotonSuprema:
         g=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 0.0])),
         n_j=st.floats(0.1, 10.0),
     )
+    @example(outcome=photon(1), s=1.0, g=0.5, n_j=1.0)
+    @example(outcome=photon(0), s=1.0, g=-1.0, n_j=2.0)
+    @example(outcome=NOCLICK, s=1.0, g=0.0, n_j=1.0)
+    @example(outcome=MARGINAL, s=1.0, g=-0.5, n_j=1.0)
+    @example(outcome=CLICK, s=1.0, g=0.5, n_j=3.0)
     def test_matches_case_closed_forms(self, outcome, s, g, n_j):
-        assume(abs(s - 1.0) > 1e-3)
+        assume(s == 1.0 or abs(s - 1.0) > 1e-3)
         rate = g * 2.0 / (s + 1.0)
+        if s == 1.0 and outcome == photon(1):
+            # the case form reads exp(-1)/c here, but no photon factor exists at s = 1
+            with pytest.raises(OrderingOutOfRange):
+                factors.measurement_sup(outcome, s, rate, n_j)
+            return
         sup = factors.measurement_sup(outcome, s, rate, n_j)
         ref = n_j * case_sup(outcome, s, rate)
         if math.isinf(ref):

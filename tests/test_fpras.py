@@ -486,9 +486,10 @@ class TestCertificateCoefficients:
     )
     def test_factor_coefficients_match_case_forms(self, s, rate):
         sp = s + 1.0
-        assert ps.pi_w_profile(CLICK, s).certificate_coefficients(rate) == (1.0, 2.0 / sp, rate)
-        a, b, c = ps.pi_w_profile(photon(1), s).certificate_coefficients(rate)
-        assert (b, c) == (8.0, 2.0 / sp + rate)
+        click = ps.pi_w_profile(CLICK, s).certificate_form(rate)
+        assert click == ("ThresholdFactor", (1.0, 2.0 / sp, rate))
+        family, (a, b, c) = ps.pi_w_profile(photon(1), s).certificate_form(rate)
+        assert (family, b, c) == ("QuadraticFactor", 8.0, 2.0 / sp + rate)
         assert a == pytest.approx(2.0 * (s * s - 1.0), rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -504,10 +505,21 @@ class TestCertificateCoefficients:
             scale = abs(c * a) + b  # the margin is a difference of terms of this size
             assert cert.margin == pytest.approx(want.margin, rel=1e-12, abs=1e-12 * scale)
 
-    def test_other_factors_have_no_form(self):
-        for outcome in (photon(0), photon(2), NOCLICK, MARGINAL):
-            with pytest.raises(ValueError):
-                ps.pi_w_profile(outcome, 1.5).certificate_coefficients(0.3)
+    @pytest.mark.parametrize(
+        "outcome, s, match",
+        [
+            (photon(2), 1.5, "photon count 2"),
+            (photon(0), 1.5, "photon count 0"),
+            (NOCLICK, 1.5, "photon count 0"),
+            (MARGINAL, 1.5, "photon count 0"),
+            (photon(1), 0.8, "changes sign"),
+            (CLICK, 1.0, "not strictly positive"),
+            (CLICK, 0.5, "not strictly positive"),
+        ],
+    )
+    def test_factors_without_a_form_are_rejected(self, outcome, s, match):
+        with pytest.raises(NotLogConcave, match=match):
+            ps.pi_w_profile(outcome, s).certificate_form(0.3)
 
     def test_unit_classicality_photon_is_not_log_concave(self):
         # vacuum inputs put s_max at 1, where one photon's factor vanishes at b = 0
