@@ -280,11 +280,16 @@ def _cmd_estimate_matrix(args) -> int:
 
 
 def _cmd_estimate_prob(args) -> int:
+    for flag in ("samples", "s", "gamma"):  # the multiplicative estimator sets these itself
+        if args.multiplicative and getattr(args, flag) is not None:
+            raise SchemaError(f"/{flag}", "is not used by --multiplicative")
     circuit = circuit_file_parse(args.circuit)
     config = _config_from_args(args)
     report = _base_report("estimate-prob", args.seed)
     if args.multiplicative:
-        result = fpras.estimate_multiplicative(circuit, args.epsilon, args.delta, config)
+        result = fpras.estimate_multiplicative(
+            circuit, args.epsilon, args.delta, config, threads=args.threads
+        )
         report["mode"] = "multiplicative"
         report["result"] = result.as_dict()
     else:

@@ -11,15 +11,14 @@ bound.  With nothing to fold (every matrix embedding) the precision stays
 diagonal and its square root stands in for a Cholesky factor.  A sample
 costs at most 2A standard normals from its chunk's SFC64 stream (marginal
 and other folded modes add none) and one exp for all weighted modes
-together; a click factor keeps one exp of its own.  A call seeds every
-chunk's stream from one SeedSequence (``_chunk_words``).
-Normals are drawn sample-major in fixed pieces of ``DRAW_PIECE`` samples,
-so memory stays bounded whatever the batch, and batches of chunks run on
-every usable CPU by default; neither the pieces nor the thread count
-changes a value.  Setup (decompositions, folds, the kernel's solve and QR)
-runs on one OpenBLAS thread, so no BLAS pool spins while the samples are
-drawn.  Per-mode values are computed once per call, and a factor's
-supremum once per distinct outcome.
+together; a click factor keeps one exp of its own.  Normals are drawn
+sample-major in fixed pieces of ``DRAW_PIECE`` samples, so memory stays
+bounded whatever the batch, and ``chunk_sums`` draws both estimators'
+chunks, each from its own stream, on every usable CPU by default; neither
+the pieces nor the thread count changes a value.  Setup (decompositions,
+folds, the kernel's solve and QR) runs on one OpenBLAS thread, so no BLAS
+pool spins while the samples are drawn.  Per-mode values are computed
+once per call, and a factor's supremum once per distinct outcome.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .phase_space import W_INV_E, pi_w_profile
 FORWARD = "forward"
 REVERSE = "reverse"
 S_MAX_MARGIN = 1e-9
-MIN_DIAGNOSTIC_SAMPLES = 10_000
 WEIGHT_BOUND_RTOL = 1e-9
 
 
@@ -752,6 +750,54 @@ def _fused_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
     return units
 
 
+def chunk_sums(sampler: FoldedSampler, seed: int, sizes, first: int, threads, bound) -> np.ndarray:
+    """Σw and Σw² (rows) of chunks ``first``, ``first + 1``, ... of ``sizes``
+    samples (columns, in chunk order), chunk c on stream c of ``seed``.
+    Chunks are fused into batches of at most ``FUSED_BATCH`` samples (a
+    larger chunk is drawn in pieces of that size), drawn by ``threads``
+    workers (default: every usable CPU) without changing the result.  A |w|
+    above ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises ``BoundViolation``."""
+    if threads is None:
+        threads = _usable_cpus()
+    elif threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
+    words = _chunk_words(seed, first + len(sizes))[first:]
+    units = _fused_units(sizes)
+    limit = (1.0 + WEIGHT_BOUND_RTOL) * bound
+
+    def draw(rng, n: int) -> np.ndarray:
+        w = sampler.draw(rng, n)
+        peak = float(np.abs(w).max())
+        if peak > limit and math.isfinite(peak):
+            raise BoundViolation(f"sample weight {peak:.6e} exceeds the claimed bound {bound:.6e}")
+        return w
+
+    def unit_sums(unit) -> list:
+        pieces = [(_chunk_rng(words[chunk]), size) for chunk, size in unit]
+        counts = [size for _, size in unit]
+        if len(unit) > 1:  # fused chunks: one draw, summed chunk by chunk
+            w = draw(pieces, sum(counts))
+            starts = np.cumsum([0] + counts[:-1])
+            total = np.add.reduceat(w, starts)
+            return [total, np.add.reduceat(np.square(w, out=w), starts)]
+        total = total_sq = 0.0  # one chunk, drawn in pieces of at most FUSED_BATCH
+        for done in range(0, counts[0], FUSED_BATCH):
+            w = draw(pieces, min(FUSED_BATCH, counts[0] - done))
+            total += float(w.sum())
+            total_sq += float(np.square(w, out=w).sum())
+        return [[total], [total_sq]]
+
+    workers = min(threads, len(units))
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_unit = list(pool.map(unit_sums, units))
+    else:
+        per_unit = [unit_sums(unit) for unit in units]
+    return np.concatenate(per_unit, axis=1)
+
+
 def estimate_probability(
     circuit: CircuitSpec,
     config: EstimatorConfig = EstimatorConfig(),
@@ -762,24 +808,13 @@ def estimate_probability(
 
     ``method`` selects the folded sampler (Gaussian measurement factors
     integrated analytically) or the naive per-mode sampler with every factor
-    kept in the weight.  Each chunk draws from its own SFC64 stream
-    (``_chunk_rng``; one SeedSequence seeds them all), F normals per
-    sample for a sampler kernel of F columns (at most 2A for A weighted
-    modes when folded, 2M when naive).  Consecutive chunks are
-    fused into batches of at most ``FUSED_BATCH`` samples; the batches
-    depend only on the sample count and ``config.chunks``.  ``threads``
-    workers (default: every CPU the process may use, never more than there
-    are batches) draw the batches in parallel, and chunk subtotals (one
-    ``np.add.reduceat`` per fused batch) are merged in index order, so the
-    result does not depend on ``threads``.
-    The suprema of the measurement factors are computed once per call, for
-    every mode.
+    kept in the weight.  ``config.chunks`` chunks are reduced by
+    ``chunk_sums`` on ``threads`` workers, F normals per sample for a kernel
+    of F columns (at most 2A for A weighted modes when folded, 2M when
+    naive).  The suprema of the measurement factors are computed once per
+    call, for every mode.
     """
     t0 = time.perf_counter()
-    if threads is None:
-        threads = _usable_cpus()
-    elif threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
     s = _resolve_s(circuit, config)
     if config.gamma_mode == "auto":
         gamma, direction = resolve_gamma(circuit, s)[:2]
@@ -788,10 +823,8 @@ def estimate_probability(
 
     if method == "folded":
         sampler = build_folded_sampler(circuit, s, gamma, direction)
-        deterministic = not sampler.active_modes
     elif method == "naive":
         sampler = _build_naive_sampler(circuit, s, gamma, direction)
-        deterministic = False
     else:
         raise ValueError(f"unknown method {method!r}")
     all_sups = mode_sups(circuit, s, gamma, direction, sampler.log_norms)
@@ -802,70 +835,32 @@ def estimate_probability(
     log_b_samples = sampler.log_prefactor + float(np.sum(np.log(active_sups)))
     prefactor = math.exp(sampler.log_prefactor)
 
-    b_eff = math.exp(log_b_samples)
     if config.n_samples is not None:
         n_total = int(config.n_samples)
-    elif deterministic:
+    elif not sampler.active_modes:  # nothing weighted: the estimate is exact
         n_total = 1
     else:
         n_total = _hoeffding_count(log_b_samples, config.epsilon, config.delta)
-        if b_eff < 1.0:
-            n_total = max(n_total, MIN_DIAGNOSTIC_SAMPLES)
 
     sizes = _chunk_sizes(n_total, config.chunks)
-    units = _fused_units(sizes)
-    seeds = _chunk_words(config.seed, len(sizes))
     # every weight is bounded by the product of its modes' claimed suprema;
     # the sample count and the radius are void if one is not
-    w_limit = (1.0 + WEIGHT_BOUND_RTOL) * float(np.prod(active_sups))
-
-    def draw(rng, n: int) -> np.ndarray:
-        w = sampler.draw(rng, n)
-        peak = float(np.abs(w).max())
-        if peak > w_limit and math.isfinite(peak):
-            raise BoundViolation(
-                f"sample weight {peak:.6e} exceeds the claimed bound {w_limit:.6e}"
-            )
-        return w
-
-    def unit_sums(unit) -> list[float]:
-        rngs = [_chunk_rng(seeds[chunk]) for chunk, _ in unit]
-        if len(unit) > 1:
-            counts = [size for _, size in unit]
-            w = draw(list(zip(rngs, counts)), sum(counts))
-            return np.add.reduceat(w, np.cumsum([0] + counts[:-1])).tolist()
-        size = unit[0][1]
-        subtotal = 0.0
-        for done in range(0, size, FUSED_BATCH):
-            subtotal += float(np.sum(draw(rngs[0], min(FUSED_BATCH, size - done))))
-        return [subtotal]
-
-    workers = min(threads, len(units))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_unit = list(pool.map(unit_sums, units))
-    else:
-        per_unit = [unit_sums(unit) for unit in units]
+    sum_w = chunk_sums(sampler, config.seed, sizes, 0, threads, float(np.prod(active_sups)))[0]
     # running sums after each chunk, added in chunk order
-    running = np.cumsum([x for sums in per_unit for x in sums])
+    running = np.cumsum(sum_w)
     n_done = np.cumsum(sizes)
-    radius_scale = b_eff * math.sqrt(2.0 * math.log(2.0 / config.delta))
+    radius_scale = math.exp(log_b_samples) * math.sqrt(2.0 * math.log(2.0 / config.delta))
     trace = np.column_stack([n_done, prefactor * running / n_done, radius_scale / np.sqrt(n_done)])
-    running = float(running[-1])
-
-    if not math.isfinite(running):
-        raise FloatingPointError(f"sample weights sum to {running}; a factor overflowed")
-    estimate = prefactor * running / n_total if n_total else prefactor
-    conf_radius = radius_scale / math.sqrt(n_total)
+    estimate, conf_radius = trace[-1, 1:].tolist()
+    if not math.isfinite(estimate):
+        raise FloatingPointError(f"the estimate is {estimate}; a factor overflowed")
     return EstimateReport(
-        estimate=float(estimate),
+        estimate=estimate,
         factor_bound=c_max,
         neg_bound=neg,
         mod_neg_bound=mod_neg,
         n_used=n_total,
-        conf_radius=float(conf_radius),
+        conf_radius=conf_radius,
         seed=config.seed,
         wall_time=time.perf_counter() - t0,
         s=s,

@@ -13,7 +13,8 @@ The multiplicative estimator importance-samples the full 2M-dimensional
 integrand with its Laplace Gaussian at the origin, the mode of every
 certified (log-concave, centered) integrand.  The proposal is the additive
 sampler's Laplace fold, whose precision is the closed-form negative
-log-Hessian there, so no derivative is taken numerically.
+log-Hessian there, so no derivative is taken numerically; the additive
+reduction ``estimator.chunk_sums`` draws and checks its weights.
 """
 
 from __future__ import annotations
@@ -37,18 +38,17 @@ from .errors import (
 )
 from .estimator import (
     FORWARD,
-    FUSED_BATCH,
     S_MAX_MARGIN,
     EstimatorConfig,
-    _chunk_rng,
-    _chunk_words,
     build_folded_sampler,
+    chunk_sums,
 )
 from .linear_optics import CircuitSpec
 from .phase_space import pi_w_profile
 
 ESS_PER_EPS_SQ = 50.0
 SAMPLE_CAP = 10**8
+CHUNK = 1 << 12  # samples per chunk stream
 
 
 @dataclass(frozen=True)
@@ -272,6 +272,7 @@ def estimate_multiplicative(
     epsilon: float,
     delta: float,
     config: EstimatorConfig = EstimatorConfig(),
+    threads: Optional[int] = None,
 ) -> MultiplicativeEstimate:
     """Relative-error estimate of the circuit probability for certified
     log-concave integrands.
@@ -280,9 +281,11 @@ def estimate_multiplicative(
     (centered inputs make the log-integrand even, the certificates make it
     concave), drawn by ``build_folded_sampler(..., laplace=True)``; the
     importance weight is exp(log_prefactor) times the sampler's weight,
-    which log-concavity bounds by its value at the origin, so the sums stay
-    in linear space.  Stopping is on effective sample size and the
-    normal-theory relative radius.
+    which log-concavity bounds by its value w(0) at the origin (a larger one
+    raises ``BoundViolation``), so the sums stay in linear space.  Doubling
+    batches of ``CHUNK``-sample chunks go through ``estimator.chunk_sums``
+    on ``threads`` workers; after each that can reach the ESS target,
+    stopping is on ESS and the normal-theory relative radius.
     """
     if circuit.m > 12:
         raise TooLarge("multiplicative estimation limited to 12 modes at desk scale")
@@ -307,20 +310,21 @@ def estimate_multiplicative(
             "the log-integrand's Hessian at the origin is singular: the circuit sits "
             "on the boundary of its log-concavity condition"
         ) from exc
+    w_origin = sampler.scale * math.prod(float(p(0.0)) for p in sampler.polys if p is not None)
     z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
     ess_target = ESS_PER_EPS_SQ / epsilon**2
-    rng = _chunk_rng(_chunk_words(config.seed, 1)[0])
-    s1 = 0.0  # sum of weights
-    s2 = 0.0  # sum of squared weights
-    n_used = 0
-    batch = 4096
-    while n_used < SAMPLE_CAP:
-        # drawn in pieces from the one stream so that memory stays bounded
-        for done in range(0, batch, FUSED_BATCH):
-            w = sampler.draw(rng, min(FUSED_BATCH, batch - done))
-            s1 += float(np.sum(w))
-            s2 += float(np.sum(w * w))
-        n_used += batch
+    s1 = s2 = 0.0  # sums of weights and of squared weights
+    n_used = n_check = 0
+    batch = CHUNK
+    while n_check < SAMPLE_CAP:
+        n_check += batch
+        batch = min(batch * 2, 1 << 20, SAMPLE_CAP - n_check)
+        if n_check < ess_target:
+            continue  # ESS <= n (Cauchy-Schwarz), so the rule cannot stop yet
+        sizes = [min(CHUNK, n_check - n) for n in range(n_used, n_check, CHUNK)]
+        sum_w, sum_sq = chunk_sums(sampler, config.seed, sizes, n_used // CHUNK, threads, w_origin)
+        s1, s2 = sum(sum_w.tolist(), s1), sum(sum_sq.tolist(), s2)  # in chunk order
+        n_used = n_check
         if not math.isfinite(s2):
             raise FloatingPointError(f"importance weights overflowed (sum of squares {s2})")
         ess = s1 * s1 / s2 if s2 > 0.0 else 0.0
@@ -329,12 +333,7 @@ def estimate_multiplicative(
         rel_se = math.sqrt(var / n_used) / mean if mean > 0.0 else math.inf
         if ess >= ess_target and z_score * rel_se <= epsilon:
             value = math.exp(sampler.log_prefactor) * mean
-            return MultiplicativeEstimate(
-                float(value), float(z_score * rel_se), n_used, float(ess), certs
-            )
-        batch = min(batch * 2, 1 << 20, SAMPLE_CAP - n_used)
-        if batch == 0:
-            break
+            return MultiplicativeEstimate(value, z_score * rel_se, n_used, ess, certs)
     raise NonConvergent(
         f"effective sample size target {ess_target:.0f} unmet at the {SAMPLE_CAP} cap"
     )

@@ -109,10 +109,21 @@ class TestCommands:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_reports_do_not_depend_on_threads(self, circuit_file, per_matrix, tmp_path):
-        # 80000 samples in 4 chunks make 3 fused batches
+        # 80000 samples in 4 chunks make 3 fused batches; the thermal pair's
+        # spectrum ratio of 1.99 takes the multiplicative run to a batch of
+        # 65536 samples, 2 fused batches
+        near_boundary = write_json(
+            tmp_path / "thermal.json",
+            {
+                "modes": [{"n": 0.45 / 0.55}, {"n": 0.895 / 0.105}],
+                "unitary": {"haar_seed": 1},
+                "pattern": [1, 1],
+            },
+        )
         runs = {
             "prob": ["estimate-prob", "--circuit", circuit_file, "--samples", "80000", "--chunks", "4"],
             "per": ["estimate-per", "--matrix", per_matrix, "--samples", "80000", "--chunks", "4"],
+            "mult": ["estimate-prob", "--circuit", near_boundary, "--multiplicative", "--epsilon", "0.1"],
         }
         for name, argv in runs.items():
             blobs = set()
@@ -357,6 +368,19 @@ class TestInputHardening:
         for argv in (["estimate-prob", "--circuit", circuit_file], ["estimate-per", "--matrix", per_matrix]):
             assert cli.main(argv + ["--samples", samples]) == 1
             assert capsys.readouterr().err.startswith("input error: /samples: ")
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "4096"), ("--s", "1.5"), ("--gamma", "0.2")])
+    def test_multiplicative_rejects_additive_flags(self, flag, value, tmp_path, capsys):
+        # the multiplicative estimator sets its own sample count, ordering and shift
+        circ = write_json(
+            tmp_path / "thermal.json",
+            {"modes": [{"n": 1.5}, {"n": 1.2}], "unitary": {"haar_seed": 2}, "pattern": [1, 1]},
+        )
+        argv = ["estimate-prob", "--circuit", circ, "--multiplicative", flag, value]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: /{flag[2:]}: ")
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_nonpositive_threads(self, threads, circuit_file, per_matrix, capsys):

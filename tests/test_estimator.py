@@ -645,6 +645,22 @@ class TestSamplingKernel:
             n_done += size
             assert rep.trace[chunk][:2] == (n_done, math.exp(sampler.log_prefactor) * running / n_done)
 
+    def test_chunk_sums_match_per_chunk_draws(self):
+        # two fused chunks, a lone one, one larger than a fused batch and a
+        # single sample, from chunk 3 on: each chunk's sums are those of one
+        # draw from its own stream
+        circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
+        sampler = est.build_folded_sampler(
+            circuit, circuit.s_max - est.S_MAX_MARGIN, 0.2, est.FORWARD
+        )
+        sizes = [5000, 3000, 30000, 2 * est.FUSED_BATCH + 7, 1]
+        sums = est.chunk_sums(sampler, 9, sizes, 3, 2, math.inf)
+        assert sums.shape == (2, len(sizes))
+        for i, size in enumerate(sizes):
+            w = sampler.draw(chunk_rng(9, 3 + i), size)
+            assert sums[0, i] == pytest.approx(np.sum(w), rel=0, abs=1e-12 * np.sum(np.abs(w)))
+            assert sums[1, i] == pytest.approx(np.sum(w * w), rel=1e-12)
+
     def test_chunk_sizes_do_not_scale_with_chunk_count(self):
         # at most n chunks are non-empty; the rest are never built
         assert est._chunk_sizes(100, 10**12) == [1] * 100

@@ -1,15 +1,18 @@
 """Log-concavity certificates, condition families, multiplicative estimation."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqdkit import estimator as est, fpras, linear_optics as lo, oracles
+from pqdkit import cli, estimator as est, fpras, linear_optics as lo, oracles
 from pqdkit import phase_space as ps
 from pqdkit.errors import (
+    BoundViolation,
     NegativeCoefficient,
     NonPositiveFactor,
     NotLogConcave,
@@ -435,6 +438,67 @@ def boundary_permanent(ratio):
     """The 8-mode permanent circuit whose spectrum runs from 1 to ``ratio``."""
     lam = np.linspace(1.0, ratio, 8)
     return lam, lo.embed_permanent(hpsd_with_spectrum(lo.haar_unitary(8, 3).u, lam)).circuit
+
+
+def near_boundary_permanent():
+    """A 4-mode permanent circuit with spectrum ratio 1.998: at eps = 0.1 its
+    batches reach 2^19 samples (16 fused batches), 1044480 samples in all."""
+    lam = np.linspace(1.0, 1.998, 4)
+    return lo.embed_permanent(hpsd_with_spectrum(lo.haar_unitary(4, 3).u, lam)).circuit
+
+
+class TestMultiplicativeReduction:
+    def test_threads_do_not_change_result(self):
+        circuit = near_boundary_permanent()
+        cfg = est.EstimatorConfig(seed=1)
+        runs = [fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg, threads=t) for t in (1, 2, 4)]
+        # the doubling schedule: 4096 * (2^k - 1) samples
+        assert runs[0].n_used == 4096 * (2**8 - 1)
+        assert len({json.dumps(run.as_dict()) for run in runs}) == 1
+
+    def test_memory_does_not_grow_with_samples(self):
+        circuit = near_boundary_permanent()
+        cfg = est.EstimatorConfig(seed=1)
+        tracemalloc.start()
+        try:
+            res = fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a worker holds about 1 MB, while the weights of all 1044480 samples
+        # alone would take 8.4 MB (and their normals 67 MB)
+        assert peak < 4 * 2**20 < 8 * res.n_used
+
+
+class TestMultiplicativeWeightLimit:
+    """Every weight is checked against its value at the origin, which the
+    certificates make its maximum; a halved limit must trip the check."""
+
+    @staticmethod
+    def halve_limit(monkeypatch):
+        monkeypatch.setattr(est, "WEIGHT_BOUND_RTOL", -0.5)
+
+    def test_halved_limit_raises(self, monkeypatch):
+        circuit = CERTIFIED["permanent"]
+        fpras.estimate_multiplicative(circuit, 0.1, 0.05)
+        self.halve_limit(monkeypatch)
+        with pytest.raises(BoundViolation):
+            fpras.estimate_multiplicative(circuit, 0.1, 0.05)
+
+    def test_halved_limit_exits_2(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"modes": [{"n": 1.5}, {"n": 2.0}, {"n": 1.8}, {"n": 1.6}],'
+            ' "unitary": {"haar_seed": 5}, "pattern": [1, 1, 1, 1]}'
+        )
+        argv = ["estimate-prob", "--circuit", str(path), "--multiplicative"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        self.halve_limit(monkeypatch)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the claimed bound" in captured.err
 
 
 class TestConditionBoundary:
