@@ -1,10 +1,9 @@
-"""Closed-form additive-error budgets and analytic sandwich bounds on the
-matrix functions reachable through Gaussian circuits.
+"""Analytic sandwich bounds on the matrix functions reachable through
+Gaussian circuits, and the paper's named constants.
 
-Budgets are per-mode products; each per-mode factor is the exact supremum of
-the optimally shifted measurement factor multiplied by that mode's share of
-the circuit-to-matrix prefactor, so a Hoeffding radius at the optimal shift
-never exceeds the reported budget.
+Additive-error budgets are not computed here: a matrix estimate's budget is
+the bound of the sampler it ran (``estimator.budget_factors``), which
+reproduces the paper's closed forms at their analytic shifts.
 """
 
 from __future__ import annotations
@@ -16,23 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionAminBelowOne, UnsupportedBound, ZeroEigenvalue
-from .factors import input_exponents, measurement_sup
-from .phase_space import (
-    CLICK,
-    W_INV_E,
-    ModeCovariance,
-    photon,
-    squeezed_thermal_covariance,
-)
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Per-mode additive-error factors and their product (epsilon excluded)."""
-
-    factors: np.ndarray
-    product: float
-    formula_id: str
+from .phase_space import W_INV_E
 
 
 @dataclass(frozen=True)
@@ -61,117 +44,6 @@ def reference_constants() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# additive-error budgets (per-mode products multiplying epsilon)
-# ---------------------------------------------------------------------------
-
-
-def budget_hafnian(lambdas) -> Budget:
-    """|Haf(R)|^2 budget: lam_max^2 / sqrt(lam_max^2 (1-W)^2 - lam_i^2 W^2)."""
-    lam = np.asarray(lambdas, dtype=float)
-    lam_max = float(np.max(lam))
-    w = W_INV_E
-    factors = lam_max**2 / np.sqrt(lam_max**2 * (1.0 - w) ** 2 - lam**2 * w**2)
-    return Budget(factors, float(np.prod(factors)), "budget.hafnian_sq")
-
-
-def budget_permanent(lambdas) -> Budget:
-    """Per(B) budget: the rank-deficient closed form when the spectrum
-    touches zero, the discriminant form otherwise."""
-    lam = np.asarray(lambdas, dtype=float)
-    lam_max = float(np.max(lam))
-    lam_min = float(np.min(lam))
-    if lam_min < 1e-12:
-        factors = 4.0 * lam_max**2 / (math.e * (2.0 * lam_max - lam))
-        return Budget(factors, float(np.prod(factors)), "budget.permanent.rank_deficient")
-    if lam_max - lam_min <= 1e-9 * lam_max:
-        # degenerate-spectrum limit of the discriminant form
-        factors = lam_max**2 / (2.0 * lam_max - lam)
-        return Budget(factors, float(np.prod(factors)), "budget.permanent.full_rank")
-    disc = math.sqrt(4.0 * lam_max**2 - 8.0 * lam_max * lam_min + 5.0 * lam_min**2)
-    expo = math.exp((lam_min - disc) / (2.0 * lam_max - 2.0 * lam_min))
-    numer = 4.0 * lam_min**2 * expo * (lam_max - lam_min) ** 2
-    denom = (disc - 2.0 * lam_max + lam_min) * (
-        lam_min * (disc - 4.0 * lam_max + 3.0 * lam_min)
-        - lam * (disc - 2.0 * lam_max + lam_min)
-    )
-    factors = numer / denom
-    return Budget(factors, float(np.prod(factors)), "budget.permanent.full_rank")
-
-
-def _st_k_plus(n: float, r_list: np.ndarray) -> np.ndarray:
-    return 0.5 + n * (n + 1.0) + (n + 0.5) * np.cosh(2.0 * r_list)
-
-
-def _forward_rate(gamma: float, gap: float) -> float:
-    # degenerate gap means every input is a delta in phase space; the shift
-    # is then immaterial and the unshifted factors apply
-    return 0.0 if gap <= 1e-12 else 2.0 * gamma / gap
-
-
-def _shifted_sups(covs, outcome, s: float, rate: float) -> np.ndarray:
-    """Per-mode sup of the shifted measurement factor, each mode's input
-    normalization included (a supremum is linear in the normalization, so
-    the shared outcome's is taken once)."""
-    return measurement_sup(outcome, s, rate) * np.exp(input_exponents(covs, s, rate)[1])
-
-
-def budget_hafnian_block_a(n: float, r_list) -> Budget:
-    """Haf(A) budget for the squeezed-thermal block family: per-mode factor
-    sqrt|V_Q|_i times the supremum of the reverse-shifted single-photon
-    factor at its optimal shift."""
-    r_arr = np.asarray(r_list, dtype=float)
-    r_max = float(np.max(r_arr))
-    s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
-    if s == 1.0:  # k_minus = 0 at r_max, and no photon factor exists at s = 1
-        raise PreconditionAminBelowOne("degenerate boundary a_min = 1 with r_i = r_max")
-    gamma = math.exp(-math.tanh(r_max)) * n / (n + 1.0)
-    rate = -2.0 * gamma / (s + 1.0)
-    covs = [squeezed_thermal_covariance(float(r), n) for r in r_arr]
-    factors = _shifted_sups(covs, photon(1), s, rate) * np.sqrt(_st_k_plus(n, r_arr))
-    return Budget(factors, float(np.prod(factors)), "budget.hafnian.block_a")
-
-
-def budget_torontonian(
-    family: str, lambdas=None, n: Optional[float] = None, r_list=None
-) -> Budget:
-    """Torontonian budgets for the squeezed (R'), thermal (B'), and
-    squeezed-thermal (A') families at their optimal forward shifts."""
-    if family == "squeezed":
-        lam = np.asarray(lambdas, dtype=float)
-        lam_max = float(np.max(lam))
-        e2r = (1.0 + lam) / (1.0 - lam)
-        s = (1.0 - lam_max) / (1.0 + lam_max)
-        gamma = 0.5 * (1.0 - lam_max)
-        rate = _forward_rate(gamma, float(np.max(e2r)) - s)
-        covs = [ModeCovariance(float(e), float(1.0 / e)) for e in e2r]
-        factors = _shifted_sups(covs, CLICK, s, rate) / np.sqrt(1.0 - lam**2)
-        return Budget(factors, float(np.prod(factors)), "budget.torontonian.squeezed")
-    if family == "thermal":
-        lam = np.asarray(lambdas, dtype=float)
-        lam_max = float(np.max(lam))
-        n_list = lam / (1.0 - lam)
-        s = 2.0 * float(np.min(n_list)) + 1.0
-        gamma = 0.5 * (1.0 - lam_max)
-        rate = _forward_rate(gamma, 2.0 * float(np.max(n_list)) + 1.0 - s)
-        covs = [ModeCovariance(float(a), float(a)) for a in 2.0 * n_list + 1.0]
-        factors = _shifted_sups(covs, CLICK, s, rate) / (1.0 - lam)
-        return Budget(factors, float(np.prod(factors)), "budget.torontonian.thermal")
-    if family == "squeezed_thermal":
-        r_arr = np.asarray(r_list, dtype=float)
-        r_max = float(np.max(r_arr))
-        s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
-        a_max = (2.0 * n + 1.0) * math.exp(2.0 * r_max)
-        gamma = math.exp(-math.tanh(r_max)) / (n + 1.0)
-        rate = _forward_rate(gamma, a_max - s)
-        covs = [squeezed_thermal_covariance(float(r), n) for r in r_arr]
-        factors = _shifted_sups(covs, CLICK, s, rate) * np.sqrt(_st_k_plus(n, r_arr))
-        return Budget(
-            factors, float(np.prod(factors)), "budget.torontonian.squeezed_thermal"
-        )
-    raise ValueError(f"unknown Torontonian family {family!r}")
-
-
-# ---------------------------------------------------------------------------
 # sandwich bounds
 # ---------------------------------------------------------------------------
 
@@ -195,6 +67,10 @@ def permanent_bounds(lambdas) -> BoundReport:
     if lam_min <= 0.0:
         raise ZeroEigenvalue("permanent bounds need strictly positive eigenvalues")
     return _sandwich(lam_min**2 / lam, lam_max**2 / lam, "permanent", "bounds.permanent")
+
+
+def _st_k_plus(n: float, r_list: np.ndarray) -> np.ndarray:
+    return 0.5 + n * (n + 1.0) + (n + 0.5) * np.cosh(2.0 * r_list)
 
 
 def _st_k_minus(n: float, r_list: np.ndarray) -> np.ndarray:

@@ -207,8 +207,9 @@ def _config_from_args(args) -> est.EstimatorConfig:
         raise SchemaError("/threads", f"must be a positive integer, got {args.threads}")
     if args.seed < 0:
         raise SchemaError("/seed", f"must be a nonnegative integer, got {args.seed}")
-    if args.chunks < 1:
-        raise SchemaError("/chunks", f"must be a positive integer, got {args.chunks}")
+    chunks = est.EstimatorConfig.chunks if args.chunks is None else args.chunks
+    if chunks < 1:
+        raise SchemaError("/chunks", f"must be a positive integer, got {chunks}")
     for name in ("epsilon", "delta"):
         if not 0.0 < getattr(args, name) < 1.0:
             raise SchemaError(f"/{name}", f"must lie in (0, 1), got {getattr(args, name)}")
@@ -222,7 +223,7 @@ def _config_from_args(args) -> est.EstimatorConfig:
         delta=args.delta,
         n_samples=args.samples,
         seed=args.seed,
-        chunks=args.chunks,
+        chunks=chunks,
     )
 
 
@@ -280,7 +281,8 @@ def _cmd_estimate_matrix(args) -> int:
 
 
 def _cmd_estimate_prob(args) -> int:
-    for flag in ("samples", "s", "gamma"):  # the multiplicative estimator sets these itself
+    # the multiplicative estimator sets these itself
+    for flag in ("samples", "s", "gamma", "chunks"):
         if args.multiplicative and getattr(args, flag) is not None:
             raise SchemaError(f"/{flag}", "is not used by --multiplicative")
     circuit = circuit_file_parse(args.circuit)
@@ -405,31 +407,40 @@ def _cmd_check_fpras(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    """Sandwich bounds and the budget of a default estimate: the family's
+    embedding of a diagonal matrix (block A: its squeezed thermal circuit)
+    with the estimator's budget rule at s_max - S_MAX_MARGIN and the
+    analytic shift.  Budget factors are listed in input order."""
     report = _base_report("bounds", args.seed)
     family = args.family
     _require_flags(args, _BOUNDS_FLAGS.get(family, ()))
-    if family == "permanent":
-        lams = _parse_float_list(args.lambdas, "/lambdas")
-        rep = bounds.permanent_bounds(lams)
-        budget = bounds.budget_permanent(lams)
-    elif family == "hafnian-block-a":
-        r_list = _parse_float_list(args.r_list, "/r-list")
-        rep = bounds.hafnian_bounds(args.n, r_list)
-        budget = bounds.budget_hafnian_block_a(args.n, r_list)
-    elif family == "tor-thermal":
-        lams = _parse_float_list(args.lambdas, "/lambdas")
-        rep = bounds.torontonian_bounds("thermal", lambdas=lams)
-        budget = bounds.budget_torontonian("thermal", lambdas=lams)
-    elif family == "tor-squeezed-thermal":
-        r_list = _parse_float_list(args.r_list, "/r-list")
-        rep = bounds.torontonian_bounds("squeezed_thermal", n=args.n, r_list=r_list)
-        budget = bounds.budget_torontonian("squeezed_thermal", n=args.n, r_list=r_list)
-    elif family == "hafnian-sq":
-        lams = _parse_float_list(args.lambdas, "/lambdas")
-        budget = bounds.budget_hafnian(lams)
-        rep = None
+    rep = None
+    if family in ("hafnian-block-a", "tor-squeezed-thermal"):
+        spectrum = _parse_float_list(args.r_list, "/r-list")
+        if family == "hafnian-block-a":
+            rep = bounds.hafnian_bounds(args.n, spectrum)
+            emb = lo.embed_hafnian_block_a(args.n, spectrum)
+        else:
+            rep = bounds.torontonian_bounds("squeezed_thermal", n=args.n, r_list=spectrum)
+            interf = lo.identity_interferometer(len(spectrum))
+            emb = lo.embed_torontonian(lo.block_a_prime(args.n, spectrum, interf))
     else:
-        raise SchemaError("/family", f"unknown family {family!r}")
+        spectrum = _parse_float_list(args.lambdas, "/lambdas")
+        diag = np.diag(spectrum)
+        if family == "permanent":
+            rep = bounds.permanent_bounds(spectrum)
+            emb = lo.embed_permanent(diag)
+        elif family == "tor-thermal":
+            rep = bounds.torontonian_bounds("thermal", lambdas=spectrum)
+            emb = lo.embed_torontonian(lo.block_b_prime(diag))
+        else:  # hafnian-sq
+            emb = lo.embed_hafnian(diag)
+    s = emb.circuit.s_max - est.S_MAX_MARGIN
+    factors = est.budget_factors(emb, s, *est.ANALYTIC_SHIFTS[emb.family](emb)[:2])
+    if family in ("permanent", "tor-thermal", "hafnian-sq"):
+        # the decomposition sorts the spectrum by decreasing modulus
+        order = np.argsort(-np.abs(spectrum), kind="stable")
+        factors = factors[np.argsort(order, kind="stable")]
     if rep is not None:
         report["bounds"] = {
             "lower": rep.lower,
@@ -438,9 +449,9 @@ def _cmd_bounds(args) -> int:
             "formula_id": rep.formula_id,
         }
     report["budget"] = {
-        "factors": [float(x) for x in budget.factors],
-        "product": budget.product,
-        "formula_id": budget.formula_id,
+        "factors": [float(x) for x in factors],
+        "product": float(np.prod(factors)),
+        "formula_id": f"budget.{emb.family}",
     }
     _emit(report, args.output)
     return 0
@@ -522,7 +533,7 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--direction", choices=["forward", "reverse"], default="forward"
     )
-    parser.add_argument("--chunks", type=int, default=16, help="sample stream count")
+    parser.add_argument("--chunks", type=int, default=None, help="sample stream count (default 16)")
     parser.add_argument(
         "--threads", type=int, default=None, help="parallel chunk workers (default: usable CPUs)"
     )

@@ -19,6 +19,13 @@ the pieces nor the thread count changes a value.  Setup (decompositions,
 folds, the kernel's solve and QR) runs on one OpenBLAS thread, so no BLAS
 pool spins while the samples are drawn.  Per-mode values are computed
 once per call, and a factor's supremum once per distinct outcome.
+
+|Haf|^2, Per and Tor share one path: an embedding's family picks the
+analytic shift its budget is derived at (``ANALYTIC_SHIFTS``) unless the
+caller fixes one, and the budget is the bound of the sampler that ran
+(``budget_factors``: each mode's prefactor times its ``mode_sups`` at the
+sampled s, gamma and direction, the number its weights are checked
+against), so it covers the run's Hoeffding radius.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from ._blas import one_blas_thread
 from .errors import (
     BoundViolation,
@@ -47,7 +53,6 @@ from .linear_optics import (
     CircuitSpec,
     Embedding,
     MatrixClass,
-    MatrixTag,
     embed_hafnian,
     embed_permanent,
     embed_torontonian,
@@ -103,6 +108,7 @@ class EstimateReport:
     method: str
     log_prefactor: float
     active_modes: tuple
+    mode_sups: np.ndarray  # per-mode suprema, the bound the weights were checked against
     # one (n, running mean, running radius) row per chunk; a float array
     # keeps reports small when many are held
     trace_rows: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
@@ -295,6 +301,12 @@ def optimal_gamma_st(n: float, r_max: float) -> GammaChoice:
     return GammaChoice(math.exp(-math.tanh(r_max)) * n / (n + 1.0), REVERSE)
 
 
+def _spectrum(circuit: CircuitSpec) -> list:
+    """lambda_j = (a+_j - 1) / (a+_j + 1) of every mode: tanh r_j of a
+    squeezed input, n_j / (n_j + 1) of a thermal one."""
+    return [(c.a_plus - 1.0) / (c.a_plus + 1.0) for c in circuit.covariances()]
+
+
 def _detect_family(circuit: CircuitSpec):
     """Classify the input family from the per-mode covariances."""
     covs = circuit.covariances()
@@ -308,11 +320,9 @@ def _detect_family(circuit: CircuitSpec):
         and min(products) > 1.0 + 1e-9
     )
     if pure and not thermal:
-        lams = [(c.a_plus - 1.0) / (c.a_plus + 1.0) for c in covs]
-        return "squeezed", lams
+        return "squeezed", _spectrum(circuit)
     if thermal:
-        lams = [(c.a_plus - 1.0) / (c.a_plus + 1.0) for c in covs]
-        return "thermal", lams
+        return "thermal", _spectrum(circuit)
     if shared_st:
         n = (math.sqrt(products[0]) - 1.0) / 2.0
         r_list = [0.25 * math.log(c.a_plus / c.a_minus) for c in covs]
@@ -869,6 +879,7 @@ def estimate_probability(
         method=method,
         log_prefactor=sampler.log_prefactor,
         active_modes=tuple(j for j, out in enumerate(circuit.pattern) if not out.is_gaussian),
+        mode_sups=all_sups,
         trace_rows=trace,
     )
 
@@ -904,24 +915,71 @@ class MatrixEstimate:
         return out
 
 
+def _shared_n_r_max(circuit: CircuitSpec) -> tuple[float, float]:
+    """(n, r_max) of squeezed thermal inputs of shared occupation n."""
+    return circuit.modes[0][1], max(r for r, _ in circuit.modes)
+
+
+# Embedding family -> the analytic shift its budget is derived at.  Haf and
+# Per read lambda off their circuit, as ``resolve_gamma`` does; the
+# Torontonian families take the matrix's own spectrum, and A' keeps its
+# rule at n = 0, where the automatic choice would differ.
+ANALYTIC_SHIFTS = {
+    "hafnian_sq": lambda emb: optimal_gamma_squeezed(_spectrum(emb.circuit)),
+    "permanent": lambda emb: optimal_gamma_thermal(
+        min(_spectrum(emb.circuit)), max(_spectrum(emb.circuit))
+    ),
+    "torontonian.squeezed": lambda emb: optimal_gamma_threshold(float(np.max(emb.lambdas))),
+    "torontonian.thermal": lambda emb: optimal_gamma_threshold(float(np.max(emb.lambdas))),
+    "torontonian.squeezed_thermal": lambda emb: optimal_gamma_threshold_st(
+        *_shared_n_r_max(emb.circuit)
+    ),
+    "hafnian.block_a": lambda emb: optimal_gamma_st(*_shared_n_r_max(emb.circuit)),
+}
+
+
+def budget_factors(
+    emb: Embedding, s: float, gamma: float, direction: str, sups=None
+) -> np.ndarray:
+    """Per-mode additive-error factors of an embedding sampled at (s, gamma,
+    direction): mode j's prefactor times the supremum of its shifted
+    measurement factor, the bound its weights are checked against
+    (``mode_sups``, unless a run that took them passes them as ``sups``,
+    ``EstimateReport.mode_sups``).  Their product bounds a sample's weight
+    in matrix units, and max(epsilon, sqrt(2 ln(2/delta) / n)) times it
+    bounds the Hoeffding radius of n samples."""
+    if sups is None:
+        sups = mode_sups(emb.circuit, s, gamma, direction)
+    return emb.mode_prefactors * sups
+
+
 def _run_embedding(
-    emb: Embedding, config: EstimatorConfig, budget, threads: Optional[int]
+    emb: Embedding, config: EstimatorConfig, threads: Optional[int]
 ) -> MatrixEstimate:
-    # N = O(1/eps^2) convention: the budget already carries the factor bound
-    n_samples = config.n_samples
-    if n_samples is None:
-        n_samples = _hoeffding_count(0.0, config.epsilon, config.delta)
-    report = estimate_probability(
-        emb.circuit, dataclasses.replace(config, n_samples=n_samples), threads=threads
-    )
+    """The matrix function of ``emb`` from its circuit probability, sampled
+    at the family's analytic shift unless ``config`` fixes one, with the
+    budget of the sampler it ran."""
+    if config.gamma_mode == "auto":
+        shift = ANALYTIC_SHIFTS[emb.family](emb)
+        config = dataclasses.replace(config, gamma_mode=tuple(shift[:2]))
+    # N = O(1/eps^2) convention: the budget carries the weight bound
+    n_eps = _hoeffding_count(0.0, config.epsilon, config.delta)
+    n = config.n_samples or n_eps
+    report = estimate_probability(emb.circuit, dataclasses.replace(config, n_samples=n), threads=threads)
+    factors = budget_factors(emb, report.s, report.gamma, report.direction, report.mode_sups)
+    conf_radius = emb.prefactor * report.conf_radius
+    # n samples reach max(epsilon, sqrt(2 ln(2/delta) / n)) times the bound:
+    # epsilon from the Hoeffding count on, below it the run's own radius
+    # (the same suprema, multiplied in another order, taken as computed)
+    budget = config.epsilon * float(np.prod(factors)) if n >= n_eps else conf_radius
     return MatrixEstimate(
         value=emb.prefactor * report.estimate,
-        budget=config.epsilon * budget.product,
-        conf_radius=emb.prefactor * report.conf_radius,
+        budget=budget,
+        conf_radius=conf_radius,
         prefactor=emb.prefactor,
         report=report,
-        budget_factors=budget.factors,
-        formula_id=budget.formula_id,
+        budget_factors=factors,
+        formula_id=f"budget.{emb.family}",
     )
 
 
@@ -933,9 +991,7 @@ def estimate_hafnian_sq(
 ) -> MatrixEstimate:
     """|Haf(R)|^2 of a complex symmetric matrix within an additive budget;
     ``threads`` as in ``estimate_probability``."""
-    emb = embed_hafnian(r_mat, a)
-    budget = bounds_mod.budget_hafnian(emb.lambdas)
-    return _run_embedding(emb, config, budget, threads)
+    return _run_embedding(embed_hafnian(r_mat, a), config, threads)
 
 
 def estimate_permanent_hpsd(
@@ -948,10 +1004,9 @@ def estimate_permanent_hpsd(
     precision-vs-spectral-norm comparison predicate; ``threads`` as in
     ``estimate_probability``."""
     emb = embed_permanent(b_mat, a)
-    budget = bounds_mod.budget_permanent(emb.lambdas)
-    result = _run_embedding(emb, config, budget, threads)
+    result = _run_embedding(emb, config, threads)
     lam_max = float(np.max(emb.lambdas))
-    log_budget = float(np.sum(np.log(budget.factors)))
+    log_budget = float(np.sum(np.log(result.budget_factors)))
     result.gurvits_beaten = bool(log_budget < emb.lambdas.size * math.log(lam_max))
     return result
 
@@ -960,23 +1015,5 @@ def estimate_torontonian(
     mat: MatrixClass, config: EstimatorConfig = EstimatorConfig(), threads: Optional[int] = None
 ) -> MatrixEstimate:
     """Torontonian of a block matrix in the R'/B'/A' families via all-click
-    threshold estimation; ``threads`` as in ``estimate_probability``.
-
-    Unless ``config`` fixes the shift, each family runs at the analytic
-    shift its budget is derived at: ``optimal_gamma_threshold`` for R' and
-    B', ``optimal_gamma_threshold_st`` for A' (also at n = 0, where the
-    automatic choice would differ).
-    """
-    emb = embed_torontonian(mat)
-    if mat.tag is MatrixTag.BLOCK_A_PRIME:
-        n = emb.circuit.modes[0][1]
-        r_list = np.array([r for r, _ in emb.circuit.modes])
-        budget = bounds_mod.budget_torontonian("squeezed_thermal", n=n, r_list=r_list)
-        shift = optimal_gamma_threshold_st(n, float(np.max(r_list)))
-    else:
-        family = "squeezed" if mat.tag is MatrixTag.BLOCK_R_PRIME else "thermal"
-        budget = bounds_mod.budget_torontonian(family, lambdas=emb.lambdas)
-        shift = optimal_gamma_threshold(float(np.max(emb.lambdas)))
-    if config.gamma_mode == "auto":
-        config = dataclasses.replace(config, gamma_mode=tuple(shift[:2]))
-    return _run_embedding(emb, config, budget, threads)
+    threshold estimation; ``threads`` as in ``estimate_probability``."""
+    return _run_embedding(embed_torontonian(mat), config, threads)

@@ -20,7 +20,7 @@ reduction ``estimator.chunk_sums`` draws and checks its weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 from typing import Optional
 
@@ -47,6 +47,9 @@ from .linear_optics import CircuitSpec
 from .phase_space import pi_w_profile
 
 ESS_PER_EPS_SQ = 50.0
+# EstimatorConfig fields of the additive estimator only; the multiplicative
+# one reads ``seed`` and rejects these unless they keep their defaults
+ADDITIVE_FIELDS = ("n_samples", "s", "gamma_mode", "chunks")
 SAMPLE_CAP = 10**8
 CHUNK = 1 << 12  # samples per chunk stream
 
@@ -287,6 +290,13 @@ def estimate_multiplicative(
     on ``threads`` workers; after each that can reach the ESS target,
     stopping is on ESS and the normal-theory relative radius.
     """
+    fixed = [
+        f.name
+        for f in fields(config)
+        if f.name in ADDITIVE_FIELDS and getattr(config, f.name) != f.default
+    ]
+    if fixed:
+        raise ValueError(f"the multiplicative estimator sets {', '.join(fixed)} itself")
     if circuit.m > 12:
         raise TooLarge("multiplicative estimation limited to 12 modes at desk scale")
     certs = circuit_certificates(circuit)

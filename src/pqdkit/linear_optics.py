@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     NotHpsd,
     NotSymmetric,
+    PreconditionAminBelowOne,
     ShiftOutOfRange,
     SingularVQ,
     StructureMismatch,
@@ -268,22 +269,39 @@ def hpsd_eigendecompose(b_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Circuit embedding of a matrix target.
+    """Circuit embedding of a matrix target of one ``family``.
 
-    ``value = scale_pow * z * p`` recovers the matrix function from the
-    circuit probability p; ``lambdas`` are the original spectrum values and
+    ``value = prefactor * p`` recovers the matrix function from the circuit
+    probability p.  The prefactor is the product of ``mode_prefactors``,
+    the spectrum's ``rescale`` a * lam_max (1 where nothing is rescaled)
+    times each mode's normalization ``mode_z`` (cosh r_j, 1 + n_j or
+    sqrt k+_j); a matrix estimate's budget is built from these per-mode
+    factors.  ``lambdas`` are the original spectrum values and
     ``lambdas_scaled`` the rescaled ones actually realized by the circuit.
     """
 
     circuit: CircuitSpec
-    z: float
-    scale_pow: float
+    family: str
+    rescale: float
+    mode_z: np.ndarray
     lambdas: np.ndarray
     lambdas_scaled: np.ndarray
 
     @property
+    def z(self) -> float:
+        return float(np.prod(self.mode_z))
+
+    @property
+    def scale_pow(self) -> float:
+        return self.rescale**self.circuit.m
+
+    @property
     def prefactor(self) -> float:
         return self.scale_pow * self.z
+
+    @property
+    def mode_prefactors(self) -> np.ndarray:
+        return self.rescale * self.mode_z
 
 
 @one_blas_thread()
@@ -297,13 +315,12 @@ def embed_hafnian(r_mat: np.ndarray, a: float = 1.001) -> Embedding:
         raise ZeroMatrix("hafnian embedding needs a nonzero matrix")
     lam_scaled = lam / (a * lam_max)
     r_list = np.arctanh(lam_scaled)
-    z = float(np.prod(np.cosh(r_list)))
     circuit = CircuitSpec(
         modes=tuple((float(r), 0.0) for r in r_list),
         unitary=Interferometer(m, u),
         pattern=tuple(photon(1) for _ in range(m)),
     )
-    return Embedding(circuit, z, (a * lam_max) ** m, lam, lam_scaled)
+    return Embedding(circuit, "hafnian_sq", a * lam_max, np.cosh(r_list), lam, lam_scaled)
 
 
 @one_blas_thread()
@@ -316,13 +333,12 @@ def embed_permanent(b_mat: np.ndarray, a: float = 1.001) -> Embedding:
         raise ZeroMatrix("permanent embedding needs a nonzero matrix")
     lam_scaled = lam / (a * lam_max)
     n_list = lam_scaled / (1.0 - lam_scaled)
-    z = float(np.prod(1.0 + n_list))
     circuit = CircuitSpec(
         modes=tuple((0.0, float(n)) for n in n_list),
         unitary=Interferometer(m, u),
         pattern=tuple(photon(1) for _ in range(m)),
     )
-    return Embedding(circuit, z, (a * lam_max) ** m, lam, lam_scaled)
+    return Embedding(circuit, "permanent", a * lam_max, 1.0 + n_list, lam, lam_scaled)
 
 
 def _st_diagonals(n: float, r_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,12 +350,15 @@ def _st_diagonals(n: float, r_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return d, dp
 
 
+def _sqrt_k_plus(n: float, r_list) -> np.ndarray:
+    """sqrt(1/2 + n(n+1) + (n+1/2) cosh 2r_i) of every mode."""
+    r_list = np.asarray(r_list, dtype=float)
+    return np.sqrt(0.5 + n * (n + 1.0) + (n + 0.5) * np.cosh(2.0 * r_list))
+
+
 def sqrt_vq_factor(n: float, r_list) -> float:
     """sqrt|V_Q| = prod_i sqrt(1/2 + n(n+1) + (n+1/2) cosh 2r_i)."""
-    r_list = np.asarray(r_list, dtype=float)
-    return float(
-        np.prod(np.sqrt(0.5 + n * (n + 1.0) + (n + 0.5) * np.cosh(2.0 * r_list)))
-    )
+    return float(np.prod(_sqrt_k_plus(n, r_list)))
 
 
 def build_block_A(
@@ -462,6 +481,33 @@ def _verify_block_a_prime(mat: MatrixClass, n: float, r_list, interf: Interferom
         raise StructureMismatch(f"(n, r, U) do not rebuild the A' matrix: residual {dev:.3e}")
 
 
+def _squeezed_thermal(n: float, r_list, interf: Interferometer, outcome, family: str) -> Embedding:
+    """Squeezed thermal inputs of shared occupation n measured with
+    ``outcome`` on every mode; each mode's normalization is sqrt k+_i, and
+    ``lambdas`` are the singular values d_i of the R block."""
+    modes = tuple((float(r), float(n)) for r in r_list)
+    circuit = CircuitSpec(modes, interf, (outcome,) * interf.m)
+    lam = _st_diagonals(n, r_list)[0]
+    return Embedding(circuit, family, 1.0, _sqrt_k_plus(n, r_list), lam, lam)
+
+
+def embed_hafnian_block_a(
+    n: float, r_list: Sequence[float], interf: Optional[Interferometer] = None
+) -> Embedding:
+    """All-single-photon circuit of the squeezed thermal state behind
+    ``build_block_A(n, r_list, interf)`` (default: the identity), whose
+    probability times sqrt|V_Q| is Haf(A).  Its budget is derived at
+    s = a_min; at a_min = 1 with r_i = r_max (k- = 0) no single-photon
+    factor exists there, which raises ``PreconditionAminBelowOne``."""
+    r_arr = np.asarray(r_list, dtype=float)
+    if interf is None:
+        interf = identity_interferometer(r_arr.size)
+    emb = _squeezed_thermal(n, r_arr, interf, photon(1), "hafnian.block_a")
+    if emb.circuit.s_max == 1.0:
+        raise PreconditionAminBelowOne("degenerate boundary a_min = 1 with r_i = r_max")
+    return emb
+
+
 @one_blas_thread()
 def embed_torontonian(mat: MatrixClass) -> Embedding:
     """All-click circuit whose probability times ``z`` is Tor(mat).
@@ -472,6 +518,14 @@ def embed_torontonian(mat: MatrixClass) -> Embedding:
     thermal light with shared occupation n; its ``lambdas`` are the
     singular values of its R block.  Nothing is rescaled.
     """
+    if mat.tag is MatrixTag.BLOCK_A_PRIME:
+        if mat.st_params is None:
+            n, r_list, interf = recover_block_a_params(mat)
+        else:
+            n, r_list, interf = mat.st_params
+            r_list = np.asarray(r_list, dtype=float)
+            _verify_block_a_prime(mat, n, r_list, interf)
+        return _squeezed_thermal(n, r_list, interf, CLICK, "torontonian.squeezed_thermal")
     if mat.tag is MatrixTag.BLOCK_R_PRIME:
         _, b_block = split_blocks(mat)
         if np.max(np.abs(b_block)) > 1e-10:
@@ -481,30 +535,18 @@ def embed_torontonian(mat: MatrixClass) -> Embedding:
             raise ValueError("singular values must lie in [0, 1) for Torontonians")
         r_list = np.arctanh(lam)
         modes = tuple((float(r), 0.0) for r in r_list)
-        z = float(np.prod(np.cosh(r_list)))
-        interf = Interferometer(lam.size, u)
+        family, mode_z = "torontonian.squeezed", np.cosh(r_list)
     elif mat.tag is MatrixTag.BLOCK_B_PRIME:
         u, lam = mat.decompose()
         if lam.size and lam[0] >= 1.0:
             raise ValueError("eigenvalues must lie in [0, 1) for Torontonians")
         n_list = lam / (1.0 - lam)
         modes = tuple((0.0, float(n)) for n in n_list)
-        z = float(np.prod(1.0 + n_list))
-        interf = Interferometer(lam.size, u)
-    elif mat.tag is MatrixTag.BLOCK_A_PRIME:
-        if mat.st_params is None:
-            n, r_list, interf = recover_block_a_params(mat)
-        else:
-            n, r_list, interf = mat.st_params
-            r_list = np.asarray(r_list, dtype=float)
-            _verify_block_a_prime(mat, n, r_list, interf)
-        modes = tuple((float(r), float(n)) for r in r_list)
-        z = sqrt_vq_factor(n, r_list)
-        lam = _st_diagonals(n, r_list)[0]
+        family, mode_z = "torontonian.thermal", 1.0 + n_list
     else:
         raise ValueError(f"unsupported Torontonian tag {mat.tag}")
-    circuit = CircuitSpec(modes, interf, (CLICK,) * interf.m)
-    return Embedding(circuit, z, 1.0, lam, lam)
+    circuit = CircuitSpec(modes, Interferometer(lam.size, u), (CLICK,) * lam.size)
+    return Embedding(circuit, family, 1.0, mode_z, lam, lam)
 
 
 # ---------------------------------------------------------------------------

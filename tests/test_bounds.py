@@ -1,17 +1,23 @@
-"""Budgets and sandwich bounds: closed forms, envelopes, oracle sandwiches."""
+"""Budgets against the paper's closed forms, envelopes, oracle sandwiches."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pqdkit import bounds, estimator as est, linear_optics as lo, oracles
+from pqdkit import bounds, estimator as est, factors, linear_optics as lo, oracles
 from pqdkit.errors import (
     PreconditionAminBelowOne,
     UnsupportedBound,
     ZeroEigenvalue,
 )
-from pqdkit.phase_space import CLICK, W_INV_E, photon
+from pqdkit.phase_space import (
+    CLICK,
+    W_INV_E,
+    ModeCovariance,
+    photon,
+    squeezed_thermal_covariance,
+)
 
 
 class TestPaperConstants:
@@ -27,43 +33,207 @@ class TestPaperConstants:
         assert round(consts["classicality_floor"], 3) == 0.236
 
 
+# ---------------------------------------------------------------------------
+# the paper's closed-form budgets, kept here as reference formulas: each
+# per-mode factor is the supremum of the optimally shifted measurement
+# factor at s = s_max times the mode's share of the matrix-to-circuit
+# prefactor.  The estimator computes every budget from the sampler it ran
+# (``est.budget_factors``); at s_max and the analytic shift the two agree.
+# ---------------------------------------------------------------------------
+
+
+def ref_hafnian(lam):
+    """|Haf(R)|^2: lam_max^2 / sqrt(lam_max^2 (1-W)^2 - lam_i^2 W^2)."""
+    lam = np.asarray(lam, dtype=float)
+    lam_max, w = float(np.max(lam)), W_INV_E
+    return lam_max**2 / np.sqrt(lam_max**2 * (1.0 - w) ** 2 - lam**2 * w**2)
+
+
+def ref_permanent(lam):
+    """Per(B): the rank-deficient form when the spectrum touches zero, the
+    discriminant form otherwise (its limit at a degenerate spectrum)."""
+    lam = np.asarray(lam, dtype=float)
+    lmx, lmn = float(np.max(lam)), float(np.min(lam))
+    if lmn < 1e-12:
+        return 4.0 * lmx**2 / (math.e * (2.0 * lmx - lam))
+    if lmx - lmn <= 1e-9 * lmx:
+        return lmx**2 / (2.0 * lmx - lam)
+    disc = math.sqrt(4.0 * lmx**2 - 8.0 * lmx * lmn + 5.0 * lmn**2)
+    expo = math.exp((lmn - disc) / (2.0 * lmx - 2.0 * lmn))
+    numer = 4.0 * lmn**2 * expo * (lmx - lmn) ** 2
+    return numer / (
+        (disc - 2.0 * lmx + lmn)
+        * (lmn * (disc - 4.0 * lmx + 3.0 * lmn) - lam * (disc - 2.0 * lmx + lmn))
+    )
+
+
+def _k_plus(n, r):
+    return 0.5 + n * (n + 1.0) + (n + 0.5) * np.cosh(2.0 * r)
+
+
+def _ref_sups(covs, outcome, s, rate):
+    """Per-mode sup of the shifted factor, input normalization included."""
+    return factors.measurement_sup(outcome, s, rate) * np.exp(
+        factors.input_exponents(covs, s, rate)[1]
+    )
+
+
+def _ref_forward_rate(gamma, gap):
+    # a degenerate gap leaves every input a delta in phase space at s_max
+    return 0.0 if gap <= 1e-12 else 2.0 * gamma / gap
+
+
+def ref_torontonian(family, lam=None, n=None, r=None):
+    """Tor: the R', B' and A' families at their optimal forward shifts."""
+    if family == "squeezed":
+        lam = np.asarray(lam, dtype=float)
+        lmx = float(np.max(lam))
+        e2r = (1.0 + lam) / (1.0 - lam)
+        s = (1.0 - lmx) / (1.0 + lmx)
+        rate = _ref_forward_rate(0.5 * (1.0 - lmx), float(np.max(e2r)) - s)
+        covs = [ModeCovariance(float(e), float(1.0 / e)) for e in e2r]
+        return _ref_sups(covs, CLICK, s, rate) / np.sqrt(1.0 - lam**2)
+    if family == "thermal":
+        lam = np.asarray(lam, dtype=float)
+        n_list = lam / (1.0 - lam)
+        s = 2.0 * float(np.min(n_list)) + 1.0
+        rate = _ref_forward_rate(0.5 * (1.0 - np.max(lam)), 2.0 * float(np.max(n_list)) + 1.0 - s)
+        covs = [ModeCovariance(float(a), float(a)) for a in 2.0 * n_list + 1.0]
+        return _ref_sups(covs, CLICK, s, rate) / (1.0 - lam)
+    r = np.asarray(r, dtype=float)
+    r_max = float(np.max(r))
+    s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
+    gamma = math.exp(-math.tanh(r_max)) / (n + 1.0)
+    rate = _ref_forward_rate(gamma, (2.0 * n + 1.0) * math.exp(2.0 * r_max) - s)
+    covs = [squeezed_thermal_covariance(float(x), n) for x in r]
+    return _ref_sups(covs, CLICK, s, rate) * np.sqrt(_k_plus(n, r))
+
+
+def ref_block_a(n, r):
+    """Haf(A): sqrt k+_i times the reverse-shifted single-photon supremum."""
+    r = np.asarray(r, dtype=float)
+    r_max = float(np.max(r))
+    s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
+    rate = -2.0 * math.exp(-math.tanh(r_max)) * n / (n + 1.0) / (s + 1.0)
+    covs = [squeezed_thermal_covariance(float(x), n) for x in r]
+    return _ref_sups(covs, photon(1), s, rate) * np.sqrt(_k_plus(n, r))
+
+
+def rule(emb, s=None):
+    """The estimator's budget factors of ``emb`` at the family's analytic
+    shift and s (default s_max), in the embedding's mode order."""
+    s = emb.circuit.s_max if s is None else s
+    return est.budget_factors(emb, s, *est.ANALYTIC_SHIFTS[emb.family](emb)[:2])
+
+
+def spectral(family, lam):
+    """Embedding of the diagonal matrix of ``lam`` (sorted descending, the
+    order the decompositions return)."""
+    diag = np.diag(lam)
+    if family == "hafnian":
+        return lo.embed_hafnian(diag)
+    if family == "permanent":
+        return lo.embed_permanent(diag)
+    if family == "squeezed":
+        return lo.embed_torontonian(lo.block_r_prime(diag))
+    return lo.embed_torontonian(lo.block_b_prime(diag))
+
+
+def squeezed_thermal(n, r):
+    return lo.embed_torontonian(lo.block_a_prime(n, r, lo.identity_interferometer(len(r))))
+
+
+def descending(rng, low, high, m):
+    return np.sort(rng.uniform(low, high, m))[::-1]
+
+
+class TestReferenceFormulas:
+    """The budget rule reproduces the paper's closed forms mode by mode."""
+
+    def test_five_families_and_block_a_at_s_max(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            m = int(rng.integers(2, 9))
+            lam = descending(rng, 0.05, 0.9, m)
+            for family, ref in (
+                ("hafnian", ref_hafnian(lam)),
+                ("permanent", ref_permanent(lam)),
+                ("squeezed", ref_torontonian("squeezed", lam)),
+                ("thermal", ref_torontonian("thermal", lam)),
+            ):
+                got = rule(spectral(family, lam))
+                assert np.max(np.abs(got / ref - 1.0)) <= 1e-12, family
+            n, r = float(rng.uniform(0.0, 3.0)), rng.uniform(0.0, 0.5, m)
+            got = rule(squeezed_thermal(n, r))
+            assert np.max(np.abs(got / ref_torontonian("squeezed_thermal", n=n, r=r) - 1.0)) <= 1e-12
+            got = rule(lo.embed_hafnian_block_a(n, r))
+            assert np.max(np.abs(got / ref_block_a(n, r) - 1.0)) <= 1e-12
+
+    def test_rank_deficient_permanent_below_s_max(self):
+        # s_max = 1 there, where no single-photon factor exists; the sampler
+        # runs at s_max - S_MAX_MARGIN
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            m = int(rng.integers(2, 9))
+            lam = descending(rng, 0.05, 0.9, m)
+            lam[int(rng.integers(1, m)) :] = 0.0
+            emb = spectral("permanent", lam)
+            assert emb.circuit.s_max == 1.0
+            got = rule(emb, 1.0 - est.S_MAX_MARGIN)
+            assert np.max(np.abs(got / ref_permanent(lam) - 1.0)) <= 1e-9
+
+    def test_estimate_budget_is_the_sampled_rule(self):
+        # a default estimate samples at s_max - S_MAX_MARGIN, where its
+        # budget exceeds the closed form by less than 1e-7
+        rng = np.random.default_rng(13)
+        lam = descending(rng, 0.1, 0.6, 4)
+        q = lo.haar_unitary(4, 3).u
+        b_mat = (q * lam) @ q.conj().T
+        res = est.estimate_permanent_hpsd((b_mat + b_mat.conj().T) / 2.0, est.EstimatorConfig())
+        emb = lo.embed_permanent((b_mat + b_mat.conj().T) / 2.0)
+        assert res.report.s == emb.circuit.s_max - est.S_MAX_MARGIN
+        assert np.array_equal(res.budget_factors, rule(emb, res.report.s))
+        assert res.budget == 0.05 * float(np.prod(res.budget_factors))
+        assert np.max(np.abs(res.budget_factors / ref_permanent(emb.lambdas) - 1.0)) <= 1e-7
+
+
 class TestBudgetHafnian:
     def test_uniform_spectrum_envelope(self):
         lam = 0.6
-        budget = bounds.budget_hafnian([lam] * 4)
+        product = float(np.prod(rule(spectral("hafnian", [lam] * 4))))
         rate = lam / math.sqrt(1.0 - 2.0 * W_INV_E)
-        assert budget.product == pytest.approx(rate**4, rel=1e-12)
+        assert product == pytest.approx(rate**4, rel=1e-12)
 
     def test_sparse_spectrum_envelope(self):
         lam = 0.6
-        budget = bounds.budget_hafnian([lam, 0.0, 0.0])
-        assert budget.factors[1] == pytest.approx(lam / (1.0 - W_INV_E), rel=1e-12)
+        got = rule(spectral("hafnian", [lam, 0.0, 0.0]))
+        assert got[1] == pytest.approx(lam / (1.0 - W_INV_E), rel=1e-12)
 
     def test_mixed_spectrum_between_envelopes(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            lam = rng.uniform(0.0, 0.9, 5)
+            lam = descending(rng, 0.0, 0.9, 5)
             lam_max = float(np.max(lam))
-            budget = bounds.budget_hafnian(lam)
+            product = float(np.prod(rule(spectral("hafnian", lam))))
             low = (lam_max / (1.0 - W_INV_E)) ** 5
             high = (lam_max / math.sqrt(1.0 - 2.0 * W_INV_E)) ** 5
-            assert low - 1e-12 <= budget.product <= high + 1e-12
+            assert low * (1 - 1e-12) <= product <= high * (1 + 1e-12)
 
 
 class TestBudgetPermanent:
     def test_rank_deficient_envelopes(self):
         lam = 0.5
-        uniform = bounds.budget_permanent([0.0] + [lam] * 3)
-        assert uniform.factors[-1] == pytest.approx(4.0 * lam / math.e, rel=1e-12)
-        assert uniform.factors[0] == pytest.approx(2.0 * lam / math.e, rel=1e-12)
+        got = rule(spectral("permanent", [lam] * 3 + [0.0]), 1.0 - est.S_MAX_MARGIN)
+        assert got[0] == pytest.approx(4.0 * lam / math.e, rel=1e-9)
+        assert got[-1] == pytest.approx(2.0 * lam / math.e, rel=1e-9)
 
     def test_full_rank_discriminant_form(self):
-        lam = np.array([0.25, 0.4, 0.55])
-        budget = bounds.budget_permanent(lam)
+        lam = np.array([0.55, 0.4, 0.25])
+        got = rule(spectral("permanent", lam))
         lmx, lmn = 0.55, 0.25
         disc = math.sqrt(4 * lmx**2 - 8 * lmx * lmn + 5 * lmn**2)
         expo = math.exp((lmn - disc) / (2 * lmx - 2 * lmn))
-        for li, factor in zip(lam, budget.factors):
+        for li, factor in zip(lam, got):
             expected = (
                 4.0 * lmn**2 * expo * (lmx - lmn) ** 2
                 / (
@@ -74,8 +244,8 @@ class TestBudgetPermanent:
             assert factor == pytest.approx(expected, rel=1e-12)
 
     def test_budget_matches_estimator_sups(self):
-        # the closed form reproduces the supremum product realized by the
-        # estimator at its automatic shift, mode by mode
+        # an estimate's budget factors are its prefactor shares times the
+        # suprema it sampled with, mode by mode
         rng = np.random.default_rng(1)
         for _ in range(5):
             lam = np.sort(rng.uniform(0.1, 0.9, 3))
@@ -83,47 +253,47 @@ class TestBudgetPermanent:
             b_mat = (q * lam) @ q.conj().T
             b_mat = (b_mat + b_mat.conj().T) / 2.0
             a = 1.001
+            res = est.estimate_permanent_hpsd(b_mat, est.EstimatorConfig(n_samples=16), a)
             emb = lo.embed_permanent(b_mat, a)
-            s = emb.circuit.s_max - 1e-9
-            gamma, direction = est.resolve_gamma(emb.circuit, s)[:2]
-            sups = est.mode_sups(emb.circuit, s, gamma, direction)
+            rep = res.report
+            sups = est.mode_sups(emb.circuit, rep.s, rep.gamma, rep.direction)
             recon = a * emb.lambdas.max() * sups / (1.0 - emb.lambdas_scaled)
-            budget = bounds.budget_permanent(emb.lambdas)
-            assert np.max(np.abs(np.sort(budget.factors) / np.sort(recon) - 1.0)) <= 1e-6
+            assert np.max(np.abs(res.budget_factors / recon - 1.0)) <= 1e-12
+            assert np.max(np.abs(res.budget_factors / ref_permanent(emb.lambdas) - 1.0)) <= 1e-7
 
     def test_hafnian_budget_matches_estimator_sups(self):
         rng = np.random.default_rng(2)
         r_mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         r_mat = r_mat + r_mat.T
         a = 1.001
+        res = est.estimate_hafnian_sq(r_mat, est.EstimatorConfig(n_samples=16), a)
         emb = lo.embed_hafnian(r_mat, a)
-        s = emb.circuit.s_max - 1e-9
-        gamma, direction = est.resolve_gamma(emb.circuit, s)[:2]
-        sups = est.mode_sups(emb.circuit, s, gamma, direction)
+        rep = res.report
+        sups = est.mode_sups(emb.circuit, rep.s, rep.gamma, rep.direction)
         recon = a * emb.lambdas.max() * sups / np.sqrt(1.0 - emb.lambdas_scaled**2)
-        budget = bounds.budget_hafnian(emb.lambdas)
-        assert np.max(np.abs(np.sort(budget.factors) / np.sort(recon) - 1.0)) <= 1e-6
+        assert np.max(np.abs(res.budget_factors / recon - 1.0)) <= 1e-12
+        assert np.max(np.abs(res.budget_factors / ref_hafnian(emb.lambdas) - 1.0)) <= 1e-7
 
 
 class TestBudgetTorontonian:
     def test_families_finite_positive(self):
-        for family, kwargs in (
-            ("squeezed", {"lambdas": [0.2, 0.35, 0.5]}),
-            ("thermal", {"lambdas": [0.2, 0.4, 0.6]}),
-            ("squeezed_thermal", {"n": 1.0, "r_list": [0.1, 0.2, 0.3]}),
+        for emb in (
+            spectral("squeezed", [0.5, 0.35, 0.2]),
+            spectral("thermal", [0.6, 0.4, 0.2]),
+            squeezed_thermal(1.0, [0.1, 0.2, 0.3]),
         ):
-            budget = bounds.budget_torontonian(family, **kwargs)
-            assert np.all(np.isfinite(budget.factors))
-            assert np.all(budget.factors > 0.0)
+            got = rule(emb)
+            assert np.all(np.isfinite(got))
+            assert np.all(got > 0.0)
 
     def test_thermal_closed_form(self):
         # exact stationary evaluation agrees with the bracketed closed form
-        lam = np.array([0.2, 0.35, 0.5])
+        lam = np.array([0.5, 0.35, 0.2])
         lam_max, lam_min = 0.5, 0.2
-        budget = bounds.budget_torontonian("thermal", lambdas=lam)
+        got = rule(spectral("thermal", lam))
         base = (1 - lam_max) ** 2 / ((1 - lam_min) * (1 + lam_max**2 - 2 * lam_min))
         expo = (1 + lam_max**2 - 2 * lam_min) / (2 * lam_max - 2 * lam_min)
-        for li, factor in zip(lam, budget.factors):
+        for li, factor in zip(lam, got):
             num = 4 * (lam_max - lam_min) ** 2 * base**expo * (lam_min - 1)
             den = (1 - lam_max) ** 2 * (
                 li * (1 + lam_max**2 - 2 * lam_min)
@@ -133,8 +303,8 @@ class TestBudgetTorontonian:
             assert factor == pytest.approx(num / den, rel=1e-9)
 
     def test_squeezed_budget_matches_sup_product(self):
-        lam = np.array([0.2, 0.35, 0.5])
-        budget = bounds.budget_torontonian("squeezed", lambdas=lam)
+        lam = np.array([0.5, 0.35, 0.2])
+        got = rule(spectral("squeezed", lam))
         circuit = lo.CircuitSpec(
             tuple((float(np.arctanh(v)), 0.0) for v in lam),
             lo.haar_unitary(3, 3),
@@ -143,7 +313,7 @@ class TestBudgetTorontonian:
         gamma, direction = est.optimal_gamma_threshold(0.5)[:2]
         sups = est.mode_sups(circuit, circuit.s_max, gamma, direction)
         recon = sups / np.sqrt(1.0 - lam**2)
-        assert np.max(np.abs(np.sort(budget.factors) / np.sort(recon) - 1.0)) <= 1e-9
+        assert np.max(np.abs(got / recon - 1.0)) <= 1e-9
 
 
 class TestPermanentBounds:
@@ -236,20 +406,18 @@ class TestTorontonianBounds:
 class TestBlockABudget:
     def test_factors_positive_and_tight_against_radius(self):
         n, r_list = 3.0, np.array([0.1, 0.2, 0.15])
-        budget = bounds.budget_hafnian_block_a(n, r_list)
-        assert np.all(budget.factors > 0.0)
-        # budget dominates the realized sampling radius of the estimator
         u = lo.haar_unitary(3, 8)
-        circuit = lo.CircuitSpec(
-            tuple((float(r), n) for r in r_list), u, (photon(1),) * 3
-        )
+        emb = lo.embed_hafnian_block_a(n, r_list, u)
+        got = rule(emb)
+        assert np.all(got > 0.0)
+        # the budget is the realized sampling bound of the estimator: the
+        # mode suprema at the analytic reverse shift times sqrt|V_Q|
         gamma, direction = est.optimal_gamma_st(n, float(np.max(r_list)))[:2]
-        s = circuit.s_max
-        sups = est.mode_sups(circuit, s, gamma, direction)
+        sups = est.mode_sups(emb.circuit, emb.circuit.s_max, gamma, direction)
         sq_vq = lo.sqrt_vq_factor(n, r_list)
-        assert sq_vq * float(np.prod(sups)) <= budget.product * (1 + 1e-9)
+        assert sq_vq * float(np.prod(sups)) == pytest.approx(float(np.prod(got)), rel=1e-12)
 
     def test_degenerate_boundary_rejected(self):
         # vacuum inputs: s = a_min = 1, where k_minus = 0 and no photon factor exists
         with pytest.raises(PreconditionAminBelowOne, match="degenerate boundary"):
-            bounds.budget_hafnian_block_a(0.0, [0.0, 0.0])
+            lo.embed_hafnian_block_a(0.0, [0.0, 0.0])

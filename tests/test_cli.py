@@ -1,6 +1,7 @@
 """Command-line interface: schemas, reports, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from pqdkit import cli
 from pqdkit import estimator as est
+from pqdkit import linear_optics as lo
 from pqdkit.errors import SchemaError
 
 
@@ -132,6 +134,29 @@ class TestCommands:
                 assert cli.main(argv + threads + ["--seed", "2", "--output", str(out)]) == 0
                 blobs.add(out.read_bytes())
             assert len(blobs) == 1
+
+    def test_reports_do_not_depend_on_blas_threads(self, circuit_file, per_matrix, tmp_path):
+        # each report is written by a fresh interpreter whose OpenBLAS pool
+        # has one or two threads; the bytes must not change
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = {
+            "prob": ["estimate-prob", "--circuit", circuit_file, "--samples", "80000"],
+            "per": ["estimate-per", "--matrix", per_matrix],
+        }
+        for name, argv in runs.items():
+            digests = set()
+            for blas in ("1", "2"):
+                out = tmp_path / f"{name}-{blas}.json"
+                env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=blas)
+                subprocess.run(
+                    [sys.executable, "-m", "pqdkit.cli", *argv, "--seed", "2", "--output", str(out)],
+                    env=env,
+                    check=True,
+                    timeout=120,
+                )
+                digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+            assert len(digests) == 1, name
 
     def test_matrix_commands_pass_threads_on(self, per_matrix, tmp_path, monkeypatch):
         seen = []
@@ -255,7 +280,12 @@ class TestCommands:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["bounds"]["lower"] <= report["bounds"]["upper"]
-        assert len(report["budget"]["factors"]) == 3
+        # the budget of a default estimate on diag(lambdas), in input order
+        emb = lo.embed_permanent(np.diag([0.7, 0.5, 0.3]))
+        s = emb.circuit.s_max - est.S_MAX_MARGIN
+        factors = est.budget_factors(emb, s, *est.ANALYTIC_SHIFTS[emb.family](emb)[:2])
+        assert report["budget"]["factors"] == factors[::-1].tolist()
+        assert report["budget"]["formula_id"] == "budget.permanent"
 
     def test_oracle_command(self, per_matrix, tmp_path):
         out = tmp_path / "oracle.json"
@@ -369,7 +399,9 @@ class TestInputHardening:
             assert cli.main(argv + ["--samples", samples]) == 1
             assert capsys.readouterr().err.startswith("input error: /samples: ")
 
-    @pytest.mark.parametrize("flag, value", [("--samples", "4096"), ("--s", "1.5"), ("--gamma", "0.2")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--samples", "4096"), ("--s", "1.5"), ("--gamma", "0.2"), ("--chunks", "3")]
+    )
     def test_multiplicative_rejects_additive_flags(self, flag, value, tmp_path, capsys):
         # the multiplicative estimator sets its own sample count, ordering and shift
         circ = write_json(

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
-from pqdkit import bounds, cli, estimator as est, linear_optics as lo, oracles
+from pqdkit import cli, estimator as est, linear_optics as lo, oracles
 from pqdkit import factors
 from pqdkit import phase_space as ps
 from pqdkit.errors import (
@@ -48,6 +48,13 @@ def photon_factor(m, s, rate):
     c = 2.0 / sp + rate
     k = 4.0 / (1.0 - s * s)
     return lambda b: (2.0 / sp) * ((s - 1.0) / sp) ** m * eval_laguerre(m, k * b) * np.exp(-c * b)
+
+
+def analytic_budget(emb, s=None):
+    """Per-mode budget factors of ``emb`` at its family's analytic shift and
+    s (default s_max)."""
+    s = emb.circuit.s_max if s is None else s
+    return est.budget_factors(emb, s, *est.ANALYTIC_SHIFTS[emb.family](emb)[:2])
 
 
 def log_norm(cov, s, rate):
@@ -195,8 +202,8 @@ class TestOptimalGammas:
     def test_thermal_discriminant_branch_beats_rank_deficient_rule(self):
         lam_min, lam_max = 0.3, 0.6
         choice = est.optimal_gamma_thermal(lam_min, lam_max)
-        budget_d = bounds.budget_permanent([lam_min, lam_max]).factors
-        budget_0 = 4.0 * lam_max**2 / (math.e * (2.0 * lam_max - np.array([lam_min, lam_max])))
+        budget_d = analytic_budget(lo.embed_permanent(np.diag([lam_max, lam_min])))
+        budget_0 = 4.0 * lam_max**2 / (math.e * (2.0 * lam_max - np.array([lam_max, lam_min])))
         assert np.all(budget_d <= budget_0 + 1e-12)
         assert not choice.fpras_recommended
 
@@ -245,18 +252,18 @@ class TestFactorBound:
 
     def test_thermal_rank_deficient_top_factor(self):
         lam = 0.4
-        budget = bounds.budget_permanent([0.0, lam])
-        assert budget.factors[-1] == pytest.approx(4.0 * lam / math.e, rel=1e-9)
-        assert budget.factors[0] == pytest.approx(2.0 * lam / math.e, rel=1e-9)
+        budget = analytic_budget(lo.embed_permanent(np.diag([lam, 0.0])), 1.0 - est.S_MAX_MARGIN)
+        assert budget[0] == pytest.approx(4.0 * lam / math.e, rel=1e-9)
+        assert budget[-1] == pytest.approx(2.0 * lam / math.e, rel=1e-9)
 
     def test_threshold_squeezed_budget_value(self):
         lam_max = 0.5
-        budget = bounds.budget_torontonian("squeezed", lambdas=[lam_max])
+        budget = analytic_budget(lo.embed_torontonian(lo.block_r_prime(np.diag([lam_max]))))
         # per-mode budget equals Z * sup of the shifted click factor
         circuit = squeezed_circuit([math.atanh(lam_max)], 11, pattern=(CLICK,))
         s = circuit.s_max
         sups = est.mode_sups(circuit, s, 0.25, est.FORWARD)
-        assert budget.factors[0] == pytest.approx(
+        assert budget[0] == pytest.approx(
             sups[0] / math.sqrt(1.0 - lam_max**2), rel=1e-9
         )
 
@@ -1240,3 +1247,61 @@ class TestSampleOverride:
         assert est.estimate_probability(circuit, cfg).n_used == 7
         b_mat = np.array([[2.0, 1.0], [1.0, 2.0]])
         assert est.estimate_permanent_hpsd(b_mat, cfg).report.n_used == 7
+
+
+def _matrix_cases(m=3, seed=5):
+    """(name, estimator, embedding) of one matrix of each family."""
+    rng = np.random.default_rng(seed)
+    u = lo.haar_unitary(m, seed).u
+    r_mat = (u * rng.uniform(0.1, 0.6, m)) @ u.T
+    r_mat = (r_mat + r_mat.T) / 2.0
+    b_mat = (u * rng.uniform(0.2, 0.6, m)) @ u.conj().T
+    b_mat = (b_mat + b_mat.conj().T) / 2.0
+    mats = {
+        "torR": lo.block_r_prime(r_mat * (0.5 / np.max(np.abs(np.linalg.svd(r_mat)[1])))),
+        "torB": lo.block_b_prime(b_mat),
+        "torA": lo.block_a_prime(0.7, rng.uniform(0.1, 0.3, m), lo.Interferometer(m, u)),
+    }
+    cases = [
+        ("haf", lambda cfg: est.estimate_hafnian_sq(r_mat, cfg), lo.embed_hafnian(r_mat)),
+        ("per", lambda cfg: est.estimate_permanent_hpsd(b_mat, cfg), lo.embed_permanent(b_mat)),
+    ]
+    for name, mat in mats.items():
+        cases.append((name, lambda cfg, mat=mat: est.estimate_torontonian(mat, cfg), lo.embed_torontonian(mat)))
+    return cases
+
+
+class TestBudgetCoversRadius:
+    """A matrix estimate's budget is epsilon_n times the bound of the sampler
+    it ran, so it covers the run's Hoeffding radius whatever shift, ordering
+    or sample count the caller sets.  (A reverse shift leaves a click factor
+    unbounded; both sides are then infinite.)"""
+
+    @pytest.mark.parametrize("name, estimate, emb", _matrix_cases(), ids=lambda x: x if isinstance(x, str) else "")
+    def test_radius_within_budget(self, name, estimate, emb):
+        base = est.EstimatorConfig(seed=4)
+        runs = {
+            "analytic": base,
+            "gamma 0": replace(base, gamma_mode=(0.0, est.FORWARD)),
+            "gamma 0.3 reverse": replace(base, gamma_mode=(0.3, est.REVERSE)),
+            "s below s_max": replace(base, s=0.5 * emb.circuit.s_max),
+        }
+        for run, cfg in runs.items():
+            res = estimate(cfg)
+            rep = res.report
+            factors = est.budget_factors(emb, rep.s, rep.gamma, rep.direction)
+            assert np.array_equal(res.budget_factors, factors), run
+            assert res.budget == 0.05 * float(np.prod(factors)), run
+            assert res.conf_radius <= res.budget, run
+
+    @pytest.mark.parametrize("name, estimate, emb", _matrix_cases(), ids=lambda x: x if isinstance(x, str) else "")
+    def test_sample_override_widens_budget(self, name, estimate, emb):
+        # n = 100 reaches only sqrt(2 ln(2/delta) / 100) = 0.27 > epsilon
+        full = estimate(est.EstimatorConfig(seed=4))
+        few = estimate(est.EstimatorConfig(seed=4, n_samples=100))
+        assert few.report.n_used == 100
+        eps_n = math.sqrt(2.0 * math.log(2.0 / 0.05) / 100)
+        assert few.budget == pytest.approx(eps_n * float(np.prod(few.budget_factors)), rel=1e-12)
+        assert few.budget == pytest.approx(eps_n / 0.05 * full.budget, rel=1e-12)
+        assert few.conf_radius <= few.budget
+        assert few.conf_radius > full.budget
