@@ -319,45 +319,31 @@ def _violation_found(profile, witness_q: float) -> bool:
 
 
 def criterion_7(seed: int = 0, draws: int = 1000) -> CriterionResult:
-    """Log-concavity conditions: closed forms match coefficient-level checks;
-    numeric line scans confirm certificates and genuine violations."""
+    """Log-concavity conditions: closed forms match the certificates of the
+    extreme-mode circuits they are stated for; numeric line scans confirm
+    certificates and genuine violations."""
     rng = _rng(seed, 7)
     problems = []
 
     mismatch = 0
     for _ in range(draws):
         lam = np.sort(rng.uniform(0.02, 0.98, 2))
-        closed = lam[1] / lam[0] <= 2.0
-        a, b, c = fpras.permanent_coefficients(float(lam[0]), float(lam[1]))
-        if closed != fpras._quadratic_condition(a, b, c):
-            mismatch += 1
-        if closed != fpras.fpras_condition_permanent(lam):
-            mismatch += 1
-
-        n = float(rng.uniform(0.0, 6.0))
-        r_max = float(rng.uniform(0.01, 1.0))
-        a, b, c = fpras.hafnian_st_coefficients(n, r_max)
-        if fpras.fpras_condition_hafnian(n, r_max) != fpras._quadratic_condition(a, b, c):
-            mismatch += 1
-
+        n, r_max = float(rng.uniform(0.0, 6.0)), float(rng.uniform(0.01, 1.0))
         lam2 = np.sort(rng.uniform(0.02, 0.98, 2))
-        a, b, c = fpras.tor_thermal_coefficients(float(lam2[0]), float(lam2[1]))
-        if fpras.fpras_condition_tor_thermal(float(lam2[0]), float(lam2[1])) != fpras._threshold_condition(a, b, c):
-            mismatch += 1
-
-        n2 = float(rng.uniform(0.0, 30.0))
-        r2 = float(rng.uniform(0.01, 0.5))
-        a, b, c = fpras.tor_st_coefficients(n2, r2)
-        if fpras.fpras_condition_tor_st(n2, r2) != fpras._threshold_condition(a, b, c):
-            mismatch += 1
-
-        eta = float(rng.uniform(0.0, 0.95))
-        nth = float(rng.uniform(0.0, 30.0))
-        a, b, c = fpras.gbs_noise_coefficients(eta, r_max, nth)
-        if fpras.fpras_condition_gbs_noise(eta, r_max, nth) != fpras._threshold_condition(a, b, c):
-            mismatch += 1
+        n2, r2 = float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.01, 0.5))
+        eta, nth = float(rng.uniform(0.0, 0.95)), float(rng.uniform(0.0, 30.0))
+        mismatch += bool(lam[1] / lam[0] <= 2.0) != fpras.fpras_condition_permanent(lam)
+        for family, params in (
+            ("permanent", (lam,)),
+            ("hafnian", (n, r_max)),
+            ("tor-thermal", (float(lam2[0]), float(lam2[1]))),
+            ("tor-squeezed-thermal", (n2, r2)),
+            ("gbs-noise", (eta, r_max, nth)),
+        ):
+            holds, cert = fpras.check_condition(family, *params)
+            mismatch += holds != cert.holds
     if mismatch:
-        problems.append(f"{mismatch} closed-form/coefficient disagreements")
+        problems.append(f"{mismatch} closed-form/certificate disagreements")
 
     # passing certificates are numerically concave along random lines
     concave_fail = 0

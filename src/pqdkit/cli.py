@@ -29,6 +29,7 @@ from .errors import (
     NotLogConcave,
     OrderingOutOfRange,
     PqdkitError,
+    PreconditionAminBelowOne,
     SchemaError,
 )
 from .phase_space import CLICK, MARGINAL, NOCLICK, photon
@@ -325,38 +326,14 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-# check-fpras family -> (flags, condition, coefficients (a, b, c), certificate)
-_CHECK_FPRAS = {
-    "permanent": (
-        ("lambdas",),
-        fpras.fpras_condition_permanent,
-        lambda lams: fpras.permanent_coefficients(min(lams), max(lams)),
-        "QuadraticFactor",
-    ),
-    "hafnian": (
-        ("n", "r_max"),
-        fpras.fpras_condition_hafnian,
-        fpras.hafnian_st_coefficients,
-        "QuadraticFactor",
-    ),
-    "tor-thermal": (
-        ("lambda_min", "lambda_max"),
-        fpras.fpras_condition_tor_thermal,
-        fpras.tor_thermal_coefficients,
-        "ThresholdFactor",
-    ),
-    "tor-squeezed-thermal": (
-        ("n", "r_max"),
-        fpras.fpras_condition_tor_st,
-        fpras.tor_st_coefficients,
-        "ThresholdFactor",
-    ),
-    "gbs-noise": (
-        ("eta", "r_max", "n_th"),
-        fpras.fpras_condition_gbs_noise,
-        fpras.gbs_noise_coefficients,
-        "ThresholdFactor",
-    ),
+# check-fpras family -> the flags of its parameters, in the order its
+# condition and circuit (``fpras.CONDITION_CIRCUITS``) take them
+_CONDITION_FLAGS = {
+    "permanent": ("lambdas",),
+    "hafnian": ("n", "r_max"),
+    "tor-thermal": ("lambda_min", "lambda_max"),
+    "tor-squeezed-thermal": ("n", "r_max"),
+    "gbs-noise": ("eta", "r_max", "n_th"),
 }
 # flags each bounds family needs beyond its list flags
 _BOUNDS_FLAGS = {"hafnian-block-a": ("n",), "tor-squeezed-thermal": ("n",)}
@@ -369,29 +346,17 @@ def _require_flags(args, names) -> None:
             raise SchemaError(f"/{flag}", f"--family {args.family} needs --{flag}")
 
 
-def _certificate(kind: str, a: float, b: float, c: float) -> fpras.LogConcavityCertificate:
-    """Certificate of the family's factor; a factor that is not positive
-    fails with its positivity margin."""
-    c = min(c, 1e300)
-    if kind == "QuadraticFactor":
-        if a < 0.0:
-            return fpras.LogConcavityCertificate(False, kind, a)
-        return fpras.check_quadratic_factor(a, b, c)
-    if a <= b:
-        return fpras.LogConcavityCertificate(False, kind, a - b)
-    return fpras.check_threshold_factor(a, b, c)
-
-
 def _cmd_check_fpras(args) -> int:
     report = _base_report("check-fpras", args.seed)
-    flags, condition, coefficients, kind = _CHECK_FPRAS[args.family]
+    flags = _CONDITION_FLAGS[args.family]
     if flags == ("lambdas",):
         values = [_parse_float_list(args.lambdas, "/lambdas")]
+        if max(values[0]) >= 1.0:
+            raise SchemaError("/lambdas", "eigenvalues must be rescaled into (0, 1)")
     else:
         _require_flags(args, flags)
         values = [getattr(args, name) for name in flags]
-    holds = condition(*values)
-    cert = _certificate(kind, *coefficients(*values))
+    holds, cert = fpras.check_condition(args.family, *values)
     if args.family == "gbs-noise":
         report["noise_threshold"] = fpras.gbs_noise_threshold(args.eta, args.r_max)
     report["family"] = args.family
@@ -418,12 +383,18 @@ def _cmd_bounds(args) -> int:
     if family in ("hafnian-block-a", "tor-squeezed-thermal"):
         spectrum = _parse_float_list(args.r_list, "/r-list")
         if family == "hafnian-block-a":
-            rep = bounds.hafnian_bounds(args.n, spectrum)
             emb = lo.embed_hafnian_block_a(args.n, spectrum)
+            sandwich = lambda: bounds.hafnian_bounds(args.n, spectrum)
         else:
-            rep = bounds.torontonian_bounds("squeezed_thermal", n=args.n, r_list=spectrum)
             interf = lo.identity_interferometer(len(spectrum))
             emb = lo.embed_torontonian(lo.block_a_prime(args.n, spectrum, interf))
+            sandwich = lambda: bounds.torontonian_bounds(
+                "squeezed_thermal", n=args.n, r_list=spectrum
+            )
+        try:
+            rep = sandwich()
+        except PreconditionAminBelowOne:
+            pass  # the sandwich is derived for a_min >= 1 only; the budget is not
     else:
         spectrum = _parse_float_list(args.lambdas, "/lambdas")
         diag = np.diag(spectrum)
@@ -569,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=["permanent", "hafnian", "tor-thermal", "tor-squeezed-thermal", "gbs-noise"],
+        choices=list(_CONDITION_FLAGS),
     )
     p.add_argument("--lambdas", default="", help="comma-separated eigenvalues")
     p.add_argument("--lambda-min", type=float, default=None)

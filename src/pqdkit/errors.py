@@ -74,10 +74,6 @@ class NegativeCoefficient(PqdkitError):
     """Log-concavity check called with a negative coefficient."""
 
 
-class NonPositiveFactor(PqdkitError):
-    """Threshold factor is not strictly positive (a <= b)."""
-
-
 class ZeroEigenvalue(PqdkitError):
     """Spectrum touches zero where a strictly positive one is required."""
 

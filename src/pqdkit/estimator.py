@@ -760,18 +760,18 @@ def _fused_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
     return units
 
 
-def chunk_sums(sampler: FoldedSampler, seed: int, sizes, first: int, threads, bound) -> np.ndarray:
-    """Σw and Σw² (rows) of chunks ``first``, ``first + 1``, ... of ``sizes``
-    samples (columns, in chunk order), chunk c on stream c of ``seed``.
-    Chunks are fused into batches of at most ``FUSED_BATCH`` samples (a
-    larger chunk is drawn in pieces of that size), drawn by ``threads``
-    workers (default: every usable CPU) without changing the result.  A |w|
-    above ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises ``BoundViolation``."""
+def chunk_sums(sampler: FoldedSampler, words: np.ndarray, sizes, threads, bound) -> np.ndarray:
+    """Σw and Σw² (rows) of chunks of ``sizes`` samples (columns, in chunk
+    order), chunk i on the stream seeded by row i of ``words`` (rows of
+    ``_chunk_words``).  Chunks are fused into batches of at most
+    ``FUSED_BATCH`` samples (a larger chunk is drawn in pieces of that size),
+    drawn by ``threads`` workers (default: every usable CPU) without changing
+    the result.  A |w| above ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises
+    ``BoundViolation``."""
     if threads is None:
         threads = _usable_cpus()
     elif threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
-    words = _chunk_words(seed, first + len(sizes))[first:]
     units = _fused_units(sizes)
     limit = (1.0 + WEIGHT_BOUND_RTOL) * bound
 
@@ -855,7 +855,8 @@ def estimate_probability(
     sizes = _chunk_sizes(n_total, config.chunks)
     # every weight is bounded by the product of its modes' claimed suprema;
     # the sample count and the radius are void if one is not
-    sum_w = chunk_sums(sampler, config.seed, sizes, 0, threads, float(np.prod(active_sups)))[0]
+    words = _chunk_words(config.seed, len(sizes))
+    sum_w = chunk_sums(sampler, words, sizes, threads, float(np.prod(active_sups)))[0]
     # running sums after each chunk, added in chunk order
     running = np.cumsum(sum_w)
     n_done = np.cumsum(sizes)

@@ -1,5 +1,5 @@
-"""Log-concavity certificates and a desk-scale multiplicative-error
-estimator.
+"""Log-concavity certificates, the paper's closed-form conditions, and a
+desk-scale multiplicative-error estimator.
 
 The certificates implement two sufficient conditions: a quadratic-prefactor
 family (a + b*q(x))*exp(-c*q(x)) is log-concave when c*a >= b, and a
@@ -7,7 +7,14 @@ threshold family (a - b*exp(-b*q(x)))*exp(-c*q(x)) when a >= (b^2 + 2bc)/c.
 The quadratic condition is tight.  The threshold condition is conservative:
 an actual violating line exists only when a < b + b^2/c (the supremum of the
 line-restricted second derivative is attained at the origin), so
-certificates in the conservative band report no witness.
+certificates in the conservative band report no witness.  A factor that is
+not positive at the origin fails with that margin (a, or a - b).
+
+Every (a, b, c) comes from ``RadialFactor.certificate_form`` of a circuit's
+shifted factors (``circuit_certificates``).  A closed-form condition is
+checked on the circuit of extreme modes it is stated for
+(``CONDITION_CIRCUITS``, ``check_condition``), so a condition and the
+certificates ``estimate_multiplicative`` requires cannot disagree.
 
 The multiplicative estimator importance-samples the full 2M-dimensional
 integrand with its Laplace Gaussian at the origin, the mode of every
@@ -29,7 +36,6 @@ import numpy as np
 from .errors import (
     NegativeCoefficient,
     NonConvergent,
-    NonPositiveFactor,
     NotLogConcave,
     NotPositiveDefinite,
     OrderingOutOfRange,
@@ -40,11 +46,12 @@ from .estimator import (
     FORWARD,
     S_MAX_MARGIN,
     EstimatorConfig,
+    _chunk_words,
     build_folded_sampler,
     chunk_sums,
 )
-from .linear_optics import CircuitSpec
-from .phase_space import pi_w_profile
+from .linear_optics import CircuitSpec, identity_interferometer
+from .phase_space import CLICK, photon, pi_w_profile
 
 ESS_PER_EPS_SQ = 50.0
 # EstimatorConfig fields of the additive estimator only; the multiplicative
@@ -69,38 +76,37 @@ QUADRATIC_MARGIN_RTOL = 1e-12
 def check_quadratic_factor(a: float, b: float, c: float) -> LogConcavityCertificate:
     """Certificate for (a + b*q)*exp(-c*q): holds iff c*a >= b (tight).
 
-    A margin down to -QUADRATIC_MARGIN_RTOL * (c*a + b) is accepted: that
-    covers only the rounding of coefficients computed from a rescaled
-    spectrum (a permanent spectrum ratio of exactly 2 lands at margin
-    -1.8e-15), not a real violation.
+    A factor that is not positive at the origin (a <= 0) fails with margin
+    a.  An infinite c (the full shift of equal input variances) gives the
+    limit margin +inf.  A margin down to -QUADRATIC_MARGIN_RTOL * (c*a + b)
+    is accepted: that covers only the rounding of coefficients computed from
+    a rescaled spectrum (a permanent spectrum ratio of exactly 2 lands at
+    margin -1.8e-15), not a real violation.
     """
-    if a < 0.0 or b < 0.0 or c < 0.0:
-        raise NegativeCoefficient("coefficients must be nonnegative")
+    if b < 0.0 or c < 0.0:
+        raise NegativeCoefficient("need b >= 0 and c >= 0 for the quadratic family")
+    if a <= 0.0:
+        return LogConcavityCertificate(False, "QuadraticFactor", a)
     margin = c * a - b
     if margin >= -QUADRATIC_MARGIN_RTOL * (c * a + b):
         return LogConcavityCertificate(True, "QuadraticFactor", margin)
-    if a > 0.0:
-        q0 = 0.0
-    else:
-        # log(b*q) is convex near any positive offset smaller than 1/c
-        q0 = 0.25 / c if c > 0.0 else 0.25
-    gpp = 2.0 * b / (a + b * q0) - 2.0 * c
-    return LogConcavityCertificate(False, "QuadraticFactor", margin, ("offset", q0, gpp))
+    gpp = 2.0 * b / a - 2.0 * c  # along the line through the origin
+    return LogConcavityCertificate(False, "QuadraticFactor", margin, ("offset", 0.0, gpp))
 
 
 def check_threshold_factor(a: float, b: float, c: float) -> LogConcavityCertificate:
     """Certificate for (a - b*exp(-b*q))*exp(-c*q): holds iff a >= (b^2+2bc)/c.
 
-    Sufficient only; a violating line exists exactly when a < b + b^2/c, in
-    which case the witness is the line through the origin.
+    A factor that is not positive at the origin (a <= b) fails with margin
+    a - b; an infinite c gives the limit margin a - 2b.  Sufficient only: a
+    violating line exists exactly when a < b + b^2/c, in which case the
+    witness is the line through the origin.
     """
-    if a < 0.0 or b < 0.0 or c < 0.0:
-        raise NegativeCoefficient("coefficients must be nonnegative")
-    if c <= 0.0:
-        raise NegativeCoefficient("c must be positive for the threshold family")
+    if b < 0.0 or c <= 0.0:
+        raise NegativeCoefficient("need b >= 0 and c > 0 for the threshold family")
     if a <= b:
-        raise NonPositiveFactor(f"need a > b for a positive factor, got a={a}, b={b}")
-    margin = a - (b * b + 2.0 * b * c) / c
+        return LogConcavityCertificate(False, "ThresholdFactor", a - b)
+    margin = a - 2.0 * b if c == math.inf else a - (b * b + 2.0 * b * c) / c
     witness = None
     if a < b + b * b / c:
         gpp = 2.0 * b * b / (a - b) - 2.0 * c
@@ -108,73 +114,31 @@ def check_threshold_factor(a: float, b: float, c: float) -> LogConcavityCertific
     return LogConcavityCertificate(margin >= 0.0, "ThresholdFactor", margin, witness)
 
 
+_CHECKS = {"QuadraticFactor": check_quadratic_factor, "ThresholdFactor": check_threshold_factor}
+
+
+def circuit_certificates(circuit: CircuitSpec) -> list[LogConcavityCertificate]:
+    """Per-mode log-concavity certificates at full forward shift and the
+    circuit's exact classicality."""
+    s = circuit.s_max
+    gap = circuit.a_max - s
+    rate = math.inf if gap <= 0.0 else 2.0 / gap
+    certs = []
+    for out in circuit.pattern:
+        if out.is_gaussian:
+            certs.append(LogConcavityCertificate(True, "QuadraticFactor", math.inf))
+            continue
+        try:
+            family, coefs = pi_w_profile(out, s).certificate_form(rate)
+        except OrderingOutOfRange as err:  # s = 1: a photon factor vanishes at b = 0
+            raise NotLogConcave(f"{err}; it vanishes at unit classicality") from err
+        certs.append(_CHECKS[family](*coefs))
+    return certs
+
+
 # ---------------------------------------------------------------------------
-# coefficient extraction per condition family
+# condition families, each checked on the extreme-mode circuit it is stated for
 # ---------------------------------------------------------------------------
-
-
-def permanent_coefficients(lambda_min: float, lambda_max: float):
-    """(a, b, c) of the single-photon factor for thermal inputs at full
-    forward shift and s at the classicality; the spectrum must be rescaled
-    into (0, 1) as ``embed_permanent`` does."""
-    if not (0.0 < lambda_min <= lambda_max < 1.0):
-        raise ValueError("need 0 < lambda_min <= lambda_max < 1")
-    n_min = lambda_min / (1.0 - lambda_min)
-    n_max = lambda_max / (1.0 - lambda_max)
-    s = 2.0 * n_min + 1.0
-    gap = n_max - n_min
-    c = 1.0 / (n_min + 1.0) + (math.inf if gap <= 0.0 else 1.0 / gap)
-    return 2.0 * (s * s - 1.0), 8.0, c
-
-
-def hafnian_st_coefficients(n: float, r_max: float):
-    s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
-    a_max = (2.0 * n + 1.0) * math.exp(2.0 * r_max)
-    gap = a_max - s
-    c = 2.0 / (s + 1.0) + (math.inf if gap <= 0.0 else 2.0 / gap)
-    return 2.0 * (s * s - 1.0), 8.0, c
-
-
-def tor_thermal_coefficients(lambda_min: float, lambda_max: float):
-    n_min = lambda_min / (1.0 - lambda_min)
-    n_max = lambda_max / (1.0 - lambda_max)
-    s = 2.0 * n_min + 1.0
-    gap = n_max - n_min
-    c = math.inf if gap <= 0.0 else 1.0 / gap
-    return 1.0, 2.0 / (s + 1.0), c
-
-
-def tor_st_coefficients(n: float, r_max: float):
-    s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
-    a_max = (2.0 * n + 1.0) * math.exp(2.0 * r_max)
-    gap = a_max - s
-    c = math.inf if gap <= 0.0 else 2.0 / gap
-    return 1.0, 2.0 / (s + 1.0), c
-
-
-def gbs_noise_coefficients(eta: float, r_max: float, n_th: float):
-    env = (1.0 - eta) * (2.0 * n_th + 1.0)
-    s = eta * math.exp(-2.0 * r_max) + env
-    a_max = eta * math.exp(2.0 * r_max) + env
-    gap = a_max - s
-    c = math.inf if gap <= 0.0 else 2.0 / gap
-    return 1.0, 2.0 / (s + 1.0), c
-
-
-def _threshold_condition(a: float, b: float, c: float) -> bool:
-    if a <= b:
-        return False
-    if math.isinf(c):
-        return a >= 2.0 * b
-    return a >= (b * b + 2.0 * b * c) / c
-
-
-def _quadratic_condition(a: float, b: float, c: float) -> bool:
-    if a <= 0.0:
-        return False
-    if math.isinf(c):
-        return True
-    return c * a >= b
 
 
 def fpras_condition_permanent(lambdas) -> bool:
@@ -226,31 +190,58 @@ def fpras_condition_gbs_noise(eta: float, r_max: float, n_th: float) -> bool:
     return n_th >= gbs_noise_threshold(eta, r_max)
 
 
+def _circuit(modes, outcome, eta: float = 1.0, n_th: float = 0.0) -> CircuitSpec:
+    """Modes ``(r, n)`` on the identity interferometer, each measured by
+    ``outcome``."""
+    m = len(modes)
+    return CircuitSpec(tuple(modes), identity_interferometer(m), (outcome,) * m, eta, n_th)
+
+
+def _thermal_pair(lambda_min: float, lambda_max: float, outcome) -> CircuitSpec:
+    """Thermal modes of eigenvalues lambda_min and lambda_max, occupation
+    lambda / (1 - lambda); a permanent's spectrum must first be rescaled
+    into (0, 1) as ``embed_permanent`` does."""
+    if not (0.0 <= lambda_min <= lambda_max < 1.0):
+        raise ValueError("need 0 <= lambda_min <= lambda_max < 1")
+    return _circuit([(0.0, x / (1.0 - x)) for x in (lambda_min, lambda_max)], outcome)
+
+
+def _noisy_mode(eta: float, r_max: float, n_th: float) -> CircuitSpec:
+    """One squeezed vacuum through a transmissivity-eta channel; at eta = 0
+    only the environment's thermal mode is left."""
+    if eta == 0.0:
+        return _circuit([(0.0, n_th)], CLICK)
+    return _circuit([(r_max, 0.0)], CLICK, eta, n_th)
+
+
+# condition family -> (closed-form condition, the circuit of extreme modes it
+# is stated for); a family's certificate coefficients are that circuit's
+CONDITION_CIRCUITS = {
+    "permanent": (
+        fpras_condition_permanent,
+        lambda lambdas: _thermal_pair(min(lambdas), max(lambdas), photon(1)),
+    ),
+    "hafnian": (fpras_condition_hafnian, lambda n, r_max: _circuit([(r_max, n)], photon(1))),
+    "tor-thermal": (
+        fpras_condition_tor_thermal,
+        lambda lambda_min, lambda_max: _thermal_pair(lambda_min, lambda_max, CLICK),
+    ),
+    "tor-squeezed-thermal": (fpras_condition_tor_st, lambda n, r_max: _circuit([(r_max, n)], CLICK)),
+    "gbs-noise": (fpras_condition_gbs_noise, _noisy_mode),
+}
+
+
+def check_condition(family: str, *params) -> tuple[bool, LogConcavityCertificate]:
+    """A condition family's closed form at ``params`` and the certificate of
+    its extreme-mode circuit, the one ``estimate_multiplicative`` requires
+    (every measured mode of that circuit has the same one)."""
+    condition, circuit = CONDITION_CIRCUITS[family]
+    return condition(*params), circuit_certificates(circuit(*params))[0]
+
+
 # ---------------------------------------------------------------------------
 # multiplicative-error estimation
 # ---------------------------------------------------------------------------
-
-
-_CHECKS = {"QuadraticFactor": check_quadratic_factor, "ThresholdFactor": check_threshold_factor}
-
-
-def circuit_certificates(circuit: CircuitSpec) -> list[LogConcavityCertificate]:
-    """Per-mode log-concavity certificates at full forward shift and the
-    circuit's exact classicality."""
-    s = circuit.s_max
-    gap = circuit.a_max - s
-    rate = math.inf if gap <= 0.0 else 2.0 / gap
-    certs = []
-    for out in circuit.pattern:
-        if out.is_gaussian:
-            certs.append(LogConcavityCertificate(True, "QuadraticFactor", math.inf))
-            continue
-        try:
-            family, coefs = pi_w_profile(out, s).certificate_form(rate)
-        except OrderingOutOfRange as err:  # s = 1: a photon factor vanishes at b = 0
-            raise NotLogConcave(f"{err}; it vanishes at unit classicality") from err
-        certs.append(_CHECKS[family](*coefs))
-    return certs
 
 
 @dataclass
@@ -323,6 +314,7 @@ def estimate_multiplicative(
     w_origin = sampler.scale * math.prod(float(p(0.0)) for p in sampler.polys if p is not None)
     z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
     ess_target = ESS_PER_EPS_SQ / epsilon**2
+    words = _chunk_words(config.seed, 0)  # seed rows of the chunks, grown on demand
     s1 = s2 = 0.0  # sums of weights and of squared weights
     n_used = n_check = 0
     batch = CHUNK
@@ -332,7 +324,11 @@ def estimate_multiplicative(
         if n_check < ess_target:
             continue  # ESS <= n (Cauchy-Schwarz), so the rule cannot stop yet
         sizes = [min(CHUNK, n_check - n) for n in range(n_used, n_check, CHUNK)]
-        sum_w, sum_sq = chunk_sums(sampler, config.seed, sizes, n_used // CHUNK, threads, w_origin)
+        first = n_used // CHUNK
+        end = first + len(sizes)
+        if end > len(words):  # rows come only as a prefix: regrow to twice the need
+            words = _chunk_words(config.seed, 2 * end)
+        sum_w, sum_sq = chunk_sums(sampler, words[first:end], sizes, threads, w_origin)
         s1, s2 = sum(sum_w.tolist(), s1), sum(sum_sq.tolist(), s2)  # in chunk order
         n_used = n_check
         if not math.isfinite(s2):

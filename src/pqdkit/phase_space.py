@@ -258,20 +258,15 @@ class RadialFactor:
         """The log-concavity certificate family of the shifted factor and its
         (a, b, c), up to a positive constant: a click's (1 - b*exp(-b*q)) *
         exp(-c*q) with a = 1 ("ThresholdFactor"), one photon's (a + b*q) *
-        exp(-c*q) scaled to b = 8 ("QuadraticFactor").  Raises
-        ``NotLogConcave`` where the factor is not strictly positive or no
-        family covers it."""
+        exp(-c*q) scaled to b = 8 ("QuadraticFactor").  A factor that is not
+        positive at the origin keeps its form; its check fails with the
+        positivity margin.  Raises ``NotLogConcave`` for photon counts other
+        than one, which no family covers."""
         c = self.decay + rate
         if self.a:
-            if self.a >= 1.0:
-                raise NotLogConcave(
-                    "threshold factor is not strictly positive at this classicality"
-                )
             return "ThresholdFactor", (1.0, self.a, c)
         if self.m != 1:
             raise NotLogConcave(f"no log-concavity certificate for photon count {self.m}")
-        if self.k > 0.0:
-            raise NotLogConcave("single-photon factor changes sign below unit classicality")
         return "QuadraticFactor", (-8.0 / self.k, 8.0, c)
 
 

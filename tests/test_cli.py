@@ -272,6 +272,78 @@ class TestCommands:
         report = json.loads(out.read_text())
         assert report["noise_threshold"] == pytest.approx(3.787, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "permanent", "--lambdas", "0.5"],
+            ["--family", "permanent", "--lambdas", "0.55,0.55,0.55"],
+            ["--family", "hafnian", "--n", "3", "--r-max", "0"],
+        ],
+    )
+    def test_check_fpras_degenerate_quadratic_margin_is_null(self, argv, capsys):
+        # equal variances: the full forward shift is infinite, the margin +inf
+        assert cli.main(["check-fpras"] + argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["holds"] is True
+        assert report["certificate"] == {
+            "holds": True,
+            "family": "QuadraticFactor",
+            "margin": None,
+            "witness_line": None,
+        }
+
+    @pytest.mark.parametrize(
+        "argv, margin",
+        [
+            (["--family", "tor-thermal", "--lambda-min", "0.6", "--lambda-max", "0.6"], 0.2),
+            (["--family", "tor-squeezed-thermal", "--n", "3", "--r-max", "0"], 0.5),
+            (["--family", "gbs-noise", "--eta", "0", "--r-max", "0.5", "--n-th", "3"], 0.5),
+        ],
+    )
+    def test_check_fpras_degenerate_threshold_margin(self, argv, margin, capsys):
+        # an infinite shift takes the limit a - 2b of the threshold margin
+        assert cli.main(["check-fpras"] + argv) == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["holds"] is True and cert["family"] == "ThresholdFactor"
+        assert cert["margin"] == pytest.approx(margin, rel=1e-12)
+
+    def test_check_fpras_unit_classicality_is_a_condition_failure(self, capsys):
+        # the vacuum: s_max = 1, where the one-photon factor has no certificate
+        assert cli.main(["check-fpras", "--family", "hafnian", "--n", "0", "--r-max", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("condition failure: ")
+        assert "vanishes at unit classicality" in captured.err
+
+    def test_check_fpras_spectrum_above_one_points_at_lambdas(self, capsys):
+        assert cli.main(["check-fpras", "--family", "permanent", "--lambdas", "1,1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: /lambdas: ")
+
+    @pytest.mark.parametrize(
+        "family, factor",
+        [("hafnian-block-a", 0.6784926949838458), ("tor-squeezed-thermal", 0.8627272859569753)],
+    )
+    def test_bounds_below_unit_a_min_report_the_budget(self, family, factor, capsys):
+        # a_min = 1.2 exp(-1) < 1: the sandwich is not derived there, the budget is
+        argv = ["bounds", "--family", family, "--n", "0.1", "--r-list", "0.5"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "bounds" not in report
+        assert report["budget"]["factors"] == [pytest.approx(factor, rel=1e-12)]
+
+    @pytest.mark.parametrize("family", ["hafnian-block-a", "tor-squeezed-thermal"])
+    def test_bounds_vacuum_boundary_is_an_input_error(self, family, capsys):
+        # n = r = 0: every input is the vacuum, a_min = 1 with k_minus = 0
+        argv = ["bounds", "--family", family, "--n", "0", "--r-list", "0"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        if family == "hafnian-block-a":
+            assert "degenerate boundary" in captured.err
+
     def test_bounds_command(self, tmp_path):
         out = tmp_path / "bounds.json"
         code = cli.main(

@@ -661,7 +661,8 @@ class TestSamplingKernel:
             circuit, circuit.s_max - est.S_MAX_MARGIN, 0.2, est.FORWARD
         )
         sizes = [5000, 3000, 30000, 2 * est.FUSED_BATCH + 7, 1]
-        sums = est.chunk_sums(sampler, 9, sizes, 3, 2, math.inf)
+        words = est._chunk_words(9, 3 + len(sizes))[3:]
+        sums = est.chunk_sums(sampler, words, sizes, 2, math.inf)
         assert sums.shape == (2, len(sizes))
         for i, size in enumerate(sizes):
             w = sampler.draw(chunk_rng(9, 3 + i), size)

@@ -14,7 +14,7 @@ from pqdkit import phase_space as ps
 from pqdkit.errors import (
     BoundViolation,
     NegativeCoefficient,
-    NonPositiveFactor,
+    NonConvergent,
     NotLogConcave,
     TooLarge,
     ZeroEigenvalue,
@@ -60,8 +60,11 @@ class TestQuadraticCertificate:
         assert second_difference_scan(prof) > 0.0
 
     def test_negative_coefficient(self):
+        # a factor negative at the origin fails with its positivity margin a
+        cert = fpras.check_quadratic_factor(-0.1, 1.0, 1.0)
+        assert (cert.holds, cert.margin, cert.witness_line) == (False, -0.1, None)
         with pytest.raises(NegativeCoefficient):
-            fpras.check_quadratic_factor(-0.1, 1.0, 1.0)
+            fpras.check_quadratic_factor(1.0, -0.1, 1.0)
 
     def test_passing_certificates_concave(self):
         rng = np.random.default_rng(0)
@@ -109,8 +112,10 @@ class TestThresholdCertificate:
         assert second_difference_scan(prof) <= 1e-8
 
     def test_nonpositive_factor(self):
-        with pytest.raises(NonPositiveFactor):
-            fpras.check_threshold_factor(0.4, 0.5, 1.0)
+        # a <= b: the factor is not positive at the origin; margin a - b
+        cert = fpras.check_threshold_factor(0.4, 0.5, 1.0)
+        assert (cert.holds, cert.witness_line) == (False, None)
+        assert cert.margin == pytest.approx(-0.1, rel=1e-12)
 
 
 class TestConditionFamilies:
@@ -124,8 +129,9 @@ class TestConditionFamilies:
             fpras.fpras_condition_permanent([0.0, 0.5])
 
     def test_permanent_boundary_margin_zero(self):
-        a, b, c = fpras.permanent_coefficients(0.4, 0.8)
-        assert c * a - b == pytest.approx(0.0, abs=1e-12)
+        holds, cert = fpras.check_condition("permanent", [0.4, 0.8])
+        assert holds and cert.holds
+        assert cert.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_hafnian_zero_squeezing_threshold(self):
         # threshold at r = 0 is (sqrt(4) - 2)/4 = 0
@@ -160,28 +166,25 @@ class TestConditionFamilies:
         for _ in range(1000):
             lam = np.sort(rng.uniform(0.02, 0.98, 2))
             closed = lam[1] / lam[0] <= 2.0
-            a, b, c = fpras.permanent_coefficients(float(lam[0]), float(lam[1]))
-            assert closed == fpras._quadratic_condition(a, b, c)
+            assert closed == fpras.check_condition("permanent", lam)[1].holds
 
             n = float(rng.uniform(0.0, 6.0))
             r_max = float(rng.uniform(0.01, 1.0))
-            a, b, c = fpras.hafnian_st_coefficients(n, r_max)
-            assert fpras.fpras_condition_hafnian(n, r_max) == fpras._quadratic_condition(a, b, c)
+            holds, cert = fpras.check_condition("hafnian", n, r_max)
+            assert holds == cert.holds
 
-            a, b, c = fpras.tor_thermal_coefficients(float(lam[0]), float(lam[1]))
-            assert fpras.fpras_condition_tor_thermal(
-                float(lam[0]), float(lam[1])
-            ) == fpras._threshold_condition(a, b, c)
+            holds, cert = fpras.check_condition("tor-thermal", float(lam[0]), float(lam[1]))
+            assert holds == cert.holds
 
             n2 = float(rng.uniform(0.0, 30.0))
             r2 = float(rng.uniform(0.01, 0.5))
-            a, b, c = fpras.tor_st_coefficients(n2, r2)
-            assert fpras.fpras_condition_tor_st(n2, r2) == fpras._threshold_condition(a, b, c)
+            holds, cert = fpras.check_condition("tor-squeezed-thermal", n2, r2)
+            assert holds == cert.holds
 
             eta = float(rng.uniform(0.0, 0.95))
             nth = float(rng.uniform(0.0, 30.0))
-            a, b, c = fpras.gbs_noise_coefficients(eta, r_max, nth)
-            assert fpras.fpras_condition_gbs_noise(eta, r_max, nth) == fpras._threshold_condition(a, b, c)
+            holds, cert = fpras.check_condition("gbs-noise", eta, r_max, nth)
+            assert holds == cert.holds
 
     def test_passing_hafnian_condition_implies_certificates(self):
         n, r_max = 1.2, 0.2
@@ -471,6 +474,35 @@ class TestMultiplicativeReduction:
         assert runs[0].n_used == 4096 * (2**8 - 1)
         assert len({json.dumps(run.as_dict()) for run in runs}) == 1
 
+    def test_seed_rows_are_generated_once_per_growth(self, monkeypatch):
+        # weights that never meet the stopping rule drive the doubling
+        # batches to 2^20 samples and on to a lowered cap; the seed rows
+        # are regenerated only when a batch runs past them, at twice the need
+        real = fpras._chunk_words
+        generated, batches = [], []
+
+        def counting_words(seed, chunks):
+            generated.append(chunks)
+            return real(seed, chunks)
+
+        def never_converging(sampler, words, sizes, threads, bound):
+            first = sum(batches)
+            assert np.array_equal(words, real(3, first + len(sizes))[first:])
+            batches.append(len(sizes))
+            return np.zeros((2, len(sizes)))
+
+        monkeypatch.setattr(fpras, "_chunk_words", counting_words)
+        monkeypatch.setattr(fpras, "chunk_sums", never_converging)
+        monkeypatch.setattr(fpras, "SAMPLE_CAP", 1 << 24)
+        with pytest.raises(NonConvergent):
+            fpras.estimate_multiplicative(CERTIFIED["thermal"], 0.1, 0.05, est.EstimatorConfig(seed=3))
+        rows = sum(batches)
+        assert rows == (1 << 24) // fpras.CHUNK and max(batches) == (1 << 20) // fpras.CHUNK
+        # the rows held stay within twice the rows used; the geometric
+        # regrowth generates at most four times as many in all
+        assert max(generated) <= 2 * rows
+        assert sum(generated) <= 4 * rows
+
     def test_memory_does_not_grow_with_samples(self):
         circuit = near_boundary_permanent()
         cfg = est.EstimatorConfig(seed=1)
@@ -591,14 +623,26 @@ class TestCertificateCoefficients:
             (photon(0), 1.5, "photon count 0"),
             (NOCLICK, 1.5, "photon count 0"),
             (MARGINAL, 1.5, "photon count 0"),
-            (photon(1), 0.8, "changes sign"),
-            (CLICK, 1.0, "not strictly positive"),
-            (CLICK, 0.5, "not strictly positive"),
         ],
     )
     def test_factors_without_a_form_are_rejected(self, outcome, s, match):
         with pytest.raises(NotLogConcave, match=match):
             ps.pi_w_profile(outcome, s).certificate_form(0.3)
+
+    @pytest.mark.parametrize(
+        "outcome, s, margin",
+        [
+            (photon(1), 0.8, 2.0 * (0.8**2 - 1.0)),  # changes sign: a < 0
+            (CLICK, 1.0, 0.0),  # vanishes at the origin: a = b
+            (CLICK, 0.5, 1.0 - 2.0 / 1.5),  # negative at the origin: a < b
+        ],
+        ids=["photon1-0.8", "click-1.0", "click-0.5"],
+    )
+    def test_factors_that_are_not_positive_fail_with_their_margin(self, outcome, s, margin):
+        family, coefs = ps.pi_w_profile(outcome, s).certificate_form(0.3)
+        cert = fpras._CHECKS[family](*coefs)
+        assert (cert.holds, cert.witness_line) == (False, None)
+        assert cert.margin == pytest.approx(margin, rel=1e-12, abs=1e-15)
 
     def test_unit_classicality_photon_is_not_log_concave(self):
         # vacuum inputs put s_max at 1, where one photon's factor vanishes at b = 0
@@ -606,3 +650,137 @@ class TestCertificateCoefficients:
         assert circuit.s_max == 1.0
         with pytest.raises(NotLogConcave, match="unit classicality"):
             fpras.circuit_certificates(circuit)
+
+
+# Reference copies of the closed-form coefficients each condition family was
+# derived from, in photon-number units; the code takes every family's
+# coefficients from its extreme-mode circuit instead.
+def permanent_coefficients(lambda_min, lambda_max):
+    n_min = lambda_min / (1.0 - lambda_min)
+    n_max = lambda_max / (1.0 - lambda_max)
+    s = 2.0 * n_min + 1.0
+    gap = n_max - n_min
+    c = 1.0 / (n_min + 1.0) + (math.inf if gap <= 0.0 else 1.0 / gap)
+    return 2.0 * (s * s - 1.0), 8.0, c
+
+
+def hafnian_st_coefficients(n, r_max):
+    s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
+    gap = (2.0 * n + 1.0) * math.exp(2.0 * r_max) - s
+    c = 2.0 / (s + 1.0) + (math.inf if gap <= 0.0 else 2.0 / gap)
+    return 2.0 * (s * s - 1.0), 8.0, c
+
+
+def tor_thermal_coefficients(lambda_min, lambda_max):
+    n_min = lambda_min / (1.0 - lambda_min)
+    n_max = lambda_max / (1.0 - lambda_max)
+    s = 2.0 * n_min + 1.0
+    gap = n_max - n_min
+    return 1.0, 2.0 / (s + 1.0), math.inf if gap <= 0.0 else 1.0 / gap
+
+
+def tor_st_coefficients(n, r_max):
+    s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
+    gap = (2.0 * n + 1.0) * math.exp(2.0 * r_max) - s
+    return 1.0, 2.0 / (s + 1.0), math.inf if gap <= 0.0 else 2.0 / gap
+
+
+def gbs_noise_coefficients(eta, r_max, n_th):
+    env = (1.0 - eta) * (2.0 * n_th + 1.0)
+    s = eta * math.exp(-2.0 * r_max) + env
+    gap = eta * math.exp(2.0 * r_max) + env - s
+    return 1.0, 2.0 / (s + 1.0), math.inf if gap <= 0.0 else 2.0 / gap
+
+
+def quadratic_condition(a, b, c):
+    return a > 0.0 and (math.isinf(c) or c * a >= b)
+
+
+def threshold_condition(a, b, c):
+    if a <= b:
+        return False
+    return a >= 2.0 * b if math.isinf(c) else a >= (b * b + 2.0 * b * c) / c
+
+
+# family -> (reference coefficients, certificate family, reference condition)
+HAND_FORMS = {
+    "permanent": (lambda lam: permanent_coefficients(min(lam), max(lam)), "QuadraticFactor", quadratic_condition),
+    "hafnian": (hafnian_st_coefficients, "QuadraticFactor", quadratic_condition),
+    "tor-thermal": (tor_thermal_coefficients, "ThresholdFactor", threshold_condition),
+    "tor-squeezed-thermal": (tor_st_coefficients, "ThresholdFactor", threshold_condition),
+    "gbs-noise": (gbs_noise_coefficients, "ThresholdFactor", threshold_condition),
+}
+
+_UNIT = st.floats(0.02, 0.98)
+# acceptance C7's parameter ranges per family
+C7_PARAMS = {
+    "permanent": st.tuples(st.lists(_UNIT, min_size=2, max_size=2)),
+    "hafnian": st.tuples(st.floats(0.0, 6.0), st.floats(0.01, 1.0)),
+    "tor-thermal": st.lists(_UNIT, min_size=2, max_size=2).map(sorted).map(tuple),
+    "tor-squeezed-thermal": st.tuples(st.floats(0.0, 30.0), st.floats(0.01, 0.5)),
+    "gbs-noise": st.tuples(st.floats(0.0, 0.95), st.floats(0.01, 1.0), st.floats(0.0, 30.0)),
+}
+
+
+def circuit_form(circuit):
+    """(family, (a, b, c)) of the circuit's first mode at its classicality
+    and full forward shift."""
+    s = circuit.s_max
+    gap = circuit.a_max - s
+    return ps.pi_w_profile(circuit.pattern[0], s).certificate_form(
+        math.inf if gap <= 0.0 else 2.0 / gap
+    )
+
+
+class TestConditionCircuits:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), family=st.sampled_from(sorted(C7_PARAMS)))
+    def test_circuit_forms_match_reference_coefficients(self, data, family):
+        params = data.draw(C7_PARAMS[family])
+        coefficients, kind, condition = HAND_FORMS[family]
+        want = coefficients(*params)
+        got_kind, got = circuit_form(fpras.CONDITION_CIRCUITS[family][1](*params))
+        assert got_kind == kind
+        for x, y in zip(got, want):
+            assert x == y or abs(x - y) <= 1e-12 * abs(y)
+        holds, cert = fpras.check_condition(family, *params)
+        assert cert.holds == condition(*want) == holds
+
+    @pytest.mark.parametrize(
+        "family, params, exact",
+        [
+            ("tor-thermal", (0.6, 0.6), 0.36),
+            ("tor-squeezed-thermal", (3.0, 0.0), 0.75),
+            ("gbs-noise", (0.5, 0.0, 3.0), 0.6),
+        ],
+    )
+    def test_degenerate_spectra_certify_and_estimate(self, family, params, exact):
+        # equal input variances put the full forward shift at c = inf
+        holds, cert = fpras.check_condition(family, *params)
+        assert holds and cert.holds and cert.margin > 0.0
+        circuit = fpras.CONDITION_CIRCUITS[family][1](*params)
+        assert oracles.exact_threshold_probability(circuit, circuit.pattern) == pytest.approx(exact)
+        res = fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(seed=1))
+        assert abs(res.value / exact - 1.0) <= 0.1
+
+    def test_permanent_spectrum_must_be_rescaled(self):
+        with pytest.raises(ValueError, match="lambda_max < 1"):
+            fpras.check_condition("permanent", [1.0, 1.5])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        a=st.floats(0.0, 1e6),
+        b=st.floats(0.0, 1e6),
+        c=st.one_of(st.floats(0.0, 1e300, exclude_min=True), st.just(math.inf)),
+    )
+    def test_margins_are_never_nan(self, a, b, c):
+        for check in (fpras.check_quadratic_factor, fpras.check_threshold_factor):
+            cert = check(a, b, c)
+            assert not math.isnan(cert.margin)
+            assert cert.witness_line is None or not math.isnan(cert.witness_line[2])
+
+    def test_infinite_rate_takes_the_limit(self):
+        assert fpras.check_threshold_factor(1.0, 0.4, math.inf).margin == pytest.approx(0.2)
+        assert not fpras.check_threshold_factor(1.0, 0.6, math.inf).holds
+        cert = fpras.check_quadratic_factor(0.5, 8.0, math.inf)
+        assert cert.holds and cert.margin == math.inf
