@@ -638,7 +638,7 @@ class TestCertificateCoefficients:
         ],
         ids=["photon1-0.8", "click-1.0", "click-0.5"],
     )
-    def test_factors_that_are_not_positive_fail_with_their_margin(self, outcome, s, margin):
+    def test_nonpositive_factor_margins(self, outcome, s, margin):
         family, coefs = ps.pi_w_profile(outcome, s).certificate_form(0.3)
         cert = fpras._CHECKS[family](*coefs)
         assert (cert.holds, cert.witness_line) == (False, None)
