@@ -208,9 +208,6 @@ def _config_from_args(args) -> est.EstimatorConfig:
         raise SchemaError("/threads", f"must be a positive integer, got {args.threads}")
     if args.seed < 0:
         raise SchemaError("/seed", f"must be a nonnegative integer, got {args.seed}")
-    chunks = est.EstimatorConfig.chunks if args.chunks is None else args.chunks
-    if chunks < 1:
-        raise SchemaError("/chunks", f"must be a positive integer, got {chunks}")
     for name in ("epsilon", "delta"):
         if not 0.0 < getattr(args, name) < 1.0:
             raise SchemaError(f"/{name}", f"must lie in (0, 1), got {getattr(args, name)}")
@@ -224,7 +221,6 @@ def _config_from_args(args) -> est.EstimatorConfig:
         delta=args.delta,
         n_samples=args.samples,
         seed=args.seed,
-        chunks=chunks,
     )
 
 
@@ -283,7 +279,7 @@ def _cmd_estimate_matrix(args) -> int:
 
 def _cmd_estimate_prob(args) -> int:
     # the multiplicative estimator sets these itself
-    for flag in ("samples", "s", "gamma", "chunks"):
+    for flag in ("samples", "s", "gamma"):
         if args.multiplicative and getattr(args, flag) is not None:
             raise SchemaError(f"/{flag}", "is not used by --multiplicative")
     circuit = circuit_file_parse(args.circuit)
@@ -504,7 +500,6 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--direction", choices=["forward", "reverse"], default="forward"
     )
-    parser.add_argument("--chunks", type=int, default=None, help="sample stream count (default 16)")
     parser.add_argument(
         "--threads", type=int, default=None, help="parallel chunk workers (default: usable CPUs)"
     )

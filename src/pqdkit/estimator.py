@@ -9,16 +9,17 @@ only the A non-Gaussian factors are averaged, each keeping its own shift
 reweight so the per-sample range stays controlled by the modified negativity
 bound.  With nothing to fold (every matrix embedding) the precision stays
 diagonal and its square root stands in for a Cholesky factor.  A sample
-costs at most 2A standard normals from its chunk's SFC64 stream (marginal
-and other folded modes add none) and one exp for all weighted modes
-together; a click factor keeps one exp of its own.  Normals are drawn
-sample-major in fixed pieces of ``DRAW_PIECE`` samples, so memory stays
-bounded whatever the batch, and ``chunk_sums`` draws both estimators'
-chunks, each from its own stream, on every usable CPU by default; neither
-the pieces nor the thread count changes a value.  Setup (decompositions,
-folds, the kernel's solve and QR) runs on one OpenBLAS thread, so no BLAS
-pool spins while the samples are drawn.  Per-mode values are computed
-once per call, and a factor's supremum once per distinct outcome.
+costs at most 2A standard normals (marginal and other folded modes add
+none) and one exp for all weighted modes together; a click factor keeps
+one exp of its own.  Both estimators lay their samples out one way: sample
+i belongs to chunk i // ``CHUNK`` and is drawn from that chunk's own SFC64
+stream, and a chunk is one fill of sample-major normals, weighed at once,
+so memory stays bounded whatever the sample count.  ``chunk_sums`` draws
+the chunks on every usable CPU by default; the thread count changes no
+value.  Setup (decompositions, folds, the kernel's solve and QR) runs on
+one OpenBLAS thread, so no BLAS pool spins while the samples are drawn.
+Per-mode values are computed once per call, and a factor's supremum once
+per distinct outcome.
 
 |Haf|^2, Per and Tor share one path: an embedding's family picks the
 analytic shift its budget is derived at (``ANALYTIC_SHIFTS``) unless the
@@ -32,8 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -81,13 +84,10 @@ class EstimatorConfig:
     delta: float = 0.05
     n_samples: Optional[int] = None
     seed: int = 0
-    chunks: int = 16
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0 and 0.0 < self.delta < 1.0):
             raise ValueError("epsilon and delta must lie in (0, 1)")
-        if self.chunks < 1:
-            raise ValueError("chunks must be positive")
         if self.n_samples is not None and self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
 
@@ -516,14 +516,11 @@ def _fold(
 # cores the wake-up dominates (on 2 CPUs a 64 x 64 x 2952 product took 16 ms
 # as one call, 1.7 ms as column panels of at most 2^18 multiply-adds).
 GEMM_PANEL_MNK = 1 << 18
-# A product of one row with a matrix is threaded from 2^14 columns on
-# (measured with OpenBLAS 0.3.31), so panels also have at most 2^13 columns.
-GEMV_PANEL_COLS = 1 << 13
-# Samples a draw fills with normals and weighs at a time (rounded up to
-# whole panels).  A piece spans generator boundaries, so small chunks share
-# the fixed cost of the weight arithmetic, while the (DRAW_PIECE, F)
-# normals stay 1 MB at F = 32.
-DRAW_PIECE = 1 << 12
+# Samples per chunk: one stream, one fill of sample-major normals, weighed
+# at once.  The (CHUNK, F) normals stay 1 MB at F = 32, and a product of one
+# row with a CHUNK-column panel stays below OpenBLAS's threading threshold
+# of 2^14 columns (measured with OpenBLAS 0.3.31).
+CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -552,13 +549,15 @@ class FoldedSampler:
 
     @property
     def panel(self) -> int:
-        """Samples per BLAS call (kernel product or exponent sum): at most
-        GEMM_PANEL_MNK multiply-adds and GEMV_PANEL_COLS columns.  BLAS
-        results can depend on a call's shape and on a column's place in it;
-        in calls of one fixed width they do not, so ``draw`` pads its last
+        """Samples per BLAS call (kernel product or exponent sum): the
+        largest power of two with at most GEMM_PANEL_MNK multiply-adds and
+        CHUNK columns, so panels tile a full chunk.  BLAS results can depend
+        on a call's shape and on a column's place in it; in calls of one
+        fixed width they do not, so ``draw`` pads a partial chunk's last
         panel rather than shorten it."""
         rows, f = self.kernel.shape
-        return max(1, min(GEMV_PANEL_COLS, GEMM_PANEL_MNK // (max(1, rows) * max(1, f))))
+        cap = min(CHUNK, GEMM_PANEL_MNK // (max(1, rows) * max(1, f)))
+        return 1 << (max(1, cap).bit_length() - 1)
 
     def beta_sq(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """|beta_j|^2 of the weighted modes (rows) for normals z (F x n)."""
@@ -572,42 +571,30 @@ class FoldedSampler:
             np.add(y[:a], y[a:], out=out[:, col : col + step])
         return out
 
-    def draw(self, rng, n: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Sample n weight values (products of the weighted modes' factors).
 
-        ``rng`` is a Generator, or a sequence of (Generator, count) pieces
-        with counts summing to n that fill consecutive samples.  Normals are
-        sample-major: a piece's samples use exactly the normals its
-        generator alone would draw for shape (count, F), so a sample's F
-        normals are consecutive in its stream.  They fill a reused buffer
-        of DRAW_PIECE samples across piece boundaries, and each fill is
-        weighed at once in BLAS calls of one fixed width.  A sample's weight
-        thus depends only on its normals, not on how the draw is split, and
-        a draw's temporaries are O(DRAW_PIECE * F) besides the n weights.
-        A sample costs F normals, one exp, and each polynomial (a click's
-        with its own exp).
+        Normals are sample-major, drawn from ``rng`` for shape (n, F), so a
+        sample's F normals are consecutive in the stream.  They fill a
+        reused buffer of CHUNK samples, and each fill is weighed at once in
+        BLAS calls of one fixed width.  A sample's weight thus depends only
+        on its normals, not on how a draw from one stream is split, and a
+        draw's temporaries are O(CHUNK * F) besides the n weights.  A sample
+        costs F normals, one exp, and each polynomial (a click's with its
+        own exp).
         """
         if not self.active_modes:
             return np.ones(n)
-        pieces = iter([(rng, n)] if isinstance(rng, np.random.Generator) else rng)
         panel = self.panel
-        size = panel * -(-max(1, min(DRAW_PIECE, n)) // panel)
+        size = panel * -(-max(1, min(CHUNK, n)) // panel)
         z = np.empty((size, self.kernel.shape[1]))
         b = np.empty((len(self.active_modes), size))
         e = np.empty(size)
         w = np.empty(n)
         neg = -self.exponents
-        gen, left = None, 0
         for start in range(0, n, size):
             count = min(size, n - start)
-            row = 0
-            while row < count:
-                if not left:
-                    gen, left = next(pieces)
-                take = min(left, count - row)
-                gen.standard_normal(out=z[row : row + take])
-                row += take
-                left -= take
+            rng.standard_normal(out=z[:count])
             padded = panel * -(-count // panel)
             z[count:padded] = 0.0
             self.beta_sq(z[:padded].T, out=b[:, :padded])
@@ -688,11 +675,10 @@ def _build_naive_sampler(
 # ---------------------------------------------------------------------------
 
 
-def _chunk_sizes(n: int, chunks: int) -> list[int]:
-    """Sizes of the non-empty chunks: n split as evenly as possible, the
-    first n % chunks chunks one larger (at most n chunks are non-empty)."""
-    base, extra = divmod(n, chunks)
-    return [base + (1 if i < extra else 0) for i in range(min(chunks, n))]
+def _chunk_sizes(n: int) -> list[int]:
+    """Sizes of the chunks of n samples: sample i is in chunk i // CHUNK."""
+    full, rest = divmod(n, CHUNK)
+    return [CHUNK] * full + ([rest] if rest else [])
 
 
 def _usable_cpus() -> int:
@@ -739,73 +725,49 @@ def _chunk_rng(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(_seed_words()(words)))
 
 
-# Samples per kernel call.  Consecutive chunks are fused up to this size so
-# that small chunks share the fixed cost of a call (about ten array
-# operations per weighted mode), while a batch's temporaries stay a few MB.
-FUSED_BATCH = 1 << 15
-
-
-def _fused_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
-    """Runs of consecutive (chunk, size) pairs holding at most FUSED_BATCH
-    samples; a chunk larger than that forms a run of its own."""
-    units: list[list[tuple[int, int]]] = []
-    total = 0
-    for chunk, size in enumerate(sizes):
-        if units and total + size <= FUSED_BATCH:
-            units[-1].append((chunk, size))
-            total += size
-        else:
-            units.append([(chunk, size)])
-            total = size
-    return units
+# Samples per worker: a call draws on one worker per started
+# SAMPLES_PER_WORKER samples (at most ``threads``), so a small call does not
+# pay for threads it cannot keep busy.
+SAMPLES_PER_WORKER = 1 << 15
 
 
 def chunk_sums(sampler: FoldedSampler, words: np.ndarray, sizes, threads, bound) -> np.ndarray:
     """Σw and Σw² (rows) of chunks of ``sizes`` samples (columns, in chunk
-    order), chunk i on the stream seeded by row i of ``words`` (rows of
-    ``_chunk_words``).  Chunks are fused into batches of at most
-    ``FUSED_BATCH`` samples (a larger chunk is drawn in pieces of that size),
-    drawn by ``threads`` workers (default: every usable CPU) without changing
-    the result.  A |w| above ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises
-    ``BoundViolation``."""
+    order), chunk i drawn in one ``draw`` from the stream seeded by row i
+    of ``words`` (rows of ``_chunk_words``).  Workers take chunks from a
+    shared counter, one per started SAMPLES_PER_WORKER samples and at most
+    ``threads`` (default: every usable CPU); they change no result.  A |w|
+    above ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises ``BoundViolation``."""
     if threads is None:
         threads = _usable_cpus()
     elif threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
-    units = _fused_units(sizes)
     limit = (1.0 + WEIGHT_BOUND_RTOL) * bound
+    sums = np.empty((2, len(sizes)))
+    chunks, lock = itertools.count(), threading.Lock()
 
-    def draw(rng, n: int) -> np.ndarray:
-        w = sampler.draw(rng, n)
-        peak = float(np.abs(w).max())
-        if peak > limit and math.isfinite(peak):
-            raise BoundViolation(f"sample weight {peak:.6e} exceeds the claimed bound {bound:.6e}")
-        return w
+    def next_chunk() -> int:
+        with lock:
+            return next(chunks)
 
-    def unit_sums(unit) -> list:
-        pieces = [(_chunk_rng(words[chunk]), size) for chunk, size in unit]
-        counts = [size for _, size in unit]
-        if len(unit) > 1:  # fused chunks: one draw, summed chunk by chunk
-            w = draw(pieces, sum(counts))
-            starts = np.cumsum([0] + counts[:-1])
-            total = np.add.reduceat(w, starts)
-            return [total, np.add.reduceat(np.square(w, out=w), starts)]
-        total = total_sq = 0.0  # one chunk, drawn in pieces of at most FUSED_BATCH
-        for done in range(0, counts[0], FUSED_BATCH):
-            w = draw(pieces, min(FUSED_BATCH, counts[0] - done))
-            total += float(w.sum())
-            total_sq += float(np.square(w, out=w).sum())
-        return [[total], [total_sq]]
+    def work() -> None:
+        while (i := next_chunk()) < len(sizes):
+            w = sampler.draw(_chunk_rng(words[i]), sizes[i])
+            peak = float(np.abs(w).max())
+            if peak > limit and math.isfinite(peak):
+                raise BoundViolation(f"sample weight {peak:.6e} exceeds the claimed bound {bound:.6e}")
+            sums[:, i] = w.sum(), np.square(w, out=w).sum()
 
-    workers = min(threads, len(units))
+    workers = min(threads, -(-sum(sizes) // SAMPLES_PER_WORKER))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_unit = list(pool.map(unit_sums, units))
+            for job in [pool.submit(work) for _ in range(workers)]:
+                job.result()
     else:
-        per_unit = [unit_sums(unit) for unit in units]
-    return np.concatenate(per_unit, axis=1)
+        work()
+    return sums
 
 
 def estimate_probability(
@@ -818,18 +780,22 @@ def estimate_probability(
 
     ``method`` selects the folded sampler (Gaussian measurement factors
     integrated analytically) or the naive per-mode sampler with every factor
-    kept in the weight.  ``config.chunks`` chunks are reduced by
-    ``chunk_sums`` on ``threads`` workers, F normals per sample for a kernel
-    of F columns (at most 2A for A weighted modes when folded, 2M when
-    naive).  The suprema of the measurement factors are computed once per
-    call, for every mode.
+    kept in the weight.  The samples' ``CHUNK``-sample chunks are reduced
+    by ``chunk_sums`` on ``threads`` workers, F normals per sample for a
+    kernel of F columns (at most 2A for A weighted modes when folded, 2M
+    when naive), and the trace has one row per chunk.  The suprema of the
+    measurement factors are computed once per call, for every mode.  With
+    no mode weighed (an all-Gaussian pattern, folded) the estimate is exact
+    at any shift, so the automatic one is rate 0, without a search.
     """
     t0 = time.perf_counter()
     s = _resolve_s(circuit, config)
-    if config.gamma_mode == "auto":
-        gamma, direction = resolve_gamma(circuit, s)[:2]
-    else:
+    if config.gamma_mode != "auto":
         gamma, direction = config.gamma_mode
+    elif method == "folded" and all(out.is_gaussian for out in circuit.pattern):
+        gamma, direction = 0.0, FORWARD
+    else:
+        gamma, direction = resolve_gamma(circuit, s)[:2]
 
     if method == "folded":
         sampler = build_folded_sampler(circuit, s, gamma, direction)
@@ -852,7 +818,7 @@ def estimate_probability(
     else:
         n_total = _hoeffding_count(log_b_samples, config.epsilon, config.delta)
 
-    sizes = _chunk_sizes(n_total, config.chunks)
+    sizes = _chunk_sizes(n_total)
     # every weight is bounded by the product of its modes' claimed suprema;
     # the sample count and the radius are void if one is not
     words = _chunk_words(config.seed, len(sizes))

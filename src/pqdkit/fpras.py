@@ -43,9 +43,11 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .estimator import (
+    CHUNK,
     FORWARD,
     S_MAX_MARGIN,
     EstimatorConfig,
+    _chunk_sizes,
     _chunk_words,
     build_folded_sampler,
     chunk_sums,
@@ -56,9 +58,8 @@ from .phase_space import CLICK, photon, pi_w_profile
 ESS_PER_EPS_SQ = 50.0
 # EstimatorConfig fields of the additive estimator only; the multiplicative
 # one reads ``seed`` and rejects these unless they keep their defaults
-ADDITIVE_FIELDS = ("n_samples", "s", "gamma_mode", "chunks")
+ADDITIVE_FIELDS = ("n_samples", "s", "gamma_mode")
 SAMPLE_CAP = 10**8
-CHUNK = 1 << 12  # samples per chunk stream
 
 
 @dataclass(frozen=True)
@@ -323,7 +324,7 @@ def estimate_multiplicative(
         batch = min(batch * 2, 1 << 20, SAMPLE_CAP - n_check)
         if n_check < ess_target:
             continue  # ESS <= n (Cauchy-Schwarz), so the rule cannot stop yet
-        sizes = [min(CHUNK, n_check - n) for n in range(n_used, n_check, CHUNK)]
+        sizes = _chunk_sizes(n_check - n_used)  # n_used is a whole number of chunks
         first = n_used // CHUNK
         end = first + len(sizes)
         if end > len(words):  # rows come only as a prefix: regrow to twice the need

@@ -484,9 +484,14 @@ def _verify_block_a_prime(mat: MatrixClass, n: float, r_list, interf: Interferom
 def _squeezed_thermal(n: float, r_list, interf: Interferometer, outcome, family: str) -> Embedding:
     """Squeezed thermal inputs of shared occupation n measured with
     ``outcome`` on every mode; each mode's normalization is sqrt k+_i, and
-    ``lambdas`` are the singular values d_i of the R block."""
+    ``lambdas`` are the singular values d_i of the R block.  Budgets are
+    derived at s = a_min; at a_min = 1 with r_i = r_max (k- = 0) neither
+    family's factor has its analytic shift there, which raises
+    ``PreconditionAminBelowOne``."""
     modes = tuple((float(r), float(n)) for r in r_list)
     circuit = CircuitSpec(modes, interf, (outcome,) * interf.m)
+    if circuit.s_max == 1.0:
+        raise PreconditionAminBelowOne("degenerate boundary a_min = 1 with r_i = r_max")
     lam = _st_diagonals(n, r_list)[0]
     return Embedding(circuit, family, 1.0, _sqrt_k_plus(n, r_list), lam, lam)
 
@@ -496,16 +501,11 @@ def embed_hafnian_block_a(
 ) -> Embedding:
     """All-single-photon circuit of the squeezed thermal state behind
     ``build_block_A(n, r_list, interf)`` (default: the identity), whose
-    probability times sqrt|V_Q| is Haf(A).  Its budget is derived at
-    s = a_min; at a_min = 1 with r_i = r_max (k- = 0) no single-photon
-    factor exists there, which raises ``PreconditionAminBelowOne``."""
+    probability times sqrt|V_Q| is Haf(A)."""
     r_arr = np.asarray(r_list, dtype=float)
     if interf is None:
         interf = identity_interferometer(r_arr.size)
-    emb = _squeezed_thermal(n, r_arr, interf, photon(1), "hafnian.block_a")
-    if emb.circuit.s_max == 1.0:
-        raise PreconditionAminBelowOne("degenerate boundary a_min = 1 with r_i = r_max")
-    return emb
+    return _squeezed_thermal(n, r_arr, interf, photon(1), "hafnian.block_a")
 
 
 @one_blas_thread()

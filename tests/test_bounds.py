@@ -418,6 +418,10 @@ class TestBlockABudget:
         assert sq_vq * float(np.prod(sups)) == pytest.approx(float(np.prod(got)), rel=1e-12)
 
     def test_degenerate_boundary_rejected(self):
-        # vacuum inputs: s = a_min = 1, where k_minus = 0 and no photon factor exists
+        # vacuum inputs: s = a_min = 1, where k_minus = 0 and neither the
+        # photon nor the click family has its analytic shift
         with pytest.raises(PreconditionAminBelowOne, match="degenerate boundary"):
             lo.embed_hafnian_block_a(0.0, [0.0, 0.0])
+        a_prime = lo.block_a_prime(0.0, [0.0, 0.0], lo.identity_interferometer(2))
+        with pytest.raises(PreconditionAminBelowOne, match="degenerate boundary"):
+            est.estimate_torontonian(a_prime)

@@ -111,9 +111,9 @@ class TestCommands:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_reports_do_not_depend_on_threads(self, circuit_file, per_matrix, tmp_path):
-        # 80000 samples in 4 chunks make 3 fused batches; the thermal pair's
-        # spectrum ratio of 1.99 takes the multiplicative run to a batch of
-        # 65536 samples, 2 fused batches
+        # 80000 samples make 20 chunks, the last one partial, for up to 3
+        # workers; the thermal pair's spectrum ratio of 1.99 takes the
+        # multiplicative run to a batch of 65536 samples, 2 workers
         near_boundary = write_json(
             tmp_path / "thermal.json",
             {
@@ -123,8 +123,8 @@ class TestCommands:
             },
         )
         runs = {
-            "prob": ["estimate-prob", "--circuit", circuit_file, "--samples", "80000", "--chunks", "4"],
-            "per": ["estimate-per", "--matrix", per_matrix, "--samples", "80000", "--chunks", "4"],
+            "prob": ["estimate-prob", "--circuit", circuit_file, "--samples", "80000"],
+            "per": ["estimate-per", "--matrix", per_matrix, "--samples", "80000"],
             "mult": ["estimate-prob", "--circuit", near_boundary, "--multiplicative", "--epsilon", "0.1"],
         }
         for name, argv in runs.items():
@@ -134,6 +134,20 @@ class TestCommands:
                 assert cli.main(argv + threads + ["--seed", "2", "--output", str(out)]) == 0
                 blobs.add(out.read_bytes())
             assert len(blobs) == 1
+
+    def test_threads_agree_on_a_partial_last_chunk(self, circuit_file, tmp_path):
+        # 3 * 2^15 + 5 samples: 25 chunks, the last of 5 samples, on 1, 2
+        # and 4 workers; the estimate and every trace row keep their bytes
+        samples = str(3 * est.SAMPLES_PER_WORKER + 5)
+        assert est._chunk_sizes(int(samples))[-1] == 5
+        for command in ("estimate-prob", "convergence"):
+            blobs = set()
+            for threads in ("1", "2", "4"):
+                out = tmp_path / f"{command}-{threads}.out"
+                argv = [command, "--circuit", circuit_file, "--samples", samples, "--seed", "4"]
+                assert cli.main(argv + ["--threads", threads, "--output", str(out)]) == 0
+                blobs.add(out.read_bytes())
+            assert len(blobs) == 1, command
 
     def test_reports_do_not_depend_on_blas_threads(self, circuit_file, per_matrix, tmp_path):
         # each report is written by a fresh interpreter whose OpenBLAS pool
@@ -341,8 +355,7 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: ")
-        if family == "hafnian-block-a":
-            assert "degenerate boundary" in captured.err
+        assert "degenerate boundary" in captured.err
 
     def test_bounds_command(self, tmp_path):
         out = tmp_path / "bounds.json"
@@ -376,8 +389,6 @@ class TestCommands:
                 circuit_file,
                 "--samples",
                 "8000",
-                "--chunks",
-                "4",
                 "--oracle-check",
                 "--output",
                 str(out),
@@ -386,9 +397,9 @@ class TestCommands:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "n,running_mean,running_radius,oracle_value"
-        assert len(lines) == 5
-        last = lines[-1].split(",")
-        assert int(last[0]) == 8000
+        # one row per 4096-sample chunk
+        assert len(lines) == 3
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [4096, 8000]
 
     def test_acceptance_subset(self, tmp_path, capsys):
         out = tmp_path / "acc.json"
@@ -400,8 +411,9 @@ class TestCommands:
         assert "PASS C1" in printed and "PASS C10" in printed
 
     def test_unknown_flag_rejected(self, per_matrix):
-        with pytest.raises(SystemExit):
-            cli.main(["estimate-per", "--matrix", per_matrix, "--frobnicate"])
+        for argv in (["--frobnicate"], ["--chunks", "4"]):
+            with pytest.raises(SystemExit):
+                cli.main(["estimate-per", "--matrix", per_matrix, *argv])
 
     def test_missing_file_is_input_error(self):
         assert cli.main(["estimate-per", "--matrix", "/nonexistent.json"]) == 1
@@ -472,7 +484,7 @@ class TestInputHardening:
             assert capsys.readouterr().err.startswith("input error: /samples: ")
 
     @pytest.mark.parametrize(
-        "flag, value", [("--samples", "4096"), ("--s", "1.5"), ("--gamma", "0.2"), ("--chunks", "3")]
+        "flag, value", [("--samples", "4096"), ("--s", "1.5"), ("--gamma", "0.2")]
     )
     def test_multiplicative_rejects_additive_flags(self, flag, value, tmp_path, capsys):
         # the multiplicative estimator sets its own sample count, ordering and shift
@@ -500,8 +512,6 @@ class TestInputHardening:
         "flag, value, pointer",
         [
             ("--seed", "-1", "/seed"),
-            ("--chunks", "0", "/chunks"),
-            ("--chunks", "-3", "/chunks"),
             ("--epsilon", "2", "/epsilon"),
             ("--epsilon", "0", "/epsilon"),
             ("--delta", "1", "/delta"),

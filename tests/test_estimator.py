@@ -639,41 +639,76 @@ class TestSamplingKernel:
         assert rep.n_used == 1
 
     def test_fused_batches_match_per_chunk_draws(self):
-        # fusing chunks into one batch leaves each chunk's samples unchanged;
-        # a fused chunk's subtotal is the np.add.reduceat sum of its weights
+        # each trace row is one chunk: one draw from its own stream, summed
         circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
-        cfg = est.EstimatorConfig(n_samples=30_001, seed=9, chunks=7, gamma_mode=(0.2, est.FORWARD))
+        cfg = est.EstimatorConfig(n_samples=30_001, seed=9, gamma_mode=(0.2, est.FORWARD))
         rep = est.estimate_probability(circuit, cfg)
         sampler = est.build_folded_sampler(circuit, rep.s, rep.gamma, rep.direction)
+        sizes = est._chunk_sizes(cfg.n_samples)
+        assert len(rep.trace) == len(sizes) == 8
         running, n_done = 0.0, 0
-        for chunk, size in enumerate(est._chunk_sizes(cfg.n_samples, cfg.chunks)):
-            w = sampler.draw(chunk_rng(cfg.seed, chunk), size)
-            running += float(np.add.reduceat(w, [0])[0])
+        for chunk, size in enumerate(sizes):
+            running += float(sampler.draw(chunk_rng(cfg.seed, chunk), size).sum())
             n_done += size
             assert rep.trace[chunk][:2] == (n_done, math.exp(sampler.log_prefactor) * running / n_done)
 
     def test_chunk_sums_match_per_chunk_draws(self):
-        # two fused chunks, a lone one, one larger than a fused batch and a
-        # single sample, from chunk 3 on: each chunk's sums are those of one
-        # draw from its own stream
+        # full chunks, partial ones, one larger than a chunk and a single
+        # sample, from chunk 3 on: each chunk's sums are those of one draw
+        # from its own stream
         circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
         sampler = est.build_folded_sampler(
             circuit, circuit.s_max - est.S_MAX_MARGIN, 0.2, est.FORWARD
         )
-        sizes = [5000, 3000, 30000, 2 * est.FUSED_BATCH + 7, 1]
+        sizes = [est.CHUNK, 3000, est.CHUNK, 8 * est.CHUNK + 7, 1]
         words = est._chunk_words(9, 3 + len(sizes))[3:]
         sums = est.chunk_sums(sampler, words, sizes, 2, math.inf)
         assert sums.shape == (2, len(sizes))
         for i, size in enumerate(sizes):
             w = sampler.draw(chunk_rng(9, 3 + i), size)
-            assert sums[0, i] == pytest.approx(np.sum(w), rel=0, abs=1e-12 * np.sum(np.abs(w)))
-            assert sums[1, i] == pytest.approx(np.sum(w * w), rel=1e-12)
+            assert sums[0, i] == np.sum(w)
+            assert sums[1, i] == np.sum(w * w)
 
     def test_chunk_sizes_do_not_scale_with_chunk_count(self):
-        # at most n chunks are non-empty; the rest are never built
-        assert est._chunk_sizes(100, 10**12) == [1] * 100
-        assert est._chunk_sizes(10, 4) == [3, 3, 2, 2]
-        assert est._chunk_sizes(0, 3) == []
+        # sample i is in chunk i // CHUNK: full chunks and the remainder
+        chunk = est.CHUNK
+        assert est._chunk_sizes(3 * chunk + 5) == [chunk] * 3 + [5]
+        assert est._chunk_sizes(2 * chunk) == [chunk, chunk]
+        assert est._chunk_sizes(100) == [100]
+        assert est._chunk_sizes(0) == []
+
+    def test_additive_and_multiplicative_chunks_agree(self):
+        # chunk c has one stream and one size whichever estimator draws it:
+        # a batch from chunk ``first`` on reproduces the additive call's
+        # columns bit for bit
+        circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
+        sampler = est.build_folded_sampler(
+            circuit, circuit.s_max - est.S_MAX_MARGIN, 0.2, est.FORWARD
+        )
+        n, first = 6 * est.CHUNK + 11, 2
+        words = est._chunk_words(5, 7)
+        additive = est.chunk_sums(sampler, words, est._chunk_sizes(n), 1, math.inf)
+        batch = est._chunk_sizes(n - first * est.CHUNK)
+        multiplicative = est.chunk_sums(sampler, words[first:], batch, 2, math.inf)
+        assert np.array_equal(additive[:, first:], multiplicative)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(rows=st.integers(1, 64), f=st.integers(1, 64))
+    def test_panels_tile_a_chunk(self, rows, f):
+        sampler = est.FoldedSampler(
+            kernel=np.zeros((rows, f)),
+            exponents=np.zeros(0),
+            polys=(),
+            scale=1.0,
+            log_prefactor=0.0,
+            active_modes=(),
+            log_norms=np.zeros(0),
+        )
+        panel = sampler.panel
+        assert panel & (panel - 1) == 0 and est.CHUNK % panel == 0
+        assert panel == 1 or rows * f * panel <= est.GEMM_PANEL_MNK
+        # the largest such power of two
+        assert 2 * panel > est.CHUNK or rows * f * 2 * panel > est.GEMM_PANEL_MNK
 
 
 def outer_product_precision(circuit, s, gamma, direction, laplace=False):
@@ -779,7 +814,6 @@ class TestChunkStreams:
 
         monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
         cfg = est.EstimatorConfig(n_samples=5000, seed=4, gamma_mode=(0.2, est.FORWARD))
-        assert cfg.chunks == 16
         est.estimate_probability(circuit, cfg, threads=1)
         assert len(built) == 1
 
@@ -814,22 +848,23 @@ def wide_naive_sampler():
 
 class TestDrawPieces:
     @pytest.mark.parametrize("piece", [1, 7, 4096])
-    def test_draw_does_not_depend_on_piece_size(self, piece, monkeypatch):
-        # pieces of 5, 0, 3000, 1 and 4100 samples cross several
-        # generator boundaries inside one buffer fill
+    def test_draw_does_not_depend_on_piece_size(self, piece):
+        # one stream's draw split into pieces of ``piece`` samples gives the
+        # weights of one draw that fills a whole chunk and then 9 samples
         sampler = wide_naive_sampler()
-        counts = [5, 0, 3000, 1, 4100]
-
-        def draw():
-            pieces = [(chunk_rng(3, c), k) for c, k in enumerate(counts)]
-            return sampler.draw(pieces, sum(counts))
-
-        reference = draw()
-        monkeypatch.setattr(est, "DRAW_PIECE", piece)
-        assert np.array_equal(draw(), reference)
-        # a piece's samples take its generator's normals in (count, F) order
+        n = est.CHUNK + 9
+        reference = sampler.draw(chunk_rng(3, 2), n)
         gen = chunk_rng(3, 2)
-        assert np.array_equal(sampler.draw(gen, 3000), reference[5:3005])
+        pieces = [sampler.draw(gen, min(piece, n - k)) for k in range(0, n, piece)]
+        assert np.array_equal(np.concatenate(pieces), reference)
+        # sample-major: the samples take the stream's normals in (n, F) order
+        z = chunk_rng(3, 2).standard_normal((n, sampler.kernel.shape[1]))
+        b = sampler.beta_sq(z.T)
+        expected = sampler.scale * np.exp(-sampler.exponents @ b)
+        for poly, b_j in zip(sampler.polys, b):
+            if poly is not None:
+                expected *= poly(b_j)
+        np.testing.assert_allclose(reference, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
     def test_draw_memory_is_bounded_by_the_piece(self):
         import tracemalloc
@@ -843,7 +878,8 @@ class TestDrawPieces:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the weights alone are 256 kB; (F, n) normals would be 8 MB
+        # the weights alone are 256 kB and one chunk's (CHUNK, F) normals
+        # 1 MB; (n, F) normals would be 8 MB
         assert peak < 4 * 2**20
 
 
@@ -894,6 +930,24 @@ class TestFusedWeight:
 
 
 class TestFoldedSampler:
+    def test_all_gaussian_pattern_skips_the_shift_search(self, monkeypatch):
+        # nothing is weighed, so the estimate is exact at any shift
+        def no_search(*args):
+            raise AssertionError("the shift search ran")
+
+        monkeypatch.setattr(est, "_numeric_gamma", no_search)
+        circuit = lo.CircuitSpec(
+            ((0.4, 0.1), (0.3, 0.0), (0.5, 0.2)),
+            lo.haar_unitary(3, 42),
+            (photon(0), photon(0), MARGINAL),
+            eta=0.8,
+            n_th=0.1,
+        )
+        rep = est.estimate_probability(circuit, est.EstimatorConfig(seed=3))
+        assert (rep.gamma, rep.direction, rep.n_used) == (0.0, est.FORWARD, 1)
+        exact = oracles.exact_probability(circuit, [0, 0, "marginal"])
+        assert rep.estimate == pytest.approx(exact, rel=1e-10)
+
     def test_all_marginal_is_exact_unity(self):
         circuit = lo.CircuitSpec(
             ((0.5, 0.1), (0.2, 0.0)), lo.haar_unitary(2, 12), (MARGINAL, MARGINAL)
@@ -1025,21 +1079,20 @@ class TestEstimateProbability:
 
     def test_deterministic_given_seed_and_chunks(self):
         circuit = squeezed_circuit([0.3, 0.4], 20)
-        cfg = est.EstimatorConfig(n_samples=50_000, seed=7, chunks=8)
+        cfg = est.EstimatorConfig(n_samples=50_000, seed=7)
         a = est.estimate_probability(circuit, cfg).estimate
         b = est.estimate_probability(circuit, cfg).estimate
         assert a == b
 
     def test_threads_do_not_change_output(self):
         circuit = squeezed_circuit([0.3, 0.4], 20)
-        cap = est.FUSED_BATCH
-        for n_samples, chunks in [
-            (50_000, 8),
-            (2 * cap + 123, 2),  # chunks larger than the fused cap
-            (50_001, 7),  # n not divisible by chunks
-            (4 * cap, 16),  # several fused batches in one call
+        per_worker = est.SAMPLES_PER_WORKER
+        for n_samples in [
+            50_000,  # a partial last chunk, two workers
+            2 * per_worker,  # whole chunks only
+            4 * per_worker + 1,  # a one-sample last chunk, more chunks than workers
         ]:
-            cfg = est.EstimatorConfig(n_samples=n_samples, seed=7, chunks=chunks)
+            cfg = est.EstimatorConfig(n_samples=n_samples, seed=7)
             reps = [est.estimate_probability(circuit, cfg, threads=t) for t in (1, 2, 4)]
             for rep in reps[1:]:
                 assert rep.estimate == reps[0].estimate
@@ -1047,8 +1100,7 @@ class TestEstimateProbability:
 
     def test_default_threads_match_one_thread(self):
         circuit = squeezed_circuit([0.3, 0.4], 20)
-        cfg = est.EstimatorConfig(n_samples=3 * est.FUSED_BATCH, seed=5, chunks=6)
-        assert len(est._fused_units(est._chunk_sizes(cfg.n_samples, cfg.chunks))) == 3
+        cfg = est.EstimatorConfig(n_samples=3 * est.SAMPLES_PER_WORKER, seed=5)
         blobs = {
             json.dumps(rep.as_dict(include_wall_time=False))
             for rep in (
@@ -1069,10 +1121,10 @@ class TestEstimateProbability:
 
     def test_trace_is_cumulative(self):
         circuit = squeezed_circuit([0.3], 21)
-        cfg = est.EstimatorConfig(n_samples=16_000, seed=8, chunks=4)
+        cfg = est.EstimatorConfig(n_samples=16_000, seed=8)
         rep = est.estimate_probability(circuit, cfg)
         ns = [row[0] for row in rep.trace]
-        assert ns == [4000, 8000, 12000, 16000]
+        assert ns == [4096, 8192, 12288, 16000]
         assert rep.trace[-1][1] == pytest.approx(rep.estimate)
 
 

@@ -263,16 +263,16 @@ class TestMultiplicative:
             fpras.estimate_multiplicative(circuit, 0.1, 0.05)
 
     def test_rejects_additive_config_fields(self):
-        # the multiplicative estimator chooses its own sample count, ordering,
-        # shift and chunks; a config that sets them is refused, each named
+        # the multiplicative estimator chooses its own sample count, ordering
+        # and shift; a config that sets them is refused, each named
         circuit = lo.CircuitSpec(
             ((0.0, 1.5), (0.0, 2.0)), lo.haar_unitary(2, 14), (photon(1),) * 2
         )
-        cfg = est.EstimatorConfig(n_samples=10, s=0.5, gamma_mode=(0.3, "forward"), chunks=3)
-        with pytest.raises(ValueError, match="sets s, gamma_mode, n_samples, chunks itself"):
+        cfg = est.EstimatorConfig(n_samples=10, s=0.5, gamma_mode=(0.3, "forward"))
+        with pytest.raises(ValueError, match="sets s, gamma_mode, n_samples itself"):
             fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg)
-        with pytest.raises(ValueError, match="sets chunks itself"):
-            fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(chunks=3))
+        with pytest.raises(ValueError, match="sets n_samples itself"):
+            fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(n_samples=3))
         # epsilon, delta and seed may be set
         cfg = est.EstimatorConfig(epsilon=0.1, delta=0.02, seed=3)
         assert fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg).n_used > 0
@@ -497,7 +497,7 @@ class TestMultiplicativeReduction:
         with pytest.raises(NonConvergent):
             fpras.estimate_multiplicative(CERTIFIED["thermal"], 0.1, 0.05, est.EstimatorConfig(seed=3))
         rows = sum(batches)
-        assert rows == (1 << 24) // fpras.CHUNK and max(batches) == (1 << 20) // fpras.CHUNK
+        assert rows == (1 << 24) // est.CHUNK and max(batches) == (1 << 20) // est.CHUNK
         # the rows held stay within twice the rows used; the geometric
         # regrowth generates at most four times as many in all
         assert max(generated) <= 2 * rows
