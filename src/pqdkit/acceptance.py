@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds, fpras, oracles
 from . import estimator as est
 from . import linear_optics as lo
-from .phase_space import CLICK, MARGINAL, photon, pqd_photon_number
+from .phase_space import CLICK, MARGINAL, W_INV_E, photon, pqd_photon_number
 
 
 @dataclass
@@ -49,7 +49,7 @@ def _random_hpsd(
     return b_mat * (lam_max / top)
 
 
-def _hpsd_with_spectrum(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
+def _hpsd_with_eigenvalues(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
     q = lo.haar_unitary(lam.size, int(rng.integers(0, 2**31))).u
     b_mat = (q * lam) @ q.conj().T
     return (b_mat + b_mat.conj().T) / 2.0
@@ -120,7 +120,7 @@ def criterion_3(seed: int = 0, runs: int = 50) -> CriterionResult:
             hits0 += 1
         lam = np.sort(rng.uniform(0.2, 0.6, 4))
         lam[0], lam[-1] = 0.2, 0.6
-        b1 = _hpsd_with_spectrum(rng, lam)
+        b1 = _hpsd_with_eigenvalues(rng, lam)
         exact1 = oracles.permanent_exact(b1).real
         res1 = est.estimate_permanent_hpsd(b1, cfg)
         if abs(res1.value - exact1) <= res1.budget:
@@ -149,7 +149,7 @@ def criterion_4(seed: int = 0, runs: int = 50) -> CriterionResult:
             hits["R'"] += 1
 
         lam_th = rng.uniform(0.2, 0.6, 3)
-        mat_b = lo.block_b_prime(_hpsd_with_spectrum(rng, lam_th))
+        mat_b = lo.block_b_prime(_hpsd_with_eigenvalues(rng, lam_th))
         exact = oracles.torontonian_exact(mat_b.data)
         res = est.estimate_torontonian(mat_b, cfg)
         if abs(res.value - exact) <= res.budget:
@@ -179,7 +179,7 @@ def criterion_5(seed: int = 0, runs: int = 100) -> CriterionResult:
     hits_per = hits_haf = 0
     for k in range(runs):
         lam = rng.uniform(1.0, 2.0, 4)
-        b_mat = _hpsd_with_spectrum(rng, lam)
+        b_mat = _hpsd_with_eigenvalues(rng, lam)
         exact = oracles.permanent_exact(b_mat).real
         emb = lo.embed_permanent(b_mat)
         cfg = est.EstimatorConfig(seed=seed * 4000 + k)
@@ -206,6 +206,15 @@ def criterion_5(seed: int = 0, runs: int = 100) -> CriterionResult:
     )
 
 
+def _optimal_gamma_squeezed(lam: float) -> tuple[float, str]:
+    """The paper's balance-optimal shift for pure squeezed inputs of largest
+    lambda = tanh r with single-photon detection: forward below the branch
+    point W(1/e) / (1 - W(1/e)) ~= 0.386, reverse above it."""
+    if lam <= W_INV_E / (1.0 - W_INV_E):
+        return (2.0 * (1.0 + lam) * W_INV_E - 2.0 * lam) / (1.0 - lam), est.FORWARD
+    return (lam - (1.0 + lam) * W_INV_E) / lam, est.REVERSE
+
+
 def criterion_6(seed: int = 0) -> CriterionResult:
     """Shift machinery: balance identity, bound domination, shift invariance."""
     rng = _rng(seed, 6)
@@ -215,7 +224,7 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     worst = 0.0
     for _ in range(100):
         lam = float(rng.uniform(0.01, 0.99))
-        gamma, direction = est.optimal_gamma_squeezed([lam])[:2]
+        gamma, direction = _optimal_gamma_squeezed(lam)
         e2r = (1.0 + lam) / (1.0 - lam)
         s = 1.0 / e2r
         rate = (
@@ -250,7 +259,7 @@ def criterion_6(seed: int = 0) -> CriterionResult:
         )
         circuit = lo.CircuitSpec(modes, lo.haar_unitary(m, 60_000 + k), pattern)
         s = circuit.s_max - 1e-9
-        gamma, direction = est.resolve_gamma(circuit, s)[:2]
+        gamma, direction = est.resolve_gamma(circuit, s)
         mod = est.modified_negativity_bound(circuit, s, gamma, direction)
         neg = est.negativity_bound(circuit, s)
         if mod > neg * (1.0 + 1e-9):
@@ -399,7 +408,7 @@ def criterion_8(seed: int = 0, instances: int = 200) -> CriterionResult:
     for _ in range(instances):
         m = int(rng.integers(2, 5))
         lam = rng.uniform(0.05, 0.95, m)
-        b_mat = _hpsd_with_spectrum(rng, lam)
+        b_mat = _hpsd_with_eigenvalues(rng, lam)
         lam_s = np.linalg.eigvalsh(b_mat).clip(min=1e-12)
         rep = bounds.permanent_bounds(lam_s)
         per = oracles.permanent_exact(b_mat).real
@@ -416,7 +425,7 @@ def criterion_8(seed: int = 0, instances: int = 200) -> CriterionResult:
             viol["hafnian_block_a"] += 1
 
         lam_t = rng.uniform(0.05, 0.9, 3)
-        mat_b = lo.block_b_prime(_hpsd_with_spectrum(rng, lam_t))
+        mat_b = lo.block_b_prime(_hpsd_with_eigenvalues(rng, lam_t))
         tor = oracles.torontonian_exact(mat_b.data)
         rep = bounds.torontonian_bounds(
             "thermal", lambdas=np.linalg.eigvalsh(mat_b.data[3:, 3:]).clip(min=1e-12)

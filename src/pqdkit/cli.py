@@ -371,7 +371,7 @@ def _cmd_bounds(args) -> int:
     """Sandwich bounds and the budget of a default estimate: the family's
     embedding of a diagonal matrix (block A: its squeezed thermal circuit)
     with the estimator's budget rule at s_max - S_MAX_MARGIN and the
-    analytic shift.  Budget factors are listed in input order."""
+    automatic shift.  Budget factors are listed in input order."""
     report = _base_report("bounds", args.seed)
     family = args.family
     _require_flags(args, _BOUNDS_FLAGS.get(family, ()))
@@ -403,7 +403,7 @@ def _cmd_bounds(args) -> int:
         else:  # hafnian-sq
             emb = lo.embed_hafnian(diag)
     s = emb.circuit.s_max - est.S_MAX_MARGIN
-    factors = est.budget_factors(emb, s, *est.ANALYTIC_SHIFTS[emb.family](emb)[:2])
+    factors = est.budget_factors(emb, s, *est.resolve_gamma(emb.circuit, s))
     if family in ("permanent", "tor-thermal", "hafnian-sq"):
         # the decomposition sorts the spectrum by decreasing modulus
         order = np.argsort(-np.abs(spectrum), kind="stable")

@@ -21,9 +21,12 @@ one OpenBLAS thread, so no BLAS pool spins while the samples are drawn.
 Per-mode values are computed once per call, and a factor's supremum once
 per distinct outcome.
 
-|Haf|^2, Per and Tor share one path: an embedding's family picks the
-analytic shift its budget is derived at (``ANALYTIC_SHIFTS``) unless the
-caller fixes one, and the budget is the bound of the sampler that ran
+One rule picks the shift unless the caller fixes one: ``resolve_gamma``
+searches the rate that minimizes the folded sampler's weight bound over the
+instance's own spectrum.  What the shift leaves unchanged (``_Setup``) is
+built once per estimate and shared by the search, the fold, the samplers
+and the suprema.  |Haf|^2, Per and Tor share one path through the circuit
+estimate, and the budget is the bound of the sampler that ran
 (``budget_factors``: each mode's prefactor times its ``mode_sups`` at the
 sampled s, gamma and direction, the number its weights are checked
 against), so it covers the run's Hoeffding radius.
@@ -39,7 +42,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,9 +52,8 @@ from .errors import (
     BudgetOverflow,
     NotPositiveDefinite,
     ShiftOutOfRange,
-    SingularOrdering,
 )
-from .factors import FREEZE_TOL, input_exponents, measurement_sup
+from .factors import shift_exponents, unshifted_exponents
 from .linear_optics import (
     CircuitSpec,
     Embedding,
@@ -60,7 +62,7 @@ from .linear_optics import (
     embed_permanent,
     embed_torontonian,
 )
-from .phase_space import W_INV_E, pi_w_profile
+from .phase_space import pi_w_profile
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -71,7 +73,6 @@ WEIGHT_BOUND_RTOL = 1e-9
 class GammaChoice(NamedTuple):
     gamma: float
     direction: str
-    fpras_recommended: bool = False
 
 
 @dataclass(frozen=True)
@@ -153,15 +154,97 @@ def _rate(s: float, gamma: float, direction: str, a_max: float) -> float:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _resolve_s(circuit: CircuitSpec, config: EstimatorConfig) -> float:
-    s_max = circuit.s_max
-    if config.s is None:
-        return s_max - S_MAX_MARGIN
-    if config.s > s_max + FREEZE_TOL:
-        raise SingularOrdering(f"s = {config.s} exceeds circuit classicality {s_max}")
-    for out in circuit.outcome_index[0]:
-        pi_w_profile(out, config.s)  # raises OrderingOutOfRange outside its range
-    return config.s
+# ---------------------------------------------------------------------------
+# what a shift leaves unchanged
+# ---------------------------------------------------------------------------
+
+
+class _Setup:
+    """The rate-independent part of a circuit at ordering s, built once per
+    estimate and shared by the shift search, the fold, the samplers and the
+    suprema: each quadrature's unshifted exponent 2/(a - s) (NaN where
+    frozen), one ``RadialFactor`` per distinct outcome, and W on the free
+    coordinates.  Building it checks s: above a variance it raises
+    ``SingularOrdering``, outside a factor's range ``OrderingOutOfRange``.
+    """
+
+    def __init__(self, circuit: CircuitSpec, s: float):
+        self.m = circuit.m
+        self.c0 = unshifted_exponents(circuit.covariances(), s)
+        distinct, self.index = circuit.outcome_index
+        self.radial = tuple(pi_w_profile(out, s) for out in distinct)
+        self.gaussian = np.array([out.is_gaussian for out in distinct])[self.index]
+        # a Gaussian factor's log-slope, which it folds with, and log pi W(0)
+        self.kappa = np.array([f.log_slope for f in self.radial])[self.index]
+        self.log_w0 = np.array(
+            [math.log(f.const) if out.is_gaussian else 0.0 for f, out in zip(self.radial, distinct)]
+        )[self.index]
+        self.free_idx = np.flatnonzero(~np.isnan(self.c0))
+        self.w = _real_pushforward(circuit.unitary.u)
+
+    def rows(self, modes) -> np.ndarray:
+        """Rows of W on the free coordinates giving [Re beta; Im beta] of
+        ``modes``, column-major: the samplers' kernel products run faster
+        on it than on a row-major copy."""
+        modes = np.asarray(modes, dtype=int)
+        return self.w[np.concatenate([modes, modes + self.m])][:, self.free_idx]
+
+    def unit_sups(self, rate: float) -> np.ndarray:
+        """sup_b |pi W_j(b)| exp(-rate * b) of every mode, one supremum per
+        distinct outcome; a supremum is linear in the input normalization,
+        which callers multiply in."""
+        return np.array([f.sup(rate) for f in self.radial])[self.index]
+
+    @functools.cached_property
+    def log_bound(self) -> Callable[[float], float]:
+        """log B_eff as a function of the signed rate: the log of the folded
+        sampler's weight bound, inf outside the feasible rates.  With
+        Lambda(rate) the folded precision on the free coordinates,
+
+            log B_eff = const - 1/2 log det Lambda(rate)
+                        + sum over weighted modes of log sup_j(rate),
+
+        the input normalizations cancelling between the fold's prefactor and
+        the weighted modes.  Lambda is diagonal, 2 (c0 - rate), when no
+        factor is Gaussian, else base + rate * slope.  Everything else is
+        computed here once, so that a probe takes one log-sum or one
+        Cholesky and one supremum per distinct weighted outcome.  Equal to
+        ``_log_effective_bound``, which takes a full fold."""
+        c0 = self.c0[self.free_idx]
+        cap = float(c0.min()) if c0.size else math.inf  # at or above it an exponent is <= 0
+        counts = np.bincount(self.index[~self.gaussian], minlength=len(self.radial)).tolist()
+        weighted = [(f.sup, n) for f, n in zip(self.radial, counts) if n]
+        gauss = np.flatnonzero(self.gaussian)
+        inf, log, nlog, add = math.inf, math.log, np.log, np.add.reduce
+        if gauss.size:
+            w_g = self.rows(gauss)
+            slope = 2.0 * (w_g.T @ w_g)
+            slope[np.diag_indices_from(slope)] -= 2.0
+            base = (w_g.T * np.tile(-2.0 * self.kappa[gauss], 2)) @ w_g
+            base[np.diag_indices_from(base)] += 2.0 * c0
+            const = 0.5 * float(add(nlog(2.0 * c0))) + float(add(self.log_w0))
+        else:  # log det Lambda = sum log 2 (c0 - rate)
+            const = 0.5 * float(add(nlog(c0)))
+
+        def probe(rate: float) -> float:
+            value = const
+            for sup, n in weighted:
+                value += n * log(sup(rate))
+            if value == inf or rate >= cap:  # an unbounded factor, or an exponent <= 0
+                return inf
+            if not gauss.size:
+                return value - 0.5 * float(add(nlog(c0 - rate)))
+            try:
+                root = np.linalg.cholesky(base + rate * slope)
+            except np.linalg.LinAlgError:
+                return inf
+            return value - float(add(nlog(np.diagonal(root))))
+
+        return probe
+
+
+def _setup_or_build(setup: Optional[_Setup], circuit: CircuitSpec, s: float) -> _Setup:
+    return _Setup(circuit, s) if setup is None else setup
 
 
 # ---------------------------------------------------------------------------
@@ -169,35 +252,31 @@ def _resolve_s(circuit: CircuitSpec, config: EstimatorConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def negativity_bound(circuit: CircuitSpec, s: float) -> float:
+def negativity_bound(circuit: CircuitSpec, s: float, setup: Optional[_Setup] = None) -> float:
     """Unshifted negativity bound: product of measurement-PQD suprema.
 
     Gaussian inputs at s <= s_max have unit total variation, so only the
     measurement side contributes.
     """
-    if s > circuit.s_max + FREEZE_TOL:
-        raise SingularOrdering(f"s = {s} exceeds circuit classicality")
-    return float(np.prod(_unit_sups(circuit, s, 0.0)))
-
-
-def _unit_sups(circuit: CircuitSpec, s: float, rate: float) -> np.ndarray:
-    """sup_b |pi W_j(b)| exp(-rate * b) of every mode, one
-    ``measurement_sup`` per distinct outcome; a supremum is linear in the
-    input normalization, which callers multiply in."""
-    distinct, index = circuit.outcome_index
-    return np.array([measurement_sup(out, s, rate) for out in distinct])[index]
+    return float(np.prod(_setup_or_build(setup, circuit, s).unit_sups(0.0)))
 
 
 def mode_sups(
-    circuit: CircuitSpec, s: float, gamma: float, direction: str, log_norms=None
+    circuit: CircuitSpec,
+    s: float,
+    gamma: float,
+    direction: str,
+    log_norms=None,
+    setup: Optional[_Setup] = None,
 ) -> np.ndarray:
     """Per-mode suprema of the shifted measurement factors |f_j|; the modes'
     log input normalizations at this shift are computed unless given as
     ``log_norms`` (``FoldedSampler.log_norms``)."""
+    setup = _setup_or_build(setup, circuit, s)
     rate = _rate(s, gamma, direction, circuit.a_max)
     if log_norms is None:
-        log_norms = input_exponents(circuit.covariances(), s, rate)[1]
-    return np.exp(log_norms) * _unit_sups(circuit, s, rate)
+        log_norms = shift_exponents(setup.c0, rate)[1]
+    return np.exp(log_norms) * setup.unit_sups(rate)
 
 
 def modified_negativity_bound(
@@ -223,200 +302,84 @@ def _hoeffding_count(log_b: float, epsilon: float, delta: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# optimal shifts
+# the shift
 # ---------------------------------------------------------------------------
 
-SQUEEZED_BRANCH_POINT = W_INV_E / (1.0 - W_INV_E)  # ~= 0.386
 
-
-def optimal_gamma_squeezed(
-    lambdas: Sequence[float], lambda_max: Optional[float] = None
+def resolve_gamma(
+    circuit: CircuitSpec, s: float, method: str = "folded", setup: Optional[_Setup] = None
 ) -> GammaChoice:
-    """Balance-optimal shift for pure squeezed inputs with all-single-photon
-    detection: forward below the branch point, reverse above it."""
-    lam = float(lambda_max if lambda_max is not None else max(lambdas))
-    if lam <= 0.0:
+    """The automatic shift, one rule for every circuit and matrix family:
+    the searched minimum of the folded sampler's weight bound
+    (``_numeric_gamma``).  With nothing weighed (an all-Gaussian pattern,
+    folded) the estimate is exact at any shift, so the choice is rate 0,
+    without a search."""
+    setup = _setup_or_build(setup, circuit, s)
+    if method == "folded" and setup.gaussian.all():
         return GammaChoice(0.0, FORWARD)
-    if lam <= SQUEEZED_BRANCH_POINT:
-        gamma = (2.0 * (1.0 + lam) * W_INV_E - 2.0 * lam) / (1.0 - lam)
-        return GammaChoice(gamma, FORWARD)
-    gamma = (lam - (1.0 + lam) * W_INV_E) / lam
-    return GammaChoice(gamma, REVERSE)
-
-
-def optimal_gamma_thermal(lambda_min: float, lambda_max: float) -> GammaChoice:
-    """Optimal shift for thermal inputs with all-single-photon detection.
-
-    lambda_min = 0 uses the closed two-branch rule; 0 < lambda_min < 1/2 the
-    discriminant branch (reverse parametrization); lambda_min >= 1/2 flags
-    the multiplicative-error path as the better tool.
-    """
-    if not (0.0 <= lambda_min <= lambda_max < 1.0):
-        raise ValueError("need 0 <= lambda_min <= lambda_max < 1")
-    fpras = lambda_min >= 0.5
-    if lambda_min < 1e-12:
-        if lambda_max < 0.5:
-            return GammaChoice(
-                (1.0 - 2.0 * lambda_max) / (2.0 * (1.0 - lambda_max)), FORWARD, fpras
-            )
-        return GammaChoice((2.0 * lambda_max - 1.0) / (2.0 * lambda_max), REVERSE, fpras)
-    if lambda_max - lambda_min <= 1e-9:
-        limit = (2.0 * lambda_max - 1.0) / lambda_max
-        if limit >= 0.0:
-            return GammaChoice(min(limit, 1.0 - 1e-12), REVERSE, fpras)
-        return GammaChoice(0.0, FORWARD, fpras)
-    disc = math.sqrt(
-        4.0 * lambda_max**2 - 8.0 * lambda_max * lambda_min + 5.0 * lambda_min**2
-    )
-    num = (
-        lambda_min
-        + lambda_max * (4.0 * lambda_min - 2.0)
-        + disc
-        - lambda_min * (3.0 * lambda_min + disc)
-    )
-    # the same raw shift has a reverse parametrization when num >= 0 and a
-    # forward one when num < 0 (lambda_min approaching 1/2)
-    if num >= 0.0:
-        gamma = num / (2.0 * lambda_min * (lambda_max - lambda_min))
-        return GammaChoice(min(gamma, 1.0 - 1e-12), REVERSE, fpras)
-    gamma = num / (2.0 * lambda_min * (lambda_max - 1.0))
-    return GammaChoice(min(gamma, 1.0 - 1e-12), FORWARD, fpras)
-
-
-def optimal_gamma_threshold(lambda_max: float) -> GammaChoice:
-    """Optimal forward shift for all-click detection on squeezed or thermal
-    inputs."""
-    return GammaChoice(0.5 * (1.0 - lambda_max), FORWARD)
-
-
-def optimal_gamma_threshold_st(n: float, r_max: float) -> GammaChoice:
-    """Optimal forward shift for all-click detection on squeezed thermal
-    inputs with shared occupation n."""
-    return GammaChoice(math.exp(-math.tanh(r_max)) / (n + 1.0), FORWARD)
-
-
-def optimal_gamma_st(n: float, r_max: float) -> GammaChoice:
-    """Optimal reverse shift for single-photon detection on squeezed thermal
-    inputs with shared occupation n."""
-    return GammaChoice(math.exp(-math.tanh(r_max)) * n / (n + 1.0), REVERSE)
-
-
-def _spectrum(circuit: CircuitSpec) -> list:
-    """lambda_j = (a+_j - 1) / (a+_j + 1) of every mode: tanh r_j of a
-    squeezed input, n_j / (n_j + 1) of a thermal one."""
-    return [(c.a_plus - 1.0) / (c.a_plus + 1.0) for c in circuit.covariances()]
-
-
-def _detect_family(circuit: CircuitSpec):
-    """Classify the input family from the per-mode covariances."""
-    covs = circuit.covariances()
-    pure = all(abs(c.a_plus * c.a_minus - 1.0) < 1e-9 for c in covs)
-    thermal = all(abs(c.a_plus - c.a_minus) < 1e-12 for c in covs)
-    products = [c.a_plus * c.a_minus for c in covs]
-    shared_st = (
-        not thermal
-        and not pure
-        and max(products) - min(products) < 1e-9
-        and min(products) > 1.0 + 1e-9
-    )
-    if pure and not thermal:
-        return "squeezed", _spectrum(circuit)
-    if thermal:
-        return "thermal", _spectrum(circuit)
-    if shared_st:
-        n = (math.sqrt(products[0]) - 1.0) / 2.0
-        r_list = [0.25 * math.log(c.a_plus / c.a_minus) for c in covs]
-        return "squeezed_thermal", (n, r_list)
-    return "generic", None
-
-
-def resolve_gamma(circuit: CircuitSpec, s: float) -> GammaChoice:
-    """Automatic shift choice: analytic optima for the derived families,
-    numeric minimization of the effective sample bound otherwise."""
-    kinds = {out.kind for out in circuit.pattern}
-    counts = {out.m for out in circuit.pattern if out.kind == "photon"}
-    family, params = _detect_family(circuit)
-    if kinds == {"photon"} and counts == {1}:
-        if family == "squeezed":
-            return optimal_gamma_squeezed(params)
-        if family == "thermal":
-            return optimal_gamma_thermal(min(params), max(params))
-        if family == "squeezed_thermal":
-            n, r_list = params
-            return optimal_gamma_st(n, max(r_list))
-    if kinds == {"click"}:
-        if family in ("squeezed", "thermal"):
-            return optimal_gamma_threshold(max(params))
-        if family == "squeezed_thermal":
-            n, r_list = params
-            return optimal_gamma_threshold_st(n, max(r_list))
-    return _numeric_gamma(circuit, s)
+    return _numeric_gamma(circuit, s, setup)
 
 
 def _log_effective_bound(circuit: CircuitSpec, s: float, gamma: float, direction: str):
-    fold = _fold(circuit, s, gamma, direction)
+    """log B_eff at a shift from a full fold: the reference of the search's
+    objective (``_Setup.log_bound``)."""
+    setup = _Setup(circuit, s)
+    fold = _fold(circuit, s, gamma, direction, setup=setup)
     active = list(fold.active_modes)
-    rate = _rate(s, gamma, direction, circuit.a_max)
-    sups = _unit_sups(circuit, s, rate)[active]
+    sups = setup.unit_sups(_rate(s, gamma, direction, circuit.a_max))[active]
     return fold.log_prefactor + float(np.sum(np.log(sups) + fold.log_norms[active]))
 
 
-def _numeric_gamma(circuit: CircuitSpec, s: float) -> GammaChoice:
+# The share of the open interval of feasible rates the search spans.  Near
+# its reverse end lie the optima of near-degenerate thermal spectra close to
+# 1 (the closed-form permanent shift reaches gamma = 0.999 at lambda = 1/a).
+SEARCH_WINDOW = 1.0 - 1e-6
+
+
+@one_blas_thread()
+def _numeric_gamma(circuit: CircuitSpec, s: float, setup: Optional[_Setup] = None) -> GammaChoice:
     """Golden-section minimization of log B_eff over the signed rate.
 
-    log B_eff(rate) = const - 1/2 log det Lambda(rate) + sum over active
-    modes of log sup_b |pi W_j(b)| exp(-rate b); the input normalizations
-    cancel between the prefactor and the active n_j.  The folded precision
-    Lambda is affine in the rate, so -1/2 log det is convex, and each
-    log-supremum is a supremum of affine functions of the rate, so convex
-    too.  The objective is thus convex on one interval of feasible rates,
-    which holds rate 0, and one bracket-free line search over the window
-    [-0.98 * 2/(s+1), 0.98 * 2/(a_max-s)] finds its minimum.  The best
-    point probed wins, rate 0 included.
+    log B_eff (``_Setup.log_bound``) is convex in the rate: the folded
+    precision Lambda is affine in it, so -1/2 log det Lambda is convex, and
+    each log-supremum is a supremum of affine functions of the rate, so
+    convex too.  It is thus convex on one interval of feasible rates, which
+    holds rate 0, and one bracket-free line search over the window
+    SEARCH_WINDOW * [-2/(s+1), 2/(a_max-s)] finds its minimum.  A probe
+    takes the rate-dependent terms only: one supremum per distinct weighted
+    outcome, a log-sum, and a Cholesky where Gaussian factors are folded.
+    The better interior probe always stays in the bracket, so the best
+    point probed is rate 0, a last interior probe or an end of the last
+    bracket (whose probes catch a minimum at a window edge).
     """
+    log_bound = _setup_or_build(setup, circuit, s).log_bound
     a_max = circuit.a_max
-
-    def choice(rate: float) -> GammaChoice:
-        if rate >= 0.0:
-            return GammaChoice(rate * (a_max - s) / 2.0, FORWARD)
-        return GammaChoice(-rate * (s + 1.0) / 2.0, REVERSE)
-
-    best_value, best_rate = math.inf, 0.0
-
-    def objective(rate: float) -> float:
-        nonlocal best_value, best_rate
-        try:
-            value = _log_effective_bound(circuit, s, *choice(rate)[:2])
-        except (ShiftOutOfRange, NotPositiveDefinite, SingularOrdering):
-            return math.inf
-        if value < best_value:
-            best_value, best_rate = value, rate
-        return value
-
-    objective(0.0)
-    a = -0.98 * 2.0 / (s + 1.0)
-    b = 0.98 * 2.0 / (a_max - s) if a_max > s else 0.0
+    inf = math.inf
+    a = -SEARCH_WINDOW * 2.0 / (s + 1.0)
+    b = SEARCH_WINDOW * 2.0 / (a_max - s) if a_max > s else 0.0
     tol = 1e-6 * (b - a)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    f0 = log_bound(0.0)
     c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
+    fc, fd = log_bound(c), log_bound(d)
     while b - a > tol:
-        if math.isinf(fc) and math.isinf(fd):
+        if fc == fd == inf:
             # both probes outside the feasible interval, which holds 0
             a, b = (a, c) if c > 0.0 else (d, b)
             c, d = b - invphi * (b - a), a + invphi * (b - a)
-            fc, fd = objective(c), objective(d)
+            fc, fd = log_bound(c), log_bound(d)
         elif fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = objective(c)
+            fc = log_bound(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = objective(d)
-    objective(a)  # the ends of the last bracket catch a minimum at a window edge
-    objective(b)
-    return choice(best_rate)
+            fd = log_bound(d)
+    rate = min([(f0, 0.0), (fc, c), (fd, d), (log_bound(a), a), (log_bound(b), b)])[1]
+    if rate >= 0.0:
+        return GammaChoice(rate * (a_max - s) / 2.0, FORWARD)
+    return GammaChoice(-rate * (s + 1.0) / 2.0, REVERSE)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +418,12 @@ def _real_pushforward(u: np.ndarray) -> np.ndarray:
 
 @one_blas_thread()
 def _fold(
-    circuit: CircuitSpec, s: float, gamma: float, direction: str, laplace: bool = False
+    circuit: CircuitSpec,
+    s: float,
+    gamma: float,
+    direction: str,
+    laplace: bool = False,
+    setup: Optional[_Setup] = None,
 ) -> _Fold:
     """A Gaussian factor is pi W(0) * exp(kappa * b), kappa its log-slope,
     and adds c_j Q_j, c_j = 2 (rate - kappa), to the precision, where
@@ -466,28 +434,21 @@ def _fold(
     factor, whose weight keeps pi W_j(b) * exp(-kappa_j * b): the precision
     is then minus the log-Hessian of the integrand at the origin (the
     Laplace proposal)."""
-    distinct, index = circuit.outcome_index
+    setup = _setup_or_build(setup, circuit, s)
     rate = _rate(s, gamma, direction, circuit.a_max)
-    exponents, log_norms = input_exponents(circuit.covariances(), s, rate)
-    free_idx = np.flatnonzero(~np.isnan(exponents))
+    exponents, log_norms = shift_exponents(setup.c0, rate)
+    free_idx = setup.free_idx
     precision = 2.0 * exponents[free_idx]
 
-    # per mode: whether its factor is Gaussian, log pi W(0) of a Gaussian
-    # factor, and the exponent rate_j its weight keeps: kappa_j when folded,
+    # per mode, the exponent rate_j its weight keeps: kappa_j when folded,
     # the shift rate when not (so that unfolded modes add nothing)
-    gaussian = np.array([out.is_gaussian for out in distinct])[index]
-    radial = [pi_w_profile(out, s) for out in distinct]
-    log_w0 = np.array(
-        [math.log(f.const) if out.is_gaussian else 0.0 for f, out in zip(radial, distinct)]
-    )[index]
-    weight_rates = np.array(
-        [f.log_slope if out.is_gaussian or laplace else rate for f, out in zip(radial, distinct)]
-    )[index]
-    log_prefactor = float(np.sum(log_norms[gaussian] + log_w0[gaussian]))
+    gaussian = setup.gaussian
+    weight_rates = np.where(gaussian | laplace, setup.kappa, rate)
+    log_prefactor = float(np.sum(log_norms[gaussian] + setup.log_w0[gaussian]))
     coefs = 2.0 * (rate - weight_rates)
     folded = np.flatnonzero(coefs)
     if folded.size:
-        w_r = _real_pushforward(circuit.unitary.u[folded])[:, free_idx]
+        w_r = setup.rows(folded)
         lam = (w_r.T * np.tile(coefs[folded], 2)) @ w_r
         lam[np.diag_indices_from(lam)] += precision
         try:
@@ -609,14 +570,10 @@ class FoldedSampler:
         return w
 
 
-def _sampler(
-    circuit: CircuitSpec, s: float, kernel, modes, rates, log_norms, log_prefactor: float
-) -> FoldedSampler:
+def _sampler(setup: _Setup, kernel, modes, rates, log_norms, log_prefactor: float) -> FoldedSampler:
     """A sampler weighting ``modes`` with Gaussian reweight exponents
     ``rates``; ``log_norms`` are every mode's log input normalizations."""
-    distinct, index = circuit.outcome_index
-    radial = [pi_w_profile(out, s) for out in distinct]
-    profiles = [radial[index[j]] for j in modes]
+    profiles = [setup.radial[setup.index[j]] for j in modes]
     return FoldedSampler(
         kernel=kernel,
         exponents=np.array([f.decay + rate for f, rate in zip(profiles, rates)]),
@@ -630,7 +587,12 @@ def _sampler(
 
 @one_blas_thread()
 def build_folded_sampler(
-    circuit: CircuitSpec, s: float, gamma: float, direction: str, laplace: bool = False
+    circuit: CircuitSpec,
+    s: float,
+    gamma: float,
+    direction: str,
+    laplace: bool = False,
+    setup: Optional[_Setup] = None,
 ) -> FoldedSampler:
     """Folded sampler with kernel K = W_af L^{-T}: W restricted to the active
     modes' rows and the free columns, L the fold's precision root (one
@@ -640,8 +602,9 @@ def build_folded_sampler(
     rank-deficient K), so a sample draws 2A normals, not F.  ``laplace``
     selects the Laplace fold of ``_fold`` (the multiplicative estimator's
     proposal)."""
-    fold = _fold(circuit, s, gamma, direction, laplace)
-    kernel = _real_pushforward(circuit.unitary.u[list(fold.active_modes)])[:, fold.free_idx]
+    setup = _setup_or_build(setup, circuit, s)
+    fold = _fold(circuit, s, gamma, direction, laplace, setup)
+    kernel = setup.rows(fold.active_modes)
     if kernel.size:
         if fold.root.ndim == 1:
             kernel = kernel / fold.root
@@ -651,23 +614,21 @@ def build_folded_sampler(
             kernel = np.linalg.solve(fold.root, kernel.T).T
         if kernel.shape[0] < kernel.shape[1]:
             kernel = np.ascontiguousarray(np.linalg.qr(kernel.T, mode="r").T)
-    return _sampler(
-        circuit, s, kernel, fold.active_modes, fold.rates, fold.log_norms, fold.log_prefactor
-    )
+    return _sampler(setup, kernel, fold.active_modes, fold.rates, fold.log_norms, fold.log_prefactor)
 
 
 def _build_naive_sampler(
-    circuit: CircuitSpec, s: float, gamma: float, direction: str
+    circuit: CircuitSpec, s: float, gamma: float, direction: str, setup: Optional[_Setup] = None
 ) -> FoldedSampler:
     """Independent per-mode input sampling with every measurement factor in
     the weight: kernel K = W diag(stds) over all 2M coordinates (a frozen
     coordinate has std 0)."""
+    setup = _setup_or_build(setup, circuit, s)
     m = circuit.m
     rate = _rate(s, gamma, direction, circuit.a_max)
-    exponents, log_norms = input_exponents(circuit.covariances(), s, rate)
+    exponents, log_norms = shift_exponents(setup.c0, rate)
     stds = np.nan_to_num(np.sqrt(1.0 / (2.0 * exponents)))
-    kernel = _real_pushforward(circuit.unitary.u) * stds
-    return _sampler(circuit, s, kernel, range(m), [rate] * m, log_norms, 0.0)
+    return _sampler(setup, setup.w * stds, range(m), [rate] * m, log_norms, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -789,24 +750,23 @@ def estimate_probability(
     at any shift, so the automatic one is rate 0, without a search.
     """
     t0 = time.perf_counter()
-    s = _resolve_s(circuit, config)
-    if config.gamma_mode != "auto":
-        gamma, direction = config.gamma_mode
-    elif method == "folded" and all(out.is_gaussian for out in circuit.pattern):
-        gamma, direction = 0.0, FORWARD
-    else:
-        gamma, direction = resolve_gamma(circuit, s)[:2]
-
-    if method == "folded":
-        sampler = build_folded_sampler(circuit, s, gamma, direction)
-    elif method == "naive":
-        sampler = _build_naive_sampler(circuit, s, gamma, direction)
-    else:
+    if method not in ("folded", "naive"):
         raise ValueError(f"unknown method {method!r}")
-    all_sups = mode_sups(circuit, s, gamma, direction, sampler.log_norms)
+    s = circuit.s_max - S_MAX_MARGIN if config.s is None else config.s
+    setup = _Setup(circuit, s)  # checks s
+    with one_blas_thread():  # one thread-count switch for the search and the build
+        if config.gamma_mode == "auto":
+            gamma, direction = resolve_gamma(circuit, s, method, setup)
+        else:
+            gamma, direction = config.gamma_mode
+        if method == "folded":
+            sampler = build_folded_sampler(circuit, s, gamma, direction, setup=setup)
+        else:
+            sampler = _build_naive_sampler(circuit, s, gamma, direction, setup)
+    all_sups = mode_sups(circuit, s, gamma, direction, sampler.log_norms, setup)
     mod_neg = float(np.prod(all_sups))
     c_max = float(np.max(all_sups)) if all_sups.size else 1.0
-    neg = negativity_bound(circuit, s)
+    neg = negativity_bound(circuit, s, setup)
     active_sups = all_sups[list(sampler.active_modes)]
     log_b_samples = sampler.log_prefactor + float(np.sum(np.log(active_sups)))
     prefactor = math.exp(sampler.log_prefactor)
@@ -882,29 +842,6 @@ class MatrixEstimate:
         return out
 
 
-def _shared_n_r_max(circuit: CircuitSpec) -> tuple[float, float]:
-    """(n, r_max) of squeezed thermal inputs of shared occupation n."""
-    return circuit.modes[0][1], max(r for r, _ in circuit.modes)
-
-
-# Embedding family -> the analytic shift its budget is derived at.  Haf and
-# Per read lambda off their circuit, as ``resolve_gamma`` does; the
-# Torontonian families take the matrix's own spectrum, and A' keeps its
-# rule at n = 0, where the automatic choice would differ.
-ANALYTIC_SHIFTS = {
-    "hafnian_sq": lambda emb: optimal_gamma_squeezed(_spectrum(emb.circuit)),
-    "permanent": lambda emb: optimal_gamma_thermal(
-        min(_spectrum(emb.circuit)), max(_spectrum(emb.circuit))
-    ),
-    "torontonian.squeezed": lambda emb: optimal_gamma_threshold(float(np.max(emb.lambdas))),
-    "torontonian.thermal": lambda emb: optimal_gamma_threshold(float(np.max(emb.lambdas))),
-    "torontonian.squeezed_thermal": lambda emb: optimal_gamma_threshold_st(
-        *_shared_n_r_max(emb.circuit)
-    ),
-    "hafnian.block_a": lambda emb: optimal_gamma_st(*_shared_n_r_max(emb.circuit)),
-}
-
-
 def budget_factors(
     emb: Embedding, s: float, gamma: float, direction: str, sups=None
 ) -> np.ndarray:
@@ -924,11 +861,8 @@ def _run_embedding(
     emb: Embedding, config: EstimatorConfig, threads: Optional[int]
 ) -> MatrixEstimate:
     """The matrix function of ``emb`` from its circuit probability, sampled
-    at the family's analytic shift unless ``config`` fixes one, with the
-    budget of the sampler it ran."""
-    if config.gamma_mode == "auto":
-        shift = ANALYTIC_SHIFTS[emb.family](emb)
-        config = dataclasses.replace(config, gamma_mode=tuple(shift[:2]))
+    at the automatic shift (``resolve_gamma``) unless ``config`` fixes one,
+    with the budget of the sampler it ran."""
     # N = O(1/eps^2) convention: the budget carries the weight bound
     n_eps = _hoeffding_count(0.0, config.epsilon, config.delta)
     n = config.n_samples or n_eps

@@ -21,29 +21,36 @@ from .phase_space import MeasurementOutcome, pi_w_profile
 FREEZE_TOL = 1e-12
 
 
-def input_exponents(covs, s: float, rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted input exponents and normalizations of every mode at once.
-
-    Returns the exponent c of each of the 2M quadratures (x of every mode,
-    then p; NaN marks a frozen delta axis, whose variance is within
-    FREEZE_TOL of s) and log N_i of each mode's shifted input factor, to
-    which a frozen quadrature contributes 0.
-    """
-    m = len(covs)
+def unshifted_exponents(covs, s: float) -> np.ndarray:
+    """The exponent 2/(a - s) of each of the 2M input quadratures (x of
+    every mode, then p) before any shift; NaN marks a frozen delta axis,
+    whose variance a is within FREEZE_TOL of s."""
     a = np.array([c.a_plus for c in covs] + [c.a_minus for c in covs], dtype=float)
     d = a - s
     if d.min(initial=0.0) < -FREEZE_TOL:
         raise SingularOrdering(f"s = {s} exceeds variance {a[np.argmin(d)]}")
-    free = d > FREEZE_TOL
-    d = np.where(free, d, np.nan)  # NaN carries a frozen axis through, silently
-    c = 2.0 / d - rate
+    return 2.0 / np.where(d > FREEZE_TOL, d, np.nan)  # NaN carries a frozen axis through
+
+
+def shift_exponents(c0: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """The shifted exponents c0 - rate of the quadratures whose unshifted
+    exponents are ``c0`` (``unshifted_exponents``), and log N_i of each
+    mode's shifted input factor, to which a frozen quadrature contributes 0.
+    """
+    c = c0 - rate
     if (c <= 0.0).any():
         k = np.argmax(c <= 0.0)
-        raise ShiftOutOfRange(
-            f"shifted input exponent {c[k]} nonpositive (a = {a[k]}, s = {s}, rate = {rate})"
-        )
-    log_q = np.where(free, 0.5 * (np.log(2.0 / d) - np.log(c)), 0.0)
+        raise ShiftOutOfRange(f"shifted input exponent {c[k]} nonpositive (unshifted {c0[k]}, rate = {rate})")
+    free = ~np.isnan(c0)
+    log_q = np.where(free, 0.5 * (np.log(c0) - np.log(c)), 0.0)
+    m = len(c0) // 2
     return c, log_q[:m] + log_q[m:]
+
+
+def input_exponents(covs, s: float, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted input exponents and log normalizations of every mode at once
+    (``shift_exponents`` of ``unshifted_exponents``)."""
+    return shift_exponents(unshifted_exponents(covs, s), rate)
 
 
 def measurement_sup(

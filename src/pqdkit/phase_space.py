@@ -24,9 +24,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NotLogConcave, OrderingOutOfRange, SingularOrdering
-
-_PHYS_TOL = 1e-12
+from .errors import DomainError, NotLogConcave, OrderingOutOfRange
 
 
 @dataclass(frozen=True)
@@ -49,15 +47,6 @@ class ModeCovariance:
             raise ValueError(
                 f"uncertainty violation: a_plus*a_minus = {self.a_plus * self.a_minus}"
             )
-
-
-VACUUM = ModeCovariance(1.0, 1.0)
-
-
-def squeezed_thermal_covariance(r: float, n: float) -> ModeCovariance:
-    """Covariance of a squeezed thermal state with mean photons ``n``."""
-    u = 2.0 * n + 1.0
-    return ModeCovariance(u * math.exp(2.0 * r), u * math.exp(-2.0 * r))
 
 
 def lossy_covariance(r: float, n: float, eta: float, n_th: float) -> ModeCovariance:
@@ -168,21 +157,6 @@ def laguerre(m: int, x):
 def classicality(covs: Iterable[ModeCovariance]) -> float:
     """Largest ordering for which every input PQD stays a proper Gaussian."""
     return min(c.a_minus for c in covs)
-
-
-def spqd_gaussian(cov: ModeCovariance, s: float, alpha: complex) -> float:
-    """s-PQD of a centered Gaussian state at phase-space point ``alpha``."""
-    ap, am = cov.a_plus - s, cov.a_minus - s
-    if am <= _PHYS_TOL:
-        raise SingularOrdering(
-            f"s = {s} reaches a_minus = {cov.a_minus}; distribution is singular"
-        )
-    ax, ay = alpha.real, alpha.imag
-    return (
-        2.0
-        / (math.pi * math.sqrt(ap * am))
-        * math.exp(-2.0 * ax * ax / ap - 2.0 * ay * ay / am)
-    )
 
 
 @dataclass(frozen=True)
@@ -297,10 +271,4 @@ def pqd_photon_number(m: int, s: float, beta):
     higher counts at s = 1 are served by the hafnian route instead.
     """
     val = np.asarray(pi_w_profile(photon(m), s)(np.abs(np.asarray(beta)) ** 2) / math.pi)
-    return val if val.ndim else float(val)
-
-
-def pqd_threshold_click(s: float, beta):
-    """(-s)-PQD of the click POVM element, already multiplied by pi."""
-    val = np.asarray(pi_w_profile(CLICK, s)(np.abs(np.asarray(beta)) ** 2))
     return val if val.ndim else float(val)

@@ -340,12 +340,31 @@ class TestCommands:
         [("hafnian-block-a", 0.6784926949838458), ("tor-squeezed-thermal", 0.8627272859569753)],
     )
     def test_bounds_below_unit_a_min_report_the_budget(self, family, factor, capsys):
-        # a_min = 1.2 exp(-1) < 1: the sandwich is not derived there, the budget is
+        # a_min = 1.2 exp(-1) < 1: the sandwich is not derived there, the
+        # budget is; ``factor`` is its value at the family's closed-form
+        # shift, which the searched shift does not exceed
         argv = ["bounds", "--family", family, "--n", "0.1", "--r-list", "0.5"]
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert "bounds" not in report
-        assert report["budget"]["factors"] == [pytest.approx(factor, rel=1e-12)]
+        if family == "hafnian-block-a":
+            emb = lo.embed_hafnian_block_a(0.1, [0.5])
+        else:
+            emb = lo.embed_torontonian(lo.block_a_prime(0.1, [0.5], lo.identity_interferometer(1)))
+        s = emb.circuit.s_max - est.S_MAX_MARGIN
+        searched = est.budget_factors(emb, s, *est.resolve_gamma(emb.circuit, s))
+        assert report["budget"]["factors"] == searched.tolist()
+        assert searched[0] <= factor
+
+    def test_bounds_degenerate_spectrum_has_no_jump(self, capsys):
+        # equal eigenvalues leave every input a near-delta at s_max - 1e-9;
+        # the closed-form shift gave products 1.274, 0.924 and 0.934 here
+        products = []
+        for lambdas in ("0.45,0.45", "0.45,0.4500001", "0.45,0.46"):
+            assert cli.main(["bounds", "--family", "tor-thermal", "--lambdas", lambdas]) == 0
+            products.append(json.loads(capsys.readouterr().out)["budget"]["product"])
+        assert products[0] == pytest.approx(products[1], rel=1e-3)
+        assert products == pytest.approx([0.6694, 0.6694, 0.6974], rel=1e-3)
 
     @pytest.mark.parametrize("family", ["hafnian-block-a", "tor-squeezed-thermal"])
     def test_bounds_vacuum_boundary_is_an_input_error(self, family, capsys):
@@ -368,7 +387,7 @@ class TestCommands:
         # the budget of a default estimate on diag(lambdas), in input order
         emb = lo.embed_permanent(np.diag([0.7, 0.5, 0.3]))
         s = emb.circuit.s_max - est.S_MAX_MARGIN
-        factors = est.budget_factors(emb, s, *est.ANALYTIC_SHIFTS[emb.family](emb)[:2])
+        factors = est.budget_factors(emb, s, *est.resolve_gamma(emb.circuit, s))
         assert report["budget"]["factors"] == factors[::-1].tolist()
         assert report["budget"]["formula_id"] == "budget.permanent"
 

@@ -23,6 +23,8 @@ from pqdkit.errors import (
 )
 from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon, pi_w_profile
 
+import shift_reference as ref
+
 
 def squeezed_circuit(r_list, seed, pattern=None, eta=1.0):
     m = len(r_list)
@@ -48,13 +50,6 @@ def photon_factor(m, s, rate):
     c = 2.0 / sp + rate
     k = 4.0 / (1.0 - s * s)
     return lambda b: (2.0 / sp) * ((s - 1.0) / sp) ** m * eval_laguerre(m, k * b) * np.exp(-c * b)
-
-
-def analytic_budget(emb, s=None):
-    """Per-mode budget factors of ``emb`` at its family's analytic shift and
-    s (default s_max)."""
-    s = emb.circuit.s_max if s is None else s
-    return est.budget_factors(emb, s, *est.ANALYTIC_SHIFTS[emb.family](emb)[:2])
 
 
 def log_norm(cov, s, rate):
@@ -137,11 +132,11 @@ class TestModifiedNegativityBound:
             circuit = squeezed_circuit([r] * 3, 7)
             s = circuit.s_max
             lam = math.tanh(r)
-            gamma, direction = est.optimal_gamma_squeezed([lam] * 3)[:2]
+            gamma, direction = ref.optimal_gamma_squeezed([lam] * 3)
             sups = est.mode_sups(circuit, s, gamma, direction)
             assert np.all(sups < 1.0)
             expected = lam * math.sqrt(1.0 - lam * lam) / math.sqrt(
-                1.0 - 2.0 * est.W_INV_E
+                1.0 - 2.0 * ps.W_INV_E
             )
             assert np.max(np.abs(sups - expected)) <= 1e-9
 
@@ -149,7 +144,7 @@ class TestModifiedNegativityBound:
         lam = 0.55
         circuit = squeezed_circuit([math.atanh(lam)] * 2, 8)
         s = circuit.s_max
-        gamma_opt, d_opt = est.optimal_gamma_squeezed([lam, lam])[:2]
+        gamma_opt, d_opt = ref.optimal_gamma_squeezed([lam, lam])
         best = est.modified_negativity_bound(circuit, s, gamma_opt, d_opt)
         grid = np.linspace(0.0, 0.95, 96)
         for d in (est.FORWARD, est.REVERSE):
@@ -159,15 +154,15 @@ class TestModifiedNegativityBound:
 
 class TestOptimalGammas:
     def test_branch_point_continuity(self):
-        lam = est.SQUEEZED_BRANCH_POINT
-        g_f, d_f = est.optimal_gamma_squeezed([lam - 1e-9])[:2]
-        g_r, d_r = est.optimal_gamma_squeezed([lam + 1e-9])[:2]
+        lam = ref.SQUEEZED_BRANCH_POINT
+        g_f, d_f = ref.optimal_gamma_squeezed([lam - 1e-9])
+        g_r, d_r = ref.optimal_gamma_squeezed([lam + 1e-9])
         assert d_f == est.FORWARD and d_r == est.REVERSE
         assert abs(g_f) < 1e-7 and abs(g_r) < 1e-7  # both close at the boundary
 
     def test_balance_condition_numeric_root(self):
         lam = 0.2
-        gamma, direction = est.optimal_gamma_squeezed([lam])[:2]
+        gamma, direction = ref.optimal_gamma_squeezed([lam])
         assert direction == est.FORWARD
         e2r = (1.0 + lam) / (1.0 - lam)
         s = 1.0 / e2r
@@ -190,30 +185,25 @@ class TestOptimalGammas:
         assert gamma == pytest.approx(0.5 * (lo_g + hi_g), abs=1e-9)
 
     def test_thermal_quarter(self):
-        gamma, direction = est.optimal_gamma_thermal(0.0, 0.25)[:2]
+        gamma, direction = ref.optimal_gamma_thermal(0.0, 0.25)
         assert direction == est.FORWARD
         assert gamma == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_thermal_forward_branch_closes(self):
-        gamma, direction = est.optimal_gamma_thermal(0.0, 0.5 - 1e-9)[:2]
+        gamma, direction = ref.optimal_gamma_thermal(0.0, 0.5 - 1e-9)
         assert direction == est.FORWARD
         assert gamma == pytest.approx(0.0, abs=1e-8)
 
     def test_thermal_discriminant_branch_beats_rank_deficient_rule(self):
         lam_min, lam_max = 0.3, 0.6
-        choice = est.optimal_gamma_thermal(lam_min, lam_max)
-        budget_d = analytic_budget(lo.embed_permanent(np.diag([lam_max, lam_min])))
+        budget_d = ref.analytic_budget(lo.embed_permanent(np.diag([lam_max, lam_min])))
         budget_0 = 4.0 * lam_max**2 / (math.e * (2.0 * lam_max - np.array([lam_max, lam_min])))
         assert np.all(budget_d <= budget_0 + 1e-12)
-        assert not choice.fpras_recommended
-
-    def test_thermal_fpras_hint(self):
-        assert est.optimal_gamma_thermal(0.6, 0.9).fpras_recommended
 
     def test_threshold_family_values(self):
-        gamma, direction = est.optimal_gamma_threshold(0.5)[:2]
+        gamma, direction = ref.optimal_gamma_threshold(0.5)
         assert (gamma, direction) == (0.25, est.FORWARD)
-        g_st, d_st = est.optimal_gamma_threshold_st(1.0, 0.4)[:2]
+        g_st, d_st = ref.optimal_gamma_threshold_st(1.0, 0.4)
         assert g_st == pytest.approx(math.exp(-math.tanh(0.4)) / 2.0, rel=1e-12)
         assert d_st == est.FORWARD
 
@@ -223,7 +213,7 @@ class TestFactorBound:
         lam = 0.3
         circuit = squeezed_circuit([math.atanh(lam)] * 2, 9)
         s = circuit.s_max
-        gamma, direction = est.optimal_gamma_squeezed([lam, lam])[:2]
+        gamma, direction = ref.optimal_gamma_squeezed([lam, lam])
         sups = est.mode_sups(circuit, s, gamma, direction)
         rate = 2.0 * gamma / ((1.0 + lam) / (1.0 - lam) - s)
         for j, sup in enumerate(sups):
@@ -240,8 +230,8 @@ class TestFactorBound:
         s = circuit.s_max - est.S_MAX_MARGIN
         expected = est.mode_sups(circuit, s, 0.2, est.FORWARD)
         calls = []
-        true_sup = est.measurement_sup
-        monkeypatch.setattr(est, "measurement_sup", lambda *args: calls.append(args) or true_sup(*args))
+        true_sup = ps.RadialFactor.sup
+        monkeypatch.setattr(ps.RadialFactor, "sup", lambda f, rate: calls.append(rate) or true_sup(f, rate))
         got = est.mode_sups(circuit, s, 0.2, est.FORWARD)
         assert len(calls) == 2
         assert np.array_equal(got, expected)
@@ -252,13 +242,13 @@ class TestFactorBound:
 
     def test_thermal_rank_deficient_top_factor(self):
         lam = 0.4
-        budget = analytic_budget(lo.embed_permanent(np.diag([lam, 0.0])), 1.0 - est.S_MAX_MARGIN)
+        budget = ref.analytic_budget(lo.embed_permanent(np.diag([lam, 0.0])), 1.0 - est.S_MAX_MARGIN)
         assert budget[0] == pytest.approx(4.0 * lam / math.e, rel=1e-9)
         assert budget[-1] == pytest.approx(2.0 * lam / math.e, rel=1e-9)
 
     def test_threshold_squeezed_budget_value(self):
         lam_max = 0.5
-        budget = analytic_budget(lo.embed_torontonian(lo.block_r_prime(np.diag([lam_max]))))
+        budget = ref.analytic_budget(lo.embed_torontonian(lo.block_r_prime(np.diag([lam_max]))))
         # per-mode budget equals Z * sup of the shifted click factor
         circuit = squeezed_circuit([math.atanh(lam_max)], 11, pattern=(CLICK,))
         s = circuit.s_max
@@ -470,8 +460,9 @@ class TestShiftSearch:
 class TestWeightBound:
     @staticmethod
     def halve_sups(monkeypatch):
-        true_sup = est.measurement_sup
-        monkeypatch.setattr(est, "measurement_sup", lambda *args: 0.5 * true_sup(*args))
+        # the claimed suprema, not the ones the shift search minimizes
+        true_sups = est._Setup.unit_sups
+        monkeypatch.setattr(est._Setup, "unit_sups", lambda setup, rate: 0.5 * true_sups(setup, rate))
 
     def test_planted_wrong_supremum_raises(self, monkeypatch):
         circuit = squeezed_circuit([0.4, 0.3], 17, pattern=(photon(1), CLICK))
@@ -1261,31 +1252,83 @@ def _torontonian_case(family, seed, m=3):
 
 
 class TestTorontonianShift:
-    """Each Torontonian family runs at the analytic shift its budget is
-    derived at, not at the automatic choice for its circuit.  The two can
-    differ in only the last bit (for R', B' and A' with n > 0 the automatic
-    rule re-derives lambda from the circuit), so the automatic rule is
-    replaced by one that picks an unmistakably different shift."""
+    """Each Torontonian family runs at the automatic shift, the searched
+    minimum of its weight bound, whose budget is not above the budget at
+    the family's closed-form shift (``shift_reference``).  The run takes
+    whatever the rule returns, and a fixed shift overrides it."""
 
     @pytest.mark.parametrize(
         "family, seed", [("R'", 3), ("B'", 0), ("A' n=0", 0), ("A' n>0", 0)]
     )
     def test_analytic_shift(self, family, seed, monkeypatch):
-        mat, st_params = _torontonian_case(family, seed)
-        if st_params is None:
-            expected = est.optimal_gamma_threshold(float(np.max(mat.decompose()[1])))
-        else:
-            n, r_list = st_params
-            expected = est.optimal_gamma_threshold_st(n, float(np.max(r_list)))
-        auto = est.GammaChoice(0.25, est.REVERSE)
-        assert tuple(auto[:2]) != tuple(expected[:2])
-        monkeypatch.setattr(est, "resolve_gamma", lambda *_: auto)
-
+        mat, _ = _torontonian_case(family, seed)
+        emb = lo.embed_torontonian(mat)
         cfg = est.EstimatorConfig(n_samples=100, seed=1)
+        res = est.estimate_torontonian(mat, cfg)
+        s = res.report.s
+        assert (res.report.gamma, res.report.direction) == tuple(est.resolve_gamma(emb.circuit, s))
+        analytic = ref.analytic_budget(emb, s)
+        assert np.sum(np.log(res.budget_factors)) <= np.sum(np.log(analytic)) + 1e-6
+
+        auto = est.GammaChoice(0.25, est.REVERSE)
+        monkeypatch.setattr(est, "resolve_gamma", lambda *_: auto)
         report = est.estimate_torontonian(mat, cfg).report
-        assert (report.gamma, report.direction) == tuple(expected[:2])
+        assert (report.gamma, report.direction) == tuple(auto)
         fixed = est.estimate_torontonian(mat, replace(cfg, gamma_mode=(0.1, est.REVERSE)))
         assert (fixed.report.gamma, fixed.report.direction) == (0.1, est.REVERSE)
+
+
+    def test_equal_eigenvalues_sample_at_a_finite_rate(self):
+        # equal eigenvalues leave every input a near-delta at s_max - 1e-9;
+        # the closed-form shift put 2 gamma over that margin (rate ~ 5e8)
+        mat = lo.block_b_prime(np.diag([0.45, 0.45]))
+        res = est.estimate_torontonian(mat, est.EstimatorConfig(seed=3))
+        rep = res.report
+        rate = est._rate(rep.s, rep.gamma, rep.direction, lo.embed_torontonian(mat).circuit.a_max)
+        assert math.isfinite(rate) and abs(rate) < 1e6
+        assert abs(res.value - oracles.torontonian_exact(mat.data)) <= res.budget
+        near = est.estimate_torontonian(lo.block_b_prime(np.diag([0.45, 0.4500001])))
+        assert res.budget == pytest.approx(near.budget, rel=1e-3)
+
+
+def _embedding_instance(family, m, seed):
+    """A random instance of one embedding family at M = m."""
+    rng = np.random.default_rng(seed)
+    u = lo.haar_unitary(m, seed).u
+    lam = rng.uniform(0.05, 0.9, m)
+    if family == "haf":
+        r_mat = (u * lam) @ u.T
+        return lo.embed_hafnian((r_mat + r_mat.T) / 2.0)
+    if family in ("per", "torB"):
+        b_mat = (u * lam) @ u.conj().T
+        b_mat = (b_mat + b_mat.conj().T) / 2.0
+        return lo.embed_permanent(b_mat) if family == "per" else lo.embed_torontonian(lo.block_b_prime(b_mat))
+    if family == "torR":
+        r_mat = (u * lam) @ u.T
+        return lo.embed_torontonian(lo.block_r_prime((r_mat + r_mat.T) / 2.0))
+    n, r_list = float(rng.uniform(0.2, 1.5)), rng.uniform(0.05, 0.5, m)
+    if family == "torA":
+        return lo.embed_torontonian(lo.block_a_prime(n, r_list, lo.Interferometer(m, u)))
+    return lo.embed_hafnian_block_a(n, r_list, lo.Interferometer(m, u))
+
+
+class TestShiftRule:
+    """The searched shift is the one rule; on every embedding family its
+    budget is at most the budget at the family's closed-form shift
+    (``shift_reference``), within the search's tolerance."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["haf", "per", "torR", "torB", "torA", "blockA"]),
+        m=st.integers(2, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_searched_budget_not_above_analytic(self, family, m, seed):
+        emb = _embedding_instance(family, m, seed)
+        s = emb.circuit.s_max - est.S_MAX_MARGIN
+        searched = est.budget_factors(emb, s, *est.resolve_gamma(emb.circuit, s))
+        analytic = ref.analytic_budget(emb, s)
+        assert np.sum(np.log(searched)) <= np.sum(np.log(analytic)) + 1e-6
 
 
 class TestSampleOverride:

@@ -339,10 +339,11 @@ def log_integrand(circuit, s, x):
     cancels between the two sides)."""
     m = circuit.m
     alpha = x[:m] + 1j * x[m:]
-    total = sum(
-        math.log(ps.spqd_gaussian(cov, s, complex(a)))
-        for cov, a in zip(circuit.covariances(), alpha)
-    )
+    total = 0.0
+    for cov, a in zip(circuit.covariances(), alpha):
+        # the s-PQD of a centered Gaussian input, in closed form
+        ap, am = cov.a_plus - s, cov.a_minus - s
+        total += math.log(2.0 / (math.pi * math.sqrt(ap * am))) - 2.0 * (a.real**2 / ap + a.imag**2 / am)
     beta = circuit.unitary.u @ alpha
     for out, b in zip(circuit.pattern, beta):
         total += math.log(abs(float(ps.pi_w_profile(out, s)(abs(b) ** 2))))

@@ -20,6 +20,8 @@ from pqdkit.errors import (
     SingularOrdering,
 )
 
+from shift_reference import optimal_gamma_squeezed
+
 
 def gauss_2d_integral(fn, sx, sy, n=801, span=8.0):
     """Simpson quadrature of fn(x, y) with per-axis scales sx, sy."""
@@ -29,12 +31,31 @@ def gauss_2d_integral(fn, sx, sy, n=801, span=8.0):
     return simpson(simpson(grid, x=ys, axis=1), x=xs)
 
 
+VACUUM = ps.ModeCovariance(1.0, 1.0)
+
+
+def squeezed_thermal_covariance(r, n):
+    """The lossless squeezed thermal input of squeezing r and occupation n."""
+    return ps.lossy_covariance(r, n, 1.0, 0.0)
+
+
+def gaussian_pqd(cov, s, x, y):
+    """The paper's closed form of the s-PQD of a centered Gaussian state at
+    alpha = x + iy, vectorized over x and y."""
+    ap, am = cov.a_plus - s, cov.a_minus - s
+    return 2.0 / (math.pi * math.sqrt(ap * am)) * np.exp(-2.0 * x * x / ap - 2.0 * y * y / am)
+
+
 class TestSpqdGaussian:
+    """The input s-PQD as the samplers draw it: a Gaussian of precision
+    2 c per quadrature, c from ``factors.input_exponents`` at rate 0
+    (``shifted_input_density``)."""
+
     def test_vacuum_wigner_origin(self):
-        assert ps.spqd_gaussian(ps.VACUUM, 0.0, 0j) == pytest.approx(2.0 / math.pi)
+        assert shifted_input_density(VACUUM, 0.0, 0.0, 0.0, 0.0) == pytest.approx(2.0 / math.pi)
 
     def test_vacuum_husimi_origin(self):
-        assert ps.spqd_gaussian(ps.VACUUM, -1.0, 0j) == pytest.approx(1.0 / math.pi)
+        assert shifted_input_density(VACUUM, -1.0, 0.0, 0.0, 0.0) == pytest.approx(1.0 / math.pi)
 
     def test_matrix_form_agreement(self):
         # independent evaluation from the covariance-matrix expression
@@ -47,39 +68,40 @@ class TestSpqdGaussian:
         expected = math.exp(-vec @ np.linalg.inv(shifted) @ vec) / (
             math.pi * math.sqrt(np.linalg.det(shifted))
         )
-        assert ps.spqd_gaussian(cov, s, alpha) == pytest.approx(expected, rel=1e-12)
+        got = shifted_input_density(cov, s, 0.0, alpha.real, alpha.imag)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert gaussian_pqd(cov, s, alpha.real, alpha.imag) == pytest.approx(expected, rel=1e-12)
 
     def test_singular_ordering_rejected(self):
+        # at s = 1 the vacuum is a delta in phase space (both quadratures
+        # frozen), above it no distribution exists
+        exponents, log_norms = factors.input_exponents([VACUUM], 1.0, 0.0)
+        assert np.isnan(exponents).all() and log_norms[0] == 0.0
         with pytest.raises(SingularOrdering):
-            ps.spqd_gaussian(ps.VACUUM, 1.0, 0j)
+            factors.input_exponents([VACUUM], 1.0 + 1e-6, 0.0)
 
     def test_normalization_random_covariances(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             r = rng.uniform(0.0, 1.2)
             n = rng.uniform(0.0, 1.5)
-            cov = ps.squeezed_thermal_covariance(r, n)
+            cov = squeezed_thermal_covariance(r, n)
             s = rng.uniform(-0.9, cov.a_minus - 1e-3)
             sx = math.sqrt((cov.a_plus - s) / 4.0)
             sy = math.sqrt((cov.a_minus - s) / 4.0)
             total = gauss_2d_integral(
-                lambda x, y: np.vectorize(
-                    lambda xx, yy: ps.spqd_gaussian(cov, s, complex(xx, yy))
-                )(x, y),
-                sx,
-                sy,
-                n=401,
+                lambda x, y: shifted_input_density(cov, s, 0.0, x, y), sx, sy, n=401
             )
             assert total == pytest.approx(1.0, abs=1e-8)
 
 
 class TestClassicality:
     def test_single_vacuum(self):
-        assert ps.classicality([ps.VACUUM]) == 1.0
+        assert ps.classicality([VACUUM]) == 1.0
 
     def test_pure_squeezed_threshold_value(self):
         r = 0.5 * math.log(2.0 + math.sqrt(5.0))  # ~= 0.722
-        cov = ps.squeezed_thermal_covariance(r, 0.0)
+        cov = squeezed_thermal_covariance(r, 0.0)
         assert ps.classicality([cov]) == pytest.approx(math.exp(-2.0 * r), rel=1e-12)
         assert math.exp(-2.0 * r) == pytest.approx(math.sqrt(5.0) - 2.0, rel=1e-12)
 
@@ -147,29 +169,35 @@ class TestPhotonNumberPqd:
                 assert supm <= sup1 + 1e-12
 
 
+def click(s, beta):
+    """pi W of the click outcome at beta, from ``pi_w_profile(CLICK, s)``."""
+    val = ps.pi_w_profile(ps.CLICK, s)(np.abs(np.asarray(beta)) ** 2)
+    return val if val.ndim else float(val)
+
+
 class TestThresholdClick:
     def test_wigner_origin(self):
-        assert ps.pqd_threshold_click(0.0, 0j) == pytest.approx(-1.0)
+        assert click(0.0, 0j) == pytest.approx(-1.0)
 
     def test_asymptote(self):
-        assert ps.pqd_threshold_click(1.0, 40.0) == pytest.approx(1.0, abs=1e-12)
+        assert click(1.0, 40.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_direct_value(self):
         expected = 1.0 - (4.0 / 3.0) * math.exp(-4.0 / 3.0)
-        assert ps.pqd_threshold_click(0.5, 1.0) == pytest.approx(expected, rel=1e-13)
+        assert click(0.5, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_complement_of_vacuum_projector(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             s = rng.uniform(-0.5, 2.0)
             beta = complex(rng.normal(), rng.normal())
-            lhs = ps.pqd_threshold_click(s, beta)
+            lhs = click(s, beta)
             rhs = 1.0 - math.pi * ps.pqd_photon_number(0, s, beta)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_range_at_nonnegative_ordering(self):
         grid = np.linspace(0.0, 10.0, 1001)
-        vals = ps.pqd_threshold_click(0.0, grid)
+        vals = click(0.0, grid)
         # open upper end: 1 is approached (and reached in float underflow)
         assert np.min(vals) >= -1.0 - 1e-12 and np.max(vals) <= 1.0
         assert np.max(vals[grid < 3.0]) < 1.0
@@ -296,17 +324,17 @@ class TestShiftedFactors:
     gamma and a direction to the rate."""
 
     def test_zero_shift_reduces_to_plain_pqd(self):
-        cov = ps.squeezed_thermal_covariance(0.4, 0.2)
+        cov = squeezed_thermal_covariance(0.4, 0.2)
         s = 0.3
         alpha = 0.5 - 0.2j
         dens = shifted_input_density(cov, s, 0.0, alpha.real, alpha.imag)
         assert math.exp(factors.input_exponents([cov], s, 0.0)[1][0]) == pytest.approx(1.0, rel=1e-12)
-        assert dens == pytest.approx(ps.spqd_gaussian(cov, s, alpha), rel=1e-12)
+        assert dens == pytest.approx(gaussian_pqd(cov, s, alpha.real, alpha.imag), rel=1e-12)
 
     @pytest.mark.parametrize("rate", [-0.5, 0.0, 0.3])
     def test_input_exponents_match_per_quadrature_loop(self, rate):
         # s equals the first mode's a_minus, freezing that quadrature
-        covs = [ps.squeezed_thermal_covariance(0.4, 0.0), ps.squeezed_thermal_covariance(0.1, 0.3),
+        covs = [squeezed_thermal_covariance(0.4, 0.0), squeezed_thermal_covariance(0.1, 0.3),
                 ps.ModeCovariance(1.2, 1.2)]
         s = covs[0].a_minus
         exponents, log_norms = factors.input_exponents(covs, s, rate)
@@ -325,7 +353,7 @@ class TestShiftedFactors:
             factors.input_exponents(covs, covs[0].a_minus + 1e-6, rate)
 
     def test_forward_limit_rejected(self):
-        cov = ps.squeezed_thermal_covariance(0.5, 0.0)
+        cov = squeezed_thermal_covariance(0.5, 0.0)
         s = 0.2
         with pytest.raises(ShiftOutOfRange):
             est._rate(s, 1.0, est.FORWARD, cov.a_plus)
@@ -336,16 +364,13 @@ class TestShiftedFactors:
         # 2-D quadrature of the unnormalized shifted form; the squeezing sits
         # just inside the ordering that would make the input singular
         r, n_th = 0.4, 0.0
-        cov = ps.squeezed_thermal_covariance(r, n_th)
+        cov = squeezed_thermal_covariance(r, n_th)
         s = math.exp(-1.0)
         rate = est._rate(s, 0.2, est.FORWARD, cov.a_plus)
         assert rate == pytest.approx(2.0 * 0.2 / (cov.a_plus - s), rel=1e-15)
         sx = math.sqrt((cov.a_plus - s) / 4.0 / (1.0 - rate * (cov.a_plus - s) / 2.0))
         sy = math.sqrt((cov.a_minus - s) / 4.0)
-        raw = lambda x, y: np.vectorize(
-            lambda xx, yy: ps.spqd_gaussian(cov, s, complex(xx, yy))
-            * math.exp(rate * (xx * xx + yy * yy))
-        )(x, y)
+        raw = lambda x, y: gaussian_pqd(cov, s, x, y) * np.exp(rate * (x * x + y * y))
         n_quad = gauss_2d_integral(raw, sx, sy, n=601)
         assert math.exp(factors.input_exponents([cov], s, rate)[1][0]) == pytest.approx(n_quad, rel=1e-7)
         total = gauss_2d_integral(
@@ -356,7 +381,7 @@ class TestShiftedFactors:
     def test_input_normalization_random_shifts(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            cov = ps.squeezed_thermal_covariance(rng.uniform(0, 0.8), rng.uniform(0, 1))
+            cov = squeezed_thermal_covariance(rng.uniform(0, 0.8), rng.uniform(0, 1))
             s = rng.uniform(-0.5, cov.a_minus - 0.05)
             gamma = rng.uniform(-0.8, 0.8)
             direction = est.FORWARD if gamma >= 0 else est.REVERSE
@@ -391,7 +416,7 @@ class TestShiftedFactors:
     def test_optimally_shifted_single_photon_factor_below_one(self):
         # identical pure squeezed modes at the balance-optimal shift
         for lam in (0.2, 0.5, 0.9):
-            gamma, direction = est.optimal_gamma_squeezed([lam])[:2]
+            gamma, direction = optimal_gamma_squeezed([lam])
             e2r = (1.0 + lam) / (1.0 - lam)
             s = 1.0 / e2r
             cov = ps.ModeCovariance(e2r, 1.0 / e2r)
