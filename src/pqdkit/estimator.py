@@ -3,11 +3,15 @@ factorizations, with negativity bounds, optimal shifts, and sample budgeting.
 
 The sampler draws the input phase-space points from the (shifted, normalized)
 Gaussian input factors and averages the product of measurement factors.
-Gaussian measurement factors (vacuum projections, no-click, marginalized
-modes) are folded analytically into one correlated 2M-dimensional Gaussian;
-only the A non-Gaussian factors are averaged, each keeping its own shift
-reweight so the per-sample range stays controlled by the modified negativity
-bound.  With nothing to fold (every matrix embedding) the precision stays
+Which factors' exponents move into the input density is a choice of
+proposal, one mask in ``_fold`` and one builder, ``build_folded_sampler``:
+the folded proposal folds the Gaussian measurement factors (vacuum
+projections, no-click, marginalized modes) analytically into one correlated
+2M-dimensional Gaussian, the naive one folds none and the Laplace one (the
+multiplicative estimator's) every mode.  Folded, only the A non-Gaussian
+factors are averaged, each keeping its own shift reweight so the per-sample
+range stays controlled by the modified negativity bound.  With nothing to
+fold (every matrix embedding, and the naive proposal) the precision stays
 diagonal and its square root stands in for a Cholesky factor.  A sample
 costs at most 2A standard normals (marginal and other folded modes add
 none) and one exp for all weighted modes together; a click factor keeps
@@ -262,21 +266,13 @@ def negativity_bound(circuit: CircuitSpec, s: float, setup: Optional[_Setup] = N
 
 
 def mode_sups(
-    circuit: CircuitSpec,
-    s: float,
-    gamma: float,
-    direction: str,
-    log_norms=None,
-    setup: Optional[_Setup] = None,
+    circuit: CircuitSpec, s: float, gamma: float, direction: str, setup: Optional[_Setup] = None
 ) -> np.ndarray:
-    """Per-mode suprema of the shifted measurement factors |f_j|; the modes'
-    log input normalizations at this shift are computed unless given as
-    ``log_norms`` (``FoldedSampler.log_norms``)."""
+    """Per-mode suprema of the shifted measurement factors |f_j|: each mode's
+    input normalization at this shift times its factor's supremum."""
     setup = _setup_or_build(setup, circuit, s)
     rate = _rate(s, gamma, direction, circuit.a_max)
-    if log_norms is None:
-        log_norms = shift_exponents(setup.c0, rate)[1]
-    return np.exp(log_norms) * setup.unit_sups(rate)
+    return np.exp(shift_exponents(setup.c0, rate)[1]) * setup.unit_sups(rate)
 
 
 def modified_negativity_bound(
@@ -422,19 +418,25 @@ def _fold(
     s: float,
     gamma: float,
     direction: str,
-    laplace: bool = False,
+    method: str = "folded",
     setup: Optional[_Setup] = None,
 ) -> _Fold:
-    """A Gaussian factor is pi W(0) * exp(kappa * b), kappa its log-slope,
-    and adds c_j Q_j, c_j = 2 (rate - kappa), to the precision, where
+    """A proposal folds the exponent of some modes' factors into the input
+    Gaussian: the Gaussian modes (``method`` "folded"), no mode ("naive")
+    or every mode ("laplace").  A factor's exponent is its log-slope kappa:
+    a Gaussian factor is pi W(0) * exp(kappa * b).  A folded mode adds
+    c_j Q_j, c_j = 2 (rate - kappa_j), to the precision, where
     |beta_j|^2 = x^T Q_j x and Q_j = W_j^T W_j + W_{M+j}^T W_{M+j}; the
     folded modes add W_r^T diag(c, c) W_r in one product over their rows
     W_r of W.  With nothing folded the precision stays the inputs'
-    diagonal.  ``laplace`` folds the same exponent of every non-Gaussian
-    factor, whose weight keeps pi W_j(b) * exp(-kappa_j * b): the precision
-    is then minus the log-Hessian of the integrand at the origin (the
-    Laplace proposal)."""
+    diagonal.  A mode leaves the weight only when it is Gaussian and
+    folded; a folded non-Gaussian factor keeps pi W_j(b) * exp(-kappa_j * b),
+    so folding every mode makes the precision minus the log-Hessian of the
+    integrand at the origin (the Laplace proposal)."""
     setup = _setup_or_build(setup, circuit, s)
+    folds = {"folded": setup.gaussian, "naive": False, "laplace": True}.get(method)
+    if folds is None:
+        raise ValueError(f"unknown method {method!r}")
     rate = _rate(s, gamma, direction, circuit.a_max)
     exponents, log_norms = shift_exponents(setup.c0, rate)
     free_idx = setup.free_idx
@@ -442,9 +444,9 @@ def _fold(
 
     # per mode, the exponent rate_j its weight keeps: kappa_j when folded,
     # the shift rate when not (so that unfolded modes add nothing)
-    gaussian = setup.gaussian
-    weight_rates = np.where(gaussian | laplace, setup.kappa, rate)
-    log_prefactor = float(np.sum(log_norms[gaussian] + setup.log_w0[gaussian]))
+    weight_rates = np.where(folds, setup.kappa, rate)
+    gone = setup.gaussian & folds
+    log_prefactor = float(np.sum(log_norms[gone] + setup.log_w0[gone]))
     coefs = 2.0 * (rate - weight_rates)
     folded = np.flatnonzero(coefs)
     if folded.size:
@@ -461,7 +463,7 @@ def _fold(
         log_prefactor += 0.5 * (float(np.sum(np.log(precision))) - logdet_eff)
     else:
         root = np.sqrt(precision)
-    active = np.flatnonzero(~gaussian)
+    active = np.flatnonzero(~gone)
     return _Fold(
         rates=tuple(weight_rates[active].tolist()),
         free_idx=free_idx,
@@ -494,10 +496,10 @@ class FoldedSampler:
     Gaussian reweight exp(-rate_j * b), a sample's weight is
     ``scale * exp(-exponents @ b) * prod_j polys[j](b_j)``: ``scale`` holds
     the input normalizations and the constants, ``exponents`` the sums
-    decay_j + rate_j.  The folded sampler (``build_folded_sampler``)
-    absorbs the Gaussian measurement factors into the kernel and prefactor;
-    the naive one (``_build_naive_sampler``) folds nothing and weights
-    every mode.
+    decay_j + rate_j.  ``build_folded_sampler`` builds one per proposal:
+    the folded sampler absorbs the Gaussian measurement factors into the
+    kernel and prefactor, the naive one folds nothing and weights every
+    mode, and the Laplace one folds every mode's log-slope.
     """
 
     kernel: np.ndarray
@@ -506,7 +508,6 @@ class FoldedSampler:
     scale: float
     log_prefactor: float
     active_modes: tuple  # the weighted modes, in kernel row order
-    log_norms: np.ndarray  # log input normalization of every mode
 
     @property
     def panel(self) -> int:
@@ -570,40 +571,25 @@ class FoldedSampler:
         return w
 
 
-def _sampler(setup: _Setup, kernel, modes, rates, log_norms, log_prefactor: float) -> FoldedSampler:
-    """A sampler weighting ``modes`` with Gaussian reweight exponents
-    ``rates``; ``log_norms`` are every mode's log input normalizations."""
-    profiles = [setup.radial[setup.index[j]] for j in modes]
-    return FoldedSampler(
-        kernel=kernel,
-        exponents=np.array([f.decay + rate for f, rate in zip(profiles, rates)]),
-        polys=tuple(f.poly for f in profiles),
-        scale=math.prod(f.const * math.exp(log_norms[j]) for f, j in zip(profiles, modes)),
-        log_prefactor=log_prefactor,
-        active_modes=tuple(modes),
-        log_norms=log_norms,
-    )
-
-
 @one_blas_thread()
 def build_folded_sampler(
     circuit: CircuitSpec,
     s: float,
     gamma: float,
     direction: str,
-    laplace: bool = False,
+    method: str = "folded",
     setup: Optional[_Setup] = None,
 ) -> FoldedSampler:
-    """Folded sampler with kernel K = W_af L^{-T}: W restricted to the active
+    """The sampler of the proposal ``method`` (``_fold``: "folded", "naive"
+    or "laplace"), with kernel K = W_af L^{-T}: W restricted to the weighted
     modes' rows and the free columns, L the fold's precision root (one
     solve here, none per batch; a diagonal root scales the columns).  When
     K has fewer rows than columns it is replaced by R^T from K^T = QR: R^T z
     has the law of K z (both covariances are K K^T = R^T R, also for
-    rank-deficient K), so a sample draws 2A normals, not F.  ``laplace``
-    selects the Laplace fold of ``_fold`` (the multiplicative estimator's
-    proposal)."""
+    rank-deficient K), so a sample draws at most 2A normals for A weighted
+    modes, not F."""
     setup = _setup_or_build(setup, circuit, s)
-    fold = _fold(circuit, s, gamma, direction, laplace, setup)
+    fold = _fold(circuit, s, gamma, direction, method, setup)
     kernel = setup.rows(fold.active_modes)
     if kernel.size:
         if fold.root.ndim == 1:
@@ -614,21 +600,16 @@ def build_folded_sampler(
             kernel = np.linalg.solve(fold.root, kernel.T).T
         if kernel.shape[0] < kernel.shape[1]:
             kernel = np.ascontiguousarray(np.linalg.qr(kernel.T, mode="r").T)
-    return _sampler(setup, kernel, fold.active_modes, fold.rates, fold.log_norms, fold.log_prefactor)
-
-
-def _build_naive_sampler(
-    circuit: CircuitSpec, s: float, gamma: float, direction: str, setup: Optional[_Setup] = None
-) -> FoldedSampler:
-    """Independent per-mode input sampling with every measurement factor in
-    the weight: kernel K = W diag(stds) over all 2M coordinates (a frozen
-    coordinate has std 0)."""
-    setup = _setup_or_build(setup, circuit, s)
-    m = circuit.m
-    rate = _rate(s, gamma, direction, circuit.a_max)
-    exponents, log_norms = shift_exponents(setup.c0, rate)
-    stds = np.nan_to_num(np.sqrt(1.0 / (2.0 * exponents)))
-    return _sampler(setup, setup.w * stds, range(m), [rate] * m, log_norms, 0.0)
+    modes = fold.active_modes
+    profiles = [setup.radial[setup.index[j]] for j in modes]
+    return FoldedSampler(
+        kernel=kernel,
+        exponents=np.array([f.decay + rate for f, rate in zip(profiles, fold.rates)]),
+        polys=tuple(f.poly for f in profiles),
+        scale=math.prod(f.const * math.exp(fold.log_norms[j]) for f, j in zip(profiles, modes)),
+        log_prefactor=fold.log_prefactor,
+        active_modes=modes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -739,15 +720,17 @@ def estimate_probability(
 ) -> EstimateReport:
     """Unbiased estimate of the outcome probability of ``circuit``.
 
-    ``method`` selects the folded sampler (Gaussian measurement factors
-    integrated analytically) or the naive per-mode sampler with every factor
-    kept in the weight.  The samples' ``CHUNK``-sample chunks are reduced
-    by ``chunk_sums`` on ``threads`` workers, F normals per sample for a
-    kernel of F columns (at most 2A for A weighted modes when folded, 2M
-    when naive), and the trace has one row per chunk.  The suprema of the
-    measurement factors are computed once per call, for every mode.  With
-    no mode weighed (an all-Gaussian pattern, folded) the estimate is exact
-    at any shift, so the automatic one is rate 0, without a search.
+    ``method`` selects the folded proposal (Gaussian measurement factors
+    integrated analytically) or the naive one with every factor kept in the
+    weight (``build_folded_sampler``); the Laplace proposal has no additive
+    bound and is rejected.  The samples' ``CHUNK``-sample chunks are
+    reduced by ``chunk_sums`` on ``threads`` workers, F normals per sample
+    for a kernel of F columns (at most 2A for A weighted modes when folded,
+    the free coordinates' count when naive), and the trace has one row per
+    chunk.  The suprema of the measurement factors are computed once per
+    call, for every mode.  With no mode weighed (an all-Gaussian pattern,
+    folded) the estimate is exact at any shift, so the automatic one is
+    rate 0, without a search.
     """
     t0 = time.perf_counter()
     if method not in ("folded", "naive"):
@@ -759,11 +742,8 @@ def estimate_probability(
             gamma, direction = resolve_gamma(circuit, s, method, setup)
         else:
             gamma, direction = config.gamma_mode
-        if method == "folded":
-            sampler = build_folded_sampler(circuit, s, gamma, direction, setup=setup)
-        else:
-            sampler = _build_naive_sampler(circuit, s, gamma, direction, setup)
-    all_sups = mode_sups(circuit, s, gamma, direction, sampler.log_norms, setup)
+        sampler = build_folded_sampler(circuit, s, gamma, direction, method, setup)
+    all_sups = mode_sups(circuit, s, gamma, direction, setup)
     mod_neg = float(np.prod(all_sups))
     c_max = float(np.max(all_sups)) if all_sups.size else 1.0
     neg = negativity_bound(circuit, s, setup)

@@ -1,14 +1,9 @@
-"""Per-mode shifted-factor machinery: input exponents, normalizations, and
-measurement-factor suprema.
+"""Per-mode shifted-factor machinery: input exponents and normalizations.
 
 A measurement factor is f(beta) = N * piW(|beta|^2) * exp(-rate*|beta|^2)
 where ``rate`` is the raw Gaussian shift (positive = forward, negative =
-reverse) and N the normalization constant of the paired input factor.  All
-profiles are radial, so a supremum is a maximum over b = |beta|^2 >= 0,
-taken exactly at b = 0 and at the stationary points that
-``phase_space.RadialFactor.sup`` finds: a closed form for the threshold
-factor, the real roots of a degree-m Laguerre series for m photons (and
-the Gaussian factors, m = 0).  No grid is searched.
+reverse) and N the normalization constant of the paired input factor; its
+supremum is N times ``phase_space.RadialFactor.sup`` of its profile.
 """
 
 from __future__ import annotations
@@ -16,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShiftOutOfRange, SingularOrdering
-from .phase_space import MeasurementOutcome, pi_w_profile
 
 FREEZE_TOL = 1e-12
 
@@ -51,11 +45,3 @@ def input_exponents(covs, s: float, rate: float) -> tuple[np.ndarray, np.ndarray
     """Shifted input exponents and log normalizations of every mode at once
     (``shift_exponents`` of ``unshifted_exponents``)."""
     return shift_exponents(unshifted_exponents(covs, s), rate)
-
-
-def measurement_sup(
-    outcome: MeasurementOutcome, s: float, rate: float, n_j: float = 1.0
-) -> float:
-    """sup_b |f(b)| of the shifted factor (``RadialFactor.sup``); inf when a
-    reverse shift makes it unbounded."""
-    return n_j * pi_w_profile(outcome, s).sup(rate)

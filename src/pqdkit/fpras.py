@@ -19,9 +19,10 @@ certificates ``estimate_multiplicative`` requires cannot disagree.
 The multiplicative estimator importance-samples the full 2M-dimensional
 integrand with its Laplace Gaussian at the origin, the mode of every
 certified (log-concave, centered) integrand.  The proposal is the additive
-sampler's Laplace fold, whose precision is the closed-form negative
-log-Hessian there, so no derivative is taken numerically; the additive
-reduction ``estimator.chunk_sums`` draws and checks its weights.
+sampler's builder with every mode folded (``"laplace"``), whose precision
+is the closed-form negative log-Hessian there, so no derivative is taken
+numerically; the additive reduction ``estimator.chunk_sums`` draws and
+checks its weights.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def estimate_multiplicative(
 
     Proposal: the Laplace Gaussian at the origin, the integrand's mode
     (centered inputs make the log-integrand even, the certificates make it
-    concave), drawn by ``build_folded_sampler(..., laplace=True)``; the
+    concave), drawn by ``build_folded_sampler(..., "laplace")``; the
     importance weight is exp(log_prefactor) times the sampler's weight,
     which log-concavity bounds by its value w(0) at the origin (a larger one
     raises ``BoundViolation``), so the sums stay in linear space.  Doubling
@@ -302,7 +303,7 @@ def estimate_multiplicative(
 
     try:
         sampler = build_folded_sampler(
-            circuit, circuit.s_max - S_MAX_MARGIN, 1.0 - 1e-9, FORWARD, laplace=True
+            circuit, circuit.s_max - S_MAX_MARGIN, 1.0 - 1e-9, FORWARD, "laplace"
         )
     except NotPositiveDefinite as exc:
         # certified but not strictly log-concave: on the condition's boundary

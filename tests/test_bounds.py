@@ -11,7 +11,14 @@ from pqdkit.errors import (
     UnsupportedBound,
     ZeroEigenvalue,
 )
-from pqdkit.phase_space import CLICK, W_INV_E, ModeCovariance, lossy_covariance, photon
+from pqdkit.phase_space import (
+    CLICK,
+    W_INV_E,
+    ModeCovariance,
+    lossy_covariance,
+    photon,
+    pi_w_profile,
+)
 
 from shift_reference import analytic_budget, optimal_gamma_st, optimal_gamma_threshold
 
@@ -74,7 +81,7 @@ def _k_plus(n, r):
 
 def _ref_sups(covs, outcome, s, rate):
     """Per-mode sup of the shifted factor, input normalization included."""
-    return factors.measurement_sup(outcome, s, rate) * np.exp(
+    return pi_w_profile(outcome, s).sup(rate) * np.exp(
         factors.input_exponents(covs, s, rate)[1]
     )
 

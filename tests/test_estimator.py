@@ -238,7 +238,7 @@ class TestFactorBound:
         rate = est._rate(s, 0.2, est.FORWARD, circuit.a_max)
         for j, cov in enumerate(circuit.covariances()):
             n_j = math.exp(log_norm(cov, s, rate))
-            assert got[j] == pytest.approx(factors.measurement_sup(circuit.pattern[j], s, rate, n_j), rel=1e-14)
+            assert got[j] == pytest.approx(n_j * pi_w_profile(circuit.pattern[j], s).sup(rate), rel=1e-14)
 
     def test_thermal_rank_deficient_top_factor(self):
         lam = 0.4
@@ -308,7 +308,7 @@ class TestPhotonSuprema:
         assume(abs(s - 1.0) > 1e-3)
         sp = s + 1.0
         rate = g * 2.0 / sp
-        sup = factors.measurement_sup(outcome, s, rate)
+        sup = pi_w_profile(outcome, s).sup(rate)
         if outcome == MARGINAL:
             # exp(-rate * b) peaks at b = 0 unless the shift is reversed
             assert sup == (1.0 if rate >= 0.0 else math.inf)
@@ -345,9 +345,9 @@ class TestPhotonSuprema:
         if s == 1.0 and outcome == photon(1):
             # the case form reads exp(-1)/c here, but no photon factor exists at s = 1
             with pytest.raises(OrderingOutOfRange):
-                factors.measurement_sup(outcome, s, rate, n_j)
+                n_j * pi_w_profile(outcome, s).sup(rate)
             return
-        sup = factors.measurement_sup(outcome, s, rate, n_j)
+        sup = n_j * pi_w_profile(outcome, s).sup(rate)
         ref = n_j * case_sup(outcome, s, rate)
         if math.isinf(ref):
             assert sup == math.inf
@@ -361,7 +361,7 @@ class TestPhotonSuprema:
             np.testing.assert_allclose(photon_factor(m, s, rate)(b), expected, rtol=1e-9)
 
     def test_unbounded_without_decay(self):
-        assert factors.measurement_sup(photon(2), 0.5, -2.0 / 1.5) == math.inf
+        assert pi_w_profile(photon(2), 0.5).sup(-2.0 / 1.5) == math.inf
 
     def test_reverse_shift_near_limit(self, tmp_path, capsys):
         # the peak sits near b = m/c ~ 1.5e3, far outside |beta| <= 20
@@ -401,7 +401,7 @@ class TestPhotonSuprema:
         s = rep["s"]
         rate = -0.98 * 2.0 / (s + 1.0)
         assert rate < -709.0 / 400.0
-        sup = factors.measurement_sup(photon(3), s, rate)
+        sup = pi_w_profile(photon(3), s).sup(rate)
         c = 2.0 / (s + 1.0) + rate
         ref = dense_sup(photon_factor(3, s, rate), np.linspace(0.0, 50.0 / c, 20_001))
         assert math.isfinite(sup) and sup == pytest.approx(ref, rel=1e-9)
@@ -512,16 +512,17 @@ class TestSampleCount:
 def reference_beta_sq(circuit, stds, fold, z):
     """|beta|^2 of every mode by the per-batch path the kernel replaces:
     triangular solve (folded) or per-coordinate scale (naive), scatter into
-    all 2M coordinates, complex pushforward."""
+    all 2M coordinates (a frozen one, std 0, stays at 0), complex
+    pushforward."""
     from scipy.linalg import solve_triangular
 
     m = circuit.m
+    alpha = np.zeros((2 * m, z.shape[1]))
     if fold is None:
-        alpha = z * stds[:, None]
-    else:
-        alpha = np.zeros((2 * m, z.shape[1]))
-        if len(fold.free_idx):
-            alpha[fold.free_idx] = solve_triangular(lower_root(fold).T, z, lower=False)
+        free = np.flatnonzero(stds)
+        alpha[free] = z * stds[free, None]
+    elif len(fold.free_idx):
+        alpha[fold.free_idx] = solve_triangular(lower_root(fold).T, z, lower=False)
     beta = (alpha[:m] + 1j * alpha[m:]).T @ circuit.unitary.u.T
     return (np.abs(beta) ** 2).T
 
@@ -590,10 +591,10 @@ class TestSamplingKernel:
             width = len(fold.free_idx)
             assert sampler.active_modes == fold.active_modes
         else:
-            sampler = est._build_naive_sampler(circuit, s, gamma, direction)
+            sampler = est.build_folded_sampler(circuit, s, gamma, direction, "naive")
             fold = None
             stds = naive_stds(circuit, s, est._rate(s, gamma, direction, circuit.a_max))
-            width = 2 * circuit.m
+            width = np.count_nonzero(stds)  # one normal per free coordinate
             assert sampler.active_modes == tuple(range(circuit.m))
         rows, cols = sampler.kernel.shape
         if cols < width:
@@ -693,7 +694,6 @@ class TestSamplingKernel:
             scale=1.0,
             log_prefactor=0.0,
             active_modes=(),
-            log_norms=np.zeros(0),
         )
         panel = sampler.panel
         assert panel & (panel - 1) == 0 and est.CHUNK % panel == 0
@@ -704,7 +704,8 @@ class TestSamplingKernel:
 
 def outer_product_precision(circuit, s, gamma, direction, laplace=False):
     """The folded precision on the free coordinates, assembled as one outer
-    product per folded mode: Q_j = Re(a a^H) with a = [U_j, i U_j]."""
+    product per folded mode (the Gaussian ones, or every mode for the
+    Laplace proposal): Q_j = Re(a a^H) with a = [U_j, i U_j]."""
     rate = est._rate(s, gamma, direction, circuit.a_max)
     exponents = factors.input_exponents(circuit.covariances(), s, rate)[0]
     lam = np.diag(np.nan_to_num(2.0 * exponents))
@@ -786,7 +787,7 @@ class TestFoldPaths:
     def test_one_product_fold_matches_outer_products(self, case, laplace):
         circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
-        fold = est._fold(circuit, s, gamma, direction, laplace=laplace)
+        fold = est._fold(circuit, s, gamma, direction, "laplace" if laplace else "folded")
         assert fold.root.ndim == 2
         expected = outer_product_precision(circuit, s, gamma, direction, laplace)
         got = fold.root @ fold.root.T
@@ -832,7 +833,7 @@ def wide_naive_sampler():
         (photon(1), CLICK, photon(2)) + (NOCLICK,) * (m - 3),
     )
     s = circuit.s_max - est.S_MAX_MARGIN
-    sampler = est._build_naive_sampler(circuit, s, 0.2, est.FORWARD)
+    sampler = est.build_folded_sampler(circuit, s, 0.2, est.FORWARD, "naive")
     assert sampler.kernel.shape == (32, 32)
     return sampler
 
@@ -892,12 +893,12 @@ class TestFusedWeight:
         s, gamma = 0.5, 0.6
         rate = est._rate(s, gamma, direction, circuit.a_max)
         n_j = math.exp(log_norm(circuit.covariances()[0], s, rate))
-        sampler = est._build_naive_sampler(circuit, s, gamma, direction)
+        sampler = est.build_folded_sampler(circuit, s, gamma, direction, "naive")
         # sample-major normals: a sample's two normals are consecutive
         b = sampler.beta_sq(np.random.default_rng(7).standard_normal((4000, 2)).T)[0]
         got = sampler.draw(np.random.default_rng(7), 4000)
         expected = shifted_profile(outcome, s, rate, n_j)(b)
-        sup = factors.measurement_sup(outcome, s, rate, n_j)
+        sup = n_j * pi_w_profile(outcome, s).sup(rate)
         # a reverse shift leaves click and marginal factors unbounded
         tol = 1e-12 * sup if math.isfinite(sup) else 1e-12 * np.abs(expected)
         assert np.all(np.abs(got - expected) <= tol)
@@ -1109,6 +1110,19 @@ class TestEstimateProbability:
             est.estimate_probability(circuit, cfg, threads=threads)
         with pytest.raises(ValueError, match="threads"):
             est.estimate_permanent_hpsd(np.eye(2), cfg, threads=threads)
+
+    @pytest.mark.parametrize("method", ["laplace", "bogus"])
+    def test_unknown_method_rejected(self, method):
+        # the Laplace proposal has no additive weight bound
+        circuit = squeezed_circuit([0.3], 21)
+        with pytest.raises(ValueError, match="method"):
+            est.estimate_probability(circuit, est.EstimatorConfig(n_samples=100), method=method)
+
+    def test_builder_rejects_unknown_method(self):
+        circuit = squeezed_circuit([0.3], 21)
+        s = circuit.s_max - est.S_MAX_MARGIN
+        with pytest.raises(ValueError, match="method"):
+            est.build_folded_sampler(circuit, s, 0.2, est.FORWARD, method="bogus")
 
     def test_trace_is_cumulative(self):
         circuit = squeezed_circuit([0.3], 21)
