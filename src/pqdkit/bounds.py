@@ -29,7 +29,8 @@ class BoundReport:
 
 
 def reference_constants() -> dict:
-    """Named constants reproduced from the Lambert-W machinery."""
+    """The paper's named constants, from W(1/e) (``phase_space.W_INV_E``)
+    and closed forms."""
     w = W_INV_E
     return {
         "compressed_budget_rate": 1.0 / math.sqrt(1.0 - 2.0 * w),  # 1.502

@@ -241,7 +241,7 @@ _MATRIX_COMMANDS = {
         {lo.MatrixTag.COMPLEX_SYMMETRIC_R},
         "estimate-haf needs tag 'R'",
         lambda mat, config, args: est.estimate_hafnian_sq(
-            mat.data, config, a=args.rescale_a, threads=args.threads
+            mat.data, config, a=args.a, threads=args.threads
         ),
         _hafnian_sq_oracle,
     ),
@@ -249,7 +249,7 @@ _MATRIX_COMMANDS = {
         {lo.MatrixTag.HPSD_B},
         "estimate-per needs tag 'B'",
         lambda mat, config, args: est.estimate_permanent_hpsd(
-            mat.data, config, a=args.rescale_a, threads=args.threads
+            mat.data, config, a=args.a, threads=args.threads
         ),
         lambda data: oracles.permanent_exact(data).real,
     ),
@@ -402,8 +402,8 @@ def _cmd_bounds(args) -> int:
             emb = lo.embed_torontonian(lo.block_b_prime(diag))
         else:  # hafnian-sq
             emb = lo.embed_hafnian(diag)
-    s = emb.circuit.s_max - est.S_MAX_MARGIN
-    factors = est.budget_factors(emb, s, *est.resolve_gamma(emb.circuit, s))
+    setup = est.Setup(emb.circuit, emb.circuit.s_max - est.S_MAX_MARGIN)
+    factors = est.budget_factors(emb, est.mode_sups(setup, *est.resolve_gamma(setup)))
     if family in ("permanent", "tor-thermal", "hafnian-sq"):
         # the decomposition sorts the spectrum by decreasing modulus
         order = np.argsort(-np.abs(spectrum), kind="stable")
@@ -517,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _MATRIX_COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--matrix", required=True, help="matrix JSON path")
-        p.add_argument("--rescale-a", type=float, default=1.001)
+        p.add_argument("--rescale-a", dest="a", type=float, default=1.001)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None)
         _add_estimator_flags(p)

@@ -22,10 +22,6 @@ class ShiftOutOfRange(PqdkitError):
     """Gaussian-factor shift drives an exponent out of the positive window."""
 
 
-class DomainError(PqdkitError):
-    """Argument outside the mathematical domain of a special function."""
-
-
 class DimensionMismatch(PqdkitError):
     """Incompatible vector/matrix dimensions."""
 

@@ -20,19 +20,20 @@ i belongs to chunk i // ``CHUNK`` and is drawn from that chunk's own SFC64
 stream, and a chunk is one fill of sample-major normals, weighed at once,
 so memory stays bounded whatever the sample count.  ``chunk_sums`` draws
 the chunks on every usable CPU by default; the thread count changes no
-value.  Setup (decompositions, folds, the kernel's solve and QR) runs on
-one OpenBLAS thread, so no BLAS pool spins while the samples are drawn.
+value.  Setup work (decompositions, folds, the kernel's solve and QR) runs
+on one OpenBLAS thread, so no BLAS pool spins while the samples are drawn.
 Per-mode values are computed once per call, and a factor's supremum once
 per distinct outcome.
 
 One rule picks the shift unless the caller fixes one: ``resolve_gamma``
 searches the rate that minimizes the folded sampler's weight bound over the
-instance's own spectrum.  What the shift leaves unchanged (``_Setup``) is
-built once per estimate and shared by the search, the fold, the samplers
-and the suprema.  |Haf|^2, Per and Tor share one path through the circuit
-estimate, and the budget is the bound of the sampler that ran
-(``budget_factors``: each mode's prefactor times its ``mode_sups`` at the
-sampled s, gamma and direction, the number its weights are checked
+instance's own spectrum.  What the shift leaves unchanged (``Setup``: the
+circuit at one ordering s) is built once per estimate, and every step after
+it takes that one ``Setup`` as its only circuit argument: the search, the
+fold, the samplers, the suprema and the negativity bound.  |Haf|^2, Per and
+Tor share one path through the circuit estimate, and the budget is the
+bound of the sampler that ran (``budget_factors``: each mode's prefactor
+times the run's ``mode_sups``, the numbers its weights are checked
 against), so it covers the run's Hoeffding radius.
 """
 
@@ -65,6 +66,7 @@ from .linear_optics import (
     embed_hafnian,
     embed_permanent,
     embed_torontonian,
+    real_pushforward,
 )
 from .phase_space import pi_w_profile
 
@@ -163,17 +165,20 @@ def _rate(s: float, gamma: float, direction: str, a_max: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _Setup:
+class Setup:
     """The rate-independent part of a circuit at ordering s, built once per
-    estimate and shared by the shift search, the fold, the samplers and the
-    suprema: each quadrature's unshifted exponent 2/(a - s) (NaN where
-    frozen), one ``RadialFactor`` per distinct outcome, and W on the free
-    coordinates.  Building it checks s: above a variance it raises
-    ``SingularOrdering``, outside a factor's range ``OrderingOutOfRange``.
+    estimate and passed to the shift search, the fold, the samplers and the
+    suprema: s and a_max (which map a shift to its rate), each quadrature's
+    unshifted exponent 2/(a - s) (NaN where frozen), one ``RadialFactor``
+    per distinct outcome, and W on the free coordinates.  Building it
+    checks s: above a variance it raises ``SingularOrdering``, outside a
+    factor's range ``OrderingOutOfRange``.
     """
 
     def __init__(self, circuit: CircuitSpec, s: float):
         self.m = circuit.m
+        self.s = s
+        self.a_max = circuit.a_max
         self.c0 = unshifted_exponents(circuit.covariances(), s)
         distinct, self.index = circuit.outcome_index
         self.radial = tuple(pi_w_profile(out, s) for out in distinct)
@@ -184,7 +189,7 @@ class _Setup:
             [math.log(f.const) if out.is_gaussian else 0.0 for f, out in zip(self.radial, distinct)]
         )[self.index]
         self.free_idx = np.flatnonzero(~np.isnan(self.c0))
-        self.w = _real_pushforward(circuit.unitary.u)
+        self.w = real_pushforward(circuit.unitary.u)
 
     def rows(self, modes) -> np.ndarray:
         """Rows of W on the free coordinates giving [Re beta; Im beta] of
@@ -247,40 +252,27 @@ class _Setup:
         return probe
 
 
-def _setup_or_build(setup: Optional[_Setup], circuit: CircuitSpec, s: float) -> _Setup:
-    return _Setup(circuit, s) if setup is None else setup
-
-
 # ---------------------------------------------------------------------------
 # negativity bounds and factor suprema
 # ---------------------------------------------------------------------------
 
 
-def negativity_bound(circuit: CircuitSpec, s: float, setup: Optional[_Setup] = None) -> float:
+def negativity_bound(setup: Setup) -> float:
     """Unshifted negativity bound: product of measurement-PQD suprema.
 
     Gaussian inputs at s <= s_max have unit total variation, so only the
     measurement side contributes.
     """
-    return float(np.prod(_setup_or_build(setup, circuit, s).unit_sups(0.0)))
+    return float(np.prod(setup.unit_sups(0.0)))
 
 
-def mode_sups(
-    circuit: CircuitSpec, s: float, gamma: float, direction: str, setup: Optional[_Setup] = None
-) -> np.ndarray:
+def mode_sups(setup: Setup, gamma: float, direction: str) -> np.ndarray:
     """Per-mode suprema of the shifted measurement factors |f_j|: each mode's
-    input normalization at this shift times its factor's supremum."""
-    setup = _setup_or_build(setup, circuit, s)
-    rate = _rate(s, gamma, direction, circuit.a_max)
+    input normalization at this shift times its factor's supremum.  Their
+    product is the modified (shifted) negativity bound: the shifted input
+    factors are normalized densities."""
+    rate = _rate(setup.s, gamma, direction, setup.a_max)
     return np.exp(shift_exponents(setup.c0, rate)[1]) * setup.unit_sups(rate)
-
-
-def modified_negativity_bound(
-    circuit: CircuitSpec, s: float, gamma: float, direction: str
-) -> float:
-    """Shifted negativity bound: input factors are normalized densities, so
-    the bound is the product of shifted measurement-factor suprema."""
-    return float(np.prod(mode_sups(circuit, s, gamma, direction)))
 
 
 def _hoeffding_count(log_b: float, epsilon: float, delta: float) -> int:
@@ -302,27 +294,23 @@ def _hoeffding_count(log_b: float, epsilon: float, delta: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def resolve_gamma(
-    circuit: CircuitSpec, s: float, method: str = "folded", setup: Optional[_Setup] = None
-) -> GammaChoice:
+def resolve_gamma(setup: Setup, method: str = "folded") -> GammaChoice:
     """The automatic shift, one rule for every circuit and matrix family:
     the searched minimum of the folded sampler's weight bound
     (``_numeric_gamma``).  With nothing weighed (an all-Gaussian pattern,
     folded) the estimate is exact at any shift, so the choice is rate 0,
     without a search."""
-    setup = _setup_or_build(setup, circuit, s)
     if method == "folded" and setup.gaussian.all():
         return GammaChoice(0.0, FORWARD)
-    return _numeric_gamma(circuit, s, setup)
+    return _numeric_gamma(setup)
 
 
-def _log_effective_bound(circuit: CircuitSpec, s: float, gamma: float, direction: str):
+def _log_effective_bound(setup: Setup, gamma: float, direction: str):
     """log B_eff at a shift from a full fold: the reference of the search's
-    objective (``_Setup.log_bound``)."""
-    setup = _Setup(circuit, s)
-    fold = _fold(circuit, s, gamma, direction, setup=setup)
+    objective (``Setup.log_bound``)."""
+    fold = _fold(setup, gamma, direction)
     active = list(fold.active_modes)
-    sups = setup.unit_sups(_rate(s, gamma, direction, circuit.a_max))[active]
+    sups = setup.unit_sups(_rate(setup.s, gamma, direction, setup.a_max))[active]
     return fold.log_prefactor + float(np.sum(np.log(sups) + fold.log_norms[active]))
 
 
@@ -333,10 +321,10 @@ SEARCH_WINDOW = 1.0 - 1e-6
 
 
 @one_blas_thread()
-def _numeric_gamma(circuit: CircuitSpec, s: float, setup: Optional[_Setup] = None) -> GammaChoice:
+def _numeric_gamma(setup: Setup) -> GammaChoice:
     """Golden-section minimization of log B_eff over the signed rate.
 
-    log B_eff (``_Setup.log_bound``) is convex in the rate: the folded
+    log B_eff (``Setup.log_bound``) is convex in the rate: the folded
     precision Lambda is affine in it, so -1/2 log det Lambda is convex, and
     each log-supremum is a supremum of affine functions of the rate, so
     convex too.  It is thus convex on one interval of feasible rates, which
@@ -348,8 +336,7 @@ def _numeric_gamma(circuit: CircuitSpec, s: float, setup: Optional[_Setup] = Non
     point probed is rate 0, a last interior probe or an end of the last
     bracket (whose probes catch a minimum at a window edge).
     """
-    log_bound = _setup_or_build(setup, circuit, s).log_bound
-    a_max = circuit.a_max
+    log_bound, s, a_max = setup.log_bound, setup.s, setup.a_max
     inf = math.inf
     a = -SEARCH_WINDOW * 2.0 / (s + 1.0)
     b = SEARCH_WINDOW * 2.0 / (a_max - s) if a_max > s else 0.0
@@ -404,23 +391,8 @@ class _Fold:
     log_norms: np.ndarray
 
 
-def _real_pushforward(u: np.ndarray) -> np.ndarray:
-    """Real map W with [Re beta; Im beta] = W [Re alpha; Im alpha] for the
-    pushforward beta = U alpha; rows of U give the rows of W for their
-    modes."""
-    re, im = u.real, u.imag
-    return np.concatenate([np.concatenate([re, -im], axis=1), np.concatenate([im, re], axis=1)])
-
-
 @one_blas_thread()
-def _fold(
-    circuit: CircuitSpec,
-    s: float,
-    gamma: float,
-    direction: str,
-    method: str = "folded",
-    setup: Optional[_Setup] = None,
-) -> _Fold:
+def _fold(setup: Setup, gamma: float, direction: str, method: str = "folded") -> _Fold:
     """A proposal folds the exponent of some modes' factors into the input
     Gaussian: the Gaussian modes (``method`` "folded"), no mode ("naive")
     or every mode ("laplace").  A factor's exponent is its log-slope kappa:
@@ -433,11 +405,10 @@ def _fold(
     folded; a folded non-Gaussian factor keeps pi W_j(b) * exp(-kappa_j * b),
     so folding every mode makes the precision minus the log-Hessian of the
     integrand at the origin (the Laplace proposal)."""
-    setup = _setup_or_build(setup, circuit, s)
     folds = {"folded": setup.gaussian, "naive": False, "laplace": True}.get(method)
     if folds is None:
         raise ValueError(f"unknown method {method!r}")
-    rate = _rate(s, gamma, direction, circuit.a_max)
+    rate = _rate(setup.s, gamma, direction, setup.a_max)
     exponents, log_norms = shift_exponents(setup.c0, rate)
     free_idx = setup.free_idx
     precision = 2.0 * exponents[free_idx]
@@ -573,12 +544,7 @@ class FoldedSampler:
 
 @one_blas_thread()
 def build_folded_sampler(
-    circuit: CircuitSpec,
-    s: float,
-    gamma: float,
-    direction: str,
-    method: str = "folded",
-    setup: Optional[_Setup] = None,
+    setup: Setup, gamma: float, direction: str, method: str = "folded"
 ) -> FoldedSampler:
     """The sampler of the proposal ``method`` (``_fold``: "folded", "naive"
     or "laplace"), with kernel K = W_af L^{-T}: W restricted to the weighted
@@ -588,8 +554,7 @@ def build_folded_sampler(
     has the law of K z (both covariances are K K^T = R^T R, also for
     rank-deficient K), so a sample draws at most 2A normals for A weighted
     modes, not F."""
-    setup = _setup_or_build(setup, circuit, s)
-    fold = _fold(circuit, s, gamma, direction, method, setup)
+    fold = _fold(setup, gamma, direction, method)
     kernel = setup.rows(fold.active_modes)
     if kernel.size:
         if fold.root.ndim == 1:
@@ -736,17 +701,17 @@ def estimate_probability(
     if method not in ("folded", "naive"):
         raise ValueError(f"unknown method {method!r}")
     s = circuit.s_max - S_MAX_MARGIN if config.s is None else config.s
-    setup = _Setup(circuit, s)  # checks s
+    setup = Setup(circuit, s)  # checks s
     with one_blas_thread():  # one thread-count switch for the search and the build
         if config.gamma_mode == "auto":
-            gamma, direction = resolve_gamma(circuit, s, method, setup)
+            gamma, direction = resolve_gamma(setup, method)
         else:
             gamma, direction = config.gamma_mode
-        sampler = build_folded_sampler(circuit, s, gamma, direction, method, setup)
-    all_sups = mode_sups(circuit, s, gamma, direction, setup)
+        sampler = build_folded_sampler(setup, gamma, direction, method)
+    all_sups = mode_sups(setup, gamma, direction)
     mod_neg = float(np.prod(all_sups))
     c_max = float(np.max(all_sups)) if all_sups.size else 1.0
-    neg = negativity_bound(circuit, s, setup)
+    neg = negativity_bound(setup)
     active_sups = all_sups[list(sampler.active_modes)]
     log_b_samples = sampler.log_prefactor + float(np.sum(np.log(active_sups)))
     prefactor = math.exp(sampler.log_prefactor)
@@ -822,18 +787,13 @@ class MatrixEstimate:
         return out
 
 
-def budget_factors(
-    emb: Embedding, s: float, gamma: float, direction: str, sups=None
-) -> np.ndarray:
-    """Per-mode additive-error factors of an embedding sampled at (s, gamma,
-    direction): mode j's prefactor times the supremum of its shifted
-    measurement factor, the bound its weights are checked against
-    (``mode_sups``, unless a run that took them passes them as ``sups``,
-    ``EstimateReport.mode_sups``).  Their product bounds a sample's weight
-    in matrix units, and max(epsilon, sqrt(2 ln(2/delta) / n)) times it
-    bounds the Hoeffding radius of n samples."""
-    if sups is None:
-        sups = mode_sups(emb.circuit, s, gamma, direction)
+def budget_factors(emb: Embedding, sups: np.ndarray) -> np.ndarray:
+    """Per-mode additive-error factors of an embedding: mode j's prefactor
+    times the supremum of its shifted measurement factor, ``sups`` (the
+    ``mode_sups`` at the sampled shift, ``EstimateReport.mode_sups`` of a
+    run), the bound its weights are checked against.  Their product bounds
+    a sample's weight in matrix units, and max(epsilon, sqrt(2 ln(2/delta)
+    / n)) times it bounds the Hoeffding radius of n samples."""
     return emb.mode_prefactors * sups
 
 
@@ -847,7 +807,7 @@ def _run_embedding(
     n_eps = _hoeffding_count(0.0, config.epsilon, config.delta)
     n = config.n_samples or n_eps
     report = estimate_probability(emb.circuit, dataclasses.replace(config, n_samples=n), threads=threads)
-    factors = budget_factors(emb, report.s, report.gamma, report.direction, report.mode_sups)
+    factors = budget_factors(emb, report.mode_sups)
     conf_radius = emb.prefactor * report.conf_radius
     # n samples reach max(epsilon, sqrt(2 ln(2/delta) / n)) times the bound:
     # epsilon from the Hoeffding count on, below it the run's own radius

@@ -40,8 +40,3 @@ def shift_exponents(c0: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray
     m = len(c0) // 2
     return c, log_q[:m] + log_q[m:]
 
-
-def input_exponents(covs, s: float, rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted input exponents and log normalizations of every mode at once
-    (``shift_exponents`` of ``unshifted_exponents``)."""
-    return shift_exponents(unshifted_exponents(covs, s), rate)

@@ -48,6 +48,7 @@ from .estimator import (
     FORWARD,
     S_MAX_MARGIN,
     EstimatorConfig,
+    Setup,
     _chunk_sizes,
     _chunk_words,
     build_folded_sampler,
@@ -301,10 +302,9 @@ def estimate_multiplicative(
     if all(out.kind == "marginal" for out in circuit.pattern):
         return MultiplicativeEstimate(1.0, 0.0, 0, math.inf, certs)
 
+    setup = Setup(circuit, circuit.s_max - S_MAX_MARGIN)
     try:
-        sampler = build_folded_sampler(
-            circuit, circuit.s_max - S_MAX_MARGIN, 1.0 - 1e-9, FORWARD, "laplace"
-        )
+        sampler = build_folded_sampler(setup, 1.0 - 1e-9, FORWARD, "laplace")
     except NotPositiveDefinite as exc:
         # certified but not strictly log-concave: on the condition's boundary
         # (a permanent spectrum ratio of exactly 2) the log-Hessian at the

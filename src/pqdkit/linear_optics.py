@@ -157,7 +157,6 @@ class MatrixClass:
 
     tag: MatrixTag
     data: np.ndarray
-    scale_a: float = 1.001
     decomposition: Optional[tuple] = field(default=None, repr=False)
     st_params: Optional[tuple] = field(default=None, repr=False)
 
@@ -166,35 +165,24 @@ class MatrixClass:
         n = self.data.shape[0]
         if self.data.shape != (n, n):
             raise DimensionMismatch("matrix must be square")
-        if self.scale_a <= 1.0:
-            raise ValueError("rescale factor a must exceed 1")
         if self.tag is MatrixTag.COMPLEX_SYMMETRIC_R:
             _check_symmetric(self.data)
         elif self.tag is MatrixTag.HPSD_B:
             _check_hermitian(self.data)
 
     def decompose(self) -> tuple:
-        """Cached decomposition (U, spectrum) of the tag-relevant block:
-        Takagi for the symmetric families, eigendecomposition for the HPSD
-        ones.  Written once; safe for concurrent reads afterwards."""
+        """Cached decomposition (U, spectrum) of the block a Torontonian
+        embeds: Takagi of the R block of an R' matrix, eigendecomposition
+        of the B block of a B' matrix; other tags raise ``ValueError``.
+        Written once; safe for concurrent reads afterwards."""
         if self.decomposition is not None:
             return self.decomposition
-        if self.tag is MatrixTag.COMPLEX_SYMMETRIC_R:
-            self.decomposition = takagi(self.data)
-        elif self.tag is MatrixTag.HPSD_B:
-            self.decomposition = hpsd_eigendecompose(self.data)
-        elif self.tag is MatrixTag.BLOCK_R_PRIME:
-            r_block, _ = split_blocks(self)
-            self.decomposition = takagi(r_block)
+        if self.tag is MatrixTag.BLOCK_R_PRIME:
+            self.decomposition = takagi(split_blocks(self)[0])
         elif self.tag is MatrixTag.BLOCK_B_PRIME:
-            _, b_block = split_blocks(self)
-            self.decomposition = hpsd_eigendecompose(b_block)
-        elif self.tag is MatrixTag.BLOCK_A_PRIME:
-            r_block, _ = split_blocks(self)
-            self.decomposition = takagi(r_block)
-        else:  # BLOCK_A carries R in the upper-left block
-            m = self.data.shape[0] // 2
-            self.decomposition = takagi(self.data[:m, :m])
+            self.decomposition = hpsd_eigendecompose(split_blocks(self)[1])
+        else:
+            raise ValueError(f"no Torontonian decomposition for tag {self.tag}")
         return self.decomposition
 
 
@@ -554,6 +542,14 @@ def embed_torontonian(mat: MatrixClass) -> Embedding:
 # ---------------------------------------------------------------------------
 
 
+def real_pushforward(u: np.ndarray) -> np.ndarray:
+    """Real map W = [[Re U, -Im U], [Im U, Re U]] with [Re beta; Im beta] =
+    W [Re alpha; Im alpha] for the pushforward beta = U alpha; rows of U
+    give the rows of W for their modes."""
+    re, im = u.real, u.imag
+    return np.concatenate([np.concatenate([re, -im], axis=1), np.concatenate([im, re], axis=1)])
+
+
 def xxpp_covariance(circuit: CircuitSpec) -> np.ndarray:
     """Real 2M x 2M covariance in xxpp ordering after the interferometer."""
     covs = circuit.covariances()
@@ -562,8 +558,7 @@ def xxpp_covariance(circuit: CircuitSpec) -> np.ndarray:
     for i, c in enumerate(covs):
         v_in[i, i] = c.a_plus / 2.0
         v_in[m + i, m + i] = c.a_minus / 2.0
-    ur, ui = circuit.unitary.u.real, circuit.unitary.u.imag
-    symp = np.block([[ur, -ui], [ui, ur]])
+    symp = real_pushforward(circuit.unitary.u)
     return symp @ v_in @ symp.T
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NotLogConcave, OrderingOutOfRange
+from .errors import NotLogConcave, OrderingOutOfRange
 
 
 @dataclass(frozen=True)
@@ -94,42 +94,7 @@ MARGINAL = MeasurementOutcome("marginal")
 # special functions
 # ---------------------------------------------------------------------------
 
-_INV_E = math.exp(-1.0)
-
-
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function, ``w*exp(w) = x``.
-
-    Halley iteration from a log-based starting point; residual below 1e-14
-    over the whole branch domain ``x >= -1/e``.
-    """
-    if x < -_INV_E:
-        raise DomainError(f"lambert_w0 requires x >= -1/e, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < -_INV_E + 1e-290:
-        return -1.0
-    # starting guess
-    if x < 1.0:
-        # series around 0 is adequate here
-        w = x * (1.0 - x)
-    else:
-        lx = math.log(x)
-        llx = math.log(lx) if lx > 0 else 0.0
-        w = lx - llx
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(w)):
-            break
-    return w
-
-
-W_INV_E = lambert_w0(_INV_E)  # W(1/e) = 0.27846...
+W_INV_E = 0.2784645427610738  # W(1/e) of the principal Lambert W branch: w * exp(w) = 1/e
 
 
 def laguerre(m: int, x):

@@ -107,4 +107,11 @@ def analytic_budget(emb, s=None):
     """Per-mode budget factors of ``emb`` at its family's closed-form shift
     and s (default s_max), in the embedding's mode order."""
     s = emb.circuit.s_max if s is None else s
-    return est.budget_factors(emb, s, *analytic_shift(emb))
+    return est.budget_factors(emb, est.mode_sups(est.Setup(emb.circuit, s), *analytic_shift(emb)))
+
+
+def searched_budget(emb, s):
+    """Per-mode budget factors of ``emb`` at ordering s and its searched
+    shift (``estimator.resolve_gamma``), in the embedding's mode order."""
+    setup = est.Setup(emb.circuit, s)
+    return est.budget_factors(emb, est.mode_sups(setup, *est.resolve_gamma(setup)))

@@ -20,7 +20,7 @@ from pqdkit.phase_space import (
     pi_w_profile,
 )
 
-from shift_reference import analytic_budget, optimal_gamma_st, optimal_gamma_threshold
+from shift_reference import analytic_budget, optimal_gamma_st, optimal_gamma_threshold, searched_budget
 
 
 class TestPaperConstants:
@@ -82,7 +82,7 @@ def _k_plus(n, r):
 def _ref_sups(covs, outcome, s, rate):
     """Per-mode sup of the shifted factor, input normalization included."""
     return pi_w_profile(outcome, s).sup(rate) * np.exp(
-        factors.input_exponents(covs, s, rate)[1]
+        factors.shift_exponents(factors.unshifted_exponents(covs, s), rate)[1]
     )
 
 
@@ -194,7 +194,7 @@ class TestReferenceFormulas:
         emb = lo.embed_permanent((b_mat + b_mat.conj().T) / 2.0)
         assert res.report.s == emb.circuit.s_max - est.S_MAX_MARGIN
         s = res.report.s
-        assert np.array_equal(res.budget_factors, est.budget_factors(emb, s, *est.resolve_gamma(emb.circuit, s)))
+        assert np.array_equal(res.budget_factors, searched_budget(emb, s))
         assert res.budget == 0.05 * float(np.prod(res.budget_factors))
         assert np.sum(np.log(res.budget_factors)) <= np.sum(np.log(ref_permanent(emb.lambdas))) + 1e-6
 
@@ -258,7 +258,7 @@ class TestBudgetPermanent:
             res = est.estimate_permanent_hpsd(b_mat, est.EstimatorConfig(n_samples=16), a)
             emb = lo.embed_permanent(b_mat, a)
             rep = res.report
-            sups = est.mode_sups(emb.circuit, rep.s, rep.gamma, rep.direction)
+            sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.gamma, rep.direction)
             recon = a * emb.lambdas.max() * sups / (1.0 - emb.lambdas_scaled)
             assert np.max(np.abs(res.budget_factors / recon - 1.0)) <= 1e-12
             assert np.sum(np.log(res.budget_factors)) <= np.sum(np.log(ref_permanent(emb.lambdas))) + 1e-6
@@ -271,7 +271,7 @@ class TestBudgetPermanent:
         res = est.estimate_hafnian_sq(r_mat, est.EstimatorConfig(n_samples=16), a)
         emb = lo.embed_hafnian(r_mat, a)
         rep = res.report
-        sups = est.mode_sups(emb.circuit, rep.s, rep.gamma, rep.direction)
+        sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.gamma, rep.direction)
         recon = a * emb.lambdas.max() * sups / np.sqrt(1.0 - emb.lambdas_scaled**2)
         assert np.max(np.abs(res.budget_factors / recon - 1.0)) <= 1e-12
         assert np.max(np.abs(res.budget_factors / ref_hafnian(emb.lambdas) - 1.0)) <= 1e-7
@@ -313,7 +313,7 @@ class TestBudgetTorontonian:
             (CLICK,) * 3,
         )
         gamma, direction = optimal_gamma_threshold(0.5)
-        sups = est.mode_sups(circuit, circuit.s_max, gamma, direction)
+        sups = est.mode_sups(est.Setup(circuit, circuit.s_max), gamma, direction)
         recon = sups / np.sqrt(1.0 - lam**2)
         assert np.max(np.abs(got / recon - 1.0)) <= 1e-9
 
@@ -415,7 +415,7 @@ class TestBlockABudget:
         # the budget is the realized sampling bound of the estimator: the
         # mode suprema at the analytic reverse shift times sqrt|V_Q|
         gamma, direction = optimal_gamma_st(n, float(np.max(r_list)))
-        sups = est.mode_sups(emb.circuit, emb.circuit.s_max, gamma, direction)
+        sups = est.mode_sups(est.Setup(emb.circuit, emb.circuit.s_max), gamma, direction)
         sq_vq = lo.sqrt_vq_factor(n, r_list)
         assert sq_vq * float(np.prod(sups)) == pytest.approx(float(np.prod(got)), rel=1e-12)
 

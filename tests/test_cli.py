@@ -20,6 +20,8 @@ from pqdkit import estimator as est
 from pqdkit import linear_optics as lo
 from pqdkit.errors import SchemaError
 
+from shift_reference import searched_budget
+
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
@@ -351,8 +353,7 @@ class TestCommands:
             emb = lo.embed_hafnian_block_a(0.1, [0.5])
         else:
             emb = lo.embed_torontonian(lo.block_a_prime(0.1, [0.5], lo.identity_interferometer(1)))
-        s = emb.circuit.s_max - est.S_MAX_MARGIN
-        searched = est.budget_factors(emb, s, *est.resolve_gamma(emb.circuit, s))
+        searched = searched_budget(emb, emb.circuit.s_max - est.S_MAX_MARGIN)
         assert report["budget"]["factors"] == searched.tolist()
         assert searched[0] <= factor
 
@@ -386,8 +387,7 @@ class TestCommands:
         assert report["bounds"]["lower"] <= report["bounds"]["upper"]
         # the budget of a default estimate on diag(lambdas), in input order
         emb = lo.embed_permanent(np.diag([0.7, 0.5, 0.3]))
-        s = emb.circuit.s_max - est.S_MAX_MARGIN
-        factors = est.budget_factors(emb, s, *est.resolve_gamma(emb.circuit, s))
+        factors = searched_budget(emb, emb.circuit.s_max - est.S_MAX_MARGIN)
         assert report["budget"]["factors"] == factors[::-1].tolist()
         assert report["budget"]["formula_id"] == "budget.permanent"
 

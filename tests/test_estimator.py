@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
-from pqdkit import cli, estimator as est, linear_optics as lo, oracles
+from pqdkit import cli, estimator as est, fpras, linear_optics as lo, oracles
 from pqdkit import factors
 from pqdkit import phase_space as ps
 from pqdkit.errors import (
@@ -54,7 +54,7 @@ def photon_factor(m, s, rate):
 
 def log_norm(cov, s, rate):
     """log N of one mode's shifted input factor."""
-    return float(factors.input_exponents([cov], s, rate)[1][0])
+    return float(factors.shift_exponents(factors.unshifted_exponents([cov], s), rate)[1][0])
 
 
 def lower_root(fold):
@@ -86,14 +86,14 @@ class TestNegativityBound:
         circuit = lo.CircuitSpec(
             ((0.0, 0.0),) * 3, lo.haar_unitary(3, 1), (photon(0),) * 3
         )
-        assert est.negativity_bound(circuit, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert est.negativity_bound(est.Setup(circuit, 1.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_high_squeezing_grows_exponentially(self):
         r = 0.9  # above the ideal-circuit squeezing cap 0.722
         for m in (2, 4, 6):
             circuit = squeezed_circuit([r] * m, 2)
             s = circuit.s_max
-            bound = est.negativity_bound(circuit, s)
+            bound = est.negativity_bound(est.Setup(circuit, s))
             lam = math.tanh(r)
             per_mode = lam * (1.0 + lam)  # |f(0)| of the single-photon factor
             assert per_mode > 1.0
@@ -103,29 +103,28 @@ class TestNegativityBound:
         circuit = squeezed_circuit([0.5] * 4, 3, eta=0.5)
         s_max = circuit.s_max
         assert s_max >= math.sqrt(5.0) - 2.0
-        assert est.negativity_bound(circuit, s_max) <= 1.0 + 1e-12
+        assert est.negativity_bound(est.Setup(circuit, s_max)) <= 1.0 + 1e-12
 
     def test_golden_section_matches_stationary_points(self):
         r = 0.3
         circuit = squeezed_circuit([r], 4)
         s = circuit.s_max
-        analytic = est.negativity_bound(circuit, s)
+        analytic = est.negativity_bound(est.Setup(circuit, s))
         numeric = dense_sup(shifted_profile(photon(1), s, 0.0), np.linspace(0.0, 400.0, 4001))
         assert analytic == pytest.approx(numeric, abs=1e-9)
 
     def test_rejects_super_classical_ordering(self):
         circuit = squeezed_circuit([0.5], 5)
         with pytest.raises(SingularOrdering):
-            est.negativity_bound(circuit, circuit.s_max + 0.1)
+            est.negativity_bound(est.Setup(circuit, circuit.s_max + 0.1))
 
 
 class TestModifiedNegativityBound:
     def test_zero_shift_equality(self):
         circuit = squeezed_circuit([0.4, 0.6], 6)
-        s = circuit.s_max - 1e-9
-        assert est.modified_negativity_bound(
-            circuit, s, 0.0, est.FORWARD
-        ) == pytest.approx(est.negativity_bound(circuit, s), rel=1e-9)
+        setup = est.Setup(circuit, circuit.s_max - 1e-9)
+        modified = float(np.prod(est.mode_sups(setup, 0.0, est.FORWARD)))
+        assert modified == pytest.approx(est.negativity_bound(setup), rel=1e-9)
 
     def test_optimal_shift_below_one_per_mode(self):
         for r in (0.3, 0.9, 1.5):
@@ -133,7 +132,7 @@ class TestModifiedNegativityBound:
             s = circuit.s_max
             lam = math.tanh(r)
             gamma, direction = ref.optimal_gamma_squeezed([lam] * 3)
-            sups = est.mode_sups(circuit, s, gamma, direction)
+            sups = est.mode_sups(est.Setup(circuit, s), gamma, direction)
             assert np.all(sups < 1.0)
             expected = lam * math.sqrt(1.0 - lam * lam) / math.sqrt(
                 1.0 - 2.0 * ps.W_INV_E
@@ -145,11 +144,12 @@ class TestModifiedNegativityBound:
         circuit = squeezed_circuit([math.atanh(lam)] * 2, 8)
         s = circuit.s_max
         gamma_opt, d_opt = ref.optimal_gamma_squeezed([lam, lam])
-        best = est.modified_negativity_bound(circuit, s, gamma_opt, d_opt)
+        setup = est.Setup(circuit, s)
+        best = float(np.prod(est.mode_sups(setup, gamma_opt, d_opt)))
         grid = np.linspace(0.0, 0.95, 96)
         for d in (est.FORWARD, est.REVERSE):
             for g in grid:
-                assert est.modified_negativity_bound(circuit, s, float(g), d) >= best - 1e-9
+                assert float(np.prod(est.mode_sups(setup, float(g), d))) >= best - 1e-9
 
 
 class TestOptimalGammas:
@@ -214,7 +214,7 @@ class TestFactorBound:
         circuit = squeezed_circuit([math.atanh(lam)] * 2, 9)
         s = circuit.s_max
         gamma, direction = ref.optimal_gamma_squeezed([lam, lam])
-        sups = est.mode_sups(circuit, s, gamma, direction)
+        sups = est.mode_sups(est.Setup(circuit, s), gamma, direction)
         rate = 2.0 * gamma / ((1.0 + lam) / (1.0 - lam) - s)
         for j, sup in enumerate(sups):
             cov = circuit.covariances()[j]
@@ -228,11 +228,11 @@ class TestFactorBound:
     def test_one_supremum_per_distinct_outcome(self, monkeypatch):
         circuit = squeezed_circuit([0.3] * 8, 9, pattern=(photon(1),) * 6 + (CLICK, photon(1)))
         s = circuit.s_max - est.S_MAX_MARGIN
-        expected = est.mode_sups(circuit, s, 0.2, est.FORWARD)
+        expected = est.mode_sups(est.Setup(circuit, s), 0.2, est.FORWARD)
         calls = []
         true_sup = ps.RadialFactor.sup
         monkeypatch.setattr(ps.RadialFactor, "sup", lambda f, rate: calls.append(rate) or true_sup(f, rate))
-        got = est.mode_sups(circuit, s, 0.2, est.FORWARD)
+        got = est.mode_sups(est.Setup(circuit, s), 0.2, est.FORWARD)
         assert len(calls) == 2
         assert np.array_equal(got, expected)
         rate = est._rate(s, 0.2, est.FORWARD, circuit.a_max)
@@ -252,7 +252,7 @@ class TestFactorBound:
         # per-mode budget equals Z * sup of the shifted click factor
         circuit = squeezed_circuit([math.atanh(lam_max)], 11, pattern=(CLICK,))
         s = circuit.s_max
-        sups = est.mode_sups(circuit, s, 0.25, est.FORWARD)
+        sups = est.mode_sups(est.Setup(circuit, s), 0.25, est.FORWARD)
         assert budget[0] == pytest.approx(
             sups[0] / math.sqrt(1.0 - lam_max**2), rel=1e-9
         )
@@ -376,7 +376,7 @@ class TestPhotonSuprema:
         rep = json.loads(capsys.readouterr().out)["result"]
         circuit = cli.circuit_file_parse(str(path))
         s = rep["s"]
-        sup = est.mode_sups(circuit, s, 0.999, est.REVERSE)[0]
+        sup = est.mode_sups(est.Setup(circuit, s), 0.999, est.REVERSE)[0]
         assert sup == pytest.approx(4.317e5, rel=1e-3)
         rate = est._rate(s, 0.999, est.REVERSE, circuit.a_max)
         n_0 = math.exp(log_norm(circuit.covariances()[0], s, rate))
@@ -384,7 +384,7 @@ class TestPhotonSuprema:
         ref = n_0 * dense_sup(photon_factor(2, s, rate), np.linspace(0.0, 50.0 / c, 20_001))
         assert sup == pytest.approx(ref, rel=1e-9)
         # Hoeffding radius B_eff * sqrt(2 ln(2/delta) / n) at the default delta = 0.05
-        sampler = est.build_folded_sampler(circuit, s, 0.999, est.REVERSE)
+        sampler = est.build_folded_sampler(est.Setup(circuit, s), 0.999, est.REVERSE)
         radius = math.exp(sampler.log_prefactor) * sup * math.sqrt(2.0 * math.log(40.0) / 2000)
         assert rep["conf_radius"] == pytest.approx(radius, rel=1e-12)
 
@@ -447,22 +447,22 @@ class TestShiftSearch:
             else:
                 shift = (-rate * (s + 1.0) / 2.0, est.REVERSE)
             try:
-                return est._log_effective_bound(circuit, s, *shift)
+                return est._log_effective_bound(est.Setup(circuit, s), *shift)
             except (ShiftOutOfRange, est.NotPositiveDefinite):
                 return math.inf
 
         rates = np.linspace(-0.98 * 2.0 / (s + 1.0), 0.98 * 2.0 / (a_max - s), 801)
         scan = min(log_b(float(r)) for r in rates)
-        gamma, direction = est._numeric_gamma(circuit, s)[:2]
-        assert est._log_effective_bound(circuit, s, gamma, direction) <= scan + 1e-6
+        gamma, direction = est._numeric_gamma(est.Setup(circuit, s))[:2]
+        assert est._log_effective_bound(est.Setup(circuit, s), gamma, direction) <= scan + 1e-6
 
 
 class TestWeightBound:
     @staticmethod
     def halve_sups(monkeypatch):
         # the claimed suprema, not the ones the shift search minimizes
-        true_sups = est._Setup.unit_sups
-        monkeypatch.setattr(est._Setup, "unit_sups", lambda setup, rate: 0.5 * true_sups(setup, rate))
+        true_sups = est.Setup.unit_sups
+        monkeypatch.setattr(est.Setup, "unit_sups", lambda setup, rate: 0.5 * true_sups(setup, rate))
 
     def test_planted_wrong_supremum_raises(self, monkeypatch):
         circuit = squeezed_circuit([0.4, 0.3], 17, pattern=(photon(1), CLICK))
@@ -528,7 +528,7 @@ def reference_beta_sq(circuit, stds, fold, z):
 
 
 def naive_stds(circuit, s, rate):
-    exponents = factors.input_exponents(circuit.covariances(), s, rate)[0]
+    exponents = factors.shift_exponents(factors.unshifted_exponents(circuit.covariances(), s), rate)[0]
     return np.array([0.0 if math.isnan(c) else math.sqrt(1.0 / (2.0 * c)) for c in exponents])
 
 
@@ -585,13 +585,13 @@ class TestSamplingKernel:
         circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
         if method == "folded":
-            sampler = est.build_folded_sampler(circuit, s, gamma, direction)
-            fold = est._fold(circuit, s, gamma, direction)
+            sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction)
+            fold = est._fold(est.Setup(circuit, s), gamma, direction)
             stds = None
             width = len(fold.free_idx)
             assert sampler.active_modes == fold.active_modes
         else:
-            sampler = est.build_folded_sampler(circuit, s, gamma, direction, "naive")
+            sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction, "naive")
             fold = None
             stds = naive_stds(circuit, s, est._rate(s, gamma, direction, circuit.a_max))
             width = np.count_nonzero(stds)  # one normal per free coordinate
@@ -616,15 +616,15 @@ class TestSamplingKernel:
         # 2A rows never need more than 2A normals
         circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
-        fold = est._fold(circuit, s, gamma, direction)
+        fold = est._fold(est.Setup(circuit, s), gamma, direction)
         rows = 2 * len(fold.active_modes)
-        sampler = est.build_folded_sampler(circuit, s, gamma, direction)
+        sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction)
         assert sampler.kernel.shape == (rows, min(rows, fold.free_idx.size))
 
     def test_all_marginal_has_no_weighted_mode(self):
         circuit, _, gamma_mode = KERNEL_CASES["all-marginal"]
         s = circuit.s_max - est.S_MAX_MARGIN
-        sampler = est.build_folded_sampler(circuit, s, *gamma_mode)
+        sampler = est.build_folded_sampler(est.Setup(circuit, s), *gamma_mode)
         assert sampler.active_modes == () and sampler.kernel.shape[0] == 0
         assert np.array_equal(sampler.draw(np.random.default_rng(1), 7), np.ones(7))
         rep = est.estimate_probability(circuit, est.EstimatorConfig(gamma_mode=gamma_mode))
@@ -635,7 +635,7 @@ class TestSamplingKernel:
         circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
         cfg = est.EstimatorConfig(n_samples=30_001, seed=9, gamma_mode=(0.2, est.FORWARD))
         rep = est.estimate_probability(circuit, cfg)
-        sampler = est.build_folded_sampler(circuit, rep.s, rep.gamma, rep.direction)
+        sampler = est.build_folded_sampler(est.Setup(circuit, rep.s), rep.gamma, rep.direction)
         sizes = est._chunk_sizes(cfg.n_samples)
         assert len(rep.trace) == len(sizes) == 8
         running, n_done = 0.0, 0
@@ -650,7 +650,7 @@ class TestSamplingKernel:
         # from its own stream
         circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
         sampler = est.build_folded_sampler(
-            circuit, circuit.s_max - est.S_MAX_MARGIN, 0.2, est.FORWARD
+            est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 0.2, est.FORWARD
         )
         sizes = [est.CHUNK, 3000, est.CHUNK, 8 * est.CHUNK + 7, 1]
         words = est._chunk_words(9, 3 + len(sizes))[3:]
@@ -675,7 +675,7 @@ class TestSamplingKernel:
         # columns bit for bit
         circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
         sampler = est.build_folded_sampler(
-            circuit, circuit.s_max - est.S_MAX_MARGIN, 0.2, est.FORWARD
+            est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 0.2, est.FORWARD
         )
         n, first = 6 * est.CHUNK + 11, 2
         words = est._chunk_words(5, 7)
@@ -707,7 +707,7 @@ def outer_product_precision(circuit, s, gamma, direction, laplace=False):
     product per folded mode (the Gaussian ones, or every mode for the
     Laplace proposal): Q_j = Re(a a^H) with a = [U_j, i U_j]."""
     rate = est._rate(s, gamma, direction, circuit.a_max)
-    exponents = factors.input_exponents(circuit.covariances(), s, rate)[0]
+    exponents = factors.shift_exponents(factors.unshifted_exponents(circuit.covariances(), s), rate)[0]
     lam = np.diag(np.nan_to_num(2.0 * exponents))
     for j, out in enumerate(circuit.pattern):
         if out.is_gaussian or laplace:
@@ -723,7 +723,8 @@ def cholesky_reference(circuit, s, gamma, direction):
     L of the precision and the solve K = W_af L^{-T}."""
     m = circuit.m
     rate = est._rate(s, gamma, direction, circuit.a_max)
-    exponents, log_norms = factors.input_exponents(circuit.covariances(), s, rate)
+    c0 = factors.unshifted_exponents(circuit.covariances(), s)
+    exponents, log_norms = factors.shift_exponents(c0, rate)
     free = np.flatnonzero(~np.isnan(exponents))
     chol = np.linalg.cholesky(outer_product_precision(circuit, s, gamma, direction))
     log_k = sum(
@@ -734,7 +735,7 @@ def cholesky_reference(circuit, s, gamma, direction):
     logdet_in = float(np.sum(np.log(2.0 * exponents[free])))
     log_prefactor = log_k + 0.5 * logdet_in - float(np.sum(np.log(np.diagonal(chol))))
     active = [j for j, out in enumerate(circuit.pattern) if not out.is_gaussian]
-    w_af = est._real_pushforward(circuit.unitary.u)[active + [m + j for j in active]][:, free]
+    w_af = lo.real_pushforward(circuit.unitary.u)[active + [m + j for j in active]][:, free]
     kernel = np.linalg.solve(chol, w_af.T).T
     return kernel @ kernel.T, log_prefactor
 
@@ -772,11 +773,11 @@ class TestFoldPaths:
         else:
             circuit = matrix_embedding(name, m)
             s = circuit.s_max - est.S_MAX_MARGIN
-            gamma, direction = est.resolve_gamma(circuit, s)[:2]
-        fold = est._fold(circuit, s, gamma, direction)
+            gamma, direction = est.resolve_gamma(est.Setup(circuit, s))[:2]
+        fold = est._fold(est.Setup(circuit, s), gamma, direction)
         assert fold.root.ndim == 1
         assert len(fold.free_idx) == (2 * m - 2 if name == "frozen-thermal" else 2 * m)
-        sampler = est.build_folded_sampler(circuit, s, gamma, direction)
+        sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction)
         cov, log_prefactor = cholesky_reference(circuit, s, gamma, direction)
         got = sampler.kernel @ sampler.kernel.T
         np.testing.assert_allclose(got, cov, rtol=0.0, atol=1e-12 * np.abs(cov).max())
@@ -787,7 +788,7 @@ class TestFoldPaths:
     def test_one_product_fold_matches_outer_products(self, case, laplace):
         circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
-        fold = est._fold(circuit, s, gamma, direction, "laplace" if laplace else "folded")
+        fold = est._fold(est.Setup(circuit, s), gamma, direction, "laplace" if laplace else "folded")
         assert fold.root.ndim == 2
         expected = outer_product_precision(circuit, s, gamma, direction, laplace)
         got = fold.root @ fold.root.T
@@ -833,7 +834,7 @@ def wide_naive_sampler():
         (photon(1), CLICK, photon(2)) + (NOCLICK,) * (m - 3),
     )
     s = circuit.s_max - est.S_MAX_MARGIN
-    sampler = est.build_folded_sampler(circuit, s, 0.2, est.FORWARD, "naive")
+    sampler = est.build_folded_sampler(est.Setup(circuit, s), 0.2, est.FORWARD, "naive")
     assert sampler.kernel.shape == (32, 32)
     return sampler
 
@@ -893,7 +894,7 @@ class TestFusedWeight:
         s, gamma = 0.5, 0.6
         rate = est._rate(s, gamma, direction, circuit.a_max)
         n_j = math.exp(log_norm(circuit.covariances()[0], s, rate))
-        sampler = est.build_folded_sampler(circuit, s, gamma, direction, "naive")
+        sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction, "naive")
         # sample-major normals: a sample's two normals are consecutive
         b = sampler.beta_sq(np.random.default_rng(7).standard_normal((4000, 2)).T)[0]
         got = sampler.draw(np.random.default_rng(7), 4000)
@@ -911,8 +912,8 @@ class TestFusedWeight:
             (photon(1), NOCLICK) + (MARGINAL,) * (m - 2),
         )
         s = circuit.s_max - est.S_MAX_MARGIN
-        gamma, direction = est.resolve_gamma(circuit, s)[:2]
-        assert est.build_folded_sampler(circuit, s, gamma, direction).kernel.shape == (2, 2)
+        gamma, direction = est.resolve_gamma(est.Setup(circuit, s))[:2]
+        assert est.build_folded_sampler(est.Setup(circuit, s), gamma, direction).kernel.shape == (2, 2)
         cfg = est.EstimatorConfig(n_samples=200_000, seed=8)
         reports = [est.estimate_probability(circuit, cfg, threads=k) for k in (1, 2, 4)]
         blobs = {json.dumps(rep.as_dict(include_wall_time=False)) for rep in reports}
@@ -1122,7 +1123,7 @@ class TestEstimateProbability:
         circuit = squeezed_circuit([0.3], 21)
         s = circuit.s_max - est.S_MAX_MARGIN
         with pytest.raises(ValueError, match="method"):
-            est.build_folded_sampler(circuit, s, 0.2, est.FORWARD, method="bogus")
+            est.build_folded_sampler(est.Setup(circuit, s), 0.2, est.FORWARD, method="bogus")
 
     def test_trace_is_cumulative(self):
         circuit = squeezed_circuit([0.3], 21)
@@ -1280,7 +1281,7 @@ class TestTorontonianShift:
         cfg = est.EstimatorConfig(n_samples=100, seed=1)
         res = est.estimate_torontonian(mat, cfg)
         s = res.report.s
-        assert (res.report.gamma, res.report.direction) == tuple(est.resolve_gamma(emb.circuit, s))
+        assert (res.report.gamma, res.report.direction) == tuple(est.resolve_gamma(est.Setup(emb.circuit, s)))
         analytic = ref.analytic_budget(emb, s)
         assert np.sum(np.log(res.budget_factors)) <= np.sum(np.log(analytic)) + 1e-6
 
@@ -1340,7 +1341,7 @@ class TestShiftRule:
     def test_searched_budget_not_above_analytic(self, family, m, seed):
         emb = _embedding_instance(family, m, seed)
         s = emb.circuit.s_max - est.S_MAX_MARGIN
-        searched = est.budget_factors(emb, s, *est.resolve_gamma(emb.circuit, s))
+        searched = ref.searched_budget(emb, s)
         analytic = ref.analytic_budget(emb, s)
         assert np.sum(np.log(searched)) <= np.sum(np.log(analytic)) + 1e-6
 
@@ -1399,7 +1400,8 @@ class TestBudgetCoversRadius:
         for run, cfg in runs.items():
             res = estimate(cfg)
             rep = res.report
-            factors = est.budget_factors(emb, rep.s, rep.gamma, rep.direction)
+            sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.gamma, rep.direction)
+            factors = est.budget_factors(emb, sups)
             assert np.array_equal(res.budget_factors, factors), run
             assert res.budget == 0.05 * float(np.prod(factors)), run
             assert res.conf_radius <= res.budget, run
@@ -1415,3 +1417,45 @@ class TestBudgetCoversRadius:
         assert few.budget == pytest.approx(eps_n / 0.05 * full.budget, rel=1e-12)
         assert few.conf_radius <= few.budget
         assert few.conf_radius > full.budget
+
+
+class TestOneSetupPerEstimate:
+    """Every estimate builds one ``Setup`` and hands it to the shift search,
+    the fold, the sampler and the suprema."""
+
+    @pytest.fixture
+    def setups(self, monkeypatch):
+        built = []
+        init = est.Setup.__init__
+
+        def counting_init(setup, circuit, s):
+            built.append(s)
+            init(setup, circuit, s)
+
+        monkeypatch.setattr(est.Setup, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize(
+        "method, gamma_mode",
+        [("folded", "auto"), ("naive", "auto"), ("folded", (0.2, est.FORWARD))],
+        ids=["folded", "naive", "fixed-shift"],
+    )
+    def test_circuit_estimate(self, setups, method, gamma_mode):
+        circuit = squeezed_circuit([0.3, 0.5, 0.4], 21, (photon(1), CLICK, NOCLICK))
+        cfg = est.EstimatorConfig(gamma_mode=gamma_mode, n_samples=256)
+        est.estimate_probability(circuit, cfg, method=method)
+        assert len(setups) == 1
+
+    def test_matrix_estimate(self, setups):
+        est.estimate_permanent_hpsd(np.diag([0.7, 0.5, 0.3]), est.EstimatorConfig(n_samples=256))
+        assert len(setups) == 1
+
+    def test_multiplicative_estimate(self, setups):
+        emb = lo.embed_permanent(np.diag([1.9, 1.5, 1.2]))
+        fpras.estimate_multiplicative(emb.circuit, 0.2, 0.05)
+        assert len(setups) == 1
+
+    def test_bounds_command(self, setups, capsys):
+        assert cli.main(["bounds", "--family", "permanent", "--lambdas", "0.3,0.5,0.7"]) == 0
+        capsys.readouterr()
+        assert len(setups) == 1

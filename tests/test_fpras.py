@@ -373,7 +373,7 @@ class TestLaplaceFold:
     def test_precision_is_negative_log_hessian_at_origin(self, case):
         circuit = LAPLACE_CASES[case]
         s = circuit.s_max - 0.5
-        fold = est._fold(circuit, s, 0.5, est.FORWARD, method="laplace")
+        fold = est._fold(est.Setup(circuit, s), 0.5, est.FORWARD, method="laplace")
         assert len(fold.free_idx) == 2 * circuit.m
         precision = lower_root(fold) @ lower_root(fold).T
         hess = central_hessian(lambda x: log_integrand(circuit, s, x), 2 * circuit.m)
@@ -386,8 +386,8 @@ class TestLaplaceFold:
         # f(x) = exp(log_prefactor) * q(x) * w(x) with q the folded Gaussian
         circuit = LAPLACE_CASES[case]
         s = circuit.s_max - 0.5
-        fold = est._fold(circuit, s, 0.5, est.FORWARD, method="laplace")
-        sampler = est.build_folded_sampler(circuit, s, 0.5, est.FORWARD, method="laplace")
+        fold = est._fold(est.Setup(circuit, s), 0.5, est.FORWARD, method="laplace")
+        sampler = est.build_folded_sampler(est.Setup(circuit, s), 0.5, est.FORWARD, method="laplace")
         dim = 2 * circuit.m
         z = np.random.default_rng(case).standard_normal((dim, 5))
         x = np.linalg.solve(lower_root(fold).T, z)
@@ -445,7 +445,7 @@ def test_laplace_weights_peak_at_origin(name):
     circuit = CERTIFIED[name]
     assert all(cert.holds for cert in fpras.circuit_certificates(circuit))
     sampler = est.build_folded_sampler(
-        circuit, circuit.s_max - est.S_MAX_MARGIN, 1.0 - 1e-9, est.FORWARD, method="laplace"
+        est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 1.0 - 1e-9, est.FORWARD, method="laplace"
     )
     peak = sampler.scale * math.prod(float(poly(0.0)) for poly in sampler.polys if poly is not None)
     w = sampler.draw(np.random.default_rng(0), 20_000)

@@ -43,7 +43,7 @@ class TestPropagate:
 
     @staticmethod
     def push(interf, alpha):
-        re_im = estimator._real_pushforward(interf.u) @ np.concatenate([alpha.real, alpha.imag])
+        re_im = lo.real_pushforward(interf.u) @ np.concatenate([alpha.real, alpha.imag])
         return re_im[: interf.m] + 1j * re_im[interf.m :]
 
     def test_identity(self):
@@ -389,6 +389,23 @@ class TestCircuitSpec:
 
 
 class TestMatrixClass:
+    def test_decompose_only_torontonian_blocks(self):
+        # R' and B' decompose (their cache serves repeated Torontonian
+        # embeddings); every other tag has no decomposition to cache
+        mat_a, _ = lo.build_block_A(0.2, [0.3, 0.1], lo.identity_interferometer(2))
+        others = [
+            lo.MatrixClass(lo.MatrixTag.COMPLEX_SYMMETRIC_R, np.diag([0.5, 0.2])),
+            lo.MatrixClass(lo.MatrixTag.HPSD_B, np.diag([0.5, 0.2])),
+            mat_a,
+            lo.block_a_prime(0.2, [0.3, 0.1], lo.identity_interferometer(2)),
+        ]
+        for mat in others:
+            with pytest.raises(ValueError, match="no Torontonian decomposition"):
+                mat.decompose()
+        mat_b = lo.block_b_prime(np.diag([0.5, 0.2]))
+        assert mat_b.decompose() is mat_b.decompose()
+        assert np.allclose(mat_b.decompose()[1], [0.5, 0.2])
+
     def test_tag_validation(self):
         with pytest.raises(NotSymmetric):
             lo.MatrixClass(lo.MatrixTag.COMPLEX_SYMMETRIC_R, np.array([[0, 1], [0.5, 0]]))

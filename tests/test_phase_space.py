@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from pqdkit import bounds
 from pqdkit import estimator as est
 from pqdkit import factors
 from pqdkit import linear_optics as lo
 from pqdkit import phase_space as ps
 from pqdkit.errors import (
-    DomainError,
     OrderingOutOfRange,
     ShiftOutOfRange,
     SingularOrdering,
@@ -48,7 +48,7 @@ def gaussian_pqd(cov, s, x, y):
 
 class TestSpqdGaussian:
     """The input s-PQD as the samplers draw it: a Gaussian of precision
-    2 c per quadrature, c from ``factors.input_exponents`` at rate 0
+    2 c per quadrature, c from ``factors.shift_exponents`` at rate 0
     (``shifted_input_density``)."""
 
     def test_vacuum_wigner_origin(self):
@@ -75,10 +75,10 @@ class TestSpqdGaussian:
     def test_singular_ordering_rejected(self):
         # at s = 1 the vacuum is a delta in phase space (both quadratures
         # frozen), above it no distribution exists
-        exponents, log_norms = factors.input_exponents([VACUUM], 1.0, 0.0)
+        exponents, log_norms = factors.shift_exponents(factors.unshifted_exponents([VACUUM], 1.0), 0.0)
         assert np.isnan(exponents).all() and log_norms[0] == 0.0
         with pytest.raises(SingularOrdering):
-            factors.input_exponents([VACUUM], 1.0 + 1e-6, 0.0)
+            factors.shift_exponents(factors.unshifted_exponents([VACUUM], 1.0 + 1e-6), 0.0)
 
     def test_normalization_random_covariances(self):
         rng = np.random.default_rng(11)
@@ -204,30 +204,21 @@ class TestThresholdClick:
 
 
 class TestLambertW:
-    def test_trivial_points(self):
-        assert ps.lambert_w0(0.0) == 0.0
-        assert ps.lambert_w0(math.e) == pytest.approx(1.0, rel=1e-14)
-
     def test_frozen_reference_value(self):
-        assert ps.lambert_w0(math.exp(-1.0)) == pytest.approx(
-            0.27846454276107379, abs=1e-15
-        )
-
-    def test_roundtrip_residual(self):
-        xs = np.linspace(-math.exp(-1.0) + 1e-6, 10.0, 500)
-        for x in xs:
-            w = ps.lambert_w0(float(x))
-            assert abs(w * math.exp(w) - x) <= 1e-14 * max(1.0, abs(x))
-
-    def test_against_scipy(self):
-        for x in (0.1, 1.0, 5.0, -0.2, -0.35):
-            assert ps.lambert_w0(x) == pytest.approx(
-                float(scipy.special.lambertw(x).real), abs=1e-14
-            )
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            ps.lambert_w0(-1.0)
+        # W(1/e) solves w * exp(w) = 1/e exactly in floating point, and the
+        # constants derived from it keep their values
+        w = ps.W_INV_E
+        assert w * math.exp(w) == math.exp(-1.0)
+        assert bounds.reference_constants() == {
+            "compressed_budget_rate": 1.5023232180362491,
+            "sparse_budget_rate": 1.3859332759981942,
+            "shift_branch_point": 0.38593327599819427,
+            "thermal_budget_rate": 1.4715177646857693,
+            "thermal_budget_floor": 0.7357588823428847,
+            "max_squeezing_ideal": 0.7218177375894052,
+            "max_transmissivity": 0.7639320225002102,
+            "classicality_floor": 0.2360679774997898,
+        }
 
 
 class TestLaguerre:
@@ -305,8 +296,8 @@ def case_log_slope(outcome, s):
 
 def shifted_input_density(cov, s, rate, x, y):
     """Normalized shifted input factor as the samplers draw it: a Gaussian
-    with precision 2 c per quadrature, (c_x, c_y) from input_exponents."""
-    cx, cy = factors.input_exponents([cov], s, rate)[0]
+    with precision 2 c per quadrature, (c_x, c_y) from shift_exponents."""
+    cx, cy = factors.shift_exponents(factors.unshifted_exponents([cov], s), rate)[0]
     return math.sqrt(cx * cy) / math.pi * np.exp(-cx * x * x - cy * y * y)
 
 
@@ -328,7 +319,8 @@ class TestShiftedFactors:
         s = 0.3
         alpha = 0.5 - 0.2j
         dens = shifted_input_density(cov, s, 0.0, alpha.real, alpha.imag)
-        assert math.exp(factors.input_exponents([cov], s, 0.0)[1][0]) == pytest.approx(1.0, rel=1e-12)
+        log_norms = factors.shift_exponents(factors.unshifted_exponents([cov], s), 0.0)[1]
+        assert math.exp(log_norms[0]) == pytest.approx(1.0, rel=1e-12)
         assert dens == pytest.approx(gaussian_pqd(cov, s, alpha.real, alpha.imag), rel=1e-12)
 
     @pytest.mark.parametrize("rate", [-0.5, 0.0, 0.3])
@@ -337,7 +329,7 @@ class TestShiftedFactors:
         covs = [squeezed_thermal_covariance(0.4, 0.0), squeezed_thermal_covariance(0.1, 0.3),
                 ps.ModeCovariance(1.2, 1.2)]
         s = covs[0].a_minus
-        exponents, log_norms = factors.input_exponents(covs, s, rate)
+        exponents, log_norms = factors.shift_exponents(factors.unshifted_exponents(covs, s), rate)
         m = len(covs)
         for i, cov in enumerate(covs):
             log_n = 0.0
@@ -350,7 +342,7 @@ class TestShiftedFactors:
                 log_n += 0.5 * (math.log(2.0 / (a - s)) - math.log(c))
             assert log_norms[i] == pytest.approx(log_n, rel=1e-14, abs=1e-15)
         with pytest.raises(SingularOrdering):
-            factors.input_exponents(covs, covs[0].a_minus + 1e-6, rate)
+            factors.shift_exponents(factors.unshifted_exponents(covs, covs[0].a_minus + 1e-6), rate)
 
     def test_forward_limit_rejected(self):
         cov = squeezed_thermal_covariance(0.5, 0.0)
@@ -358,7 +350,7 @@ class TestShiftedFactors:
         with pytest.raises(ShiftOutOfRange):
             est._rate(s, 1.0, est.FORWARD, cov.a_plus)
         with pytest.raises(ShiftOutOfRange):
-            factors.input_exponents([cov], s, 2.0 / (cov.a_plus - s))
+            factors.shift_exponents(factors.unshifted_exponents([cov], s), 2.0 / (cov.a_plus - s))
 
     def test_density_and_norm_by_quadrature(self):
         # 2-D quadrature of the unnormalized shifted form; the squeezing sits
@@ -372,7 +364,8 @@ class TestShiftedFactors:
         sy = math.sqrt((cov.a_minus - s) / 4.0)
         raw = lambda x, y: gaussian_pqd(cov, s, x, y) * np.exp(rate * (x * x + y * y))
         n_quad = gauss_2d_integral(raw, sx, sy, n=601)
-        assert math.exp(factors.input_exponents([cov], s, rate)[1][0]) == pytest.approx(n_quad, rel=1e-7)
+        log_norms = factors.shift_exponents(factors.unshifted_exponents([cov], s), rate)[1]
+        assert math.exp(log_norms[0]) == pytest.approx(n_quad, rel=1e-7)
         total = gauss_2d_integral(
             lambda x, y: shifted_input_density(cov, s, rate, x, y), sx, sy, n=601
         )
@@ -421,7 +414,7 @@ class TestShiftedFactors:
             s = 1.0 / e2r
             cov = ps.ModeCovariance(e2r, 1.0 / e2r)
             rate = est._rate(s, gamma, direction, e2r)
-            n_j = math.exp(factors.input_exponents([cov], s, rate)[1][0])
+            n_j = math.exp(factors.shift_exponents(factors.unshifted_exponents([cov], s), rate)[1][0])
             b = np.linspace(0.0, 200.0, 5001)
             vals = shifted_meas_factor(ps.photon(1), s, rate, n_j)(b)
             assert np.max(np.abs(vals)) < 1.0
