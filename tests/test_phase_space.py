@@ -204,11 +204,18 @@ class TestThresholdClick:
 
 
 class TestLambertW:
-    def test_frozen_reference_value(self):
-        # W(1/e) solves w * exp(w) = 1/e exactly in floating point, and the
-        # constants derived from it keep their values
+    def test_roundtrip_residual(self):
+        # W(1/e) solves w * exp(w) = 1/e exactly in floating point
         w = ps.W_INV_E
         assert w * math.exp(w) == math.exp(-1.0)
+
+    def test_against_scipy(self):
+        assert ps.W_INV_E == pytest.approx(
+            float(scipy.special.lambertw(math.exp(-1.0)).real), abs=1e-15
+        )
+
+    def test_frozen_reference_value(self):
+        # the constants derived from W(1/e) keep their values
         assert bounds.reference_constants() == {
             "compressed_budget_rate": 1.5023232180362491,
             "sparse_budget_rate": 1.3859332759981942,
