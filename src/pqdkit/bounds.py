@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionAminBelowOne, UnsupportedBound, ZeroEigenvalue
+from .linear_optics import squeezed_thermal_k
 from .phase_space import W_INV_E
 
 
@@ -24,8 +25,6 @@ class BoundReport:
     upper: Optional[float]
     family: str
     formula_id: str
-    lower_factors: Optional[np.ndarray] = None
-    upper_factors: Optional[np.ndarray] = None
 
 
 def reference_constants() -> dict:
@@ -49,10 +48,9 @@ def reference_constants() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sandwich(lower_factors, upper_factors, family: str, formula_id: str) -> BoundReport:
-    """Per-mode lower/upper factors and their products."""
-    lower, upper = float(np.prod(lower_factors)), float(np.prod(upper_factors))
-    return BoundReport(lower, upper, family, formula_id, lower_factors, upper_factors)
+def _sandwich(lower_modes, upper_modes, family: str, formula_id: str) -> BoundReport:
+    """The bounds, products of per-mode lower and upper factors."""
+    return BoundReport(float(np.prod(lower_modes)), float(np.prod(upper_modes)), family, formula_id)
 
 
 def permanent_bounds(lambdas) -> BoundReport:
@@ -70,42 +68,34 @@ def permanent_bounds(lambdas) -> BoundReport:
     return _sandwich(lam_min**2 / lam, lam_max**2 / lam, "permanent", "bounds.permanent")
 
 
-def _st_k_plus(n: float, r_list: np.ndarray) -> np.ndarray:
-    return 0.5 + n * (n + 1.0) + (n + 0.5) * np.cosh(2.0 * r_list)
-
-
-def _st_k_minus(n: float, r_list: np.ndarray) -> np.ndarray:
-    return 0.5 + n * (n + 1.0) - (n + 0.5) * np.cosh(2.0 * r_list)
-
-
-def _require_amin(n: float, r_arr: np.ndarray) -> None:
-    r_max = float(np.max(r_arr))
+def _squeezed_thermal_ratio(n: float, r_list) -> tuple[np.ndarray, float]:
+    """sqrt(k+_i / k-_i) of the squeezed-thermal family and r_max, once
+    a_min = (2n + 1) e^{-2 r_max} >= 1 and every k-_i > 0 are checked."""
+    r_list = np.asarray(r_list, dtype=float)
+    r_max = float(np.max(r_list))
     a_min = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
     if a_min < 1.0:
         raise PreconditionAminBelowOne(
             f"a_min = {a_min:.6f} < 1; bound derivation does not apply"
         )
-    if np.min(_st_k_minus(n, r_arr)) <= 0.0:
+    k_plus, k_minus = squeezed_thermal_k(n, r_list)
+    if np.min(k_minus) <= 0.0:
         raise PreconditionAminBelowOne(
             "degenerate boundary a_min = 1 with r_i = r_max; bound diverges"
         )
+    return np.sqrt(k_plus / k_minus), r_max
 
 
 def hafnian_bounds(n: float, r_list) -> BoundReport:
     """Haf(A) sandwich for the squeezed-thermal block family (a_min >= 1)."""
-    r_arr = np.asarray(r_list, dtype=float)
-    _require_amin(n, r_arr)
-    r_max = float(np.max(r_arr))
+    ratio, r_max = _squeezed_thermal_ratio(n, r_list)
     u = 2.0 * n + 1.0
-    ratio = np.sqrt(_st_k_plus(n, r_arr) / _st_k_minus(n, r_arr))
     low_pref = ((math.exp(2.0 * r_max) - u) / (math.exp(2.0 * r_max) + u)) ** 2
-    lower_factors = low_pref * ratio
     up_pref = (
         (math.exp(r_max) * n + math.sinh(r_max))
         / ((1.0 + n) * math.cosh(r_max) + n * math.sinh(r_max))
     ) ** 2
-    upper_factors = up_pref * ratio
-    return _sandwich(lower_factors, upper_factors, "hafnian_block_a", "bounds.hafnian.block_a")
+    return _sandwich(low_pref * ratio, up_pref * ratio, "hafnian_block_a", "bounds.hafnian.block_a")
 
 
 def torontonian_bounds(
@@ -121,15 +111,12 @@ def torontonian_bounds(
             raise ZeroEigenvalue("thermal Torontonian bounds need lambda > 0")
         lam_max = float(np.max(lam))
         lam_min = float(np.min(lam))
-        lower_factors = lam_min**2 / (lam * (1.0 - lam_min))
-        upper_factors = lam_max**2 / (lam * (1.0 - lam_max))
-        return _sandwich(lower_factors, upper_factors, "torontonian_thermal", "bounds.torontonian.thermal")
+        lower_modes = lam_min**2 / (lam * (1.0 - lam_min))
+        upper_modes = lam_max**2 / (lam * (1.0 - lam_max))
+        return _sandwich(lower_modes, upper_modes, "torontonian_thermal", "bounds.torontonian.thermal")
     if family == "squeezed_thermal":
-        r_arr = np.asarray(r_list, dtype=float)
-        _require_amin(n, r_arr)
-        r_max = float(np.max(r_arr))
+        ratio, r_max = _squeezed_thermal_ratio(n, r_list)
         u = 2.0 * n + 1.0
-        ratio = np.sqrt(_st_k_plus(n, r_arr) / _st_k_minus(n, r_arr))
         low_pref = (
             math.exp(-2.0 * r_max)
             * (u - math.exp(2.0 * r_max)) ** 2
@@ -140,7 +127,5 @@ def torontonian_bounds(
             * (math.exp(r_max) * n + math.sinh(r_max)) ** 2
             / ((1.0 + n) * math.cosh(r_max) + n * math.sinh(r_max))
         )
-        lower_factors = low_pref * ratio
-        upper_factors = up_pref * ratio
-        return _sandwich(lower_factors, upper_factors, "torontonian_block_a", "bounds.torontonian.block_a")
+        return _sandwich(low_pref * ratio, up_pref * ratio, "torontonian_block_a", "bounds.torontonian.block_a")
     raise ValueError(f"unknown Torontonian bound family {family!r}")

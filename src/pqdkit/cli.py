@@ -269,7 +269,7 @@ def _cmd_estimate_matrix(args) -> int:
         raise SchemaError("/tag", tag_error)
     result = estimate(mat, _config_from_args(args), args)
     report = _base_report(args.command, args.seed)
-    report["result"] = result.as_dict(include_wall_time=False)
+    report["result"] = result.as_dict()
     if args.oracle_check:
         report["oracle"] = oracle(mat.data)
         report["within_budget"] = bool(abs(result.value - report["oracle"]) <= result.budget)
@@ -294,7 +294,7 @@ def _cmd_estimate_prob(args) -> int:
     else:
         rep = est.estimate_probability(circuit, config, threads=args.threads)
         report["mode"] = "additive"
-        report["result"] = rep.as_dict(include_wall_time=False)
+        report["result"] = rep.as_dict()
     if args.oracle_check:
         report["oracle"] = _oracle_probability(circuit)
     _emit(report, args.output)
@@ -438,7 +438,7 @@ def _cmd_oracle(args) -> int:
             val = exact(mat.data)
             report["value"], report["value_imag"] = val.real, val.imag
         elif args.function == "hafnian-sq":
-            report["value"] = abs(oracles.hafnian_exact(mat.data)) ** 2
+            report["value"] = _hafnian_sq_oracle(mat.data)
         elif args.function == "torontonian":
             report["value"] = oracles.torontonian_exact(mat.data)
         else:

@@ -38,10 +38,6 @@ class ZeroMatrix(PqdkitError):
     """Matrix is identically zero where a nonzero scale is required."""
 
 
-class SingularVQ(PqdkitError):
-    """Husimi covariance is numerically singular (unphysical input)."""
-
-
 class NotPositiveDefinite(PqdkitError):
     """Effective sampling covariance lost positive definiteness."""
 

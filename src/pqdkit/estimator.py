@@ -45,7 +45,6 @@ import itertools
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -108,12 +107,10 @@ class EstimateReport:
     n_used: int
     conf_radius: float
     seed: int
-    wall_time: float
     s: float
     gamma: float
     direction: str
     method: str
-    log_prefactor: float
     active_modes: tuple
     mode_sups: np.ndarray  # per-mode suprema, the bound the weights were checked against
     # one (n, running mean, running radius) row per chunk; a float array
@@ -125,8 +122,8 @@ class EstimateReport:
         """Running (n, mean, radius) after each chunk, in chunk order."""
         return [(int(n), mean, radius) for n, mean, radius in self.trace_rows.tolist()]
 
-    def as_dict(self, include_wall_time: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "estimate": self.estimate,
             "factor_bound": self.factor_bound,
             "neg_bound": self.neg_bound,
@@ -140,9 +137,6 @@ class EstimateReport:
             "method": self.method,
             "active_modes": list(self.active_modes),
         }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def _rate(s: float, gamma: float, direction: str, a_max: float) -> float:
@@ -697,7 +691,6 @@ def estimate_probability(
     folded) the estimate is exact at any shift, so the automatic one is
     rate 0, without a search.
     """
-    t0 = time.perf_counter()
     if method not in ("folded", "naive"):
         raise ValueError(f"unknown method {method!r}")
     s = circuit.s_max - S_MAX_MARGIN if config.s is None else config.s
@@ -744,12 +737,10 @@ def estimate_probability(
         n_used=n_total,
         conf_radius=conf_radius,
         seed=config.seed,
-        wall_time=time.perf_counter() - t0,
         s=s,
         gamma=gamma,
         direction=direction,
         method=method,
-        log_prefactor=sampler.log_prefactor,
         active_modes=tuple(j for j, out in enumerate(circuit.pattern) if not out.is_gaussian),
         mode_sups=all_sups,
         trace_rows=trace,
@@ -772,7 +763,7 @@ class MatrixEstimate:
     formula_id: str
     gurvits_beaten: Optional[bool] = None
 
-    def as_dict(self, include_wall_time: bool = True) -> dict:
+    def as_dict(self) -> dict:
         out = {
             "value": self.value,
             "budget": self.budget,
@@ -780,7 +771,7 @@ class MatrixEstimate:
             "prefactor": self.prefactor,
             "formula_id": self.formula_id,
             "budget_factors": [float(x) for x in self.budget_factors],
-            "report": self.report.as_dict(include_wall_time=include_wall_time),
+            "report": self.report.as_dict(),
         }
         if self.gurvits_beaten is not None:
             out["gurvits_beaten"] = self.gurvits_beaten

@@ -24,7 +24,6 @@ from .errors import (
     NotSymmetric,
     PreconditionAminBelowOne,
     ShiftOutOfRange,
-    SingularVQ,
     StructureMismatch,
     ZeroMatrix,
 )
@@ -264,8 +263,8 @@ class Embedding:
     the spectrum's ``rescale`` a * lam_max (1 where nothing is rescaled)
     times each mode's normalization ``mode_z`` (cosh r_j, 1 + n_j or
     sqrt k+_j); a matrix estimate's budget is built from these per-mode
-    factors.  ``lambdas`` are the original spectrum values and
-    ``lambdas_scaled`` the rescaled ones actually realized by the circuit.
+    factors.  ``lambdas`` are the original spectrum values; the circuit
+    realizes ``lambdas / rescale``.
     """
 
     circuit: CircuitSpec
@@ -273,23 +272,37 @@ class Embedding:
     rescale: float
     mode_z: np.ndarray
     lambdas: np.ndarray
-    lambdas_scaled: np.ndarray
-
-    @property
-    def z(self) -> float:
-        return float(np.prod(self.mode_z))
-
-    @property
-    def scale_pow(self) -> float:
-        return self.rescale**self.circuit.m
 
     @property
     def prefactor(self) -> float:
-        return self.scale_pow * self.z
+        return self.rescale**self.circuit.m * float(np.prod(self.mode_z))
 
     @property
     def mode_prefactors(self) -> np.ndarray:
         return self.rescale * self.mode_z
+
+
+# the spectrum families that read squeezing off a spectrum; the others read
+# thermal occupation
+_SQUEEZED_FAMILIES = ("hafnian_sq", "torontonian.squeezed")
+
+
+def _embed_spectrum(
+    family: str, u: np.ndarray, lam: np.ndarray, outcome: MeasurementOutcome, rescale: float = 1.0
+) -> Embedding:
+    """The one map from a decomposed spectrum (U, lam) to a circuit measured
+    with ``outcome`` on every mode: each x = lam / rescale is read as
+    squeezing r = artanh x with normalization cosh r (``_SQUEEZED_FAMILIES``)
+    or as thermal occupation n = x / (1 - x) with normalization 1 + n."""
+    x = lam / rescale
+    if family in _SQUEEZED_FAMILIES:
+        r_list = np.arctanh(x)
+        modes, mode_z = tuple((float(r), 0.0) for r in r_list), np.cosh(r_list)
+    else:
+        n_list = x / (1.0 - x)
+        modes, mode_z = tuple((0.0, float(n)) for n in n_list), 1.0 + n_list
+    circuit = CircuitSpec(modes, Interferometer(lam.size, u), (outcome,) * lam.size)
+    return Embedding(circuit, family, rescale, mode_z, lam)
 
 
 @one_blas_thread()
@@ -297,56 +310,41 @@ def embed_hafnian(r_mat: np.ndarray, a: float = 1.001) -> Embedding:
     """Pure-squeezed circuit whose all-single-photon probability encodes
     |Haf(R)|^2 after rescaling the singular values into [0, 1/a]."""
     u, lam = takagi(r_mat)
-    m = lam.size
-    lam_max = lam[0] if m else 0.0
-    if lam_max <= 0.0:
+    if not lam.size or lam[0] <= 0.0:
         raise ZeroMatrix("hafnian embedding needs a nonzero matrix")
-    lam_scaled = lam / (a * lam_max)
-    r_list = np.arctanh(lam_scaled)
-    circuit = CircuitSpec(
-        modes=tuple((float(r), 0.0) for r in r_list),
-        unitary=Interferometer(m, u),
-        pattern=tuple(photon(1) for _ in range(m)),
-    )
-    return Embedding(circuit, "hafnian_sq", a * lam_max, np.cosh(r_list), lam, lam_scaled)
+    return _embed_spectrum("hafnian_sq", u, lam, photon(1), a * lam[0])
 
 
 @one_blas_thread()
 def embed_permanent(b_mat: np.ndarray, a: float = 1.001) -> Embedding:
     """Thermal circuit whose all-single-photon probability encodes Per(B)."""
     u, lam = hpsd_eigendecompose(b_mat)
-    m = lam.size
-    lam_max = lam[0] if m else 0.0
-    if lam_max <= 0.0:
+    if not lam.size or lam[0] <= 0.0:
         raise ZeroMatrix("permanent embedding needs a nonzero matrix")
-    lam_scaled = lam / (a * lam_max)
-    n_list = lam_scaled / (1.0 - lam_scaled)
-    circuit = CircuitSpec(
-        modes=tuple((0.0, float(n)) for n in n_list),
-        unitary=Interferometer(m, u),
-        pattern=tuple(photon(1) for _ in range(m)),
-    )
-    return Embedding(circuit, "permanent", a * lam_max, 1.0 + n_list, lam, lam_scaled)
+    return _embed_spectrum("permanent", u, lam, photon(1), a * lam[0])
+
+
+def squeezed_thermal_k(n: float, r_list) -> tuple[np.ndarray, np.ndarray]:
+    """k+-_i = 1/2 + n(n+1) +- (n+1/2) cosh 2r_i of squeezed thermal modes of
+    shared occupation n: sqrt k+_i is mode i's normalization (their product
+    is sqrt|V_Q|), and the sandwich bounds need k-_i > 0."""
+    base = 0.5 + n * (n + 1.0)
+    spread = (n + 0.5) * np.cosh(2.0 * np.asarray(r_list, dtype=float))
+    return base + spread, base - spread
 
 
 def _st_diagonals(n: float, r_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal entries (d, d') of the squeezed-thermal block structure."""
     r_list = np.asarray(r_list, dtype=float)
-    k = 1.0 + 2.0 * n * (1.0 + n) + (1.0 + 2.0 * n) * np.cosh(2.0 * r_list)
+    k = 2.0 * squeezed_thermal_k(n, r_list)[0]  # doubling is exact in binary floating point
     d = (1.0 + 2.0 * n) * np.sinh(2.0 * r_list) / k
     dp = 2.0 * n * (1.0 + n) / k
     return d, dp
 
 
-def _sqrt_k_plus(n: float, r_list) -> np.ndarray:
-    """sqrt(1/2 + n(n+1) + (n+1/2) cosh 2r_i) of every mode."""
-    r_list = np.asarray(r_list, dtype=float)
-    return np.sqrt(0.5 + n * (n + 1.0) + (n + 0.5) * np.cosh(2.0 * r_list))
-
-
 def sqrt_vq_factor(n: float, r_list) -> float:
-    """sqrt|V_Q| = prod_i sqrt(1/2 + n(n+1) + (n+1/2) cosh 2r_i)."""
-    return float(np.prod(_sqrt_k_plus(n, r_list)))
+    """sqrt|V_Q| = prod_i sqrt k+_i (``squeezed_thermal_k``)."""
+    return float(np.prod(np.sqrt(squeezed_thermal_k(n, r_list)[0])))
 
 
 def build_block_A(
@@ -481,7 +479,7 @@ def _squeezed_thermal(n: float, r_list, interf: Interferometer, outcome, family:
     if circuit.s_max == 1.0:
         raise PreconditionAminBelowOne("degenerate boundary a_min = 1 with r_i = r_max")
     lam = _st_diagonals(n, r_list)[0]
-    return Embedding(circuit, family, 1.0, _sqrt_k_plus(n, r_list), lam, lam)
+    return Embedding(circuit, family, 1.0, np.sqrt(squeezed_thermal_k(n, r_list)[0]), lam)
 
 
 def embed_hafnian_block_a(
@@ -498,7 +496,7 @@ def embed_hafnian_block_a(
 
 @one_blas_thread()
 def embed_torontonian(mat: MatrixClass) -> Embedding:
-    """All-click circuit whose probability times ``z`` is Tor(mat).
+    """All-click circuit whose probability times ``prefactor`` is Tor(mat).
 
     R' embeds as pure squeezing r = arctanh(lam) and B' as thermal occupation
     n = lam / (1 - lam), with ``lam`` the singular values of R or the
@@ -515,26 +513,17 @@ def embed_torontonian(mat: MatrixClass) -> Embedding:
             _verify_block_a_prime(mat, n, r_list, interf)
         return _squeezed_thermal(n, r_list, interf, CLICK, "torontonian.squeezed_thermal")
     if mat.tag is MatrixTag.BLOCK_R_PRIME:
-        _, b_block = split_blocks(mat)
-        if np.max(np.abs(b_block)) > 1e-10:
+        if np.max(np.abs(split_blocks(mat)[1])) > 1e-10:
             raise ShiftOutOfRange("R' family requires a vanishing B block")
-        u, lam = mat.decompose()
-        if lam.size and lam[0] >= 1.0:
-            raise ValueError("singular values must lie in [0, 1) for Torontonians")
-        r_list = np.arctanh(lam)
-        modes = tuple((float(r), 0.0) for r in r_list)
-        family, mode_z = "torontonian.squeezed", np.cosh(r_list)
+        family = "torontonian.squeezed"
     elif mat.tag is MatrixTag.BLOCK_B_PRIME:
-        u, lam = mat.decompose()
-        if lam.size and lam[0] >= 1.0:
-            raise ValueError("eigenvalues must lie in [0, 1) for Torontonians")
-        n_list = lam / (1.0 - lam)
-        modes = tuple((0.0, float(n)) for n in n_list)
-        family, mode_z = "torontonian.thermal", 1.0 + n_list
+        family = "torontonian.thermal"
     else:
         raise ValueError(f"unsupported Torontonian tag {mat.tag}")
-    circuit = CircuitSpec(modes, Interferometer(lam.size, u), (CLICK,) * lam.size)
-    return Embedding(circuit, family, 1.0, mode_z, lam, lam)
+    u, lam = mat.decompose()
+    if lam.size and lam[0] >= 1.0:
+        raise ValueError("Torontonian spectra (R' singular values, B' eigenvalues) must lie in [0, 1)")
+    return _embed_spectrum(family, u, lam, CLICK)
 
 
 # ---------------------------------------------------------------------------
@@ -562,25 +551,25 @@ def xxpp_covariance(circuit: CircuitSpec) -> np.ndarray:
     return symp @ v_in @ symp.T
 
 
-def complex_sigma(circuit: CircuitSpec) -> np.ndarray:
-    """Symmetric-ordered covariance in the (a, a^dagger) complex basis."""
+def husimi_covariance(circuit: CircuitSpec, kept: Sequence[int]) -> np.ndarray:
+    """Husimi covariance sigma_Q = sigma + I/2 of the state reduced to the
+    modes ``kept`` (in that order), sigma being the symmetric-ordered
+    covariance in the (a, a^dagger) complex basis."""
     m = circuit.m
-    v = xxpp_covariance(circuit)
     eye = np.eye(m)
     omega = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / math.sqrt(2.0)
-    return omega @ v @ omega.conj().T
+    sigma = omega @ xxpp_covariance(circuit) @ omega.conj().T
+    idx = [*kept, *(j + m for j in kept)]
+    return sigma[np.ix_(idx, idx)] + 0.5 * np.eye(2 * len(kept))
 
 
-def gbs_A_matrix(circuit: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel A = X (I - sigma_Q^{-1}) and the Husimi covariance sigma_Q."""
-    m = circuit.m
-    sigma_q = complex_sigma(circuit) + 0.5 * np.eye(2 * m)
-    sign, logdet = np.linalg.slogdet(sigma_q)
-    if sign == 0 or not np.isfinite(logdet):
-        raise SingularVQ("Husimi covariance is singular")
-    inv = np.linalg.inv(sigma_q)
-    x = np.block(
-        [[np.zeros((m, m)), np.eye(m)], [np.eye(m), np.zeros((m, m))]]
-    )
-    a_mat = x @ (np.eye(2 * m) - inv)
-    return a_mat, sigma_q
+def gbs_A_matrix(
+    circuit: CircuitSpec, kept: Optional[Sequence[int]] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel A = X (I - sigma_Q^{-1}) and the Husimi covariance sigma_Q of
+    the modes ``kept`` (default: every mode)."""
+    kept = range(circuit.m) if kept is None else kept
+    sigma_q = husimi_covariance(circuit, kept)
+    mk = len(kept)
+    x = np.block([[np.zeros((mk, mk)), np.eye(mk)], [np.eye(mk), np.zeros((mk, mk))]])
+    return x @ (np.eye(2 * mk) - np.linalg.inv(sigma_q)), sigma_q

@@ -19,7 +19,7 @@ from .errors import (
     SingularSubmatrix,
     TooLarge,
 )
-from .linear_optics import CircuitSpec, gbs_A_matrix, complex_sigma
+from .linear_optics import CircuitSpec, gbs_A_matrix, husimi_covariance
 from .phase_space import MeasurementOutcome
 
 
@@ -149,13 +149,6 @@ def torontonian_exact(a_prime: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_sigma_q(circuit: CircuitSpec, kept: list[int]) -> np.ndarray:
-    m = circuit.m
-    sigma = complex_sigma(circuit)
-    idx = kept + [j + m for j in kept]
-    return sigma[np.ix_(idx, idx)] + 0.5 * np.eye(2 * len(kept))
-
-
 def exact_probability(circuit: CircuitSpec, pattern) -> float:
     """Exact photon-number probability Haf(A_S) / (m! sqrt|V_Q|).
 
@@ -184,22 +177,12 @@ def exact_probability(circuit: CircuitSpec, pattern) -> float:
     if 2 * total > LIMITS.max_hafnian_dim:
         raise TooLarge(f"sum of photon counts {total} exceeds the hafnian limit")
 
-    if len(kept) == circuit.m:
-        a_mat, sigma_q = gbs_A_matrix(circuit)
-        mk = circuit.m
-    else:
-        sigma_q = _reduced_sigma_q(circuit, kept)
-        mk = len(kept)
-        x = np.block(
-            [[np.zeros((mk, mk)), np.eye(mk)], [np.eye(mk), np.zeros((mk, mk))]]
-        )
-        a_mat = x @ (np.eye(2 * mk) - np.linalg.inv(sigma_q))
-
+    a_mat, sigma_q = gbs_A_matrix(circuit, kept)
     norm = math.sqrt(abs(np.linalg.det(sigma_q).real))
     if total == 0:
         return 1.0 / norm
     rep = [i for i, c in enumerate(counts) for _ in range(c)]
-    idx = rep + [i + mk for i in rep]
+    idx = rep + [i + len(kept) for i in rep]
     a_sub = a_mat[np.ix_(idx, idx)]
     haf = hafnian_exact(a_sub)
     fact = math.prod(math.factorial(c) for c in counts)
@@ -230,8 +213,7 @@ def exact_threshold_probability(circuit: CircuitSpec, pattern) -> float:
     def vacuum_prob(modes: list[int]) -> float:
         if not modes:
             return 1.0
-        sigma_q = _reduced_sigma_q(circuit, sorted(modes))
-        det = np.linalg.det(sigma_q)
+        det = np.linalg.det(husimi_covariance(circuit, sorted(modes)))
         return 1.0 / math.sqrt(abs(det.real))
 
     total = 0.0

@@ -114,7 +114,7 @@ class TestOneBlasThread:
 
 
 def _report_bytes(result) -> bytes:
-    return json.dumps(result.as_dict(include_wall_time=False), sort_keys=True).encode()
+    return json.dumps(result.as_dict(), sort_keys=True).encode()
 
 
 def _hpsd(m: int, seed: int) -> np.ndarray:

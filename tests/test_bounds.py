@@ -259,7 +259,7 @@ class TestBudgetPermanent:
             emb = lo.embed_permanent(b_mat, a)
             rep = res.report
             sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.gamma, rep.direction)
-            recon = a * emb.lambdas.max() * sups / (1.0 - emb.lambdas_scaled)
+            recon = a * emb.lambdas.max() * sups / (1.0 - emb.lambdas / emb.rescale)
             assert np.max(np.abs(res.budget_factors / recon - 1.0)) <= 1e-12
             assert np.sum(np.log(res.budget_factors)) <= np.sum(np.log(ref_permanent(emb.lambdas))) + 1e-6
 
@@ -272,7 +272,7 @@ class TestBudgetPermanent:
         emb = lo.embed_hafnian(r_mat, a)
         rep = res.report
         sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.gamma, rep.direction)
-        recon = a * emb.lambdas.max() * sups / np.sqrt(1.0 - emb.lambdas_scaled**2)
+        recon = a * emb.lambdas.max() * sups / np.sqrt(1.0 - (emb.lambdas / emb.rescale) ** 2)
         assert np.max(np.abs(res.budget_factors / recon - 1.0)) <= 1e-12
         assert np.max(np.abs(res.budget_factors / ref_hafnian(emb.lambdas) - 1.0)) <= 1e-7
 

@@ -399,6 +399,21 @@ class TestCommands:
         assert code == 0
         assert json.loads(out.read_text())["value"] == pytest.approx(5.0)
 
+    def test_oracle_hafnian_sq_agrees_with_estimate_haf(self, tmp_path, capsys):
+        # an odd-dimension hafnian vanishes by parity: |Haf|^2 is 0 through
+        # both the oracle command and --oracle-check, while the hafnian
+        # itself stays undefined there
+        path = write_json(
+            tmp_path / "r3.json",
+            {"m": 3, "re": [[0.0, 0.5, 0.2], [0.5, 0.1, 0.3], [0.2, 0.3, 0.0]], "tag": "R"},
+        )
+        assert cli.main(["oracle", "--matrix", path, "--function", "hafnian-sq"]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert cli.main(["estimate-haf", "--matrix", path, "--samples", "64", "--oracle-check"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"] == value == 0.0
+        assert cli.main(["oracle", "--matrix", path, "--function", "hafnian"]) == 1
+        assert "even dimension" in capsys.readouterr().err
+
     def test_convergence_csv(self, circuit_file, tmp_path):
         out = tmp_path / "trace.csv"
         code = cli.main(

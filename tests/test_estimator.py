@@ -916,7 +916,7 @@ class TestFusedWeight:
         assert est.build_folded_sampler(est.Setup(circuit, s), gamma, direction).kernel.shape == (2, 2)
         cfg = est.EstimatorConfig(n_samples=200_000, seed=8)
         reports = [est.estimate_probability(circuit, cfg, threads=k) for k in (1, 2, 4)]
-        blobs = {json.dumps(rep.as_dict(include_wall_time=False)) for rep in reports}
+        blobs = {json.dumps(rep.as_dict()) for rep in reports}
         assert len(blobs) == 1
         exact = oracles.exact_probability(circuit, [1, 0] + ["marginal"] * (m - 2))
         assert abs(reports[0].estimate - exact) <= reports[0].conf_radius
@@ -1095,7 +1095,7 @@ class TestEstimateProbability:
         circuit = squeezed_circuit([0.3, 0.4], 20)
         cfg = est.EstimatorConfig(n_samples=3 * est.SAMPLES_PER_WORKER, seed=5)
         blobs = {
-            json.dumps(rep.as_dict(include_wall_time=False))
+            json.dumps(rep.as_dict())
             for rep in (
                 est.estimate_probability(circuit, cfg),
                 est.estimate_probability(circuit, cfg, threads=1),

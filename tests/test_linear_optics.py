@@ -181,8 +181,8 @@ class TestEmbeddings:
         for r, n in emb.circuit.modes:
             assert r == pytest.approx(math.atanh(0.5), rel=1e-12)
             assert n == 0.0
-        assert emb.z == pytest.approx(math.cosh(math.atanh(0.5)) ** 2)
-        assert emb.scale_pow == pytest.approx(1.0)
+        assert emb.rescale == 1.0
+        assert emb.prefactor == pytest.approx(math.cosh(math.atanh(0.5)) ** 2)
 
     def test_hafnian_zero_matrix(self):
         with pytest.raises(ZeroMatrix):
@@ -223,6 +223,60 @@ class TestEmbeddings:
         p = oracles.exact_probability(emb.circuit, [1, 1, 1, 1])
         target = oracles.permanent_exact(b_mat).real
         assert emb.prefactor * p == pytest.approx(target, rel=1e-8)
+
+
+class TestSpectrumMap:
+    """The one map from a spectrum to circuit inputs, for all four spectrum
+    families, checked bit for bit on a known diagonal spectrum."""
+
+    SPECTRUM = np.array([0.6, 0.45, 0.2])
+
+    @pytest.mark.parametrize("family", ["haf", "per", "torR", "torB"])
+    def test_inputs_normalizations_and_prefactor(self, family):
+        diag = np.diag(self.SPECTRUM).astype(complex)
+        emb = {
+            "haf": lambda: lo.embed_hafnian(diag, a=1.25),
+            "per": lambda: lo.embed_permanent(diag, a=1.25),
+            "torR": lambda: lo.embed_torontonian(lo.block_r_prime(diag)),
+            "torB": lambda: lo.embed_torontonian(lo.block_b_prime(diag)),
+        }[family]()
+        rescale = 1.25 * 0.6 if family in ("haf", "per") else 1.0
+        assert emb.rescale == rescale
+        assert np.array_equal(emb.lambdas, self.SPECTRUM)
+        x = self.SPECTRUM / rescale
+        if family in ("haf", "torR"):
+            r_list = np.arctanh(x)
+            modes, mode_z = [(float(r), 0.0) for r in r_list], np.cosh(r_list)
+        else:
+            n_list = x / (1.0 - x)
+            modes, mode_z = [(0.0, float(n)) for n in n_list], 1.0 + n_list
+        assert list(emb.circuit.modes) == modes
+        assert np.array_equal(emb.mode_z, mode_z)
+        assert emb.prefactor == rescale**3 * float(np.prod(mode_z))
+        outcome = photon(1) if family in ("haf", "per") else CLICK
+        assert emb.circuit.pattern == (outcome,) * 3
+
+    def test_torontonian_range_error_is_one_message(self):
+        over = np.diag([1.2, 0.3]).astype(complex)
+        messages = set()
+        for mat in (lo.block_r_prime(over), lo.block_b_prime(over)):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\)") as err:
+                lo.embed_torontonian(mat)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    def test_squeezed_thermal_k(self):
+        # n = 0: k+ = cosh^2 r and k- = -sinh^2 r; their difference is
+        # (2n + 1) cosh 2r for any n
+        r_list = np.array([0.0, 0.3, 0.8])
+        k_plus, k_minus = lo.squeezed_thermal_k(0.0, r_list)
+        assert np.allclose(k_plus, np.cosh(r_list) ** 2, rtol=1e-14)
+        assert np.allclose(k_minus, -np.sinh(r_list) ** 2, rtol=1e-14, atol=1e-16)
+        k_plus, k_minus = lo.squeezed_thermal_k(1.5, r_list)
+        assert np.allclose(k_plus - k_minus, 4.0 * np.cosh(2.0 * r_list), rtol=1e-14)
+        emb = lo.embed_hafnian_block_a(1.5, r_list)
+        assert np.array_equal(emb.mode_z, np.sqrt(k_plus))
+        assert lo.sqrt_vq_factor(1.5, r_list) == float(np.prod(np.sqrt(k_plus)))
 
 
 class TestBlockA:
@@ -335,6 +389,24 @@ class TestGbsAMatrix:
         # thermal kernels live entirely in the off-diagonal blocks
         assert np.max(np.abs(a_mat[:2, :2])) <= 1e-12
         assert np.max(np.abs(a_mat[2:, 2:])) <= 1e-12
+
+
+    def test_kept_modes_are_the_reduced_state(self):
+        # with no interferometer, reducing to modes (2, 0) is the circuit of
+        # those two inputs alone
+        modes = ((0.3, 0.1), (0.5, 0.0), (0.0, 0.7))
+        circuit = lo.CircuitSpec(modes, lo.identity_interferometer(3), (photon(1),) * 3)
+        alone = lo.CircuitSpec(
+            (modes[2], modes[0]), lo.identity_interferometer(2), (photon(1),) * 2
+        )
+        a_kept, sigma_kept = lo.gbs_A_matrix(circuit, [2, 0])
+        a_alone, sigma_alone = lo.gbs_A_matrix(alone)
+        assert np.allclose(sigma_kept, sigma_alone, rtol=0.0, atol=1e-14)
+        assert np.allclose(a_kept, a_alone, rtol=0.0, atol=1e-14)
+        assert np.array_equal(lo.husimi_covariance(circuit, [2, 0]), sigma_kept)
+        a_all, sigma_all = lo.gbs_A_matrix(circuit)
+        assert np.array_equal(a_all, lo.gbs_A_matrix(circuit, range(3))[0])
+        assert sigma_all.shape == (6, 6)
 
 
 class TestCircuitSpec:
