@@ -101,6 +101,12 @@ class CircuitSpec:
         for r, n in self.modes:
             if r < 0.0 or n < 0.0:
                 raise ValueError("squeezing and thermal photons must be nonnegative")
+        try:
+            finite = math.isfinite(self.a_max)
+        except OverflowError:  # e^{2r} beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError("input covariance is not finite: squeezing or thermal photons overflow")
 
     @property
     def m(self) -> int:
@@ -291,10 +297,15 @@ def _embed_spectrum(
     family: str, u: np.ndarray, lam: np.ndarray, outcome: MeasurementOutcome, rescale: float = 1.0
 ) -> Embedding:
     """The one map from a decomposed spectrum (U, lam) to a circuit measured
-    with ``outcome`` on every mode: each x = lam / rescale is read as
-    squeezing r = artanh x with normalization cosh r (``_SQUEEZED_FAMILIES``)
+    with ``outcome`` on every mode: each x = lam / rescale in [0, 1) is read
+    as squeezing r = artanh x with normalization cosh r (``_SQUEEZED_FAMILIES``)
     or as thermal occupation n = x / (1 - x) with normalization 1 + n."""
     x = lam / rescale
+    if x.size and not 0.0 <= x[0] < 1.0:
+        raise ValueError(
+            f"spectrum / rescale must lie in [0, 1), got {x[0]:.6g}: R' singular values and"
+            " B' eigenvalues are not rescaled, hafnian and permanent spectra need a > 1"
+        )
     if family in _SQUEEZED_FAMILIES:
         r_list = np.arctanh(x)
         modes, mode_z = tuple((float(r), 0.0) for r in r_list), np.cosh(r_list)
@@ -521,8 +532,6 @@ def embed_torontonian(mat: MatrixClass) -> Embedding:
     else:
         raise ValueError(f"unsupported Torontonian tag {mat.tag}")
     u, lam = mat.decompose()
-    if lam.size and lam[0] >= 1.0:
-        raise ValueError("Torontonian spectra (R' singular values, B' eigenvalues) must lie in [0, 1)")
     return _embed_spectrum(family, u, lam, CLICK)
 
 
@@ -563,12 +572,9 @@ def husimi_covariance(circuit: CircuitSpec, kept: Sequence[int]) -> np.ndarray:
     return sigma[np.ix_(idx, idx)] + 0.5 * np.eye(2 * len(kept))
 
 
-def gbs_A_matrix(
-    circuit: CircuitSpec, kept: Optional[Sequence[int]] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def gbs_A_matrix(circuit: CircuitSpec, kept: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Kernel A = X (I - sigma_Q^{-1}) and the Husimi covariance sigma_Q of
-    the modes ``kept`` (default: every mode)."""
-    kept = range(circuit.m) if kept is None else kept
+    the modes ``kept``."""
     sigma_q = husimi_covariance(circuit, kept)
     mk = len(kept)
     x = np.block([[np.zeros((mk, mk)), np.eye(mk)], [np.eye(mk), np.zeros((mk, mk))]])

@@ -414,6 +414,25 @@ class TestCommands:
         assert cli.main(["oracle", "--matrix", path, "--function", "hafnian"]) == 1
         assert "even dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["oracle"], ["estimate-prob", "--samples", "64"]])
+    def test_overflowing_circuit_is_input_error(self, command, tmp_path, capsys):
+        # (2n + 1) e^{2r} = inf would read as a null oracle value and a 0.0 estimate
+        path = write_json(
+            tmp_path / "big.json",
+            {"modes": [{"r": 0.3, "n": 1e308}, {"r": 0.2}], "unitary": {"haar_seed": 5}, "pattern": [1, 1]},
+        )
+        assert cli.main([command[0], "--circuit", path, *command[1:]]) == 1
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, tag", [("estimate-haf", "R"), ("estimate-per", "B")])
+    @pytest.mark.parametrize("a", ["1.0", "0.9"])
+    def test_rescale_at_most_one_is_input_error(self, command, tag, a, tmp_path, capsys):
+        # a <= 1 puts the top rescaled value lam_max / (a lam_max) at or above 1
+        path = write_json(tmp_path / "m.json", {"m": 2, "re": [[2.0, 1.0], [1.0, 2.0]], "tag": tag})
+        argv = [command, "--matrix", path, "--samples", "64", "--rescale-a", a]
+        assert cli.main(argv) == 1
+        assert "need a > 1" in capsys.readouterr().err
+
     def test_convergence_csv(self, circuit_file, tmp_path):
         out = tmp_path / "trace.csv"
         code = cli.main(

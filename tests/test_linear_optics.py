@@ -265,6 +265,14 @@ class TestSpectrumMap:
             messages.add(str(err.value))
         assert len(messages) == 1
 
+    @pytest.mark.parametrize("a", [1.0, 0.9, -1.0])
+    def test_rescale_at_most_one_rejected(self, a):
+        # a <= 1 puts the top value lam_max / (a lam_max) outside [0, 1)
+        diag = np.diag(self.SPECTRUM).astype(complex)
+        for embed in (lo.embed_hafnian, lo.embed_permanent):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\).*need a > 1"):
+                embed(diag, a=a)
+
     def test_squeezed_thermal_k(self):
         # n = 0: k+ = cosh^2 r and k- = -sinh^2 r; their difference is
         # (2n + 1) cosh 2r for any n
@@ -369,7 +377,7 @@ class TestGbsAMatrix:
         circuit = lo.CircuitSpec(
             ((0.0, 0.0),) * 2, lo.haar_unitary(2, 1), (photon(0),) * 2
         )
-        a_mat, sigma_q = lo.gbs_A_matrix(circuit)
+        a_mat, sigma_q = lo.gbs_A_matrix(circuit, range(circuit.m))
         assert np.max(np.abs(a_mat)) <= 1e-12
         assert np.allclose(sigma_q, np.eye(4))
 
@@ -385,7 +393,7 @@ class TestGbsAMatrix:
         circuit = lo.CircuitSpec(
             ((0.0, 0.5), (0.0, 1.2)), lo.haar_unitary(2, 2), (photon(1),) * 2
         )
-        a_mat, _ = lo.gbs_A_matrix(circuit)
+        a_mat, _ = lo.gbs_A_matrix(circuit, range(circuit.m))
         # thermal kernels live entirely in the off-diagonal blocks
         assert np.max(np.abs(a_mat[:2, :2])) <= 1e-12
         assert np.max(np.abs(a_mat[2:, 2:])) <= 1e-12
@@ -400,11 +408,11 @@ class TestGbsAMatrix:
             (modes[2], modes[0]), lo.identity_interferometer(2), (photon(1),) * 2
         )
         a_kept, sigma_kept = lo.gbs_A_matrix(circuit, [2, 0])
-        a_alone, sigma_alone = lo.gbs_A_matrix(alone)
+        a_alone, sigma_alone = lo.gbs_A_matrix(alone, range(2))
         assert np.allclose(sigma_kept, sigma_alone, rtol=0.0, atol=1e-14)
         assert np.allclose(a_kept, a_alone, rtol=0.0, atol=1e-14)
         assert np.array_equal(lo.husimi_covariance(circuit, [2, 0]), sigma_kept)
-        a_all, sigma_all = lo.gbs_A_matrix(circuit)
+        a_all, sigma_all = lo.gbs_A_matrix(circuit, [0, 1, 2])
         assert np.array_equal(a_all, lo.gbs_A_matrix(circuit, range(3))[0])
         assert sigma_all.shape == (6, 6)
 
@@ -425,6 +433,15 @@ class TestCircuitSpec:
         cov = circuit.covariances()[0]
         assert cov.a_plus == pytest.approx(0.5 * math.exp(2.0) + 0.5 * 1.4)
         assert cov.a_minus == pytest.approx(0.5 * math.exp(-2.0) + 0.5 * 1.4)
+
+    @pytest.mark.parametrize(
+        "modes", [((0.3, 1e308), (0.2, 0.0)), ((0.0, 0.0), (350.0, 1e200)), ((400.0, 0.0),) * 2]
+    )
+    def test_overflowing_input_rejected(self, modes):
+        # (2n + 1) e^{2r} overflows to inf, which no inverse or determinant
+        # downstream flags: the exact oracles and the estimator read it as 0
+        with pytest.raises(ValueError, match="not finite"):
+            lo.CircuitSpec(modes, lo.haar_unitary(2, 5), (photon(1),) * 2)
 
     def test_covariances_computed_once_per_circuit(self, monkeypatch):
         calls = []
