@@ -22,13 +22,13 @@ certified (log-concave, centered) integrand.  The proposal is the additive
 sampler's builder with every mode folded (``"laplace"``), whose precision
 is the closed-form negative log-Hessian there, so no derivative is taken
 numerically; the additive reduction ``estimator.chunk_sums`` draws and
-checks its weights.
+checks its weights, and the stopping rule is checked after every chunk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional
 
@@ -49,7 +49,6 @@ from .estimator import (
     S_MAX_MARGIN,
     EstimatorConfig,
     Setup,
-    _chunk_sizes,
     _chunk_words,
     build_folded_sampler,
     chunk_sums,
@@ -60,8 +59,13 @@ from .phase_space import CLICK, photon, pi_w_profile
 ESS_PER_EPS_SQ = 50.0
 # EstimatorConfig fields of the additive estimator only; the multiplicative
 # one reads ``seed`` and rejects these unless they keep their defaults
-ADDITIVE_FIELDS = ("n_samples", "s", "gamma_mode")
+ADDITIVE_FIELDS = ("s", "gamma_mode", "n_samples")
 SAMPLE_CAP = 10**8
+
+
+def _pass_chunks(done: int, first: int) -> int:
+    """Chunks in the pass after ``done``: up to ``first``, then done // 4, 1 to 2^20/CHUNK."""
+    return first - done if done < first else min(max(done // 4, 1), (1 << 20) // CHUNK)
 
 
 @dataclass(frozen=True)
@@ -279,16 +283,15 @@ def estimate_multiplicative(
     concave), drawn by ``build_folded_sampler(..., "laplace")``; the
     importance weight is exp(log_prefactor) times the sampler's weight,
     which log-concavity bounds by its value w(0) at the origin (a larger one
-    raises ``BoundViolation``), so the sums stay in linear space.  Doubling
-    batches of ``CHUNK``-sample chunks go through ``estimator.chunk_sums``
-    on ``threads`` workers; after each that can reach the ESS target,
-    stopping is on ESS and the normal-theory relative radius.
+    raises ``BoundViolation``), so the sums stay in linear space.  The
+    rule ESS >= ESS_PER_EPS_SQ / epsilon^2 and z * SE / mean <= epsilon is
+    checked on the running sums after every ``CHUNK``-sample chunk, from the
+    first that can reach the ESS target, and the estimate stops at the first
+    chunk that meets it.  ``estimator.chunk_sums`` draws passes of chunks
+    (``_pass_chunks``) on ``threads`` workers; neither changes a result.
     """
-    fixed = [
-        f.name
-        for f in fields(config)
-        if f.name in ADDITIVE_FIELDS and getattr(config, f.name) != f.default
-    ]
+    checked = EstimatorConfig(epsilon=epsilon, delta=delta)  # both must lie in (0, 1)
+    fixed = [f for f in ADDITIVE_FIELDS if getattr(config, f) != getattr(checked, f)]
     if fixed:
         raise ValueError(f"the multiplicative estimator sets {', '.join(fixed)} itself")
     if circuit.m > 12:
@@ -316,32 +319,29 @@ def estimate_multiplicative(
     w_origin = sampler.scale * math.prod(float(p(0.0)) for p in sampler.polys if p is not None)
     z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
     ess_target = ESS_PER_EPS_SQ / epsilon**2
+    # ESS <= n (Cauchy-Schwarz), so chunks before the first-th cannot stop
+    first, cap = math.ceil(ess_target / CHUNK), SAMPLE_CAP // CHUNK
     words = _chunk_words(config.seed, 0)  # seed rows of the chunks, grown on demand
-    s1 = s2 = 0.0  # sums of weights and of squared weights
-    n_used = n_check = 0
-    batch = CHUNK
-    while n_check < SAMPLE_CAP:
-        n_check += batch
-        batch = min(batch * 2, 1 << 20, SAMPLE_CAP - n_check)
-        if n_check < ess_target:
-            continue  # ESS <= n (Cauchy-Schwarz), so the rule cannot stop yet
-        sizes = _chunk_sizes(n_check - n_used)  # n_used is a whole number of chunks
-        first = n_used // CHUNK
-        end = first + len(sizes)
+    s1, s2, done = 0.0, 0.0, 0  # running sums of w and w^2 in chunk order; chunks summed
+    while done < cap and first <= cap:
+        end = min(done + _pass_chunks(done, first), cap)
         if end > len(words):  # rows come only as a prefix: regrow to twice the need
-            words = _chunk_words(config.seed, 2 * end)
-        sum_w, sum_sq = chunk_sums(sampler, words[first:end], sizes, threads, w_origin)
-        s1, s2 = sum(sum_w.tolist(), s1), sum(sum_sq.tolist(), s2)  # in chunk order
-        n_used = n_check
-        if not math.isfinite(s2):
-            raise FloatingPointError(f"importance weights overflowed (sum of squares {s2})")
-        ess = s1 * s1 / s2 if s2 > 0.0 else 0.0
-        mean = s1 / n_used
-        var = max(s2 / n_used - mean * mean, 0.0)
-        rel_se = math.sqrt(var / n_used) / mean if mean > 0.0 else math.inf
-        if ess >= ess_target and z_score * rel_se <= epsilon:
-            value = math.exp(sampler.log_prefactor) * mean
-            return MultiplicativeEstimate(value, z_score * rel_se, n_used, ess, certs)
+            words = _chunk_words(config.seed, end if done == 0 else 2 * end)
+        sums = chunk_sums(sampler, words[done:end], [CHUNK] * (end - done), threads, w_origin)
+        for w1, w2 in zip(*sums.tolist()):  # chunks past the stopping one are discarded
+            s1, s2, done = s1 + w1, s2 + w2, done + 1
+            if done < first:
+                continue
+            if not math.isfinite(s2):
+                raise FloatingPointError(f"importance weights overflowed (sum of squares {s2})")
+            n_used = done * CHUNK
+            ess = s1 * s1 / s2 if s2 > 0.0 else 0.0
+            mean = s1 / n_used
+            var = max(s2 / n_used - mean * mean, 0.0)
+            rel_se = math.sqrt(var / n_used) / mean if mean > 0.0 else math.inf
+            if ess >= ess_target and z_score * rel_se <= epsilon:
+                value = math.exp(sampler.log_prefactor) * mean
+                return MultiplicativeEstimate(value, z_score * rel_se, n_used, ess, certs)
     raise NonConvergent(
         f"effective sample size target {ess_target:.0f} unmet at the {SAMPLE_CAP} cap"
     )

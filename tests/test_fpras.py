@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -277,6 +278,18 @@ class TestMultiplicative:
         cfg = est.EstimatorConfig(epsilon=0.1, delta=0.02, seed=3)
         assert fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg).n_used > 0
 
+    @pytest.mark.parametrize(
+        "epsilon, delta",
+        [(0.0, 0.05), (-0.1, 0.05), (math.nan, 0.05)]
+        + [(0.1, 0.0), (0.1, 1.0), (0.1, 1.5), (0.1, math.nan)],
+    )
+    def test_rejects_epsilon_and_delta_outside_unit_interval(self, epsilon, delta):
+        # the additive estimator's check and message: past it epsilon = 0
+        # divides by zero, delta = 0 fails in NormalDist, delta > 1 gives a
+        # negative radius and a negative epsilon draws up to SAMPLE_CAP
+        with pytest.raises(ValueError, match=r"epsilon and delta must lie in \(0, 1\)"):
+            fpras.estimate_multiplicative(CERTIFIED["thermal"], epsilon, delta)
+
     def test_deterministic(self):
         circuit = lo.CircuitSpec(
             ((0.0, 1.5), (0.0, 2.0)), lo.haar_unitary(2, 14), (photon(1),) * 2
@@ -453,6 +466,24 @@ def test_laplace_weights_peak_at_origin(name):
     assert float(np.max(w)) <= peak * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+@pytest.mark.parametrize("delta", [0.05, 1e-6])
+def test_rel_radius_is_below_the_ess_bound(name, delta):
+    # rel_se^2 = 1/ESS - 1/n, so an estimate that meets the ESS target has a
+    # radius below z*eps/sqrt(ESS_PER_EPS_SQ), which is below eps for every
+    # delta above ~1.6e-12: checking after every chunk cannot pass the
+    # radius check by chance
+    epsilon = 0.1
+    z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
+    first = est.CHUNK * math.ceil(fpras.ESS_PER_EPS_SQ / epsilon**2 / est.CHUNK)
+    for seed in range(4):
+        cfg = est.EstimatorConfig(seed=seed)
+        res = fpras.estimate_multiplicative(CERTIFIED[name], epsilon, delta, cfg)
+        assert res.n_used % est.CHUNK == 0 and res.n_used >= first
+        assert res.ess >= fpras.ESS_PER_EPS_SQ / epsilon**2
+        assert res.rel_radius < z_score * epsilon / math.sqrt(fpras.ESS_PER_EPS_SQ)
+
+
 def boundary_permanent(ratio):
     """The 8-mode permanent circuit whose spectrum runs from 1 to ``ratio``."""
     lam = np.linspace(1.0, ratio, 8)
@@ -460,25 +491,50 @@ def boundary_permanent(ratio):
 
 
 def near_boundary_permanent():
-    """A 4-mode permanent circuit with spectrum ratio 1.998: at eps = 0.1 its
-    batches reach 2^19 samples (16 fused batches), 1044480 samples in all."""
+    """A 4-mode permanent circuit with spectrum ratio 1.998: at eps = 0.1 it
+    stops at chunk 235 on seed 1 (962560 samples) and 236 on seed 2."""
     lam = np.linspace(1.0, 1.998, 4)
     return lo.embed_permanent(hpsd_with_spectrum(lo.haar_unitary(4, 3).u, lam)).circuit
 
 
+def first_stopping_chunk(circuit, epsilon, delta, seed, chunks):
+    """The first chunk count at which the stopping rule holds on the running
+    sums, scanned over ``chunk_sums`` of the first ``chunks`` chunks."""
+    setup = est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN)
+    sampler = est.build_folded_sampler(setup, 1.0 - 1e-9, est.FORWARD, "laplace")
+    sums = est.chunk_sums(sampler, est._chunk_words(seed, chunks), [est.CHUNK] * chunks, 1, math.inf)
+    s1, s2 = np.cumsum(sums, axis=1)  # running sums, added in chunk order
+    n = est.CHUNK * np.arange(1, chunks + 1)
+    ess, mean = s1 * s1 / s2, s1 / n
+    rel_se = np.sqrt(np.maximum(s2 / n - mean * mean, 0.0) / n) / mean
+    target = fpras.ESS_PER_EPS_SQ / epsilon**2
+    z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
+    stops = np.flatnonzero((n >= target) & (ess >= target) & (z_score * rel_se <= epsilon))
+    assert stops.size, f"the rule holds at none of the first {chunks} chunks"
+    return int(stops[0]) + 1
+
+
 class TestMultiplicativeReduction:
-    def test_threads_do_not_change_result(self):
+    def test_threads_do_not_change_result(self, monkeypatch):
         circuit = near_boundary_permanent()
-        cfg = est.EstimatorConfig(seed=1)
+        cfg = est.EstimatorConfig(seed=2)
         runs = [fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg, threads=t) for t in (1, 2, 4)]
-        # the doubling schedule: 4096 * (2^k - 1) samples
-        assert runs[0].n_used == 4096 * (2**8 - 1)
+        # the first chunk boundary where the rule holds, whatever the passes
+        stop = first_stopping_chunk(circuit, 0.1, 0.05, 2, 256)
+        assert runs[0].n_used == est.CHUNK * stop
+        end = 0
+        while end < stop:  # the pass that holds the stopping chunk
+            end += fpras._pass_chunks(end, 2)
+        assert end > stop  # inside it, so a check at pass ends only would stop later
+        monkeypatch.setattr(fpras, "_pass_chunks", lambda done, first: 1)
+        runs.append(fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg, threads=2))
         assert len({json.dumps(run.as_dict()) for run in runs}) == 1
 
     def test_seed_rows_are_generated_once_per_growth(self, monkeypatch):
-        # weights that never meet the stopping rule drive the doubling
-        # batches to 2^20 samples and on to a lowered cap; the seed rows
-        # are regenerated only when a batch runs past them, at twice the need
+        # weights that never meet the stopping rule drive the passes to 2^20
+        # samples and on to a lowered cap; the first pass's seed rows are
+        # generated as needed, and later rows only when a pass runs past
+        # them, at twice the need
         real = fpras._chunk_words
         generated, batches = [], []
 
@@ -499,6 +555,9 @@ class TestMultiplicativeReduction:
             fpras.estimate_multiplicative(CERTIFIED["thermal"], 0.1, 0.05, est.EstimatorConfig(seed=3))
         rows = sum(batches)
         assert rows == (1 << 24) // est.CHUNK and max(batches) == (1 << 20) // est.CHUNK
+        # the first pass runs to the first boundary that can reach the ESS target
+        first = math.ceil(fpras.ESS_PER_EPS_SQ / 0.1**2 / est.CHUNK)
+        assert batches[0] == first and [c for c in generated if c][0] == first
         # the rows held stay within twice the rows used; the geometric
         # regrowth generates at most four times as many in all
         assert max(generated) <= 2 * rows
@@ -513,8 +572,8 @@ class TestMultiplicativeReduction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a worker holds about 1 MB, while the weights of all 1044480 samples
-        # alone would take 8.4 MB (and their normals 67 MB)
+        # a worker holds about 1 MB, while the weights of all 962560 samples
+        # alone would take 7.7 MB (and their normals 62 MB)
         assert peak < 4 * 2**20 < 8 * res.n_used
 
 
