@@ -472,9 +472,11 @@ def _cmd_convergence(args) -> int:
 def _cmd_acceptance(args) -> int:
     from . import acceptance
 
-    wanted = None
-    if args.criteria:
-        wanted = {int(tok) for tok in args.criteria.split(",") if tok}
+    wanted = set()
+    for tok in filter(None, args.criteria.split(",")):
+        if tok.strip() not in [str(k) for k in range(1, 11)]:
+            raise SchemaError("/criteria", f"criteria are integers from 1 to 10, got {tok!r}")
+        wanted.add(int(tok))
     results = acceptance.run_all(criteria=wanted, seed=args.seed)
     if args.output:
         payload = _base_report("acceptance", args.seed)

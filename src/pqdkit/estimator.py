@@ -4,7 +4,8 @@ factorizations, with negativity bounds, optimal shifts, and sample budgeting.
 The sampler draws the input phase-space points from the (shifted, normalized)
 Gaussian input factors and averages the product of measurement factors.
 Which factors' exponents move into the input density is a choice of
-proposal, one mask in ``_fold`` and one builder, ``build_folded_sampler``:
+proposal, one precision affine in the shift's rate (``Setup.precision``),
+read by the shift search and by the one builder, ``build_folded_sampler``:
 the folded proposal folds the Gaussian measurement factors (vacuum
 projections, no-click, marginalized modes) analytically into one correlated
 2M-dimensional Gaussian, the naive one folds none and the Laplace one (the
@@ -55,6 +56,7 @@ from .errors import (
     BoundViolation,
     BudgetOverflow,
     NotPositiveDefinite,
+    OrderingOutOfRange,
     ShiftOutOfRange,
 )
 from .factors import shift_exponents, unshifted_exponents
@@ -161,15 +163,18 @@ def _rate(s: float, gamma: float, direction: str, a_max: float) -> float:
 
 class Setup:
     """The rate-independent part of a circuit at ordering s, built once per
-    estimate and passed to the shift search, the fold, the samplers and the
-    suprema: s and a_max (which map a shift to its rate), each quadrature's
+    estimate and passed to the shift search, the samplers and the suprema:
+    s and a_max (which map a shift to its rate), each quadrature's
     unshifted exponent 2/(a - s) (NaN where frozen), one ``RadialFactor``
-    per distinct outcome, and W on the free coordinates.  Building it
-    checks s: above a variance it raises ``SingularOrdering``, outside a
+    per distinct outcome, W on the free coordinates, and each proposal's
+    precision as an affine function of the rate.  Building it checks s:
+    above a variance it raises ``SingularOrdering``, NaN or outside a
     factor's range ``OrderingOutOfRange``.
     """
 
     def __init__(self, circuit: CircuitSpec, s: float):
+        if math.isnan(s):
+            raise OrderingOutOfRange("the ordering s is NaN")
         self.m = circuit.m
         self.s = s
         self.a_max = circuit.a_max
@@ -184,6 +189,7 @@ class Setup:
         )[self.index]
         self.free_idx = np.flatnonzero(~np.isnan(self.c0))
         self.w = real_pushforward(circuit.unitary.u)
+        self._precisions: dict = {}
 
     def rows(self, modes) -> np.ndarray:
         """Rows of W on the free coordinates giving [Re beta; Im beta] of
@@ -198,33 +204,59 @@ class Setup:
         which callers multiply in."""
         return np.array([f.sup(rate) for f in self.radial])[self.index]
 
+    def precision(self, method: str = "folded") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The input precision on the free coordinates once the proposal
+        ``method`` folds its modes' exponents in, as (base, slope, folded):
+        at the signed rate it is Lambda(rate) = base + rate * slope, and
+        ``folded`` indexes the folded modes, the Gaussian ones ("folded"),
+        none ("naive") or every mode ("laplace").  A factor's exponent is its
+        log-slope kappa: a Gaussian factor is pi W(0) * exp(kappa * b).  A
+        folded mode adds c_j Q_j, c_j = 2 (rate - kappa_j), to the inputs'
+        2 (c0 - rate), where |beta_j|^2 = x^T Q_j x and
+        Q_j = W_j^T W_j + W_{M+j}^T W_{M+j}, so the folded modes add
+        W_r^T diag(c, c) W_r in one product over their rows W_r of W.  With
+        nothing folded, base and slope are the diagonals 2 c0 and -2 (1-D).
+        Built once per method."""
+        if method not in self._precisions:
+            if method == "folded":
+                folded = np.flatnonzero(self.gaussian)
+            elif method in ("naive", "laplace"):
+                folded = np.arange(self.m if method == "laplace" else 0)
+            else:
+                raise ValueError(f"unknown method {method!r}")
+            c0 = self.c0[self.free_idx]
+            if folded.size:
+                w_r = self.rows(folded)
+                slope = 2.0 * (w_r.T @ w_r)
+                slope[np.diag_indices_from(slope)] -= 2.0
+                base = (w_r.T * np.tile(-2.0 * self.kappa[folded], 2)) @ w_r
+                base[np.diag_indices_from(base)] += 2.0 * c0
+            else:
+                base, slope = 2.0 * c0, np.full(c0.size, -2.0)
+            self._precisions[method] = base, slope, folded
+        return self._precisions[method]
+
     @functools.cached_property
     def log_bound(self) -> Callable[[float], float]:
         """log B_eff as a function of the signed rate: the log of the folded
         sampler's weight bound, inf outside the feasible rates.  With
-        Lambda(rate) the folded precision on the free coordinates,
+        Lambda(rate) the folded precision on the free coordinates
+        (``precision``),
 
             log B_eff = const - 1/2 log det Lambda(rate)
                         + sum over weighted modes of log sup_j(rate),
 
-        the input normalizations cancelling between the fold's prefactor and
-        the weighted modes.  Lambda is diagonal, 2 (c0 - rate), when no
-        factor is Gaussian, else base + rate * slope.  Everything else is
-        computed here once, so that a probe takes one log-sum or one
-        Cholesky and one supremum per distinct weighted outcome.  Equal to
-        ``_log_effective_bound``, which takes a full fold."""
+        the input normalizations cancelling between the sampler's prefactor
+        and the weighted modes.  Everything else is computed here once, so
+        that a probe takes one log-sum (Lambda diagonal, 2 (c0 - rate)) or
+        one Cholesky, and one supremum per distinct weighted outcome."""
+        base, slope, folded = self.precision("folded")
         c0 = self.c0[self.free_idx]
         cap = float(c0.min()) if c0.size else math.inf  # at or above it an exponent is <= 0
         counts = np.bincount(self.index[~self.gaussian], minlength=len(self.radial)).tolist()
         weighted = [(f.sup, n) for f, n in zip(self.radial, counts) if n]
-        gauss = np.flatnonzero(self.gaussian)
         inf, log, nlog, add = math.inf, math.log, np.log, np.add.reduce
-        if gauss.size:
-            w_g = self.rows(gauss)
-            slope = 2.0 * (w_g.T @ w_g)
-            slope[np.diag_indices_from(slope)] -= 2.0
-            base = (w_g.T * np.tile(-2.0 * self.kappa[gauss], 2)) @ w_g
-            base[np.diag_indices_from(base)] += 2.0 * c0
+        if folded.size:
             const = 0.5 * float(add(nlog(2.0 * c0))) + float(add(self.log_w0))
         else:  # log det Lambda = sum log 2 (c0 - rate)
             const = 0.5 * float(add(nlog(c0)))
@@ -235,7 +267,7 @@ class Setup:
                 value += n * log(sup(rate))
             if value == inf or rate >= cap:  # an unbounded factor, or an exponent <= 0
                 return inf
-            if not gauss.size:
+            if not folded.size:
                 return value - 0.5 * float(add(nlog(c0 - rate)))
             try:
                 root = np.linalg.cholesky(base + rate * slope)
@@ -299,15 +331,6 @@ def resolve_gamma(setup: Setup, method: str = "folded") -> GammaChoice:
     return _numeric_gamma(setup)
 
 
-def _log_effective_bound(setup: Setup, gamma: float, direction: str):
-    """log B_eff at a shift from a full fold: the reference of the search's
-    objective (``Setup.log_bound``)."""
-    fold = _fold(setup, gamma, direction)
-    active = list(fold.active_modes)
-    sups = setup.unit_sups(_rate(setup.s, gamma, direction, setup.a_max))[active]
-    return fold.log_prefactor + float(np.sum(np.log(sups) + fold.log_norms[active]))
-
-
 # The share of the open interval of feasible rates the search spans.  Near
 # its reverse end lie the optima of near-degenerate thermal spectra close to
 # 1 (the closed-form permanent shift reaches gamma = 0.999 at lambda = 1/a).
@@ -362,81 +385,6 @@ def _numeric_gamma(setup: Setup) -> GammaChoice:
 # ---------------------------------------------------------------------------
 # sampling kernel
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Fold:
-    """Gaussian measurement factors folded into the input Gaussian.
-
-    ``root`` is a square root of the effective precision on the free
-    coordinates ``free_idx`` (frozen delta quadratures are pinned to zero):
-    its lower Cholesky factor L, or, when the precision is diagonal because
-    nothing is folded, the 1-D vector of the diagonal's square roots.
-    Active mode j keeps n_j * pi W_j(b) * exp(-rate_j * b) as its
-    per-sample weight, with ``rates`` in active-mode order; ``log_norms``
-    holds log n_j of every mode.
-    """
-
-    rates: tuple
-    free_idx: np.ndarray
-    root: np.ndarray
-    log_prefactor: float
-    active_modes: tuple
-    log_norms: np.ndarray
-
-
-@one_blas_thread()
-def _fold(setup: Setup, gamma: float, direction: str, method: str = "folded") -> _Fold:
-    """A proposal folds the exponent of some modes' factors into the input
-    Gaussian: the Gaussian modes (``method`` "folded"), no mode ("naive")
-    or every mode ("laplace").  A factor's exponent is its log-slope kappa:
-    a Gaussian factor is pi W(0) * exp(kappa * b).  A folded mode adds
-    c_j Q_j, c_j = 2 (rate - kappa_j), to the precision, where
-    |beta_j|^2 = x^T Q_j x and Q_j = W_j^T W_j + W_{M+j}^T W_{M+j}; the
-    folded modes add W_r^T diag(c, c) W_r in one product over their rows
-    W_r of W.  With nothing folded the precision stays the inputs'
-    diagonal.  A mode leaves the weight only when it is Gaussian and
-    folded; a folded non-Gaussian factor keeps pi W_j(b) * exp(-kappa_j * b),
-    so folding every mode makes the precision minus the log-Hessian of the
-    integrand at the origin (the Laplace proposal)."""
-    folds = {"folded": setup.gaussian, "naive": False, "laplace": True}.get(method)
-    if folds is None:
-        raise ValueError(f"unknown method {method!r}")
-    rate = _rate(setup.s, gamma, direction, setup.a_max)
-    exponents, log_norms = shift_exponents(setup.c0, rate)
-    free_idx = setup.free_idx
-    precision = 2.0 * exponents[free_idx]
-
-    # per mode, the exponent rate_j its weight keeps: kappa_j when folded,
-    # the shift rate when not (so that unfolded modes add nothing)
-    weight_rates = np.where(folds, setup.kappa, rate)
-    gone = setup.gaussian & folds
-    log_prefactor = float(np.sum(log_norms[gone] + setup.log_w0[gone]))
-    coefs = 2.0 * (rate - weight_rates)
-    folded = np.flatnonzero(coefs)
-    if folded.size:
-        w_r = setup.rows(folded)
-        lam = (w_r.T * np.tile(coefs[folded], 2)) @ w_r
-        lam[np.diag_indices_from(lam)] += precision
-        try:
-            root = np.linalg.cholesky(lam)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(
-                "effective covariance lost positive definiteness; shift out of window"
-            ) from exc
-        logdet_eff = 2.0 * float(np.sum(np.log(np.diagonal(root))))
-        log_prefactor += 0.5 * (float(np.sum(np.log(precision))) - logdet_eff)
-    else:
-        root = np.sqrt(precision)
-    active = np.flatnonzero(~gone)
-    return _Fold(
-        rates=tuple(weight_rates[active].tolist()),
-        free_idx=free_idx,
-        root=root,
-        log_prefactor=log_prefactor,
-        active_modes=tuple(active.tolist()),
-        log_norms=log_norms,
-    )
 
 
 # OpenBLAS computes a product with m*n*k <= 2^18 on the calling thread;
@@ -540,33 +488,54 @@ class FoldedSampler:
 def build_folded_sampler(
     setup: Setup, gamma: float, direction: str, method: str = "folded"
 ) -> FoldedSampler:
-    """The sampler of the proposal ``method`` (``_fold``: "folded", "naive"
-    or "laplace"), with kernel K = W_af L^{-T}: W restricted to the weighted
-    modes' rows and the free columns, L the fold's precision root (one
-    solve here, none per batch; a diagonal root scales the columns).  When
-    K has fewer rows than columns it is replaced by R^T from K^T = QR: R^T z
+    """The sampler of the proposal ``method`` ("folded", "naive" or
+    "laplace"), which draws from the precision ``Setup.precision`` gives it
+    at the shift's rate.  A mode leaves the weight only when it is Gaussian
+    and folded; a weighted mode j keeps n_j * pi W_j(b) * exp(-rate_j * b),
+    with rate_j its log-slope kappa_j when folded (a folded non-Gaussian
+    factor keeps pi W_j(b) * exp(-kappa_j * b), so folding every mode makes
+    the precision minus the log-Hessian of the integrand at the origin, the
+    Laplace proposal) and the shift rate when not.  The kernel is
+    K = W_af L^{-T}: W restricted to the weighted modes' rows and the free
+    columns, L the precision's Cholesky factor (one solve here, none per
+    batch; a diagonal precision's square root scales the columns).  When K
+    has fewer rows than columns it is replaced by R^T from K^T = QR: R^T z
     has the law of K z (both covariances are K K^T = R^T R, also for
     rank-deficient K), so a sample draws at most 2A normals for A weighted
     modes, not F."""
-    fold = _fold(setup, gamma, direction, method)
-    kernel = setup.rows(fold.active_modes)
-    if kernel.size:
-        if fold.root.ndim == 1:
-            kernel = kernel / fold.root
-        else:
-            # numpy's LAPACK, on one thread (``one_blas_thread``): an OpenBLAS
-            # pool woken here would spin through the draws that follow
-            kernel = np.linalg.solve(fold.root, kernel.T).T
-        if kernel.shape[0] < kernel.shape[1]:
-            kernel = np.ascontiguousarray(np.linalg.qr(kernel.T, mode="r").T)
-    modes = fold.active_modes
+    base, slope, folded = setup.precision(method)
+    rate = _rate(setup.s, gamma, direction, setup.a_max)
+    exponents, log_norms = shift_exponents(setup.c0, rate)
+    folds = np.zeros(setup.m, dtype=bool)
+    folds[folded] = True
+    weight_rates = np.where(folds, setup.kappa, rate)
+    gone = setup.gaussian & folds
+    log_prefactor = float(np.sum(log_norms[gone] + setup.log_w0[gone]))
+    modes = tuple(np.flatnonzero(~gone).tolist())
+    kernel = setup.rows(modes)
+    if base.ndim == 1:
+        kernel = kernel / np.sqrt(base + rate * slope)
+    else:
+        try:
+            root = np.linalg.cholesky(base + rate * slope)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                "effective covariance lost positive definiteness; shift out of window"
+            ) from exc
+        logdet_eff = 2.0 * float(np.sum(np.log(np.diagonal(root))))
+        log_prefactor += 0.5 * (float(np.sum(np.log(2.0 * exponents[setup.free_idx]))) - logdet_eff)
+        # numpy's LAPACK, on one thread (``one_blas_thread``): an OpenBLAS
+        # pool woken here would spin through the draws that follow
+        kernel = np.linalg.solve(root, kernel.T).T
+    if 0 < kernel.shape[0] < kernel.shape[1]:
+        kernel = np.ascontiguousarray(np.linalg.qr(kernel.T, mode="r").T)
     profiles = [setup.radial[setup.index[j]] for j in modes]
     return FoldedSampler(
         kernel=kernel,
-        exponents=np.array([f.decay + rate for f, rate in zip(profiles, fold.rates)]),
+        exponents=np.array([f.decay + weight_rates[j] for f, j in zip(profiles, modes)]),
         polys=tuple(f.poly for f in profiles),
-        scale=math.prod(f.const * math.exp(fold.log_norms[j]) for f, j in zip(profiles, modes)),
-        log_prefactor=fold.log_prefactor,
+        scale=math.prod(f.const * math.exp(log_norms[j]) for f, j in zip(profiles, modes)),
+        log_prefactor=log_prefactor,
         active_modes=modes,
     )
 

@@ -436,16 +436,20 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
 
     Uses the Takagi basis of R, requires B to be diagonal in the same basis,
     and reads n off the first mode in closed form; the rest follow.  Raises
-    StructureMismatch when the rebuilt matrix disagrees with the input.
+    StructureMismatch when R has a singular value d >= 1 (d = tanh r of a
+    pure squeezed input, below 1 for every A' matrix) or the rebuilt matrix
+    disagrees with the input.
     """
     r_block, b_block = split_blocks(mat)
-    m = r_block.shape[0]
+    u, d = takagi(r_block)
+    if d.max(initial=0.0) >= 1.0:
+        raise StructureMismatch(f"R has a singular value {d.max():.6g} >= 1; A' needs every one below 1")
+    interf = Interferometer(r_block.shape[0], u)
     if np.max(np.abs(b_block)) < 1e-12:
         # pure squeezed limit: n = 0, d_i = tanh r_i
-        u, d = takagi(r_block)
-        r_list = np.arctanh(np.clip(d, 0.0, 1.0 - 1e-15))
-        return 0.0, r_list, Interferometer(m, u)
-    u, d = takagi(r_block)
+        r_list = np.arctanh(d)
+        _verify_block_a_prime(mat, 0.0, r_list, interf)
+        return 0.0, r_list, interf
     dp_mat = u.conj().T @ b_block @ u
     if np.max(np.abs(dp_mat - np.diag(np.diagonal(dp_mat)))) > 1e-7:
         raise StructureMismatch("B is not diagonal in the Takagi basis of R")
@@ -466,7 +470,6 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
     # d / d' = u sinh(2r) / (2n(n+1)) = 2 u sinh(2r) / (X - 1): unlike
     # cosh 2r, sinh 2r is well conditioned at r = 0
     r_list = 0.5 * np.arcsinh(d * x_minus_1 / (2.0 * u_var * dp))
-    interf = Interferometer(m, u)
     _verify_block_a_prime(mat, n, r_list, interf)
     return n, r_list, interf
 

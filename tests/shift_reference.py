@@ -1,11 +1,14 @@
-"""The paper's closed-form shifts, kept as reference formulas.
+"""The paper's closed-form shifts and the search's objective, kept as
+reference formulas.
 
 The estimator picks every shift by one rule, a search of the weight bound
 over the instance's own spectrum (``estimator.resolve_gamma``).  The forms
 here read one or two numbers off the spectrum (lambda_max, or lambda_min and
 lambda_max); the tests check that the searched budget is never larger than
 the budget at these shifts, and that the forms meet the paper's balance
-conditions.  Each returns (gamma, direction).
+conditions.  Each returns (gamma, direction).  ``log_effective_bound`` is
+the weight bound a run samples under, which the search's probe
+(``Setup.log_bound``) must equal.
 """
 
 import math
@@ -115,3 +118,21 @@ def searched_budget(emb, s):
     shift (``estimator.resolve_gamma``), in the embedding's mode order."""
     setup = est.Setup(emb.circuit, s)
     return est.budget_factors(emb, est.mode_sups(setup, *est.resolve_gamma(setup)))
+
+
+def precision_root(setup, gamma, direction, method="folded"):
+    """A lower-triangular square root of the proposal's precision at the
+    shift, Lambda(rate) = base + rate * slope (``Setup.precision``): its
+    Cholesky factor, or the diagonal of square roots when nothing folds."""
+    base, slope, _ = setup.precision(method)
+    lam = base + est._rate(setup.s, gamma, direction, setup.a_max) * slope
+    return np.diag(np.sqrt(lam)) if lam.ndim == 1 else np.linalg.cholesky(lam)
+
+
+def log_effective_bound(setup, gamma, direction):
+    """log B_eff at a shift: the weight bound of the folded sampler a run
+    builds, its log prefactor plus the log suprema of its weighted modes,
+    from which ``estimate_probability`` sets N and the radius."""
+    sampler = est.build_folded_sampler(setup, gamma, direction)
+    sups = est.mode_sups(setup, gamma, direction)[list(sampler.active_modes)]
+    return sampler.log_prefactor + float(np.sum(np.log(sups)))

@@ -609,6 +609,34 @@ class TestInputHardening:
         assert captured.out == ""
         assert captured.err.startswith("input error: /s: ")
 
+    @pytest.mark.parametrize("gamma", [[], ["--gamma", "0.2"]], ids=["auto", "fixed"])
+    @pytest.mark.parametrize("command", ["estimate-prob", "convergence"])
+    def test_nan_ordering_is_input_error(self, command, gamma, circuit_file, capsys):
+        # the automatic shift used to blame gamma, a fixed one a factor overflow
+        argv = [command, "--circuit", circuit_file, "--s", "nan", "--samples", "64", *gamma]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: /s: ")
+
+    @pytest.mark.parametrize("d_top", ["1.5", "1.0"])
+    def test_block_a_singular_value_at_least_one_is_input_error(self, d_top, tmp_path, capsys):
+        # B = 0 with an R singular value d >= 1 is no A' matrix (d = tanh r)
+        d = float(d_top)
+        re = [[0, 0, d, 0], [0, 0, 0, 0.3], [d, 0, 0, 0], [0, 0.3, 0, 0]]
+        path = write_json(tmp_path / "ap.json", {"m": 2, "re": re, "tag": "A'"})
+        assert cli.main(["estimate-tor", "--matrix", path, "--samples", "4096"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and "singular value" in captured.err
+
+    @pytest.mark.parametrize("criteria", ["0", "11", "x", "1,x"])
+    def test_acceptance_criteria_outside_one_to_ten(self, criteria, capsys):
+        assert cli.main(["acceptance", "--criteria", criteria]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: /criteria: ")
+
     @pytest.mark.parametrize("lambdas", ["1,1.5", "0.3,1.7"])
     def test_permanent_spectrum_outside_unit_interval(self, lambdas, capsys):
         argv = ["check-fpras", "--family", "permanent", "--lambdas", lambdas]

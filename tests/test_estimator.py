@@ -57,12 +57,6 @@ def log_norm(cov, s, rate):
     return float(factors.shift_exponents(factors.unshifted_exponents([cov], s), rate)[1][0])
 
 
-def lower_root(fold):
-    """The fold's precision root as a lower-triangular matrix (a diagonal
-    fold stores only the diagonal)."""
-    return np.diag(fold.root) if fold.root.ndim == 1 else fold.root
-
-
 def chunk_rng(seed, chunk):
     """Chunk ``chunk``'s stream as ``estimate_probability`` seeds it."""
     return est._chunk_rng(est._chunk_words(seed, chunk + 1)[chunk])
@@ -434,6 +428,13 @@ def generic_circuits():
     return out
 
 
+def shift_of_rate(setup, rate):
+    """The (gamma, direction) of a signed rate at ``setup``'s ordering."""
+    if rate >= 0.0:
+        return rate * (setup.a_max - setup.s) / 2.0, est.FORWARD
+    return -rate * (setup.s + 1.0) / 2.0, est.REVERSE
+
+
 class TestShiftSearch:
     @pytest.mark.parametrize("index", range(len(generic_circuits())))
     def test_not_worse_than_dense_rate_scan(self, index):
@@ -442,19 +443,47 @@ class TestShiftSearch:
         a_max = circuit.a_max
 
         def log_b(rate):
-            if rate >= 0.0:
-                shift = (rate * (a_max - s) / 2.0, est.FORWARD)
-            else:
-                shift = (-rate * (s + 1.0) / 2.0, est.REVERSE)
+            setup = est.Setup(circuit, s)
             try:
-                return est._log_effective_bound(est.Setup(circuit, s), *shift)
+                return ref.log_effective_bound(setup, *shift_of_rate(setup, rate))
             except (ShiftOutOfRange, est.NotPositiveDefinite):
                 return math.inf
 
         rates = np.linspace(-0.98 * 2.0 / (s + 1.0), 0.98 * 2.0 / (a_max - s), 801)
         scan = min(log_b(float(r)) for r in rates)
         gamma, direction = est._numeric_gamma(est.Setup(circuit, s))[:2]
-        assert est._log_effective_bound(est.Setup(circuit, s), gamma, direction) <= scan + 1e-6
+        assert ref.log_effective_bound(est.Setup(circuit, s), gamma, direction) <= scan + 1e-6
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"generic-{i}" for i in range(len(generic_circuits()))]
+        + [f"{family}-{m}" for m in (4, 16) for family in ("haf", "per", "torR", "torB", "torA")],
+    )
+    def test_probe_equals_the_run_bound(self, name):
+        # the search minimizes the bound a run samples under: at every rate
+        # the probe is the built sampler's log prefactor plus the log suprema
+        # of its weighted modes (to 1e-12 relative, and 1e-13 absolute for a
+        # log near 0), inf where that sampler cannot be built
+        family, number = name.rsplit("-", 1)
+        if family == "generic":
+            circuit = generic_circuits()[int(number)]
+        else:
+            circuit = matrix_embedding(family, int(number))
+        setup = est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN)
+        finite = 0
+        for end in (-2.0 / (setup.s + 1.0), 2.0 / (setup.a_max - setup.s)):
+            for frac in (0.9, 0.5, 0.1, 1e-3):
+                probe = setup.log_bound(frac * end)
+                try:
+                    bound = ref.log_effective_bound(setup, *shift_of_rate(setup, frac * end))
+                except est.NotPositiveDefinite:
+                    bound = math.inf
+                if probe == math.inf:
+                    assert bound == math.inf
+                else:
+                    finite += 1
+                    assert bound == pytest.approx(probe, rel=1e-12, abs=1e-13)
+        assert finite >= 4
 
 
 class TestWeightBound:
@@ -509,22 +538,27 @@ class TestSampleCount:
         assert n == pytest.approx(expected, rel=1e-9)
 
 
-def reference_beta_sq(circuit, stds, fold, z):
+def reference_beta_sq(circuit, stds, setup, root, z):
     """|beta|^2 of every mode by the per-batch path the kernel replaces:
-    triangular solve (folded) or per-coordinate scale (naive), scatter into
-    all 2M coordinates (a frozen one, std 0, stays at 0), complex
-    pushforward."""
+    triangular solve with the precision's lower root (folded) or
+    per-coordinate scale (naive, ``root`` None), scatter into all 2M
+    coordinates (a frozen one, std 0, stays at 0), complex pushforward."""
     from scipy.linalg import solve_triangular
 
     m = circuit.m
     alpha = np.zeros((2 * m, z.shape[1]))
-    if fold is None:
+    if root is None:
         free = np.flatnonzero(stds)
         alpha[free] = z * stds[free, None]
-    elif len(fold.free_idx):
-        alpha[fold.free_idx] = solve_triangular(lower_root(fold).T, z, lower=False)
+    elif len(setup.free_idx):
+        alpha[setup.free_idx] = solve_triangular(root.T, z, lower=False)
     beta = (alpha[:m] + 1j * alpha[m:]).T @ circuit.unitary.u.T
     return (np.abs(beta) ** 2).T
+
+
+def non_gaussian_modes(circuit):
+    """The modes a folded sampler weighs: those with a non-Gaussian factor."""
+    return tuple(j for j, out in enumerate(circuit.pattern) if not out.is_gaussian)
 
 
 def naive_stds(circuit, s, rate):
@@ -563,14 +597,14 @@ KERNEL_CASES = {
 }
 
 
-def reference_covariance(circuit, fold, modes):
+def reference_covariance(circuit, setup, chol, modes):
     """Covariance of [Re beta; Im beta] of ``modes`` under the folded
-    Gaussian: the free coordinates have covariance (L L^T)^{-1}, the frozen
-    ones are pinned to zero, and beta = U alpha."""
+    Gaussian of precision root ``chol``: the free coordinates have
+    covariance (L L^T)^{-1}, the frozen ones are pinned to zero, and
+    beta = U alpha."""
     m = circuit.m
     cov_alpha = np.zeros((2 * m, 2 * m))
-    free = fold.free_idx
-    chol = lower_root(fold)
+    free = setup.free_idx
     cov_alpha[np.ix_(free, free)] = np.linalg.inv(chol @ chol.T)
     u = circuit.unitary.u
     push = np.block([[u.real, -u.imag], [u.imag, u.real]])
@@ -584,15 +618,16 @@ class TestSamplingKernel:
     def test_kernel_matches_reference_pushforward(self, case, method):
         circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
+        setup = est.Setup(circuit, s)
         if method == "folded":
-            sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction)
-            fold = est._fold(est.Setup(circuit, s), gamma, direction)
+            sampler = est.build_folded_sampler(setup, gamma, direction)
+            root = ref.precision_root(setup, gamma, direction)
             stds = None
-            width = len(fold.free_idx)
-            assert sampler.active_modes == fold.active_modes
+            width = len(setup.free_idx)
+            assert sampler.active_modes == non_gaussian_modes(circuit)
         else:
-            sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction, "naive")
-            fold = None
+            sampler = est.build_folded_sampler(setup, gamma, direction, "naive")
+            root = None
             stds = naive_stds(circuit, s, est._rate(s, gamma, direction, circuit.a_max))
             width = np.count_nonzero(stds)  # one normal per free coordinate
             assert sampler.active_modes == tuple(range(circuit.m))
@@ -600,12 +635,12 @@ class TestSamplingKernel:
         if cols < width:
             # rank-reduced kernel: the same law from fewer normals
             assert method == "folded" and cols == rows
-            expected = reference_covariance(circuit, fold, sampler.active_modes)
+            expected = reference_covariance(circuit, setup, root, sampler.active_modes)
             got = sampler.kernel @ sampler.kernel.T
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
             return
         z = np.random.default_rng(5).standard_normal((width, 3000))
-        expected = reference_beta_sq(circuit, stds, fold, z)[list(sampler.active_modes)]
+        expected = reference_beta_sq(circuit, stds, setup, root, z)[list(sampler.active_modes)]
         got = sampler.beta_sq(z)
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
@@ -616,10 +651,10 @@ class TestSamplingKernel:
         # 2A rows never need more than 2A normals
         circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
-        fold = est._fold(est.Setup(circuit, s), gamma, direction)
-        rows = 2 * len(fold.active_modes)
-        sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction)
-        assert sampler.kernel.shape == (rows, min(rows, fold.free_idx.size))
+        setup = est.Setup(circuit, s)
+        rows = 2 * len(non_gaussian_modes(circuit))
+        sampler = est.build_folded_sampler(setup, gamma, direction)
+        assert sampler.kernel.shape == (rows, min(rows, setup.free_idx.size))
 
     def test_all_marginal_has_no_weighted_mode(self):
         circuit, _, gamma_mode = KERNEL_CASES["all-marginal"]
@@ -774,9 +809,9 @@ class TestFoldPaths:
             circuit = matrix_embedding(name, m)
             s = circuit.s_max - est.S_MAX_MARGIN
             gamma, direction = est.resolve_gamma(est.Setup(circuit, s))[:2]
-        fold = est._fold(est.Setup(circuit, s), gamma, direction)
-        assert fold.root.ndim == 1
-        assert len(fold.free_idx) == (2 * m - 2 if name == "frozen-thermal" else 2 * m)
+        setup = est.Setup(circuit, s)
+        assert setup.precision("folded")[0].ndim == 1
+        assert len(setup.free_idx) == (2 * m - 2 if name == "frozen-thermal" else 2 * m)
         sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction)
         cov, log_prefactor = cholesky_reference(circuit, s, gamma, direction)
         got = sampler.kernel @ sampler.kernel.T
@@ -788,10 +823,11 @@ class TestFoldPaths:
     def test_one_product_fold_matches_outer_products(self, case, laplace):
         circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
-        fold = est._fold(est.Setup(circuit, s), gamma, direction, "laplace" if laplace else "folded")
-        assert fold.root.ndim == 2
+        setup = est.Setup(circuit, s)
+        base, slope, _ = setup.precision("laplace" if laplace else "folded")
+        assert base.ndim == 2
         expected = outer_product_precision(circuit, s, gamma, direction, laplace)
-        got = fold.root @ fold.root.T
+        got = base + est._rate(s, gamma, direction, circuit.a_max) * slope
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
 
@@ -1118,6 +1154,16 @@ class TestEstimateProbability:
         circuit = squeezed_circuit([0.3], 21)
         with pytest.raises(ValueError, match="method"):
             est.estimate_probability(circuit, est.EstimatorConfig(n_samples=100), method=method)
+
+    @pytest.mark.parametrize("gamma_mode", ["auto", (0.2, est.FORWARD)], ids=["auto", "fixed"])
+    def test_nan_ordering_rejected(self, gamma_mode):
+        # Setup checks s: NaN is outside every factor's range
+        circuit = squeezed_circuit([0.4, 0.3], 17)
+        cfg = est.EstimatorConfig(s=math.nan, n_samples=64, gamma_mode=gamma_mode)
+        with pytest.raises(OrderingOutOfRange):
+            est.estimate_probability(circuit, cfg)
+        with pytest.raises(OrderingOutOfRange):
+            est.estimate_hafnian_sq(np.array([[0.0, 0.3], [0.3, 0.0]]), cfg)
 
     def test_builder_rejects_unknown_method(self):
         circuit = squeezed_circuit([0.3], 21)

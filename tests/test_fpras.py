@@ -22,11 +22,7 @@ from pqdkit.errors import (
 )
 from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon
 
-
-def lower_root(fold):
-    """The fold's precision root as a lower-triangular matrix (a diagonal
-    fold stores only the diagonal)."""
-    return np.diag(fold.root) if fold.root.ndim == 1 else fold.root
+import shift_reference as ref
 
 
 def second_difference_scan(profile, q_max=8.0, step=1e-3):
@@ -386,24 +382,28 @@ class TestLaplaceFold:
     def test_precision_is_negative_log_hessian_at_origin(self, case):
         circuit = LAPLACE_CASES[case]
         s = circuit.s_max - 0.5
-        fold = est._fold(est.Setup(circuit, s), 0.5, est.FORWARD, method="laplace")
-        assert len(fold.free_idx) == 2 * circuit.m
-        precision = lower_root(fold) @ lower_root(fold).T
+        setup = est.Setup(circuit, s)
+        assert len(setup.free_idx) == 2 * circuit.m
+        root = ref.precision_root(setup, 0.5, est.FORWARD, "laplace")
+        precision = root @ root.T
         hess = central_hessian(lambda x: log_integrand(circuit, s, x), 2 * circuit.m)
         np.testing.assert_allclose(precision, -hess, rtol=1e-5, atol=1e-5 * np.abs(hess).max())
-        kappas = [ps.pi_w_profile(circuit.pattern[j], s).log_slope for j in fold.active_modes]
-        assert fold.rates == tuple(kappas)
+        # every weighted mode keeps its own log-slope as its reweight rate
+        sampler = est.build_folded_sampler(setup, 0.5, est.FORWARD, method="laplace")
+        profiles = [ps.pi_w_profile(circuit.pattern[j], s) for j in sampler.active_modes]
+        assert sampler.exponents.tolist() == [f.decay + f.log_slope for f in profiles]
 
     @pytest.mark.parametrize("case", range(len(LAPLACE_CASES)))
     def test_weight_is_integrand_over_proposal(self, case):
         # f(x) = exp(log_prefactor) * q(x) * w(x) with q the folded Gaussian
         circuit = LAPLACE_CASES[case]
         s = circuit.s_max - 0.5
-        fold = est._fold(est.Setup(circuit, s), 0.5, est.FORWARD, method="laplace")
-        sampler = est.build_folded_sampler(est.Setup(circuit, s), 0.5, est.FORWARD, method="laplace")
+        setup = est.Setup(circuit, s)
+        root = ref.precision_root(setup, 0.5, est.FORWARD, "laplace")
+        sampler = est.build_folded_sampler(setup, 0.5, est.FORWARD, method="laplace")
         dim = 2 * circuit.m
         z = np.random.default_rng(case).standard_normal((dim, 5))
-        x = np.linalg.solve(lower_root(fold).T, z)
+        x = np.linalg.solve(root.T, z)
         # |beta|^2 of the weighted modes at x, without the (possibly
         # rank-reduced) kernel
         beta = circuit.unitary.u @ (x[: circuit.m] + 1j * x[circuit.m :])
@@ -414,7 +414,7 @@ class TestLaplaceFold:
                 w = w * poly(b_j)
         log_q = (
             -0.5 * np.sum(z * z, axis=0)
-            + float(np.sum(np.log(np.diagonal(lower_root(fold)))))
+            + float(np.sum(np.log(np.diagonal(root))))
             - 0.5 * dim * math.log(2.0 * math.pi)
         )
         for k in range(z.shape[1]):

@@ -371,6 +371,27 @@ class TestBlockA:
         with pytest.raises(StructureMismatch):
             lo.recover_block_a_params(mat)
 
+    @pytest.mark.parametrize("d_top", [1.5, 1.0])
+    def test_recover_rejects_pure_squeezed_singular_value_at_least_one(self, d_top):
+        # B = 0 reads d_i = tanh r_i < 1; d = 1 would rebuild within the
+        # residual tolerance from r = arctanh(1 - 1e-15)
+        r_block = np.diag([d_top, 0.3]).astype(complex)
+        a_prime = np.block([[np.zeros((2, 2)), r_block.conj()], [r_block, np.zeros((2, 2))]])
+        mat = lo.MatrixClass(lo.MatrixTag.BLOCK_A_PRIME, a_prime)
+        with pytest.raises(StructureMismatch, match="singular value"):
+            lo.recover_block_a_params(mat)
+        with pytest.raises(StructureMismatch, match="singular value"):
+            lo.embed_torontonian(mat)
+
+    def test_recover_verifies_the_pure_squeezed_limit(self, monkeypatch):
+        # the B = 0 branch rebuilds its (0, r, U) like the thermal one
+        mat = lo.block_a_prime(0.0, [0.3, 0.5], lo.haar_unitary(2, 4))
+        checked = []
+        verify = lo._verify_block_a_prime
+        monkeypatch.setattr(lo, "_verify_block_a_prime", lambda *args: checked.append(verify(*args)))
+        lo.recover_block_a_params(lo.MatrixClass(lo.MatrixTag.BLOCK_A_PRIME, mat.data))
+        assert len(checked) == 1
+
 
 class TestGbsAMatrix:
     def test_vacuum_kernel_is_zero(self):
