@@ -107,10 +107,12 @@ def torontonian_bounds(
         raise UnsupportedBound("no bounds are known for the pure-squeezed family")
     if family == "thermal":
         lam = np.asarray(lambdas, dtype=float)
-        if np.min(lam) <= 0.0:
-            raise ZeroEigenvalue("thermal Torontonian bounds need lambda > 0")
         lam_max = float(np.max(lam))
         lam_min = float(np.min(lam))
+        if lam_min <= 0.0:
+            raise ZeroEigenvalue("thermal Torontonian bounds need lambda > 0")
+        if lam_max >= 1.0:  # each mode's factor divides by 1 - lambda
+            raise ValueError(f"thermal Torontonian bounds need lambda < 1, got {lam_max}")
         lower_modes = lam_min**2 / (lam * (1.0 - lam_min))
         upper_modes = lam_max**2 / (lam * (1.0 - lam_max))
         return _sandwich(lower_modes, upper_modes, "torontonian_thermal", "bounds.torontonian.thermal")

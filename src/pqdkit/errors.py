@@ -10,12 +10,9 @@ class PqdkitError(Exception):
     """Base class for all pqdkit errors."""
 
 
-class SingularOrdering(PqdkitError):
-    """Ordering parameter hits or exceeds the classicality of a state."""
-
-
 class OrderingOutOfRange(PqdkitError):
-    """Ordering parameter outside the admissible range of a measurement PQD."""
+    """Ordering parameter outside the admissible range: not finite, above an
+    input variance, or outside a measurement PQD's range."""
 
 
 class ShiftOutOfRange(PqdkitError):

@@ -167,18 +167,18 @@ class Setup:
     s and a_max (which map a shift to its rate), each quadrature's
     unshifted exponent 2/(a - s) (NaN where frozen), one ``RadialFactor``
     per distinct outcome, W on the free coordinates, and each proposal's
-    precision as an affine function of the rate.  Building it checks s:
-    above a variance it raises ``SingularOrdering``, NaN or outside a
-    factor's range ``OrderingOutOfRange``.
+    precision as an affine function of the rate.  Building it checks s: not
+    finite, above an input variance or outside a factor's range, it raises
+    ``OrderingOutOfRange``.
     """
 
     def __init__(self, circuit: CircuitSpec, s: float):
-        if math.isnan(s):
-            raise OrderingOutOfRange("the ordering s is NaN")
+        if not math.isfinite(s):
+            raise OrderingOutOfRange(f"the ordering s must be finite, got {s}")
         self.m = circuit.m
         self.s = s
         self.a_max = circuit.a_max
-        self.c0 = unshifted_exponents(circuit.covariances(), s)
+        self.c0 = unshifted_exponents(circuit.variances, s)
         distinct, self.index = circuit.outcome_index
         self.radial = tuple(pi_w_profile(out, s) for out in distinct)
         self.gaussian = np.array([out.is_gaussian for out in distinct])[self.index]

@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShiftOutOfRange, SingularOrdering
+from .errors import OrderingOutOfRange, ShiftOutOfRange
 
 FREEZE_TOL = 1e-12
 
 
-def unshifted_exponents(covs, s: float) -> np.ndarray:
-    """The exponent 2/(a - s) of each of the 2M input quadratures (x of
-    every mode, then p) before any shift; NaN marks a frozen delta axis,
-    whose variance a is within FREEZE_TOL of s."""
-    a = np.array([c.a_plus for c in covs] + [c.a_minus for c in covs], dtype=float)
-    d = a - s
+def unshifted_exponents(variances: np.ndarray, s: float) -> np.ndarray:
+    """The exponent 2/(a - s) of each input quadrature of variance a
+    (``CircuitSpec.variances``: x of every mode, then p) before any shift;
+    NaN marks a frozen delta axis, whose variance a is within FREEZE_TOL of
+    s.  An s above a variance raises ``OrderingOutOfRange``."""
+    d = variances - s
     if d.min(initial=0.0) < -FREEZE_TOL:
-        raise SingularOrdering(f"s = {s} exceeds variance {a[np.argmin(d)]}")
+        raise OrderingOutOfRange(f"s = {s} exceeds variance {variances[np.argmin(d)]}")
     return 2.0 / np.where(d > FREEZE_TOL, d, np.nan)  # NaN carries a frozen axis through
 
 

@@ -27,14 +27,7 @@ from .errors import (
     StructureMismatch,
     ZeroMatrix,
 )
-from .phase_space import (
-    CLICK,
-    MeasurementOutcome,
-    ModeCovariance,
-    classicality,
-    lossy_covariance,
-    photon,
-)
+from .phase_space import CLICK, MeasurementOutcome, photon
 
 UNITARY_TOL = 1e-10
 RECONSTRUCT_TOL = 1e-8
@@ -80,9 +73,9 @@ def haar_unitary(m: int, seed: int) -> Interferometer:
 class CircuitSpec:
     """Gaussian boson sampling circuit: per-mode inputs, loss, unitary, pattern.
 
-    Per-mode covariance is eta*(2n_i+1)*exp(+-2r_i) + (1-eta)*(2*n_th+1),
-    which covers both the lossless squeezed-thermal and the lossy
-    squeezed-vacuum conventions.
+    The inputs are squeezed thermal modes (r_i, n_i) sent through a
+    transmissivity-``eta`` channel whose environment carries ``n_th`` mean
+    thermal photons; ``variances`` holds the state they make.
     """
 
     modes: tuple  # tuple of (r_i, n_i)
@@ -96,10 +89,10 @@ class CircuitSpec:
             raise DimensionMismatch("modes, unitary, and pattern sizes disagree")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.n_th < 0.0:
+        if not self.n_th >= 0.0:  # written so that NaN fails too
             raise ValueError("n_th must be nonnegative")
         for r, n in self.modes:
-            if r < 0.0 or n < 0.0:
+            if not (r >= 0.0 and n >= 0.0):
                 raise ValueError("squeezing and thermal photons must be nonnegative")
         try:
             finite = math.isfinite(self.a_max)
@@ -113,20 +106,33 @@ class CircuitSpec:
         return self.unitary.m
 
     @cached_property
-    def _covariances(self) -> tuple[ModeCovariance, ...]:
-        return tuple(lossy_covariance(r, n, self.eta, self.n_th) for r, n in self.modes)
+    def variances(self) -> np.ndarray:
+        """The 2M input quadrature variances, the x quadrature of every mode
+        and then every p, computed once per circuit (read-only).
 
-    def covariances(self) -> tuple[ModeCovariance, ...]:
-        """Per-mode input covariances, computed once per circuit."""
-        return self._covariances
+        They are dimensionless, a = 2*V, so that the vacuum has a = 1; mode
+        i's pair is eta*(2n_i+1)*exp(+-2r_i) + (1-eta)*(2*n_th+1), which
+        covers both the lossless squeezed-thermal and the lossy
+        squeezed-vacuum conventions.  The s-PQD of a quadrature is the
+        Gaussian of exponent 2/(a - s) (``factors.unshifted_exponents``).
+        """
+        env = (1.0 - self.eta) * (2.0 * self.n_th + 1.0)
+        x = [self.eta * (2.0 * n + 1.0) * math.exp(2.0 * r) + env for r, n in self.modes]
+        p = [self.eta * (2.0 * n + 1.0) * math.exp(-2.0 * r) + env for r, n in self.modes]
+        a = np.array(x + p, dtype=float)
+        a.flags.writeable = False
+        return a
 
     @cached_property
     def s_max(self) -> float:
-        return classicality(self._covariances)
+        """Largest ordering at which every input PQD stays a proper
+        Gaussian: the smallest p variance."""
+        return float(self.variances[self.m :].min())
 
     @cached_property
     def a_max(self) -> float:
-        return max(c.a_plus for c in self._covariances)
+        """The largest x variance."""
+        return float(self.variances[: self.m].max())
 
     @cached_property
     def outcome_index(self) -> tuple[tuple, np.ndarray]:
@@ -551,26 +557,16 @@ def real_pushforward(u: np.ndarray) -> np.ndarray:
     return np.concatenate([np.concatenate([re, -im], axis=1), np.concatenate([im, re], axis=1)])
 
 
-def xxpp_covariance(circuit: CircuitSpec) -> np.ndarray:
-    """Real 2M x 2M covariance in xxpp ordering after the interferometer."""
-    covs = circuit.covariances()
-    m = circuit.m
-    v_in = np.zeros((2 * m, 2 * m))
-    for i, c in enumerate(covs):
-        v_in[i, i] = c.a_plus / 2.0
-        v_in[m + i, m + i] = c.a_minus / 2.0
-    symp = real_pushforward(circuit.unitary.u)
-    return symp @ v_in @ symp.T
-
-
 def husimi_covariance(circuit: CircuitSpec, kept: Sequence[int]) -> np.ndarray:
     """Husimi covariance sigma_Q = sigma + I/2 of the state reduced to the
     modes ``kept`` (in that order), sigma being the symmetric-ordered
-    covariance in the (a, a^dagger) complex basis."""
+    covariance in the (a, a^dagger) complex basis of W diag(V) W^T, the
+    xxpp covariance after the interferometer."""
     m = circuit.m
     eye = np.eye(m)
     omega = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / math.sqrt(2.0)
-    sigma = omega @ xxpp_covariance(circuit) @ omega.conj().T
+    w = real_pushforward(circuit.unitary.u)
+    sigma = omega @ ((w * (circuit.variances / 2.0)) @ w.T) @ omega.conj().T
     idx = [*kept, *(j + m for j in kept)]
     return sigma[np.ix_(idx, idx)] + 0.5 * np.eye(2 * len(kept))
 

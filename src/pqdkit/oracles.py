@@ -152,7 +152,8 @@ def torontonian_exact(a_prime: np.ndarray) -> float:
 def exact_probability(circuit: CircuitSpec, pattern) -> float:
     """Exact photon-number probability Haf(A_S) / (m! sqrt|V_Q|).
 
-    ``pattern`` holds nonnegative integers, with "marginal" (or a
+    ``pattern`` holds nonnegative integers or photon and no-click
+    MeasurementOutcomes (a no-click is 0 photons), with "marginal" (or a
     MeasurementOutcome of that kind) marking modes to trace out; marginals
     are handled exactly by reducing the Gaussian state first.
     """
@@ -162,10 +163,10 @@ def exact_probability(circuit: CircuitSpec, pattern) -> float:
         if isinstance(entry, MeasurementOutcome):
             if entry.kind == "marginal":
                 continue
-            if entry.kind != "photon":
+            if entry.kind not in ("photon", "noclick"):
                 raise ValueError("exact_probability handles photon-number patterns")
             kept.append(j)
-            counts.append(entry.m)
+            counts.append(entry.m)  # 0 for a no-click
         elif entry == "marginal":
             continue
         else:

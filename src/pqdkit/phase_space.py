@@ -1,10 +1,9 @@
 """Closed-form s-parameterized quasiprobability distributions.
 
-Everything here is a pure function of its arguments.  The conventions are
-dimensionless quadrature variances ``a_plus = 2*V_xx`` and ``a_minus =
-2*V_yy`` so that the vacuum has ``a_plus == a_minus == 1``; ordering ``s``
-gives the Glauber-Sudarshan P, Wigner, and Husimi Q distributions at
-``s = 1, 0, -1``.
+Everything here is a pure function of its arguments.  Ordering ``s`` gives
+the Glauber-Sudarshan P, Wigner, and Husimi Q distributions at ``s = 1, 0,
+-1``; the Gaussian inputs are described by their quadrature variances
+(``linear_optics.CircuitSpec.variances``).
 
 Measurement PQDs are radial, so each is written once over b = |beta|^2 as
 a ``RadialFactor`` const * (L_m(k*b) - a*exp(-a*b)) * exp(-decay*b)
@@ -20,43 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NotLogConcave, OrderingOutOfRange
-
-
-@dataclass(frozen=True)
-class ModeCovariance:
-    """Diagonal single-mode covariance in dimensionless form.
-
-    ``a_plus``/``a_minus`` are twice the quadrature variances; physicality
-    requires ``a_plus >= a_minus > 0`` and ``a_plus * a_minus >= 1``.
-    """
-
-    a_plus: float
-    a_minus: float
-
-    def __post_init__(self):
-        if not (self.a_plus >= self.a_minus > 0.0):
-            raise ValueError(
-                f"need a_plus >= a_minus > 0, got ({self.a_plus}, {self.a_minus})"
-            )
-        if self.a_plus * self.a_minus < 1.0 - 1e-10:
-            raise ValueError(
-                f"uncertainty violation: a_plus*a_minus = {self.a_plus * self.a_minus}"
-            )
-
-
-def lossy_covariance(r: float, n: float, eta: float, n_th: float) -> ModeCovariance:
-    """Squeezed thermal state sent through a transmissivity-``eta`` channel
-    whose environment carries ``n_th`` mean thermal photons."""
-    u = 2.0 * n + 1.0
-    env = (1.0 - eta) * (2.0 * n_th + 1.0)
-    return ModeCovariance(
-        eta * u * math.exp(2.0 * r) + env, eta * u * math.exp(-2.0 * r) + env
-    )
 
 
 @dataclass(frozen=True)
@@ -117,11 +84,6 @@ def laguerre(m: int, x):
 # ---------------------------------------------------------------------------
 # state and measurement PQDs
 # ---------------------------------------------------------------------------
-
-
-def classicality(covs: Iterable[ModeCovariance]) -> float:
-    """Largest ordering for which every input PQD stays a proper Gaussian."""
-    return min(c.a_minus for c in covs)
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,9 @@ def optimal_gamma_st(n, r_max):
 
 
 def circuit_spectrum(circuit):
-    """lambda_j = (a+_j - 1) / (a+_j + 1) of every mode: tanh r_j of a
-    squeezed input, n_j / (n_j + 1) of a thermal one."""
-    return [(c.a_plus - 1.0) / (c.a_plus + 1.0) for c in circuit.covariances()]
+    """lambda_j = (a_j - 1) / (a_j + 1) of every mode's x variance a_j:
+    tanh r_j of a squeezed input, n_j / (n_j + 1) of a thermal one."""
+    return [(a - 1.0) / (a + 1.0) for a in circuit.variances[: circuit.m].tolist()]
 
 
 def analytic_shift(emb):

@@ -11,14 +11,7 @@ from pqdkit.errors import (
     UnsupportedBound,
     ZeroEigenvalue,
 )
-from pqdkit.phase_space import (
-    CLICK,
-    W_INV_E,
-    ModeCovariance,
-    lossy_covariance,
-    photon,
-    pi_w_profile,
-)
+from pqdkit.phase_space import CLICK, MARGINAL, W_INV_E, photon, pi_w_profile
 
 from shift_reference import analytic_budget, optimal_gamma_st, optimal_gamma_threshold, searched_budget
 
@@ -70,19 +63,21 @@ def ref_permanent(lam):
     )
 
 
-def squeezed_thermal_covariance(r, n):
-    """The lossless squeezed thermal input of squeezing r and occupation n."""
-    return lossy_covariance(r, n, 1.0, 0.0)
+def squeezed_thermal_variances(n, r):
+    """The 2M variances (x of every mode, then p) of lossless squeezed
+    thermal inputs of squeezing r_i and shared occupation n."""
+    modes = tuple((float(x), n) for x in r)
+    return lo.CircuitSpec(modes, lo.identity_interferometer(len(modes)), (MARGINAL,) * len(modes)).variances
 
 
 def _k_plus(n, r):
     return 0.5 + n * (n + 1.0) + (n + 0.5) * np.cosh(2.0 * r)
 
 
-def _ref_sups(covs, outcome, s, rate):
+def _ref_sups(variances, outcome, s, rate):
     """Per-mode sup of the shifted factor, input normalization included."""
     return pi_w_profile(outcome, s).sup(rate) * np.exp(
-        factors.shift_exponents(factors.unshifted_exponents(covs, s), rate)[1]
+        factors.shift_exponents(factors.unshifted_exponents(variances, s), rate)[1]
     )
 
 
@@ -99,22 +94,20 @@ def ref_torontonian(family, lam=None, n=None, r=None):
         e2r = (1.0 + lam) / (1.0 - lam)
         s = (1.0 - lmx) / (1.0 + lmx)
         rate = _ref_forward_rate(0.5 * (1.0 - lmx), float(np.max(e2r)) - s)
-        covs = [ModeCovariance(float(e), float(1.0 / e)) for e in e2r]
-        return _ref_sups(covs, CLICK, s, rate) / np.sqrt(1.0 - lam**2)
+        return _ref_sups(np.concatenate([e2r, 1.0 / e2r]), CLICK, s, rate) / np.sqrt(1.0 - lam**2)
     if family == "thermal":
         lam = np.asarray(lam, dtype=float)
         n_list = lam / (1.0 - lam)
         s = 2.0 * float(np.min(n_list)) + 1.0
         rate = _ref_forward_rate(0.5 * (1.0 - np.max(lam)), 2.0 * float(np.max(n_list)) + 1.0 - s)
-        covs = [ModeCovariance(float(a), float(a)) for a in 2.0 * n_list + 1.0]
-        return _ref_sups(covs, CLICK, s, rate) / (1.0 - lam)
+        a = 2.0 * n_list + 1.0
+        return _ref_sups(np.concatenate([a, a]), CLICK, s, rate) / (1.0 - lam)
     r = np.asarray(r, dtype=float)
     r_max = float(np.max(r))
     s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
     gamma = math.exp(-math.tanh(r_max)) / (n + 1.0)
     rate = _ref_forward_rate(gamma, (2.0 * n + 1.0) * math.exp(2.0 * r_max) - s)
-    covs = [squeezed_thermal_covariance(float(x), n) for x in r]
-    return _ref_sups(covs, CLICK, s, rate) * np.sqrt(_k_plus(n, r))
+    return _ref_sups(squeezed_thermal_variances(n, r), CLICK, s, rate) * np.sqrt(_k_plus(n, r))
 
 
 def ref_block_a(n, r):
@@ -123,8 +116,7 @@ def ref_block_a(n, r):
     r_max = float(np.max(r))
     s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
     rate = -2.0 * math.exp(-math.tanh(r_max)) * n / (n + 1.0) / (s + 1.0)
-    covs = [squeezed_thermal_covariance(float(x), n) for x in r]
-    return _ref_sups(covs, photon(1), s, rate) * np.sqrt(_k_plus(n, r))
+    return _ref_sups(squeezed_thermal_variances(n, r), photon(1), s, rate) * np.sqrt(_k_plus(n, r))
 
 
 def spectral(family, lam):
@@ -403,6 +395,13 @@ class TestTorontonianBounds:
     def test_unsupported_families(self):
         with pytest.raises(UnsupportedBound):
             bounds.torontonian_bounds("squeezed", lambdas=[0.3])
+
+    @pytest.mark.parametrize("lam_max", [1.0, 1.5])
+    def test_thermal_rejects_eigenvalue_at_least_one(self, lam_max):
+        # each mode's factor divides by 1 - lambda: at 1.5 two negative
+        # factors used to multiply to a positive sandwich, at 1.0 to inf
+        with pytest.raises(ValueError, match="lambda < 1"):
+            bounds.torontonian_bounds("thermal", lambdas=[0.5, lam_max])
 
 
 class TestBlockABudget:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,22 @@ class TestCommands:
         assert cli.main(["oracle", "--matrix", path, "--function", "hafnian"]) == 1
         assert "even dimension" in capsys.readouterr().err
 
+    def test_oracle_photon_pattern_with_noclick(self, tmp_path, capsys):
+        # a no-click is the zero-photon outcome: exact_probability(c, [1, 0, "marginal"])
+        path = write_json(
+            tmp_path / "c.json",
+            {
+                "modes": [{"r": 0.3}, {"n": 0.5}, {"r": 0.2}],
+                "eta": 0.7,
+                "unitary": {"haar_seed": 1},
+                "pattern": [1, "noclick", "marginal"],
+            },
+        )
+        assert cli.main(["oracle", "--circuit", path]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.1344469839131297
+        assert cli.main(["estimate-prob", "--circuit", path, "--samples", "64", "--oracle-check"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"] == 0.1344469839131297
+
     @pytest.mark.parametrize("command", [["oracle"], ["estimate-prob", "--samples", "64"]])
     def test_overflowing_circuit_is_input_error(self, command, tmp_path, capsys):
         # (2n + 1) e^{2r} = inf would read as a null oracle value and a 0.0 estimate
@@ -618,6 +635,33 @@ class TestInputHardening:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: /s: ")
+
+    @pytest.mark.parametrize("s", ["5", "-inf"])
+    @pytest.mark.parametrize("command", ["estimate-prob", "convergence"])
+    def test_ordering_out_of_range_points_at_s(self, command, s, tmp_path, capsys):
+        # s above an input variance used to lose the pointer, and -inf on an
+        # all-marginal pattern was blamed on the shift
+        for pattern in (["marginal", 1], ["marginal", "marginal"]):
+            circ = write_json(
+                tmp_path / "c.json",
+                {"modes": [{"r": 0.3}, {"n": 0.5}], "unitary": {"haar_seed": 3}, "pattern": pattern},
+            )
+            argv = [command, "--circuit", circ, f"--s={s}", "--samples", "64"]
+            assert cli.main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("input error: /s: ")
+
+    @pytest.mark.parametrize("lambdas", ["0.5,1.0", "0.5,1.5"])
+    def test_tor_thermal_bounds_eigenvalue_at_least_one(self, lambdas, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["bounds", "--family", "tor-thermal", "--lambdas", lambdas]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and "lambda < 1" in captured.err
+        assert "RuntimeWarning" not in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("d_top", ["1.5", "1.0"])
     def test_block_a_singular_value_at_least_one_is_input_error(self, d_top, tmp_path, capsys):

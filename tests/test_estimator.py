@@ -19,7 +19,6 @@ from pqdkit.errors import (
     BudgetOverflow,
     OrderingOutOfRange,
     ShiftOutOfRange,
-    SingularOrdering,
 )
 from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon, pi_w_profile
 
@@ -52,9 +51,14 @@ def photon_factor(m, s, rate):
     return lambda b: (2.0 / sp) * ((s - 1.0) / sp) ** m * eval_laguerre(m, k * b) * np.exp(-c * b)
 
 
-def log_norm(cov, s, rate):
-    """log N of one mode's shifted input factor."""
-    return float(factors.shift_exponents(factors.unshifted_exponents([cov], s), rate)[1][0])
+def mode_variances(circuit, j):
+    """The [x, p] variances of mode j of the circuit."""
+    return circuit.variances[[j, circuit.m + j]]
+
+
+def log_norm(variances, s, rate):
+    """log N of one mode's shifted input factor, from its [x, p] variances."""
+    return float(factors.shift_exponents(factors.unshifted_exponents(variances, s), rate)[1][0])
 
 
 def chunk_rng(seed, chunk):
@@ -109,7 +113,7 @@ class TestNegativityBound:
 
     def test_rejects_super_classical_ordering(self):
         circuit = squeezed_circuit([0.5], 5)
-        with pytest.raises(SingularOrdering):
+        with pytest.raises(OrderingOutOfRange, match="exceeds variance"):
             est.negativity_bound(est.Setup(circuit, circuit.s_max + 0.1))
 
 
@@ -211,8 +215,7 @@ class TestFactorBound:
         sups = est.mode_sups(est.Setup(circuit, s), gamma, direction)
         rate = 2.0 * gamma / ((1.0 + lam) / (1.0 - lam) - s)
         for j, sup in enumerate(sups):
-            cov = circuit.covariances()[j]
-            n_j = math.exp(log_norm(cov, s, rate))
+            n_j = math.exp(log_norm(mode_variances(circuit, j), s, rate))
             numeric = dense_sup(
                 shifted_profile(photon(1), s, rate, n_j), np.linspace(0.0, 400.0, 4001)
             )
@@ -230,8 +233,8 @@ class TestFactorBound:
         assert len(calls) == 2
         assert np.array_equal(got, expected)
         rate = est._rate(s, 0.2, est.FORWARD, circuit.a_max)
-        for j, cov in enumerate(circuit.covariances()):
-            n_j = math.exp(log_norm(cov, s, rate))
+        for j in range(circuit.m):
+            n_j = math.exp(log_norm(mode_variances(circuit, j), s, rate))
             assert got[j] == pytest.approx(n_j * pi_w_profile(circuit.pattern[j], s).sup(rate), rel=1e-14)
 
     def test_thermal_rank_deficient_top_factor(self):
@@ -373,7 +376,7 @@ class TestPhotonSuprema:
         sup = est.mode_sups(est.Setup(circuit, s), 0.999, est.REVERSE)[0]
         assert sup == pytest.approx(4.317e5, rel=1e-3)
         rate = est._rate(s, 0.999, est.REVERSE, circuit.a_max)
-        n_0 = math.exp(log_norm(circuit.covariances()[0], s, rate))
+        n_0 = math.exp(log_norm(mode_variances(circuit, 0), s, rate))
         c = 2.0 / (s + 1.0) + rate
         ref = n_0 * dense_sup(photon_factor(2, s, rate), np.linspace(0.0, 50.0 / c, 20_001))
         assert sup == pytest.approx(ref, rel=1e-9)
@@ -562,7 +565,7 @@ def non_gaussian_modes(circuit):
 
 
 def naive_stds(circuit, s, rate):
-    exponents = factors.shift_exponents(factors.unshifted_exponents(circuit.covariances(), s), rate)[0]
+    exponents = factors.shift_exponents(factors.unshifted_exponents(circuit.variances, s), rate)[0]
     return np.array([0.0 if math.isnan(c) else math.sqrt(1.0 / (2.0 * c)) for c in exponents])
 
 
@@ -742,7 +745,7 @@ def outer_product_precision(circuit, s, gamma, direction, laplace=False):
     product per folded mode (the Gaussian ones, or every mode for the
     Laplace proposal): Q_j = Re(a a^H) with a = [U_j, i U_j]."""
     rate = est._rate(s, gamma, direction, circuit.a_max)
-    exponents = factors.shift_exponents(factors.unshifted_exponents(circuit.covariances(), s), rate)[0]
+    exponents = factors.shift_exponents(factors.unshifted_exponents(circuit.variances, s), rate)[0]
     lam = np.diag(np.nan_to_num(2.0 * exponents))
     for j, out in enumerate(circuit.pattern):
         if out.is_gaussian or laplace:
@@ -758,7 +761,7 @@ def cholesky_reference(circuit, s, gamma, direction):
     L of the precision and the solve K = W_af L^{-T}."""
     m = circuit.m
     rate = est._rate(s, gamma, direction, circuit.a_max)
-    c0 = factors.unshifted_exponents(circuit.covariances(), s)
+    c0 = factors.unshifted_exponents(circuit.variances, s)
     exponents, log_norms = factors.shift_exponents(c0, rate)
     free = np.flatnonzero(~np.isnan(exponents))
     chol = np.linalg.cholesky(outer_product_precision(circuit, s, gamma, direction))
@@ -929,7 +932,7 @@ class TestFusedWeight:
         circuit = lo.CircuitSpec(((0.3, 0.4),), lo.identity_interferometer(1), (outcome,))
         s, gamma = 0.5, 0.6
         rate = est._rate(s, gamma, direction, circuit.a_max)
-        n_j = math.exp(log_norm(circuit.covariances()[0], s, rate))
+        n_j = math.exp(log_norm(mode_variances(circuit, 0), s, rate))
         sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction, "naive")
         # sample-major normals: a sample's two normals are consecutive
         b = sampler.beta_sq(np.random.default_rng(7).standard_normal((4000, 2)).T)[0]
@@ -1164,6 +1167,13 @@ class TestEstimateProbability:
             est.estimate_probability(circuit, cfg)
         with pytest.raises(OrderingOutOfRange):
             est.estimate_hafnian_sq(np.array([[0.0, 0.3], [0.3, 0.0]]), cfg)
+
+    @pytest.mark.parametrize("s", [math.inf, -math.inf])
+    def test_infinite_ordering_rejected(self, s):
+        # -inf used to pass Setup and fail later as a shift out of range
+        circuit = squeezed_circuit([0.4, 0.3], 17, pattern=(photon(1), MARGINAL))
+        with pytest.raises(OrderingOutOfRange, match="finite"):
+            est.Setup(circuit, s)
 
     def test_builder_rejects_unknown_method(self):
         circuit = squeezed_circuit([0.3], 21)

@@ -349,9 +349,9 @@ def log_integrand(circuit, s, x):
     m = circuit.m
     alpha = x[:m] + 1j * x[m:]
     total = 0.0
-    for cov, a in zip(circuit.covariances(), alpha):
+    for var_x, var_p, a in zip(circuit.variances[:m], circuit.variances[m:], alpha):
         # the s-PQD of a centered Gaussian input, in closed form
-        ap, am = cov.a_plus - s, cov.a_minus - s
+        ap, am = var_x - s, var_p - s
         total += math.log(2.0 / (math.pi * math.sqrt(ap * am))) - 2.0 * (a.real**2 / ap + a.imag**2 / am)
     beta = circuit.unitary.u @ alpha
     for out, b in zip(circuit.pattern, beta):

@@ -443,17 +443,17 @@ class TestCircuitSpec:
         circuit = lo.CircuitSpec(
             ((0.5, 0.3),), lo.identity_interferometer(1), (photon(0),)
         )
-        cov = circuit.covariances()[0]
-        assert cov.a_plus == pytest.approx((2 * 0.3 + 1) * math.exp(1.0))
-        assert cov.a_minus == pytest.approx((2 * 0.3 + 1) * math.exp(-1.0))
+        var_x, var_p = circuit.variances
+        assert var_x == pytest.approx((2 * 0.3 + 1) * math.exp(1.0))
+        assert var_p == pytest.approx((2 * 0.3 + 1) * math.exp(-1.0))
 
     def test_covariance_formula_lossy(self):
         circuit = lo.CircuitSpec(
             ((1.0, 0.0),), lo.identity_interferometer(1), (photon(0),), eta=0.5, n_th=0.2
         )
-        cov = circuit.covariances()[0]
-        assert cov.a_plus == pytest.approx(0.5 * math.exp(2.0) + 0.5 * 1.4)
-        assert cov.a_minus == pytest.approx(0.5 * math.exp(-2.0) + 0.5 * 1.4)
+        var_x, var_p = circuit.variances
+        assert var_x == pytest.approx(0.5 * math.exp(2.0) + 0.5 * 1.4)
+        assert var_p == pytest.approx(0.5 * math.exp(-2.0) + 0.5 * 1.4)
 
     @pytest.mark.parametrize(
         "modes", [((0.3, 1e308), (0.2, 0.0)), ((0.0, 0.0), (350.0, 1e200)), ((400.0, 0.0),) * 2]
@@ -466,19 +466,31 @@ class TestCircuitSpec:
 
     def test_covariances_computed_once_per_circuit(self, monkeypatch):
         calls = []
-        original = lo.lossy_covariance
-        monkeypatch.setattr(
-            lo, "lossy_covariance", lambda *args: calls.append(args) or original(*args)
-        )
+        cached = lo.CircuitSpec.__dict__["variances"]
+        original = cached.func
+        monkeypatch.setattr(cached, "func", lambda circuit: calls.append(circuit) or original(circuit))
         b_mat = np.diag([0.5, 0.4, 0.3, 0.2]).astype(complex)
         estimator.estimate_permanent_hpsd(b_mat, estimator.EstimatorConfig(n_samples=64))
-        assert len(calls) == 4  # one call per mode of the one embedded circuit
+        assert len(calls) == 1  # once for the one embedded circuit
         emb = lo.embed_permanent(b_mat)
-        assert emb.circuit.covariances() is emb.circuit.covariances()
-        assert emb.circuit.s_max == min(c.a_minus for c in emb.circuit.covariances())
-        assert emb.circuit.a_max == max(c.a_plus for c in emb.circuit.covariances())
+        variances = emb.circuit.variances
+        # s_max and a_max read the cached variances: nothing is computed again
+        assert type(emb.circuit.s_max) is float and emb.circuit.s_max == variances[4:].min()
+        assert type(emb.circuit.a_max) is float and emb.circuit.a_max == variances[:4].max()
+        assert emb.circuit.variances is variances and len(calls) == 2
+        assert variances.shape == (8,) and not variances.flags.writeable
         with pytest.raises(AttributeError):
             emb.circuit.eta = 0.5  # the cache leaves the circuit frozen
+
+    @pytest.mark.parametrize(
+        "modes, n_th",
+        [(((math.nan, 0.0),), 0.0), (((0.1, math.nan),), 0.0), (((0.1, 0.0),), math.nan)],
+        ids=["r", "n", "n_th"],
+    )
+    def test_nan_input_rejected(self, modes, n_th):
+        # NaN fails every comparison, so the range checks are written to fail on it
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            lo.CircuitSpec(modes, lo.identity_interferometer(1), (photon(1),), n_th=n_th)
 
     def test_outcome_index(self):
         pattern = (photon(1), CLICK, photon(1), MARGINAL, photon(2))

@@ -176,6 +176,15 @@ class TestExactProbability:
         )
         assert marg == pytest.approx(total, abs=2e-4)
 
+    def test_noclick_is_zero_photons(self):
+        circuit = lo.CircuitSpec(
+            ((0.3, 0.0), (0.0, 0.5), (0.2, 0.0)), lo.haar_unitary(3, 1), (photon(1),) * 3, eta=0.7
+        )
+        expected = oracles.exact_probability(circuit, [1, 0, "marginal"])
+        assert oracles.exact_probability(circuit, [photon(1), NOCLICK, MARGINAL]) == expected
+        with pytest.raises(ValueError, match="photon-number"):
+            oracles.exact_probability(circuit, [photon(1), CLICK, MARGINAL])
+
     def test_photon_sum_limit(self):
         circuit = lo.CircuitSpec(
             ((0.5, 0.0),) * 2, lo.haar_unitary(2, 5), (photon(1),) * 2

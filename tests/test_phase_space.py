@@ -14,11 +14,7 @@ from pqdkit import estimator as est
 from pqdkit import factors
 from pqdkit import linear_optics as lo
 from pqdkit import phase_space as ps
-from pqdkit.errors import (
-    OrderingOutOfRange,
-    ShiftOutOfRange,
-    SingularOrdering,
-)
+from pqdkit.errors import OrderingOutOfRange, ShiftOutOfRange
 
 from shift_reference import optimal_gamma_squeezed
 
@@ -31,18 +27,30 @@ def gauss_2d_integral(fn, sx, sy, n=801, span=8.0):
     return simpson(simpson(grid, x=ys, axis=1), x=xs)
 
 
-VACUUM = ps.ModeCovariance(1.0, 1.0)
+def one_mode(r, n, eta=1.0, n_th=0.0):
+    """A one-mode circuit of squeezing r and occupation n, marginalized."""
+    return lo.CircuitSpec(((r, n),), lo.identity_interferometer(1), (ps.MARGINAL,), eta, n_th)
 
 
-def squeezed_thermal_covariance(r, n):
-    """The lossless squeezed thermal input of squeezing r and occupation n."""
-    return ps.lossy_covariance(r, n, 1.0, 0.0)
+VACUUM = np.array([1.0, 1.0])  # the [x, p] variances of the vacuum
+
+
+def squeezed_thermal_variances(r, n):
+    """The [x, p] variances of the lossless squeezed thermal input of
+    squeezing r and occupation n."""
+    return one_mode(r, n).variances
+
+
+def stacked(*modes):
+    """The 2M variances of modes given as [x, p] pairs, x of every mode
+    first (the layout of ``CircuitSpec.variances``)."""
+    return np.array([a[0] for a in modes] + [a[1] for a in modes])
 
 
 def gaussian_pqd(cov, s, x, y):
-    """The paper's closed form of the s-PQD of a centered Gaussian state at
-    alpha = x + iy, vectorized over x and y."""
-    ap, am = cov.a_plus - s, cov.a_minus - s
+    """The paper's closed form of the s-PQD of a centered Gaussian state of
+    [x, p] variances ``cov`` at alpha = x + iy, vectorized over x and y."""
+    ap, am = cov[0] - s, cov[1] - s
     return 2.0 / (math.pi * math.sqrt(ap * am)) * np.exp(-2.0 * x * x / ap - 2.0 * y * y / am)
 
 
@@ -59,10 +67,10 @@ class TestSpqdGaussian:
 
     def test_matrix_form_agreement(self):
         # independent evaluation from the covariance-matrix expression
-        cov = ps.ModeCovariance(math.e**2, math.e**-2)
+        cov = np.array([math.e**2, math.e**-2])
         s = 0.5 * math.e**-2
         alpha = 0.3 + 0.1j
-        v = np.diag([cov.a_plus / 2.0, cov.a_minus / 2.0])
+        v = np.diag(cov / 2.0)
         shifted = v - s * np.eye(2) / 2.0
         vec = np.array([alpha.real, alpha.imag])
         expected = math.exp(-vec @ np.linalg.inv(shifted) @ vec) / (
@@ -75,20 +83,20 @@ class TestSpqdGaussian:
     def test_singular_ordering_rejected(self):
         # at s = 1 the vacuum is a delta in phase space (both quadratures
         # frozen), above it no distribution exists
-        exponents, log_norms = factors.shift_exponents(factors.unshifted_exponents([VACUUM], 1.0), 0.0)
+        exponents, log_norms = factors.shift_exponents(factors.unshifted_exponents(VACUUM, 1.0), 0.0)
         assert np.isnan(exponents).all() and log_norms[0] == 0.0
-        with pytest.raises(SingularOrdering):
-            factors.shift_exponents(factors.unshifted_exponents([VACUUM], 1.0 + 1e-6), 0.0)
+        with pytest.raises(OrderingOutOfRange, match="exceeds variance"):
+            factors.shift_exponents(factors.unshifted_exponents(VACUUM, 1.0 + 1e-6), 0.0)
 
     def test_normalization_random_covariances(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             r = rng.uniform(0.0, 1.2)
             n = rng.uniform(0.0, 1.5)
-            cov = squeezed_thermal_covariance(r, n)
-            s = rng.uniform(-0.9, cov.a_minus - 1e-3)
-            sx = math.sqrt((cov.a_plus - s) / 4.0)
-            sy = math.sqrt((cov.a_minus - s) / 4.0)
+            cov = squeezed_thermal_variances(r, n)
+            s = rng.uniform(-0.9, cov[1] - 1e-3)
+            sx = math.sqrt((cov[0] - s) / 4.0)
+            sy = math.sqrt((cov[1] - s) / 4.0)
             total = gauss_2d_integral(
                 lambda x, y: shifted_input_density(cov, s, 0.0, x, y), sx, sy, n=401
             )
@@ -96,18 +104,19 @@ class TestSpqdGaussian:
 
 
 class TestClassicality:
+    """``CircuitSpec.s_max``: the largest ordering at which every input PQD
+    stays a proper Gaussian."""
+
     def test_single_vacuum(self):
-        assert ps.classicality([VACUUM]) == 1.0
+        assert one_mode(0.0, 0.0).s_max == 1.0
 
     def test_pure_squeezed_threshold_value(self):
         r = 0.5 * math.log(2.0 + math.sqrt(5.0))  # ~= 0.722
-        cov = squeezed_thermal_covariance(r, 0.0)
-        assert ps.classicality([cov]) == pytest.approx(math.exp(-2.0 * r), rel=1e-12)
+        assert one_mode(r, 0.0).s_max == pytest.approx(math.exp(-2.0 * r), rel=1e-12)
         assert math.exp(-2.0 * r) == pytest.approx(math.sqrt(5.0) - 2.0, rel=1e-12)
 
     def test_lossy_squeezed(self):
-        cov = ps.lossy_covariance(1.0, 0.0, 0.5, 0.0)
-        assert ps.classicality([cov]) == pytest.approx(0.5 * math.exp(-2.0) + 0.5)
+        assert one_mode(1.0, 0.0, eta=0.5).s_max == pytest.approx(0.5 * math.exp(-2.0) + 0.5)
 
 
 class TestPhotonNumberPqd:
@@ -304,7 +313,7 @@ def case_log_slope(outcome, s):
 def shifted_input_density(cov, s, rate, x, y):
     """Normalized shifted input factor as the samplers draw it: a Gaussian
     with precision 2 c per quadrature, (c_x, c_y) from shift_exponents."""
-    cx, cy = factors.shift_exponents(factors.unshifted_exponents([cov], s), rate)[0]
+    cx, cy = factors.shift_exponents(factors.unshifted_exponents(cov, s), rate)[0]
     return math.sqrt(cx * cy) / math.pi * np.exp(-cx * x * x - cy * y * y)
 
 
@@ -322,25 +331,25 @@ class TestShiftedFactors:
     gamma and a direction to the rate."""
 
     def test_zero_shift_reduces_to_plain_pqd(self):
-        cov = squeezed_thermal_covariance(0.4, 0.2)
+        cov = squeezed_thermal_variances(0.4, 0.2)
         s = 0.3
         alpha = 0.5 - 0.2j
         dens = shifted_input_density(cov, s, 0.0, alpha.real, alpha.imag)
-        log_norms = factors.shift_exponents(factors.unshifted_exponents([cov], s), 0.0)[1]
+        log_norms = factors.shift_exponents(factors.unshifted_exponents(cov, s), 0.0)[1]
         assert math.exp(log_norms[0]) == pytest.approx(1.0, rel=1e-12)
         assert dens == pytest.approx(gaussian_pqd(cov, s, alpha.real, alpha.imag), rel=1e-12)
 
     @pytest.mark.parametrize("rate", [-0.5, 0.0, 0.3])
     def test_input_exponents_match_per_quadrature_loop(self, rate):
-        # s equals the first mode's a_minus, freezing that quadrature
-        covs = [squeezed_thermal_covariance(0.4, 0.0), squeezed_thermal_covariance(0.1, 0.3),
-                ps.ModeCovariance(1.2, 1.2)]
-        s = covs[0].a_minus
-        exponents, log_norms = factors.shift_exponents(factors.unshifted_exponents(covs, s), rate)
+        # s equals the first mode's p variance, freezing that quadrature
+        covs = [squeezed_thermal_variances(0.4, 0.0), squeezed_thermal_variances(0.1, 0.3),
+                np.array([1.2, 1.2])]
+        s = covs[0][1]
+        exponents, log_norms = factors.shift_exponents(factors.unshifted_exponents(stacked(*covs), s), rate)
         m = len(covs)
         for i, cov in enumerate(covs):
             log_n = 0.0
-            for k, a in zip((i, m + i), (cov.a_plus, cov.a_minus)):
+            for k, a in zip((i, m + i), cov):
                 if a - s <= factors.FREEZE_TOL:
                     assert math.isnan(exponents[k])
                     continue
@@ -348,30 +357,30 @@ class TestShiftedFactors:
                 assert exponents[k] == c
                 log_n += 0.5 * (math.log(2.0 / (a - s)) - math.log(c))
             assert log_norms[i] == pytest.approx(log_n, rel=1e-14, abs=1e-15)
-        with pytest.raises(SingularOrdering):
-            factors.shift_exponents(factors.unshifted_exponents(covs, covs[0].a_minus + 1e-6), rate)
+        with pytest.raises(OrderingOutOfRange, match="exceeds variance"):
+            factors.shift_exponents(factors.unshifted_exponents(stacked(*covs), covs[0][1] + 1e-6), rate)
 
     def test_forward_limit_rejected(self):
-        cov = squeezed_thermal_covariance(0.5, 0.0)
+        cov = squeezed_thermal_variances(0.5, 0.0)
         s = 0.2
         with pytest.raises(ShiftOutOfRange):
-            est._rate(s, 1.0, est.FORWARD, cov.a_plus)
+            est._rate(s, 1.0, est.FORWARD, cov[0])
         with pytest.raises(ShiftOutOfRange):
-            factors.shift_exponents(factors.unshifted_exponents([cov], s), 2.0 / (cov.a_plus - s))
+            factors.shift_exponents(factors.unshifted_exponents(cov, s), 2.0 / (cov[0] - s))
 
     def test_density_and_norm_by_quadrature(self):
         # 2-D quadrature of the unnormalized shifted form; the squeezing sits
         # just inside the ordering that would make the input singular
         r, n_th = 0.4, 0.0
-        cov = squeezed_thermal_covariance(r, n_th)
+        cov = squeezed_thermal_variances(r, n_th)
         s = math.exp(-1.0)
-        rate = est._rate(s, 0.2, est.FORWARD, cov.a_plus)
-        assert rate == pytest.approx(2.0 * 0.2 / (cov.a_plus - s), rel=1e-15)
-        sx = math.sqrt((cov.a_plus - s) / 4.0 / (1.0 - rate * (cov.a_plus - s) / 2.0))
-        sy = math.sqrt((cov.a_minus - s) / 4.0)
+        rate = est._rate(s, 0.2, est.FORWARD, cov[0])
+        assert rate == pytest.approx(2.0 * 0.2 / (cov[0] - s), rel=1e-15)
+        sx = math.sqrt((cov[0] - s) / 4.0 / (1.0 - rate * (cov[0] - s) / 2.0))
+        sy = math.sqrt((cov[1] - s) / 4.0)
         raw = lambda x, y: gaussian_pqd(cov, s, x, y) * np.exp(rate * (x * x + y * y))
         n_quad = gauss_2d_integral(raw, sx, sy, n=601)
-        log_norms = factors.shift_exponents(factors.unshifted_exponents([cov], s), rate)[1]
+        log_norms = factors.shift_exponents(factors.unshifted_exponents(cov, s), rate)[1]
         assert math.exp(log_norms[0]) == pytest.approx(n_quad, rel=1e-7)
         total = gauss_2d_integral(
             lambda x, y: shifted_input_density(cov, s, rate, x, y), sx, sy, n=601
@@ -381,13 +390,13 @@ class TestShiftedFactors:
     def test_input_normalization_random_shifts(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            cov = squeezed_thermal_covariance(rng.uniform(0, 0.8), rng.uniform(0, 1))
-            s = rng.uniform(-0.5, cov.a_minus - 0.05)
+            cov = squeezed_thermal_variances(rng.uniform(0, 0.8), rng.uniform(0, 1))
+            s = rng.uniform(-0.5, cov[1] - 0.05)
             gamma = rng.uniform(-0.8, 0.8)
             direction = est.FORWARD if gamma >= 0 else est.REVERSE
-            rate = est._rate(s, abs(gamma), direction, cov.a_plus)
-            cx = 2.0 / (cov.a_plus - s) - rate
-            cy = 2.0 / (cov.a_minus - s) - rate
+            rate = est._rate(s, abs(gamma), direction, cov[0])
+            cx = 2.0 / (cov[0] - s) - rate
+            cy = 2.0 / (cov[1] - s) - rate
             if cx <= 0 or cy <= 0:
                 continue
             sx, sy = math.sqrt(0.5 / cx), math.sqrt(0.5 / cy)
@@ -419,16 +428,16 @@ class TestShiftedFactors:
             gamma, direction = optimal_gamma_squeezed([lam])
             e2r = (1.0 + lam) / (1.0 - lam)
             s = 1.0 / e2r
-            cov = ps.ModeCovariance(e2r, 1.0 / e2r)
+            cov = np.array([e2r, 1.0 / e2r])
             rate = est._rate(s, gamma, direction, e2r)
-            n_j = math.exp(factors.shift_exponents(factors.unshifted_exponents([cov], s), rate)[1][0])
+            n_j = math.exp(factors.shift_exponents(factors.unshifted_exponents(cov, s), rate)[1][0])
             b = np.linspace(0.0, 200.0, 5001)
             vals = shifted_meas_factor(ps.photon(1), s, rate, n_j)(b)
             assert np.max(np.abs(vals)) < 1.0
 
 
 class TestPqdParams:
-    """Admissible orderings and shift windows: s <= s_max = min a_minus,
+    """Admissible orderings and shift windows: s <= s_max, the smallest p variance,
     rates in (-2/(s+1), 2/(a_max-s)), reached by normalized gamma in [0, 1)."""
 
     def test_ranges(self):
@@ -445,7 +454,7 @@ class TestPqdParams:
 
     def test_invalid_ordering(self):
         circuit = lo.CircuitSpec(((0.0, 0.0),), lo.identity_interferometer(1), (ps.photon(0),))
-        with pytest.raises(SingularOrdering):
+        with pytest.raises(OrderingOutOfRange, match="exceeds variance"):
             est.estimate_probability(circuit, est.EstimatorConfig(s=1.5))
 
     def test_gamma_window(self):
