@@ -202,25 +202,15 @@ def _base_report(command: str, seed: int) -> dict:
 
 
 def _config_from_args(args) -> est.EstimatorConfig:
-    if args.samples is not None and args.samples < 1:
-        raise SchemaError("/samples", f"must be a positive integer, got {args.samples}")
-    if args.threads is not None and args.threads < 1:
-        raise SchemaError("/threads", f"must be a positive integer, got {args.threads}")
-    if args.seed < 0:
-        raise SchemaError("/seed", f"must be a nonnegative integer, got {args.seed}")
-    for name in ("epsilon", "delta"):
-        if not 0.0 < getattr(args, name) < 1.0:
-            raise SchemaError(f"/{name}", f"must lie in (0, 1), got {getattr(args, name)}")
-    gamma_mode = "auto"
-    if args.gamma is not None:
-        gamma_mode = (args.gamma, args.direction)
+    """The run's settings; ``EstimatorConfig`` checks each at its flag's pointer."""
     return est.EstimatorConfig(
         s=args.s,
-        gamma_mode=gamma_mode,
+        gamma_mode="auto" if args.gamma is None else (args.gamma, args.direction),
         epsilon=args.epsilon,
         delta=args.delta,
         n_samples=args.samples,
         seed=args.seed,
+        threads=args.threads,
     )
 
 
@@ -240,23 +230,19 @@ _MATRIX_COMMANDS = {
     "estimate-haf": (
         {lo.MatrixTag.COMPLEX_SYMMETRIC_R},
         "estimate-haf needs tag 'R'",
-        lambda mat, config, args: est.estimate_hafnian_sq(
-            mat.data, config, a=args.a, threads=args.threads
-        ),
+        lambda mat, config, args: est.estimate_hafnian_sq(mat.data, config, a=args.a),
         _hafnian_sq_oracle,
     ),
     "estimate-per": (
         {lo.MatrixTag.HPSD_B},
         "estimate-per needs tag 'B'",
-        lambda mat, config, args: est.estimate_permanent_hpsd(
-            mat.data, config, a=args.a, threads=args.threads
-        ),
+        lambda mat, config, args: est.estimate_permanent_hpsd(mat.data, config, a=args.a),
         lambda data: oracles.permanent_exact(data).real,
     ),
     "estimate-tor": (
         {lo.MatrixTag.BLOCK_R_PRIME, lo.MatrixTag.BLOCK_B_PRIME, lo.MatrixTag.BLOCK_A_PRIME},
         "estimate-tor needs tag R', B', or A'",
-        lambda mat, config, args: est.estimate_torontonian(mat, config, threads=args.threads),
+        lambda mat, config, args: est.estimate_torontonian(mat, config),
         oracles.torontonian_exact,
     ),
 }
@@ -267,11 +253,13 @@ def _cmd_estimate_matrix(args) -> int:
     mat = matrix_file_parse(args.matrix)
     if mat.tag not in tags:
         raise SchemaError("/tag", tag_error)
-    result = estimate(mat, _config_from_args(args), args)
+    config = _config_from_args(args)
     report = _base_report(args.command, args.seed)
+    if args.oracle_check:  # before the estimate, so an input it refuses costs none
+        report["oracle"] = oracle(mat.data)
+    result = estimate(mat, config, args)
     report["result"] = result.as_dict()
     if args.oracle_check:
-        report["oracle"] = oracle(mat.data)
         report["within_budget"] = bool(abs(result.value - report["oracle"]) <= result.budget)
     _emit(report, args.output)
     return 0
@@ -285,18 +273,15 @@ def _cmd_estimate_prob(args) -> int:
     circuit = circuit_file_parse(args.circuit)
     config = _config_from_args(args)
     report = _base_report("estimate-prob", args.seed)
+    if args.oracle_check:  # before the estimate, so an input it refuses costs none
+        report["oracle"] = _oracle_probability(circuit)
     if args.multiplicative:
-        result = fpras.estimate_multiplicative(
-            circuit, args.epsilon, args.delta, config, threads=args.threads
-        )
+        result = fpras.estimate_multiplicative(circuit, args.epsilon, args.delta, config)
         report["mode"] = "multiplicative"
         report["result"] = result.as_dict()
     else:
-        rep = est.estimate_probability(circuit, config, threads=args.threads)
         report["mode"] = "additive"
-        report["result"] = rep.as_dict()
-    if args.oracle_check:
-        report["oracle"] = _oracle_probability(circuit)
+        report["result"] = est.estimate_probability(circuit, config).as_dict()
     _emit(report, args.output)
     return 0
 
@@ -450,10 +435,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_convergence(args) -> int:
     circuit = circuit_file_parse(args.circuit)
     config = _config_from_args(args)
-    rep = est.estimate_probability(circuit, config, threads=args.threads)
-    oracle = None
-    if args.oracle_check:
-        oracle = _oracle_probability(circuit)
+    oracle = _oracle_probability(circuit) if args.oracle_check else None  # before the estimate
+    rep = est.estimate_probability(circuit, config)
     lines = ["n,running_mean,running_radius" + (",oracle_value" if oracle is not None else "")]
     for n, mean, radius in rep.trace:
         row = f"{n},{mean!r},{radius!r}"

@@ -87,8 +87,9 @@ class UnsupportedBound(PqdkitError):
     """No closed-form bound is known for the requested matrix family."""
 
 
-class SchemaError(PqdkitError):
-    """Input file violates the JSON schema; carries a JSON pointer."""
+class SchemaError(PqdkitError, ValueError):
+    """An input field (of an input file, a flag or a run setting) is invalid;
+    carries the field's JSON pointer."""
 
     def __init__(self, pointer: str, message: str):
         self.pointer = pointer

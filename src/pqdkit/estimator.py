@@ -44,6 +44,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ from .errors import (
     BudgetOverflow,
     NotPositiveDefinite,
     OrderingOutOfRange,
+    SchemaError,
     ShiftOutOfRange,
 )
 from .factors import shift_exponents, unshifted_exponents
@@ -82,9 +84,20 @@ class GammaChoice(NamedTuple):
     direction: str
 
 
+def _count(value, pointer: str, low: int) -> int:
+    """``value`` as an int of at least ``low``: numpy integers pass, bool and float do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        kind = "positive" if low else "nonnegative"
+        raise SchemaError(pointer, f"must be a {kind} integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs of the additive-error estimator."""
+    """The settings of one run, each checked once, here: a bad one raises
+    ``SchemaError`` at the pointer of its CLI flag, before any work.  The
+    ordering s is checked against the circuit, by ``Setup``.  Integer
+    settings are stored as ints."""
 
     s: Optional[float] = None  # default: s_max - 1e-9
     gamma_mode: object = "auto"  # "auto" or (gamma, direction)
@@ -92,12 +105,23 @@ class EstimatorConfig:
     delta: float = 0.05
     n_samples: Optional[int] = None
     seed: int = 0
+    threads: Optional[int] = None  # chunk workers (default: usable CPUs); changes no result
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0 and 0.0 < self.delta < 1.0):
-            raise ValueError("epsilon and delta must lie in (0, 1)")
-        if self.n_samples is not None and self.n_samples < 1:
-            raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+        counts = (("n_samples", "/samples", 1), ("threads", "/threads", 1), ("seed", "/seed", 0))
+        for name, pointer, low in counts:
+            if getattr(self, name) is not None or name == "seed":
+                object.__setattr__(self, name, _count(getattr(self, name), pointer, low))
+        for name in ("epsilon", "delta"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+                raise SchemaError(f"/{name}", f"must lie in (0, 1), got {value}")
+        if self.gamma_mode != "auto":
+            gamma, direction = self.gamma_mode
+            if not (isinstance(gamma, numbers.Real) and 0.0 <= gamma < 1.0):
+                raise SchemaError("/gamma", f"must lie in [0, 1), got {gamma}")
+            if direction not in (FORWARD, REVERSE):
+                raise SchemaError("/gamma", f"direction must be 'forward' or 'reverse', got {direction!r}")
 
 
 @dataclass
@@ -610,8 +634,6 @@ def chunk_sums(sampler: FoldedSampler, words: np.ndarray, sizes, threads, bound)
     above ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises ``BoundViolation``."""
     if threads is None:
         threads = _usable_cpus()
-    elif threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
     limit = (1.0 + WEIGHT_BOUND_RTOL) * bound
     sums = np.empty((2, len(sizes)))
     chunks, lock = itertools.count(), threading.Lock()
@@ -644,7 +666,6 @@ def estimate_probability(
     circuit: CircuitSpec,
     config: EstimatorConfig = EstimatorConfig(),
     method: str = "folded",
-    threads: Optional[int] = None,
 ) -> EstimateReport:
     """Unbiased estimate of the outcome probability of ``circuit``.
 
@@ -652,7 +673,7 @@ def estimate_probability(
     integrated analytically) or the naive one with every factor kept in the
     weight (``build_folded_sampler``); the Laplace proposal has no additive
     bound and is rejected.  The samples' ``CHUNK``-sample chunks are
-    reduced by ``chunk_sums`` on ``threads`` workers, F normals per sample
+    reduced by ``chunk_sums`` on ``config.threads`` workers, F normals per sample
     for a kernel of F columns (at most 2A for A weighted modes when folded,
     the free coordinates' count when naive), and the trace has one row per
     chunk.  The suprema of the measurement factors are computed once per
@@ -679,7 +700,7 @@ def estimate_probability(
     prefactor = math.exp(sampler.log_prefactor)
 
     if config.n_samples is not None:
-        n_total = int(config.n_samples)
+        n_total = config.n_samples
     elif not sampler.active_modes:  # nothing weighted: the estimate is exact
         n_total = 1
     else:
@@ -689,7 +710,7 @@ def estimate_probability(
     # every weight is bounded by the product of its modes' claimed suprema;
     # the sample count and the radius are void if one is not
     words = _chunk_words(config.seed, len(sizes))
-    sum_w = chunk_sums(sampler, words, sizes, threads, float(np.prod(active_sups)))[0]
+    sum_w = chunk_sums(sampler, words, sizes, config.threads, float(np.prod(active_sups)))[0]
     # running sums after each chunk, added in chunk order
     running = np.cumsum(sum_w)
     n_done = np.cumsum(sizes)
@@ -757,16 +778,14 @@ def budget_factors(emb: Embedding, sups: np.ndarray) -> np.ndarray:
     return emb.mode_prefactors * sups
 
 
-def _run_embedding(
-    emb: Embedding, config: EstimatorConfig, threads: Optional[int]
-) -> MatrixEstimate:
+def _run_embedding(emb: Embedding, config: EstimatorConfig) -> MatrixEstimate:
     """The matrix function of ``emb`` from its circuit probability, sampled
     at the automatic shift (``resolve_gamma``) unless ``config`` fixes one,
     with the budget of the sampler it ran."""
     # N = O(1/eps^2) convention: the budget carries the weight bound
     n_eps = _hoeffding_count(0.0, config.epsilon, config.delta)
     n = config.n_samples or n_eps
-    report = estimate_probability(emb.circuit, dataclasses.replace(config, n_samples=n), threads=threads)
+    report = estimate_probability(emb.circuit, dataclasses.replace(config, n_samples=n))
     factors = budget_factors(emb, report.mode_sups)
     conf_radius = emb.prefactor * report.conf_radius
     # n samples reach max(epsilon, sqrt(2 ln(2/delta) / n)) times the bound:
@@ -785,36 +804,26 @@ def _run_embedding(
 
 
 def estimate_hafnian_sq(
-    r_mat: np.ndarray,
-    config: EstimatorConfig = EstimatorConfig(),
-    a: float = 1.001,
-    threads: Optional[int] = None,
+    r_mat: np.ndarray, config: EstimatorConfig = EstimatorConfig(), a: float = 1.001
 ) -> MatrixEstimate:
-    """|Haf(R)|^2 of a complex symmetric matrix within an additive budget;
-    ``threads`` as in ``estimate_probability``."""
-    return _run_embedding(embed_hafnian(r_mat, a), config, threads)
+    """|Haf(R)|^2 of a complex symmetric matrix within an additive budget."""
+    return _run_embedding(embed_hafnian(r_mat, a), config)
 
 
 def estimate_permanent_hpsd(
-    b_mat: np.ndarray,
-    config: EstimatorConfig = EstimatorConfig(),
-    a: float = 1.001,
-    threads: Optional[int] = None,
+    b_mat: np.ndarray, config: EstimatorConfig = EstimatorConfig(), a: float = 1.001
 ) -> MatrixEstimate:
     """Per(B) of an HPSD matrix within an additive budget, with the
-    precision-vs-spectral-norm comparison predicate; ``threads`` as in
-    ``estimate_probability``."""
+    precision-vs-spectral-norm comparison predicate."""
     emb = embed_permanent(b_mat, a)
-    result = _run_embedding(emb, config, threads)
+    result = _run_embedding(emb, config)
     lam_max = float(np.max(emb.lambdas))
     log_budget = float(np.sum(np.log(result.budget_factors)))
     result.gurvits_beaten = bool(log_budget < emb.lambdas.size * math.log(lam_max))
     return result
 
 
-def estimate_torontonian(
-    mat: MatrixClass, config: EstimatorConfig = EstimatorConfig(), threads: Optional[int] = None
-) -> MatrixEstimate:
+def estimate_torontonian(mat: MatrixClass, config: EstimatorConfig = EstimatorConfig()) -> MatrixEstimate:
     """Torontonian of a block matrix in the R'/B'/A' families via all-click
-    threshold estimation; ``threads`` as in ``estimate_probability``."""
-    return _run_embedding(embed_torontonian(mat), config, threads)
+    threshold estimation."""
+    return _run_embedding(embed_torontonian(mat), config)

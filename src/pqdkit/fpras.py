@@ -47,6 +47,7 @@ from .estimator import (
     CHUNK,
     FORWARD,
     S_MAX_MARGIN,
+    SEED_WORDS,
     EstimatorConfig,
     Setup,
     _chunk_words,
@@ -58,7 +59,8 @@ from .phase_space import CLICK, photon, pi_w_profile
 
 ESS_PER_EPS_SQ = 50.0
 # EstimatorConfig fields of the additive estimator only; the multiplicative
-# one reads ``seed`` and rejects these unless they keep their defaults
+# one reads ``seed`` and ``threads`` and rejects these unless they keep their
+# defaults
 ADDITIVE_FIELDS = ("s", "gamma_mode", "n_samples")
 SAMPLE_CAP = 10**8
 
@@ -273,7 +275,6 @@ def estimate_multiplicative(
     epsilon: float,
     delta: float,
     config: EstimatorConfig = EstimatorConfig(),
-    threads: Optional[int] = None,
 ) -> MultiplicativeEstimate:
     """Relative-error estimate of the circuit probability for certified
     log-concave integrands.
@@ -288,7 +289,8 @@ def estimate_multiplicative(
     checked on the running sums after every ``CHUNK``-sample chunk, from the
     first that can reach the ESS target, and the estimate stops at the first
     chunk that meets it.  ``estimator.chunk_sums`` draws passes of chunks
-    (``_pass_chunks``) on ``threads`` workers; neither changes a result.
+    (``_pass_chunks``) on ``config.threads`` workers; neither changes a
+    result.
     """
     checked = EstimatorConfig(epsilon=epsilon, delta=delta)  # both must lie in (0, 1)
     fixed = [f for f in ADDITIVE_FIELDS if getattr(config, f) != getattr(checked, f)]
@@ -321,13 +323,13 @@ def estimate_multiplicative(
     ess_target = ESS_PER_EPS_SQ / epsilon**2
     # ESS <= n (Cauchy-Schwarz), so chunks before the first-th cannot stop
     first, cap = math.ceil(ess_target / CHUNK), SAMPLE_CAP // CHUNK
-    words = _chunk_words(config.seed, 0)  # seed rows of the chunks, grown on demand
+    words = np.empty((0, SEED_WORDS), np.uint64)  # seed rows of the chunks, grown on demand
     s1, s2, done = 0.0, 0.0, 0  # running sums of w and w^2 in chunk order; chunks summed
     while done < cap and first <= cap:
         end = min(done + _pass_chunks(done, first), cap)
         if end > len(words):  # rows come only as a prefix: regrow to twice the need
             words = _chunk_words(config.seed, end if done == 0 else 2 * end)
-        sums = chunk_sums(sampler, words[done:end], [CHUNK] * (end - done), threads, w_origin)
+        sums = chunk_sums(sampler, words[done:end], [CHUNK] * (end - done), config.threads, w_origin)
         for w1, w2 in zip(*sums.tolist()):  # chunks past the stopping one are discarded
             s1, s2, done = s1 + w1, s2 + w2, done + 1
             if done < first:

@@ -179,9 +179,9 @@ class TestCommands:
         seen = []
         run = est.estimate_probability
 
-        def spy(circuit, config, method="folded", threads=None):
-            seen.append(threads)
-            return run(circuit, config, method, threads)
+        def spy(circuit, config, method="folded"):
+            seen.append(config.threads)
+            return run(circuit, config, method)
 
         monkeypatch.setattr(est, "estimate_probability", spy)
         tor = write_json(tmp_path / "bp.json", {"m": 1, "re": [[0.4, 0.0], [0.0, 0.4]], "tag": "B'"})
@@ -577,6 +577,45 @@ class TestInputHardening:
         ):
             assert cli.main(argv + ["--threads", threads]) == 1
             assert capsys.readouterr().err.startswith("input error: /threads: ")
+
+    def test_gamma_outside_window_names_its_flag(self, circuit_file, per_matrix, capsys):
+        for argv in (["estimate-prob", "--circuit", circuit_file], ["estimate-per", "--matrix", per_matrix]):
+            assert cli.main(argv + ["--gamma", "1.5"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "input error: /gamma: must lie in [0, 1), got 1.5\n"
+
+    MIXED = {
+        "modes": [{"r": 0.3}, {"n": 0.5}, {"r": 0.2}],
+        "unitary": {"haar_seed": 1},
+        "pattern": [1, "click", "marginal"],
+    }
+    MIXED_REFUSED = "/pattern: oracle needs an all-photon or all-threshold pattern"
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            (["estimate-prob", "--circuit"], MIXED, MIXED_REFUSED),
+            (["convergence", "--circuit"], MIXED, MIXED_REFUSED),
+            (
+                ["estimate-haf", "--matrix"],
+                {"tag": "R", "m": 18, "re": (0.01 * np.eye(18)).tolist()},
+                "hafnian limited to 16, got 18",
+            ),
+        ],
+        ids=["estimate-prob", "convergence", "estimate-haf"],
+    )
+    def test_oracle_refusal_precedes_the_estimate(self, command, payload, message, tmp_path, monkeypatch, capsys):
+        # an input the oracle refuses exits 1 with its message, before any sample
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("the estimate ran")
+
+        monkeypatch.setattr(est, "estimate_probability", no_estimate)
+        path = write_json(tmp_path / "in.json", payload)
+        assert cli.main(command + [path, "--oracle-check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
 
     @pytest.mark.parametrize(
         "flag, value, pointer",

@@ -18,6 +18,7 @@ from pqdkit.errors import (
     BoundViolation,
     BudgetOverflow,
     OrderingOutOfRange,
+    SchemaError,
     ShiftOutOfRange,
 )
 from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon, pi_w_profile
@@ -845,8 +846,8 @@ class TestChunkStreams:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-        cfg = est.EstimatorConfig(n_samples=5000, seed=4, gamma_mode=(0.2, est.FORWARD))
-        est.estimate_probability(circuit, cfg, threads=1)
+        cfg = est.EstimatorConfig(n_samples=5000, seed=4, gamma_mode=(0.2, est.FORWARD), threads=1)
+        est.estimate_probability(circuit, cfg)
         assert len(built) == 1
 
     def test_stream_does_not_depend_on_chunk_count(self):
@@ -954,7 +955,7 @@ class TestFusedWeight:
         gamma, direction = est.resolve_gamma(est.Setup(circuit, s))[:2]
         assert est.build_folded_sampler(est.Setup(circuit, s), gamma, direction).kernel.shape == (2, 2)
         cfg = est.EstimatorConfig(n_samples=200_000, seed=8)
-        reports = [est.estimate_probability(circuit, cfg, threads=k) for k in (1, 2, 4)]
+        reports = [est.estimate_probability(circuit, replace(cfg, threads=k)) for k in (1, 2, 4)]
         blobs = {json.dumps(rep.as_dict()) for rep in reports}
         assert len(blobs) == 1
         exact = oracles.exact_probability(circuit, [1, 0] + ["marginal"] * (m - 2))
@@ -1125,7 +1126,7 @@ class TestEstimateProbability:
             4 * per_worker + 1,  # a one-sample last chunk, more chunks than workers
         ]:
             cfg = est.EstimatorConfig(n_samples=n_samples, seed=7)
-            reps = [est.estimate_probability(circuit, cfg, threads=t) for t in (1, 2, 4)]
+            reps = [est.estimate_probability(circuit, replace(cfg, threads=t)) for t in (1, 2, 4)]
             for rep in reps[1:]:
                 assert rep.estimate == reps[0].estimate
                 assert rep.trace == reps[0].trace
@@ -1137,19 +1138,16 @@ class TestEstimateProbability:
             json.dumps(rep.as_dict())
             for rep in (
                 est.estimate_probability(circuit, cfg),
-                est.estimate_probability(circuit, cfg, threads=1),
+                est.estimate_probability(circuit, replace(cfg, threads=1)),
             )
         }
         assert len(blobs) == 1
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_nonpositive_threads_rejected(self, threads):
-        circuit = squeezed_circuit([0.3], 21)
-        cfg = est.EstimatorConfig(n_samples=100)
-        with pytest.raises(ValueError, match="threads"):
-            est.estimate_probability(circuit, cfg, threads=threads)
-        with pytest.raises(ValueError, match="threads"):
-            est.estimate_permanent_hpsd(np.eye(2), cfg, threads=threads)
+        # by the config, before any estimator runs
+        with pytest.raises(SchemaError, match=f"^/threads: must be a positive integer, got {threads}$"):
+            est.EstimatorConfig(n_samples=100, threads=threads)
 
     @pytest.mark.parametrize("method", ["laplace", "bogus"])
     def test_unknown_method_rejected(self, method):
@@ -1300,11 +1298,14 @@ class TestMatrixEstimators:
             est.estimate_torontonian(mat, est.EstimatorConfig(seed=0))
 
     def test_gamma_window_rejected(self):
+        # a config refuses the shift when built; ``mode_sups`` and the
+        # sampler builder take a raw shift and check it themselves
+        with pytest.raises(SchemaError, match=r"^/gamma: must lie in \[0, 1\), got 1.2$"):
+            est.EstimatorConfig(gamma_mode=(1.2, est.FORWARD))
         circuit = squeezed_circuit([0.3], 24)
+        setup = est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN)
         with pytest.raises(ShiftOutOfRange):
-            est.estimate_probability(
-                circuit, est.EstimatorConfig(gamma_mode=(1.2, est.FORWARD))
-            )
+            est.mode_sups(setup, 1.2, est.FORWARD)
 
 
 def _torontonian_case(family, seed, m=3):
@@ -1414,6 +1415,32 @@ class TestSampleOverride:
         assert est.estimate_probability(circuit, cfg).n_used == 7
         b_mat = np.array([[2.0, 1.0], [1.0, 2.0]])
         assert est.estimate_permanent_hpsd(b_mat, cfg).report.n_used == 7
+
+
+class TestEstimatorConfig:
+    @pytest.mark.parametrize(
+        "field, value, pointer",
+        [(name, x, f"/{name}") for name in ("epsilon", "delta") for x in (0.0, 1.0, math.nan, "0.1")]
+        + [("n_samples", x, "/samples") for x in (0, 2.5, math.nan, True)]
+        + [("seed", x, "/seed") for x in (-1, 1.5, True)]
+        + [("threads", x, "/threads") for x in (0, 1.5)]
+        + [("gamma_mode", x, "/gamma") for x in ((1.2, "forward"), (-0.1, "reverse"), (0.2, "sideways"), ("0.2", "forward"))],
+    )
+    def test_invalid_setting_names_its_pointer(self, field, value, pointer):
+        # each setting is checked once, when the config is built; 2.5 samples
+        # are not rounded to 2, nor True read as 1
+        with pytest.raises(SchemaError) as info:
+            est.EstimatorConfig(**{field: value})
+        assert info.value.pointer == pointer
+        assert isinstance(info.value, ValueError)
+
+    def test_numpy_integer_seed_accepted(self):
+        cfg = est.EstimatorConfig(seed=np.int64(3), n_samples=np.int32(64))
+        assert type(cfg.seed) is int and type(cfg.n_samples) is int
+        circuit = squeezed_circuit([0.3, 0.2], 5)
+        plain = est.EstimatorConfig(seed=3, n_samples=64)
+        reports = [est.estimate_probability(circuit, c).as_dict() for c in (cfg, plain)]
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
 
 
 def _matrix_cases(m=3, seed=5):

@@ -17,6 +17,7 @@ from pqdkit.errors import (
     NegativeCoefficient,
     NonConvergent,
     NotLogConcave,
+    SchemaError,
     TooLarge,
     ZeroEigenvalue,
 )
@@ -280,10 +281,11 @@ class TestMultiplicative:
         + [(0.1, 0.0), (0.1, 1.0), (0.1, 1.5), (0.1, math.nan)],
     )
     def test_rejects_epsilon_and_delta_outside_unit_interval(self, epsilon, delta):
-        # the additive estimator's check and message: past it epsilon = 0
+        # the config's check and message, per field: past it epsilon = 0
         # divides by zero, delta = 0 fails in NormalDist, delta > 1 gives a
         # negative radius and a negative epsilon draws up to SAMPLE_CAP
-        with pytest.raises(ValueError, match=r"epsilon and delta must lie in \(0, 1\)"):
+        name, value = ("delta", delta) if 0.0 < epsilon < 1.0 else ("epsilon", epsilon)
+        with pytest.raises(SchemaError, match=rf"^/{name}: must lie in \(0, 1\), got {value}$"):
             fpras.estimate_multiplicative(CERTIFIED["thermal"], epsilon, delta)
 
     def test_deterministic(self):
@@ -517,8 +519,10 @@ def first_stopping_chunk(circuit, epsilon, delta, seed, chunks):
 class TestMultiplicativeReduction:
     def test_threads_do_not_change_result(self, monkeypatch):
         circuit = near_boundary_permanent()
-        cfg = est.EstimatorConfig(seed=2)
-        runs = [fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg, threads=t) for t in (1, 2, 4)]
+        runs = [
+            fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(seed=2, threads=t))
+            for t in (1, 2, 4)
+        ]
         # the first chunk boundary where the rule holds, whatever the passes
         stop = first_stopping_chunk(circuit, 0.1, 0.05, 2, 256)
         assert runs[0].n_used == est.CHUNK * stop
@@ -527,7 +531,7 @@ class TestMultiplicativeReduction:
             end += fpras._pass_chunks(end, 2)
         assert end > stop  # inside it, so a check at pass ends only would stop later
         monkeypatch.setattr(fpras, "_pass_chunks", lambda done, first: 1)
-        runs.append(fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg, threads=2))
+        runs.append(fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(seed=2, threads=2)))
         assert len({json.dumps(run.as_dict()) for run in runs}) == 1
 
     def test_seed_rows_are_generated_once_per_growth(self, monkeypatch):
@@ -563,12 +567,27 @@ class TestMultiplicativeReduction:
         assert max(generated) <= 2 * rows
         assert sum(generated) <= 4 * rows
 
+    def test_one_seed_sequence_per_first_pass_estimate(self, monkeypatch):
+        # an estimate that stops in its first pass seeds its chunks from one
+        # SeedSequence, as an additive estimate does
+        built = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        res = fpras.estimate_multiplicative(CERTIFIED["thermal"], 0.1, 0.05, est.EstimatorConfig(seed=3))
+        assert res.n_used == est.CHUNK * math.ceil(fpras.ESS_PER_EPS_SQ / 0.1**2 / est.CHUNK)
+        assert len(built) == 1
+
     def test_memory_does_not_grow_with_samples(self):
         circuit = near_boundary_permanent()
-        cfg = est.EstimatorConfig(seed=1)
+        cfg = est.EstimatorConfig(seed=1, threads=2)
         tracemalloc.start()
         try:
-            res = fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg, threads=2)
+            res = fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
