@@ -1,5 +1,5 @@
 """Analytic sandwich bounds on the matrix functions reachable through
-Gaussian circuits, and the paper's named constants.
+Gaussian circuits.
 
 Additive-error budgets are not computed here: a matrix estimate's budget is
 the bound of the sampler it ran (``estimator.budget_factors``), which
@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import PreconditionAminBelowOne, UnsupportedBound, ZeroEigenvalue
 from .linear_optics import squeezed_thermal_k
-from .phase_space import W_INV_E
 
 
 @dataclass(frozen=True)
@@ -25,22 +24,6 @@ class BoundReport:
     upper: Optional[float]
     family: str
     formula_id: str
-
-
-def reference_constants() -> dict:
-    """The paper's named constants, from W(1/e) (``phase_space.W_INV_E``)
-    and closed forms."""
-    w = W_INV_E
-    return {
-        "compressed_budget_rate": 1.0 / math.sqrt(1.0 - 2.0 * w),  # 1.502
-        "sparse_budget_rate": 1.0 / (1.0 - w),  # 1.386
-        "shift_branch_point": w / (1.0 - w),  # 0.386
-        "thermal_budget_rate": 4.0 / math.e,  # 1.472
-        "thermal_budget_floor": 2.0 / math.e,  # 0.736
-        "max_squeezing_ideal": 0.5 * math.log(2.0 + math.sqrt(5.0)),  # 0.722
-        "max_transmissivity": 3.0 - math.sqrt(5.0),  # 0.764
-        "classicality_floor": math.sqrt(5.0) - 2.0,  # 0.236
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Batch command-line interface.
 
 Subcommands cover matrix-function estimation, condition checking, bound
-computation, oracle evaluation, convergence traces, and the acceptance
-suite.  All randomness flows from --seed, so reports are byte-identical for
-identical (input, flags, seed); wall-clock time is deliberately left out of
-the serialized reports.
+computation, oracle evaluation and convergence traces.  All randomness
+flows from --seed, so reports are byte-identical for identical (input,
+flags, seed); wall-clock time is deliberately left out of the serialized
+reports.
 
 Exit codes: 0 success, 1 input error, 2 failed numerical condition.  Reports
 are strict JSON: a non-finite number (an unbounded factor) is written as null.
@@ -266,10 +266,6 @@ def _cmd_estimate_matrix(args) -> int:
 
 
 def _cmd_estimate_prob(args) -> int:
-    # the multiplicative estimator sets these itself
-    for flag in ("samples", "s", "gamma"):
-        if args.multiplicative and getattr(args, flag) is not None:
-            raise SchemaError(f"/{flag}", "is not used by --multiplicative")
     circuit = circuit_file_parse(args.circuit)
     config = _config_from_args(args)
     report = _base_report("estimate-prob", args.seed)
@@ -452,25 +448,6 @@ def _cmd_convergence(args) -> int:
     return 0
 
 
-def _cmd_acceptance(args) -> int:
-    from . import acceptance
-
-    wanted = set()
-    for tok in filter(None, args.criteria.split(",")):
-        if tok.strip() not in [str(k) for k in range(1, 11)]:
-            raise SchemaError("/criteria", f"criteria are integers from 1 to 10, got {tok!r}")
-        wanted.add(int(tok))
-    results = acceptance.run_all(criteria=wanted, seed=args.seed)
-    if args.output:
-        payload = _base_report("acceptance", args.seed)
-        payload["results"] = [
-            {"criterion": r.criterion, "name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ]
-        _emit(payload, args.output)
-    return 0 if all(r.passed for r in results) else 2
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -570,12 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     _add_estimator_flags(p)
     p.set_defaults(func=_cmd_convergence)
-
-    p = sub.add_parser("acceptance")
-    p.add_argument("--criteria", default="", help="comma-separated criterion numbers")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_acceptance)
 
     return parser
 

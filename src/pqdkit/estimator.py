@@ -781,7 +781,9 @@ def budget_factors(emb: Embedding, sups: np.ndarray) -> np.ndarray:
 def _run_embedding(emb: Embedding, config: EstimatorConfig) -> MatrixEstimate:
     """The matrix function of ``emb`` from its circuit probability, sampled
     at the automatic shift (``resolve_gamma``) unless ``config`` fixes one,
-    with the budget of the sampler it ran."""
+    with the budget of the sampler it ran.  A value that overflows (a huge
+    rescale or matrix entry) raises ``FloatingPointError``, as a circuit
+    estimate does."""
     # N = O(1/eps^2) convention: the budget carries the weight bound
     n_eps = _hoeffding_count(0.0, config.epsilon, config.delta)
     n = config.n_samples or n_eps
@@ -792,8 +794,13 @@ def _run_embedding(emb: Embedding, config: EstimatorConfig) -> MatrixEstimate:
     # epsilon from the Hoeffding count on, below it the run's own radius
     # (the same suprema, multiplied in another order, taken as computed)
     budget = config.epsilon * float(np.prod(factors)) if n >= n_eps else conf_radius
+    value = emb.prefactor * report.estimate
+    if not math.isfinite(value):
+        raise FloatingPointError(
+            f"the estimate is {value} (prefactor {emb.prefactor}); a factor overflowed"
+        )
     return MatrixEstimate(
-        value=emb.prefactor * report.estimate,
+        value=value,
         budget=budget,
         conf_radius=conf_radius,
         prefactor=emb.prefactor,

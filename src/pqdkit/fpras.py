@@ -40,6 +40,7 @@ from .errors import (
     NotLogConcave,
     NotPositiveDefinite,
     OrderingOutOfRange,
+    SchemaError,
     TooLarge,
     ZeroEigenvalue,
 )
@@ -58,10 +59,10 @@ from .linear_optics import CircuitSpec, identity_interferometer
 from .phase_space import CLICK, photon, pi_w_profile
 
 ESS_PER_EPS_SQ = 50.0
-# EstimatorConfig fields of the additive estimator only; the multiplicative
-# one reads ``seed`` and ``threads`` and rejects these unless they keep their
-# defaults
-ADDITIVE_FIELDS = ("s", "gamma_mode", "n_samples")
+# EstimatorConfig fields of the additive estimator only, each with its CLI
+# flag's pointer, in flag order; the multiplicative one reads ``seed`` and
+# ``threads`` and rejects these unless they keep their defaults
+ADDITIVE_FIELDS = {"n_samples": "/samples", "s": "/s", "gamma_mode": "/gamma"}
 SAMPLE_CAP = 10**8
 
 
@@ -259,7 +260,6 @@ class MultiplicativeEstimate:
     rel_radius: float
     n_used: int
     ess: float
-    certificates: list
 
     def as_dict(self) -> dict:
         return {
@@ -290,22 +290,23 @@ def estimate_multiplicative(
     first that can reach the ESS target, and the estimate stops at the first
     chunk that meets it.  ``estimator.chunk_sums`` draws passes of chunks
     (``_pass_chunks``) on ``config.threads`` workers; neither changes a
-    result.
+    result.  The estimator sets its own sample count, ordering and shift: a
+    config that sets one (``ADDITIVE_FIELDS``) raises ``SchemaError`` at the
+    first one's CLI pointer.
     """
     checked = EstimatorConfig(epsilon=epsilon, delta=delta)  # both must lie in (0, 1)
-    fixed = [f for f in ADDITIVE_FIELDS if getattr(config, f) != getattr(checked, f)]
-    if fixed:
-        raise ValueError(f"the multiplicative estimator sets {', '.join(fixed)} itself")
+    for name, pointer in ADDITIVE_FIELDS.items():
+        if getattr(config, name) != getattr(checked, name):
+            raise SchemaError(pointer, "is not used by --multiplicative")
     if circuit.m > 12:
         raise TooLarge("multiplicative estimation limited to 12 modes at desk scale")
-    certs = circuit_certificates(circuit)
-    for cert in certs:
+    for cert in circuit_certificates(circuit):
         if not cert.holds:
             raise NotLogConcave(
                 f"certificate failed with margin {cert.margin:.3e} ({cert.family})"
             )
     if all(out.kind == "marginal" for out in circuit.pattern):
-        return MultiplicativeEstimate(1.0, 0.0, 0, math.inf, certs)
+        return MultiplicativeEstimate(1.0, 0.0, 0, math.inf)
 
     setup = Setup(circuit, circuit.s_max - S_MAX_MARGIN)
     try:
@@ -343,7 +344,7 @@ def estimate_multiplicative(
             rel_se = math.sqrt(var / n_used) / mean if mean > 0.0 else math.inf
             if ess >= ess_target and z_score * rel_se <= epsilon:
                 value = math.exp(sampler.log_prefactor) * mean
-                return MultiplicativeEstimate(value, z_score * rel_se, n_used, ess, certs)
+                return MultiplicativeEstimate(value, z_score * rel_se, n_used, ess)
     raise NonConvergent(
         f"effective sample size target {ess_target:.0f} unmet at the {SAMPLE_CAP} cap"
     )

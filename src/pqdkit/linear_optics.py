@@ -143,11 +143,6 @@ class CircuitSpec:
         distinct = tuple(MeasurementOutcome(*key) for key in slots)
         return distinct, np.array([slots[key] for key in keys], dtype=int)
 
-    def with_pattern(self, pattern: Sequence[MeasurementOutcome]) -> "CircuitSpec":
-        return CircuitSpec(
-            self.modes, self.unitary, tuple(pattern), self.eta, self.n_th
-        )
-
 
 class MatrixTag(enum.Enum):
     COMPLEX_SYMMETRIC_R = "R"

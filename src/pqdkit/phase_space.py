@@ -61,8 +61,6 @@ MARGINAL = MeasurementOutcome("marginal")
 # special functions
 # ---------------------------------------------------------------------------
 
-W_INV_E = 0.2784645427610738  # W(1/e) of the principal Lambert W branch: w * exp(w) = 1/e
-
 
 def laguerre(m: int, x):
     """Laguerre polynomial L_m(x) by the stable three-term recurrence.
@@ -189,13 +187,3 @@ def pi_w_profile(outcome: MeasurementOutcome, s: float) -> RadialFactor:
     if s == 1.0:
         raise OrderingOutOfRange(f"s = 1 is outside the range of the {m}-photon factor")
     return RadialFactor(decay * ((s - 1.0) / sp) ** m, decay, m, 4.0 / (1.0 - s * s))
-
-
-def pqd_photon_number(m: int, s: float, beta):
-    """(-s)-PQD of the photon-number projector ``|m><m|``.
-
-    Not multiplied by pi.  The s = 1 limit is only defined for m = 0 here;
-    higher counts at s = 1 are served by the hafnian route instead.
-    """
-    val = np.asarray(pi_w_profile(photon(m), s)(np.abs(np.asarray(beta)) ** 2) / math.pi)
-    return val if val.ndim else float(val)

@@ -1,14 +1,16 @@
-"""The paper's closed-form shifts and the search's objective, kept as
-reference formulas.
+"""The paper's closed-form shifts, its named constants and the search's
+objective, kept as reference formulas.
 
 The estimator picks every shift by one rule, a search of the weight bound
 over the instance's own spectrum (``estimator.resolve_gamma``).  The forms
 here read one or two numbers off the spectrum (lambda_max, or lambda_min and
 lambda_max); the tests check that the searched budget is never larger than
 the budget at these shifts, and that the forms meet the paper's balance
-conditions.  Each returns (gamma, direction).  ``log_effective_bound`` is
-the weight bound a run samples under, which the search's probe
-(``Setup.log_bound``) must equal.
+conditions.  Each returns (gamma, direction).  ``reference_constants``
+lists the paper's named constants, which the shifts' branch point and
+budget rates derive from W(1/e).  ``log_effective_bound`` is the weight
+bound a run samples under, which the search's probe (``Setup.log_bound``)
+must equal.
 """
 
 import math
@@ -16,9 +18,24 @@ import math
 import numpy as np
 
 from pqdkit import estimator as est
-from pqdkit.phase_space import W_INV_E
 
+W_INV_E = 0.2784645427610738  # W(1/e) of the principal Lambert W branch: w * exp(w) = 1/e
 SQUEEZED_BRANCH_POINT = W_INV_E / (1.0 - W_INV_E)  # ~= 0.386
+
+
+def reference_constants() -> dict:
+    """The paper's named constants, from W(1/e) and closed forms."""
+    w = W_INV_E
+    return {
+        "compressed_budget_rate": 1.0 / math.sqrt(1.0 - 2.0 * w),  # 1.502
+        "sparse_budget_rate": 1.0 / (1.0 - w),  # 1.386
+        "shift_branch_point": w / (1.0 - w),  # 0.386
+        "thermal_budget_rate": 4.0 / math.e,  # 1.472
+        "thermal_budget_floor": 2.0 / math.e,  # 0.736
+        "max_squeezing_ideal": 0.5 * math.log(2.0 + math.sqrt(5.0)),  # 0.722
+        "max_transmissivity": 3.0 - math.sqrt(5.0),  # 0.764
+        "classicality_floor": math.sqrt(5.0) - 2.0,  # 0.236
+    }
 
 
 def optimal_gamma_squeezed(lambdas, lambda_max=None):

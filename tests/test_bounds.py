@@ -11,14 +11,21 @@ from pqdkit.errors import (
     UnsupportedBound,
     ZeroEigenvalue,
 )
-from pqdkit.phase_space import CLICK, MARGINAL, W_INV_E, photon, pi_w_profile
+from pqdkit.phase_space import CLICK, MARGINAL, photon, pi_w_profile
 
-from shift_reference import analytic_budget, optimal_gamma_st, optimal_gamma_threshold, searched_budget
+from shift_reference import (
+    W_INV_E,
+    analytic_budget,
+    optimal_gamma_st,
+    optimal_gamma_threshold,
+    reference_constants,
+    searched_budget,
+)
 
 
 class TestPaperConstants:
     def test_values_to_three_decimals(self):
-        consts = bounds.reference_constants()
+        consts = reference_constants()
         assert round(consts["compressed_budget_rate"], 3) == 1.502
         assert round(consts["sparse_budget_rate"], 3) == 1.386
         assert round(consts["shift_branch_point"], 3) == 0.386

@@ -134,7 +134,7 @@ class TestModifiedNegativityBound:
             sups = est.mode_sups(est.Setup(circuit, s), gamma, direction)
             assert np.all(sups < 1.0)
             expected = lam * math.sqrt(1.0 - lam * lam) / math.sqrt(
-                1.0 - 2.0 * ps.W_INV_E
+                1.0 - 2.0 * ref.W_INV_E
             )
             assert np.max(np.abs(sups - expected)) <= 1e-9
 
@@ -1291,6 +1291,12 @@ class TestMatrixEstimators:
         cfg = est.EstimatorConfig(epsilon=0.05, delta=0.05, seed=15)
         res = est.estimate_torontonian(mat, cfg)
         assert abs(res.value) <= max(res.budget, 1e-9)
+
+    def test_overflowing_value_raises(self):
+        # an infinite rescale makes the prefactor inf and the value -inf
+        b_mat = np.array([[0.5, 0.1], [0.1, 0.4]])
+        with pytest.raises(FloatingPointError, match="a factor overflowed"):
+            est.estimate_permanent_hpsd(b_mat, est.EstimatorConfig(n_samples=10), a=math.inf)
 
     def test_torontonian_rejects_wrong_tag(self):
         mat = lo.MatrixClass(lo.MatrixTag.HPSD_B, np.eye(2) * 0.5)

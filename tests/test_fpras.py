@@ -262,15 +262,20 @@ class TestMultiplicative:
 
     def test_rejects_additive_config_fields(self):
         # the multiplicative estimator chooses its own sample count, ordering
-        # and shift; a config that sets them is refused, each named
+        # and shift; a config that sets them is refused at the first one's
+        # pointer, in the CLI's flag order
         circuit = lo.CircuitSpec(
             ((0.0, 1.5), (0.0, 2.0)), lo.haar_unitary(2, 14), (photon(1),) * 2
         )
-        cfg = est.EstimatorConfig(n_samples=10, s=0.5, gamma_mode=(0.3, "forward"))
-        with pytest.raises(ValueError, match="sets s, gamma_mode, n_samples itself"):
-            fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg)
-        with pytest.raises(ValueError, match="sets n_samples itself"):
-            fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(n_samples=3))
+        cases = [
+            ({"n_samples": 10}, "/samples"),
+            ({"s": 0.5}, "/s"),
+            ({"gamma_mode": (0.3, "forward")}, "/gamma"),
+            ({"n_samples": 10, "s": 0.5, "gamma_mode": (0.3, "forward")}, "/samples"),
+        ]
+        for fields, pointer in cases:
+            with pytest.raises(SchemaError, match=rf"^{pointer}: is not used by --multiplicative$"):
+                fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(**fields))
         # epsilon, delta and seed may be set
         cfg = est.EstimatorConfig(epsilon=0.1, delta=0.02, seed=3)
         assert fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg).n_used > 0
