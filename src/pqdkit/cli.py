@@ -385,8 +385,9 @@ def _cmd_bounds(args) -> int:
             emb = lo.embed_hafnian(diag)
     setup = est.Setup(emb.circuit, emb.circuit.s_max - est.S_MAX_MARGIN)
     factors = est.budget_factors(emb, est.mode_sups(setup, *est.resolve_gamma(setup)))
-    if family in ("permanent", "tor-thermal", "hafnian-sq"):
-        # the decomposition sorts the spectrum by decreasing modulus
+    if family != "hafnian-block-a":
+        # the decomposition (A': the recovery) sorts the spectrum by
+        # decreasing modulus
         order = np.argsort(-np.abs(spectrum), kind="stable")
         factors = factors[np.argsort(order, kind="stable")]
     if rep is not None:
@@ -453,6 +454,18 @@ def _cmd_convergence(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as an input error, at its flag's
+    pointer when argparse names the flag (argparse would print its usage
+    and exit 2, the code of a failed numerical condition)."""
+
+    def error(self, message):
+        err = sys.exc_info()[1]  # argparse calls this while handling its ArgumentError
+        if isinstance(err, argparse.ArgumentError) and err.argument_name:
+            raise SchemaError("/" + err.argument_name.split("/")[0].lstrip("-"), err.message)
+        raise ValueError(message)
+
+
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=0.05, help="target error")
     parser.add_argument("--delta", type=float, default=0.05, help="failure probability")
@@ -469,7 +482,7 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pqdkit",
         description="Phase-space quasiprobability estimators for linear-optical circuits",
     )
@@ -479,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _MATRIX_COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--matrix", required=True, help="matrix JSON path")
-        p.add_argument("--rescale-a", dest="a", type=float, default=1.001)
+        if name != "estimate-tor":  # Torontonian blocks are embedded unscaled
+            p.add_argument("--rescale-a", dest="a", type=float, default=1.001)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None)
         _add_estimator_flags(p)
@@ -552,9 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (NotLogConcave, NonConvergent, BoundViolation) as exc:
         print(f"condition failure: {exc}", file=sys.stderr)

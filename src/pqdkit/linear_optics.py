@@ -23,7 +23,6 @@ from .errors import (
     NotHpsd,
     NotSymmetric,
     PreconditionAminBelowOne,
-    ShiftOutOfRange,
     StructureMismatch,
     ZeroMatrix,
 )
@@ -147,7 +146,6 @@ class CircuitSpec:
 class MatrixTag(enum.Enum):
     COMPLEX_SYMMETRIC_R = "R"
     HPSD_B = "B"
-    BLOCK_A = "A"
     BLOCK_A_PRIME = "A'"
     BLOCK_R_PRIME = "R'"
     BLOCK_B_PRIME = "B'"
@@ -155,16 +153,11 @@ class MatrixTag(enum.Enum):
 
 @dataclass
 class MatrixClass:
-    """Tagged target matrix with a cached decomposition.
-
-    ``st_params`` carries (n, r_list, unitary) for the squeezed-thermal block
-    families when they were built rather than recovered.
-    """
+    """Tagged target matrix with a cached decomposition (``decompose``)."""
 
     tag: MatrixTag
     data: np.ndarray
-    decomposition: Optional[tuple] = field(default=None, repr=False)
-    st_params: Optional[tuple] = field(default=None, repr=False)
+    decomposition: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
@@ -177,14 +170,21 @@ class MatrixClass:
             _check_hermitian(self.data)
 
     def decompose(self) -> tuple:
-        """Cached decomposition (U, spectrum) of the block a Torontonian
-        embeds: Takagi of the R block of an R' matrix, eigendecomposition
-        of the B block of a B' matrix; other tags raise ``ValueError``.
-        Written once; safe for concurrent reads afterwards."""
+        """Cached decomposition of the block matrix a Torontonian embeds:
+        (U, spectrum) from the Takagi factorization of an R' matrix's R
+        block (its B block must vanish) or the eigendecomposition of a B'
+        matrix's B block, and the recovered (n, r_list, interferometer) of
+        an A' matrix (``recover_block_a_params``); other tags raise
+        ``ValueError``.  Written once; safe for concurrent reads afterwards."""
         if self.decomposition is not None:
             return self.decomposition
         if self.tag is MatrixTag.BLOCK_R_PRIME:
-            self.decomposition = takagi(split_blocks(self)[0])
+            r_block, b_block = split_blocks(self)
+            if np.max(np.abs(b_block)) > 1e-10:
+                raise StructureMismatch("R' family requires a vanishing B block")
+            self.decomposition = takagi(r_block)
+        elif self.tag is MatrixTag.BLOCK_A_PRIME:
+            self.decomposition = recover_block_a_params(self)
         elif self.tag is MatrixTag.BLOCK_B_PRIME:
             self.decomposition = hpsd_eigendecompose(split_blocks(self)[1])
         else:
@@ -271,7 +271,9 @@ class Embedding:
     times each mode's normalization ``mode_z`` (cosh r_j, 1 + n_j or
     sqrt k+_j); a matrix estimate's budget is built from these per-mode
     factors.  ``lambdas`` are the original spectrum values; the circuit
-    realizes ``lambdas / rescale``.
+    realizes ``lambdas / rescale``.  A rescale or normalization past the
+    float range makes the prefactors inf, without numpy's overflow warning:
+    the estimate reports it as a ``FloatingPointError``.
     """
 
     circuit: CircuitSpec
@@ -282,11 +284,13 @@ class Embedding:
 
     @property
     def prefactor(self) -> float:
-        return self.rescale**self.circuit.m * float(np.prod(self.mode_z))
+        with np.errstate(over="ignore"):
+            return self.rescale**self.circuit.m * float(np.prod(self.mode_z))
 
     @property
     def mode_prefactors(self) -> np.ndarray:
-        return self.rescale * self.mode_z
+        with np.errstate(over="ignore"):
+            return self.rescale * self.mode_z
 
 
 # the spectrum families that read squeezing off a spectrum; the others read
@@ -317,23 +321,28 @@ def _embed_spectrum(
     return Embedding(circuit, family, rescale, mode_z, lam)
 
 
+def _rescale(a: float, lam: np.ndarray, target: str) -> float:
+    """a * lam_max, which maps a nonzero spectrum into [0, 1/a]; past the
+    float range it is inf, and so is the embedding's prefactor."""
+    if not lam.size or lam[0] <= 0.0:
+        raise ZeroMatrix(f"{target} embedding needs a nonzero matrix")
+    with np.errstate(over="ignore"):
+        return a * lam[0]
+
+
 @one_blas_thread()
 def embed_hafnian(r_mat: np.ndarray, a: float = 1.001) -> Embedding:
     """Pure-squeezed circuit whose all-single-photon probability encodes
     |Haf(R)|^2 after rescaling the singular values into [0, 1/a]."""
     u, lam = takagi(r_mat)
-    if not lam.size or lam[0] <= 0.0:
-        raise ZeroMatrix("hafnian embedding needs a nonzero matrix")
-    return _embed_spectrum("hafnian_sq", u, lam, photon(1), a * lam[0])
+    return _embed_spectrum("hafnian_sq", u, lam, photon(1), _rescale(a, lam, "hafnian"))
 
 
 @one_blas_thread()
 def embed_permanent(b_mat: np.ndarray, a: float = 1.001) -> Embedding:
     """Thermal circuit whose all-single-photon probability encodes Per(B)."""
     u, lam = hpsd_eigendecompose(b_mat)
-    if not lam.size or lam[0] <= 0.0:
-        raise ZeroMatrix("permanent embedding needs a nonzero matrix")
-    return _embed_spectrum("permanent", u, lam, photon(1), a * lam[0])
+    return _embed_spectrum("permanent", u, lam, photon(1), _rescale(a, lam, "permanent"))
 
 
 def squeezed_thermal_k(n: float, r_list) -> tuple[np.ndarray, np.ndarray]:
@@ -354,43 +363,18 @@ def _st_diagonals(n: float, r_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return d, dp
 
 
-def sqrt_vq_factor(n: float, r_list) -> float:
-    """sqrt|V_Q| = prod_i sqrt k+_i (``squeezed_thermal_k``)."""
-    return float(np.prod(np.sqrt(squeezed_thermal_k(n, r_list)[0])))
-
-
-def build_block_A(
-    n: float, r_list: Sequence[float], interf: Interferometer
-) -> tuple[MatrixClass, float]:
-    """Squeezed-thermal block matrix A = [[R, B], [B^T, R*]].
-
-    R = U D U^T and B = U D' U^dagger with the diagonal entries fixed by the
-    shared thermal occupation ``n`` and per-mode squeezing ``r_list``.
-    Returns the tagged matrix and sqrt|V_Q| of the underlying state.
-    """
+def block_a_prime(n: float, r_list: Sequence[float], interf: Interferometer) -> MatrixClass:
+    """A' = [[B^T, R*], [R, B]] of squeezed thermal modes of shared thermal
+    occupation ``n`` and squeezing ``r_list`` behind ``interf``: R = U D U^T
+    and B = U D' U^dagger, with the diagonals of ``_st_diagonals``."""
     if n < 0.0 or any(r < 0.0 for r in r_list):
         raise ValueError("n and r_i must be nonnegative")
-    r_arr = np.asarray(r_list, dtype=float)
     u = interf.u
-    d, dp = _st_diagonals(n, r_arr)
+    d, dp = _st_diagonals(n, r_list)
     r_block = u @ np.diag(d) @ u.T
     b_block = u @ np.diag(dp) @ u.conj().T
-    a_mat = np.block([[r_block, b_block], [b_block.T, r_block.conj()]])
-    mat = MatrixClass(
-        MatrixTag.BLOCK_A, a_mat, st_params=(float(n), tuple(map(float, r_arr)), interf)
-    )
-    return mat, sqrt_vq_factor(n, r_arr)
-
-
-def block_a_prime(n: float, r_list: Sequence[float], interf: Interferometer) -> MatrixClass:
-    """A' = [[B^T, R*], [R, B]] built from the same structure as build_block_A."""
-    mat, _ = build_block_A(n, r_list, interf)
-    m = interf.m
-    r_block = mat.data[:m, :m]
-    b_block = mat.data[:m, m:]
-    a_prime = np.block([[b_block.T, r_block.conj()], [r_block, b_block]])
     return MatrixClass(
-        MatrixTag.BLOCK_A_PRIME, a_prime, st_params=mat.st_params
+        MatrixTag.BLOCK_A_PRIME, np.block([[b_block.T, r_block.conj()], [r_block, b_block]])
     )
 
 
@@ -447,39 +431,32 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
         raise StructureMismatch(f"R has a singular value {d.max():.6g} >= 1; A' needs every one below 1")
     interf = Interferometer(r_block.shape[0], u)
     if np.max(np.abs(b_block)) < 1e-12:
-        # pure squeezed limit: n = 0, d_i = tanh r_i
-        r_list = np.arctanh(d)
-        _verify_block_a_prime(mat, 0.0, r_list, interf)
-        return 0.0, r_list, interf
-    dp_mat = u.conj().T @ b_block @ u
-    if np.max(np.abs(dp_mat - np.diag(np.diagonal(dp_mat)))) > 1e-7:
-        raise StructureMismatch("B is not diagonal in the Takagi basis of R")
-    dp = np.real(np.diagonal(dp_mat))
-    if np.min(dp) <= 0.0:
-        raise StructureMismatch("B eigenvalues must be positive for shared n > 0")
+        n, r_list = 0.0, np.arctanh(d)  # pure squeezed limit: d_i = tanh r_i
+    else:
+        dp_mat = u.conj().T @ b_block @ u
+        if np.max(np.abs(dp_mat - np.diag(np.diagonal(dp_mat)))) > 1e-7:
+            raise StructureMismatch("B is not diagonal in the Takagi basis of R")
+        dp = np.real(np.diagonal(dp_mat))
+        if np.min(dp) <= 0.0:
+            raise StructureMismatch("B eigenvalues must be positive for shared n > 0")
 
-    # cosh^2 2r - sinh^2 2r = 1 is a quadratic in X = (2n+1)^2 whose roots
-    # are X = 1 (n = 0) and X = ((1+p)^2 - d^2) / ((1-p)^2 - d^2), which
-    # exceeds 1 whenever p > 0 and the denominator is positive
-    d0, p0 = float(d[0]), float(dp[0])
-    denom = (1.0 - p0) ** 2 - d0 * d0
-    if denom <= 0.0:
-        raise StructureMismatch("no shared thermal occupation solves the block structure")
-    x_minus_1 = 4.0 * p0 / denom
-    u_var = math.sqrt(1.0 + x_minus_1)
-    n = 0.5 * x_minus_1 / (u_var + 1.0)  # (u - 1)/2 without cancellation
-    # d / d' = u sinh(2r) / (2n(n+1)) = 2 u sinh(2r) / (X - 1): unlike
-    # cosh 2r, sinh 2r is well conditioned at r = 0
-    r_list = 0.5 * np.arcsinh(d * x_minus_1 / (2.0 * u_var * dp))
-    _verify_block_a_prime(mat, n, r_list, interf)
-    return n, r_list, interf
-
-
-def _verify_block_a_prime(mat: MatrixClass, n: float, r_list, interf: Interferometer) -> None:
-    """Raise StructureMismatch unless (n, r_list, interf) rebuild ``mat``."""
+        # cosh^2 2r - sinh^2 2r = 1 is a quadratic in X = (2n+1)^2 whose roots
+        # are X = 1 (n = 0) and X = ((1+p)^2 - d^2) / ((1-p)^2 - d^2), which
+        # exceeds 1 whenever p > 0 and the denominator is positive
+        d0, p0 = float(d[0]), float(dp[0])
+        denom = (1.0 - p0) ** 2 - d0 * d0
+        if denom <= 0.0:
+            raise StructureMismatch("no shared thermal occupation solves the block structure")
+        x_minus_1 = 4.0 * p0 / denom
+        u_var = math.sqrt(1.0 + x_minus_1)
+        n = 0.5 * x_minus_1 / (u_var + 1.0)  # (u - 1)/2 without cancellation
+        # d / d' = u sinh(2r) / (2n(n+1)) = 2 u sinh(2r) / (X - 1): unlike
+        # cosh 2r, sinh 2r is well conditioned at r = 0
+        r_list = 0.5 * np.arcsinh(d * x_minus_1 / (2.0 * u_var * dp))
     dev = np.max(np.abs(block_a_prime(n, r_list, interf).data - mat.data))
     if dev > 1e-8 * max(1.0, np.max(np.abs(mat.data))):
         raise StructureMismatch(f"(n, r, U) do not rebuild the A' matrix: residual {dev:.3e}")
+    return n, r_list, interf
 
 
 def _squeezed_thermal(n: float, r_list, interf: Interferometer, outcome, family: str) -> Embedding:
@@ -501,8 +478,9 @@ def embed_hafnian_block_a(
     n: float, r_list: Sequence[float], interf: Optional[Interferometer] = None
 ) -> Embedding:
     """All-single-photon circuit of the squeezed thermal state behind
-    ``build_block_A(n, r_list, interf)`` (default: the identity), whose
-    probability times sqrt|V_Q| is Haf(A)."""
+    ``block_a_prime(n, r_list, interf)`` (default: the identity), whose
+    probability times sqrt|V_Q| is Haf(A) of that matrix with its block rows
+    swapped, A = [[R, B], [B^T, R*]]."""
     r_arr = np.asarray(r_list, dtype=float)
     if interf is None:
         interf = identity_interferometer(r_arr.size)
@@ -517,26 +495,14 @@ def embed_torontonian(mat: MatrixClass) -> Embedding:
     n = lam / (1 - lam), with ``lam`` the singular values of R or the
     eigenvalues of B (which must lie in [0, 1)).  A' embeds as squeezed
     thermal light with shared occupation n; its ``lambdas`` are the
-    singular values of its R block.  Nothing is rescaled.
+    singular values of its R block.  Nothing is rescaled.  Every tag reads
+    the matrix's cached ``decompose``.
     """
+    parts = mat.decompose()
     if mat.tag is MatrixTag.BLOCK_A_PRIME:
-        if mat.st_params is None:
-            n, r_list, interf = recover_block_a_params(mat)
-        else:
-            n, r_list, interf = mat.st_params
-            r_list = np.asarray(r_list, dtype=float)
-            _verify_block_a_prime(mat, n, r_list, interf)
-        return _squeezed_thermal(n, r_list, interf, CLICK, "torontonian.squeezed_thermal")
-    if mat.tag is MatrixTag.BLOCK_R_PRIME:
-        if np.max(np.abs(split_blocks(mat)[1])) > 1e-10:
-            raise ShiftOutOfRange("R' family requires a vanishing B block")
-        family = "torontonian.squeezed"
-    elif mat.tag is MatrixTag.BLOCK_B_PRIME:
-        family = "torontonian.thermal"
-    else:
-        raise ValueError(f"unsupported Torontonian tag {mat.tag}")
-    u, lam = mat.decompose()
-    return _embed_spectrum(family, u, lam, CLICK)
+        return _squeezed_thermal(*parts, CLICK, "torontonian.squeezed_thermal")
+    family = "torontonian.squeezed" if mat.tag is MatrixTag.BLOCK_R_PRIME else "torontonian.thermal"
+    return _embed_spectrum(family, *parts, CLICK)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ conditions.  Each returns (gamma, direction).  ``reference_constants``
 lists the paper's named constants, which the shifts' branch point and
 budget rates derive from W(1/e).  ``log_effective_bound`` is the weight
 bound a run samples under, which the search's probe (``Setup.log_bound``)
-must equal.
+must equal.  ``block_a`` is the hafnian block matrix of a squeezed thermal
+state and its sqrt|V_Q|, the reference for Haf(A) = p * sqrt|V_Q|.
 """
 
 import math
@@ -18,6 +19,7 @@ import math
 import numpy as np
 
 from pqdkit import estimator as est
+from pqdkit import linear_optics as lo
 
 W_INV_E = 0.2784645427610738  # W(1/e) of the principal Lambert W branch: w * exp(w) = 1/e
 SQUEEZED_BRANCH_POINT = W_INV_E / (1.0 - W_INV_E)  # ~= 0.386
@@ -153,3 +155,15 @@ def log_effective_bound(setup, gamma, direction):
     sampler = est.build_folded_sampler(setup, gamma, direction)
     sups = est.mode_sups(setup, gamma, direction)[list(sampler.active_modes)]
     return sampler.log_prefactor + float(np.sum(np.log(sups)))
+
+
+def block_a(n, r_list, interf):
+    """A = [[R, B], [B^T, R*]] of squeezed thermal modes of shared
+    occupation n and squeezing ``r_list`` behind ``interf`` (the A' of
+    ``block_a_prime`` with its block rows swapped), and sqrt|V_Q| =
+    prod_i sqrt k+_i; Haf(A) is sqrt|V_Q| times the state's probability of
+    one photon in every mode."""
+    a_prime = lo.block_a_prime(n, r_list, interf).data
+    m = interf.m
+    sqrt_vq = float(np.prod(np.sqrt(lo.squeezed_thermal_k(n, r_list)[0])))
+    return np.concatenate([a_prime[m:], a_prime[:m]]), sqrt_vq

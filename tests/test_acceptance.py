@@ -186,8 +186,8 @@ def test_criterion_5_multiplicative():
         n = 1.2
         r_list = rng.uniform(0.05, 0.2, 4)
         u = lo.haar_unitary(4, int(rng.integers(0, 2**31)))
-        mat_a, sq_vq = lo.build_block_A(n, r_list, u)
-        exact_h = oracles.hafnian_exact(mat_a.data).real
+        mat_a, sq_vq = ref.block_a(n, r_list, u)
+        exact_h = oracles.hafnian_exact(mat_a).real
         circuit = lo.CircuitSpec(
             modes=tuple((float(r), n) for r in r_list),
             unitary=u,
@@ -404,8 +404,8 @@ def test_criterion_8_bound_sandwiches():
         n = float(rng.uniform(1.5, 4.0))
         r_list = rng.uniform(0.02, 0.3, 3)
         u = lo.haar_unitary(3, int(rng.integers(0, 2**31)))
-        mat_a, _ = lo.build_block_A(n, r_list, u)
-        haf = oracles.hafnian_exact(mat_a.data).real
+        mat_a, _ = ref.block_a(n, r_list, u)
+        haf = oracles.hafnian_exact(mat_a).real
         rep = bounds.hafnian_bounds(n, r_list)
         if not (rep.lower * (1 - slack) <= haf <= rep.upper * (1 + slack)):
             viol["hafnian_block_a"] += 1
@@ -421,7 +421,7 @@ def test_criterion_8_bound_sandwiches():
 
         mat_ap = lo.block_a_prime(n, rng.uniform(0.02, 0.3, 2), lo.haar_unitary(2, int(rng.integers(0, 2**31))))
         tor_a = oracles.torontonian_exact(mat_ap.data)
-        n_rec, r_rec, _ = mat_ap.st_params
+        n_rec, r_rec, _ = mat_ap.decompose()
         rep = bounds.torontonian_bounds("squeezed_thermal", n=n_rec, r_list=r_rec)
         if not (rep.lower * (1 - slack) <= tor_a <= rep.upper * (1 + slack)):
             viol["tor_block_a"] += 1

@@ -392,6 +392,19 @@ class TestCommands:
         assert report["budget"]["factors"] == factors[::-1].tolist()
         assert report["budget"]["formula_id"] == "budget.permanent"
 
+    def test_bounds_tor_squeezed_thermal_in_input_order(self, capsys):
+        # the A' recovery returns its modes by decreasing squeezing; the
+        # factors come back in the order of --r-list, as a permutation of
+        # the factors of the sorted list
+        factors = {}
+        for r_list in ("0.1,0.3,0.2", "0.3,0.2,0.1"):
+            argv = ["bounds", "--family", "tor-squeezed-thermal", "--n", "1.2", "--r-list", r_list]
+            assert cli.main(argv) == 0
+            factors[r_list] = json.loads(capsys.readouterr().out)["budget"]["factors"]
+        got, by_r = factors["0.1,0.3,0.2"], factors["0.3,0.2,0.1"]
+        assert got == pytest.approx([by_r[2], by_r[0], by_r[1]], rel=1e-12)
+        assert got[0] < got[2] < got[1]
+
     def test_oracle_command(self, per_matrix, tmp_path):
         out = tmp_path / "oracle.json"
         code = cli.main(
@@ -471,10 +484,53 @@ class TestCommands:
         assert len(lines) == 3
         assert [int(line.split(",")[0]) for line in lines[1:]] == [4096, 8000]
 
-    def test_unknown_flag_rejected(self, per_matrix):
+    def test_unknown_flag_rejected(self, per_matrix, capsys):
         for argv in (["--frobnicate"], ["--chunks", "4"]):
-            with pytest.raises(SystemExit):
-                cli.main(["estimate-per", "--matrix", per_matrix, *argv])
+            assert cli.main(["estimate-per", "--matrix", per_matrix, *argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: unrecognized arguments: {' '.join(argv)}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate-prob"], ["bounds"], ["estimate-prob", "--circuit"], ["frobnicate"], []],
+        ids=["no-circuit", "no-family", "no-path", "no-command", "nothing"],
+    )
+    def test_missing_or_unknown_argument_is_one_line_input_error(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+    def test_malformed_rescale_points_at_the_flag(self, per_matrix, capsys):
+        assert cli.main(["estimate-per", "--matrix", per_matrix, "--rescale-a", "x"]) == 1
+        assert capsys.readouterr().err == "input error: /rescale-a: invalid float value: 'x'\n"
+
+    def test_estimate_tor_takes_no_rescale(self, tmp_path, capsys):
+        # Torontonian blocks are embedded unscaled; the flag was accepted and ignored
+        path = write_json(tmp_path / "bp.json", {"m": 1, "re": [[0.4, 0.0], [0.0, 0.4]], "tag": "B'"})
+        assert cli.main(["estimate-tor", "--matrix", path, "--samples", "64", "--rescale-a", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: unrecognized arguments: --rescale-a 2\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["estimate-prob", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_block_a_tag_is_rejected(self, tmp_path, capsys):
+        # "A" was the hafnian block matrix; no command estimates it
+        path = write_json(tmp_path / "a.json", {"m": 1, "re": [[0.0, 0.5], [0.5, 0.0]], "tag": "A"})
+        assert cli.main(["oracle", "--matrix", path, "--function", "torontonian"]) == 1
+        assert capsys.readouterr().err.startswith("input error: /tag: unknown tag 'A'")
+
+    def test_r_prime_with_b_block_is_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "rp.json", {"m": 1, "re": [[0.1, 0.4], [0.4, 0.1]], "tag": "R'"})
+        assert cli.main(["estimate-tor", "--matrix", path, "--samples", "64"]) == 1
+        assert capsys.readouterr().err == "input error: R' family requires a vanishing B block\n"
 
     def test_missing_file_is_input_error(self):
         assert cli.main(["estimate-per", "--matrix", "/nonexistent.json"]) == 1
@@ -616,6 +672,11 @@ class TestInputHardening:
             ("--epsilon", "0", "/epsilon"),
             ("--delta", "1", "/delta"),
             ("--delta", "nan", "/delta"),
+            # values argparse cannot read: it exited 2 with a usage block
+            ("--samples", "2.5", "/samples"),
+            ("--epsilon", "abc", "/epsilon"),
+            ("--threads", "x", "/threads"),
+            ("--direction", "sideways", "/direction"),
         ],
     )
     def test_estimator_flags_rejected_with_pointer(self, flag, value, pointer, circuit_file, per_matrix, capsys):
@@ -628,7 +689,7 @@ class TestInputHardening:
             assert cli.main(argv + [flag, value]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith(f"input error: {pointer}: ")
+            assert captured.err.startswith(f"input error: {pointer}: ") and captured.err.count("\n") == 1
 
     # overflow inside the sampler warns before the weight sum is checked
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -650,6 +711,16 @@ class TestInputHardening:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("m, re, a", [(2, [[0.5, 0.1], [0.1, 0.4]], "1e308"), (1, [[1e308]], None)])
+    def test_overflowing_prefactor_reports_one_line(self, m, re, a, tmp_path, capsys):
+        # numpy's overflow warnings used to precede the message on stderr
+        path = write_json(tmp_path / "b.json", {"m": m, "re": re, "tag": "B"})
+        argv = ["estimate-per", "--matrix", path, "--samples", "10"] + (["--rescale-a", a] if a else [])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("s", ["1", "-1"])
     def test_ordering_outside_photon_factor_range(self, s, tmp_path, capsys):

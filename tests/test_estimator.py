@@ -1298,6 +1298,16 @@ class TestMatrixEstimators:
         with pytest.raises(FloatingPointError, match="a factor overflowed"):
             est.estimate_permanent_hpsd(b_mat, est.EstimatorConfig(n_samples=10), a=math.inf)
 
+    @pytest.mark.parametrize(
+        "b_mat, a", [([[0.5, 0.1], [0.1, 0.4]], 1e308), ([[1e308]], 1.001), ([[1e308]], 1e308)]
+    )
+    def test_finite_overflow_raises_without_warning(self, b_mat, a):
+        # a finite rescale or normalization past the float range: the
+        # prefactor overflows to inf without numpy's RuntimeWarning, which
+        # the suite turns into an error
+        with pytest.raises(FloatingPointError, match="a factor overflowed"):
+            est.estimate_permanent_hpsd(np.array(b_mat), est.EstimatorConfig(n_samples=10), a=a)
+
     def test_torontonian_rejects_wrong_tag(self):
         mat = lo.MatrixClass(lo.MatrixTag.HPSD_B, np.eye(2) * 0.5)
         with pytest.raises(ValueError):

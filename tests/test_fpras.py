@@ -228,8 +228,8 @@ class TestMultiplicative:
         n, r_list = 1.2, [0.1, 0.18, 0.15, 0.12]
         assert fpras.fpras_condition_hafnian(n, max(r_list))
         u = lo.haar_unitary(4, 9)
-        mat, sq_vq = lo.build_block_A(n, r_list, u)
-        exact = oracles.hafnian_exact(mat.data).real
+        mat, sq_vq = ref.block_a(n, r_list, u)
+        exact = oracles.hafnian_exact(mat).real
         circuit = lo.CircuitSpec(
             tuple((float(r), n) for r in r_list), u, (photon(1),) * 4
         )

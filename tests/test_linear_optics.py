@@ -17,6 +17,8 @@ from pqdkit.errors import (
 )
 from pqdkit.phase_space import CLICK, MARGINAL, photon
 
+from shift_reference import block_a
+
 
 class TestInterferometer:
     def test_rejects_nonunitary(self):
@@ -284,29 +286,28 @@ class TestSpectrumMap:
         assert np.allclose(k_plus - k_minus, 4.0 * np.cosh(2.0 * r_list), rtol=1e-14)
         emb = lo.embed_hafnian_block_a(1.5, r_list)
         assert np.array_equal(emb.mode_z, np.sqrt(k_plus))
-        assert lo.sqrt_vq_factor(1.5, r_list) == float(np.prod(np.sqrt(k_plus)))
 
 
 class TestBlockA:
     def test_pure_squeezed_limit(self):
         r_list = [0.3, 0.5]
         interf = lo.haar_unitary(2, 4)
-        mat, _ = lo.build_block_A(0.0, r_list, interf)
+        mat, _ = block_a(0.0, r_list, interf)
         m = 2
-        b_block = mat.data[:m, m:]
+        b_block = mat[:m, m:]
         assert np.max(np.abs(b_block)) <= 1e-14
         # D_ii reduces to tanh r: compare against the hafnian embedding R
-        r_block = mat.data[:m, :m]
+        r_block = mat[:m, :m]
         expected = interf.u @ np.diag(np.tanh(r_list)) @ interf.u.T
         assert np.max(np.abs(r_block - expected)) <= 1e-10
 
     def test_thermal_limit(self):
         n = 0.7
         interf = lo.haar_unitary(3, 6)
-        mat, _ = lo.build_block_A(n, [0.0, 0.0, 0.0], interf)
-        r_block = mat.data[:3, :3]
+        mat, _ = block_a(n, [0.0, 0.0, 0.0], interf)
+        r_block = mat[:3, :3]
         assert np.max(np.abs(r_block)) <= 1e-14
-        b_block = mat.data[:3, 3:]
+        b_block = mat[:3, 3:]
         k = 1.0 + 2.0 * n * (1.0 + n) + (1.0 + 2.0 * n)
         expected = interf.u @ (np.eye(3) * (2 * n * (1 + n) / k)) @ interf.u.conj().T
         assert np.max(np.abs(b_block - expected)) <= 1e-10
@@ -316,19 +317,19 @@ class TestBlockA:
         n = float(rng.uniform(0.3, 1.5))
         r_list = rng.uniform(0.05, 0.5, 3)
         interf = lo.haar_unitary(3, 11)
-        mat, sqrt_vq = lo.build_block_A(n, r_list, interf)
+        mat, sqrt_vq = block_a(n, r_list, interf)
         circuit = lo.CircuitSpec(
             modes=tuple((float(r), n) for r in r_list),
             unitary=interf,
             pattern=(photon(1),) * 3,
         )
         p_st = oracles.exact_probability(circuit, [1, 1, 1])
-        haf = oracles.hafnian_exact(mat.data).real
+        haf = oracles.hafnian_exact(mat).real
         assert haf == pytest.approx(p_st * sqrt_vq, rel=1e-9)
 
     def test_sqrt_vq_value(self):
         n, r = 0.4, 0.3
-        _, sqrt_vq = lo.build_block_A(n, [r], lo.identity_interferometer(1))
+        _, sqrt_vq = block_a(n, [r], lo.identity_interferometer(1))
         expected = math.sqrt(0.5 + n * (n + 1) + (n + 0.5) * math.cosh(2 * r))
         assert sqrt_vq == pytest.approx(expected, rel=1e-12)
 
@@ -386,11 +387,11 @@ class TestBlockA:
     def test_recover_verifies_the_pure_squeezed_limit(self, monkeypatch):
         # the B = 0 branch rebuilds its (0, r, U) like the thermal one
         mat = lo.block_a_prime(0.0, [0.3, 0.5], lo.haar_unitary(2, 4))
-        checked = []
-        verify = lo._verify_block_a_prime
-        monkeypatch.setattr(lo, "_verify_block_a_prime", lambda *args: checked.append(verify(*args)))
+        rebuilt = []
+        build = lo.block_a_prime
+        monkeypatch.setattr(lo, "block_a_prime", lambda *args: rebuilt.append(args) or build(*args))
         lo.recover_block_a_params(lo.MatrixClass(lo.MatrixTag.BLOCK_A_PRIME, mat.data))
-        assert len(checked) == 1
+        assert len(rebuilt) == 1 and rebuilt[0][0] == 0.0
 
 
 class TestGbsAMatrix:
@@ -512,14 +513,11 @@ class TestCircuitSpec:
 
 class TestMatrixClass:
     def test_decompose_only_torontonian_blocks(self):
-        # R' and B' decompose (their cache serves repeated Torontonian
-        # embeddings); every other tag has no decomposition to cache
-        mat_a, _ = lo.build_block_A(0.2, [0.3, 0.1], lo.identity_interferometer(2))
+        # R', B' and A' decompose once (the cache serves repeated
+        # Torontonian embeddings); every other tag has no decomposition
         others = [
             lo.MatrixClass(lo.MatrixTag.COMPLEX_SYMMETRIC_R, np.diag([0.5, 0.2])),
             lo.MatrixClass(lo.MatrixTag.HPSD_B, np.diag([0.5, 0.2])),
-            mat_a,
-            lo.block_a_prime(0.2, [0.3, 0.1], lo.identity_interferometer(2)),
         ]
         for mat in others:
             with pytest.raises(ValueError, match="no Torontonian decomposition"):
@@ -527,6 +525,44 @@ class TestMatrixClass:
         mat_b = lo.block_b_prime(np.diag([0.5, 0.2]))
         assert mat_b.decompose() is mat_b.decompose()
         assert np.allclose(mat_b.decompose()[1], [0.5, 0.2])
+        mat_a = lo.block_a_prime(0.2, [0.1, 0.3], lo.identity_interferometer(2))
+        assert mat_a.decompose() is mat_a.decompose()
+        n, r_list, _ = mat_a.decompose()
+        assert n == pytest.approx(0.2, rel=1e-9)
+        assert np.allclose(r_list, [0.3, 0.1], atol=1e-9)  # descending, the Takagi order
+
+    def test_second_embedding_reuses_the_decomposition(self, monkeypatch):
+        calls = []
+        takagi = lo.takagi
+
+        def spy(r_mat):
+            calls.append(1)
+            return takagi(r_mat)
+
+        monkeypatch.setattr(lo, "takagi", spy)
+        for mat in (
+            lo.block_a_prime(0.7, [0.2, 0.1, 0.25], lo.haar_unitary(3, 5)),
+            lo.block_r_prime(np.diag([0.4, 0.2]).astype(complex)),
+        ):
+            first = lo.embed_torontonian(mat)
+            assert len(calls) == 1
+            calls.clear()
+            second = lo.embed_torontonian(mat)
+            assert calls == []
+            assert second.circuit.modes == first.circuit.modes
+            assert np.array_equal(second.circuit.unitary.u, first.circuit.unitary.u)
+
+    def test_decomposition_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            lo.MatrixClass(lo.MatrixTag.BLOCK_B_PRIME, np.eye(2) * 0.3, decomposition=(np.eye(1), np.ones(1)))
+
+    def test_r_prime_needs_a_vanishing_b_block(self):
+        # [[B^T, R*], [R, B]] with B = 0.1 passes the block structure check
+        mat = lo.MatrixClass(lo.MatrixTag.BLOCK_R_PRIME, np.array([[0.1, 0.4], [0.4, 0.1]]))
+        with pytest.raises(StructureMismatch, match="vanishing B block"):
+            mat.decompose()
+        with pytest.raises(StructureMismatch, match="vanishing B block"):
+            lo.embed_torontonian(mat)
 
     def test_tag_validation(self):
         with pytest.raises(NotSymmetric):
