@@ -197,15 +197,15 @@ def _emit(report: dict, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _base_report(command: str, seed: int) -> dict:
-    return {"command": command, "version": __version__, "seed": seed}
+def _base_report(command: str, **extra) -> dict:
+    return {"command": command, "version": __version__, **extra}
 
 
 def _config_from_args(args) -> est.EstimatorConfig:
     """The run's settings; ``EstimatorConfig`` checks each at its flag's pointer."""
     return est.EstimatorConfig(
         s=args.s,
-        gamma_mode="auto" if args.gamma is None else (args.gamma, args.direction),
+        gamma=args.gamma,
         epsilon=args.epsilon,
         delta=args.delta,
         n_samples=args.samples,
@@ -254,7 +254,7 @@ def _cmd_estimate_matrix(args) -> int:
     if mat.tag not in tags:
         raise SchemaError("/tag", tag_error)
     config = _config_from_args(args)
-    report = _base_report(args.command, args.seed)
+    report = _base_report(args.command, seed=args.seed)
     if args.oracle_check:  # before the estimate, so an input it refuses costs none
         report["oracle"] = oracle(mat.data)
     result = estimate(mat, config, args)
@@ -268,7 +268,7 @@ def _cmd_estimate_matrix(args) -> int:
 def _cmd_estimate_prob(args) -> int:
     circuit = circuit_file_parse(args.circuit)
     config = _config_from_args(args)
-    report = _base_report("estimate-prob", args.seed)
+    report = _base_report("estimate-prob", seed=args.seed)
     if args.oracle_check:  # before the estimate, so an input it refuses costs none
         report["oracle"] = _oracle_probability(circuit)
     if args.multiplicative:
@@ -324,7 +324,7 @@ def _require_flags(args, names) -> None:
 
 
 def _cmd_check_fpras(args) -> int:
-    report = _base_report("check-fpras", args.seed)
+    report = _base_report("check-fpras")
     flags = _CONDITION_FLAGS[args.family]
     if flags == ("lambdas",):
         values = [_parse_float_list(args.lambdas, "/lambdas")]
@@ -350,21 +350,22 @@ def _cmd_check_fpras(args) -> int:
 
 def _cmd_bounds(args) -> int:
     """Sandwich bounds and the budget of a default estimate: the family's
-    embedding of a diagonal matrix (block A: its squeezed thermal circuit)
-    with the estimator's budget rule at s_max - S_MAX_MARGIN and the
-    automatic shift.  Budget factors are listed in input order."""
-    report = _base_report("bounds", args.seed)
+    embedding of a diagonal matrix (block A and squeezed thermal: the
+    squeezed thermal circuit of (n, r) itself, all-photon or all-click) with
+    the estimator's budget rule at s_max - S_MAX_MARGIN and the automatic
+    shift.  Budget factors are listed in input order."""
+    report = _base_report("bounds")
     family = args.family
     _require_flags(args, _BOUNDS_FLAGS.get(family, ()))
-    rep = None
-    if family in ("hafnian-block-a", "tor-squeezed-thermal"):
+    rep, order = None, None
+    if family in ("hafnian-block-a", "tor-squeezed-thermal"):  # modes in input order
         spectrum = _parse_float_list(args.r_list, "/r-list")
         if family == "hafnian-block-a":
             emb = lo.embed_hafnian_block_a(args.n, spectrum)
             sandwich = lambda: bounds.hafnian_bounds(args.n, spectrum)
         else:
             interf = lo.identity_interferometer(len(spectrum))
-            emb = lo.embed_torontonian(lo.block_a_prime(args.n, spectrum, interf))
+            emb = lo._squeezed_thermal(args.n, spectrum, interf, CLICK, "torontonian.squeezed_thermal")
             sandwich = lambda: bounds.torontonian_bounds(
                 "squeezed_thermal", n=args.n, r_list=spectrum
             )
@@ -383,12 +384,11 @@ def _cmd_bounds(args) -> int:
             emb = lo.embed_torontonian(lo.block_b_prime(diag))
         else:  # hafnian-sq
             emb = lo.embed_hafnian(diag)
-    setup = est.Setup(emb.circuit, emb.circuit.s_max - est.S_MAX_MARGIN)
-    factors = est.budget_factors(emb, est.mode_sups(setup, *est.resolve_gamma(setup)))
-    if family != "hafnian-block-a":
-        # the decomposition (A': the recovery) sorts the spectrum by
-        # decreasing modulus
+        # the decomposition sorts the spectrum by decreasing modulus
         order = np.argsort(-np.abs(spectrum), kind="stable")
+    setup = est.Setup(emb.circuit, emb.circuit.s_max - est.S_MAX_MARGIN)
+    factors = est.budget_factors(emb, est.mode_sups(setup, est.resolve_gamma(setup)))
+    if order is not None:
         factors = factors[np.argsort(order, kind="stable")]
     if rep is not None:
         report["bounds"] = {
@@ -407,7 +407,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    report = _base_report("oracle", args.seed)
+    report = _base_report("oracle")
     if args.circuit:
         circuit = circuit_file_parse(args.circuit)
         report["value"] = _oracle_probability(circuit)
@@ -471,9 +471,8 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, default=0.05, help="failure probability")
     parser.add_argument("--samples", type=int, default=None, help="override sample count")
     parser.add_argument("--s", type=float, default=None, help="ordering parameter")
-    parser.add_argument("--gamma", type=float, default=None, help="fixed shift in [0,1)")
     parser.add_argument(
-        "--direction", choices=["forward", "reverse"], default="forward"
+        "--gamma", type=float, default=None, help="fixed shift in (-1,1), reverse below 0"
     )
     parser.add_argument(
         "--threads", type=int, default=None, help="parallel chunk workers (default: usable CPUs)"
@@ -520,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--n-th", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_check_fpras)
 
@@ -539,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", default="")
     p.add_argument("--n", type=float, default=None)
     p.add_argument("--r-list", default="")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_bounds)
 
@@ -551,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["permanent", "hafnian", "hafnian-sq", "torontonian"],
         default=None,
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_oracle)
 

@@ -48,7 +48,7 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,15 +73,8 @@ from .linear_optics import (
 )
 from .phase_space import pi_w_profile
 
-FORWARD = "forward"
-REVERSE = "reverse"
 S_MAX_MARGIN = 1e-9
 WEIGHT_BOUND_RTOL = 1e-9
-
-
-class GammaChoice(NamedTuple):
-    gamma: float
-    direction: str
 
 
 def _count(value, pointer: str, low: int) -> int:
@@ -97,10 +90,10 @@ class EstimatorConfig:
     """The settings of one run, each checked once, here: a bad one raises
     ``SchemaError`` at the pointer of its CLI flag, before any work.  The
     ordering s is checked against the circuit, by ``Setup``.  Integer
-    settings are stored as ints."""
+    settings are stored as ints, the shift as a float."""
 
     s: Optional[float] = None  # default: s_max - 1e-9
-    gamma_mode: object = "auto"  # "auto" or (gamma, direction)
+    gamma: Optional[float] = None  # signed shift in (-1, 1), reverse below 0; default: searched
     epsilon: float = 0.05
     delta: float = 0.05
     n_samples: Optional[int] = None
@@ -116,12 +109,11 @@ class EstimatorConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
                 raise SchemaError(f"/{name}", f"must lie in (0, 1), got {value}")
-        if self.gamma_mode != "auto":
-            gamma, direction = self.gamma_mode
-            if not (isinstance(gamma, numbers.Real) and 0.0 <= gamma < 1.0):
-                raise SchemaError("/gamma", f"must lie in [0, 1), got {gamma}")
-            if direction not in (FORWARD, REVERSE):
-                raise SchemaError("/gamma", f"direction must be 'forward' or 'reverse', got {direction!r}")
+        gamma = self.gamma
+        if gamma is not None:
+            if isinstance(gamma, bool) or not (isinstance(gamma, numbers.Real) and -1.0 < gamma < 1.0):
+                raise SchemaError("/gamma", f"must lie in (-1, 1), got {gamma}")
+            object.__setattr__(self, "gamma", float(gamma))
 
 
 @dataclass
@@ -134,14 +126,22 @@ class EstimateReport:
     conf_radius: float
     seed: int
     s: float
-    gamma: float
-    direction: str
+    shift: float  # the signed shift the sampler ran at
     method: str
     active_modes: tuple
     mode_sups: np.ndarray  # per-mode suprema, the bound the weights were checked against
     # one (n, running mean, running radius) row per chunk; a float array
     # keeps reports small when many are held
     trace_rows: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+
+    @property
+    def gamma(self) -> float:
+        """The shift's size |shift|, reported with its ``direction``."""
+        return abs(self.shift)
+
+    @property
+    def direction(self) -> str:
+        return "forward" if self.shift >= 0.0 else "reverse"
 
     @property
     def trace(self) -> list:
@@ -165,19 +165,20 @@ class EstimateReport:
         }
 
 
-def _rate(s: float, gamma: float, direction: str, a_max: float) -> float:
-    if not (0.0 <= gamma < 1.0):
-        raise ShiftOutOfRange(f"normalized gamma must lie in [0, 1), got {gamma}")
+def _rate(s: float, gamma: float, a_max: float) -> float:
+    """The signed rate of the signed shift gamma in (-1, 1) at ordering s:
+    2 gamma / (a_max - s) forward (gamma >= 0, toward a_max), 2 gamma / (s + 1)
+    reverse (toward s = -1).  ``_numeric_gamma`` maps a rate back."""
+    if not (-1.0 < gamma < 1.0):
+        raise ShiftOutOfRange(f"normalized gamma must lie in (-1, 1), got {gamma}")
     if gamma == 0.0:
         return 0.0
-    if direction == FORWARD:
-        denom = a_max - s
-        if denom <= 0.0:
-            raise ShiftOutOfRange(f"forward shift needs a_max > s, got a_max = {a_max}")
-        return 2.0 * gamma / denom
-    if direction == REVERSE:
-        return -2.0 * gamma / (s + 1.0)
-    raise ValueError(f"unknown direction {direction!r}")
+    if gamma < 0.0:
+        return 2.0 * gamma / (s + 1.0)
+    denom = a_max - s
+    if denom <= 0.0:
+        raise ShiftOutOfRange(f"forward shift needs a_max > s, got a_max = {a_max}")
+    return 2.0 * gamma / denom
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +317,12 @@ def negativity_bound(setup: Setup) -> float:
     return float(np.prod(setup.unit_sups(0.0)))
 
 
-def mode_sups(setup: Setup, gamma: float, direction: str) -> np.ndarray:
+def mode_sups(setup: Setup, gamma: float) -> np.ndarray:
     """Per-mode suprema of the shifted measurement factors |f_j|: each mode's
     input normalization at this shift times its factor's supremum.  Their
     product is the modified (shifted) negativity bound: the shifted input
     factors are normalized densities."""
-    rate = _rate(setup.s, gamma, direction, setup.a_max)
+    rate = _rate(setup.s, gamma, setup.a_max)
     return np.exp(shift_exponents(setup.c0, rate)[1]) * setup.unit_sups(rate)
 
 
@@ -344,14 +345,14 @@ def _hoeffding_count(log_b: float, epsilon: float, delta: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def resolve_gamma(setup: Setup, method: str = "folded") -> GammaChoice:
+def resolve_gamma(setup: Setup, method: str = "folded") -> float:
     """The automatic shift, one rule for every circuit and matrix family:
     the searched minimum of the folded sampler's weight bound
     (``_numeric_gamma``).  With nothing weighed (an all-Gaussian pattern,
     folded) the estimate is exact at any shift, so the choice is rate 0,
     without a search."""
     if method == "folded" and setup.gaussian.all():
-        return GammaChoice(0.0, FORWARD)
+        return 0.0
     return _numeric_gamma(setup)
 
 
@@ -362,8 +363,9 @@ SEARCH_WINDOW = 1.0 - 1e-6
 
 
 @one_blas_thread()
-def _numeric_gamma(setup: Setup) -> GammaChoice:
-    """Golden-section minimization of log B_eff over the signed rate.
+def _numeric_gamma(setup: Setup) -> float:
+    """Golden-section minimization of log B_eff over the signed rate,
+    returned as the signed shift of the best rate (``_rate`` inverted).
 
     log B_eff (``Setup.log_bound``) is convex in the rate: the folded
     precision Lambda is affine in it, so -1/2 log det Lambda is convex, and
@@ -402,8 +404,8 @@ def _numeric_gamma(setup: Setup) -> GammaChoice:
             fd = log_bound(d)
     rate = min([(f0, 0.0), (fc, c), (fd, d), (log_bound(a), a), (log_bound(b), b)])[1]
     if rate >= 0.0:
-        return GammaChoice(rate * (a_max - s) / 2.0, FORWARD)
-    return GammaChoice(-rate * (s + 1.0) / 2.0, REVERSE)
+        return rate * (a_max - s) / 2.0
+    return rate * (s + 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +511,11 @@ class FoldedSampler:
 
 
 @one_blas_thread()
-def build_folded_sampler(
-    setup: Setup, gamma: float, direction: str, method: str = "folded"
-) -> FoldedSampler:
+def build_folded_sampler(setup: Setup, gamma: float, method: str = "folded") -> FoldedSampler:
     """The sampler of the proposal ``method`` ("folded", "naive" or
     "laplace"), which draws from the precision ``Setup.precision`` gives it
-    at the shift's rate.  A mode leaves the weight only when it is Gaussian
-    and folded; a weighted mode j keeps n_j * pi W_j(b) * exp(-rate_j * b),
+    at the rate of the signed shift ``gamma``.  A mode leaves the weight
+    only when it is Gaussian and folded; a weighted mode j keeps n_j * pi W_j(b) * exp(-rate_j * b),
     with rate_j its log-slope kappa_j when folded (a folded non-Gaussian
     factor keeps pi W_j(b) * exp(-kappa_j * b), so folding every mode makes
     the precision minus the log-Hessian of the integrand at the origin, the
@@ -528,7 +528,7 @@ def build_folded_sampler(
     rank-deficient K), so a sample draws at most 2A normals for A weighted
     modes, not F."""
     base, slope, folded = setup.precision(method)
-    rate = _rate(setup.s, gamma, direction, setup.a_max)
+    rate = _rate(setup.s, gamma, setup.a_max)
     exponents, log_norms = shift_exponents(setup.c0, rate)
     folds = np.zeros(setup.m, dtype=bool)
     folds[folded] = True
@@ -686,12 +686,9 @@ def estimate_probability(
     s = circuit.s_max - S_MAX_MARGIN if config.s is None else config.s
     setup = Setup(circuit, s)  # checks s
     with one_blas_thread():  # one thread-count switch for the search and the build
-        if config.gamma_mode == "auto":
-            gamma, direction = resolve_gamma(setup, method)
-        else:
-            gamma, direction = config.gamma_mode
-        sampler = build_folded_sampler(setup, gamma, direction, method)
-    all_sups = mode_sups(setup, gamma, direction)
+        gamma = resolve_gamma(setup, method) if config.gamma is None else config.gamma
+        sampler = build_folded_sampler(setup, gamma, method)
+    all_sups = mode_sups(setup, gamma)
     mod_neg = float(np.prod(all_sups))
     c_max = float(np.max(all_sups)) if all_sups.size else 1.0
     neg = negativity_bound(setup)
@@ -728,8 +725,7 @@ def estimate_probability(
         conf_radius=conf_radius,
         seed=config.seed,
         s=s,
-        gamma=gamma,
-        direction=direction,
+        shift=gamma,
         method=method,
         active_modes=tuple(j for j, out in enumerate(circuit.pattern) if not out.is_gaussian),
         mode_sups=all_sups,

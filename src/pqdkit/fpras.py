@@ -46,7 +46,6 @@ from .errors import (
 )
 from .estimator import (
     CHUNK,
-    FORWARD,
     S_MAX_MARGIN,
     SEED_WORDS,
     EstimatorConfig,
@@ -62,7 +61,7 @@ ESS_PER_EPS_SQ = 50.0
 # EstimatorConfig fields of the additive estimator only, each with its CLI
 # flag's pointer, in flag order; the multiplicative one reads ``seed`` and
 # ``threads`` and rejects these unless they keep their defaults
-ADDITIVE_FIELDS = {"n_samples": "/samples", "s": "/s", "gamma_mode": "/gamma"}
+ADDITIVE_FIELDS = {"n_samples": "/samples", "s": "/s", "gamma": "/gamma"}
 SAMPLE_CAP = 10**8
 
 
@@ -310,7 +309,7 @@ def estimate_multiplicative(
 
     setup = Setup(circuit, circuit.s_max - S_MAX_MARGIN)
     try:
-        sampler = build_folded_sampler(setup, 1.0 - 1e-9, FORWARD, "laplace")
+        sampler = build_folded_sampler(setup, 1.0 - 1e-9, "laplace")
     except NotPositiveDefinite as exc:
         # certified but not strictly log-concave: on the condition's boundary
         # (a permanent spectrum ratio of exactly 2) the log-Hessian at the

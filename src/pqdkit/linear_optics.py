@@ -153,14 +153,17 @@ class MatrixTag(enum.Enum):
 
 @dataclass
 class MatrixClass:
-    """Tagged target matrix with a cached decomposition (``decompose``)."""
+    """Tagged target matrix with a cached decomposition (``decompose``).
+    ``data`` is a read-only copy of the given matrix, so the decomposition
+    stays the matrix's own."""
 
     tag: MatrixTag
     data: np.ndarray
     decomposition: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
+        self.data = np.array(self.data, dtype=complex)
+        self.data.flags.writeable = False
         n = self.data.shape[0]
         if self.data.shape != (n, n):
             raise DimensionMismatch("matrix must be square")

@@ -8,7 +8,6 @@ limits are enforced so a typo cannot silently start a week-long loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,14 +22,9 @@ from .linear_optics import CircuitSpec, gbs_A_matrix, husimi_covariance
 from .phase_space import MeasurementOutcome
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_permanent_dim: int = 20
-    max_hafnian_dim: int = 16
-    max_torontonian_modes: int = 12
-
-
-LIMITS = OracleLimits()
+MAX_PERMANENT_DIM = 20
+MAX_HAFNIAN_DIM = 16
+MAX_TORONTONIAN_MODES = 12
 
 
 def permanent_exact(a_mat: np.ndarray) -> complex:
@@ -39,8 +33,8 @@ def permanent_exact(a_mat: np.ndarray) -> complex:
     n = a_mat.shape[0]
     if a_mat.shape != (n, n):
         raise DimensionMismatch("permanent needs a square matrix")
-    if n > LIMITS.max_permanent_dim:
-        raise TooLarge(f"permanent limited to {LIMITS.max_permanent_dim}, got {n}")
+    if n > MAX_PERMANENT_DIM:
+        raise TooLarge(f"permanent limited to {MAX_PERMANENT_DIM}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
     row_sums = np.zeros(n, dtype=complex)
@@ -71,8 +65,8 @@ def hafnian_exact(a_mat: np.ndarray) -> complex:
         raise DimensionMismatch("hafnian needs a square matrix")
     if n % 2:
         raise OddDimension(f"hafnian needs even dimension, got {n}")
-    if n > LIMITS.max_hafnian_dim:
-        raise TooLarge(f"hafnian limited to {LIMITS.max_hafnian_dim}, got {n}")
+    if n > MAX_HAFNIAN_DIM:
+        raise TooLarge(f"hafnian limited to {MAX_HAFNIAN_DIM}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
 
@@ -126,9 +120,9 @@ def torontonian_exact(a_prime: np.ndarray) -> float:
     if dim % 2:
         raise DimensionMismatch("Torontonian matrices have even dimension")
     m = dim // 2
-    if m > LIMITS.max_torontonian_modes:
+    if m > MAX_TORONTONIAN_MODES:
         raise TooLarge(
-            f"Torontonian limited to {LIMITS.max_torontonian_modes} modes, got {m}"
+            f"Torontonian limited to {MAX_TORONTONIAN_MODES} modes, got {m}"
         )
     total = 0.0
     for z_mask in range(1 << m):
@@ -175,7 +169,7 @@ def exact_probability(circuit: CircuitSpec, pattern) -> float:
     if any(c < 0 for c in counts):
         raise ValueError("photon counts must be nonnegative")
     total = sum(counts)
-    if 2 * total > LIMITS.max_hafnian_dim:
+    if 2 * total > MAX_HAFNIAN_DIM:
         raise TooLarge(f"sum of photon counts {total} exceeds the hafnian limit")
 
     a_mat, sigma_q = gbs_A_matrix(circuit, kept)
@@ -198,8 +192,8 @@ def exact_threshold_probability(circuit: CircuitSpec, pattern) -> float:
     MeasurementOutcome).  Every click subset folds into a vacuum-marginal
     evaluation 1/sqrt(det sigma_Q[T]).
     """
-    if circuit.m > LIMITS.max_torontonian_modes:
-        raise TooLarge("threshold oracle limited to 12 modes")
+    if circuit.m > MAX_TORONTONIAN_MODES:
+        raise TooLarge(f"threshold oracle limited to {MAX_TORONTONIAN_MODES} modes")
     clicks: list[int] = []
     noclicks: list[int] = []
     for j, entry in enumerate(pattern):

@@ -12,7 +12,7 @@ shifted supremum and its log-concavity certificate form; the samplers add
 every weighted mode's decay into one exp per sample.  The Gaussian-factor
 shift that moves ``exp(rate*|alpha|^2)`` from the input to the measurement
 side lives in ``factors`` (per-mode exponents, normalizations, suprema) and
-``estimator._rate`` (normalized gamma in [0, 1) plus a direction).
+``estimator._rate`` (the rate of a signed shift gamma in (-1, 1)).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ over the instance's own spectrum (``estimator.resolve_gamma``).  The forms
 here read one or two numbers off the spectrum (lambda_max, or lambda_min and
 lambda_max); the tests check that the searched budget is never larger than
 the budget at these shifts, and that the forms meet the paper's balance
-conditions.  Each returns (gamma, direction).  ``reference_constants``
+conditions.  Each returns the signed shift gamma, below 0 in reverse.  ``reference_constants``
 lists the paper's named constants, which the shifts' branch point and
 budget rates derive from W(1/e).  ``log_effective_bound`` is the weight
 bound a run samples under, which the search's probe (``Setup.log_bound``)
@@ -45,10 +45,10 @@ def optimal_gamma_squeezed(lambdas, lambda_max=None):
     detection: forward below the branch point, reverse above it."""
     lam = float(lambda_max if lambda_max is not None else max(lambdas))
     if lam <= 0.0:
-        return 0.0, est.FORWARD
+        return 0.0
     if lam <= SQUEEZED_BRANCH_POINT:
-        return (2.0 * (1.0 + lam) * W_INV_E - 2.0 * lam) / (1.0 - lam), est.FORWARD
-    return (lam - (1.0 + lam) * W_INV_E) / lam, est.REVERSE
+        return (2.0 * (1.0 + lam) * W_INV_E - 2.0 * lam) / (1.0 - lam)
+    return -(lam - (1.0 + lam) * W_INV_E) / lam
 
 
 def optimal_gamma_thermal(lambda_min, lambda_max):
@@ -59,13 +59,13 @@ def optimal_gamma_thermal(lambda_min, lambda_max):
         raise ValueError("need 0 <= lambda_min <= lambda_max < 1")
     if lambda_min < 1e-12:
         if lambda_max < 0.5:
-            return (1.0 - 2.0 * lambda_max) / (2.0 * (1.0 - lambda_max)), est.FORWARD
-        return (2.0 * lambda_max - 1.0) / (2.0 * lambda_max), est.REVERSE
+            return (1.0 - 2.0 * lambda_max) / (2.0 * (1.0 - lambda_max))
+        return -(2.0 * lambda_max - 1.0) / (2.0 * lambda_max)
     if lambda_max - lambda_min <= 1e-9:
         limit = (2.0 * lambda_max - 1.0) / lambda_max
         if limit >= 0.0:
-            return min(limit, 1.0 - 1e-12), est.REVERSE
-        return 0.0, est.FORWARD
+            return -min(limit, 1.0 - 1e-12)
+        return 0.0
     disc = math.sqrt(4.0 * lambda_max**2 - 8.0 * lambda_max * lambda_min + 5.0 * lambda_min**2)
     num = (
         lambda_min
@@ -77,27 +77,27 @@ def optimal_gamma_thermal(lambda_min, lambda_max):
     # forward one when num < 0 (lambda_min approaching 1/2)
     if num >= 0.0:
         gamma = num / (2.0 * lambda_min * (lambda_max - lambda_min))
-        return min(gamma, 1.0 - 1e-12), est.REVERSE
+        return -min(gamma, 1.0 - 1e-12)
     gamma = num / (2.0 * lambda_min * (lambda_max - 1.0))
-    return min(gamma, 1.0 - 1e-12), est.FORWARD
+    return min(gamma, 1.0 - 1e-12)
 
 
 def optimal_gamma_threshold(lambda_max):
     """Optimal forward shift for all-click detection on squeezed or thermal
     inputs."""
-    return 0.5 * (1.0 - lambda_max), est.FORWARD
+    return 0.5 * (1.0 - lambda_max)
 
 
 def optimal_gamma_threshold_st(n, r_max):
     """Optimal forward shift for all-click detection on squeezed thermal
     inputs with shared occupation n."""
-    return math.exp(-math.tanh(r_max)) / (n + 1.0), est.FORWARD
+    return math.exp(-math.tanh(r_max)) / (n + 1.0)
 
 
 def optimal_gamma_st(n, r_max):
     """Optimal reverse shift for single-photon detection on squeezed thermal
     inputs with shared occupation n."""
-    return math.exp(-math.tanh(r_max)) * n / (n + 1.0), est.REVERSE
+    return -math.exp(-math.tanh(r_max)) * n / (n + 1.0)
 
 
 def circuit_spectrum(circuit):
@@ -129,31 +129,31 @@ def analytic_budget(emb, s=None):
     """Per-mode budget factors of ``emb`` at its family's closed-form shift
     and s (default s_max), in the embedding's mode order."""
     s = emb.circuit.s_max if s is None else s
-    return est.budget_factors(emb, est.mode_sups(est.Setup(emb.circuit, s), *analytic_shift(emb)))
+    return est.budget_factors(emb, est.mode_sups(est.Setup(emb.circuit, s), analytic_shift(emb)))
 
 
 def searched_budget(emb, s):
     """Per-mode budget factors of ``emb`` at ordering s and its searched
     shift (``estimator.resolve_gamma``), in the embedding's mode order."""
     setup = est.Setup(emb.circuit, s)
-    return est.budget_factors(emb, est.mode_sups(setup, *est.resolve_gamma(setup)))
+    return est.budget_factors(emb, est.mode_sups(setup, est.resolve_gamma(setup)))
 
 
-def precision_root(setup, gamma, direction, method="folded"):
+def precision_root(setup, gamma, method="folded"):
     """A lower-triangular square root of the proposal's precision at the
     shift, Lambda(rate) = base + rate * slope (``Setup.precision``): its
     Cholesky factor, or the diagonal of square roots when nothing folds."""
     base, slope, _ = setup.precision(method)
-    lam = base + est._rate(setup.s, gamma, direction, setup.a_max) * slope
+    lam = base + est._rate(setup.s, gamma, setup.a_max) * slope
     return np.diag(np.sqrt(lam)) if lam.ndim == 1 else np.linalg.cholesky(lam)
 
 
-def log_effective_bound(setup, gamma, direction):
+def log_effective_bound(setup, gamma):
     """log B_eff at a shift: the weight bound of the folded sampler a run
     builds, its log prefactor plus the log suprema of its weighted modes,
     from which ``estimate_probability`` sets N and the radius."""
-    sampler = est.build_folded_sampler(setup, gamma, direction)
-    sups = est.mode_sups(setup, gamma, direction)[list(sampler.active_modes)]
+    sampler = est.build_folded_sampler(setup, gamma)
+    sups = est.mode_sups(setup, gamma)[list(sampler.active_modes)]
     return sampler.log_prefactor + float(np.sum(np.log(sups)))
 
 

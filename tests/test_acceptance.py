@@ -210,12 +210,10 @@ def test_criterion_6_shift_machinery():
     worst = 0.0
     for _ in range(100):
         lam = float(rng.uniform(0.01, 0.99))
-        gamma, direction = ref.optimal_gamma_squeezed([lam])
+        gamma = ref.optimal_gamma_squeezed([lam])
         e2r = (1.0 + lam) / (1.0 - lam)
         s = 1.0 / e2r
-        rate = (
-            2.0 * gamma / (e2r - s) if direction == est.FORWARD else -2.0 * gamma / (s + 1.0)
-        )
+        rate = 2.0 * gamma / (e2r - s) if gamma >= 0.0 else 2.0 * gamma / (s + 1.0)
         c = 2.0 / (s + 1.0) + rate
         a_coef = 2.0 * (s * s - 1.0)
         b_star = 1.0 / c - a_coef / 8.0
@@ -245,7 +243,7 @@ def test_criterion_6_shift_machinery():
         )
         circuit = lo.CircuitSpec(modes, lo.haar_unitary(m, 60_000 + k), pattern)
         setup = est.Setup(circuit, circuit.s_max - 1e-9)
-        mod = float(np.prod(est.mode_sups(setup, *est.resolve_gamma(setup))))
+        mod = float(np.prod(est.mode_sups(setup, est.resolve_gamma(setup))))
         neg = est.negativity_bound(setup)
         if mod > neg * (1.0 + 1e-9):
             viol += 1
@@ -260,12 +258,8 @@ def test_criterion_6_shift_machinery():
         circuit = lo.CircuitSpec(
             modes, lo.haar_unitary(3, 70_000 + k), (photon(1),) * 3
         )
-        cfg_a = est.EstimatorConfig(
-            gamma_mode=(0.2, est.FORWARD), n_samples=20_000, seed=seed * 5000 + k
-        )
-        cfg_b = est.EstimatorConfig(
-            gamma_mode=(0.3, est.REVERSE), n_samples=20_000, seed=seed * 5000 + k + 1
-        )
+        cfg_a = est.EstimatorConfig(gamma=0.2, n_samples=20_000, seed=seed * 5000 + k)
+        cfg_b = est.EstimatorConfig(gamma=-0.3, n_samples=20_000, seed=seed * 5000 + k + 1)
         rep_a = est.estimate_probability(circuit, cfg_a)
         rep_b = est.estimate_probability(circuit, cfg_b)
         if abs(rep_a.estimate - rep_b.estimate) <= rep_a.conf_radius + rep_b.conf_radius:

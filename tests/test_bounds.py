@@ -259,7 +259,7 @@ class TestBudgetPermanent:
             res = est.estimate_permanent_hpsd(b_mat, est.EstimatorConfig(n_samples=16), a)
             emb = lo.embed_permanent(b_mat, a)
             rep = res.report
-            sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.gamma, rep.direction)
+            sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.shift)
             recon = a * emb.lambdas.max() * sups / (1.0 - emb.lambdas / emb.rescale)
             assert np.max(np.abs(res.budget_factors / recon - 1.0)) <= 1e-12
             assert np.sum(np.log(res.budget_factors)) <= np.sum(np.log(ref_permanent(emb.lambdas))) + 1e-6
@@ -272,7 +272,7 @@ class TestBudgetPermanent:
         res = est.estimate_hafnian_sq(r_mat, est.EstimatorConfig(n_samples=16), a)
         emb = lo.embed_hafnian(r_mat, a)
         rep = res.report
-        sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.gamma, rep.direction)
+        sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.shift)
         recon = a * emb.lambdas.max() * sups / np.sqrt(1.0 - (emb.lambdas / emb.rescale) ** 2)
         assert np.max(np.abs(res.budget_factors / recon - 1.0)) <= 1e-12
         assert np.max(np.abs(res.budget_factors / ref_hafnian(emb.lambdas) - 1.0)) <= 1e-7
@@ -313,8 +313,7 @@ class TestBudgetTorontonian:
             lo.haar_unitary(3, 3),
             (CLICK,) * 3,
         )
-        gamma, direction = optimal_gamma_threshold(0.5)
-        sups = est.mode_sups(est.Setup(circuit, circuit.s_max), gamma, direction)
+        sups = est.mode_sups(est.Setup(circuit, circuit.s_max), optimal_gamma_threshold(0.5))
         recon = sups / np.sqrt(1.0 - lam**2)
         assert np.max(np.abs(got / recon - 1.0)) <= 1e-9
 
@@ -422,8 +421,8 @@ class TestBlockABudget:
         assert np.all(got > 0.0)
         # the budget is the realized sampling bound of the estimator: the
         # mode suprema at the analytic reverse shift times sqrt|V_Q|
-        gamma, direction = optimal_gamma_st(n, float(np.max(r_list)))
-        sups = est.mode_sups(est.Setup(emb.circuit, emb.circuit.s_max), gamma, direction)
+        gamma = optimal_gamma_st(n, float(np.max(r_list)))
+        sups = est.mode_sups(est.Setup(emb.circuit, emb.circuit.s_max), gamma)
         sq_vq = float(np.prod(np.sqrt(lo.squeezed_thermal_k(n, r_list)[0])))
         assert sq_vq * float(np.prod(sups)) == pytest.approx(float(np.prod(got)), rel=1e-12)
 

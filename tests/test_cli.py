@@ -20,6 +20,7 @@ from pqdkit import cli
 from pqdkit import estimator as est
 from pqdkit import linear_optics as lo
 from pqdkit.errors import SchemaError
+from pqdkit.phase_space import CLICK
 
 from shift_reference import searched_budget
 
@@ -259,7 +260,7 @@ class TestCommands:
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["holds"] is True
+        assert report["holds"] is True and "seed" not in report  # nothing is random here
         assert report["certificate"]["margin"] == pytest.approx(0.0, abs=1e-9)
 
     def test_check_fpras_failure_exit_code(self, tmp_path):
@@ -353,7 +354,9 @@ class TestCommands:
         if family == "hafnian-block-a":
             emb = lo.embed_hafnian_block_a(0.1, [0.5])
         else:
-            emb = lo.embed_torontonian(lo.block_a_prime(0.1, [0.5], lo.identity_interferometer(1)))
+            emb = lo._squeezed_thermal(
+                0.1, [0.5], lo.identity_interferometer(1), CLICK, "torontonian.squeezed_thermal"
+            )
         searched = searched_budget(emb, emb.circuit.s_max - est.S_MAX_MARGIN)
         assert report["budget"]["factors"] == searched.tolist()
         assert searched[0] <= factor
@@ -385,6 +388,7 @@ class TestCommands:
         )
         assert code == 0
         report = json.loads(out.read_text())
+        assert "seed" not in report  # nothing is random here
         assert report["bounds"]["lower"] <= report["bounds"]["upper"]
         # the budget of a default estimate on diag(lambdas), in input order
         emb = lo.embed_permanent(np.diag([0.7, 0.5, 0.3]))
@@ -393,15 +397,16 @@ class TestCommands:
         assert report["budget"]["formula_id"] == "budget.permanent"
 
     def test_bounds_tor_squeezed_thermal_in_input_order(self, capsys):
-        # the A' recovery returns its modes by decreasing squeezing; the
-        # factors come back in the order of --r-list, as a permutation of
-        # the factors of the sorted list
+        # (n, r) embed as given, with no round trip through A': the factors
+        # come back in the order of --r-list, as a permutation of the
+        # factors of the sorted list
         factors = {}
         for r_list in ("0.1,0.3,0.2", "0.3,0.2,0.1"):
             argv = ["bounds", "--family", "tor-squeezed-thermal", "--n", "1.2", "--r-list", r_list]
             assert cli.main(argv) == 0
             factors[r_list] = json.loads(capsys.readouterr().out)["budget"]["factors"]
         got, by_r = factors["0.1,0.3,0.2"], factors["0.3,0.2,0.1"]
+        assert got == [1.4567999221008714, 1.7087695622126313, 1.5393249842945225]
         assert got == pytest.approx([by_r[2], by_r[0], by_r[1]], rel=1e-12)
         assert got[0] < got[2] < got[1]
 
@@ -411,7 +416,8 @@ class TestCommands:
             ["oracle", "--matrix", per_matrix, "--function", "permanent", "--output", str(out)]
         )
         assert code == 0
-        assert json.loads(out.read_text())["value"] == pytest.approx(5.0)
+        report = json.loads(out.read_text())
+        assert report["value"] == pytest.approx(5.0) and "seed" not in report  # nothing is random here
 
     def test_oracle_hafnian_sq_agrees_with_estimate_haf(self, tmp_path, capsys):
         # an odd-dimension hafnian vanishes by parity: |Haf|^2 is 0 through
@@ -484,9 +490,20 @@ class TestCommands:
         assert len(lines) == 3
         assert [int(line.split(",")[0]) for line in lines[1:]] == [4096, 8000]
 
-    def test_unknown_flag_rejected(self, per_matrix, capsys):
-        for argv in (["--frobnicate"], ["--chunks", "4"]):
-            assert cli.main(["estimate-per", "--matrix", per_matrix, *argv]) == 1
+    def test_unknown_flag_rejected(self, per_matrix, circuit_file, capsys):
+        # --direction is gone (the sign of --gamma is the direction), and so
+        # is --seed where nothing is random
+        runs = [
+            (["estimate-per", "--matrix", per_matrix], ["--frobnicate"]),
+            (["estimate-per", "--matrix", per_matrix], ["--chunks", "4"]),
+            (["estimate-prob", "--circuit", circuit_file], ["--direction", "reverse"]),
+            (["estimate-prob", "--circuit", circuit_file, "--gamma", "0.3"], ["--direction", "reverse"]),
+            (["oracle", "--circuit", circuit_file], ["--seed", "1"]),
+            (["check-fpras", "--family", "permanent", "--lambdas", "0.3"], ["--seed", "1"]),
+            (["bounds", "--family", "permanent", "--lambdas", "0.3"], ["--seed", "1"]),
+        ]
+        for command, argv in runs:
+            assert cli.main([*command, *argv]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"input error: unrecognized arguments: {' '.join(argv)}\n"
@@ -630,7 +647,7 @@ class TestInputHardening:
             assert cli.main(argv + ["--gamma", "1.5"]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == "input error: /gamma: must lie in [0, 1), got 1.5\n"
+            assert captured.err == "input error: /gamma: must lie in (-1, 1), got 1.5\n"
 
     MIXED = {
         "modes": [{"r": 0.3}, {"n": 0.5}, {"r": 0.2}],
@@ -676,7 +693,7 @@ class TestInputHardening:
             ("--samples", "2.5", "/samples"),
             ("--epsilon", "abc", "/epsilon"),
             ("--threads", "x", "/threads"),
-            ("--direction", "sideways", "/direction"),
+            ("--gamma", "-1.5", "/gamma"),
         ],
     )
     def test_estimator_flags_rejected_with_pointer(self, flag, value, pointer, circuit_file, per_matrix, capsys):
@@ -690,6 +707,13 @@ class TestInputHardening:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"input error: {pointer}: ") and captured.err.count("\n") == 1
+
+    def test_negative_gamma_is_a_reverse_shift(self, circuit_file, capsys):
+        # argparse reads a negative number as the flag's value
+        argv = ["estimate-prob", "--circuit", circuit_file, "--samples", "64", "--gamma", "-0.3"]
+        assert cli.main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["gamma"], result["direction"]) == (0.3, "reverse")
 
     # overflow inside the sampler warns before the weight sum is checked
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

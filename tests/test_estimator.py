@@ -122,7 +122,7 @@ class TestModifiedNegativityBound:
     def test_zero_shift_equality(self):
         circuit = squeezed_circuit([0.4, 0.6], 6)
         setup = est.Setup(circuit, circuit.s_max - 1e-9)
-        modified = float(np.prod(est.mode_sups(setup, 0.0, est.FORWARD)))
+        modified = float(np.prod(est.mode_sups(setup, 0.0)))
         assert modified == pytest.approx(est.negativity_bound(setup), rel=1e-9)
 
     def test_optimal_shift_below_one_per_mode(self):
@@ -130,8 +130,8 @@ class TestModifiedNegativityBound:
             circuit = squeezed_circuit([r] * 3, 7)
             s = circuit.s_max
             lam = math.tanh(r)
-            gamma, direction = ref.optimal_gamma_squeezed([lam] * 3)
-            sups = est.mode_sups(est.Setup(circuit, s), gamma, direction)
+            gamma = ref.optimal_gamma_squeezed([lam] * 3)
+            sups = est.mode_sups(est.Setup(circuit, s), gamma)
             assert np.all(sups < 1.0)
             expected = lam * math.sqrt(1.0 - lam * lam) / math.sqrt(
                 1.0 - 2.0 * ref.W_INV_E
@@ -142,27 +142,27 @@ class TestModifiedNegativityBound:
         lam = 0.55
         circuit = squeezed_circuit([math.atanh(lam)] * 2, 8)
         s = circuit.s_max
-        gamma_opt, d_opt = ref.optimal_gamma_squeezed([lam, lam])
+        gamma_opt = ref.optimal_gamma_squeezed([lam, lam])
         setup = est.Setup(circuit, s)
-        best = float(np.prod(est.mode_sups(setup, gamma_opt, d_opt)))
+        best = float(np.prod(est.mode_sups(setup, gamma_opt)))
         grid = np.linspace(0.0, 0.95, 96)
-        for d in (est.FORWARD, est.REVERSE):
+        for sign in (1.0, -1.0):
             for g in grid:
-                assert float(np.prod(est.mode_sups(setup, float(g), d))) >= best - 1e-9
+                assert float(np.prod(est.mode_sups(setup, sign * float(g)))) >= best - 1e-9
 
 
 class TestOptimalGammas:
     def test_branch_point_continuity(self):
         lam = ref.SQUEEZED_BRANCH_POINT
-        g_f, d_f = ref.optimal_gamma_squeezed([lam - 1e-9])
-        g_r, d_r = ref.optimal_gamma_squeezed([lam + 1e-9])
-        assert d_f == est.FORWARD and d_r == est.REVERSE
+        g_f = ref.optimal_gamma_squeezed([lam - 1e-9])
+        g_r = ref.optimal_gamma_squeezed([lam + 1e-9])
+        assert g_f >= 0.0 > g_r  # forward below the branch point, reverse above
         assert abs(g_f) < 1e-7 and abs(g_r) < 1e-7  # both close at the boundary
 
     def test_balance_condition_numeric_root(self):
         lam = 0.2
-        gamma, direction = ref.optimal_gamma_squeezed([lam])
-        assert direction == est.FORWARD
+        gamma = ref.optimal_gamma_squeezed([lam])
+        assert gamma >= 0.0
         e2r = (1.0 + lam) / (1.0 - lam)
         s = 1.0 / e2r
 
@@ -184,13 +184,13 @@ class TestOptimalGammas:
         assert gamma == pytest.approx(0.5 * (lo_g + hi_g), abs=1e-9)
 
     def test_thermal_quarter(self):
-        gamma, direction = ref.optimal_gamma_thermal(0.0, 0.25)
-        assert direction == est.FORWARD
+        gamma = ref.optimal_gamma_thermal(0.0, 0.25)
+        assert gamma >= 0.0
         assert gamma == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_thermal_forward_branch_closes(self):
-        gamma, direction = ref.optimal_gamma_thermal(0.0, 0.5 - 1e-9)
-        assert direction == est.FORWARD
+        gamma = ref.optimal_gamma_thermal(0.0, 0.5 - 1e-9)
+        assert gamma >= 0.0
         assert gamma == pytest.approx(0.0, abs=1e-8)
 
     def test_thermal_discriminant_branch_beats_rank_deficient_rule(self):
@@ -200,11 +200,9 @@ class TestOptimalGammas:
         assert np.all(budget_d <= budget_0 + 1e-12)
 
     def test_threshold_family_values(self):
-        gamma, direction = ref.optimal_gamma_threshold(0.5)
-        assert (gamma, direction) == (0.25, est.FORWARD)
-        g_st, d_st = ref.optimal_gamma_threshold_st(1.0, 0.4)
+        assert ref.optimal_gamma_threshold(0.5) == 0.25
+        g_st = ref.optimal_gamma_threshold_st(1.0, 0.4)
         assert g_st == pytest.approx(math.exp(-math.tanh(0.4)) / 2.0, rel=1e-12)
-        assert d_st == est.FORWARD
 
 
 class TestFactorBound:
@@ -212,8 +210,8 @@ class TestFactorBound:
         lam = 0.3
         circuit = squeezed_circuit([math.atanh(lam)] * 2, 9)
         s = circuit.s_max
-        gamma, direction = ref.optimal_gamma_squeezed([lam, lam])
-        sups = est.mode_sups(est.Setup(circuit, s), gamma, direction)
+        gamma = ref.optimal_gamma_squeezed([lam, lam])
+        sups = est.mode_sups(est.Setup(circuit, s), gamma)
         rate = 2.0 * gamma / ((1.0 + lam) / (1.0 - lam) - s)
         for j, sup in enumerate(sups):
             n_j = math.exp(log_norm(mode_variances(circuit, j), s, rate))
@@ -226,14 +224,14 @@ class TestFactorBound:
     def test_one_supremum_per_distinct_outcome(self, monkeypatch):
         circuit = squeezed_circuit([0.3] * 8, 9, pattern=(photon(1),) * 6 + (CLICK, photon(1)))
         s = circuit.s_max - est.S_MAX_MARGIN
-        expected = est.mode_sups(est.Setup(circuit, s), 0.2, est.FORWARD)
+        expected = est.mode_sups(est.Setup(circuit, s), 0.2)
         calls = []
         true_sup = ps.RadialFactor.sup
         monkeypatch.setattr(ps.RadialFactor, "sup", lambda f, rate: calls.append(rate) or true_sup(f, rate))
-        got = est.mode_sups(est.Setup(circuit, s), 0.2, est.FORWARD)
+        got = est.mode_sups(est.Setup(circuit, s), 0.2)
         assert len(calls) == 2
         assert np.array_equal(got, expected)
-        rate = est._rate(s, 0.2, est.FORWARD, circuit.a_max)
+        rate = est._rate(s, 0.2, circuit.a_max)
         for j in range(circuit.m):
             n_j = math.exp(log_norm(mode_variances(circuit, j), s, rate))
             assert got[j] == pytest.approx(n_j * pi_w_profile(circuit.pattern[j], s).sup(rate), rel=1e-14)
@@ -250,7 +248,7 @@ class TestFactorBound:
         # per-mode budget equals Z * sup of the shifted click factor
         circuit = squeezed_circuit([math.atanh(lam_max)], 11, pattern=(CLICK,))
         s = circuit.s_max
-        sups = est.mode_sups(est.Setup(circuit, s), 0.25, est.FORWARD)
+        sups = est.mode_sups(est.Setup(circuit, s), 0.25)
         assert budget[0] == pytest.approx(
             sups[0] / math.sqrt(1.0 - lam_max**2), rel=1e-9
         )
@@ -368,21 +366,20 @@ class TestPhotonSuprema:
             '{"modes": [{"r": 0.3}, {"r": 0.3}], "unitary": {"haar_seed": 1},'
             ' "pattern": [2, "marginal"]}'
         )
-        argv = ["estimate-prob", "--circuit", str(path), "--gamma", "0.999",
-                "--direction", "reverse", "--samples", "2000"]
+        argv = ["estimate-prob", "--circuit", str(path), "--gamma", "-0.999", "--samples", "2000"]
         assert cli.main(argv) == 0
         rep = json.loads(capsys.readouterr().out)["result"]
         circuit = cli.circuit_file_parse(str(path))
         s = rep["s"]
-        sup = est.mode_sups(est.Setup(circuit, s), 0.999, est.REVERSE)[0]
+        sup = est.mode_sups(est.Setup(circuit, s), -0.999)[0]
         assert sup == pytest.approx(4.317e5, rel=1e-3)
-        rate = est._rate(s, 0.999, est.REVERSE, circuit.a_max)
+        rate = est._rate(s, -0.999, circuit.a_max)
         n_0 = math.exp(log_norm(mode_variances(circuit, 0), s, rate))
         c = 2.0 / (s + 1.0) + rate
         ref = n_0 * dense_sup(photon_factor(2, s, rate), np.linspace(0.0, 50.0 / c, 20_001))
         assert sup == pytest.approx(ref, rel=1e-9)
         # Hoeffding radius B_eff * sqrt(2 ln(2/delta) / n) at the default delta = 0.05
-        sampler = est.build_folded_sampler(est.Setup(circuit, s), 0.999, est.REVERSE)
+        sampler = est.build_folded_sampler(est.Setup(circuit, s), -0.999)
         radius = math.exp(sampler.log_prefactor) * sup * math.sqrt(2.0 * math.log(40.0) / 2000)
         assert rep["conf_radius"] == pytest.approx(radius, rel=1e-12)
 
@@ -433,10 +430,10 @@ def generic_circuits():
 
 
 def shift_of_rate(setup, rate):
-    """The (gamma, direction) of a signed rate at ``setup``'s ordering."""
+    """The signed shift gamma of a signed rate at ``setup``'s ordering."""
     if rate >= 0.0:
-        return rate * (setup.a_max - setup.s) / 2.0, est.FORWARD
-    return -rate * (setup.s + 1.0) / 2.0, est.REVERSE
+        return rate * (setup.a_max - setup.s) / 2.0
+    return rate * (setup.s + 1.0) / 2.0
 
 
 class TestShiftSearch:
@@ -449,14 +446,14 @@ class TestShiftSearch:
         def log_b(rate):
             setup = est.Setup(circuit, s)
             try:
-                return ref.log_effective_bound(setup, *shift_of_rate(setup, rate))
+                return ref.log_effective_bound(setup, shift_of_rate(setup, rate))
             except (ShiftOutOfRange, est.NotPositiveDefinite):
                 return math.inf
 
         rates = np.linspace(-0.98 * 2.0 / (s + 1.0), 0.98 * 2.0 / (a_max - s), 801)
         scan = min(log_b(float(r)) for r in rates)
-        gamma, direction = est._numeric_gamma(est.Setup(circuit, s))[:2]
-        assert ref.log_effective_bound(est.Setup(circuit, s), gamma, direction) <= scan + 1e-6
+        gamma = est._numeric_gamma(est.Setup(circuit, s))
+        assert ref.log_effective_bound(est.Setup(circuit, s), gamma) <= scan + 1e-6
 
     @pytest.mark.parametrize(
         "name",
@@ -479,7 +476,7 @@ class TestShiftSearch:
             for frac in (0.9, 0.5, 0.1, 1e-3):
                 probe = setup.log_bound(frac * end)
                 try:
-                    bound = ref.log_effective_bound(setup, *shift_of_rate(setup, frac * end))
+                    bound = ref.log_effective_bound(setup, shift_of_rate(setup, frac * end))
                 except est.NotPositiveDefinite:
                     bound = math.inf
                 if probe == math.inf:
@@ -499,7 +496,7 @@ class TestWeightBound:
 
     def test_planted_wrong_supremum_raises(self, monkeypatch):
         circuit = squeezed_circuit([0.4, 0.3], 17, pattern=(photon(1), CLICK))
-        cfg = est.EstimatorConfig(n_samples=4000, gamma_mode=(0.2, est.FORWARD))
+        cfg = est.EstimatorConfig(n_samples=4000, gamma=0.2)
         for method in ("folded", "naive"):
             est.estimate_probability(circuit, cfg, method=method)
         self.halve_sups(monkeypatch)
@@ -575,13 +572,13 @@ KERNEL_CASES = {
     "frozen-squeezed": (
         lo.CircuitSpec(((0.5, 0.0), (0.3, 0.0)), lo.haar_unitary(2, 32), (photon(2), photon(0))),
         "s_max",
-        (0.2, est.FORWARD),
+        0.2,
     ),
     # s = s_max freezes both quadratures of the least classical thermal mode
     "frozen-thermal": (
         lo.CircuitSpec(((0.0, 0.8), (0.0, 0.3)), lo.haar_unitary(2, 31), (photon(1),) * 2),
         "s_max",
-        (0.1, est.REVERSE),
+        -0.1,
     ),
     "noclick-marginal": (
         lo.CircuitSpec(
@@ -591,12 +588,12 @@ KERNEL_CASES = {
             eta=0.7,
         ),
         None,
-        (0.2, est.FORWARD),
+        0.2,
     ),
     "all-marginal": (
         lo.CircuitSpec(((0.5, 0.1), (0.2, 0.0)), lo.haar_unitary(2, 12), (MARGINAL, MARGINAL)),
         None,
-        (0.4, est.FORWARD),
+        0.4,
     ),
 }
 
@@ -620,19 +617,19 @@ class TestSamplingKernel:
     @pytest.mark.parametrize("method", ["folded", "naive"])
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_kernel_matches_reference_pushforward(self, case, method):
-        circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
+        circuit, s_spec, gamma = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
         setup = est.Setup(circuit, s)
         if method == "folded":
-            sampler = est.build_folded_sampler(setup, gamma, direction)
-            root = ref.precision_root(setup, gamma, direction)
+            sampler = est.build_folded_sampler(setup, gamma)
+            root = ref.precision_root(setup, gamma)
             stds = None
             width = len(setup.free_idx)
             assert sampler.active_modes == non_gaussian_modes(circuit)
         else:
-            sampler = est.build_folded_sampler(setup, gamma, direction, "naive")
+            sampler = est.build_folded_sampler(setup, gamma, "naive")
             root = None
-            stds = naive_stds(circuit, s, est._rate(s, gamma, direction, circuit.a_max))
+            stds = naive_stds(circuit, s, est._rate(s, gamma, circuit.a_max))
             width = np.count_nonzero(stds)  # one normal per free coordinate
             assert sampler.active_modes == tuple(range(circuit.m))
         rows, cols = sampler.kernel.shape
@@ -653,28 +650,28 @@ class TestSamplingKernel:
     @pytest.mark.parametrize("case", sorted(set(KERNEL_CASES) - {"all-marginal"}))
     def test_wide_kernels_are_reduced(self, case):
         # 2A rows never need more than 2A normals
-        circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
+        circuit, s_spec, gamma = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
         setup = est.Setup(circuit, s)
         rows = 2 * len(non_gaussian_modes(circuit))
-        sampler = est.build_folded_sampler(setup, gamma, direction)
+        sampler = est.build_folded_sampler(setup, gamma)
         assert sampler.kernel.shape == (rows, min(rows, setup.free_idx.size))
 
     def test_all_marginal_has_no_weighted_mode(self):
-        circuit, _, gamma_mode = KERNEL_CASES["all-marginal"]
+        circuit, _, gamma = KERNEL_CASES["all-marginal"]
         s = circuit.s_max - est.S_MAX_MARGIN
-        sampler = est.build_folded_sampler(est.Setup(circuit, s), *gamma_mode)
+        sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma)
         assert sampler.active_modes == () and sampler.kernel.shape[0] == 0
         assert np.array_equal(sampler.draw(np.random.default_rng(1), 7), np.ones(7))
-        rep = est.estimate_probability(circuit, est.EstimatorConfig(gamma_mode=gamma_mode))
+        rep = est.estimate_probability(circuit, est.EstimatorConfig(gamma=gamma))
         assert rep.n_used == 1
 
     def test_fused_batches_match_per_chunk_draws(self):
         # each trace row is one chunk: one draw from its own stream, summed
         circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
-        cfg = est.EstimatorConfig(n_samples=30_001, seed=9, gamma_mode=(0.2, est.FORWARD))
+        cfg = est.EstimatorConfig(n_samples=30_001, seed=9, gamma=0.2)
         rep = est.estimate_probability(circuit, cfg)
-        sampler = est.build_folded_sampler(est.Setup(circuit, rep.s), rep.gamma, rep.direction)
+        sampler = est.build_folded_sampler(est.Setup(circuit, rep.s), rep.shift)
         sizes = est._chunk_sizes(cfg.n_samples)
         assert len(rep.trace) == len(sizes) == 8
         running, n_done = 0.0, 0
@@ -689,7 +686,7 @@ class TestSamplingKernel:
         # from its own stream
         circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
         sampler = est.build_folded_sampler(
-            est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 0.2, est.FORWARD
+            est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 0.2
         )
         sizes = [est.CHUNK, 3000, est.CHUNK, 8 * est.CHUNK + 7, 1]
         words = est._chunk_words(9, 3 + len(sizes))[3:]
@@ -714,7 +711,7 @@ class TestSamplingKernel:
         # columns bit for bit
         circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
         sampler = est.build_folded_sampler(
-            est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 0.2, est.FORWARD
+            est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 0.2
         )
         n, first = 6 * est.CHUNK + 11, 2
         words = est._chunk_words(5, 7)
@@ -741,11 +738,11 @@ class TestSamplingKernel:
         assert 2 * panel > est.CHUNK or rows * f * 2 * panel > est.GEMM_PANEL_MNK
 
 
-def outer_product_precision(circuit, s, gamma, direction, laplace=False):
+def outer_product_precision(circuit, s, gamma, laplace=False):
     """The folded precision on the free coordinates, assembled as one outer
     product per folded mode (the Gaussian ones, or every mode for the
     Laplace proposal): Q_j = Re(a a^H) with a = [U_j, i U_j]."""
-    rate = est._rate(s, gamma, direction, circuit.a_max)
+    rate = est._rate(s, gamma, circuit.a_max)
     exponents = factors.shift_exponents(factors.unshifted_exponents(circuit.variances, s), rate)[0]
     lam = np.diag(np.nan_to_num(2.0 * exponents))
     for j, out in enumerate(circuit.pattern):
@@ -757,15 +754,15 @@ def outer_product_precision(circuit, s, gamma, direction, laplace=False):
     return lam[np.ix_(free, free)]
 
 
-def cholesky_reference(circuit, s, gamma, direction):
+def cholesky_reference(circuit, s, gamma):
     """(K K^T, log_prefactor) of the folded sampler through a Cholesky factor
     L of the precision and the solve K = W_af L^{-T}."""
     m = circuit.m
-    rate = est._rate(s, gamma, direction, circuit.a_max)
+    rate = est._rate(s, gamma, circuit.a_max)
     c0 = factors.unshifted_exponents(circuit.variances, s)
     exponents, log_norms = factors.shift_exponents(c0, rate)
     free = np.flatnonzero(~np.isnan(exponents))
-    chol = np.linalg.cholesky(outer_product_precision(circuit, s, gamma, direction))
+    chol = np.linalg.cholesky(outer_product_precision(circuit, s, gamma))
     log_k = sum(
         log_norms[j] + (0.0 if out.kind == "marginal" else math.log(2.0 / (s + 1.0)))
         for j, out in enumerate(circuit.pattern)
@@ -807,17 +804,17 @@ class TestFoldPaths:
     def test_diagonal_fold_matches_cholesky_path(self, name, m):
         # nothing is folded for matrix embeddings (all-photon or all-click)
         if name == "frozen-thermal":
-            circuit, _, (gamma, direction) = KERNEL_CASES[name]
+            circuit, _, gamma = KERNEL_CASES[name]
             s = circuit.s_max  # freezes both quadratures of one mode
         else:
             circuit = matrix_embedding(name, m)
             s = circuit.s_max - est.S_MAX_MARGIN
-            gamma, direction = est.resolve_gamma(est.Setup(circuit, s))[:2]
+            gamma = est.resolve_gamma(est.Setup(circuit, s))
         setup = est.Setup(circuit, s)
         assert setup.precision("folded")[0].ndim == 1
         assert len(setup.free_idx) == (2 * m - 2 if name == "frozen-thermal" else 2 * m)
-        sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction)
-        cov, log_prefactor = cholesky_reference(circuit, s, gamma, direction)
+        sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma)
+        cov, log_prefactor = cholesky_reference(circuit, s, gamma)
         got = sampler.kernel @ sampler.kernel.T
         np.testing.assert_allclose(got, cov, rtol=0.0, atol=1e-12 * np.abs(cov).max())
         assert sampler.log_prefactor == pytest.approx(log_prefactor, abs=1e-12)
@@ -825,13 +822,13 @@ class TestFoldPaths:
     @pytest.mark.parametrize("laplace", [False, True])
     @pytest.mark.parametrize("case", ["frozen-squeezed", "noclick-marginal"])
     def test_one_product_fold_matches_outer_products(self, case, laplace):
-        circuit, s_spec, (gamma, direction) = KERNEL_CASES[case]
+        circuit, s_spec, gamma = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
         setup = est.Setup(circuit, s)
         base, slope, _ = setup.precision("laplace" if laplace else "folded")
         assert base.ndim == 2
-        expected = outer_product_precision(circuit, s, gamma, direction, laplace)
-        got = base + est._rate(s, gamma, direction, circuit.a_max) * slope
+        expected = outer_product_precision(circuit, s, gamma, laplace)
+        got = base + est._rate(s, gamma, circuit.a_max) * slope
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
 
@@ -846,7 +843,7 @@ class TestChunkStreams:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-        cfg = est.EstimatorConfig(n_samples=5000, seed=4, gamma_mode=(0.2, est.FORWARD), threads=1)
+        cfg = est.EstimatorConfig(n_samples=5000, seed=4, gamma=0.2, threads=1)
         est.estimate_probability(circuit, cfg)
         assert len(built) == 1
 
@@ -874,7 +871,7 @@ def wide_naive_sampler():
         (photon(1), CLICK, photon(2)) + (NOCLICK,) * (m - 3),
     )
     s = circuit.s_max - est.S_MAX_MARGIN
-    sampler = est.build_folded_sampler(est.Setup(circuit, s), 0.2, est.FORWARD, "naive")
+    sampler = est.build_folded_sampler(est.Setup(circuit, s), 0.2, "naive")
     assert sampler.kernel.shape == (32, 32)
     return sampler
 
@@ -924,17 +921,17 @@ class TestFusedWeight:
     multiplies the polynomial parts; the reference is each mode's factor
     n_j * pi W_j(b) * exp(-rate * b) as ``pi_w_profile`` writes it."""
 
-    @pytest.mark.parametrize("direction", [est.FORWARD, est.REVERSE])
+    @pytest.mark.parametrize("gamma", [0.6, -0.6], ids=["forward", "reverse"])
     @pytest.mark.parametrize(
         "outcome", FUSED_OUTCOMES, ids=lambda o: f"{o.kind}{o.m if o.kind == 'photon' else ''}"
     )
-    def test_fused_weight_matches_profile_times_reweight(self, outcome, direction):
+    def test_fused_weight_matches_profile_times_reweight(self, outcome, gamma):
         # one mode through the naive sampler: the weight is the whole factor
         circuit = lo.CircuitSpec(((0.3, 0.4),), lo.identity_interferometer(1), (outcome,))
-        s, gamma = 0.5, 0.6
-        rate = est._rate(s, gamma, direction, circuit.a_max)
+        s = 0.5
+        rate = est._rate(s, gamma, circuit.a_max)
         n_j = math.exp(log_norm(mode_variances(circuit, 0), s, rate))
-        sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, direction, "naive")
+        sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, "naive")
         # sample-major normals: a sample's two normals are consecutive
         b = sampler.beta_sq(np.random.default_rng(7).standard_normal((4000, 2)).T)[0]
         got = sampler.draw(np.random.default_rng(7), 4000)
@@ -952,8 +949,8 @@ class TestFusedWeight:
             (photon(1), NOCLICK) + (MARGINAL,) * (m - 2),
         )
         s = circuit.s_max - est.S_MAX_MARGIN
-        gamma, direction = est.resolve_gamma(est.Setup(circuit, s))[:2]
-        assert est.build_folded_sampler(est.Setup(circuit, s), gamma, direction).kernel.shape == (2, 2)
+        gamma = est.resolve_gamma(est.Setup(circuit, s))
+        assert est.build_folded_sampler(est.Setup(circuit, s), gamma).kernel.shape == (2, 2)
         cfg = est.EstimatorConfig(n_samples=200_000, seed=8)
         reports = [est.estimate_probability(circuit, replace(cfg, threads=k)) for k in (1, 2, 4)]
         blobs = {json.dumps(rep.as_dict()) for rep in reports}
@@ -977,7 +974,7 @@ class TestFoldedSampler:
             n_th=0.1,
         )
         rep = est.estimate_probability(circuit, est.EstimatorConfig(seed=3))
-        assert (rep.gamma, rep.direction, rep.n_used) == (0.0, est.FORWARD, 1)
+        assert (rep.gamma, rep.direction, rep.n_used) == (0.0, "forward", 1)
         exact = oracles.exact_probability(circuit, [0, 0, "marginal"])
         assert rep.estimate == pytest.approx(exact, rel=1e-10)
 
@@ -985,10 +982,8 @@ class TestFoldedSampler:
         circuit = lo.CircuitSpec(
             ((0.5, 0.1), (0.2, 0.0)), lo.haar_unitary(2, 12), (MARGINAL, MARGINAL)
         )
-        for gamma_mode in [(0.0, est.FORWARD), (0.4, est.FORWARD), (0.3, est.REVERSE)]:
-            rep = est.estimate_probability(
-                circuit, est.EstimatorConfig(gamma_mode=gamma_mode, seed=1)
-            )
+        for gamma in [0.0, 0.4, -0.3]:
+            rep = est.estimate_probability(circuit, est.EstimatorConfig(gamma=gamma, seed=1))
             assert rep.estimate == pytest.approx(1.0, abs=1e-10)
             assert rep.n_used == 1  # deterministic, no sampling variance
 
@@ -1018,7 +1013,7 @@ class TestFoldedSampler:
             (photon(0), photon(1), MARGINAL),
             eta=0.8,
         )
-        cfg = est.EstimatorConfig(n_samples=200_000, seed=4, gamma_mode=(0.2, est.FORWARD))
+        cfg = est.EstimatorConfig(n_samples=200_000, seed=4, gamma=0.2)
         rep_f = est.estimate_probability(circuit, cfg, method="folded")
         rep_n = est.estimate_probability(circuit, cfg, method="naive")
         assert abs(rep_f.estimate - rep_n.estimate) <= rep_f.conf_radius + rep_n.conf_radius
@@ -1069,11 +1064,11 @@ class TestEstimateProbability:
         for k in range(30):
             rep_a = est.estimate_probability(
                 circuit,
-                est.EstimatorConfig(gamma_mode=(0.15, est.FORWARD), n_samples=20_000, seed=2 * k),
+                est.EstimatorConfig(gamma=0.15, n_samples=20_000, seed=2 * k),
             )
             rep_b = est.estimate_probability(
                 circuit,
-                est.EstimatorConfig(gamma_mode=(0.35, est.REVERSE), n_samples=20_000, seed=2 * k + 1),
+                est.EstimatorConfig(gamma=-0.35, n_samples=20_000, seed=2 * k + 1),
             )
             if abs(rep_a.estimate - rep_b.estimate) <= rep_a.conf_radius + rep_b.conf_radius:
                 agree += 1
@@ -1156,11 +1151,11 @@ class TestEstimateProbability:
         with pytest.raises(ValueError, match="method"):
             est.estimate_probability(circuit, est.EstimatorConfig(n_samples=100), method=method)
 
-    @pytest.mark.parametrize("gamma_mode", ["auto", (0.2, est.FORWARD)], ids=["auto", "fixed"])
-    def test_nan_ordering_rejected(self, gamma_mode):
+    @pytest.mark.parametrize("gamma", [None, 0.2], ids=["auto", "fixed"])
+    def test_nan_ordering_rejected(self, gamma):
         # Setup checks s: NaN is outside every factor's range
         circuit = squeezed_circuit([0.4, 0.3], 17)
-        cfg = est.EstimatorConfig(s=math.nan, n_samples=64, gamma_mode=gamma_mode)
+        cfg = est.EstimatorConfig(s=math.nan, n_samples=64, gamma=gamma)
         with pytest.raises(OrderingOutOfRange):
             est.estimate_probability(circuit, cfg)
         with pytest.raises(OrderingOutOfRange):
@@ -1177,7 +1172,7 @@ class TestEstimateProbability:
         circuit = squeezed_circuit([0.3], 21)
         s = circuit.s_max - est.S_MAX_MARGIN
         with pytest.raises(ValueError, match="method"):
-            est.build_folded_sampler(est.Setup(circuit, s), 0.2, est.FORWARD, method="bogus")
+            est.build_folded_sampler(est.Setup(circuit, s), 0.2, method="bogus")
 
     def test_trace_is_cumulative(self):
         circuit = squeezed_circuit([0.3], 21)
@@ -1316,12 +1311,13 @@ class TestMatrixEstimators:
     def test_gamma_window_rejected(self):
         # a config refuses the shift when built; ``mode_sups`` and the
         # sampler builder take a raw shift and check it themselves
-        with pytest.raises(SchemaError, match=r"^/gamma: must lie in \[0, 1\), got 1.2$"):
-            est.EstimatorConfig(gamma_mode=(1.2, est.FORWARD))
+        with pytest.raises(SchemaError, match=r"^/gamma: must lie in \(-1, 1\), got 1.2$"):
+            est.EstimatorConfig(gamma=1.2)
         circuit = squeezed_circuit([0.3], 24)
         setup = est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN)
-        with pytest.raises(ShiftOutOfRange):
-            est.mode_sups(setup, 1.2, est.FORWARD)
+        for gamma in (1.2, -1.2):
+            with pytest.raises(ShiftOutOfRange):
+                est.mode_sups(setup, gamma)
 
 
 def _torontonian_case(family, seed, m=3):
@@ -1354,16 +1350,15 @@ class TestTorontonianShift:
         cfg = est.EstimatorConfig(n_samples=100, seed=1)
         res = est.estimate_torontonian(mat, cfg)
         s = res.report.s
-        assert (res.report.gamma, res.report.direction) == tuple(est.resolve_gamma(est.Setup(emb.circuit, s)))
+        assert res.report.shift == est.resolve_gamma(est.Setup(emb.circuit, s))
         analytic = ref.analytic_budget(emb, s)
         assert np.sum(np.log(res.budget_factors)) <= np.sum(np.log(analytic)) + 1e-6
 
-        auto = est.GammaChoice(0.25, est.REVERSE)
-        monkeypatch.setattr(est, "resolve_gamma", lambda *_: auto)
+        monkeypatch.setattr(est, "resolve_gamma", lambda *_: -0.25)
         report = est.estimate_torontonian(mat, cfg).report
-        assert (report.gamma, report.direction) == tuple(auto)
-        fixed = est.estimate_torontonian(mat, replace(cfg, gamma_mode=(0.1, est.REVERSE)))
-        assert (fixed.report.gamma, fixed.report.direction) == (0.1, est.REVERSE)
+        assert (report.gamma, report.direction) == (0.25, "reverse")
+        fixed = est.estimate_torontonian(mat, replace(cfg, gamma=-0.1))
+        assert (fixed.report.gamma, fixed.report.direction) == (0.1, "reverse")
 
 
     def test_equal_eigenvalues_sample_at_a_finite_rate(self):
@@ -1372,7 +1367,7 @@ class TestTorontonianShift:
         mat = lo.block_b_prime(np.diag([0.45, 0.45]))
         res = est.estimate_torontonian(mat, est.EstimatorConfig(seed=3))
         rep = res.report
-        rate = est._rate(rep.s, rep.gamma, rep.direction, lo.embed_torontonian(mat).circuit.a_max)
+        rate = est._rate(rep.s, rep.shift, lo.embed_torontonian(mat).circuit.a_max)
         assert math.isfinite(rate) and abs(rate) < 1e6
         assert abs(res.value - oracles.torontonian_exact(mat.data)) <= res.budget
         near = est.estimate_torontonian(lo.block_b_prime(np.diag([0.45, 0.4500001])))
@@ -1440,7 +1435,7 @@ class TestEstimatorConfig:
         + [("n_samples", x, "/samples") for x in (0, 2.5, math.nan, True)]
         + [("seed", x, "/seed") for x in (-1, 1.5, True)]
         + [("threads", x, "/threads") for x in (0, 1.5)]
-        + [("gamma_mode", x, "/gamma") for x in ((1.2, "forward"), (-0.1, "reverse"), (0.2, "sideways"), ("0.2", "forward"))],
+        + [("gamma", x, "/gamma") for x in (1.0, -1.0, 1.2, math.nan, math.inf, True, "0.5", (0.5, "reverse"))],
     )
     def test_invalid_setting_names_its_pointer(self, field, value, pointer):
         # each setting is checked once, when the config is built; 2.5 samples
@@ -1449,6 +1444,16 @@ class TestEstimatorConfig:
             est.EstimatorConfig(**{field: value})
         assert info.value.pointer == pointer
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("gamma", [None, -0.5, 0.0, 0.5])
+    def test_signed_shift_accepted(self, gamma):
+        # one number: its sign is the direction, None asks for the search
+        cfg = est.EstimatorConfig(gamma=gamma, n_samples=64)
+        assert cfg.gamma == gamma
+        rep = est.estimate_probability(squeezed_circuit([0.3, 0.2], 5), cfg)
+        if gamma is not None:
+            assert rep.shift == gamma
+            assert (rep.gamma, rep.direction) == (abs(gamma), "reverse" if gamma < 0.0 else "forward")
 
     def test_numpy_integer_seed_accepted(self):
         cfg = est.EstimatorConfig(seed=np.int64(3), n_samples=np.int32(64))
@@ -1492,14 +1497,14 @@ class TestBudgetCoversRadius:
         base = est.EstimatorConfig(seed=4)
         runs = {
             "analytic": base,
-            "gamma 0": replace(base, gamma_mode=(0.0, est.FORWARD)),
-            "gamma 0.3 reverse": replace(base, gamma_mode=(0.3, est.REVERSE)),
+            "gamma 0": replace(base, gamma=0.0),
+            "gamma 0.3 reverse": replace(base, gamma=-0.3),
             "s below s_max": replace(base, s=0.5 * emb.circuit.s_max),
         }
         for run, cfg in runs.items():
             res = estimate(cfg)
             rep = res.report
-            sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.gamma, rep.direction)
+            sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.shift)
             factors = est.budget_factors(emb, sups)
             assert np.array_equal(res.budget_factors, factors), run
             assert res.budget == 0.05 * float(np.prod(factors)), run
@@ -1535,13 +1540,13 @@ class TestOneSetupPerEstimate:
         return built
 
     @pytest.mark.parametrize(
-        "method, gamma_mode",
-        [("folded", "auto"), ("naive", "auto"), ("folded", (0.2, est.FORWARD))],
+        "method, gamma",
+        [("folded", None), ("naive", None), ("folded", 0.2)],
         ids=["folded", "naive", "fixed-shift"],
     )
-    def test_circuit_estimate(self, setups, method, gamma_mode):
+    def test_circuit_estimate(self, setups, method, gamma):
         circuit = squeezed_circuit([0.3, 0.5, 0.4], 21, (photon(1), CLICK, NOCLICK))
-        cfg = est.EstimatorConfig(gamma_mode=gamma_mode, n_samples=256)
+        cfg = est.EstimatorConfig(gamma=gamma, n_samples=256)
         est.estimate_probability(circuit, cfg, method=method)
         assert len(setups) == 1
 

@@ -270,8 +270,8 @@ class TestMultiplicative:
         cases = [
             ({"n_samples": 10}, "/samples"),
             ({"s": 0.5}, "/s"),
-            ({"gamma_mode": (0.3, "forward")}, "/gamma"),
-            ({"n_samples": 10, "s": 0.5, "gamma_mode": (0.3, "forward")}, "/samples"),
+            ({"gamma": 0.3}, "/gamma"),
+            ({"n_samples": 10, "s": 0.5, "gamma": 0.3}, "/samples"),
         ]
         for fields, pointer in cases:
             with pytest.raises(SchemaError, match=rf"^{pointer}: is not used by --multiplicative$"):
@@ -391,12 +391,12 @@ class TestLaplaceFold:
         s = circuit.s_max - 0.5
         setup = est.Setup(circuit, s)
         assert len(setup.free_idx) == 2 * circuit.m
-        root = ref.precision_root(setup, 0.5, est.FORWARD, "laplace")
+        root = ref.precision_root(setup, 0.5, "laplace")
         precision = root @ root.T
         hess = central_hessian(lambda x: log_integrand(circuit, s, x), 2 * circuit.m)
         np.testing.assert_allclose(precision, -hess, rtol=1e-5, atol=1e-5 * np.abs(hess).max())
         # every weighted mode keeps its own log-slope as its reweight rate
-        sampler = est.build_folded_sampler(setup, 0.5, est.FORWARD, method="laplace")
+        sampler = est.build_folded_sampler(setup, 0.5, method="laplace")
         profiles = [ps.pi_w_profile(circuit.pattern[j], s) for j in sampler.active_modes]
         assert sampler.exponents.tolist() == [f.decay + f.log_slope for f in profiles]
 
@@ -406,8 +406,8 @@ class TestLaplaceFold:
         circuit = LAPLACE_CASES[case]
         s = circuit.s_max - 0.5
         setup = est.Setup(circuit, s)
-        root = ref.precision_root(setup, 0.5, est.FORWARD, "laplace")
-        sampler = est.build_folded_sampler(setup, 0.5, est.FORWARD, method="laplace")
+        root = ref.precision_root(setup, 0.5, "laplace")
+        sampler = est.build_folded_sampler(setup, 0.5, method="laplace")
         dim = 2 * circuit.m
         z = np.random.default_rng(case).standard_normal((dim, 5))
         x = np.linalg.solve(root.T, z)
@@ -465,7 +465,7 @@ def test_laplace_weights_peak_at_origin(name):
     circuit = CERTIFIED[name]
     assert all(cert.holds for cert in fpras.circuit_certificates(circuit))
     sampler = est.build_folded_sampler(
-        est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 1.0 - 1e-9, est.FORWARD, method="laplace"
+        est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 1.0 - 1e-9, method="laplace"
     )
     peak = sampler.scale * math.prod(float(poly(0.0)) for poly in sampler.polys if poly is not None)
     w = sampler.draw(np.random.default_rng(0), 20_000)
@@ -508,7 +508,7 @@ def first_stopping_chunk(circuit, epsilon, delta, seed, chunks):
     """The first chunk count at which the stopping rule holds on the running
     sums, scanned over ``chunk_sums`` of the first ``chunks`` chunks."""
     setup = est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN)
-    sampler = est.build_folded_sampler(setup, 1.0 - 1e-9, est.FORWARD, "laplace")
+    sampler = est.build_folded_sampler(setup, 1.0 - 1e-9, "laplace")
     sums = est.chunk_sums(sampler, est._chunk_words(seed, chunks), [est.CHUNK] * chunks, 1, math.inf)
     s1, s2 = np.cumsum(sums, axis=1)  # running sums, added in chunk order
     n = est.CHUNK * np.arange(1, chunks + 1)

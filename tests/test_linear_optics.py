@@ -552,6 +552,19 @@ class TestMatrixClass:
             assert second.circuit.modes == first.circuit.modes
             assert np.array_equal(second.circuit.unitary.u, first.circuit.unitary.u)
 
+    def test_data_is_a_read_only_copy(self):
+        # the cached decomposition stays that of the matrix's data, and the
+        # caller's own array is copied, not frozen
+        given = np.diag([0.5, 0.2]).astype(complex)
+        mat = lo.MatrixClass(lo.MatrixTag.HPSD_B, given)
+        given[0, 0] = 0.9
+        assert mat.data[0, 0] == 0.5 and given.flags.writeable
+        mat_b = lo.block_b_prime(np.diag([0.5, 0.2]))
+        lo.embed_torontonian(mat_b)
+        with pytest.raises(ValueError, match="read-only"):
+            mat_b.data[:] = lo.block_b_prime(np.diag([0.1, 0.05])).data
+        assert np.allclose(lo.embed_torontonian(mat_b).lambdas, [0.5, 0.2])
+
     def test_decomposition_is_not_an_argument(self):
         with pytest.raises(TypeError):
             lo.MatrixClass(lo.MatrixTag.BLOCK_B_PRIME, np.eye(2) * 0.3, decomposition=(np.eye(1), np.ones(1)))

@@ -333,8 +333,8 @@ def shifted_meas_factor(outcome, s, rate, n_j=1.0):
 class TestShiftedFactors:
     """The shift moves exp(rate |alpha|^2) from the input factor, whose
     exponents and normalization come from ``factors``, to the measurement
-    factor (``shifted_meas_factor``); ``estimator._rate`` maps a normalized
-    gamma and a direction to the rate."""
+    factor (``shifted_meas_factor``); ``estimator._rate`` maps a signed
+    normalized gamma to the rate."""
 
     def test_zero_shift_reduces_to_plain_pqd(self):
         cov = squeezed_thermal_variances(0.4, 0.2)
@@ -370,7 +370,7 @@ class TestShiftedFactors:
         cov = squeezed_thermal_variances(0.5, 0.0)
         s = 0.2
         with pytest.raises(ShiftOutOfRange):
-            est._rate(s, 1.0, est.FORWARD, cov[0])
+            est._rate(s, 1.0, cov[0])
         with pytest.raises(ShiftOutOfRange):
             factors.shift_exponents(factors.unshifted_exponents(cov, s), 2.0 / (cov[0] - s))
 
@@ -380,7 +380,7 @@ class TestShiftedFactors:
         r, n_th = 0.4, 0.0
         cov = squeezed_thermal_variances(r, n_th)
         s = math.exp(-1.0)
-        rate = est._rate(s, 0.2, est.FORWARD, cov[0])
+        rate = est._rate(s, 0.2, cov[0])
         assert rate == pytest.approx(2.0 * 0.2 / (cov[0] - s), rel=1e-15)
         sx = math.sqrt((cov[0] - s) / 4.0 / (1.0 - rate * (cov[0] - s) / 2.0))
         sy = math.sqrt((cov[1] - s) / 4.0)
@@ -399,8 +399,7 @@ class TestShiftedFactors:
             cov = squeezed_thermal_variances(rng.uniform(0, 0.8), rng.uniform(0, 1))
             s = rng.uniform(-0.5, cov[1] - 0.05)
             gamma = rng.uniform(-0.8, 0.8)
-            direction = est.FORWARD if gamma >= 0 else est.REVERSE
-            rate = est._rate(s, abs(gamma), direction, cov[0])
+            rate = est._rate(s, gamma, cov[0])
             cx = 2.0 / (cov[0] - s) - rate
             cy = 2.0 / (cov[1] - s) - rate
             if cx <= 0 or cy <= 0:
@@ -419,7 +418,7 @@ class TestShiftedFactors:
         s, gamma, beta = 0.5, 0.1, 0.7
         a_max = s + 3.0
         n_j = 1.2
-        rate = est._rate(s, gamma, est.FORWARD, a_max)
+        rate = est._rate(s, gamma, a_max)
         expected = (
             n_j
             * (1.0 - (2.0 / (s + 1.0)) * math.exp(-2.0 * abs(beta) ** 2 / (s + 1.0)))
@@ -431,11 +430,11 @@ class TestShiftedFactors:
     def test_optimally_shifted_single_photon_factor_below_one(self):
         # identical pure squeezed modes at the balance-optimal shift
         for lam in (0.2, 0.5, 0.9):
-            gamma, direction = optimal_gamma_squeezed([lam])
+            gamma = optimal_gamma_squeezed([lam])
             e2r = (1.0 + lam) / (1.0 - lam)
             s = 1.0 / e2r
             cov = np.array([e2r, 1.0 / e2r])
-            rate = est._rate(s, gamma, direction, e2r)
+            rate = est._rate(s, gamma, e2r)
             n_j = math.exp(factors.shift_exponents(factors.unshifted_exponents(cov, s), rate)[1][0])
             b = np.linspace(0.0, 200.0, 5001)
             vals = shifted_meas_factor(ps.photon(1), s, rate, n_j)(b)
@@ -444,7 +443,7 @@ class TestShiftedFactors:
 
 class TestPqdParams:
     """Admissible orderings and shift windows: s <= s_max, the smallest p variance,
-    rates in (-2/(s+1), 2/(a_max-s)), reached by normalized gamma in [0, 1)."""
+    rates in (-2/(s+1), 2/(a_max-s)), reached by signed normalized gamma in (-1, 1)."""
 
     def test_ranges(self):
         circuit = lo.CircuitSpec(
@@ -453,8 +452,8 @@ class TestPqdParams:
         s, g = 0.2, 0.5
         assert circuit.a_max == pytest.approx(math.exp(1.0))
         assert circuit.s_max == pytest.approx(math.exp(-1.0))
-        assert -est._rate(s, g, est.REVERSE, circuit.a_max) / g == pytest.approx(2.0 / 1.2)
-        assert est._rate(s, g, est.FORWARD, circuit.a_max) / g == pytest.approx(
+        assert est._rate(s, -g, circuit.a_max) / -g == pytest.approx(2.0 / 1.2)
+        assert est._rate(s, g, circuit.a_max) / g == pytest.approx(
             2.0 / (math.exp(1.0) - 0.2)
         )
 
@@ -464,6 +463,6 @@ class TestPqdParams:
             est.estimate_probability(circuit, est.EstimatorConfig(s=1.5))
 
     def test_gamma_window(self):
-        for direction in (est.FORWARD, est.REVERSE):
+        for gamma in (5.0, -5.0, 1.0, -1.0):
             with pytest.raises(ShiftOutOfRange):
-                est._rate(0.0, 5.0, direction, 1.0)
+                est._rate(0.0, gamma, 1.0)
