@@ -13,6 +13,7 @@ are strict JSON: a non-finite number (an unbounded factor) is written as null.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,6 +32,7 @@ from .errors import (
     PqdkitError,
     PreconditionAminBelowOne,
     SchemaError,
+    ShiftOutOfRange,
 )
 from .phase_space import CLICK, MARGINAL, NOCLICK, photon
 
@@ -386,7 +388,7 @@ def _cmd_bounds(args) -> int:
             emb = lo.embed_hafnian(diag)
         # the decomposition sorts the spectrum by decreasing modulus
         order = np.argsort(-np.abs(spectrum), kind="stable")
-    setup = est.Setup(emb.circuit, emb.circuit.s_max - est.S_MAX_MARGIN)
+    setup = est.Setup(emb.circuit)
     factors = est.budget_factors(emb, est.mode_sups(setup, est.resolve_gamma(setup)))
     if order is not None:
         factors = factors[np.argsort(order, kind="stable")]
@@ -480,6 +482,7 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--oracle-check", action="store_true")
 
 
+@functools.cache  # one build per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pqdkit",
@@ -571,6 +574,10 @@ def main(argv=None) -> int:
     except OrderingOutOfRange as exc:
         # the one ordering a caller sets is --s (its default sits below s_max)
         print(f"input error: /s: {exc}", file=sys.stderr)
+        return 1
+    except ShiftOutOfRange as exc:
+        # the one shift a caller sets is --gamma (the searched one stays bounded)
+        print(f"input error: /gamma: {exc}", file=sys.stderr)
         return 1
     except (PqdkitError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -18,30 +18,29 @@ costs at most 2A standard normals (marginal and other folded modes add
 none) and one exp for all weighted modes together; a click factor keeps
 one exp of its own.  Both estimators lay their samples out one way: sample
 i belongs to chunk i // ``CHUNK`` and is drawn from that chunk's own SFC64
-stream, and a chunk is one fill of sample-major normals, weighed at once,
-so memory stays bounded whatever the sample count.  ``chunk_sums`` draws
-the chunks on every usable CPU by default; the thread count changes no
-value.  Setup work (decompositions, folds, the kernel's solve and QR) runs
-on one OpenBLAS thread, so no BLAS pool spins while the samples are drawn.
-Per-mode values are computed once per call, and a factor's supremum once
-per distinct outcome.
+stream, numpy's spawned child (seed, chunk), and a chunk is one fill of
+sample-major normals, weighed at once, so memory stays bounded whatever
+the sample count.  ``chunk_sums`` draws the chunks on every usable CPU by
+default; the thread count changes no value.  Setup work (decompositions,
+folds, the kernel's solve and QR) runs on one OpenBLAS thread, so no BLAS
+pool spins while the samples are drawn.  Per-mode values are computed once
+per call, and a factor's supremum once per distinct outcome.
 
 One rule picks the shift unless the caller fixes one: ``resolve_gamma``
-searches the rate that minimizes the folded sampler's weight bound over the
-instance's own spectrum.  What the shift leaves unchanged (``Setup``: the
-circuit at one ordering s) is built once per estimate, and every step after
-it takes that one ``Setup`` as its only circuit argument: the search, the
-fold, the samplers, the suprema and the negativity bound.  |Haf|^2, Per and
-Tor share one path through the circuit estimate, and the budget is the
-bound of the sampler that ran (``budget_factors``: each mode's prefactor
-times the run's ``mode_sups``, the numbers its weights are checked
-against), so it covers the run's Hoeffding radius.
+searches the rate that minimizes the weight bound of the sampler that runs,
+over the instance's own spectrum.  What the shift leaves unchanged
+(``Setup``: the circuit at one ordering s) is built once per estimate, and
+every step after it takes that one ``Setup`` as its only circuit argument:
+the search, the fold, the samplers, the suprema and the negativity bound.
+|Haf|^2, Per and Tor share one path through the circuit estimate, and the
+budget is the bound of the sampler that ran (``budget_factors``: each
+mode's prefactor times the run's ``mode_sups``, the numbers its weights
+are checked against), so it covers the run's Hoeffding radius.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 import numbers
@@ -192,12 +191,14 @@ class Setup:
     s and a_max (which map a shift to its rate), each quadrature's
     unshifted exponent 2/(a - s) (NaN where frozen), one ``RadialFactor``
     per distinct outcome, W on the free coordinates, and each proposal's
-    precision as an affine function of the rate.  Building it checks s: not
-    finite, above an input variance or outside a factor's range, it raises
-    ``OrderingOutOfRange``.
+    precision as an affine function of the rate.  The default ordering is
+    s_max - S_MAX_MARGIN.  Building it checks s: not finite, above an input
+    variance or outside a factor's range, it raises ``OrderingOutOfRange``.
     """
 
-    def __init__(self, circuit: CircuitSpec, s: float):
+    def __init__(self, circuit: CircuitSpec, s: Optional[float] = None):
+        if s is None:
+            s = circuit.s_max - S_MAX_MARGIN
         if not math.isfinite(s):
             raise OrderingOutOfRange(f"the ordering s must be finite, got {s}")
         self.m = circuit.m
@@ -261,24 +262,26 @@ class Setup:
             self._precisions[method] = base, slope, folded
         return self._precisions[method]
 
-    @functools.cached_property
-    def log_bound(self) -> Callable[[float], float]:
-        """log B_eff as a function of the signed rate: the log of the folded
-        sampler's weight bound, inf outside the feasible rates.  With
-        Lambda(rate) the folded precision on the free coordinates
-        (``precision``),
+    def log_bound(self, method: str = "folded") -> Callable[[float], float]:
+        """log B_eff as a function of the signed rate: the log of the weight
+        bound of the proposal ``method`` ("folded" or "naive"), inf outside
+        the feasible rates.  With Lambda(rate) its precision on the free
+        coordinates (``precision``),
 
             log B_eff = const - 1/2 log det Lambda(rate)
                         + sum over weighted modes of log sup_j(rate),
 
         the input normalizations cancelling between the sampler's prefactor
-        and the weighted modes.  Everything else is computed here once, so
-        that a probe takes one log-sum (Lambda diagonal, 2 (c0 - rate)) or
-        one Cholesky, and one supremum per distinct weighted outcome."""
-        base, slope, folded = self.precision("folded")
+        and the weighted modes, which are those not both Gaussian and folded
+        (every mode, naive).  Everything else is computed here once, so that
+        a probe takes one log-sum (Lambda diagonal, 2 (c0 - rate)) or one
+        Cholesky, and one supremum per distinct weighted outcome."""
+        base, slope, folded = self.precision(method)
         c0 = self.c0[self.free_idx]
         cap = float(c0.min()) if c0.size else math.inf  # at or above it an exponent is <= 0
-        counts = np.bincount(self.index[~self.gaussian], minlength=len(self.radial)).tolist()
+        gone = np.zeros(self.m, dtype=bool)
+        gone[folded] = self.gaussian[folded]
+        counts = np.bincount(self.index[~gone], minlength=len(self.radial)).tolist()
         weighted = [(f.sup, n) for f, n in zip(self.radial, counts) if n]
         inf, log, nlog, add = math.inf, math.log, np.log, np.add.reduce
         if folded.size:
@@ -347,13 +350,13 @@ def _hoeffding_count(log_b: float, epsilon: float, delta: float) -> int:
 
 def resolve_gamma(setup: Setup, method: str = "folded") -> float:
     """The automatic shift, one rule for every circuit and matrix family:
-    the searched minimum of the folded sampler's weight bound
-    (``_numeric_gamma``).  With nothing weighed (an all-Gaussian pattern,
-    folded) the estimate is exact at any shift, so the choice is rate 0,
-    without a search."""
+    the searched minimum of the weight bound of the proposal ``method``
+    that runs (``_numeric_gamma``).  With nothing weighed (an all-Gaussian
+    pattern, folded) the estimate is exact at any shift, so the choice is
+    rate 0, without a search."""
     if method == "folded" and setup.gaussian.all():
         return 0.0
-    return _numeric_gamma(setup)
+    return _numeric_gamma(setup, method)
 
 
 # The share of the open interval of feasible rates the search spans.  Near
@@ -363,11 +366,12 @@ SEARCH_WINDOW = 1.0 - 1e-6
 
 
 @one_blas_thread()
-def _numeric_gamma(setup: Setup) -> float:
-    """Golden-section minimization of log B_eff over the signed rate,
-    returned as the signed shift of the best rate (``_rate`` inverted).
+def _numeric_gamma(setup: Setup, method: str = "folded") -> float:
+    """Golden-section minimization of log B_eff of the proposal ``method``
+    over the signed rate, returned as the signed shift of the best rate
+    (``_rate`` inverted).
 
-    log B_eff (``Setup.log_bound``) is convex in the rate: the folded
+    log B_eff (``Setup.log_bound``) is convex in the rate: the proposal's
     precision Lambda is affine in it, so -1/2 log det Lambda is convex, and
     each log-supremum is a supremum of affine functions of the rate, so
     convex too.  It is thus convex on one interval of feasible rates, which
@@ -379,7 +383,7 @@ def _numeric_gamma(setup: Setup) -> float:
     point probed is rate 0, a last interior probe or an end of the last
     bracket (whose probes catch a minimum at a window edge).
     """
-    log_bound, s, a_max = setup.log_bound, setup.s, setup.a_max
+    log_bound, s, a_max = setup.log_bound(method), setup.s, setup.a_max
     inf = math.inf
     a = -SEARCH_WINDOW * 2.0 / (s + 1.0)
     b = SEARCH_WINDOW * 2.0 / (a_max - s) if a_max > s else 0.0
@@ -583,40 +587,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-SEED_WORDS = 4  # 64-bit seed words per chunk stream
-
-
-@functools.cache
-def _seed_words() -> type:
-    """The seed source of one chunk: its words, handed to SFC64's own seeding
-    routine (which asks for three 64-bit words).  Defined on first use, so
-    that importing pqdkit does not import numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words.view(dtype)[:n_words]
-
-    return SeedWords
-
-
-def _chunk_words(seed: int, chunks: int) -> np.ndarray:
-    """Seed words of the first ``chunks`` chunk streams of ``seed``, one row
-    of SEED_WORDS per chunk: words 4c..4c+3 of one SeedSequence(seed)'s
-    state.  That state is prefix-consistent, so row c depends only on
-    (seed, c), not on how many chunks a call has."""
-    state = np.random.SeedSequence(seed).generate_state(SEED_WORDS * chunks, np.uint64)
-    return state.reshape(chunks, SEED_WORDS)
-
-
-def _chunk_rng(words: np.ndarray) -> np.random.Generator:
-    """The SFC64 stream of one chunk, seeded by SFC64's own routine from the
-    chunk's row of ``_chunk_words``; a chunk draws the same normals whichever
-    thread runs it and whatever the call's chunk count."""
-    return np.random.Generator(np.random.SFC64(_seed_words()(words)))
+def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    """Chunk ``chunk``'s SFC64 stream of ``seed``: the child (seed, chunk)
+    that ``SeedSequence(seed).spawn`` gives, so a chunk draws the same
+    normals whichever thread runs it and whatever the call's chunk count.
+    ``np.random`` is looked up at call time, so that importing pqdkit does
+    not import numpy.random."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
 
 
 # Samples per worker: a call draws on one worker per started
@@ -625,10 +602,10 @@ def _chunk_rng(words: np.ndarray) -> np.random.Generator:
 SAMPLES_PER_WORKER = 1 << 15
 
 
-def chunk_sums(sampler: FoldedSampler, words: np.ndarray, sizes, threads, bound) -> np.ndarray:
-    """Σw and Σw² (rows) of chunks of ``sizes`` samples (columns, in chunk
-    order), chunk i drawn in one ``draw`` from the stream seeded by row i
-    of ``words`` (rows of ``_chunk_words``).  Workers take chunks from a
+def chunk_sums(sampler: FoldedSampler, seed: int, first: int, sizes, threads, bound) -> np.ndarray:
+    """Σw and Σw² (rows) of chunks first, first + 1, ... of ``sizes``
+    samples (columns, in chunk order), each drawn in one ``draw`` from its
+    own stream, ``_chunk_rng(seed, chunk)``.  Workers take chunks from a
     shared counter, one per started SAMPLES_PER_WORKER samples and at most
     ``threads`` (default: every usable CPU); they change no result.  A |w|
     above ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises ``BoundViolation``."""
@@ -644,7 +621,7 @@ def chunk_sums(sampler: FoldedSampler, words: np.ndarray, sizes, threads, bound)
 
     def work() -> None:
         while (i := next_chunk()) < len(sizes):
-            w = sampler.draw(_chunk_rng(words[i]), sizes[i])
+            w = sampler.draw(_chunk_rng(seed, first + i), sizes[i])
             peak = float(np.abs(w).max())
             if peak > limit and math.isfinite(peak):
                 raise BoundViolation(f"sample weight {peak:.6e} exceeds the claimed bound {bound:.6e}")
@@ -679,12 +656,12 @@ def estimate_probability(
     chunk.  The suprema of the measurement factors are computed once per
     call, for every mode.  With no mode weighed (an all-Gaussian pattern,
     folded) the estimate is exact at any shift, so the automatic one is
-    rate 0, without a search.
+    rate 0, without a search.  A shift that leaves a weighted mode's factor
+    unbounded raises ``ShiftOutOfRange`` before any sample is drawn.
     """
     if method not in ("folded", "naive"):
         raise ValueError(f"unknown method {method!r}")
-    s = circuit.s_max - S_MAX_MARGIN if config.s is None else config.s
-    setup = Setup(circuit, s)  # checks s
+    setup = Setup(circuit, config.s)  # checks s
     with one_blas_thread():  # one thread-count switch for the search and the build
         gamma = resolve_gamma(setup, method) if config.gamma is None else config.gamma
         sampler = build_folded_sampler(setup, gamma, method)
@@ -693,6 +670,9 @@ def estimate_probability(
     c_max = float(np.max(all_sups)) if all_sups.size else 1.0
     neg = negativity_bound(setup)
     active_sups = all_sups[list(sampler.active_modes)]
+    for j, sup in zip(sampler.active_modes, active_sups.tolist()):
+        if sup == math.inf:  # no sample count or radius holds for such a weight
+            raise ShiftOutOfRange(f"the shift {gamma} leaves mode {j}'s weighted factor unbounded")
     log_b_samples = sampler.log_prefactor + float(np.sum(np.log(active_sups)))
     prefactor = math.exp(sampler.log_prefactor)
 
@@ -706,8 +686,7 @@ def estimate_probability(
     sizes = _chunk_sizes(n_total)
     # every weight is bounded by the product of its modes' claimed suprema;
     # the sample count and the radius are void if one is not
-    words = _chunk_words(config.seed, len(sizes))
-    sum_w = chunk_sums(sampler, words, sizes, config.threads, float(np.prod(active_sups)))[0]
+    sum_w = chunk_sums(sampler, config.seed, 0, sizes, config.threads, float(np.prod(active_sups)))[0]
     # running sums after each chunk, added in chunk order
     running = np.cumsum(sum_w)
     n_done = np.cumsum(sizes)
@@ -724,7 +703,7 @@ def estimate_probability(
         n_used=n_total,
         conf_radius=conf_radius,
         seed=config.seed,
-        s=s,
+        s=setup.s,
         shift=gamma,
         method=method,
         active_modes=tuple(j for j, out in enumerate(circuit.pattern) if not out.is_gaussian),

@@ -44,16 +44,7 @@ from .errors import (
     TooLarge,
     ZeroEigenvalue,
 )
-from .estimator import (
-    CHUNK,
-    S_MAX_MARGIN,
-    SEED_WORDS,
-    EstimatorConfig,
-    Setup,
-    _chunk_words,
-    build_folded_sampler,
-    chunk_sums,
-)
+from .estimator import CHUNK, EstimatorConfig, Setup, build_folded_sampler, chunk_sums
 from .linear_optics import CircuitSpec, identity_interferometer
 from .phase_space import CLICK, photon, pi_w_profile
 
@@ -307,7 +298,7 @@ def estimate_multiplicative(
     if all(out.kind == "marginal" for out in circuit.pattern):
         return MultiplicativeEstimate(1.0, 0.0, 0, math.inf)
 
-    setup = Setup(circuit, circuit.s_max - S_MAX_MARGIN)
+    setup = Setup(circuit)
     try:
         sampler = build_folded_sampler(setup, 1.0 - 1e-9, "laplace")
     except NotPositiveDefinite as exc:
@@ -323,13 +314,10 @@ def estimate_multiplicative(
     ess_target = ESS_PER_EPS_SQ / epsilon**2
     # ESS <= n (Cauchy-Schwarz), so chunks before the first-th cannot stop
     first, cap = math.ceil(ess_target / CHUNK), SAMPLE_CAP // CHUNK
-    words = np.empty((0, SEED_WORDS), np.uint64)  # seed rows of the chunks, grown on demand
     s1, s2, done = 0.0, 0.0, 0  # running sums of w and w^2 in chunk order; chunks summed
     while done < cap and first <= cap:
         end = min(done + _pass_chunks(done, first), cap)
-        if end > len(words):  # rows come only as a prefix: regrow to twice the need
-            words = _chunk_words(config.seed, end if done == 0 else 2 * end)
-        sums = chunk_sums(sampler, words[done:end], [CHUNK] * (end - done), config.threads, w_origin)
+        sums = chunk_sums(sampler, config.seed, done, [CHUNK] * (end - done), config.threads, w_origin)
         for w1, w2 in zip(*sums.tolist()):  # chunks past the stopping one are discarded
             s1, s2, done = s1 + w1, s2 + w2, done + 1
             if done < first:

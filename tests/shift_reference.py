@@ -148,11 +148,12 @@ def precision_root(setup, gamma, method="folded"):
     return np.diag(np.sqrt(lam)) if lam.ndim == 1 else np.linalg.cholesky(lam)
 
 
-def log_effective_bound(setup, gamma):
-    """log B_eff at a shift: the weight bound of the folded sampler a run
-    builds, its log prefactor plus the log suprema of its weighted modes,
-    from which ``estimate_probability`` sets N and the radius."""
-    sampler = est.build_folded_sampler(setup, gamma)
+def log_effective_bound(setup, gamma, method="folded"):
+    """log B_eff at a shift: the weight bound of the sampler of the proposal
+    ``method`` a run builds, its log prefactor plus the log suprema of its
+    weighted modes, from which ``estimate_probability`` sets N and the
+    radius."""
+    sampler = est.build_folded_sampler(setup, gamma, method)
     sups = est.mode_sups(setup, gamma)[list(sampler.active_modes)]
     return sampler.log_prefactor + float(np.sum(np.log(sups)))
 

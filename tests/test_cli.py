@@ -410,6 +410,27 @@ class TestCommands:
         assert got == pytest.approx([by_r[2], by_r[0], by_r[1]], rel=1e-12)
         assert got[0] < got[2] < got[1]
 
+    def test_bounds_hafnian_sq(self, capsys):
+        # the budget of a default |Haf|^2 estimate on diag(lambdas), in input order
+        assert cli.main(["bounds", "--family", "hafnian-sq", "--lambdas", "0.3,0.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "bounds" not in report  # no sandwich is known for |Haf|^2
+        assert report["budget"] == {
+            "factors": [0.7123272946008393, 0.7511616532951336],
+            "formula_id": "budget.hafnian_sq",
+            "product": 0.5350729482996162,
+        }
+        emb = lo.embed_hafnian(np.diag([0.5, 0.3]))
+        assert report["budget"]["factors"] == searched_budget(emb, emb.circuit.s_max - est.S_MAX_MARGIN)[::-1].tolist()
+
+    def test_oracle_torontonian_and_click_circuit(self, tmp_path, capsys):
+        path = write_json(tmp_path / "bp.json", TestInputHardening.B_PRIME)
+        assert cli.main(["oracle", "--matrix", path, "--function", "torontonian"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.3437862950058097
+        circuit = dict(TestInputHardening.MIXED, eta=0.7, pattern=["click", "noclick", "marginal"])
+        assert cli.main(["oracle", "--circuit", write_json(tmp_path / "c.json", circuit)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.16465117996770728
+
     def test_oracle_command(self, per_matrix, tmp_path):
         out = tmp_path / "oracle.json"
         code = cli.main(
@@ -469,26 +490,18 @@ class TestCommands:
         assert cli.main(argv) == 1
         assert "need a > 1" in capsys.readouterr().err
 
-    def test_convergence_csv(self, circuit_file, tmp_path):
+    def test_convergence_csv(self, circuit_file, tmp_path, capsys):
         out = tmp_path / "trace.csv"
-        code = cli.main(
-            [
-                "convergence",
-                "--circuit",
-                circuit_file,
-                "--samples",
-                "8000",
-                "--oracle-check",
-                "--output",
-                str(out),
-            ]
-        )
-        assert code == 0
+        argv = ["convergence", "--circuit", circuit_file, "--samples", "8000", "--oracle-check"]
+        assert cli.main(argv + ["--output", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "n,running_mean,running_radius,oracle_value"
         # one row per 4096-sample chunk
         assert len(lines) == 3
         assert [int(line.split(",")[0]) for line in lines[1:]] == [4096, 8000]
+        # without --output the same CSV goes to stdout, byte for byte
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_unknown_flag_rejected(self, per_matrix, circuit_file, capsys):
         # --direction is gone (the sign of --gamma is the direction), and so
@@ -559,10 +572,11 @@ class TestCommands:
             (["check-fpras", "--family", "tor-thermal"], "/lambda-min"),
             (["check-fpras", "--family", "hafnian", "--n", "1"], "/r-max"),
             (["bounds", "--family", "permanent"], "/lambdas"),
+            (["oracle", "--matrix", "MATRIX"], "/function"),
         ],
     )
-    def test_missing_flags_are_schema_errors(self, argv, pointer, capsys):
-        assert cli.main(argv) == 1
+    def test_missing_flags_are_schema_errors(self, argv, pointer, per_matrix, capsys):
+        assert cli.main([per_matrix if arg == "MATRIX" else arg for arg in argv]) == 1
         assert capsys.readouterr().err.startswith(f"input error: {pointer}: ")
 
 
@@ -597,11 +611,21 @@ class TestInputHardening:
             ("matrix", [1, 2], "/"),
             ("lambdas", "nan,1", "/lambdas"),
             ("lambdas", "0.5,inf", "/lambdas"),
+            ("text", '{"modes": [', "/"),
+            ("circuit", _circuit_json(modes=[{"r": 10**400}, {"r": 0.3}]), "/modes/0/r"),
+            ("circuit", _circuit_json(unitary={"m": 2}), "/unitary/re"),
+            ("circuit", _circuit_json(unitary={"m": 2, "re": [[1, 0], [0, 1]], "im": [[0]]}), "/unitary/im"),
+            ("circuit", _circuit_json(unitary={"m": 3, "re": np.eye(3).tolist()}), "/unitary"),
+            ("circuit", _circuit_json(unitary={"m": 2, "re": [[1, 1], [0, 1]]}), "/unitary"),
+            ("lambdas", "0.5,x", "/lambdas"),
         ],
     )
     def test_rejected_with_pointer(self, kind, payload, pointer, tmp_path, capsys):
         if kind == "lambdas":
             argv = ["bounds", "--family", "permanent", "--lambdas", payload]
+        elif kind == "text":  # not JSON at all
+            (tmp_path / "c.json").write_text(payload)
+            argv = ["estimate-prob", "--circuit", str(tmp_path / "c.json")]
         elif kind == "circuit":
             argv = ["estimate-prob", "--circuit", write_json(tmp_path / "c.json", payload)]
         else:
@@ -609,7 +633,7 @@ class TestInputHardening:
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"input error: {pointer}: ")
+        assert captured.err.startswith(f"input error: {pointer}: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples(self, samples, circuit_file, per_matrix, capsys):
@@ -707,6 +731,37 @@ class TestInputHardening:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"input error: {pointer}: ") and captured.err.count("\n") == 1
+
+    # a click factor under a reverse shift, or a forward shift with no room
+    # (every input variance equal to s), leaves no bounded weight to sample
+    MIXED_CLICK = {
+        "modes": [{"r": 0.4}, {"r": 0.3, "n": 0.2}, {"n": 0.5}],
+        "unitary": {"haar_seed": 5},
+        "pattern": [1, "click", 2],
+    }
+    THERMAL = {"modes": [{"n": 0.3}, {"n": 0.3}], "unitary": {"haar_seed": 5}, "pattern": [1, 1]}
+    B_PRIME = {"tag": "B'", "m": 2, "re": lo.block_b_prime(np.array([[0.4, 0.1], [0.1, 0.3]])).data.real.tolist()}
+
+    @pytest.mark.parametrize(
+        "command, payload, flags, message",
+        [
+            ("estimate-prob", MIXED_CLICK, ["--gamma", "-0.3", "--samples", "4096"], "mode 1's weighted factor unbounded"),
+            ("estimate-prob", MIXED_CLICK, ["--gamma", "-0.3"], "mode 1's weighted factor unbounded"),
+            ("convergence", MIXED_CLICK, ["--gamma", "-0.3", "--samples", "64"], "mode 1's weighted factor unbounded"),
+            ("estimate-tor", B_PRIME, ["--gamma", "-0.2"], "mode 0's weighted factor unbounded"),
+            ("estimate-prob", THERMAL, ["--s", "1.6", "--gamma", "0.5"], "forward shift needs a_max > s"),
+        ],
+        ids=["fixed-samples", "hoeffding-count", "convergence", "torontonian", "no-forward-room"],
+    )
+    def test_shift_out_of_range_points_at_gamma(self, command, payload, flags, message, tmp_path, capsys):
+        # before any sample: no report with a null radius or budget
+        flag = "--matrix" if command == "estimate-tor" else "--circuit"
+        argv = [command, flag, write_json(tmp_path / "in.json", payload), *flags]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: /gamma: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
     def test_negative_gamma_is_a_reverse_shift(self, circuit_file, capsys):
         # argparse reads a negative number as the flag's value

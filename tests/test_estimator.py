@@ -62,11 +62,6 @@ def log_norm(variances, s, rate):
     return float(factors.shift_exponents(factors.unshifted_exponents(variances, s), rate)[1][0])
 
 
-def chunk_rng(seed, chunk):
-    """Chunk ``chunk``'s stream as ``estimate_probability`` seeds it."""
-    return est._chunk_rng(est._chunk_words(seed, chunk + 1)[chunk])
-
-
 def dense_sup(profile, grid, n_fine=2_001):
     """Reference supremum of |profile| over a dense sorted grid, refined by a
     second dense grid around each of its local maxima."""
@@ -439,21 +434,53 @@ def shift_of_rate(setup, rate):
 class TestShiftSearch:
     @pytest.mark.parametrize("index", range(len(generic_circuits())))
     def test_not_worse_than_dense_rate_scan(self, index):
+        # for each proposal the search minimizes that proposal's bound, and
+        # an estimate at its automatic shift runs with a finite radius
         circuit = generic_circuits()[index]
-        s = circuit.s_max - est.S_MAX_MARGIN
-        a_max = circuit.a_max
+        setup = est.Setup(circuit)
+        rates = np.linspace(-0.98 * 2.0 / (setup.s + 1.0), 0.98 * 2.0 / (setup.a_max - setup.s), 801)
+        for method in ("folded", "naive"):
 
-        def log_b(rate):
-            setup = est.Setup(circuit, s)
-            try:
-                return ref.log_effective_bound(setup, shift_of_rate(setup, rate))
-            except (ShiftOutOfRange, est.NotPositiveDefinite):
-                return math.inf
+            def log_b(rate):
+                try:
+                    return ref.log_effective_bound(setup, shift_of_rate(setup, rate), method)
+                except (ShiftOutOfRange, est.NotPositiveDefinite):
+                    return math.inf
 
-        rates = np.linspace(-0.98 * 2.0 / (s + 1.0), 0.98 * 2.0 / (a_max - s), 801)
-        scan = min(log_b(float(r)) for r in rates)
-        gamma = est._numeric_gamma(est.Setup(circuit, s))
-        assert ref.log_effective_bound(est.Setup(circuit, s), gamma) <= scan + 1e-6
+            scan = min(log_b(float(r)) for r in rates)
+            gamma = est._numeric_gamma(setup, method)
+            assert ref.log_effective_bound(setup, gamma, method) <= scan + 1e-6
+            cfg = est.EstimatorConfig(n_samples=64, seed=1)
+            assert math.isfinite(est.estimate_probability(circuit, cfg, method).conf_radius)
+
+    def test_naive_search_keeps_every_factor_bounded(self):
+        # marginal factors are unbounded at every reverse rate, but the
+        # folded bound, which integrates them out, has its minimum there;
+        # the naive estimate searches its own bound and runs where it is finite
+        circuit = lo.CircuitSpec(((0.5, 0.0),) * 3, lo.haar_unitary(3, 2), (photon(1), MARGINAL, MARGINAL))
+        cfg = est.EstimatorConfig(n_samples=4096, seed=1)
+        folded = est.estimate_probability(circuit, cfg)
+        assert folded.shift < 0.0 and math.isfinite(folded.conf_radius)
+        naive = est.estimate_probability(circuit, cfg, method="naive")
+        assert naive.shift >= 0.0 and math.isfinite(naive.conf_radius)
+        setup = est.Setup(circuit)
+        assert setup.log_bound("naive")(est._rate(setup.s, folded.shift, setup.a_max)) == math.inf
+        with pytest.raises(ShiftOutOfRange, match="mode 1's weighted factor unbounded"):
+            est.estimate_probability(circuit, replace(cfg, gamma=folded.shift), method="naive")
+
+    def test_probe_reads_inf_where_the_cholesky_fails(self, monkeypatch):
+        # the folded precision is positive definite at every feasible rate;
+        # a factorization that fails anyway (rounding) marks the rate infeasible
+        setup = est.Setup(generic_circuits()[10])
+        assert setup.precision()[0].ndim == 2
+        probe = setup.log_bound()
+        assert math.isfinite(probe(0.1))
+
+        def fails(matrix):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails)
+        assert probe(0.1) == math.inf
 
     @pytest.mark.parametrize(
         "name",
@@ -462,29 +489,30 @@ class TestShiftSearch:
     )
     def test_probe_equals_the_run_bound(self, name):
         # the search minimizes the bound a run samples under: at every rate
-        # the probe is the built sampler's log prefactor plus the log suprema
-        # of its weighted modes (to 1e-12 relative, and 1e-13 absolute for a
-        # log near 0), inf where that sampler cannot be built
+        # each proposal's probe is its built sampler's log prefactor plus the
+        # log suprema of its weighted modes (to 1e-12 relative, and 1e-13
+        # absolute for a log near 0), inf where that sampler cannot be built
         family, number = name.rsplit("-", 1)
         if family == "generic":
             circuit = generic_circuits()[int(number)]
         else:
             circuit = matrix_embedding(family, int(number))
-        setup = est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN)
-        finite = 0
-        for end in (-2.0 / (setup.s + 1.0), 2.0 / (setup.a_max - setup.s)):
-            for frac in (0.9, 0.5, 0.1, 1e-3):
-                probe = setup.log_bound(frac * end)
-                try:
-                    bound = ref.log_effective_bound(setup, shift_of_rate(setup, frac * end))
-                except est.NotPositiveDefinite:
-                    bound = math.inf
-                if probe == math.inf:
-                    assert bound == math.inf
-                else:
-                    finite += 1
-                    assert bound == pytest.approx(probe, rel=1e-12, abs=1e-13)
-        assert finite >= 4
+        setup = est.Setup(circuit)
+        for method in ("folded", "naive"):
+            log_bound, finite = setup.log_bound(method), 0
+            for end in (-2.0 / (setup.s + 1.0), 2.0 / (setup.a_max - setup.s)):
+                for frac in (0.9, 0.5, 0.1, 1e-3):
+                    probe = log_bound(frac * end)
+                    try:
+                        bound = ref.log_effective_bound(setup, shift_of_rate(setup, frac * end), method)
+                    except est.NotPositiveDefinite:
+                        bound = math.inf
+                    if probe == math.inf:
+                        assert bound == math.inf
+                    else:
+                        finite += 1
+                        assert bound == pytest.approx(probe, rel=1e-12, abs=1e-13)
+            assert finite >= 4
 
 
 class TestWeightBound:
@@ -676,7 +704,7 @@ class TestSamplingKernel:
         assert len(rep.trace) == len(sizes) == 8
         running, n_done = 0.0, 0
         for chunk, size in enumerate(sizes):
-            running += float(sampler.draw(chunk_rng(cfg.seed, chunk), size).sum())
+            running += float(sampler.draw(est._chunk_rng(cfg.seed, chunk), size).sum())
             n_done += size
             assert rep.trace[chunk][:2] == (n_done, math.exp(sampler.log_prefactor) * running / n_done)
 
@@ -689,11 +717,10 @@ class TestSamplingKernel:
             est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 0.2
         )
         sizes = [est.CHUNK, 3000, est.CHUNK, 8 * est.CHUNK + 7, 1]
-        words = est._chunk_words(9, 3 + len(sizes))[3:]
-        sums = est.chunk_sums(sampler, words, sizes, 2, math.inf)
+        sums = est.chunk_sums(sampler, 9, 3, sizes, 2, math.inf)
         assert sums.shape == (2, len(sizes))
         for i, size in enumerate(sizes):
-            w = sampler.draw(chunk_rng(9, 3 + i), size)
+            w = sampler.draw(est._chunk_rng(9, 3 + i), size)
             assert sums[0, i] == np.sum(w)
             assert sums[1, i] == np.sum(w * w)
 
@@ -714,10 +741,9 @@ class TestSamplingKernel:
             est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 0.2
         )
         n, first = 6 * est.CHUNK + 11, 2
-        words = est._chunk_words(5, 7)
-        additive = est.chunk_sums(sampler, words, est._chunk_sizes(n), 1, math.inf)
+        additive = est.chunk_sums(sampler, 5, 0, est._chunk_sizes(n), 1, math.inf)
         batch = est._chunk_sizes(n - first * est.CHUNK)
-        multiplicative = est.chunk_sums(sampler, words[first:], batch, 2, math.inf)
+        multiplicative = est.chunk_sums(sampler, 5, first, batch, 2, math.inf)
         assert np.array_equal(additive[:, first:], multiplicative)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -833,30 +859,32 @@ class TestFoldPaths:
 
 
 class TestChunkStreams:
-    def test_one_seed_sequence_per_call(self, monkeypatch):
-        circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
-        built = []
-
-        class CountingSeedSequence(np.random.SeedSequence):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-        cfg = est.EstimatorConfig(n_samples=5000, seed=4, gamma=0.2, threads=1)
-        est.estimate_probability(circuit, cfg)
-        assert len(built) == 1
+    def test_chunk_draws_from_the_spawned_child(self):
+        # column i of chunk_sums is one draw from chunk first + i's stream,
+        # SFC64 seeded by the child (seed, chunk) that spawn gives
+        sampler = est.build_folded_sampler(est.Setup(squeezed_circuit([0.3, 0.4, 0.2], 22)), 0.2)
+        sizes = [100, 50]
+        sums = est.chunk_sums(sampler, 11, 2, sizes, 1, math.inf)
+        spawned = np.random.SeedSequence(11).spawn(4)
+        for i, size in enumerate(sizes):
+            child = np.random.SeedSequence(11, spawn_key=(2 + i,))
+            assert np.array_equal(child.generate_state(4), spawned[2 + i].generate_state(4))
+            w = sampler.draw(np.random.Generator(np.random.SFC64(child)), size)
+            assert sums[0, i] == np.sum(w) and sums[1, i] == np.sum(w * w)
 
     def test_stream_does_not_depend_on_chunk_count(self):
-        few, many = est._chunk_words(7, 4), est._chunk_words(7, 64)
+        # a chunk's sums are the same in a call of 4 chunks and one of 64
+        sampler = est.build_folded_sampler(est.Setup(squeezed_circuit([0.3, 0.4, 0.2], 22)), 0.2)
+        few = est.chunk_sums(sampler, 7, 0, [8] * 4, 1, math.inf)
+        many = est.chunk_sums(sampler, 7, 0, [8] * 64, 2, math.inf)
+        assert np.array_equal(few, many[:, :4])
         for chunk in range(4):
-            a = est._chunk_rng(few[chunk]).standard_normal(8)
-            b = est._chunk_rng(many[chunk]).standard_normal(8)
+            a = est._chunk_rng(7, chunk).standard_normal(8)
+            b = est._chunk_rng(7, chunk).standard_normal(8)
             assert np.array_equal(a, b)
 
     def test_streams_differ_pairwise(self):
-        words = est._chunk_words(7, 16)
-        firsts = {tuple(est._chunk_rng(row).standard_normal(4)) for row in words}
+        firsts = {tuple(est._chunk_rng(7, chunk).standard_normal(4)) for chunk in range(16)}
         assert len(firsts) == 16
 
 
@@ -883,12 +911,12 @@ class TestDrawPieces:
         # weights of one draw that fills a whole chunk and then 9 samples
         sampler = wide_naive_sampler()
         n = est.CHUNK + 9
-        reference = sampler.draw(chunk_rng(3, 2), n)
-        gen = chunk_rng(3, 2)
+        reference = sampler.draw(est._chunk_rng(3, 2), n)
+        gen = est._chunk_rng(3, 2)
         pieces = [sampler.draw(gen, min(piece, n - k)) for k in range(0, n, piece)]
         assert np.array_equal(np.concatenate(pieces), reference)
         # sample-major: the samples take the stream's normals in (n, F) order
-        z = chunk_rng(3, 2).standard_normal((n, sampler.kernel.shape[1]))
+        z = est._chunk_rng(3, 2).standard_normal((n, sampler.kernel.shape[1]))
         b = sampler.beta_sq(z.T)
         expected = sampler.scale * np.exp(-sampler.exponents @ b)
         for poly, b_j in zip(sampler.polys, b):
@@ -900,7 +928,7 @@ class TestDrawPieces:
         import tracemalloc
 
         sampler = wide_naive_sampler()
-        rng = chunk_rng(0, 0)
+        rng = est._chunk_rng(0, 0)
         sampler.draw(rng, 64)
         tracemalloc.start()
         try:
@@ -1354,11 +1382,14 @@ class TestTorontonianShift:
         analytic = ref.analytic_budget(emb, s)
         assert np.sum(np.log(res.budget_factors)) <= np.sum(np.log(analytic)) + 1e-6
 
-        monkeypatch.setattr(est, "resolve_gamma", lambda *_: -0.25)
+        monkeypatch.setattr(est, "resolve_gamma", lambda *_: 0.25)
         report = est.estimate_torontonian(mat, cfg).report
-        assert (report.gamma, report.direction) == (0.25, "reverse")
-        fixed = est.estimate_torontonian(mat, replace(cfg, gamma=-0.1))
-        assert (fixed.report.gamma, fixed.report.direction) == (0.1, "reverse")
+        assert (report.gamma, report.direction) == (0.25, "forward")
+        fixed = est.estimate_torontonian(mat, replace(cfg, gamma=0.1))
+        assert (fixed.report.gamma, fixed.report.direction) == (0.1, "forward")
+        # a reverse shift leaves every click factor unbounded: no run
+        with pytest.raises(ShiftOutOfRange, match="mode 0's weighted factor unbounded"):
+            est.estimate_torontonian(mat, replace(cfg, gamma=-0.1))
 
 
     def test_equal_eigenvalues_sample_at_a_finite_rate(self):
@@ -1489,8 +1520,9 @@ def _matrix_cases(m=3, seed=5):
 class TestBudgetCoversRadius:
     """A matrix estimate's budget is epsilon_n times the bound of the sampler
     it ran, so it covers the run's Hoeffding radius whatever shift, ordering
-    or sample count the caller sets.  (A reverse shift leaves a click factor
-    unbounded; both sides are then infinite.)"""
+    or sample count the caller sets.  A reverse shift leaves a click factor
+    unbounded, and a Torontonian estimate there raises ``ShiftOutOfRange``
+    before any sample, so no run reports an infinite budget."""
 
     @pytest.mark.parametrize("name, estimate, emb", _matrix_cases(), ids=lambda x: x if isinstance(x, str) else "")
     def test_radius_within_budget(self, name, estimate, emb):
@@ -1502,6 +1534,10 @@ class TestBudgetCoversRadius:
             "s below s_max": replace(base, s=0.5 * emb.circuit.s_max),
         }
         for run, cfg in runs.items():
+            if run == "gamma 0.3 reverse" and name.startswith("tor"):
+                with pytest.raises(ShiftOutOfRange):
+                    estimate(cfg)
+                continue
             res = estimate(cfg)
             rep = res.report
             sups = est.mode_sups(est.Setup(emb.circuit, rep.s), rep.shift)
@@ -1532,7 +1568,7 @@ class TestOneSetupPerEstimate:
         built = []
         init = est.Setup.__init__
 
-        def counting_init(setup, circuit, s):
+        def counting_init(setup, circuit, s=None):
             built.append(s)
             init(setup, circuit, s)
 

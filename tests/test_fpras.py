@@ -499,7 +499,7 @@ def boundary_permanent(ratio):
 
 def near_boundary_permanent():
     """A 4-mode permanent circuit with spectrum ratio 1.998: at eps = 0.1 it
-    stops at chunk 235 on seed 1 (962560 samples) and 236 on seed 2."""
+    stops at chunk 234 on seeds 1 and 2 (958464 samples)."""
     lam = np.linspace(1.0, 1.998, 4)
     return lo.embed_permanent(hpsd_with_spectrum(lo.haar_unitary(4, 3).u, lam)).circuit
 
@@ -507,9 +507,8 @@ def near_boundary_permanent():
 def first_stopping_chunk(circuit, epsilon, delta, seed, chunks):
     """The first chunk count at which the stopping rule holds on the running
     sums, scanned over ``chunk_sums`` of the first ``chunks`` chunks."""
-    setup = est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN)
-    sampler = est.build_folded_sampler(setup, 1.0 - 1e-9, "laplace")
-    sums = est.chunk_sums(sampler, est._chunk_words(seed, chunks), [est.CHUNK] * chunks, 1, math.inf)
+    sampler = est.build_folded_sampler(est.Setup(circuit), 1.0 - 1e-9, "laplace")
+    sums = est.chunk_sums(sampler, seed, 0, [est.CHUNK] * chunks, 1, math.inf)
     s1, s2 = np.cumsum(sums, axis=1)  # running sums, added in chunk order
     n = est.CHUNK * np.arange(1, chunks + 1)
     ess, mean = s1 * s1 / s2, s1 / n
@@ -539,53 +538,24 @@ class TestMultiplicativeReduction:
         runs.append(fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(seed=2, threads=2)))
         assert len({json.dumps(run.as_dict()) for run in runs}) == 1
 
-    def test_seed_rows_are_generated_once_per_growth(self, monkeypatch):
+    def test_passes_run_in_chunk_order_to_the_cap(self, monkeypatch):
         # weights that never meet the stopping rule drive the passes to 2^20
-        # samples and on to a lowered cap; the first pass's seed rows are
-        # generated as needed, and later rows only when a pass runs past
-        # them, at twice the need
-        real = fpras._chunk_words
-        generated, batches = [], []
+        # samples and on to a lowered cap; each pass starts at the first
+        # chunk not yet drawn
+        batches = []
 
-        def counting_words(seed, chunks):
-            generated.append(chunks)
-            return real(seed, chunks)
-
-        def never_converging(sampler, words, sizes, threads, bound):
-            first = sum(batches)
-            assert np.array_equal(words, real(3, first + len(sizes))[first:])
+        def never_converging(sampler, seed, first, sizes, threads, bound):
+            assert (seed, first) == (3, sum(batches))
             batches.append(len(sizes))
             return np.zeros((2, len(sizes)))
 
-        monkeypatch.setattr(fpras, "_chunk_words", counting_words)
         monkeypatch.setattr(fpras, "chunk_sums", never_converging)
         monkeypatch.setattr(fpras, "SAMPLE_CAP", 1 << 24)
         with pytest.raises(NonConvergent):
             fpras.estimate_multiplicative(CERTIFIED["thermal"], 0.1, 0.05, est.EstimatorConfig(seed=3))
-        rows = sum(batches)
-        assert rows == (1 << 24) // est.CHUNK and max(batches) == (1 << 20) // est.CHUNK
+        assert sum(batches) == (1 << 24) // est.CHUNK and max(batches) == (1 << 20) // est.CHUNK
         # the first pass runs to the first boundary that can reach the ESS target
-        first = math.ceil(fpras.ESS_PER_EPS_SQ / 0.1**2 / est.CHUNK)
-        assert batches[0] == first and [c for c in generated if c][0] == first
-        # the rows held stay within twice the rows used; the geometric
-        # regrowth generates at most four times as many in all
-        assert max(generated) <= 2 * rows
-        assert sum(generated) <= 4 * rows
-
-    def test_one_seed_sequence_per_first_pass_estimate(self, monkeypatch):
-        # an estimate that stops in its first pass seeds its chunks from one
-        # SeedSequence, as an additive estimate does
-        built = []
-
-        class CountingSeedSequence(np.random.SeedSequence):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-        res = fpras.estimate_multiplicative(CERTIFIED["thermal"], 0.1, 0.05, est.EstimatorConfig(seed=3))
-        assert res.n_used == est.CHUNK * math.ceil(fpras.ESS_PER_EPS_SQ / 0.1**2 / est.CHUNK)
-        assert len(built) == 1
+        assert batches[0] == math.ceil(fpras.ESS_PER_EPS_SQ / 0.1**2 / est.CHUNK)
 
     def test_memory_does_not_grow_with_samples(self):
         circuit = near_boundary_permanent()
@@ -596,7 +566,7 @@ class TestMultiplicativeReduction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a worker holds about 1 MB, while the weights of all 962560 samples
+        # a worker holds about 1 MB, while the weights of all 958464 samples
         # alone would take 7.7 MB (and their normals 62 MB)
         assert peak < 4 * 2**20 < 8 * res.n_used
 
