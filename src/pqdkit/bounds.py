@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionAminBelowOne, UnsupportedBound, ZeroEigenvalue
+from .errors import SchemaError
 from .linear_optics import squeezed_thermal_k
 
 
@@ -47,7 +47,7 @@ def permanent_bounds(lambdas) -> BoundReport:
     lam_max = float(np.max(lam))
     lam_min = float(np.min(lam))
     if lam_min <= 0.0:
-        raise ZeroEigenvalue("permanent bounds need strictly positive eigenvalues")
+        raise SchemaError("/lambdas", "permanent bounds need strictly positive eigenvalues")
     return _sandwich(lam_min**2 / lam, lam_max**2 / lam, "permanent", "bounds.permanent")
 
 
@@ -58,14 +58,10 @@ def _squeezed_thermal_ratio(n: float, r_list) -> tuple[np.ndarray, float]:
     r_max = float(np.max(r_list))
     a_min = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
     if a_min < 1.0:
-        raise PreconditionAminBelowOne(
-            f"a_min = {a_min:.6f} < 1; bound derivation does not apply"
-        )
+        raise SchemaError("/r-list", f"a_min = {a_min:.6f} < 1; bound derivation does not apply")
     k_plus, k_minus = squeezed_thermal_k(n, r_list)
     if np.min(k_minus) <= 0.0:
-        raise PreconditionAminBelowOne(
-            "degenerate boundary a_min = 1 with r_i = r_max; bound diverges"
-        )
+        raise SchemaError("/r-list", "degenerate boundary a_min = 1 with r_i = r_max; bound diverges")
     return np.sqrt(k_plus / k_minus), r_max
 
 
@@ -87,15 +83,15 @@ def torontonian_bounds(
     """Torontonian sandwich: thermal closed forms or the squeezed-thermal
     family under a_min >= 1.  The pure-squeezed family has no known bounds."""
     if family == "squeezed":
-        raise UnsupportedBound("no bounds are known for the pure-squeezed family")
+        raise ValueError("no bounds are known for the pure-squeezed family")
     if family == "thermal":
         lam = np.asarray(lambdas, dtype=float)
         lam_max = float(np.max(lam))
         lam_min = float(np.min(lam))
         if lam_min <= 0.0:
-            raise ZeroEigenvalue("thermal Torontonian bounds need lambda > 0")
+            raise SchemaError("/lambdas", "thermal Torontonian bounds need lambda > 0")
         if lam_max >= 1.0:  # each mode's factor divides by 1 - lambda
-            raise ValueError(f"thermal Torontonian bounds need lambda < 1, got {lam_max}")
+            raise SchemaError("/lambdas", f"thermal Torontonian bounds need lambda < 1, got {lam_max}")
         lower_modes = lam_min**2 / (lam * (1.0 - lam_min))
         upper_modes = lam_max**2 / (lam * (1.0 - lam_max))
         return _sandwich(lower_modes, upper_modes, "torontonian_thermal", "bounds.torontonian.thermal")

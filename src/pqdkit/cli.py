@@ -24,16 +24,7 @@ import numpy as np
 from . import __version__, bounds, fpras, oracles
 from . import estimator as est
 from . import linear_optics as lo
-from .errors import (
-    BoundViolation,
-    NonConvergent,
-    NotLogConcave,
-    OrderingOutOfRange,
-    PqdkitError,
-    PreconditionAminBelowOne,
-    SchemaError,
-    ShiftOutOfRange,
-)
+from .errors import ConditionFailure, SchemaError
 from .phase_space import CLICK, MARGINAL, NOCLICK, photon
 
 _TAGS = {t.value: t for t in lo.MatrixTag}
@@ -104,7 +95,7 @@ def _parse_complex_matrix(obj: dict, pointer: str) -> np.ndarray:
         raise SchemaError(pointer + "/im", "must have the shape of re")
     mat = re_part + 1j * im_part
     if mat.shape != (m, m) and mat.shape != (2 * m, 2 * m):
-        raise SchemaError(pointer, f"matrix shape {mat.shape} does not match m = {m}")
+        raise SchemaError(pointer + "/re", f"matrix shape {mat.shape} does not match m = {m}")
     return mat
 
 
@@ -163,13 +154,7 @@ def circuit_file_parse(path: str) -> lo.CircuitSpec:
             raise SchemaError("/unitary/haar_seed", "must be a nonnegative integer")
         interf = lo.haar_unitary(m, uni["haar_seed"])
     else:
-        mat = _parse_complex_matrix(uni, "/unitary")
-        if mat.shape != (m, m):
-            raise SchemaError("/unitary", f"unitary must be {m}x{m}")
-        try:
-            interf = lo.Interferometer(m, mat)
-        except ValueError as exc:
-            raise SchemaError("/unitary", str(exc))
+        interf = lo.Interferometer(m, _parse_complex_matrix(uni, "/unitary"))
     pattern = _parse_pattern(obj.get("pattern"), m)
     return lo.CircuitSpec(tuple(modes), interf, pattern, eta, n_th)
 
@@ -367,13 +352,13 @@ def _cmd_bounds(args) -> int:
             sandwich = lambda: bounds.hafnian_bounds(args.n, spectrum)
         else:
             interf = lo.identity_interferometer(len(spectrum))
-            emb = lo._squeezed_thermal(args.n, spectrum, interf, CLICK, "torontonian.squeezed_thermal")
+            emb = lo.embed_squeezed_thermal(args.n, spectrum, interf, CLICK, "torontonian.squeezed_thermal")
             sandwich = lambda: bounds.torontonian_bounds(
                 "squeezed_thermal", n=args.n, r_list=spectrum
             )
         try:
             rep = sandwich()
-        except PreconditionAminBelowOne:
+        except SchemaError:
             pass  # the sandwich is derived for a_min >= 1 only; the budget is not
     else:
         spectrum = _parse_float_list(args.lambdas, "/lambdas")
@@ -457,15 +442,18 @@ def _cmd_convergence(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a malformed command line as an input error, at its flag's
-    pointer when argparse names the flag (argparse would print its usage
-    and exit 2, the code of a failed numerical condition)."""
+    """Raises a malformed command line as an input error (argparse would
+    print its usage and exit 2, the code of a failed numerical condition),
+    at the pointer of the flag argparse names, or else of the first
+    argument its message lists ("the following arguments are required:
+    command" points at /command)."""
 
     def error(self, message):
         err = sys.exc_info()[1]  # argparse calls this while handling its ArgumentError
         if isinstance(err, argparse.ArgumentError) and err.argument_name:
             raise SchemaError("/" + err.argument_name.split("/")[0].lstrip("-"), err.message)
-        raise ValueError(message)
+        listed = message.partition(": ")[2].replace(",", " ").split()
+        raise SchemaError("/" + (listed[0].lstrip("-") if listed else ""), message)
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
@@ -568,18 +556,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (NotLogConcave, NonConvergent, BoundViolation) as exc:
+    except ConditionFailure as exc:
         print(f"condition failure: {exc}", file=sys.stderr)
         return 2
-    except OrderingOutOfRange as exc:
-        # the one ordering a caller sets is --s (its default sits below s_max)
-        print(f"input error: /s: {exc}", file=sys.stderr)
-        return 1
-    except ShiftOutOfRange as exc:
-        # the one shift a caller sets is --gamma (the searched one stays bounded)
-        print(f"input error: /gamma: {exc}", file=sys.stderr)
-        return 1
-    except (PqdkitError, ValueError) as exc:
+    except ValueError as exc:  # an input error; a SchemaError names its field
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

@@ -52,14 +52,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import (
-    BoundViolation,
-    BudgetOverflow,
-    NotPositiveDefinite,
-    OrderingOutOfRange,
-    SchemaError,
-    ShiftOutOfRange,
-)
+from .errors import ConditionFailure, SchemaError
 from .factors import shift_exponents, unshifted_exponents
 from .linear_optics import (
     CircuitSpec,
@@ -74,6 +67,9 @@ from .phase_space import pi_w_profile
 
 S_MAX_MARGIN = 1e-9
 WEIGHT_BOUND_RTOL = 1e-9
+# The most samples one estimate draws: 2^20 chunks, so a run's chunk sizes
+# and trace stay small (the trace's 24 bytes per chunk make 24 MB)
+MAX_SAMPLES = 1 << 32
 
 
 def _count(value, pointer: str, low: int) -> int:
@@ -89,7 +85,8 @@ class EstimatorConfig:
     """The settings of one run, each checked once, here: a bad one raises
     ``SchemaError`` at the pointer of its CLI flag, before any work.  The
     ordering s is checked against the circuit, by ``Setup``.  Integer
-    settings are stored as ints, the shift as a float."""
+    settings are stored as ints, the shift as a float; a sample count
+    above ``MAX_SAMPLES`` is refused."""
 
     s: Optional[float] = None  # default: s_max - 1e-9
     gamma: Optional[float] = None  # signed shift in (-1, 1), reverse below 0; default: searched
@@ -104,6 +101,8 @@ class EstimatorConfig:
         for name, pointer, low in counts:
             if getattr(self, name) is not None or name == "seed":
                 object.__setattr__(self, name, _count(getattr(self, name), pointer, low))
+        if self.n_samples is not None and self.n_samples > MAX_SAMPLES:
+            raise SchemaError("/samples", f"must be at most 2^32, got {self.n_samples}")
         for name in ("epsilon", "delta"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
@@ -169,14 +168,14 @@ def _rate(s: float, gamma: float, a_max: float) -> float:
     2 gamma / (a_max - s) forward (gamma >= 0, toward a_max), 2 gamma / (s + 1)
     reverse (toward s = -1).  ``_numeric_gamma`` maps a rate back."""
     if not (-1.0 < gamma < 1.0):
-        raise ShiftOutOfRange(f"normalized gamma must lie in (-1, 1), got {gamma}")
+        raise SchemaError("/gamma", f"normalized gamma must lie in (-1, 1), got {gamma}")
     if gamma == 0.0:
         return 0.0
     if gamma < 0.0:
         return 2.0 * gamma / (s + 1.0)
     denom = a_max - s
     if denom <= 0.0:
-        raise ShiftOutOfRange(f"forward shift needs a_max > s, got a_max = {a_max}")
+        raise SchemaError("/gamma", f"forward shift needs a_max > s, got a_max = {a_max}")
     return 2.0 * gamma / denom
 
 
@@ -193,14 +192,15 @@ class Setup:
     per distinct outcome, W on the free coordinates, and each proposal's
     precision as an affine function of the rate.  The default ordering is
     s_max - S_MAX_MARGIN.  Building it checks s: not finite, above an input
-    variance or outside a factor's range, it raises ``OrderingOutOfRange``.
+    variance or outside a factor's range, it raises ``SchemaError`` at
+    ``/s``.
     """
 
     def __init__(self, circuit: CircuitSpec, s: Optional[float] = None):
         if s is None:
             s = circuit.s_max - S_MAX_MARGIN
         if not math.isfinite(s):
-            raise OrderingOutOfRange(f"the ordering s must be finite, got {s}")
+            raise SchemaError("/s", f"the ordering s must be finite, got {s}")
         self.m = circuit.m
         self.s = s
         self.a_max = circuit.a_max
@@ -331,15 +331,16 @@ def mode_sups(setup: Setup, gamma: float) -> np.ndarray:
 
 def _hoeffding_count(log_b: float, epsilon: float, delta: float) -> int:
     """Hoeffding sample rule N = ceil(2 B^2 ln(2/delta) / epsilon^2) for
-    per-sample weights bounded by B = exp(log_b)."""
+    per-sample weights bounded by B = exp(log_b); an N above ``MAX_SAMPLES``
+    raises ``SchemaError`` at ``/epsilon``, before anything is drawn."""
     log_n = (
         math.log(2.0)
         + 2.0 * log_b
         + math.log(math.log(2.0 / delta))
         - 2.0 * math.log(epsilon)
     )
-    if log_n > 63.0 * math.log(2.0):
-        raise BudgetOverflow(f"sample count exceeds 2^63 (log N = {log_n:.2f})")
+    if log_n > math.log(MAX_SAMPLES):
+        raise SchemaError("/epsilon", f"the Hoeffding sample count exceeds 2^32 (log N = {log_n:.2f})")
     return max(1, math.ceil(math.exp(log_n)))
 
 
@@ -547,7 +548,7 @@ def build_folded_sampler(setup: Setup, gamma: float, method: str = "folded") -> 
         try:
             root = np.linalg.cholesky(base + rate * slope)
         except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(
+            raise ConditionFailure(
                 "effective covariance lost positive definiteness; shift out of window"
             ) from exc
         logdet_eff = 2.0 * float(np.sum(np.log(np.diagonal(root))))
@@ -608,7 +609,7 @@ def chunk_sums(sampler: FoldedSampler, seed: int, first: int, sizes, threads, bo
     own stream, ``_chunk_rng(seed, chunk)``.  Workers take chunks from a
     shared counter, one per started SAMPLES_PER_WORKER samples and at most
     ``threads`` (default: every usable CPU); they change no result.  A |w|
-    above ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises ``BoundViolation``."""
+    above ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises ``ConditionFailure``."""
     if threads is None:
         threads = _usable_cpus()
     limit = (1.0 + WEIGHT_BOUND_RTOL) * bound
@@ -624,7 +625,7 @@ def chunk_sums(sampler: FoldedSampler, seed: int, first: int, sizes, threads, bo
             w = sampler.draw(_chunk_rng(seed, first + i), sizes[i])
             peak = float(np.abs(w).max())
             if peak > limit and math.isfinite(peak):
-                raise BoundViolation(f"sample weight {peak:.6e} exceeds the claimed bound {bound:.6e}")
+                raise ConditionFailure(f"sample weight {peak:.6e} exceeds the claimed bound {bound:.6e}")
             sums[:, i] = w.sum(), np.square(w, out=w).sum()
 
     workers = min(threads, -(-sum(sizes) // SAMPLES_PER_WORKER))
@@ -657,7 +658,8 @@ def estimate_probability(
     call, for every mode.  With no mode weighed (an all-Gaussian pattern,
     folded) the estimate is exact at any shift, so the automatic one is
     rate 0, without a search.  A shift that leaves a weighted mode's factor
-    unbounded raises ``ShiftOutOfRange`` before any sample is drawn.
+    unbounded raises ``SchemaError`` at ``/gamma`` before any sample is
+    drawn.
     """
     if method not in ("folded", "naive"):
         raise ValueError(f"unknown method {method!r}")
@@ -672,7 +674,7 @@ def estimate_probability(
     active_sups = all_sups[list(sampler.active_modes)]
     for j, sup in zip(sampler.active_modes, active_sups.tolist()):
         if sup == math.inf:  # no sample count or radius holds for such a weight
-            raise ShiftOutOfRange(f"the shift {gamma} leaves mode {j}'s weighted factor unbounded")
+            raise SchemaError("/gamma", f"the shift {gamma} leaves mode {j}'s weighted factor unbounded")
     log_b_samples = sampler.log_prefactor + float(np.sum(np.log(active_sups)))
     prefactor = math.exp(sampler.log_prefactor)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OrderingOutOfRange, ShiftOutOfRange
+from .errors import SchemaError
 
 FREEZE_TOL = 1e-12
 
@@ -19,10 +19,10 @@ def unshifted_exponents(variances: np.ndarray, s: float) -> np.ndarray:
     """The exponent 2/(a - s) of each input quadrature of variance a
     (``CircuitSpec.variances``: x of every mode, then p) before any shift;
     NaN marks a frozen delta axis, whose variance a is within FREEZE_TOL of
-    s.  An s above a variance raises ``OrderingOutOfRange``."""
+    s.  An s above a variance raises ``SchemaError`` at ``/s``."""
     d = variances - s
     if d.min(initial=0.0) < -FREEZE_TOL:
-        raise OrderingOutOfRange(f"s = {s} exceeds variance {variances[np.argmin(d)]}")
+        raise SchemaError("/s", f"s = {s} exceeds variance {variances[np.argmin(d)]}")
     return 2.0 / np.where(d > FREEZE_TOL, d, np.nan)  # NaN carries a frozen axis through
 
 
@@ -34,7 +34,9 @@ def shift_exponents(c0: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray
     c = c0 - rate
     if (c <= 0.0).any():
         k = np.argmax(c <= 0.0)
-        raise ShiftOutOfRange(f"shifted input exponent {c[k]} nonpositive (unshifted {c0[k]}, rate = {rate})")
+        raise SchemaError(
+            "/gamma", f"shifted input exponent {c[k]} nonpositive (unshifted {c0[k]}, rate = {rate})"
+        )
     free = ~np.isnan(c0)
     log_q = np.where(free, 0.5 * (np.log(c0) - np.log(c)), 0.0)
     m = len(c0) // 2

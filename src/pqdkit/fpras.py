@@ -34,16 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    NegativeCoefficient,
-    NonConvergent,
-    NotLogConcave,
-    NotPositiveDefinite,
-    OrderingOutOfRange,
-    SchemaError,
-    TooLarge,
-    ZeroEigenvalue,
-)
+from .errors import ConditionFailure, SchemaError
 from .estimator import CHUNK, EstimatorConfig, Setup, build_folded_sampler, chunk_sums
 from .linear_optics import CircuitSpec, identity_interferometer
 from .phase_space import CLICK, photon, pi_w_profile
@@ -84,7 +75,7 @@ def check_quadratic_factor(a: float, b: float, c: float) -> LogConcavityCertific
     margin -1.8e-15), not a real violation.
     """
     if b < 0.0 or c < 0.0:
-        raise NegativeCoefficient("need b >= 0 and c >= 0 for the quadratic family")
+        raise ValueError("need b >= 0 and c >= 0 for the quadratic family")
     if a <= 0.0:
         return LogConcavityCertificate(False, "QuadraticFactor", a)
     margin = c * a - b
@@ -103,7 +94,7 @@ def check_threshold_factor(a: float, b: float, c: float) -> LogConcavityCertific
     witness is the line through the origin.
     """
     if b < 0.0 or c <= 0.0:
-        raise NegativeCoefficient("need b >= 0 and c > 0 for the threshold family")
+        raise ValueError("need b >= 0 and c > 0 for the threshold family")
     if a <= b:
         return LogConcavityCertificate(False, "ThresholdFactor", a - b)
     margin = a - 2.0 * b if c == math.inf else a - (b * b + 2.0 * b * c) / c
@@ -130,8 +121,8 @@ def circuit_certificates(circuit: CircuitSpec) -> list[LogConcavityCertificate]:
             continue
         try:
             family, coefs = pi_w_profile(out, s).certificate_form(rate)
-        except OrderingOutOfRange as err:  # s = 1: a photon factor vanishes at b = 0
-            raise NotLogConcave(f"{err}; it vanishes at unit classicality") from err
+        except SchemaError as err:  # s = 1: a photon factor vanishes at b = 0
+            raise ConditionFailure(f"{err.message}; it vanishes at unit classicality") from err
         certs.append(_CHECKS[family](*coefs))
     return certs
 
@@ -145,7 +136,7 @@ def fpras_condition_permanent(lambdas) -> bool:
     """True iff lambda_max / lambda_min <= 2 (strictly positive spectrum)."""
     lam = np.asarray(lambdas, dtype=float)
     if np.min(lam) <= 0.0:
-        raise ZeroEigenvalue("a zero eigenvalue puts the permanent outside this scheme")
+        raise SchemaError("/lambdas", "a zero eigenvalue puts the permanent outside this scheme")
     return float(np.max(lam)) / float(np.min(lam)) <= 2.0
 
 
@@ -159,9 +150,14 @@ def fpras_condition_hafnian(n: float, r_max: float) -> bool:
     return n >= threshold
 
 
-def fpras_condition_tor_thermal(lambda_min: float, lambda_max: float) -> bool:
+def _check_thermal_pair(lambda_min: float, lambda_max: float) -> None:
     if not (0.0 <= lambda_min <= lambda_max < 1.0):
-        raise ValueError("need 0 <= lambda_min <= lambda_max < 1")
+        pointer = "/lambda-max" if lambda_min >= 0.0 else "/lambda-min"
+        raise SchemaError(pointer, "need 0 <= lambda_min <= lambda_max < 1")
+
+
+def fpras_condition_tor_thermal(lambda_min: float, lambda_max: float) -> bool:
+    _check_thermal_pair(lambda_min, lambda_max)
     if lambda_min < 0.5:
         return False
     return lambda_max <= (-lambda_min**2 + 3.0 * lambda_min - 1.0) / lambda_min
@@ -179,7 +175,7 @@ def fpras_condition_tor_st(n: float, r_max: float) -> bool:
 def gbs_noise_threshold(eta: float, r_max: float) -> float:
     """Smallest environment occupation enabling multiplicative estimation."""
     if not (0.0 <= eta < 1.0):
-        raise ValueError("eta must lie in [0, 1) for a finite noise threshold")
+        raise SchemaError("/eta", "eta must lie in [0, 1) for a finite noise threshold")
     return (
         math.exp(-r_max) * eta * math.sinh(r_max)
         + math.sqrt(1.0 + eta * math.sinh(2.0 * r_max))
@@ -201,8 +197,7 @@ def _thermal_pair(lambda_min: float, lambda_max: float, outcome) -> CircuitSpec:
     """Thermal modes of eigenvalues lambda_min and lambda_max, occupation
     lambda / (1 - lambda); a permanent's spectrum must first be rescaled
     into (0, 1) as ``embed_permanent`` does."""
-    if not (0.0 <= lambda_min <= lambda_max < 1.0):
-        raise ValueError("need 0 <= lambda_min <= lambda_max < 1")
+    _check_thermal_pair(lambda_min, lambda_max)
     return _circuit([(0.0, x / (1.0 - x)) for x in (lambda_min, lambda_max)], outcome)
 
 
@@ -274,7 +269,7 @@ def estimate_multiplicative(
     concave), drawn by ``build_folded_sampler(..., "laplace")``; the
     importance weight is exp(log_prefactor) times the sampler's weight,
     which log-concavity bounds by its value w(0) at the origin (a larger one
-    raises ``BoundViolation``), so the sums stay in linear space.  The
+    raises ``ConditionFailure``), so the sums stay in linear space.  The
     rule ESS >= ESS_PER_EPS_SQ / epsilon^2 and z * SE / mean <= epsilon is
     checked on the running sums after every ``CHUNK``-sample chunk, from the
     first that can reach the ESS target, and the estimate stops at the first
@@ -289,10 +284,10 @@ def estimate_multiplicative(
         if getattr(config, name) != getattr(checked, name):
             raise SchemaError(pointer, "is not used by --multiplicative")
     if circuit.m > 12:
-        raise TooLarge("multiplicative estimation limited to 12 modes at desk scale")
+        raise SchemaError("/modes", "multiplicative estimation limited to 12 modes at desk scale")
     for cert in circuit_certificates(circuit):
         if not cert.holds:
-            raise NotLogConcave(
+            raise ConditionFailure(
                 f"certificate failed with margin {cert.margin:.3e} ({cert.family})"
             )
     if all(out.kind == "marginal" for out in circuit.pattern):
@@ -301,11 +296,11 @@ def estimate_multiplicative(
     setup = Setup(circuit)
     try:
         sampler = build_folded_sampler(setup, 1.0 - 1e-9, "laplace")
-    except NotPositiveDefinite as exc:
+    except ConditionFailure as exc:
         # certified but not strictly log-concave: on the condition's boundary
         # (a permanent spectrum ratio of exactly 2) the log-Hessian at the
         # origin is singular, so no Laplace Gaussian exists
-        raise NotLogConcave(
+        raise ConditionFailure(
             "the log-integrand's Hessian at the origin is singular: the circuit sits "
             "on the boundary of its log-concavity condition"
         ) from exc
@@ -332,6 +327,6 @@ def estimate_multiplicative(
             if ess >= ess_target and z_score * rel_se <= epsilon:
                 value = math.exp(sampler.log_prefactor) * mean
                 return MultiplicativeEstimate(value, z_score * rel_se, n_used, ess)
-    raise NonConvergent(
+    raise ConditionFailure(
         f"effective sample size target {ess_target:.0f} unmet at the {SAMPLE_CAP} cap"
     )

@@ -18,14 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import (
-    DimensionMismatch,
-    NotHpsd,
-    NotSymmetric,
-    PreconditionAminBelowOne,
-    StructureMismatch,
-    ZeroMatrix,
-)
+from .errors import SchemaError
 from .phase_space import CLICK, MeasurementOutcome, photon
 
 UNITARY_TOL = 1e-10
@@ -42,10 +35,10 @@ class Interferometer:
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex)
         if u.shape != (self.m, self.m):
-            raise DimensionMismatch(f"unitary shape {u.shape} != ({self.m},{self.m})")
+            raise SchemaError("/unitary", f"unitary must be {self.m}x{self.m}, got shape {u.shape}")
         dev = np.max(np.abs(u.conj().T @ u - np.eye(self.m)))
         if dev > UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary: max deviation {dev:.3e}")
+            raise SchemaError("/unitary", f"matrix is not unitary: max deviation {dev:.3e}")
         object.__setattr__(self, "u", u)
 
 
@@ -85,20 +78,20 @@ class CircuitSpec:
 
     def __post_init__(self):
         if len(self.modes) != self.unitary.m or len(self.pattern) != self.unitary.m:
-            raise DimensionMismatch("modes, unitary, and pattern sizes disagree")
+            raise SchemaError("/pattern", "modes, unitary, and pattern sizes disagree")
         if not (0.0 < self.eta <= 1.0):
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+            raise SchemaError("/eta", f"eta must be in (0, 1], got {self.eta}")
         if not self.n_th >= 0.0:  # written so that NaN fails too
-            raise ValueError("n_th must be nonnegative")
+            raise SchemaError("/n_th", "n_th must be nonnegative")
         for r, n in self.modes:
             if not (r >= 0.0 and n >= 0.0):
-                raise ValueError("squeezing and thermal photons must be nonnegative")
+                raise SchemaError("/modes", "squeezing and thermal photons must be nonnegative")
         try:
             finite = math.isfinite(self.a_max)
         except OverflowError:  # e^{2r} beyond the float range
             finite = False
         if not finite:
-            raise ValueError("input covariance is not finite: squeezing or thermal photons overflow")
+            raise SchemaError("/modes", "input covariance is not finite: squeezing or thermal photons overflow")
 
     @property
     def m(self) -> int:
@@ -166,7 +159,7 @@ class MatrixClass:
         self.data.flags.writeable = False
         n = self.data.shape[0]
         if self.data.shape != (n, n):
-            raise DimensionMismatch("matrix must be square")
+            raise SchemaError("/m", "matrix must be square")
         if self.tag is MatrixTag.COMPLEX_SYMMETRIC_R:
             _check_symmetric(self.data)
         elif self.tag is MatrixTag.HPSD_B:
@@ -178,33 +171,34 @@ class MatrixClass:
         block (its B block must vanish) or the eigendecomposition of a B'
         matrix's B block, and the recovered (n, r_list, interferometer) of
         an A' matrix (``recover_block_a_params``); other tags raise
-        ``ValueError``.  Written once; safe for concurrent reads afterwards."""
+        ``SchemaError`` at ``/tag``.  Written once; safe for concurrent reads
+        afterwards."""
         if self.decomposition is not None:
             return self.decomposition
         if self.tag is MatrixTag.BLOCK_R_PRIME:
             r_block, b_block = split_blocks(self)
             if np.max(np.abs(b_block)) > 1e-10:
-                raise StructureMismatch("R' family requires a vanishing B block")
+                raise SchemaError("/re", "R' family requires a vanishing B block")
             self.decomposition = takagi(r_block)
         elif self.tag is MatrixTag.BLOCK_A_PRIME:
             self.decomposition = recover_block_a_params(self)
         elif self.tag is MatrixTag.BLOCK_B_PRIME:
             self.decomposition = hpsd_eigendecompose(split_blocks(self)[1])
         else:
-            raise ValueError(f"no Torontonian decomposition for tag {self.tag}")
+            raise SchemaError("/tag", f"no Torontonian decomposition for tag {self.tag}")
         return self.decomposition
 
 
 def _check_symmetric(mat: np.ndarray, tol: float = 1e-10):
     dev = np.max(np.abs(mat - mat.T)) if mat.size else 0.0
     if dev > tol * max(1.0, np.max(np.abs(mat))):
-        raise NotSymmetric(f"matrix is not symmetric: max deviation {dev:.3e}")
+        raise SchemaError("/re", f"matrix is not symmetric: max deviation {dev:.3e}")
 
 
 def _check_hermitian(mat: np.ndarray, tol: float = 1e-10):
     dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
     if dev > tol * max(1.0, np.max(np.abs(mat))):
-        raise NotHpsd(f"matrix is not Hermitian: max deviation {dev:.3e}")
+        raise SchemaError("/re", f"matrix is not Hermitian: max deviation {dev:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +230,7 @@ def takagi(r_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     resid = np.max(np.abs((u * lam) @ u.T - r_mat)) if r_mat.size else 0.0
     if resid > RECONSTRUCT_TOL * max(1.0, np.max(np.abs(r_mat))):
-        raise NotSymmetric(f"takagi reconstruction failed: residual {resid:.3e}")
+        raise SchemaError("/re", f"takagi reconstruction failed: residual {resid:.3e}")
     return u, lam
 
 
@@ -245,7 +239,7 @@ def hpsd_eigendecompose(b_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition B = U diag(lam) U^dagger of an HPSD matrix.
 
     Eigenvalues sorted descending; values in [-1e-12*scale, 0) are clipped
-    to zero, anything more negative raises NotHpsd.
+    to zero, anything more negative raises ``SchemaError`` at ``/re``.
     """
     b_mat = np.asarray(b_mat, dtype=complex)
     _check_hermitian(b_mat)
@@ -254,7 +248,7 @@ def hpsd_eigendecompose(b_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = u[:, ::-1].copy()
     scale = max(1.0, abs(lam[0]) if lam.size else 1.0)
     if lam.size and lam[-1] < -1e-10 * scale:
-        raise NotHpsd(f"negative eigenvalue {lam[-1]:.3e}")
+        raise SchemaError("/re", f"negative eigenvalue {lam[-1]:.3e}")
     np.clip(lam, 0.0, None, out=lam)
     return u, lam
 
@@ -310,9 +304,10 @@ def _embed_spectrum(
     or as thermal occupation n = x / (1 - x) with normalization 1 + n."""
     x = lam / rescale
     if x.size and not 0.0 <= x[0] < 1.0:
-        raise ValueError(
+        raise SchemaError(
+            "/re",
             f"spectrum / rescale must lie in [0, 1), got {x[0]:.6g}: R' singular values and"
-            " B' eigenvalues are not rescaled, hafnian and permanent spectra need a > 1"
+            " B' eigenvalues are not rescaled",
         )
     if family in _SQUEEZED_FAMILIES:
         r_list = np.arctanh(x)
@@ -325,10 +320,12 @@ def _embed_spectrum(
 
 
 def _rescale(a: float, lam: np.ndarray, target: str) -> float:
-    """a * lam_max, which maps a nonzero spectrum into [0, 1/a]; past the
-    float range it is inf, and so is the embedding's prefactor."""
+    """a * lam_max, which maps a nonzero spectrum into [0, 1/a] for a > 1;
+    past the float range it is inf, and so is the embedding's prefactor."""
     if not lam.size or lam[0] <= 0.0:
-        raise ZeroMatrix(f"{target} embedding needs a nonzero matrix")
+        raise SchemaError("/re", f"{target} embedding needs a nonzero matrix")
+    if not a > 1.0:
+        raise SchemaError("/rescale-a", f"must be greater than 1, got {a}")
     with np.errstate(over="ignore"):
         return a * lam[0]
 
@@ -371,7 +368,7 @@ def block_a_prime(n: float, r_list: Sequence[float], interf: Interferometer) -> 
     occupation ``n`` and squeezing ``r_list`` behind ``interf``: R = U D U^T
     and B = U D' U^dagger, with the diagonals of ``_st_diagonals``."""
     if n < 0.0 or any(r < 0.0 for r in r_list):
-        raise ValueError("n and r_i must be nonnegative")
+        raise SchemaError("/r-list", "n and r_i must be nonnegative")
     u = interf.u
     d, dp = _st_diagonals(n, r_list)
     r_block = u @ np.diag(d) @ u.T
@@ -406,15 +403,15 @@ def split_blocks(mat: MatrixClass) -> tuple[np.ndarray, np.ndarray]:
     data = mat.data
     m2 = data.shape[0]
     if m2 % 2:
-        raise DimensionMismatch("block matrices must have even dimension")
+        raise SchemaError("/m", "block matrices must have even dimension")
     m = m2 // 2
     r_block = data[m:, :m]
     b_block = data[m:, m:]
     tol = 1e-8 * max(1.0, np.max(np.abs(data)))
     if np.max(np.abs(data[:m, :m] - b_block.T)) > tol:
-        raise StructureMismatch("upper-left block is not B^T")
+        raise SchemaError("/re", "upper-left block is not B^T")
     if np.max(np.abs(data[:m, m:] - r_block.conj())) > tol:
-        raise StructureMismatch("upper-right block is not R*")
+        raise SchemaError("/re", "upper-right block is not R*")
     return r_block, b_block
 
 
@@ -424,24 +421,24 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
 
     Uses the Takagi basis of R, requires B to be diagonal in the same basis,
     and reads n off the first mode in closed form; the rest follow.  Raises
-    StructureMismatch when R has a singular value d >= 1 (d = tanh r of a
-    pure squeezed input, below 1 for every A' matrix) or the rebuilt matrix
-    disagrees with the input.
+    ``SchemaError`` at ``/re`` when R has a singular value d >= 1 (d = tanh r
+    of a pure squeezed input, below 1 for every A' matrix) or the rebuilt
+    matrix disagrees with the input.
     """
     r_block, b_block = split_blocks(mat)
     u, d = takagi(r_block)
     if d.max(initial=0.0) >= 1.0:
-        raise StructureMismatch(f"R has a singular value {d.max():.6g} >= 1; A' needs every one below 1")
+        raise SchemaError("/re", f"R has a singular value {d.max():.6g} >= 1; A' needs every one below 1")
     interf = Interferometer(r_block.shape[0], u)
     if np.max(np.abs(b_block)) < 1e-12:
         n, r_list = 0.0, np.arctanh(d)  # pure squeezed limit: d_i = tanh r_i
     else:
         dp_mat = u.conj().T @ b_block @ u
         if np.max(np.abs(dp_mat - np.diag(np.diagonal(dp_mat)))) > 1e-7:
-            raise StructureMismatch("B is not diagonal in the Takagi basis of R")
+            raise SchemaError("/re", "B is not diagonal in the Takagi basis of R")
         dp = np.real(np.diagonal(dp_mat))
         if np.min(dp) <= 0.0:
-            raise StructureMismatch("B eigenvalues must be positive for shared n > 0")
+            raise SchemaError("/re", "B eigenvalues must be positive for shared n > 0")
 
         # cosh^2 2r - sinh^2 2r = 1 is a quadratic in X = (2n+1)^2 whose roots
         # are X = 1 (n = 0) and X = ((1+p)^2 - d^2) / ((1-p)^2 - d^2), which
@@ -449,7 +446,7 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
         d0, p0 = float(d[0]), float(dp[0])
         denom = (1.0 - p0) ** 2 - d0 * d0
         if denom <= 0.0:
-            raise StructureMismatch("no shared thermal occupation solves the block structure")
+            raise SchemaError("/re", "no shared thermal occupation solves the block structure")
         x_minus_1 = 4.0 * p0 / denom
         u_var = math.sqrt(1.0 + x_minus_1)
         n = 0.5 * x_minus_1 / (u_var + 1.0)  # (u - 1)/2 without cancellation
@@ -458,21 +455,21 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
         r_list = 0.5 * np.arcsinh(d * x_minus_1 / (2.0 * u_var * dp))
     dev = np.max(np.abs(block_a_prime(n, r_list, interf).data - mat.data))
     if dev > 1e-8 * max(1.0, np.max(np.abs(mat.data))):
-        raise StructureMismatch(f"(n, r, U) do not rebuild the A' matrix: residual {dev:.3e}")
+        raise SchemaError("/re", f"(n, r, U) do not rebuild the A' matrix: residual {dev:.3e}")
     return n, r_list, interf
 
 
-def _squeezed_thermal(n: float, r_list, interf: Interferometer, outcome, family: str) -> Embedding:
+def embed_squeezed_thermal(n: float, r_list, interf: Interferometer, outcome, family: str) -> Embedding:
     """Squeezed thermal inputs of shared occupation n measured with
     ``outcome`` on every mode; each mode's normalization is sqrt k+_i, and
     ``lambdas`` are the singular values d_i of the R block.  Budgets are
     derived at s = a_min; at a_min = 1 with r_i = r_max (k- = 0) neither
     family's factor has its analytic shift there, which raises
-    ``PreconditionAminBelowOne``."""
+    ``SchemaError`` at ``/r-list``."""
     modes = tuple((float(r), float(n)) for r in r_list)
     circuit = CircuitSpec(modes, interf, (outcome,) * interf.m)
     if circuit.s_max == 1.0:
-        raise PreconditionAminBelowOne("degenerate boundary a_min = 1 with r_i = r_max")
+        raise SchemaError("/r-list", "degenerate boundary a_min = 1 with r_i = r_max")
     lam = _st_diagonals(n, r_list)[0]
     return Embedding(circuit, family, 1.0, np.sqrt(squeezed_thermal_k(n, r_list)[0]), lam)
 
@@ -487,7 +484,7 @@ def embed_hafnian_block_a(
     r_arr = np.asarray(r_list, dtype=float)
     if interf is None:
         interf = identity_interferometer(r_arr.size)
-    return _squeezed_thermal(n, r_arr, interf, photon(1), "hafnian.block_a")
+    return embed_squeezed_thermal(n, r_arr, interf, photon(1), "hafnian.block_a")
 
 
 @one_blas_thread()
@@ -503,7 +500,10 @@ def embed_torontonian(mat: MatrixClass) -> Embedding:
     """
     parts = mat.decompose()
     if mat.tag is MatrixTag.BLOCK_A_PRIME:
-        return _squeezed_thermal(*parts, CLICK, "torontonian.squeezed_thermal")
+        try:
+            return embed_squeezed_thermal(*parts, CLICK, "torontonian.squeezed_thermal")
+        except SchemaError as err:  # (n, r) were read off the matrix
+            raise SchemaError("/re", err.message) from err
     family = "torontonian.squeezed" if mat.tag is MatrixTag.BLOCK_R_PRIME else "torontonian.thermal"
     return _embed_spectrum(family, *parts, CLICK)
 

@@ -12,12 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    OddDimension,
-    SingularSubmatrix,
-    TooLarge,
-)
+from .errors import SchemaError
 from .linear_optics import CircuitSpec, gbs_A_matrix, husimi_covariance
 from .phase_space import MeasurementOutcome
 
@@ -32,9 +27,9 @@ def permanent_exact(a_mat: np.ndarray) -> complex:
     a_mat = np.asarray(a_mat, dtype=complex)
     n = a_mat.shape[0]
     if a_mat.shape != (n, n):
-        raise DimensionMismatch("permanent needs a square matrix")
+        raise SchemaError("/m", "permanent needs a square matrix")
     if n > MAX_PERMANENT_DIM:
-        raise TooLarge(f"permanent limited to {MAX_PERMANENT_DIM}, got {n}")
+        raise SchemaError("/m", f"permanent limited to {MAX_PERMANENT_DIM}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
     row_sums = np.zeros(n, dtype=complex)
@@ -62,11 +57,11 @@ def hafnian_exact(a_mat: np.ndarray) -> complex:
     a_mat = np.asarray(a_mat, dtype=complex)
     n = a_mat.shape[0]
     if a_mat.shape != (n, n):
-        raise DimensionMismatch("hafnian needs a square matrix")
+        raise SchemaError("/m", "hafnian needs a square matrix")
     if n % 2:
-        raise OddDimension(f"hafnian needs even dimension, got {n}")
+        raise SchemaError("/m", f"hafnian needs even dimension, got {n}")
     if n > MAX_HAFNIAN_DIM:
-        raise TooLarge(f"hafnian limited to {MAX_HAFNIAN_DIM}, got {n}")
+        raise SchemaError("/m", f"hafnian limited to {MAX_HAFNIAN_DIM}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
 
@@ -100,12 +95,10 @@ def _sqrt_positive_det(mat: np.ndarray) -> float:
     """
     eig = np.linalg.eigvals(mat)
     if np.min(np.abs(eig)) < 1e-13:
-        raise SingularSubmatrix("singular submatrix in Torontonian term")
+        raise SchemaError("/re", "singular submatrix in Torontonian term")
     root = complex(np.prod(np.sqrt(eig.astype(complex))))
     if abs(root.imag) > 1e-8 * max(1.0, abs(root.real)) or root.real <= 0.0:
-        raise SingularSubmatrix(
-            f"determinant square root is not positive real: {root}"
-        )
+        raise SchemaError("/re", f"determinant square root is not positive real: {root}")
     return root.real
 
 
@@ -118,12 +111,10 @@ def torontonian_exact(a_prime: np.ndarray) -> float:
     a_prime = np.asarray(a_prime, dtype=complex)
     dim = a_prime.shape[0]
     if dim % 2:
-        raise DimensionMismatch("Torontonian matrices have even dimension")
+        raise SchemaError("/m", "Torontonian matrices have even dimension")
     m = dim // 2
     if m > MAX_TORONTONIAN_MODES:
-        raise TooLarge(
-            f"Torontonian limited to {MAX_TORONTONIAN_MODES} modes, got {m}"
-        )
+        raise SchemaError("/m", f"Torontonian limited to {MAX_TORONTONIAN_MODES} modes, got {m}")
     total = 0.0
     for z_mask in range(1 << m):
         keep = [j for j in range(m) if not (z_mask >> j) & 1]
@@ -158,7 +149,7 @@ def exact_probability(circuit: CircuitSpec, pattern) -> float:
             if entry.kind == "marginal":
                 continue
             if entry.kind not in ("photon", "noclick"):
-                raise ValueError("exact_probability handles photon-number patterns")
+                raise SchemaError("/pattern", "exact_probability handles photon-number patterns")
             kept.append(j)
             counts.append(entry.m)  # 0 for a no-click
         elif entry == "marginal":
@@ -167,10 +158,10 @@ def exact_probability(circuit: CircuitSpec, pattern) -> float:
             kept.append(j)
             counts.append(int(entry))
     if any(c < 0 for c in counts):
-        raise ValueError("photon counts must be nonnegative")
+        raise SchemaError("/pattern", "photon counts must be nonnegative")
     total = sum(counts)
     if 2 * total > MAX_HAFNIAN_DIM:
-        raise TooLarge(f"sum of photon counts {total} exceeds the hafnian limit")
+        raise SchemaError("/pattern", f"sum of photon counts {total} exceeds the hafnian limit")
 
     a_mat, sigma_q = gbs_A_matrix(circuit, kept)
     norm = math.sqrt(abs(np.linalg.det(sigma_q).real))
@@ -193,7 +184,7 @@ def exact_threshold_probability(circuit: CircuitSpec, pattern) -> float:
     evaluation 1/sqrt(det sigma_Q[T]).
     """
     if circuit.m > MAX_TORONTONIAN_MODES:
-        raise TooLarge(f"threshold oracle limited to {MAX_TORONTONIAN_MODES} modes")
+        raise SchemaError("/modes", f"threshold oracle limited to {MAX_TORONTONIAN_MODES} modes")
     clicks: list[int] = []
     noclicks: list[int] = []
     for j, entry in enumerate(pattern):
@@ -203,7 +194,7 @@ def exact_threshold_probability(circuit: CircuitSpec, pattern) -> float:
         elif kind == "noclick":
             noclicks.append(j)
         elif kind != "marginal":
-            raise ValueError(f"unsupported threshold pattern entry {entry!r}")
+            raise SchemaError("/pattern", f"unsupported threshold pattern entry {entry!r}")
 
     def vacuum_prob(modes: list[int]) -> float:
         if not modes:

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotLogConcave, OrderingOutOfRange
+from .errors import ConditionFailure, SchemaError
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class MeasurementOutcome:
 
     def __post_init__(self):
         if self.kind not in ("photon", "click", "noclick", "marginal"):
-            raise ValueError(f"unknown outcome kind {self.kind!r}")
+            raise SchemaError("/pattern", f"unknown outcome kind {self.kind!r}")
         if self.kind == "photon" and (self.m < 0 or self.m != int(self.m)):
-            raise ValueError("photon count must be a nonnegative integer")
+            raise SchemaError("/pattern", "photon count must be a nonnegative integer")
 
     @property
     def is_gaussian(self) -> bool:
@@ -159,24 +159,24 @@ class RadialFactor:
         exp(-c*q) with a = 1 ("ThresholdFactor"), one photon's (a + b*q) *
         exp(-c*q) scaled to b = 8 ("QuadraticFactor").  A factor that is not
         positive at the origin keeps its form; its check fails with the
-        positivity margin.  Raises ``NotLogConcave`` for photon counts other
-        than one, which no family covers."""
+        positivity margin.  Raises ``ConditionFailure`` for photon counts
+        other than one, which no family covers."""
         c = self.decay + rate
         if self.a:
             return "ThresholdFactor", (1.0, self.a, c)
         if self.m != 1:
-            raise NotLogConcave(f"no log-concavity certificate for photon count {self.m}")
+            raise ConditionFailure(f"no log-concavity certificate for photon count {self.m}")
         return "QuadraticFactor", (-8.0 / self.k, 8.0, c)
 
 
 def pi_w_profile(outcome: MeasurementOutcome, s: float) -> RadialFactor:
     """pi * W^(-s) of the outcome as a function of b = |beta|^2; 1 for a
     marginalized mode.  Orderings outside a factor's range raise
-    ``OrderingOutOfRange``: s <= -1, and s = 1 for m >= 1 photons."""
+    ``SchemaError`` at ``/s``: s <= -1, and s = 1 for m >= 1 photons."""
     if outcome.kind == "marginal":
         return RadialFactor(1.0, 0.0)
     if s <= -1.0:
-        raise OrderingOutOfRange(f"{outcome.kind} factor needs s > -1, got {s}")
+        raise SchemaError("/s", f"{outcome.kind} factor needs s > -1, got {s}")
     sp = s + 1.0
     decay = 2.0 / sp
     if outcome.kind == "click":
@@ -185,5 +185,5 @@ def pi_w_profile(outcome: MeasurementOutcome, s: float) -> RadialFactor:
     if m == 0:
         return RadialFactor(decay, decay)
     if s == 1.0:
-        raise OrderingOutOfRange(f"s = 1 is outside the range of the {m}-photon factor")
+        raise SchemaError("/s", f"s = 1 is outside the range of the {m}-photon factor")
     return RadialFactor(decay * ((s - 1.0) / sp) ** m, decay, m, 4.0 / (1.0 - s * s))

@@ -191,8 +191,9 @@ class TestCommands:
             assert cli.main([command, "--matrix", path, "--threads", "3", "--samples", "64"]) == 0
         assert seen == [3, 3, 3]
 
-    def test_wrong_tag_is_input_error(self, per_matrix):
+    def test_wrong_tag_is_input_error(self, per_matrix, capsys):
         assert cli.main(["estimate-haf", "--matrix", per_matrix]) == 1
+        assert capsys.readouterr().err == "input error: /tag: estimate-haf needs tag 'R'\n"
 
     def test_estimate_haf(self, tmp_path):
         path = write_json(
@@ -354,7 +355,7 @@ class TestCommands:
         if family == "hafnian-block-a":
             emb = lo.embed_hafnian_block_a(0.1, [0.5])
         else:
-            emb = lo._squeezed_thermal(
+            emb = lo.embed_squeezed_thermal(
                 0.1, [0.5], lo.identity_interferometer(1), CLICK, "torontonian.squeezed_thermal"
             )
         searched = searched_budget(emb, emb.circuit.s_max - est.S_MAX_MARGIN)
@@ -378,8 +379,7 @@ class TestCommands:
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("input error: ")
-        assert "degenerate boundary" in captured.err
+        assert captured.err.startswith("input error: /r-list: degenerate boundary")
 
     def test_bounds_command(self, tmp_path):
         out = tmp_path / "bounds.json"
@@ -453,7 +453,7 @@ class TestCommands:
         assert cli.main(["estimate-haf", "--matrix", path, "--samples", "64", "--oracle-check"]) == 0
         assert json.loads(capsys.readouterr().out)["oracle"] == value == 0.0
         assert cli.main(["oracle", "--matrix", path, "--function", "hafnian"]) == 1
-        assert "even dimension" in capsys.readouterr().err
+        assert capsys.readouterr().err == "input error: /m: hafnian needs even dimension, got 3\n"
 
     def test_oracle_photon_pattern_with_noclick(self, tmp_path, capsys):
         # a no-click is the zero-photon outcome: exact_probability(c, [1, 0, "marginal"])
@@ -479,16 +479,16 @@ class TestCommands:
             {"modes": [{"r": 0.3, "n": 1e308}, {"r": 0.2}], "unitary": {"haar_seed": 5}, "pattern": [1, 1]},
         )
         assert cli.main([command[0], "--circuit", path, *command[1:]]) == 1
-        assert "not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("input error: /modes: input covariance is not finite")
 
     @pytest.mark.parametrize("command, tag", [("estimate-haf", "R"), ("estimate-per", "B")])
     @pytest.mark.parametrize("a", ["1.0", "0.9"])
     def test_rescale_at_most_one_is_input_error(self, command, tag, a, tmp_path, capsys):
-        # a <= 1 puts the top rescaled value lam_max / (a lam_max) at or above 1
+        # a <= 1 would put the top rescaled value lam_max / (a lam_max) at or above 1
         path = write_json(tmp_path / "m.json", {"m": 2, "re": [[2.0, 1.0], [1.0, 2.0]], "tag": tag})
         argv = [command, "--matrix", path, "--samples", "64", "--rescale-a", a]
         assert cli.main(argv) == 1
-        assert "need a > 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"input error: /rescale-a: must be greater than 1, got {a}\n"
 
     def test_convergence_csv(self, circuit_file, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -519,7 +519,7 @@ class TestCommands:
             assert cli.main([*command, *argv]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"input error: unrecognized arguments: {' '.join(argv)}\n"
+            assert captured.err == f"input error: /{argv[0][2:]}: unrecognized arguments: {' '.join(argv)}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -530,7 +530,7 @@ class TestCommands:
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith("input error: /") and captured.err.count("\n") == 1
 
     def test_malformed_rescale_points_at_the_flag(self, per_matrix, capsys):
         assert cli.main(["estimate-per", "--matrix", per_matrix, "--rescale-a", "x"]) == 1
@@ -542,7 +542,7 @@ class TestCommands:
         assert cli.main(["estimate-tor", "--matrix", path, "--samples", "64", "--rescale-a", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "input error: unrecognized arguments: --rescale-a 2\n"
+        assert captured.err == "input error: /rescale-a: unrecognized arguments: --rescale-a 2\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["estimate-prob", "--help"]])
     def test_help_and_version_exit_zero(self, argv, capsys):
@@ -560,10 +560,11 @@ class TestCommands:
     def test_r_prime_with_b_block_is_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "rp.json", {"m": 1, "re": [[0.1, 0.4], [0.4, 0.1]], "tag": "R'"})
         assert cli.main(["estimate-tor", "--matrix", path, "--samples", "64"]) == 1
-        assert capsys.readouterr().err == "input error: R' family requires a vanishing B block\n"
+        assert capsys.readouterr().err == "input error: /re: R' family requires a vanishing B block\n"
 
-    def test_missing_file_is_input_error(self):
+    def test_missing_file_is_input_error(self, capsys):
         assert cli.main(["estimate-per", "--matrix", "/nonexistent.json"]) == 1
+        assert capsys.readouterr().err == "input error: /: file not found: /nonexistent.json\n"
 
     @pytest.mark.parametrize(
         "argv, pointer",
@@ -573,6 +574,7 @@ class TestCommands:
             (["check-fpras", "--family", "hafnian", "--n", "1"], "/r-max"),
             (["bounds", "--family", "permanent"], "/lambdas"),
             (["oracle", "--matrix", "MATRIX"], "/function"),
+            ([], "/command"),
         ],
     )
     def test_missing_flags_are_schema_errors(self, argv, pointer, per_matrix, capsys):
@@ -584,6 +586,16 @@ def _circuit_json(**changes):
     obj = {"modes": [{"r": 0.4}, {"r": 0.3}], "unitary": {"haar_seed": 5}, "pattern": [1, 1]}
     obj.update(changes)
     return obj
+
+
+# an A' layout whose B block is not diagonal in the Takagi basis of its R block
+BLOCKS_NOT_A_PRIME = [[0.5, 0, 0, 0.1], [0, 0.4, 0.1, 0], [0, 0.1, 0.5, 0], [0.1, 0, 0, 0.4]]
+# a B' matrix with an eigenvalue above 1 (B' blocks are not rescaled)
+B_PRIME_ABOVE_ONE = {"m": 2, "re": np.diag([1.5, 0.4, 1.5, 0.4]).tolist(), "tag": "B'"}
+# eight squeezed modes, three photons each: a wide weight bound
+EIGHT_SQUEEZED = _circuit_json(
+    modes=[{"r": r} for r in np.linspace(0.9, 1.2, 8).tolist()], unitary={"haar_seed": 1}, pattern=[3] * 8
+)
 
 
 class TestInputHardening:
@@ -618,9 +630,34 @@ class TestInputHardening:
             ("circuit", _circuit_json(unitary={"m": 3, "re": np.eye(3).tolist()}), "/unitary"),
             ("circuit", _circuit_json(unitary={"m": 2, "re": [[1, 1], [0, 1]]}), "/unitary"),
             ("lambdas", "0.5,x", "/lambdas"),
+            # matrix content, spectra and sizes, each at the field it is read from
+            ("matrix", {"m": 2, "re": [[0.1, 0.5], [0.5, 0.1]], "tag": "B"}, "/re"),
+            ("estimate-haf --matrix", {"m": 2, "re": [[0.5, 0.1], [0.0, 0.3]], "tag": "R"}, "/re"),
+            ("matrix", {"m": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "tag": "B"}, "/re"),
+            ("oracle --function hafnian --matrix", {"m": 3, "re": np.eye(3).tolist(), "tag": "R"}, "/m"),
+            ("estimate-per --rescale-a 0.5 --matrix", {"m": 2, "re": [[2.0, 1.0], [1.0, 2.0]], "tag": "B"}, "/rescale-a"),
+            ("circuit", _circuit_json(modes=[{"r": 400}, {"r": 0.3}]), "/modes"),
+            ("estimate-prob --multiplicative --circuit", _circuit_json(modes=[{"n": 0.5}] * 13, pattern=[1] * 13), "/modes"),
+            ("estimate-prob --oracle-check --circuit", _circuit_json(modes=[{"r": 0.3}] * 13, pattern=[1] * 13), "/pattern"),
+            ("estimate-tor --matrix", {"m": 2, "re": BLOCKS_NOT_A_PRIME, "tag": "A'"}, "/re"),
+            ("estimate-tor --matrix", {"m": 1, "re": [[0.1, 0.4], [0.4, 0.1]], "tag": "R'"}, "/re"),
+            ("estimate-tor --matrix", B_PRIME_ABOVE_ONE, "/re"),
+            ("oracle --function torontonian --matrix", B_PRIME_ABOVE_ONE, "/re"),
+            ("bounds --family tor-squeezed-thermal --n 0 --r-list", "0", "/r-list"),
+            ("lambdas", "0,1", "/lambdas"),
+            ("check-fpras --family permanent --lambdas", "0,0.5", "/lambdas"),
+            # more than MAX_SAMPLES samples: building their chunk sizes raised
+            # a MemoryError (3.3e17 and 1e18 samples) or sampled for hours (5.7e10)
+            ("estimate-prob --epsilon 1e-9 --delta 1e-9 --circuit", EIGHT_SQUEEZED, "/epsilon"),
+            ("estimate-prob --epsilon 1e-6 --circuit", EIGHT_SQUEEZED, "/epsilon"),
+            ("estimate-prob --samples 1000000000000000000 --circuit", EIGHT_SQUEEZED, "/samples"),
         ],
     )
-    def test_rejected_with_pointer(self, kind, payload, pointer, tmp_path, capsys):
+    def test_rejected_with_pointer(self, kind, payload, pointer, tmp_path, monkeypatch, capsys):
+        def no_chunks(*args, **kwargs):  # an input error is refused before any chunk is built
+            raise AssertionError("chunk sizes were built")
+
+        monkeypatch.setattr(est, "_chunk_sizes", no_chunks)
         if kind == "lambdas":
             argv = ["bounds", "--family", "permanent", "--lambdas", payload]
         elif kind == "text":  # not JSON at all
@@ -628,8 +665,11 @@ class TestInputHardening:
             argv = ["estimate-prob", "--circuit", str(tmp_path / "c.json")]
         elif kind == "circuit":
             argv = ["estimate-prob", "--circuit", write_json(tmp_path / "c.json", payload)]
-        else:
+        elif kind == "matrix":
             argv = ["estimate-per", "--matrix", write_json(tmp_path / "m.json", payload)]
+        else:  # a command line ending in the flag that takes the payload
+            value = payload if isinstance(payload, str) else write_json(tmp_path / "in.json", payload)
+            argv = [*kind.split(), value]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -688,7 +728,7 @@ class TestInputHardening:
             (
                 ["estimate-haf", "--matrix"],
                 {"tag": "R", "m": 18, "re": (0.01 * np.eye(18)).tolist()},
-                "hafnian limited to 16, got 18",
+                "/m: hafnian limited to 16, got 18",
             ),
         ],
         ids=["estimate-prob", "convergence", "estimate-haf"],
@@ -848,7 +888,7 @@ class TestInputHardening:
             assert cli.main(["bounds", "--family", "tor-thermal", "--lambdas", lambdas]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("input error: ") and "lambda < 1" in captured.err
+        assert captured.err.startswith("input error: /lambdas: ") and "lambda < 1" in captured.err
         assert "RuntimeWarning" not in captured.err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -861,7 +901,7 @@ class TestInputHardening:
         assert cli.main(["estimate-tor", "--matrix", path, "--samples", "4096"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("input error: ") and "singular value" in captured.err
+        assert captured.err.startswith("input error: /re: ") and "singular value" in captured.err
 
     @pytest.mark.parametrize("lambdas", ["1,1.5", "0.3,1.7"])
     def test_permanent_spectrum_outside_unit_interval(self, lambdas, capsys):
@@ -869,7 +909,7 @@ class TestInputHardening:
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("input error: ")
+        assert captured.err.startswith("input error: /lambdas: ")
 
 
 def _reject_constant(name):
@@ -896,11 +936,25 @@ def _locations(obj):
             yield from _locations(obj[key])
 
 
+def _mutate(draw, doc):
+    """Up to two mutations of a JSON document: a value replaced, a key or
+    list entry removed (missing keys, wrong lengths), or a list entry
+    duplicated."""
+    for _ in range(draw(st.sampled_from([1, 0, 2]))):
+        container, key = draw(st.sampled_from(list(_locations(doc))))
+        action = draw(st.sampled_from(["replace", "remove", "duplicate"]))
+        if action == "remove":
+            del container[key]
+        elif action == "duplicate" and isinstance(container, list):
+            container.append(container[key])
+        else:
+            container[key] = draw(_MUTANT)
+    return doc
+
+
 @st.composite
 def circuit_documents(draw):
-    """A valid circuit document with up to two mutations: a value replaced,
-    a key or list entry removed (missing keys, wrong pattern lengths), or a
-    list entry duplicated."""
+    """A valid circuit document with up to two mutations (``_mutate``)."""
     m = draw(st.integers(1, 3))
     unit = st.floats(0.0, 1.0)
     entry = st.one_of(st.integers(0, 2), st.sampled_from(["click", "noclick", "marginal"]))
@@ -915,31 +969,68 @@ def circuit_documents(draw):
     else:
         perm = draw(st.permutations(range(m)))
         doc["unitary"] = {"m": m, "re": [[float(perm[i] == j) for j in range(m)] for i in range(m)]}
-    for _ in range(draw(st.sampled_from([1, 0, 2]))):
-        container, key = draw(st.sampled_from(list(_locations(doc))))
-        action = draw(st.sampled_from(["replace", "remove", "duplicate"]))
-        if action == "remove":
-            del container[key]
-        elif action == "duplicate" and isinstance(container, list):
-            container.append(container[key])
-        else:
-            container[key] = draw(_MUTANT)
-    return doc
+    return _mutate(draw, doc)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(doc=circuit_documents())
-def test_schema_fuzz_exit_codes(doc, tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "circuit.json"
+# the commands that read each matrix tag
+_MATRIX_READERS = {
+    "R": ["estimate-haf", "oracle --function hafnian", "oracle --function hafnian-sq"],
+    "B": ["estimate-per", "oracle --function permanent"],
+    "R'": ["estimate-tor", "oracle --function torontonian"],
+    "B'": ["estimate-tor", "oracle --function torontonian"],
+    "A'": ["estimate-tor", "oracle --function torontonian"],
+}
+
+
+@st.composite
+def matrix_documents(draw):
+    """A command and a valid matrix document it reads, R, B, R', B' or A'
+    of one or two modes, with up to two mutations (``_mutate``)."""
+    tag = draw(st.sampled_from(list(_MATRIX_READERS)))
+    m = draw(st.integers(1, 2))
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    sym = np.array([[entries[0], entries[1]], [entries[1], entries[2]]])[:m, :m]
+    if tag in ("B", "B'"):  # diagonally dominant: Hermitian positive definite
+        sym = 0.1 * sym + np.diag([0.5, 0.7][:m])
+    if tag == "A'":
+        u = lo.haar_unitary(m, draw(st.integers(0, 99)))
+        r_list = draw(st.lists(st.floats(0.0, 0.5), min_size=m, max_size=m))
+        data = lo.block_a_prime(draw(st.floats(0.0, 1.0)), r_list, u).data
+    else:
+        data = {"R": sym, "B": sym, "R'": lo.block_r_prime(0.4 * sym).data, "B'": lo.block_b_prime(sym).data}[tag]
+    doc = {"m": m, "re": np.real(data).tolist(), "im": np.imag(data).tolist(), "tag": tag}
+    return draw(st.sampled_from(_MATRIX_READERS[tag])), _mutate(draw, doc)
+
+
+def _run_documented(argv, doc, tmp_path_factory, flag):
+    """Run the CLI on ``doc``: it exits 0 with a strict JSON report, 1 with
+    one input error at a JSON pointer, or 2, and never with a traceback."""
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["estimate-prob", "--circuit", str(path), "--samples", "64"])
+        code = cli.main([*argv, flag, str(path)])
     assert code in (0, 1, 2)
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert err.getvalue() and "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("input error: /")
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(doc=circuit_documents())
+def test_schema_fuzz_exit_codes(doc, tmp_path_factory):
+    _run_documented(["estimate-prob", "--samples", "64"], doc, tmp_path_factory, "--circuit")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=matrix_documents())
+def test_matrix_fuzz_exit_codes(case, tmp_path_factory):
+    command, doc = case
+    samples = ["--samples", "64"] if command.startswith("estimate") else []
+    _run_documented([*command.split(), *samples], doc, tmp_path_factory, "--matrix")
 
 
 def test_cli_import_is_numpy_only():
