@@ -445,15 +445,20 @@ class _Parser(argparse.ArgumentParser):
     """Raises a malformed command line as an input error (argparse would
     print its usage and exit 2, the code of a failed numerical condition),
     at the pointer of the flag argparse names, or else of the first
-    argument its message lists ("the following arguments are required:
-    command" points at /command)."""
+    argument its message lists when that is a flag or a positional ("the
+    following arguments are required: command" points at /command); a
+    stray value points at the root."""
 
     def error(self, message):
         err = sys.exc_info()[1]  # argparse calls this while handling its ArgumentError
         if isinstance(err, argparse.ArgumentError) and err.argument_name:
             raise SchemaError("/" + err.argument_name.split("/")[0].lstrip("-"), err.message)
-        listed = message.partition(": ")[2].replace(",", " ").split()
-        raise SchemaError("/" + (listed[0].lstrip("-") if listed else ""), message)
+        listed = (message.partition(": ")[2].replace(",", " ").split() or [""])[0]
+        if listed.startswith("-"):
+            field = listed.lstrip("-").partition("=")[0]
+        else:
+            field = listed if listed in {a.dest for a in self._actions if not a.option_strings} else ""
+        raise SchemaError("/" + field, message)
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:

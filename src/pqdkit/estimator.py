@@ -329,16 +329,17 @@ def mode_sups(setup: Setup, gamma: float) -> np.ndarray:
     return np.exp(shift_exponents(setup.c0, rate)[1]) * setup.unit_sups(rate)
 
 
+def _log_hoeffding_count(log_b: float, epsilon: float, delta: float) -> float:
+    """log of the Hoeffding sample rule 2 B^2 ln(2/delta) / epsilon^2 for
+    per-sample weights bounded by B = exp(log_b), however large."""
+    return math.log(2.0) + 2.0 * log_b + math.log(math.log(2.0 / delta)) - 2.0 * math.log(epsilon)
+
+
 def _hoeffding_count(log_b: float, epsilon: float, delta: float) -> int:
     """Hoeffding sample rule N = ceil(2 B^2 ln(2/delta) / epsilon^2) for
     per-sample weights bounded by B = exp(log_b); an N above ``MAX_SAMPLES``
     raises ``SchemaError`` at ``/epsilon``, before anything is drawn."""
-    log_n = (
-        math.log(2.0)
-        + 2.0 * log_b
-        + math.log(math.log(2.0 / delta))
-        - 2.0 * math.log(epsilon)
-    )
+    log_n = _log_hoeffding_count(log_b, epsilon, delta)
     if log_n > math.log(MAX_SAMPLES):
         raise SchemaError("/epsilon", f"the Hoeffding sample count exceeds 2^32 (log N = {log_n:.2f})")
     return max(1, math.ceil(math.exp(log_n)))
@@ -761,16 +762,19 @@ def _run_embedding(emb: Embedding, config: EstimatorConfig) -> MatrixEstimate:
     with the budget of the sampler it ran.  A value that overflows (a huge
     rescale or matrix entry) raises ``FloatingPointError``, as a circuit
     estimate does."""
-    # N = O(1/eps^2) convention: the budget carries the weight bound
-    n_eps = _hoeffding_count(0.0, config.epsilon, config.delta)
-    n = config.n_samples or n_eps
+    # N = O(1/eps^2) convention: the budget carries the weight bound.  Only
+    # a drawn Hoeffding count is capped; a fixed n <= MAX_SAMPLES is below
+    # any count above the cap
+    log_n_eps = _log_hoeffding_count(0.0, config.epsilon, config.delta)
+    n = config.n_samples or _hoeffding_count(0.0, config.epsilon, config.delta)
     report = estimate_probability(emb.circuit, dataclasses.replace(config, n_samples=n))
     factors = budget_factors(emb, report.mode_sups)
     conf_radius = emb.prefactor * report.conf_radius
     # n samples reach max(epsilon, sqrt(2 ln(2/delta) / n)) times the bound:
     # epsilon from the Hoeffding count on, below it the run's own radius
     # (the same suprema, multiplied in another order, taken as computed)
-    budget = config.epsilon * float(np.prod(factors)) if n >= n_eps else conf_radius
+    reached = log_n_eps <= math.log(MAX_SAMPLES) and n >= math.exp(log_n_eps)
+    budget = config.epsilon * float(np.prod(factors)) if reached else conf_radius
     value = emb.prefactor * report.estimate
     if not math.isfinite(value):
         raise FloatingPointError(

@@ -522,15 +522,24 @@ class TestCommands:
             assert captured.err == f"input error: /{argv[0][2:]}: unrecognized arguments: {' '.join(argv)}\n"
 
     @pytest.mark.parametrize(
-        "argv",
-        [["estimate-prob"], ["bounds"], ["estimate-prob", "--circuit"], ["frobnicate"], []],
-        ids=["no-circuit", "no-family", "no-path", "no-command", "nothing"],
+        "argv, pointer",
+        [
+            (["estimate-prob"], "/circuit"),
+            (["bounds"], "/family"),
+            (["estimate-prob", "--circuit"], "/circuit"),
+            (["frobnicate"], "/command"),
+            ([], "/command"),
+            # a stray value names no field: the root, not /extra
+            (["estimate-prob", "--circuit", "c.json", "extra"], "/"),
+            (["estimate-prob", "--circuit", "c.json", "--frobnicate=1"], "/frobnicate"),
+        ],
+        ids=["no-circuit", "no-family", "no-path", "no-command", "nothing", "stray-value", "flag-with-value"],
     )
-    def test_missing_or_unknown_argument_is_one_line_input_error(self, argv, capsys):
+    def test_missing_or_unknown_argument_is_one_line_input_error(self, argv, pointer, capsys):
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("input error: /") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"input error: {pointer}: ") and captured.err.count("\n") == 1
 
     def test_malformed_rescale_points_at_the_flag(self, per_matrix, capsys):
         assert cli.main(["estimate-per", "--matrix", per_matrix, "--rescale-a", "x"]) == 1
@@ -674,6 +683,23 @@ class TestInputHardening:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"input error: {pointer}: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("estimate-per", {"m": 2, "re": [[2.0, 1.0], [1.0, 2.0]], "tag": "B"}),
+            ("estimate-haf", {"m": 2, "re": [[0.5, 0.1], [0.1, 0.3]], "tag": "R"}),
+            ("estimate-tor", {"m": 1, "re": [[0.4, 0.0], [0.0, 0.4]], "tag": "B'"}),
+        ],
+    )
+    def test_fixed_samples_take_an_undrawable_epsilon(self, command, payload, tmp_path, capsys):
+        # the Hoeffding count of epsilon = 1e-5 (about 7.4e10) exceeds
+        # MAX_SAMPLES, but a fixed sample count never draws it: the budget is
+        # the run's own radius
+        argv = [command, "--matrix", write_json(tmp_path / "m.json", payload), "--samples", "64", "--epsilon", "1e-5"]
+        assert cli.main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["budget"] == result["conf_radius"]
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples(self, samples, circuit_file, per_matrix, capsys):
