@@ -2,8 +2,8 @@
 Gaussian circuits.
 
 Additive-error budgets are not computed here: a matrix estimate's budget is
-the bound of the sampler it ran (``estimator.budget_factors``), which
-reproduces the paper's closed forms at their analytic shifts.
+the bound of the sampler it ran (``estimator.budget_factors``), which at
+s_max is at most the paper's closed forms.
 """
 
 from __future__ import annotations

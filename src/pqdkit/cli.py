@@ -283,8 +283,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise SchemaError(flag, "must be a comma-separated list of numbers")
-    if not all(math.isfinite(v) for v in values):
-        raise SchemaError(flag, "numbers must be finite")
+    values = [_number(v, flag, "numbers must be finite and nonnegative", _nonneg) for v in values]
     if not values:
         raise SchemaError(flag, "needs at least one number")
     return values
@@ -304,10 +303,13 @@ _BOUNDS_FLAGS = {"hafnian-block-a": ("n",), "tor-squeezed-thermal": ("n",)}
 
 
 def _require_flags(args, names) -> None:
+    """Each named flag is given, finite and nonnegative, as every entry of
+    a ``_parse_float_list`` is."""
     for name in names:
+        flag = name.replace("_", "-")
         if getattr(args, name) is None:
-            flag = name.replace("_", "-")
             raise SchemaError(f"/{flag}", f"--family {args.family} needs --{flag}")
+        _number(getattr(args, name), f"/{flag}", "must be a finite nonnegative number", _nonneg)
 
 
 def _cmd_check_fpras(args) -> int:

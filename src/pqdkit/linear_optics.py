@@ -462,14 +462,9 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
 def embed_squeezed_thermal(n: float, r_list, interf: Interferometer, outcome, family: str) -> Embedding:
     """Squeezed thermal inputs of shared occupation n measured with
     ``outcome`` on every mode; each mode's normalization is sqrt k+_i, and
-    ``lambdas`` are the singular values d_i of the R block.  Budgets are
-    derived at s = a_min; at a_min = 1 with r_i = r_max (k- = 0) neither
-    family's factor has its analytic shift there, which raises
-    ``SchemaError`` at ``/r-list``."""
+    ``lambdas`` are the singular values d_i of the R block."""
     modes = tuple((float(r), float(n)) for r in r_list)
     circuit = CircuitSpec(modes, interf, (outcome,) * interf.m)
-    if circuit.s_max == 1.0:
-        raise SchemaError("/r-list", "degenerate boundary a_min = 1 with r_i = r_max")
     lam = _st_diagonals(n, r_list)[0]
     return Embedding(circuit, family, 1.0, np.sqrt(squeezed_thermal_k(n, r_list)[0]), lam)
 

@@ -422,11 +422,18 @@ class TestBlockABudget:
         sq_vq = float(np.prod(np.sqrt(lo.squeezed_thermal_k(n, r_list)[0])))
         assert sq_vq * float(np.prod(sups)) == pytest.approx(float(np.prod(got)), rel=1e-12)
 
-    def test_degenerate_boundary_rejected(self):
-        # vacuum inputs: s = a_min = 1, where k_minus = 0 and neither the
-        # photon nor the click family has its analytic shift
-        with pytest.raises(SchemaError, match="^/r-list: degenerate boundary"):
-            lo.embed_hafnian_block_a(0.0, [0.0, 0.0])
-        a_prime = lo.block_a_prime(0.0, [0.0, 0.0], lo.identity_interferometer(2))
-        with pytest.raises(SchemaError, match="^/re: degenerate boundary"):
-            est.estimate_torontonian(a_prime)
+    @pytest.mark.parametrize("n", [0.0, 0.5, 1.0])
+    def test_boundary_estimates_within_budget(self, n):
+        # a_min = (2n + 1) e^{-2 r_max} = 1, where k_minus = 0 for r_i =
+        # r_max (n = 0: the vacuum); the sampler runs at s_max - S_MAX_MARGIN
+        # as anywhere else, and both families land within their budget or
+        # radius of the oracle
+        r_max = 0.5 * math.log(2.0 * n + 1.0)
+        r_list, interf = [r_max, 0.2 * r_max], lo.haar_unitary(2, 3)
+        config = est.EstimatorConfig(n_samples=20000, seed=1)
+        a_prime = lo.block_a_prime(n, r_list, interf)
+        tor = est.estimate_torontonian(a_prime, config)
+        assert abs(tor.value - oracles.torontonian_exact(a_prime.data)) <= tor.budget
+        circuit = lo.embed_hafnian_block_a(n, r_list, interf).circuit
+        prob = est.estimate_probability(circuit, config)
+        assert abs(prob.estimate - oracles.exact_probability(circuit, circuit.pattern)) <= prob.conf_radius

@@ -373,13 +373,24 @@ class TestCommands:
         assert products == pytest.approx([0.6694, 0.6694, 0.6974], rel=1e-3)
 
     @pytest.mark.parametrize("family", ["hafnian-block-a", "tor-squeezed-thermal"])
-    def test_bounds_vacuum_boundary_is_an_input_error(self, family, capsys):
-        # n = r = 0: every input is the vacuum, a_min = 1 with k_minus = 0
-        argv = ["bounds", "--family", family, "--n", "0", "--r-list", "0"]
-        assert cli.main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("input error: /r-list: degenerate boundary")
+    @pytest.mark.parametrize("n", ["0", "0.5"])
+    def test_bounds_at_the_degenerate_boundary_report_the_budget(self, family, n, capsys):
+        # a_min = (2n + 1) e^{-2 r_max} = 1 with k_minus = 0 at r_max (n = 0:
+        # the vacuum): the sandwich diverges there, the budget does not
+        r_max = 0.5 * math.log(2.0 * float(n) + 1.0)
+        r_list = [r_max, 0.2 * r_max]
+        argv = ["bounds", "--family", family, "--n", n, "--r-list", ",".join(map(repr, r_list))]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "bounds" not in report
+        if family == "hafnian-block-a":
+            emb = lo.embed_hafnian_block_a(float(n), r_list)
+        else:
+            emb = lo.embed_squeezed_thermal(
+                float(n), r_list, lo.identity_interferometer(2), CLICK, "torontonian.squeezed_thermal"
+            )
+        assert emb.circuit.s_max == 1.0
+        assert report["budget"]["factors"] == searched_budget(emb, 1.0 - est.S_MAX_MARGIN).tolist()
 
     def test_bounds_command(self, tmp_path):
         out = tmp_path / "bounds.json"
@@ -584,6 +595,15 @@ class TestCommands:
             (["bounds", "--family", "permanent"], "/lambdas"),
             (["oracle", "--matrix", "MATRIX"], "/function"),
             ([], "/command"),
+            # a family's numbers must be finite and nonnegative, each
+            # refused at its own flag
+            (["bounds", "--family", "hafnian-block-a", "--n", "-1", "--r-list", "0.5"], "/n"),
+            (["bounds", "--family", "hafnian-sq", "--lambdas=-0.3,0.5"], "/lambdas"),
+            (["check-fpras", "--family", "hafnian", "--n", "nan", "--r-max", "0.5"], "/n"),
+            (["check-fpras", "--family", "gbs-noise", "--eta", "0.5", "--r-max", "-5", "--n-th", "1"], "/r-max"),
+            # eta = 0 leaves r_max unused, and a negative one is still refused
+            (["check-fpras", "--family", "gbs-noise", "--eta", "0", "--r-max", "-5", "--n-th", "1"], "/r-max"),
+            (["check-fpras", "--family", "gbs-noise", "--eta", "0.5", "--r-max", "1", "--n-th", "-1"], "/n-th"),
         ],
     )
     def test_missing_flags_are_schema_errors(self, argv, pointer, per_matrix, capsys):
@@ -652,7 +672,7 @@ class TestInputHardening:
             ("estimate-tor --matrix", {"m": 1, "re": [[0.1, 0.4], [0.4, 0.1]], "tag": "R'"}, "/re"),
             ("estimate-tor --matrix", B_PRIME_ABOVE_ONE, "/re"),
             ("oracle --function torontonian --matrix", B_PRIME_ABOVE_ONE, "/re"),
-            ("bounds --family tor-squeezed-thermal --n 0 --r-list", "0", "/r-list"),
+            ("bounds --family tor-squeezed-thermal --n 0 --r-list", "-0.5", "/r-list"),
             ("lambdas", "0,1", "/lambdas"),
             ("check-fpras --family permanent --lambdas", "0,0.5", "/lambdas"),
             # more than MAX_SAMPLES samples: building their chunk sizes raised
@@ -784,6 +804,7 @@ class TestInputHardening:
             ("--epsilon", "abc", "/epsilon"),
             ("--threads", "x", "/threads"),
             ("--gamma", "-1.5", "/gamma"),
+            ("--gamma", "-1", "/gamma"),  # the open endpoint
         ],
     )
     def test_estimator_flags_rejected_with_pointer(self, flag, value, pointer, circuit_file, per_matrix, capsys):
