@@ -8,12 +8,13 @@ proposal, one precision affine in the shift's rate (``Setup.precision``),
 read by the shift search and by the one builder, ``build_folded_sampler``:
 the folded proposal folds the Gaussian measurement factors (vacuum
 projections, no-click, marginalized modes) analytically into one correlated
-2M-dimensional Gaussian, the naive one folds none and the Laplace one (the
-multiplicative estimator's) every mode.  Folded, only the A non-Gaussian
-factors are averaged, each keeping its own shift reweight so the per-sample
-range stays controlled by the modified negativity bound.  With nothing to
-fold (every matrix embedding, and the naive proposal) the precision stays
-diagonal and its square root stands in for a Cholesky factor.  A sample
+2M-dimensional Gaussian, and the naive one folds none.  Folded, only the A
+non-Gaussian factors are averaged, each keeping the shift reweight so the
+per-sample range stays controlled by the modified negativity bound; the
+multiplicative estimator (``fpras``) draws from the same folded sampler at
+the same searched shift.  With nothing to fold (every matrix embedding,
+and the naive proposal) the precision stays diagonal and its square root
+stands in for a Cholesky factor.  A sample
 costs at most 2A standard normals (marginal and other folded modes add
 none) and one exp for all weighted modes together; a click factor keeps
 one exp of its own.  Both estimators lay their samples out one way: sample
@@ -208,8 +209,8 @@ class Setup:
         distinct, self.index = circuit.outcome_index
         self.radial = tuple(pi_w_profile(out, s) for out in distinct)
         self.gaussian = np.array([out.is_gaussian for out in distinct])[self.index]
-        # a Gaussian factor's log-slope, which it folds with, and log pi W(0)
-        self.kappa = np.array([f.log_slope for f in self.radial])[self.index]
+        # a Gaussian factor's decay, which it folds with, and log pi W(0)
+        self.decay = np.array([f.decay for f in self.radial])[self.index]
         self.log_w0 = np.array(
             [math.log(f.const) if out.is_gaussian else 0.0 for f, out in zip(self.radial, distinct)]
         )[self.index]
@@ -234,28 +235,24 @@ class Setup:
         """The input precision on the free coordinates once the proposal
         ``method`` folds its modes' exponents in, as (base, slope, folded):
         at the signed rate it is Lambda(rate) = base + rate * slope, and
-        ``folded`` indexes the folded modes, the Gaussian ones ("folded"),
-        none ("naive") or every mode ("laplace").  A factor's exponent is its
-        log-slope kappa: a Gaussian factor is pi W(0) * exp(kappa * b).  A
-        folded mode adds c_j Q_j, c_j = 2 (rate - kappa_j), to the inputs'
-        2 (c0 - rate), where |beta_j|^2 = x^T Q_j x and
+        ``folded`` indexes the folded modes, the Gaussian ones ("folded")
+        or none ("naive").  A Gaussian factor is pi W(0) * exp(-decay * b),
+        and a folded mode adds c_j Q_j, c_j = 2 (rate + decay_j), to the
+        inputs' 2 (c0 - rate), where |beta_j|^2 = x^T Q_j x and
         Q_j = W_j^T W_j + W_{M+j}^T W_{M+j}, so the folded modes add
         W_r^T diag(c, c) W_r in one product over their rows W_r of W.  With
         nothing folded, base and slope are the diagonals 2 c0 and -2 (1-D).
         Built once per method."""
         if method not in self._precisions:
-            if method == "folded":
-                folded = np.flatnonzero(self.gaussian)
-            elif method in ("naive", "laplace"):
-                folded = np.arange(self.m if method == "laplace" else 0)
-            else:
+            if method not in ("folded", "naive"):
                 raise ValueError(f"unknown method {method!r}")
+            folded = np.flatnonzero(self.gaussian) if method == "folded" else np.arange(0)
             c0 = self.c0[self.free_idx]
             if folded.size:
                 w_r = self.rows(folded)
                 slope = 2.0 * (w_r.T @ w_r)
                 slope[np.diag_indices_from(slope)] -= 2.0
-                base = (w_r.T * np.tile(-2.0 * self.kappa[folded], 2)) @ w_r
+                base = (w_r.T * np.tile(2.0 * self.decay[folded], 2)) @ w_r
                 base[np.diag_indices_from(base)] += 2.0 * c0
             else:
                 base, slope = 2.0 * c0, np.full(c0.size, -2.0)
@@ -280,7 +277,7 @@ class Setup:
         c0 = self.c0[self.free_idx]
         cap = float(c0.min()) if c0.size else math.inf  # at or above it an exponent is <= 0
         gone = np.zeros(self.m, dtype=bool)
-        gone[folded] = self.gaussian[folded]
+        gone[folded] = True
         counts = np.bincount(self.index[~gone], minlength=len(self.radial)).tolist()
         weighted = [(f.sup, n) for f, n in zip(self.radial, counts) if n]
         inf, log, nlog, add = math.inf, math.log, np.log, np.add.reduce
@@ -437,14 +434,13 @@ class FoldedSampler:
 
     ``kernel`` (2A x F) maps F standard normals straight to
     [Re beta; Im beta] of the A weighted modes.  With each weighted mode's
-    factor written as const_j * poly_j(b) * exp(-decay_j * b) and its
-    Gaussian reweight exp(-rate_j * b), a sample's weight is
+    factor written as const_j * poly_j(b) * exp(-decay_j * b) and the
+    shift reweight exp(-rate * b), a sample's weight is
     ``scale * exp(-exponents @ b) * prod_j polys[j](b_j)``: ``scale`` holds
     the input normalizations and the constants, ``exponents`` the sums
-    decay_j + rate_j.  ``build_folded_sampler`` builds one per proposal:
-    the folded sampler absorbs the Gaussian measurement factors into the
-    kernel and prefactor, the naive one folds nothing and weights every
-    mode, and the Laplace one folds every mode's log-slope.
+    decay_j + rate.  ``build_folded_sampler`` builds one per proposal: the
+    folded sampler absorbs the Gaussian measurement factors into the kernel
+    and prefactor, and the naive one folds nothing and weights every mode.
     """
 
     kernel: np.ndarray
@@ -518,28 +514,22 @@ class FoldedSampler:
 
 @one_blas_thread()
 def build_folded_sampler(setup: Setup, gamma: float, method: str = "folded") -> FoldedSampler:
-    """The sampler of the proposal ``method`` ("folded", "naive" or
-    "laplace"), which draws from the precision ``Setup.precision`` gives it
-    at the rate of the signed shift ``gamma``.  A mode leaves the weight
-    only when it is Gaussian and folded; a weighted mode j keeps n_j * pi W_j(b) * exp(-rate_j * b),
-    with rate_j its log-slope kappa_j when folded (a folded non-Gaussian
-    factor keeps pi W_j(b) * exp(-kappa_j * b), so folding every mode makes
-    the precision minus the log-Hessian of the integrand at the origin, the
-    Laplace proposal) and the shift rate when not.  The kernel is
-    K = W_af L^{-T}: W restricted to the weighted modes' rows and the free
-    columns, L the precision's Cholesky factor (one solve here, none per
-    batch; a diagonal precision's square root scales the columns).  When K
-    has fewer rows than columns it is replaced by R^T from K^T = QR: R^T z
-    has the law of K z (both covariances are K K^T = R^T R, also for
-    rank-deficient K), so a sample draws at most 2A normals for A weighted
-    modes, not F."""
+    """The sampler of the proposal ``method`` ("folded" or "naive"), which
+    draws from the precision ``Setup.precision`` gives it at the rate of the
+    signed shift ``gamma``.  A mode leaves the weight when it is folded (so
+    Gaussian); a weighted mode j keeps n_j * pi W_j(b) * exp(-rate * b),
+    which its ``mode_sups`` entry bounds.  The kernel is K = W_af L^{-T}:
+    W restricted to the weighted modes' rows and the free columns, L the
+    precision's Cholesky factor (one solve here, none per batch; a diagonal
+    precision's square root scales the columns).  When K has fewer rows
+    than columns it is replaced by R^T from K^T = QR: R^T z has the law of
+    K z (both covariances are K K^T = R^T R, also for rank-deficient K), so
+    a sample draws at most 2A normals for A weighted modes, not F."""
     base, slope, folded = setup.precision(method)
     rate = _rate(setup.s, gamma, setup.a_max)
     exponents, log_norms = shift_exponents(setup.c0, rate)
-    folds = np.zeros(setup.m, dtype=bool)
-    folds[folded] = True
-    weight_rates = np.where(folds, setup.kappa, rate)
-    gone = setup.gaussian & folds
+    gone = np.zeros(setup.m, dtype=bool)
+    gone[folded] = True
     log_prefactor = float(np.sum(log_norms[gone] + setup.log_w0[gone]))
     modes = tuple(np.flatnonzero(~gone).tolist())
     kernel = setup.rows(modes)
@@ -562,7 +552,7 @@ def build_folded_sampler(setup: Setup, gamma: float, method: str = "folded") -> 
     profiles = [setup.radial[setup.index[j]] for j in modes]
     return FoldedSampler(
         kernel=kernel,
-        exponents=np.array([f.decay + weight_rates[j] for f, j in zip(profiles, modes)]),
+        exponents=np.array([f.decay + rate for f in profiles]),
         polys=tuple(f.poly for f in profiles),
         scale=math.prod(f.const * math.exp(log_norms[j]) for f, j in zip(profiles, modes)),
         log_prefactor=log_prefactor,
@@ -650,11 +640,11 @@ def estimate_probability(
 
     ``method`` selects the folded proposal (Gaussian measurement factors
     integrated analytically) or the naive one with every factor kept in the
-    weight (``build_folded_sampler``); the Laplace proposal has no additive
-    bound and is rejected.  The samples' ``CHUNK``-sample chunks are
-    reduced by ``chunk_sums`` on ``config.threads`` workers, F normals per sample
-    for a kernel of F columns (at most 2A for A weighted modes when folded,
-    the free coordinates' count when naive), and the trace has one row per
+    weight (``build_folded_sampler``; another ``method`` raises
+    ``ValueError``).  The samples' ``CHUNK``-sample chunks are reduced by
+    ``chunk_sums`` on ``config.threads`` workers, F normals per sample for a
+    kernel of F columns (at most 2A for A weighted modes when folded, the
+    free coordinates' count when naive), and the trace has one row per
     chunk.  The suprema of the measurement factors are computed once per
     call, for every mode.  With no mode weighed (an all-Gaussian pattern,
     folded) the estimate is exact at any shift, so the automatic one is
@@ -662,8 +652,6 @@ def estimate_probability(
     unbounded raises ``SchemaError`` at ``/gamma`` before any sample is
     drawn.
     """
-    if method not in ("folded", "naive"):
-        raise ValueError(f"unknown method {method!r}")
     setup = Setup(circuit, config.s)  # checks s
     with one_blas_thread():  # one thread-count switch for the search and the build
         gamma = resolve_gamma(setup, method) if config.gamma is None else config.gamma

@@ -16,13 +16,12 @@ checked on the circuit of extreme modes it is stated for
 (``CONDITION_CIRCUITS``, ``check_condition``), so a condition and the
 certificates ``estimate_multiplicative`` requires cannot disagree.
 
-The multiplicative estimator importance-samples the full 2M-dimensional
-integrand with its Laplace Gaussian at the origin, the mode of every
-certified (log-concave, centered) integrand.  The proposal is the additive
-sampler's builder with every mode folded (``"laplace"``), whose precision
-is the closed-form negative log-Hessian there, so no derivative is taken
-numerically; the additive reduction ``estimator.chunk_sums`` draws and
-checks its weights, and the stopping rule is checked after every chunk.
+The multiplicative estimator importance-samples the circuit's integrand
+with the sampler an additive estimate of the same circuit builds: the
+folded proposal at the searched shift (``estimator.resolve_gamma``), whose
+weights the product of the weighted modes' ``estimator.mode_sups`` bounds.
+The additive reduction ``estimator.chunk_sums`` draws and checks them, and
+the stopping rule is checked after every chunk.
 """
 
 from __future__ import annotations
@@ -34,8 +33,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import estimator as est
+from ._blas import one_blas_thread
 from .errors import ConditionFailure, SchemaError
-from .estimator import CHUNK, EstimatorConfig, Setup, build_folded_sampler, chunk_sums
 from .linear_optics import CircuitSpec, identity_interferometer
 from .phase_space import CLICK, photon, pi_w_profile
 
@@ -49,7 +49,7 @@ SAMPLE_CAP = 10**8
 
 def _pass_chunks(done: int, first: int) -> int:
     """Chunks in the pass after ``done``: up to ``first``, then done // 4, 1 to 2^20/CHUNK."""
-    return first - done if done < first else min(max(done // 4, 1), (1 << 20) // CHUNK)
+    return first - done if done < first else min(max(done // 4, 1), (1 << 20) // est.CHUNK)
 
 
 @dataclass(frozen=True)
@@ -259,27 +259,26 @@ def estimate_multiplicative(
     circuit: CircuitSpec,
     epsilon: float,
     delta: float,
-    config: EstimatorConfig = EstimatorConfig(),
+    config: est.EstimatorConfig = est.EstimatorConfig(),
 ) -> MultiplicativeEstimate:
     """Relative-error estimate of the circuit probability for certified
     log-concave integrands.
 
-    Proposal: the Laplace Gaussian at the origin, the integrand's mode
-    (centered inputs make the log-integrand even, the certificates make it
-    concave), drawn by ``build_folded_sampler(..., "laplace")``; the
-    importance weight is exp(log_prefactor) times the sampler's weight,
-    which log-concavity bounds by its value w(0) at the origin (a larger one
-    raises ``ConditionFailure``), so the sums stay in linear space.  The
-    rule ESS >= ESS_PER_EPS_SQ / epsilon^2 and z * SE / mean <= epsilon is
-    checked on the running sums after every ``CHUNK``-sample chunk, from the
-    first that can reach the ESS target, and the estimate stops at the first
-    chunk that meets it.  ``estimator.chunk_sums`` draws passes of chunks
-    (``_pass_chunks``) on ``config.threads`` workers; neither changes a
-    result.  The estimator sets its own sample count, ordering and shift: a
+    Proposal: the folded sampler of ``estimator.estimate_probability`` at
+    its searched shift, ``build_folded_sampler(setup, resolve_gamma(setup))``;
+    the importance weight is exp(log_prefactor) times the sampler's weight,
+    which the product of the weighted modes' ``mode_sups`` at that shift
+    bounds (a larger one raises ``ConditionFailure``), so the sums stay in
+    linear space.  The rule ESS >= ESS_PER_EPS_SQ / epsilon^2 and
+    z * SE / mean <= epsilon is checked on the running sums after every
+    ``CHUNK``-sample chunk, from the first that can reach the ESS target,
+    and the estimate stops at the first chunk that meets it.
+    ``estimator.chunk_sums`` draws passes of chunks (``_pass_chunks``) on
+    ``config.threads`` workers; neither changes a result.  The estimator sets its own sample count, ordering and shift: a
     config that sets one (``ADDITIVE_FIELDS``) raises ``SchemaError`` at the
     first one's CLI pointer.
     """
-    checked = EstimatorConfig(epsilon=epsilon, delta=delta)  # both must lie in (0, 1)
+    checked = est.EstimatorConfig(epsilon=epsilon, delta=delta)  # both must lie in (0, 1)
     for name, pointer in ADDITIVE_FIELDS.items():
         if getattr(config, name) != getattr(checked, name):
             raise SchemaError(pointer, "is not used by --multiplicative")
@@ -293,33 +292,26 @@ def estimate_multiplicative(
     if all(out.kind == "marginal" for out in circuit.pattern):
         return MultiplicativeEstimate(1.0, 0.0, 0, math.inf)
 
-    setup = Setup(circuit)
-    try:
-        sampler = build_folded_sampler(setup, 1.0 - 1e-9, "laplace")
-    except ConditionFailure as exc:
-        # certified but not strictly log-concave: on the condition's boundary
-        # (a permanent spectrum ratio of exactly 2) the log-Hessian at the
-        # origin is singular, so no Laplace Gaussian exists
-        raise ConditionFailure(
-            "the log-integrand's Hessian at the origin is singular: the circuit sits "
-            "on the boundary of its log-concavity condition"
-        ) from exc
-    w_origin = sampler.scale * math.prod(float(p(0.0)) for p in sampler.polys if p is not None)
+    setup = est.Setup(circuit)
+    with one_blas_thread():  # one thread-count switch for the search and the build
+        gamma = est.resolve_gamma(setup)
+        sampler = est.build_folded_sampler(setup, gamma)
+    bound = float(np.prod(est.mode_sups(setup, gamma)[list(sampler.active_modes)]))
     z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
     ess_target = ESS_PER_EPS_SQ / epsilon**2
     # ESS <= n (Cauchy-Schwarz), so chunks before the first-th cannot stop
-    first, cap = math.ceil(ess_target / CHUNK), SAMPLE_CAP // CHUNK
+    first, cap = math.ceil(ess_target / est.CHUNK), SAMPLE_CAP // est.CHUNK
     s1, s2, done = 0.0, 0.0, 0  # running sums of w and w^2 in chunk order; chunks summed
     while done < cap and first <= cap:
         end = min(done + _pass_chunks(done, first), cap)
-        sums = chunk_sums(sampler, config.seed, done, [CHUNK] * (end - done), config.threads, w_origin)
+        sums = est.chunk_sums(sampler, config.seed, done, [est.CHUNK] * (end - done), config.threads, bound)
         for w1, w2 in zip(*sums.tolist()):  # chunks past the stopping one are discarded
             s1, s2, done = s1 + w1, s2 + w2, done + 1
             if done < first:
                 continue
             if not math.isfinite(s2):
                 raise FloatingPointError(f"importance weights overflowed (sum of squares {s2})")
-            n_used = done * CHUNK
+            n_used = done * est.CHUNK
             ess = s1 * s1 / s2 if s2 > 0.0 else 0.0
             mean = s1 / n_used
             var = max(s2 / n_used - mean * mean, 0.0)

@@ -7,9 +7,9 @@ the Glauber-Sudarshan P, Wigner, and Husimi Q distributions at ``s = 1, 0,
 
 Measurement PQDs are radial, so each is written once over b = |beta|^2 as
 a ``RadialFactor`` const * (L_m(k*b) - a*exp(-a*b)) * exp(-decay*b)
-(``pi_w_profile``), which also gives its log-slope at the origin, its
-shifted supremum and its log-concavity certificate form; the samplers add
-every weighted mode's decay into one exp per sample.  The Gaussian-factor
+(``pi_w_profile``), which also gives its shifted supremum and its
+log-concavity certificate form; the samplers add every weighted mode's
+decay into one exp per sample.  The Gaussian-factor
 shift that moves ``exp(rate*|alpha|^2)`` from the input to the measurement
 side lives in ``factors`` (per-mode exponents, normalizations, suprema) and
 ``estimator._rate`` (the rate of a signed shift gamma in (-1, 1)).
@@ -89,9 +89,9 @@ class RadialFactor:
     """pi * W^(-s) of one outcome over b = |beta|^2, written once as
     ``const * (L_m(k*b) - a*exp(-a*b)) * exp(-decay*b)``: m photons with
     k = 4/(1 - s^2), a = 2/(s+1) for a click (decay 0), and m = k = a = 0
-    for vacuum, no-click and marginal factors.  Its value, log-slope at the
-    origin, shifted supremum and certificate form derive from these
-    numbers.  Callable on scalars or arrays of b.
+    for vacuum, no-click and marginal factors.  Its value, shifted supremum
+    and certificate form derive from these numbers.  Callable on scalars or
+    arrays of b.
     """
 
     const: float
@@ -113,12 +113,6 @@ class RadialFactor:
         if a:
             return lambda b: 1.0 - a * np.exp(-a * b)
         return (lambda b: laguerre(m, k * b)) if m else None
-
-    @property
-    def log_slope(self) -> float:
-        """d/db log|pi W(b)| at b = 0, from L_m(k*b) = 1 - m*k*b + O(b^2)
-        and a*exp(-a*b) = a - a^2*b + O(b^2)."""
-        return (self.a * self.a - self.m * self.k) / (1.0 - self.a) - self.decay
 
     def sup(self, rate: float) -> float:
         """sup_b |pi W(b) * exp(-rate*b)| over b >= 0, inf when unbounded

@@ -417,7 +417,6 @@ class TestCommands:
             assert cli.main(argv) == 0
             factors[r_list] = json.loads(capsys.readouterr().out)["budget"]["factors"]
         got, by_r = factors["0.1,0.3,0.2"], factors["0.3,0.2,0.1"]
-        assert got == [1.4567999221008714, 1.7087695622126313, 1.5393249842945225]
         assert got == pytest.approx([by_r[2], by_r[0], by_r[1]], rel=1e-12)
         assert got[0] < got[2] < got[1]
 
@@ -426,13 +425,10 @@ class TestCommands:
         assert cli.main(["bounds", "--family", "hafnian-sq", "--lambdas", "0.3,0.5"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "bounds" not in report  # no sandwich is known for |Haf|^2
-        assert report["budget"] == {
-            "factors": [0.7123272946008393, 0.7511616532951336],
-            "formula_id": "budget.hafnian_sq",
-            "product": 0.5350729482996162,
-        }
+        assert report["budget"]["formula_id"] == "budget.hafnian_sq"
         emb = lo.embed_hafnian(np.diag([0.5, 0.3]))
         assert report["budget"]["factors"] == searched_budget(emb, emb.circuit.s_max - est.S_MAX_MARGIN)[::-1].tolist()
+        assert report["budget"]["product"] == pytest.approx(math.prod(report["budget"]["factors"]), rel=1e-12)
 
     def test_oracle_torontonian_and_click_circuit(self, tmp_path, capsys):
         path = write_json(tmp_path / "bp.json", TestInputHardening.B_PRIME)

@@ -762,18 +762,18 @@ class TestSamplingKernel:
         assert 2 * panel > est.CHUNK or rows * f * 2 * panel > est.GEMM_PANEL_MNK
 
 
-def outer_product_precision(circuit, s, gamma, laplace=False):
-    """The folded precision on the free coordinates, assembled as one outer
-    product per folded mode (the Gaussian ones, or every mode for the
-    Laplace proposal): Q_j = Re(a a^H) with a = [U_j, i U_j]."""
+def outer_product_precision(circuit, s, gamma, naive=False):
+    """The proposal's precision on the free coordinates, assembled as one
+    outer product per folded mode (the Gaussian ones, or none for the naive
+    proposal): Q_j = Re(a a^H) with a = [U_j, i U_j]."""
     rate = est._rate(s, gamma, circuit.a_max)
     exponents = factors.shift_exponents(factors.unshifted_exponents(circuit.variances, s), rate)[0]
     lam = np.diag(np.nan_to_num(2.0 * exponents))
     for j, out in enumerate(circuit.pattern):
-        if out.is_gaussian or laplace:
+        if out.is_gaussian and not naive:
             a_vec = np.concatenate([circuit.unitary.u[j], 1j * circuit.unitary.u[j]])
-            kappa = ps.pi_w_profile(out, s).log_slope
-            lam += 2.0 * (rate - kappa) * np.real(np.outer(a_vec, a_vec.conj()))
+            decay = ps.pi_w_profile(out, s).decay  # pi W(b) = pi W(0) * exp(-decay * b)
+            lam += 2.0 * (rate + decay) * np.real(np.outer(a_vec, a_vec.conj()))
     free = np.flatnonzero(~np.isnan(exponents))
     return lam[np.ix_(free, free)]
 
@@ -843,16 +843,18 @@ class TestFoldPaths:
         np.testing.assert_allclose(got, cov, rtol=0.0, atol=1e-12 * np.abs(cov).max())
         assert sampler.log_prefactor == pytest.approx(log_prefactor, abs=1e-12)
 
-    @pytest.mark.parametrize("laplace", [False, True])
+    @pytest.mark.parametrize("naive", [False, True])
     @pytest.mark.parametrize("case", ["frozen-squeezed", "noclick-marginal"])
-    def test_one_product_fold_matches_outer_products(self, case, laplace):
+    def test_one_product_fold_matches_outer_products(self, case, naive):
+        # the naive proposal folds nothing, so its precision stays diagonal
         circuit, s_spec, gamma = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
         setup = est.Setup(circuit, s)
-        base, slope, _ = setup.precision("laplace" if laplace else "folded")
-        assert base.ndim == 2
-        expected = outer_product_precision(circuit, s, gamma, laplace)
+        base, slope, _ = setup.precision("naive" if naive else "folded")
+        assert base.ndim == (1 if naive else 2)
+        expected = outer_product_precision(circuit, s, gamma, naive)
         got = base + est._rate(s, gamma, circuit.a_max) * slope
+        got = np.diag(got) if naive else got
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
 
@@ -1172,7 +1174,7 @@ class TestEstimateProbability:
 
     @pytest.mark.parametrize("method", ["laplace", "bogus"])
     def test_unknown_method_rejected(self, method):
-        # the Laplace proposal has no additive weight bound
+        # only the folded and naive proposals exist
         circuit = squeezed_circuit([0.3], 21)
         with pytest.raises(ValueError, match="method"):
             est.estimate_probability(circuit, est.EstimatorConfig(n_samples=100), method=method)
@@ -1588,10 +1590,30 @@ class TestOneSetupPerEstimate:
         est.estimate_permanent_hpsd(np.diag([0.7, 0.5, 0.3]), est.EstimatorConfig(n_samples=256))
         assert len(setups) == 1
 
-    def test_multiplicative_estimate(self, setups):
-        emb = lo.embed_permanent(np.diag([1.9, 1.5, 1.2]))
-        fpras.estimate_multiplicative(emb.circuit, 0.2, 0.05)
-        assert len(setups) == 1
+    def test_multiplicative_estimate(self, setups, monkeypatch):
+        # one Setup and one shift search, and it draws from the sampler an
+        # additive estimate of the same circuit builds
+        searches, samplers = [], []
+
+        def recording(fn, calls):
+            def wrapper(*args):
+                calls.append(fn(*args))
+                return calls[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(est, "_numeric_gamma", recording(est._numeric_gamma, searches))
+        monkeypatch.setattr(est, "build_folded_sampler", recording(est.build_folded_sampler, samplers))
+        circuit = lo.embed_permanent(np.diag([1.9, 1.5, 1.2])).circuit
+        fpras.estimate_multiplicative(circuit, 0.2, 0.05)
+        assert len(setups) == len(searches) == len(samplers) == 1
+        est.estimate_probability(circuit, est.EstimatorConfig())
+        assert searches[0] == searches[1]
+        relative, additive = samplers
+        assert np.array_equal(relative.kernel, additive.kernel)
+        assert np.array_equal(relative.exponents, additive.exponents)
+        assert (relative.scale, relative.log_prefactor) == (additive.scale, additive.log_prefactor)
+        assert relative.active_modes == additive.active_modes
 
     def test_bounds_command(self, setups, capsys):
         assert cli.main(["bounds", "--family", "permanent", "--lambdas", "0.3,0.5,0.7"]) == 0

@@ -358,48 +358,27 @@ def log_integrand(circuit, s, x):
     return total
 
 
-def central_hessian(fn, dim, h=1e-4):
-    hess = np.empty((dim, dim))
-    eye = np.eye(dim) * h
-    for i in range(dim):
-        for j in range(dim):
-            hess[i, j] = (
-                fn(eye[i] + eye[j]) - fn(eye[i] - eye[j]) - fn(eye[j] - eye[i]) + fn(-eye[i] - eye[j])
-            ) / (4.0 * h * h)
-    return hess
-
-
-LAPLACE_CASES = [
+FOLDED_CASES = [
     lo.CircuitSpec(((0.0, 1.5), (0.0, 2.0)), lo.haar_unitary(2, 14), (photon(1), CLICK)),
     lo.CircuitSpec(((0.05, 1.8), (0.0, 1.6), (0.05, 2.0)), lo.haar_unitary(3, 21), (photon(1), MARGINAL, CLICK)),
     lo.CircuitSpec(((0.0, 1.7), (0.0, 1.9), (0.0, 1.5)), lo.haar_unitary(3, 5), (CLICK, NOCLICK, photon(1))),
 ]
 
 
-class TestLaplaceFold:
-    @pytest.mark.parametrize("case", range(len(LAPLACE_CASES)))
-    def test_precision_is_negative_log_hessian_at_origin(self, case):
-        circuit = LAPLACE_CASES[case]
+class TestFoldedProposal:
+    """The multiplicative estimate's proposal: the folded sampler at the
+    searched shift, whose Gaussian factors fold into the precision."""
+
+    @pytest.mark.parametrize("case", range(len(FOLDED_CASES)))
+    def test_weight_is_integrand_over_proposal(self, case):
+        # f(x) = exp(log_prefactor) * q(x) * w(x) with q the folded Gaussian
+        circuit = FOLDED_CASES[case]
         s = circuit.s_max - 0.5
         setup = est.Setup(circuit, s)
         assert len(setup.free_idx) == 2 * circuit.m
-        root = ref.precision_root(setup, 0.5, "laplace")
-        precision = root @ root.T
-        hess = central_hessian(lambda x: log_integrand(circuit, s, x), 2 * circuit.m)
-        np.testing.assert_allclose(precision, -hess, rtol=1e-5, atol=1e-5 * np.abs(hess).max())
-        # every weighted mode keeps its own log-slope as its reweight rate
-        sampler = est.build_folded_sampler(setup, 0.5, method="laplace")
-        profiles = [ps.pi_w_profile(circuit.pattern[j], s) for j in sampler.active_modes]
-        assert sampler.exponents.tolist() == [f.decay + f.log_slope for f in profiles]
-
-    @pytest.mark.parametrize("case", range(len(LAPLACE_CASES)))
-    def test_weight_is_integrand_over_proposal(self, case):
-        # f(x) = exp(log_prefactor) * q(x) * w(x) with q the folded Gaussian
-        circuit = LAPLACE_CASES[case]
-        s = circuit.s_max - 0.5
-        setup = est.Setup(circuit, s)
-        root = ref.precision_root(setup, 0.5, "laplace")
-        sampler = est.build_folded_sampler(setup, 0.5, method="laplace")
+        gamma = est.resolve_gamma(setup)
+        root = ref.precision_root(setup, gamma)
+        sampler = est.build_folded_sampler(setup, gamma)
         dim = 2 * circuit.m
         z = np.random.default_rng(case).standard_normal((dim, 5))
         x = np.linalg.solve(root.T, z)
@@ -451,18 +430,19 @@ CERTIFIED = {
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
-def test_laplace_weights_peak_at_origin(name):
-    # log-concave profiles with their tangent exponent removed peak at b = 0,
-    # which is what lets the multiplicative sums stay in linear space
+def test_weights_lie_below_the_mode_sups(name):
+    # the bound a multiplicative estimate checks every weight against: the
+    # product of the weighted modes' suprema at the searched shift, which
+    # the weights of these certified circuits come within 0.1% of
     circuit = CERTIFIED[name]
     assert all(cert.holds for cert in fpras.circuit_certificates(circuit))
-    sampler = est.build_folded_sampler(
-        est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 1.0 - 1e-9, method="laplace"
-    )
-    peak = sampler.scale * math.prod(float(poly(0.0)) for poly in sampler.polys if poly is not None)
+    setup = est.Setup(circuit)
+    gamma = est.resolve_gamma(setup)
+    sampler = est.build_folded_sampler(setup, gamma)
+    bound = float(np.prod(est.mode_sups(setup, gamma)[list(sampler.active_modes)]))
     w = sampler.draw(np.random.default_rng(0), 20_000)
     assert np.all(w > 0.0)
-    assert float(np.max(w)) <= peak * (1.0 + 1e-12)
+    assert 0.999 * bound < float(np.max(w)) <= bound * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
@@ -490,16 +470,19 @@ def boundary_permanent(ratio):
 
 
 def near_boundary_permanent():
-    """A 4-mode permanent circuit with spectrum ratio 1.998: at eps = 0.1 it
-    stops at chunk 234 on seeds 1 and 2 (958464 samples)."""
+    """A 4-mode permanent circuit with spectrum ratio 1.998: on seeds 1 and
+    2 it stops at chunk 33 at eps = 0.02 and at chunk 132 (540672 samples)
+    at eps = 0.01."""
     lam = np.linspace(1.0, 1.998, 4)
     return lo.embed_permanent(hpsd_with_spectrum(lo.haar_unitary(4, 3).u, lam)).circuit
 
 
 def first_stopping_chunk(circuit, epsilon, delta, seed, chunks):
     """The first chunk count at which the stopping rule holds on the running
-    sums, scanned over ``chunk_sums`` of the first ``chunks`` chunks."""
-    sampler = est.build_folded_sampler(est.Setup(circuit), 1.0 - 1e-9, "laplace")
+    sums, scanned over ``chunk_sums`` of the first ``chunks`` chunks, drawn
+    by the sampler the estimator builds."""
+    setup = est.Setup(circuit)
+    sampler = est.build_folded_sampler(setup, est.resolve_gamma(setup))
     sums = est.chunk_sums(sampler, seed, 0, [est.CHUNK] * chunks, 1, math.inf)
     s1, s2 = np.cumsum(sums, axis=1)  # running sums, added in chunk order
     n = est.CHUNK * np.arange(1, chunks + 1)
@@ -514,20 +497,24 @@ def first_stopping_chunk(circuit, epsilon, delta, seed, chunks):
 
 class TestMultiplicativeReduction:
     def test_threads_do_not_change_result(self, monkeypatch):
-        circuit = near_boundary_permanent()
+        circuit, epsilon = near_boundary_permanent(), 0.02
         runs = [
-            fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(seed=2, threads=t))
+            fpras.estimate_multiplicative(circuit, epsilon, 0.05, est.EstimatorConfig(seed=2, threads=t))
             for t in (1, 2, 4)
         ]
         # the first chunk boundary where the rule holds, whatever the passes
-        stop = first_stopping_chunk(circuit, 0.1, 0.05, 2, 256)
+        stop = first_stopping_chunk(circuit, epsilon, 0.05, 2, 64)
         assert runs[0].n_used == est.CHUNK * stop
+        first = math.ceil(fpras.ESS_PER_EPS_SQ / epsilon**2 / est.CHUNK)
         end = 0
         while end < stop:  # the pass that holds the stopping chunk
-            end += fpras._pass_chunks(end, 2)
-        assert end > stop  # inside it, so a check at pass ends only would stop later
+            end += fpras._pass_chunks(end, first)
+        # inside a later pass, so a check at pass ends only would stop later
+        assert end > stop > first
         monkeypatch.setattr(fpras, "_pass_chunks", lambda done, first: 1)
-        runs.append(fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(seed=2, threads=2)))
+        runs.append(
+            fpras.estimate_multiplicative(circuit, epsilon, 0.05, est.EstimatorConfig(seed=2, threads=2))
+        )
         assert len({json.dumps(run.as_dict()) for run in runs}) == 1
 
     def test_passes_run_in_chunk_order_to_the_cap(self, monkeypatch):
@@ -541,7 +528,7 @@ class TestMultiplicativeReduction:
             batches.append(len(sizes))
             return np.zeros((2, len(sizes)))
 
-        monkeypatch.setattr(fpras, "chunk_sums", never_converging)
+        monkeypatch.setattr(est, "chunk_sums", never_converging)
         monkeypatch.setattr(fpras, "SAMPLE_CAP", 1 << 24)
         with pytest.raises(ConditionFailure):
             fpras.estimate_multiplicative(CERTIFIED["thermal"], 0.1, 0.05, est.EstimatorConfig(seed=3))
@@ -554,18 +541,19 @@ class TestMultiplicativeReduction:
         cfg = est.EstimatorConfig(seed=1, threads=2)
         tracemalloc.start()
         try:
-            res = fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg)
+            res = fpras.estimate_multiplicative(circuit, 0.01, 0.05, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a worker holds about 1 MB, while the weights of all 958464 samples
-        # alone would take 7.7 MB (and their normals 62 MB)
+        # a worker holds about 1 MB, while the weights of all 540672 samples
+        # alone would take 4.3 MB (and their normals 35 MB)
         assert peak < 4 * 2**20 < 8 * res.n_used
 
 
 class TestMultiplicativeWeightLimit:
-    """Every weight is checked against its value at the origin, which the
-    certificates make its maximum; a halved limit must trip the check."""
+    """Every weight is checked against the product of the weighted modes'
+    ``mode_sups`` at the searched shift, the additive path's bound, which
+    the weights come close to; a halved product must trip the check."""
 
     @staticmethod
     def halve_limit(monkeypatch):
@@ -607,10 +595,16 @@ class TestConditionBoundary:
         assert all(cert.holds for cert in certs)
         assert min(cert.margin for cert in certs) < 0.0
 
-    def test_ratio_two_has_no_laplace_proposal(self):
-        _, circuit = boundary_permanent(2.0)
-        with pytest.raises(ConditionFailure, match="boundary"):
-            fpras.estimate_multiplicative(circuit, 0.1, 0.05)
+    def test_ratio_two_estimates(self):
+        # certified on the boundary, where the log-integrand is not strictly
+        # concave; the folded proposal needs no Hessian
+        b_mat = hpsd_with_spectrum(lo.haar_unitary(8, 3).u, np.linspace(1.0, 2.0, 8))
+        emb = lo.embed_permanent(b_mat)
+        exact = oracles.permanent_exact(b_mat).real
+        for seed in range(3):
+            res = fpras.estimate_multiplicative(emb.circuit, 0.1, 0.05, est.EstimatorConfig(seed=seed))
+            assert res.n_used == 2 * est.CHUNK
+            assert abs(emb.prefactor * res.value / exact - 1.0) <= 0.1
 
     def test_ratio_above_two_rejected(self):
         lam, circuit = boundary_permanent(2.01)
