@@ -21,11 +21,12 @@ one exp of its own.  Both estimators lay their samples out one way: sample
 i belongs to chunk i // ``CHUNK`` and is drawn from that chunk's own SFC64
 stream, numpy's spawned child (seed, chunk), and a chunk is one fill of
 sample-major normals, weighed at once, so memory stays bounded whatever
-the sample count.  ``chunk_sums`` draws the chunks on every usable CPU by
-default; the thread count changes no value.  Setup work (decompositions,
-folds, the kernel's solve and QR) runs on one OpenBLAS thread, so no BLAS
-pool spins while the samples are drawn.  Per-mode values are computed once
-per call, and a factor's supremum once per distinct outcome.
+the sample count.  Every estimate draws through one loop, ``running_sums``,
+on every usable CPU by default; the thread count changes no value.  Setup
+work (decompositions, folds, the kernel's solve and QR) runs on one
+OpenBLAS thread, so no BLAS pool spins while the samples are drawn.
+Per-mode values are computed once per call, and a factor's supremum once
+per distinct outcome.
 
 One rule picks the shift unless the caller fixes one: ``resolve_gamma``
 searches the rate that minimizes the weight bound of the sampler that runs,
@@ -326,17 +327,11 @@ def mode_sups(setup: Setup, gamma: float) -> np.ndarray:
     return np.exp(shift_exponents(setup.c0, rate)[1]) * setup.unit_sups(rate)
 
 
-def _log_hoeffding_count(log_b: float, epsilon: float, delta: float) -> float:
-    """log of the Hoeffding sample rule 2 B^2 ln(2/delta) / epsilon^2 for
-    per-sample weights bounded by B = exp(log_b), however large."""
-    return math.log(2.0) + 2.0 * log_b + math.log(math.log(2.0 / delta)) - 2.0 * math.log(epsilon)
-
-
 def _hoeffding_count(log_b: float, epsilon: float, delta: float) -> int:
     """Hoeffding sample rule N = ceil(2 B^2 ln(2/delta) / epsilon^2) for
     per-sample weights bounded by B = exp(log_b); an N above ``MAX_SAMPLES``
     raises ``SchemaError`` at ``/epsilon``, before anything is drawn."""
-    log_n = _log_hoeffding_count(log_b, epsilon, delta)
+    log_n = math.log(2.0) + 2.0 * log_b + math.log(math.log(2.0 / delta)) - 2.0 * math.log(epsilon)
     if log_n > math.log(MAX_SAMPLES):
         raise SchemaError("/epsilon", f"the Hoeffding sample count exceeds 2^32 (log N = {log_n:.2f})")
     return max(1, math.ceil(math.exp(log_n)))
@@ -449,6 +444,13 @@ class FoldedSampler:
     scale: float
     log_prefactor: float
     active_modes: tuple  # the weighted modes, in kernel row order
+    mode_sups: np.ndarray  # every mode's ``mode_sups`` at the sampler's shift
+
+    @property
+    def bound(self) -> float:
+        """The bound of every weight: the product of the weighted modes'
+        ``mode_sups``, inf where the shift leaves a factor unbounded."""
+        return float(np.prod(self.mode_sups[list(self.active_modes)]))
 
     @property
     def panel(self) -> int:
@@ -518,13 +520,14 @@ def build_folded_sampler(setup: Setup, gamma: float, method: str = "folded") -> 
     draws from the precision ``Setup.precision`` gives it at the rate of the
     signed shift ``gamma``.  A mode leaves the weight when it is folded (so
     Gaussian); a weighted mode j keeps n_j * pi W_j(b) * exp(-rate * b),
-    which its ``mode_sups`` entry bounds.  The kernel is K = W_af L^{-T}:
-    W restricted to the weighted modes' rows and the free columns, L the
-    precision's Cholesky factor (one solve here, none per batch; a diagonal
-    precision's square root scales the columns).  When K has fewer rows
-    than columns it is replaced by R^T from K^T = QR: R^T z has the law of
-    K z (both covariances are K K^T = R^T R, also for rank-deficient K), so
-    a sample draws at most 2A normals for A weighted modes, not F."""
+    which its ``mode_sups`` entry, kept on the sampler, bounds.  The kernel
+    is K = W_af L^{-T}: W restricted to the weighted modes' rows and the
+    free columns, L the precision's Cholesky factor (one solve here, none
+    per batch; a diagonal precision's square root scales the columns).  When
+    K has fewer rows than columns it is replaced by R^T from K^T = QR: R^T z
+    has the law of K z (both covariances are K K^T = R^T R, also for
+    rank-deficient K), so a sample draws at most 2A normals for A weighted
+    modes, not F."""
     base, slope, folded = setup.precision(method)
     rate = _rate(setup.s, gamma, setup.a_max)
     exponents, log_norms = shift_exponents(setup.c0, rate)
@@ -557,18 +560,13 @@ def build_folded_sampler(setup: Setup, gamma: float, method: str = "folded") -> 
         scale=math.prod(f.const * math.exp(log_norms[j]) for f, j in zip(profiles, modes)),
         log_prefactor=log_prefactor,
         active_modes=modes,
+        mode_sups=mode_sups(setup, gamma),
     )
 
 
 # ---------------------------------------------------------------------------
 # estimation
 # ---------------------------------------------------------------------------
-
-
-def _chunk_sizes(n: int) -> list[int]:
-    """Sizes of the chunks of n samples: sample i is in chunk i // CHUNK."""
-    full, rest = divmod(n, CHUNK)
-    return [CHUNK] * full + ([rest] if rest else [])
 
 
 def _usable_cpus() -> int:
@@ -594,16 +592,17 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 SAMPLES_PER_WORKER = 1 << 15
 
 
-def chunk_sums(sampler: FoldedSampler, seed: int, first: int, sizes, threads, bound) -> np.ndarray:
+def chunk_sums(sampler: FoldedSampler, seed: int, first: int, sizes, threads) -> np.ndarray:
     """Σw and Σw² (rows) of chunks first, first + 1, ... of ``sizes``
     samples (columns, in chunk order), each drawn in one ``draw`` from its
     own stream, ``_chunk_rng(seed, chunk)``.  Workers take chunks from a
     shared counter, one per started SAMPLES_PER_WORKER samples and at most
     ``threads`` (default: every usable CPU); they change no result.  A |w|
-    above ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises ``ConditionFailure``."""
+    above the sampler's ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises
+    ``ConditionFailure``."""
     if threads is None:
         threads = _usable_cpus()
-    limit = (1.0 + WEIGHT_BOUND_RTOL) * bound
+    limit = (1.0 + WEIGHT_BOUND_RTOL) * sampler.bound
     sums = np.empty((2, len(sizes)))
     chunks, lock = itertools.count(), threading.Lock()
 
@@ -616,7 +615,7 @@ def chunk_sums(sampler: FoldedSampler, seed: int, first: int, sizes, threads, bo
             w = sampler.draw(_chunk_rng(seed, first + i), sizes[i])
             peak = float(np.abs(w).max())
             if peak > limit and math.isfinite(peak):
-                raise ConditionFailure(f"sample weight {peak:.6e} exceeds the claimed bound {bound:.6e}")
+                raise ConditionFailure(f"sample weight {peak:.6e} exceeds the claimed bound {sampler.bound:.6e}")
             sums[:, i] = w.sum(), np.square(w, out=w).sum()
 
     workers = min(threads, -(-sum(sizes) // SAMPLES_PER_WORKER))
@@ -631,6 +630,25 @@ def chunk_sums(sampler: FoldedSampler, seed: int, first: int, sizes, threads, bo
     return sums
 
 
+def running_sums(sampler: FoldedSampler, seed: int, threads, first: int, cap: int):
+    """Yield (n, Σw, Σw²) of the first n samples after each chunk, in chunk
+    order, so a caller may stop after any chunk.  Passes of chunks go through
+    ``chunk_sums``: the first to the chunk boundary at or above sample
+    ``first``, then about a quarter of the chunks drawn so far (one chunk to
+    2^20 samples).  None reaches past sample ``cap``: only the first may end
+    there, in a partial chunk, and a ``first`` above ``cap`` draws nothing.
+    Passes change no value: a chunk's sums depend only on its stream."""
+    n, s1, s2, done = 0, 0.0, 0.0, 0
+    end = min(-(-first // CHUNK) * CHUNK, cap) if first <= cap else 0
+    sizes = [CHUNK] * (end // CHUNK) + ([end % CHUNK] if end % CHUNK else [])
+    while sizes:
+        for w1, w2, size in zip(*chunk_sums(sampler, seed, done, sizes, threads).tolist(), sizes):
+            n, s1, s2 = n + size, s1 + w1, s2 + w2
+            yield n, s1, s2
+        done += len(sizes)
+        sizes = [CHUNK] * min(max(done // 4, 1), (1 << 20) // CHUNK, (cap - n) // CHUNK)
+
+
 def estimate_probability(
     circuit: CircuitSpec,
     config: EstimatorConfig = EstimatorConfig(),
@@ -641,11 +659,11 @@ def estimate_probability(
     ``method`` selects the folded proposal (Gaussian measurement factors
     integrated analytically) or the naive one with every factor kept in the
     weight (``build_folded_sampler``; another ``method`` raises
-    ``ValueError``).  The samples' ``CHUNK``-sample chunks are reduced by
-    ``chunk_sums`` on ``config.threads`` workers, F normals per sample for a
-    kernel of F columns (at most 2A for A weighted modes when folded, the
-    free coordinates' count when naive), and the trace has one row per
-    chunk.  The suprema of the measurement factors are computed once per
+    ``ValueError``).  The samples are drawn in one pass of ``running_sums``
+    on ``config.threads`` workers, F normals per sample for a kernel of F
+    columns (at most 2A for A weighted modes when folded, the free
+    coordinates' count when naive), and the trace has one row per chunk.
+    The builder computes the suprema of the measurement factors once per
     call, for every mode.  With no mode weighed (an all-Gaussian pattern,
     folded) the estimate is exact at any shift, so the automatic one is
     rate 0, without a search.  A shift that leaves a weighted mode's factor
@@ -656,7 +674,7 @@ def estimate_probability(
     with one_blas_thread():  # one thread-count switch for the search and the build
         gamma = resolve_gamma(setup, method) if config.gamma is None else config.gamma
         sampler = build_folded_sampler(setup, gamma, method)
-    all_sups = mode_sups(setup, gamma)
+    all_sups = sampler.mode_sups
     mod_neg = float(np.prod(all_sups))
     c_max = float(np.max(all_sups)) if all_sups.size else 1.0
     neg = negativity_bound(setup)
@@ -674,13 +692,9 @@ def estimate_probability(
     else:
         n_total = _hoeffding_count(log_b_samples, config.epsilon, config.delta)
 
-    sizes = _chunk_sizes(n_total)
-    # every weight is bounded by the product of its modes' claimed suprema;
-    # the sample count and the radius are void if one is not
-    sum_w = chunk_sums(sampler, config.seed, 0, sizes, config.threads, float(np.prod(active_sups)))[0]
-    # running sums after each chunk, added in chunk order
-    running = np.cumsum(sum_w)
-    n_done = np.cumsum(sizes)
+    # the sample count and the radius rest on the bound every weight is checked against
+    rows = running_sums(sampler, config.seed, config.threads, n_total, n_total)
+    n_done, running, _ = np.fromiter(rows, (float, 3), -(-n_total // CHUNK)).T
     radius_scale = math.exp(log_b_samples) * math.sqrt(2.0 * math.log(2.0 / config.delta))
     trace = np.column_stack([n_done, prefactor * running / n_done, radius_scale / np.sqrt(n_done)])
     estimate, conf_radius = trace[-1, 1:].tolist()
@@ -750,24 +764,19 @@ def _run_embedding(emb: Embedding, config: EstimatorConfig) -> MatrixEstimate:
     with the budget of the sampler it ran.  A value that overflows (a huge
     rescale or matrix entry) raises ``FloatingPointError``, as a circuit
     estimate does."""
-    # N = O(1/eps^2) convention: the budget carries the weight bound.  Only
-    # a drawn Hoeffding count is capped; a fixed n <= MAX_SAMPLES is below
-    # any count above the cap
-    log_n_eps = _log_hoeffding_count(0.0, config.epsilon, config.delta)
+    # N = O(1/eps^2) convention: the budget carries the weight bound
     n = config.n_samples or _hoeffding_count(0.0, config.epsilon, config.delta)
     report = estimate_probability(emb.circuit, dataclasses.replace(config, n_samples=n))
-    factors = budget_factors(emb, report.mode_sups)
-    conf_radius = emb.prefactor * report.conf_radius
-    # n samples reach max(epsilon, sqrt(2 ln(2/delta) / n)) times the bound:
-    # epsilon from the Hoeffding count on, below it the run's own radius
-    # (the same suprema, multiplied in another order, taken as computed)
-    reached = log_n_eps <= math.log(MAX_SAMPLES) and n >= math.exp(log_n_eps)
-    budget = config.epsilon * float(np.prod(factors)) if reached else conf_radius
     value = emb.prefactor * report.estimate
     if not math.isfinite(value):
         raise FloatingPointError(
             f"the estimate is {value} (prefactor {emb.prefactor}); a factor overflowed"
         )
+    factors = budget_factors(emb, report.mode_sups)
+    conf_radius = emb.prefactor * report.conf_radius
+    # the bound times max(epsilon, sqrt(2 ln(2/delta) / n)): the run's own
+    # radius is the second (the same suprema, multiplied in another order)
+    budget = max(config.epsilon * float(np.prod(factors)), conf_radius)
     return MatrixEstimate(
         value=value,
         budget=budget,

@@ -19,9 +19,9 @@ certificates ``estimate_multiplicative`` requires cannot disagree.
 The multiplicative estimator importance-samples the circuit's integrand
 with the sampler an additive estimate of the same circuit builds: the
 folded proposal at the searched shift (``estimator.resolve_gamma``), whose
-weights the product of the weighted modes' ``estimator.mode_sups`` bounds.
-The additive reduction ``estimator.chunk_sums`` draws and checks them, and
-the stopping rule is checked after every chunk.
+weights its ``bound`` bounds.  The estimator's one sampling loop,
+``estimator.running_sums``, draws and checks them, and the stopping rule
+is checked on its sums after every chunk.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ ESS_PER_EPS_SQ = 50.0
 # ``threads`` and rejects these unless they keep their defaults
 ADDITIVE_FIELDS = {"n_samples": "/samples", "s": "/s", "gamma": "/gamma"}
 SAMPLE_CAP = 10**8
-
-
-def _pass_chunks(done: int, first: int) -> int:
-    """Chunks in the pass after ``done``: up to ``first``, then done // 4, 1 to 2^20/CHUNK."""
-    return first - done if done < first else min(max(done // 4, 1), (1 << 20) // est.CHUNK)
 
 
 @dataclass(frozen=True)
@@ -267,23 +262,25 @@ def estimate_multiplicative(
     Proposal: the folded sampler of ``estimator.estimate_probability`` at
     its searched shift, ``build_folded_sampler(setup, resolve_gamma(setup))``;
     the importance weight is exp(log_prefactor) times the sampler's weight,
-    which the product of the weighted modes' ``mode_sups`` at that shift
-    bounds (a larger one raises ``ConditionFailure``), so the sums stay in
-    linear space.  The rule ESS >= ESS_PER_EPS_SQ / epsilon^2 and
-    z * SE / mean <= epsilon is checked on the running sums after every
-    ``CHUNK``-sample chunk, from the first that can reach the ESS target,
-    and the estimate stops at the first chunk that meets it.
-    ``estimator.chunk_sums`` draws passes of chunks (``_pass_chunks``) on
-    ``config.threads`` workers; neither changes a result.  The estimator sets its own sample count, ordering and shift: a
-    config that sets one (``ADDITIVE_FIELDS``) raises ``SchemaError`` at the
-    first one's CLI pointer.
+    which the sampler's ``bound`` bounds (a larger one raises
+    ``ConditionFailure``), so the sums stay in linear space.  The rule
+    ESS >= ESS_PER_EPS_SQ / epsilon^2 and z * SE / mean <= epsilon is
+    checked on the running sums of ``estimator.running_sums`` after every
+    chunk from the ESS target on, and the estimate stops at the first chunk
+    that meets it; ``config.threads`` changes no result.  The estimator
+    sets its own sample count, ordering and shift: a config that sets one
+    (``ADDITIVE_FIELDS``) raises ``SchemaError`` at the first one's CLI
+    pointer, and one whose epsilon or delta is neither the argument nor the
+    default raises it at ``/epsilon`` or ``/delta``.
     """
     checked = est.EstimatorConfig(epsilon=epsilon, delta=delta)  # both must lie in (0, 1)
     for name, pointer in ADDITIVE_FIELDS.items():
         if getattr(config, name) != getattr(checked, name):
             raise SchemaError(pointer, "is not used by --multiplicative")
-    if circuit.m > 12:
-        raise SchemaError("/modes", "multiplicative estimation limited to 12 modes at desk scale")
+    for name in ("epsilon", "delta"):
+        value, argument = getattr(config, name), getattr(checked, name)
+        if value not in (argument, getattr(est.EstimatorConfig, name)):
+            raise SchemaError(f"/{name}", f"the config's {value} contradicts the argument {argument}")
     for cert in circuit_certificates(circuit):
         if not cert.holds:
             raise ConditionFailure(
@@ -294,31 +291,22 @@ def estimate_multiplicative(
 
     setup = est.Setup(circuit)
     with one_blas_thread():  # one thread-count switch for the search and the build
-        gamma = est.resolve_gamma(setup)
-        sampler = est.build_folded_sampler(setup, gamma)
-    bound = float(np.prod(est.mode_sups(setup, gamma)[list(sampler.active_modes)]))
+        sampler = est.build_folded_sampler(setup, est.resolve_gamma(setup))
     z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
     ess_target = ESS_PER_EPS_SQ / epsilon**2
-    # ESS <= n (Cauchy-Schwarz), so chunks before the first-th cannot stop
-    first, cap = math.ceil(ess_target / est.CHUNK), SAMPLE_CAP // est.CHUNK
-    s1, s2, done = 0.0, 0.0, 0  # running sums of w and w^2 in chunk order; chunks summed
-    while done < cap and first <= cap:
-        end = min(done + _pass_chunks(done, first), cap)
-        sums = est.chunk_sums(sampler, config.seed, done, [est.CHUNK] * (end - done), config.threads, bound)
-        for w1, w2 in zip(*sums.tolist()):  # chunks past the stopping one are discarded
-            s1, s2, done = s1 + w1, s2 + w2, done + 1
-            if done < first:
-                continue
-            if not math.isfinite(s2):
-                raise FloatingPointError(f"importance weights overflowed (sum of squares {s2})")
-            n_used = done * est.CHUNK
-            ess = s1 * s1 / s2 if s2 > 0.0 else 0.0
-            mean = s1 / n_used
-            var = max(s2 / n_used - mean * mean, 0.0)
-            rel_se = math.sqrt(var / n_used) / mean if mean > 0.0 else math.inf
-            if ess >= ess_target and z_score * rel_se <= epsilon:
-                value = math.exp(sampler.log_prefactor) * mean
-                return MultiplicativeEstimate(value, z_score * rel_se, n_used, ess)
+    sums = est.running_sums(sampler, config.seed, config.threads, math.ceil(ess_target), SAMPLE_CAP)
+    for n_used, s1, s2 in sums:  # sums past the stopping chunk are discarded
+        if n_used < ess_target:  # ESS <= n (Cauchy-Schwarz): no stop yet
+            continue
+        if not math.isfinite(s2):
+            raise FloatingPointError(f"importance weights overflowed (sum of squares {s2})")
+        ess = s1 * s1 / s2 if s2 > 0.0 else 0.0
+        mean = s1 / n_used
+        var = max(s2 / n_used - mean * mean, 0.0)
+        rel_se = math.sqrt(var / n_used) / mean if mean > 0.0 else math.inf
+        if ess >= ess_target and z_score * rel_se <= epsilon:
+            value = math.exp(sampler.log_prefactor) * mean
+            return MultiplicativeEstimate(value, z_score * rel_se, n_used, ess)
     raise ConditionFailure(
         f"effective sample size target {ess_target:.0f} unmet at the {SAMPLE_CAP} cap"
     )

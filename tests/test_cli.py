@@ -143,7 +143,7 @@ class TestCommands:
         # 3 * 2^15 + 5 samples: 25 chunks, the last of 5 samples, on 1, 2
         # and 4 workers; the estimate and every trace row keep their bytes
         samples = str(3 * est.SAMPLES_PER_WORKER + 5)
-        assert est._chunk_sizes(int(samples))[-1] == 5
+        assert int(samples) % est.CHUNK == 5
         for command in ("estimate-prob", "convergence"):
             blobs = set()
             for threads in ("1", "2", "4"):
@@ -662,7 +662,8 @@ class TestInputHardening:
             ("oracle --function hafnian --matrix", {"m": 3, "re": np.eye(3).tolist(), "tag": "R"}, "/m"),
             ("estimate-per --rescale-a 0.5 --matrix", {"m": 2, "re": [[2.0, 1.0], [1.0, 2.0]], "tag": "B"}, "/rescale-a"),
             ("circuit", _circuit_json(modes=[{"r": 400}, {"r": 0.3}]), "/modes"),
-            ("estimate-prob --multiplicative --circuit", _circuit_json(modes=[{"n": 0.5}] * 13, pattern=[1] * 13), "/modes"),
+            # the multiplicative estimator refuses an additive setting before any draw
+            ("estimate-prob --multiplicative --samples 10 --circuit", _circuit_json(), "/samples"),
             ("estimate-prob --oracle-check --circuit", _circuit_json(modes=[{"r": 0.3}] * 13, pattern=[1] * 13), "/pattern"),
             ("estimate-tor --matrix", {"m": 2, "re": BLOCKS_NOT_A_PRIME, "tag": "A'"}, "/re"),
             ("estimate-tor --matrix", {"m": 1, "re": [[0.1, 0.4], [0.4, 0.1]], "tag": "R'"}, "/re"),
@@ -679,10 +680,10 @@ class TestInputHardening:
         ],
     )
     def test_rejected_with_pointer(self, kind, payload, pointer, tmp_path, monkeypatch, capsys):
-        def no_chunks(*args, **kwargs):  # an input error is refused before any chunk is built
-            raise AssertionError("chunk sizes were built")
+        def no_chunks(*args, **kwargs):  # an input error is refused before any chunk is drawn
+            raise AssertionError("a chunk was drawn")
 
-        monkeypatch.setattr(est, "_chunk_sizes", no_chunks)
+        monkeypatch.setattr(est, "chunk_sums", no_chunks)
         if kind == "lambdas":
             argv = ["bounds", "--family", "permanent", "--lambdas", payload]
         elif kind == "text":  # not JSON at all

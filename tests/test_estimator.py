@@ -698,7 +698,8 @@ class TestSamplingKernel:
         cfg = est.EstimatorConfig(n_samples=30_001, seed=9, gamma=0.2)
         rep = est.estimate_probability(circuit, cfg)
         sampler = est.build_folded_sampler(est.Setup(circuit, rep.s), rep.shift)
-        sizes = est._chunk_sizes(cfg.n_samples)
+        full, rest = divmod(cfg.n_samples, est.CHUNK)
+        sizes = [est.CHUNK] * full + [rest]
         assert len(rep.trace) == len(sizes) == 8
         running, n_done = 0.0, 0
         for chunk, size in enumerate(sizes):
@@ -715,7 +716,7 @@ class TestSamplingKernel:
             est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 0.2
         )
         sizes = [est.CHUNK, 3000, est.CHUNK, 8 * est.CHUNK + 7, 1]
-        sums = est.chunk_sums(sampler, 9, 3, sizes, 2, math.inf)
+        sums = est.chunk_sums(sampler, 9, 3, sizes, 2)
         assert sums.shape == (2, len(sizes))
         for i, size in enumerate(sizes):
             w = sampler.draw(est._chunk_rng(9, 3 + i), size)
@@ -723,26 +724,32 @@ class TestSamplingKernel:
             assert sums[1, i] == np.sum(w * w)
 
     def test_chunk_sizes_do_not_scale_with_chunk_count(self):
-        # sample i is in chunk i // CHUNK: full chunks and the remainder
+        # sample i is in chunk i // CHUNK: a fixed count of n samples is one
+        # pass of its full chunks and the remainder
         chunk = est.CHUNK
-        assert est._chunk_sizes(3 * chunk + 5) == [chunk] * 3 + [5]
-        assert est._chunk_sizes(2 * chunk) == [chunk, chunk]
-        assert est._chunk_sizes(100) == [100]
-        assert est._chunk_sizes(0) == []
+        sampler = est.build_folded_sampler(est.Setup(squeezed_circuit([0.3, 0.4, 0.2], 22)), 0.2)
+        cases = [
+            (3 * chunk + 5, [chunk, 2 * chunk, 3 * chunk, 3 * chunk + 5]),
+            (2 * chunk, [chunk, 2 * chunk]),
+            (100, [100]),
+            (0, []),
+        ]
+        for n, ends in cases:
+            assert [row[0] for row in est.running_sums(sampler, 1, 1, n, n)] == ends
 
     def test_additive_and_multiplicative_chunks_agree(self):
-        # chunk c has one stream and one size whichever estimator draws it:
-        # a batch from chunk ``first`` on reproduces the additive call's
-        # columns bit for bit
+        # chunk c has one stream and one size however the loop's passes
+        # group it: a run of passes from a first pass of 2 chunks reproduces
+        # the running sums of one pass bit for bit, and later passes draw
+        # whole chunks only, so they stop at the last full chunk below cap
         circuit = squeezed_circuit([0.3, 0.4, 0.2], 22)
         sampler = est.build_folded_sampler(
             est.Setup(circuit, circuit.s_max - est.S_MAX_MARGIN), 0.2
         )
-        n, first = 6 * est.CHUNK + 11, 2
-        additive = est.chunk_sums(sampler, 5, 0, est._chunk_sizes(n), 1, math.inf)
-        batch = est._chunk_sizes(n - first * est.CHUNK)
-        multiplicative = est.chunk_sums(sampler, 5, first, batch, 2, math.inf)
-        assert np.array_equal(additive[:, first:], multiplicative)
+        n = 6 * est.CHUNK + 11
+        one_pass = list(est.running_sums(sampler, 5, 1, n, n))
+        passes = list(est.running_sums(sampler, 5, 2, 2 * est.CHUNK, n))
+        assert len(one_pass) == 7 and passes == one_pass[:6]
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(rows=st.integers(1, 64), f=st.integers(1, 64))
@@ -754,6 +761,7 @@ class TestSamplingKernel:
             scale=1.0,
             log_prefactor=0.0,
             active_modes=(),
+            mode_sups=np.zeros(0),
         )
         panel = sampler.panel
         assert panel & (panel - 1) == 0 and est.CHUNK % panel == 0
@@ -864,7 +872,7 @@ class TestChunkStreams:
         # SFC64 seeded by the child (seed, chunk) that spawn gives
         sampler = est.build_folded_sampler(est.Setup(squeezed_circuit([0.3, 0.4, 0.2], 22)), 0.2)
         sizes = [100, 50]
-        sums = est.chunk_sums(sampler, 11, 2, sizes, 1, math.inf)
+        sums = est.chunk_sums(sampler, 11, 2, sizes, 1)
         spawned = np.random.SeedSequence(11).spawn(4)
         for i, size in enumerate(sizes):
             child = np.random.SeedSequence(11, spawn_key=(2 + i,))
@@ -875,8 +883,8 @@ class TestChunkStreams:
     def test_stream_does_not_depend_on_chunk_count(self):
         # a chunk's sums are the same in a call of 4 chunks and one of 64
         sampler = est.build_folded_sampler(est.Setup(squeezed_circuit([0.3, 0.4, 0.2], 22)), 0.2)
-        few = est.chunk_sums(sampler, 7, 0, [8] * 4, 1, math.inf)
-        many = est.chunk_sums(sampler, 7, 0, [8] * 64, 2, math.inf)
+        few = est.chunk_sums(sampler, 7, 0, [8] * 4, 1)
+        many = est.chunk_sums(sampler, 7, 0, [8] * 64, 2)
         assert np.array_equal(few, many[:, :4])
         for chunk in range(4):
             a = est._chunk_rng(7, chunk).standard_normal(8)

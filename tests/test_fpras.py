@@ -245,12 +245,12 @@ class TestMultiplicative:
         with pytest.raises(ConditionFailure):
             fpras.estimate_multiplicative(circuit, 0.1, 0.05)
 
-    def test_mode_count_guard(self):
-        circuit = lo.CircuitSpec(
-            ((0.0, 2.0),) * 13, lo.haar_unitary(13, 13), (photon(1),) * 13
-        )
-        with pytest.raises(SchemaError, match="^/modes: "):
-            fpras.estimate_multiplicative(circuit, 0.1, 0.05)
+    def test_sixteen_modes_match_the_oracle(self):
+        # no mode cap: the folded sampler costs the same at any M
+        b_mat = hpsd_with_spectrum(lo.haar_unitary(16, 13).u, np.linspace(1.0, 1.5, 16))
+        emb = lo.embed_permanent(b_mat)
+        res = fpras.estimate_multiplicative(emb.circuit, 0.1, 0.05)
+        assert abs(emb.prefactor * res.value / oracles.permanent_exact(b_mat).real - 1.0) <= 0.1
 
     def test_rejects_additive_config_fields(self):
         # the multiplicative estimator chooses its own sample count, ordering
@@ -268,9 +268,21 @@ class TestMultiplicative:
         for fields, pointer in cases:
             with pytest.raises(SchemaError, match=rf"^{pointer}: is not used by --multiplicative$"):
                 fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(**fields))
-        # epsilon, delta and seed may be set
-        cfg = est.EstimatorConfig(epsilon=0.1, delta=0.02, seed=3)
+        # seed may be set, and epsilon and delta repeat the arguments
+        cfg = est.EstimatorConfig(epsilon=0.1, delta=0.05, seed=3)
         assert fpras.estimate_multiplicative(circuit, 0.1, 0.05, cfg).n_used > 0
+
+    def test_config_epsilon_and_delta_must_match_the_arguments(self):
+        # a config may keep the default or repeat the argument, as the CLI
+        # does; any other value would be ignored, so it is refused at its
+        # pointer
+        circuit = CERTIFIED["thermal"]
+        default = fpras.estimate_multiplicative(circuit, 0.1, 0.02, est.EstimatorConfig(seed=3))
+        cfg = est.EstimatorConfig(epsilon=0.1, delta=0.02, seed=3)
+        assert fpras.estimate_multiplicative(circuit, 0.1, 0.02, cfg) == default
+        for fields, pointer in [({"epsilon": 0.3}, "/epsilon"), ({"delta": 0.01}, "/delta")]:
+            with pytest.raises(SchemaError, match=rf"^{pointer}: the config's .* contradicts the argument"):
+                fpras.estimate_multiplicative(circuit, 0.1, 0.02, est.EstimatorConfig(seed=3, **fields))
 
     @pytest.mark.parametrize(
         "epsilon, delta",
@@ -440,6 +452,7 @@ def test_weights_lie_below_the_mode_sups(name):
     gamma = est.resolve_gamma(setup)
     sampler = est.build_folded_sampler(setup, gamma)
     bound = float(np.prod(est.mode_sups(setup, gamma)[list(sampler.active_modes)]))
+    assert sampler.bound == bound
     w = sampler.draw(np.random.default_rng(0), 20_000)
     assert np.all(w > 0.0)
     assert 0.999 * bound < float(np.max(w)) <= bound * (1.0 + 1e-12)
@@ -483,7 +496,7 @@ def first_stopping_chunk(circuit, epsilon, delta, seed, chunks):
     by the sampler the estimator builds."""
     setup = est.Setup(circuit)
     sampler = est.build_folded_sampler(setup, est.resolve_gamma(setup))
-    sums = est.chunk_sums(sampler, seed, 0, [est.CHUNK] * chunks, 1, math.inf)
+    sums = est.chunk_sums(sampler, seed, 0, [est.CHUNK] * chunks, 1)
     s1, s2 = np.cumsum(sums, axis=1)  # running sums, added in chunk order
     n = est.CHUNK * np.arange(1, chunks + 1)
     ess, mean = s1 * s1 / s2, s1 / n
@@ -495,27 +508,60 @@ def first_stopping_chunk(circuit, epsilon, delta, seed, chunks):
     return int(stops[0]) + 1
 
 
+def record_passes(monkeypatch) -> list:
+    """(first chunk, sizes) of every ``chunk_sums`` call the estimator
+    loop makes from here on, one per pass."""
+    passes, chunk_sums = [], est.chunk_sums
+
+    def recorded(sampler, seed, first, sizes, threads):
+        passes.append((first, list(sizes)))
+        return chunk_sums(sampler, seed, first, sizes, threads)
+
+    monkeypatch.setattr(est, "chunk_sums", recorded)
+    return passes
+
+
 class TestMultiplicativeReduction:
     def test_threads_do_not_change_result(self, monkeypatch):
         circuit, epsilon = near_boundary_permanent(), 0.02
+        # the first chunk boundary where the rule holds, whatever the passes
+        stop = first_stopping_chunk(circuit, epsilon, 0.05, 2, 64)
+        chunk_sums, passes = est.chunk_sums, record_passes(monkeypatch)
         runs = [
             fpras.estimate_multiplicative(circuit, epsilon, 0.05, est.EstimatorConfig(seed=2, threads=t))
             for t in (1, 2, 4)
         ]
-        # the first chunk boundary where the rule holds, whatever the passes
-        stop = first_stopping_chunk(circuit, epsilon, 0.05, 2, 64)
         assert runs[0].n_used == est.CHUNK * stop
         first = math.ceil(fpras.ESS_PER_EPS_SQ / epsilon**2 / est.CHUNK)
-        end = 0
-        while end < stop:  # the pass that holds the stopping chunk
-            end += fpras._pass_chunks(end, first)
-        # inside a later pass, so a check at pass ends only would stop later
+        # the pass that holds the stopping chunk ends past it, so a check at
+        # pass ends only would stop later
+        end = min(start + len(sizes) for start, sizes in passes if start + len(sizes) >= stop)
         assert end > stop > first
-        monkeypatch.setattr(fpras, "_pass_chunks", lambda done, first: 1)
+
+        def one_chunk_per_call(sampler, seed, first, sizes, threads):
+            return np.hstack([chunk_sums(sampler, seed, first + i, [n], threads) for i, n in enumerate(sizes)])
+
+        monkeypatch.setattr(est, "chunk_sums", one_chunk_per_call)
         runs.append(
             fpras.estimate_multiplicative(circuit, epsilon, 0.05, est.EstimatorConfig(seed=2, threads=2))
         )
         assert len({json.dumps(run.as_dict()) for run in runs}) == 1
+
+    def test_first_check_stop_draws_one_pass_of_two_chunks(self, monkeypatch):
+        # at eps = 0.1 the ESS target of 5000 samples rounds up to 2 chunks,
+        # drawn in one pass; an estimate that stops there draws no more
+        passes = record_passes(monkeypatch)
+        res = fpras.estimate_multiplicative(CERTIFIED["permanent"], 0.1, 0.05)
+        assert res.n_used == 2 * est.CHUNK and passes == [(0, [est.CHUNK] * 2)]
+
+    def test_ess_target_above_the_cap_raises_without_drawing(self, monkeypatch):
+        def no_chunks(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(est, "chunk_sums", no_chunks)
+        # 50 / eps^2 = 2e8 samples, twice SAMPLE_CAP
+        with pytest.raises(ConditionFailure, match="target 200000000 unmet at the 100000000 cap"):
+            fpras.estimate_multiplicative(CERTIFIED["permanent"], 5e-4, 0.05)
 
     def test_passes_run_in_chunk_order_to_the_cap(self, monkeypatch):
         # weights that never meet the stopping rule drive the passes to 2^20
@@ -523,7 +569,7 @@ class TestMultiplicativeReduction:
         # chunk not yet drawn
         batches = []
 
-        def never_converging(sampler, seed, first, sizes, threads, bound):
+        def never_converging(sampler, seed, first, sizes, threads):
             assert (seed, first) == (3, sum(batches))
             batches.append(len(sizes))
             return np.zeros((2, len(sizes)))
