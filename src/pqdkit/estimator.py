@@ -30,10 +30,12 @@ per distinct outcome.
 
 One rule picks the shift unless the caller fixes one: ``resolve_gamma``
 searches the rate that minimizes the weight bound of the sampler that runs,
-over the instance's own spectrum.  What the shift leaves unchanged
-(``Setup``: the circuit at one ordering s) is built once per estimate, and
-every step after it takes that one ``Setup`` as its only circuit argument:
-the search, the fold, the samplers, the suprema and the negativity bound.
+over the instance's own spectrum.  What an estimate decides once
+(``Setup``: the circuit at one ordering s under one proposal, with the map
+between a shift and its rate and the inputs' exponents at a rate) is built
+once per estimate, and every step after it takes that one ``Setup`` as its
+only circuit argument: the search, the fold, the samplers, the suprema and
+the negativity bound.
 |Haf|^2, Per and Tor share one path through the circuit estimate, and the
 budget is the bound of the sampler that ran (``budget_factors``: each
 mode's prefactor times the run's ``mode_sups``, the numbers its weights
@@ -49,13 +51,13 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._blas import one_blas_thread
 from .errors import ConditionFailure, SchemaError
-from .factors import shift_exponents, unshifted_exponents
 from .linear_optics import (
     CircuitSpec,
     Embedding,
@@ -165,40 +167,34 @@ class EstimateReport:
         }
 
 
-def _rate(s: float, gamma: float, a_max: float) -> float:
-    """The signed rate of the signed shift gamma in (-1, 1) at ordering s:
-    2 gamma / (a_max - s) forward (gamma >= 0, toward a_max), 2 gamma / (s + 1)
-    reverse (toward s = -1).  ``_numeric_gamma`` maps a rate back."""
-    if not (-1.0 < gamma < 1.0):
-        raise SchemaError("/gamma", f"normalized gamma must lie in (-1, 1), got {gamma}")
-    if gamma == 0.0:
-        return 0.0
-    if gamma < 0.0:
-        return 2.0 * gamma / (s + 1.0)
-    denom = a_max - s
-    if denom <= 0.0:
-        raise SchemaError("/gamma", f"forward shift needs a_max > s, got a_max = {a_max}")
-    return 2.0 * gamma / denom
+# ---------------------------------------------------------------------------
+# what an estimate decides once
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# what a shift leaves unchanged
-# ---------------------------------------------------------------------------
+# Within this tolerance of s an input variance freezes its quadrature: the
+# s-PQD is a delta there, and the axis carries no coordinate
+FREEZE_TOL = 1e-12
 
 
 class Setup:
-    """The rate-independent part of a circuit at ordering s, built once per
-    estimate and passed to the shift search, the samplers and the suprema:
-    s and a_max (which map a shift to its rate), each quadrature's
-    unshifted exponent 2/(a - s) (NaN where frozen), one ``RadialFactor``
-    per distinct outcome, W on the free coordinates, and each proposal's
+    """What one estimate decides once, built before the shift search and
+    passed to it, the samplers and the suprema: the ordering s, the
+    proposal ``method`` and what the shift leaves unchanged.  It holds s and
+    a_max, which map a signed shift to its rate (``rate``) and back
+    (``shift``); each quadrature's unshifted exponent 2/(a - s) (NaN where
+    frozen), which a rate shifts (``shifted_inputs``); one ``RadialFactor``
+    per distinct outcome; W on the free coordinates; the modes the proposal
+    folds, the Gaussian ones ("folded") or none ("naive"); and its
     precision as an affine function of the rate.  The default ordering is
-    s_max - S_MAX_MARGIN.  Building it checks s: not finite, above an input
-    variance or outside a factor's range, it raises ``SchemaError`` at
-    ``/s``.
+    s_max - S_MAX_MARGIN.  Building it checks the method (another raises
+    ``ValueError``) and s: not finite, above an input variance or outside a
+    factor's range, it raises ``SchemaError`` at ``/s``.
     """
 
-    def __init__(self, circuit: CircuitSpec, s: Optional[float] = None):
+    def __init__(self, circuit: CircuitSpec, s: Optional[float] = None, method: str = "folded"):
+        if method not in ("folded", "naive"):
+            raise ValueError(f"unknown method {method!r}")
         if s is None:
             s = circuit.s_max - S_MAX_MARGIN
         if not math.isfinite(s):
@@ -206,10 +202,14 @@ class Setup:
         self.m = circuit.m
         self.s = s
         self.a_max = circuit.a_max
-        self.c0 = unshifted_exponents(circuit.variances, s)
+        d = circuit.variances - s
+        if d.min(initial=0.0) < -FREEZE_TOL:
+            raise SchemaError("/s", f"s = {s} exceeds variance {circuit.variances[np.argmin(d)]}")
+        self.c0 = 2.0 / np.where(d > FREEZE_TOL, d, np.nan)  # NaN carries a frozen axis through
         distinct, self.index = circuit.outcome_index
         self.radial = tuple(pi_w_profile(out, s) for out in distinct)
-        self.gaussian = np.array([out.is_gaussian for out in distinct])[self.index]
+        gaussian = np.array([out.is_gaussian for out in distinct])[self.index]
+        self.folded = np.flatnonzero(gaussian) if method == "folded" else np.arange(0)
         # a Gaussian factor's decay, which it folds with, and log pi W(0)
         self.decay = np.array([f.decay for f in self.radial])[self.index]
         self.log_w0 = np.array(
@@ -217,7 +217,44 @@ class Setup:
         )[self.index]
         self.free_idx = np.flatnonzero(~np.isnan(self.c0))
         self.w = real_pushforward(circuit.unitary.u)
-        self._precisions: dict = {}
+
+    def rate(self, gamma: float) -> float:
+        """The signed rate of the signed shift gamma in (-1, 1): 2 gamma /
+        (a_max - s) forward (gamma >= 0, toward a_max), 2 gamma / (s + 1)
+        reverse (toward s = -1).  A gamma outside (-1, 1), or a forward one
+        where a_max <= s, raises ``SchemaError`` at ``/gamma``."""
+        if not (-1.0 < gamma < 1.0):
+            raise SchemaError("/gamma", f"normalized gamma must lie in (-1, 1), got {gamma}")
+        if gamma == 0.0:
+            return 0.0
+        if gamma < 0.0:
+            return 2.0 * gamma / (self.s + 1.0)
+        denom = self.a_max - self.s
+        if denom <= 0.0:
+            raise SchemaError("/gamma", f"forward shift needs a_max > s, got a_max = {self.a_max}")
+        return 2.0 * gamma / denom
+
+    def shift(self, rate: float) -> float:
+        """The signed shift of a signed rate, the inverse of ``rate``."""
+        if rate >= 0.0:
+            return rate * (self.a_max - self.s) / 2.0
+        return rate * (self.s + 1.0) / 2.0
+
+    def shifted_inputs(self, rate: float) -> tuple[np.ndarray, np.ndarray]:
+        """The shifted exponents c0 - rate of the input quadratures, and
+        log N_i of each mode's shifted input factor, to which a frozen
+        quadrature contributes 0.  A rate that leaves an exponent <= 0
+        raises ``SchemaError`` at ``/gamma``."""
+        c0 = self.c0
+        c = c0 - rate
+        if (c <= 0.0).any():
+            k = np.argmax(c <= 0.0)
+            raise SchemaError(
+                "/gamma", f"shifted input exponent {c[k]} nonpositive (unshifted {c0[k]}, rate = {rate})"
+            )
+        free = ~np.isnan(c0)
+        log_q = np.where(free, 0.5 * (np.log(c0) - np.log(c)), 0.0)
+        return c, log_q[: self.m] + log_q[self.m :]
 
     def rows(self, modes) -> np.ndarray:
         """Rows of W on the free coordinates giving [Re beta; Im beta] of
@@ -232,50 +269,43 @@ class Setup:
         which callers multiply in."""
         return np.array([f.sup(rate) for f in self.radial])[self.index]
 
-    def precision(self, method: str = "folded") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @cached_property
+    def precision(self) -> tuple[np.ndarray, np.ndarray]:
         """The input precision on the free coordinates once the proposal
-        ``method`` folds its modes' exponents in, as (base, slope, folded):
-        at the signed rate it is Lambda(rate) = base + rate * slope, and
-        ``folded`` indexes the folded modes, the Gaussian ones ("folded")
-        or none ("naive").  A Gaussian factor is pi W(0) * exp(-decay * b),
-        and a folded mode adds c_j Q_j, c_j = 2 (rate + decay_j), to the
-        inputs' 2 (c0 - rate), where |beta_j|^2 = x^T Q_j x and
-        Q_j = W_j^T W_j + W_{M+j}^T W_{M+j}, so the folded modes add
-        W_r^T diag(c, c) W_r in one product over their rows W_r of W.  With
-        nothing folded, base and slope are the diagonals 2 c0 and -2 (1-D).
-        Built once per method."""
-        if method not in self._precisions:
-            if method not in ("folded", "naive"):
-                raise ValueError(f"unknown method {method!r}")
-            folded = np.flatnonzero(self.gaussian) if method == "folded" else np.arange(0)
-            c0 = self.c0[self.free_idx]
-            if folded.size:
-                w_r = self.rows(folded)
-                slope = 2.0 * (w_r.T @ w_r)
-                slope[np.diag_indices_from(slope)] -= 2.0
-                base = (w_r.T * np.tile(2.0 * self.decay[folded], 2)) @ w_r
-                base[np.diag_indices_from(base)] += 2.0 * c0
-            else:
-                base, slope = 2.0 * c0, np.full(c0.size, -2.0)
-            self._precisions[method] = base, slope, folded
-        return self._precisions[method]
+        folds its modes' exponents in, as (base, slope): at the signed rate
+        it is Lambda(rate) = base + rate * slope.  A Gaussian factor is
+        pi W(0) * exp(-decay * b), and a folded mode adds c_j Q_j,
+        c_j = 2 (rate + decay_j), to the inputs' 2 (c0 - rate), where
+        |beta_j|^2 = x^T Q_j x and Q_j = W_j^T W_j + W_{M+j}^T W_{M+j}, so
+        the folded modes add W_r^T diag(c, c) W_r in one product over their
+        rows W_r of W.  With nothing folded, base and slope are the
+        diagonals 2 c0 and -2 (1-D).  Built once, on first use."""
+        folded, c0 = self.folded, self.c0[self.free_idx]
+        if folded.size:
+            w_r = self.rows(folded)
+            slope = 2.0 * (w_r.T @ w_r)
+            slope[np.diag_indices_from(slope)] -= 2.0
+            base = (w_r.T * np.tile(2.0 * self.decay[folded], 2)) @ w_r
+            base[np.diag_indices_from(base)] += 2.0 * c0
+        else:
+            base, slope = 2.0 * c0, np.full(c0.size, -2.0)
+        return base, slope
 
-    def log_bound(self, method: str = "folded") -> Callable[[float], float]:
-        """log B_eff as a function of the signed rate: the log of the weight
-        bound of the proposal ``method`` ("folded" or "naive"), inf outside
-        the feasible rates.  With Lambda(rate) its precision on the free
-        coordinates (``precision``),
+    def log_bound(self) -> Callable[[float], float]:
+        """log B_eff as a function of the signed rate: the log of the
+        proposal's weight bound, inf outside the feasible rates.  With
+        Lambda(rate) its precision on the free coordinates (``precision``),
 
             log B_eff = const - 1/2 log det Lambda(rate)
                         + sum over weighted modes of log sup_j(rate),
 
         the input normalizations cancelling between the sampler's prefactor
-        and the weighted modes, which are those not both Gaussian and folded
+        and the weighted modes, which are those the proposal does not fold
         (every mode, naive).  Everything else is computed here once, so that
         a probe takes one log-sum (Lambda diagonal, 2 (c0 - rate)) or one
         Cholesky, and one supremum per distinct weighted outcome."""
-        base, slope, folded = self.precision(method)
-        c0 = self.c0[self.free_idx]
+        base, slope = self.precision
+        folded, c0 = self.folded, self.c0[self.free_idx]
         cap = float(c0.min()) if c0.size else math.inf  # at or above it an exponent is <= 0
         gone = np.zeros(self.m, dtype=bool)
         gone[folded] = True
@@ -323,8 +353,8 @@ def mode_sups(setup: Setup, gamma: float) -> np.ndarray:
     input normalization at this shift times its factor's supremum.  Their
     product is the modified (shifted) negativity bound: the shifted input
     factors are normalized densities."""
-    rate = _rate(setup.s, gamma, setup.a_max)
-    return np.exp(shift_exponents(setup.c0, rate)[1]) * setup.unit_sups(rate)
+    rate = setup.rate(gamma)
+    return np.exp(setup.shifted_inputs(rate)[1]) * setup.unit_sups(rate)
 
 
 def _hoeffding_count(log_b: float, epsilon: float, delta: float) -> int:
@@ -342,15 +372,15 @@ def _hoeffding_count(log_b: float, epsilon: float, delta: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def resolve_gamma(setup: Setup, method: str = "folded") -> float:
+def resolve_gamma(setup: Setup) -> float:
     """The automatic shift, one rule for every circuit and matrix family:
-    the searched minimum of the weight bound of the proposal ``method``
-    that runs (``_numeric_gamma``).  With nothing weighed (an all-Gaussian
-    pattern, folded) the estimate is exact at any shift, so the choice is
-    rate 0, without a search."""
-    if method == "folded" and setup.gaussian.all():
+    the searched minimum of the weight bound of the setup's proposal
+    (``_numeric_gamma``).  With nothing weighed (every mode folded) the
+    estimate is exact at any shift, so the choice is rate 0, without a
+    search."""
+    if setup.folded.size == setup.m:
         return 0.0
-    return _numeric_gamma(setup, method)
+    return _numeric_gamma(setup)
 
 
 # The share of the open interval of feasible rates the search spans.  Near
@@ -360,27 +390,27 @@ SEARCH_WINDOW = 1.0 - 1e-6
 
 
 @one_blas_thread()
-def _numeric_gamma(setup: Setup, method: str = "folded") -> float:
-    """Golden-section minimization of log B_eff of the proposal ``method``
+def _numeric_gamma(setup: Setup) -> float:
+    """Golden-section minimization of log B_eff of the setup's proposal
     over the signed rate, returned as the signed shift of the best rate
-    (``_rate`` inverted).
+    (``Setup.shift``).
 
     log B_eff (``Setup.log_bound``) is convex in the rate: the proposal's
     precision Lambda is affine in it, so -1/2 log det Lambda is convex, and
     each log-supremum is a supremum of affine functions of the rate, so
     convex too.  It is thus convex on one interval of feasible rates, which
-    holds rate 0, and one bracket-free line search over the window
-    SEARCH_WINDOW * [-2/(s+1), 2/(a_max-s)] finds its minimum.  A probe
+    holds rate 0, and one bracket-free line search over the window of
+    shifts +-SEARCH_WINDOW (rates SEARCH_WINDOW * [-2/(s+1), 2/(a_max-s)],
+    no forward side where a_max <= s) finds its minimum.  A probe
     takes the rate-dependent terms only: one supremum per distinct weighted
     outcome, a log-sum, and a Cholesky where Gaussian factors are folded.
     The better interior probe always stays in the bracket, so the best
     point probed is rate 0, a last interior probe or an end of the last
     bracket (whose probes catch a minimum at a window edge).
     """
-    log_bound, s, a_max = setup.log_bound(method), setup.s, setup.a_max
-    inf = math.inf
-    a = -SEARCH_WINDOW * 2.0 / (s + 1.0)
-    b = SEARCH_WINDOW * 2.0 / (a_max - s) if a_max > s else 0.0
+    log_bound, inf = setup.log_bound(), math.inf
+    a = setup.rate(-SEARCH_WINDOW)
+    b = setup.rate(SEARCH_WINDOW) if setup.a_max > setup.s else 0.0
     tol = 1e-6 * (b - a)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     f0 = log_bound(0.0)
@@ -401,9 +431,7 @@ def _numeric_gamma(setup: Setup, method: str = "folded") -> float:
             d = a + invphi * (b - a)
             fd = log_bound(d)
     rate = min([(f0, 0.0), (fc, c), (fd, d), (log_bound(a), a), (log_bound(b), b)])[1]
-    if rate >= 0.0:
-        return rate * (a_max - s) / 2.0
-    return rate * (s + 1.0) / 2.0
+    return setup.shift(rate)
 
 
 # ---------------------------------------------------------------------------
@@ -515,24 +543,23 @@ class FoldedSampler:
 
 
 @one_blas_thread()
-def build_folded_sampler(setup: Setup, gamma: float, method: str = "folded") -> FoldedSampler:
-    """The sampler of the proposal ``method`` ("folded" or "naive"), which
-    draws from the precision ``Setup.precision`` gives it at the rate of the
-    signed shift ``gamma``.  A mode leaves the weight when it is folded (so
-    Gaussian); a weighted mode j keeps n_j * pi W_j(b) * exp(-rate * b),
-    which its ``mode_sups`` entry, kept on the sampler, bounds.  The kernel
-    is K = W_af L^{-T}: W restricted to the weighted modes' rows and the
-    free columns, L the precision's Cholesky factor (one solve here, none
-    per batch; a diagonal precision's square root scales the columns).  When
-    K has fewer rows than columns it is replaced by R^T from K^T = QR: R^T z
-    has the law of K z (both covariances are K K^T = R^T R, also for
-    rank-deficient K), so a sample draws at most 2A normals for A weighted
-    modes, not F."""
-    base, slope, folded = setup.precision(method)
-    rate = _rate(setup.s, gamma, setup.a_max)
-    exponents, log_norms = shift_exponents(setup.c0, rate)
+def build_folded_sampler(setup: Setup, gamma: float) -> FoldedSampler:
+    """The sampler of the setup's proposal, which draws from the precision
+    ``Setup.precision`` gives it at the rate of the signed shift ``gamma``.
+    A mode leaves the weight when it is folded (so Gaussian); a weighted
+    mode j keeps n_j * pi W_j(b) * exp(-rate * b), which its ``mode_sups``
+    entry, kept on the sampler, bounds.  The kernel is K = W_af L^{-T}: W
+    restricted to the weighted modes' rows and the free columns, L the
+    precision's Cholesky factor (one solve here, none per batch; a diagonal
+    precision's square root scales the columns).  When K has fewer rows
+    than columns it is replaced by R^T from K^T = QR: R^T z has the law of
+    K z (both covariances are K K^T = R^T R, also for rank-deficient K), so
+    a sample draws at most 2A normals for A weighted modes, not F."""
+    base, slope = setup.precision
+    rate = setup.rate(gamma)
+    exponents, log_norms = setup.shifted_inputs(rate)
     gone = np.zeros(setup.m, dtype=bool)
-    gone[folded] = True
+    gone[setup.folded] = True
     log_prefactor = float(np.sum(log_norms[gone] + setup.log_w0[gone]))
     modes = tuple(np.flatnonzero(~gone).tolist())
     kernel = setup.rows(modes)
@@ -599,24 +626,32 @@ def chunk_sums(sampler: FoldedSampler, seed: int, first: int, sizes, threads) ->
     shared counter, one per started SAMPLES_PER_WORKER samples and at most
     ``threads`` (default: every usable CPU); they change no result.  A |w|
     above the sampler's ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises
-    ``ConditionFailure``."""
+    ``ConditionFailure``; once a worker raises, no worker takes another
+    chunk."""
     if threads is None:
         threads = _usable_cpus()
     limit = (1.0 + WEIGHT_BOUND_RTOL) * sampler.bound
     sums = np.empty((2, len(sizes)))
     chunks, lock = itertools.count(), threading.Lock()
+    failed = False  # set under ``lock`` by a worker that raises
 
     def next_chunk() -> int:
         with lock:
-            return next(chunks)
+            return len(sizes) if failed else next(chunks)
 
     def work() -> None:
-        while (i := next_chunk()) < len(sizes):
-            w = sampler.draw(_chunk_rng(seed, first + i), sizes[i])
-            peak = float(np.abs(w).max())
-            if peak > limit and math.isfinite(peak):
-                raise ConditionFailure(f"sample weight {peak:.6e} exceeds the claimed bound {sampler.bound:.6e}")
-            sums[:, i] = w.sum(), np.square(w, out=w).sum()
+        nonlocal failed
+        try:
+            while (i := next_chunk()) < len(sizes):
+                w = sampler.draw(_chunk_rng(seed, first + i), sizes[i])
+                peak = float(np.abs(w).max())
+                if peak > limit and math.isfinite(peak):
+                    raise ConditionFailure(f"sample weight {peak:.6e} exceeds the claimed bound {sampler.bound:.6e}")
+                sums[:, i] = w.sum(), np.square(w, out=w).sum()
+        except BaseException:  # no worker takes a chunk after a failure
+            with lock:
+                failed = True
+            raise
 
     workers = min(threads, -(-sum(sizes) // SAMPLES_PER_WORKER))
     if workers > 1:
@@ -658,8 +693,9 @@ def estimate_probability(
 
     ``method`` selects the folded proposal (Gaussian measurement factors
     integrated analytically) or the naive one with every factor kept in the
-    weight (``build_folded_sampler``; another ``method`` raises
-    ``ValueError``).  The samples are drawn in one pass of ``running_sums``
+    weight; the estimate's ``Setup`` holds it (another ``method`` raises
+    ``ValueError``), and the report's ``active_modes`` are the modes its
+    sampler weighs.  The samples are drawn in one pass of ``running_sums``
     on ``config.threads`` workers, F normals per sample for a kernel of F
     columns (at most 2A for A weighted modes when folded, the free
     coordinates' count when naive), and the trace has one row per chunk.
@@ -670,10 +706,10 @@ def estimate_probability(
     unbounded raises ``SchemaError`` at ``/gamma`` before any sample is
     drawn.
     """
-    setup = Setup(circuit, config.s)  # checks s
+    setup = Setup(circuit, config.s, method)  # checks s and the method
     with one_blas_thread():  # one thread-count switch for the search and the build
-        gamma = resolve_gamma(setup, method) if config.gamma is None else config.gamma
-        sampler = build_folded_sampler(setup, gamma, method)
+        gamma = resolve_gamma(setup) if config.gamma is None else config.gamma
+        sampler = build_folded_sampler(setup, gamma)
     all_sups = sampler.mode_sups
     mod_neg = float(np.prod(all_sups))
     c_max = float(np.max(all_sups)) if all_sups.size else 1.0
@@ -711,7 +747,7 @@ def estimate_probability(
         s=setup.s,
         shift=gamma,
         method=method,
-        active_modes=tuple(j for j, out in enumerate(circuit.pattern) if not out.is_gaussian),
+        active_modes=sampler.active_modes,
         mode_sups=all_sups,
         trace_rows=trace,
     )

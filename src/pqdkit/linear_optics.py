@@ -106,7 +106,7 @@ class CircuitSpec:
         i's pair is eta*(2n_i+1)*exp(+-2r_i) + (1-eta)*(2*n_th+1), which
         covers both the lossless squeezed-thermal and the lossy
         squeezed-vacuum conventions.  The s-PQD of a quadrature is the
-        Gaussian of exponent 2/(a - s) (``factors.unshifted_exponents``).
+        Gaussian of exponent 2/(a - s) (``estimator.Setup.c0``).
         """
         env = (1.0 - self.eta) * (2.0 * self.n_th + 1.0)
         x = [self.eta * (2.0 * n + 1.0) * math.exp(2.0 * r) + env for r, n in self.modes]

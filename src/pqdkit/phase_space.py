@@ -11,8 +11,9 @@ a ``RadialFactor`` const * (L_m(k*b) - a*exp(-a*b)) * exp(-decay*b)
 log-concavity certificate form; the samplers add every weighted mode's
 decay into one exp per sample.  The Gaussian-factor
 shift that moves ``exp(rate*|alpha|^2)`` from the input to the measurement
-side lives in ``factors`` (per-mode exponents, normalizations, suprema) and
-``estimator._rate`` (the rate of a signed shift gamma in (-1, 1)).
+side lives on ``estimator.Setup``: ``rate`` (the rate of a signed shift
+gamma in (-1, 1)), ``shift`` (its inverse) and ``shifted_inputs`` (the
+inputs' exponents and normalizations at a rate).
 """
 
 from __future__ import annotations

@@ -139,21 +139,21 @@ def searched_budget(emb, s):
     return est.budget_factors(emb, est.mode_sups(setup, est.resolve_gamma(setup)))
 
 
-def precision_root(setup, gamma, method="folded"):
+def precision_root(setup, gamma):
     """A lower-triangular square root of the proposal's precision at the
     shift, Lambda(rate) = base + rate * slope (``Setup.precision``): its
     Cholesky factor, or the diagonal of square roots when nothing folds."""
-    base, slope, _ = setup.precision(method)
-    lam = base + est._rate(setup.s, gamma, setup.a_max) * slope
+    base, slope = setup.precision
+    lam = base + setup.rate(gamma) * slope
     return np.diag(np.sqrt(lam)) if lam.ndim == 1 else np.linalg.cholesky(lam)
 
 
-def log_effective_bound(setup, gamma, method="folded"):
-    """log B_eff at a shift: the weight bound of the sampler of the proposal
-    ``method`` a run builds, its log prefactor plus the log suprema of its
+def log_effective_bound(setup, gamma):
+    """log B_eff at a shift: the weight bound of the sampler a run of the
+    setup's proposal builds, its log prefactor plus the log suprema of its
     weighted modes, from which ``estimate_probability`` sets N and the
     radius."""
-    sampler = est.build_folded_sampler(setup, gamma, method)
+    sampler = est.build_folded_sampler(setup, gamma)
     sups = est.mode_sups(setup, gamma)[list(sampler.active_modes)]
     return sampler.log_prefactor + float(np.sum(np.log(sups)))
 

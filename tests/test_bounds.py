@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pqdkit import bounds, estimator as est, factors, linear_optics as lo, oracles
+from pqdkit import bounds, estimator as est, linear_optics as lo, oracles
 from pqdkit.errors import SchemaError
 from pqdkit.phase_space import CLICK, MARGINAL, photon, pi_w_profile
 
@@ -67,22 +67,21 @@ def ref_permanent(lam):
     )
 
 
-def squeezed_thermal_variances(n, r):
-    """The 2M variances (x of every mode, then p) of lossless squeezed
-    thermal inputs of squeezing r_i and shared occupation n."""
-    modes = tuple((float(x), n) for x in r)
-    return lo.CircuitSpec(modes, lo.identity_interferometer(len(modes)), (MARGINAL,) * len(modes)).variances
+def squeezed_thermal_inputs(n, r):
+    """Lossless squeezed thermal inputs of squeezing r_i and shared
+    occupation n, as (r, n) pairs."""
+    return tuple((float(x), n) for x in r)
 
 
 def _k_plus(n, r):
     return 0.5 + n * (n + 1.0) + (n + 0.5) * np.cosh(2.0 * r)
 
 
-def _ref_sups(variances, outcome, s, rate):
-    """Per-mode sup of the shifted factor, input normalization included."""
-    return pi_w_profile(outcome, s).sup(rate) * np.exp(
-        factors.shift_exponents(factors.unshifted_exponents(variances, s), rate)[1]
-    )
+def _ref_sups(modes, outcome, s, rate):
+    """Per-mode sup of the shifted factor, input normalization included,
+    for lossless inputs of the (r, n) pairs ``modes``."""
+    circuit = lo.CircuitSpec(modes, lo.identity_interferometer(len(modes)), (MARGINAL,) * len(modes))
+    return pi_w_profile(outcome, s).sup(rate) * np.exp(est.Setup(circuit, s).shifted_inputs(rate)[1])
 
 
 def _ref_forward_rate(gamma, gap):
@@ -98,20 +97,21 @@ def ref_torontonian(family, lam=None, n=None, r=None):
         e2r = (1.0 + lam) / (1.0 - lam)
         s = (1.0 - lmx) / (1.0 + lmx)
         rate = _ref_forward_rate(0.5 * (1.0 - lmx), float(np.max(e2r)) - s)
-        return _ref_sups(np.concatenate([e2r, 1.0 / e2r]), CLICK, s, rate) / np.sqrt(1.0 - lam**2)
+        modes = tuple((math.atanh(x), 0.0) for x in lam)  # variances e2r and 1 / e2r
+        return _ref_sups(modes, CLICK, s, rate) / np.sqrt(1.0 - lam**2)
     if family == "thermal":
         lam = np.asarray(lam, dtype=float)
         n_list = lam / (1.0 - lam)
         s = 2.0 * float(np.min(n_list)) + 1.0
         rate = _ref_forward_rate(0.5 * (1.0 - np.max(lam)), 2.0 * float(np.max(n_list)) + 1.0 - s)
-        a = 2.0 * n_list + 1.0
-        return _ref_sups(np.concatenate([a, a]), CLICK, s, rate) / (1.0 - lam)
+        modes = tuple((0.0, float(x)) for x in n_list)  # variances 2n + 1
+        return _ref_sups(modes, CLICK, s, rate) / (1.0 - lam)
     r = np.asarray(r, dtype=float)
     r_max = float(np.max(r))
     s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
     gamma = math.exp(-math.tanh(r_max)) / (n + 1.0)
     rate = _ref_forward_rate(gamma, (2.0 * n + 1.0) * math.exp(2.0 * r_max) - s)
-    return _ref_sups(squeezed_thermal_variances(n, r), CLICK, s, rate) * np.sqrt(_k_plus(n, r))
+    return _ref_sups(squeezed_thermal_inputs(n, r), CLICK, s, rate) * np.sqrt(_k_plus(n, r))
 
 
 def ref_block_a(n, r):
@@ -120,7 +120,7 @@ def ref_block_a(n, r):
     r_max = float(np.max(r))
     s = (2.0 * n + 1.0) * math.exp(-2.0 * r_max)
     rate = -2.0 * math.exp(-math.tanh(r_max)) * n / (n + 1.0) / (s + 1.0)
-    return _ref_sups(squeezed_thermal_variances(n, r), photon(1), s, rate) * np.sqrt(_k_plus(n, r))
+    return _ref_sups(squeezed_thermal_inputs(n, r), photon(1), s, rate) * np.sqrt(_k_plus(n, r))
 
 
 def spectral(family, lam):

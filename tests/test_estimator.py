@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 from pqdkit import cli, estimator as est, fpras, linear_optics as lo, oracles
-from pqdkit import factors
 from pqdkit import phase_space as ps
 from pqdkit.errors import ConditionFailure, SchemaError
 from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon, pi_w_profile
@@ -46,14 +46,13 @@ def photon_factor(m, s, rate):
     return lambda b: (2.0 / sp) * ((s - 1.0) / sp) ** m * eval_laguerre(m, k * b) * np.exp(-c * b)
 
 
-def mode_variances(circuit, j):
-    """The [x, p] variances of mode j of the circuit."""
-    return circuit.variances[[j, circuit.m + j]]
-
-
-def log_norm(variances, s, rate):
-    """log N of one mode's shifted input factor, from its [x, p] variances."""
-    return float(factors.shift_exponents(factors.unshifted_exponents(variances, s), rate)[1][0])
+def log_norm(circuit, j, s, rate):
+    """log N of mode j's shifted input factor: that of a one-mode circuit
+    of the same input (r, n), losses and thermal noise."""
+    one = lo.CircuitSpec(
+        (circuit.modes[j],), lo.identity_interferometer(1), (MARGINAL,), circuit.eta, circuit.n_th
+    )
+    return float(est.Setup(one, s).shifted_inputs(rate)[1][0])
 
 
 def dense_sup(profile, grid, n_fine=2_001):
@@ -203,7 +202,7 @@ class TestFactorBound:
         sups = est.mode_sups(est.Setup(circuit, s), gamma)
         rate = 2.0 * gamma / ((1.0 + lam) / (1.0 - lam) - s)
         for j, sup in enumerate(sups):
-            n_j = math.exp(log_norm(mode_variances(circuit, j), s, rate))
+            n_j = math.exp(log_norm(circuit, j, s, rate))
             numeric = dense_sup(
                 shifted_profile(photon(1), s, rate, n_j), np.linspace(0.0, 400.0, 4001)
             )
@@ -220,9 +219,9 @@ class TestFactorBound:
         got = est.mode_sups(est.Setup(circuit, s), 0.2)
         assert len(calls) == 2
         assert np.array_equal(got, expected)
-        rate = est._rate(s, 0.2, circuit.a_max)
+        rate = est.Setup(circuit, s).rate(0.2)
         for j in range(circuit.m):
-            n_j = math.exp(log_norm(mode_variances(circuit, j), s, rate))
+            n_j = math.exp(log_norm(circuit, j, s, rate))
             assert got[j] == pytest.approx(n_j * pi_w_profile(circuit.pattern[j], s).sup(rate), rel=1e-14)
 
     def test_thermal_rank_deficient_top_factor(self):
@@ -362,8 +361,8 @@ class TestPhotonSuprema:
         s = rep["s"]
         sup = est.mode_sups(est.Setup(circuit, s), -0.999)[0]
         assert sup == pytest.approx(4.317e5, rel=1e-3)
-        rate = est._rate(s, -0.999, circuit.a_max)
-        n_0 = math.exp(log_norm(mode_variances(circuit, 0), s, rate))
+        rate = est.Setup(circuit, s).rate(-0.999)
+        n_0 = math.exp(log_norm(circuit, 0, s, rate))
         c = 2.0 / (s + 1.0) + rate
         ref = n_0 * dense_sup(photon_factor(2, s, rate), np.linspace(0.0, 50.0 / c, 20_001))
         assert sup == pytest.approx(ref, rel=1e-9)
@@ -418,26 +417,19 @@ def generic_circuits():
     return out
 
 
-def shift_of_rate(setup, rate):
-    """The signed shift gamma of a signed rate at ``setup``'s ordering."""
-    if rate >= 0.0:
-        return rate * (setup.a_max - setup.s) / 2.0
-    return rate * (setup.s + 1.0) / 2.0
-
-
 class TestShiftSearch:
     @pytest.mark.parametrize("index", range(len(generic_circuits())))
     def test_not_worse_than_dense_rate_scan(self, index):
         # for each proposal the search minimizes that proposal's bound, and
         # an estimate at its automatic shift runs with a finite radius
         circuit = generic_circuits()[index]
-        setup = est.Setup(circuit)
-        rates = np.linspace(-0.98 * 2.0 / (setup.s + 1.0), 0.98 * 2.0 / (setup.a_max - setup.s), 801)
         for method in ("folded", "naive"):
+            setup = est.Setup(circuit, method=method)
+            rates = np.linspace(setup.rate(-0.98), setup.rate(0.98), 801)
 
             def log_b(rate):
                 try:
-                    return ref.log_effective_bound(setup, shift_of_rate(setup, rate), method)
+                    return ref.log_effective_bound(setup, setup.shift(rate))
                 except SchemaError as err:
                     if err.pointer != "/gamma":
                         raise
@@ -446,8 +438,8 @@ class TestShiftSearch:
                     return math.inf
 
             scan = min(log_b(float(r)) for r in rates)
-            gamma = est._numeric_gamma(setup, method)
-            assert ref.log_effective_bound(setup, gamma, method) <= scan + 1e-6
+            gamma = est._numeric_gamma(setup)
+            assert ref.log_effective_bound(setup, gamma) <= scan + 1e-6
             cfg = est.EstimatorConfig(n_samples=64, seed=1)
             assert math.isfinite(est.estimate_probability(circuit, cfg, method).conf_radius)
 
@@ -461,8 +453,8 @@ class TestShiftSearch:
         assert folded.shift < 0.0 and math.isfinite(folded.conf_radius)
         naive = est.estimate_probability(circuit, cfg, method="naive")
         assert naive.shift >= 0.0 and math.isfinite(naive.conf_radius)
-        setup = est.Setup(circuit)
-        assert setup.log_bound("naive")(est._rate(setup.s, folded.shift, setup.a_max)) == math.inf
+        setup = est.Setup(circuit, method="naive")
+        assert setup.log_bound()(setup.rate(folded.shift)) == math.inf
         with pytest.raises(SchemaError, match="^/gamma: .*mode 1's weighted factor unbounded"):
             est.estimate_probability(circuit, replace(cfg, gamma=folded.shift), method="naive")
 
@@ -470,7 +462,7 @@ class TestShiftSearch:
         # the folded precision is positive definite at every feasible rate;
         # a factorization that fails anyway (rounding) marks the rate infeasible
         setup = est.Setup(generic_circuits()[10])
-        assert setup.precision()[0].ndim == 2
+        assert setup.precision[0].ndim == 2
         probe = setup.log_bound()
         assert math.isfinite(probe(0.1))
 
@@ -495,14 +487,14 @@ class TestShiftSearch:
             circuit = generic_circuits()[int(number)]
         else:
             circuit = matrix_embedding(family, int(number))
-        setup = est.Setup(circuit)
         for method in ("folded", "naive"):
-            log_bound, finite = setup.log_bound(method), 0
+            setup = est.Setup(circuit, method=method)
+            log_bound, finite = setup.log_bound(), 0
             for end in (-2.0 / (setup.s + 1.0), 2.0 / (setup.a_max - setup.s)):
                 for frac in (0.9, 0.5, 0.1, 1e-3):
                     probe = log_bound(frac * end)
                     try:
-                        bound = ref.log_effective_bound(setup, shift_of_rate(setup, frac * end), method)
+                        bound = ref.log_effective_bound(setup, setup.shift(frac * end))
                     except ConditionFailure:
                         bound = math.inf
                     if probe == math.inf:
@@ -543,6 +535,29 @@ class TestWeightBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds the claimed bound" in captured.err
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_failed_chunk_stops_its_pass(self, monkeypatch, threads):
+        # weights above the bound in chunks 30 and 290 of a 400-chunk pass:
+        # no worker takes a chunk after the first failure, where the others
+        # used to draw on to chunk 290 (two workers) or to the end (four)
+        drawn = []
+
+        class Planted:
+            bound = 1.0
+
+            def draw(self, chunk, n):  # a draw that waits, as a fill of normals does
+                drawn.append(chunk)
+                time.sleep(1e-3)
+                return np.full(n, 2.0 if chunk in (30, 290) else 0.5)
+
+        monkeypatch.setattr(est, "_chunk_rng", lambda seed, chunk: chunk)
+        with pytest.raises(ConditionFailure, match="exceeds the claimed bound"):
+            est.chunk_sums(Planted(), 1, 0, [est.CHUNK] * 400, threads)
+        if threads == 1:
+            assert drawn == list(range(31))
+        else:
+            assert 31 <= len(drawn) < 100
 
 
 class TestSampleCount:
@@ -588,8 +603,8 @@ def non_gaussian_modes(circuit):
     return tuple(j for j, out in enumerate(circuit.pattern) if not out.is_gaussian)
 
 
-def naive_stds(circuit, s, rate):
-    exponents = factors.shift_exponents(factors.unshifted_exponents(circuit.variances, s), rate)[0]
+def naive_stds(setup, rate):
+    exponents = setup.shifted_inputs(rate)[0]
     return np.array([0.0 if math.isnan(c) else math.sqrt(1.0 / (2.0 * c)) for c in exponents])
 
 
@@ -645,7 +660,7 @@ class TestSamplingKernel:
     def test_kernel_matches_reference_pushforward(self, case, method):
         circuit, s_spec, gamma = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
-        setup = est.Setup(circuit, s)
+        setup = est.Setup(circuit, s, method)
         if method == "folded":
             sampler = est.build_folded_sampler(setup, gamma)
             root = ref.precision_root(setup, gamma)
@@ -653,9 +668,9 @@ class TestSamplingKernel:
             width = len(setup.free_idx)
             assert sampler.active_modes == non_gaussian_modes(circuit)
         else:
-            sampler = est.build_folded_sampler(setup, gamma, "naive")
+            sampler = est.build_folded_sampler(setup, gamma)
             root = None
-            stds = naive_stds(circuit, s, est._rate(s, gamma, circuit.a_max))
+            stds = naive_stds(setup, setup.rate(gamma))
             width = np.count_nonzero(stds)  # one normal per free coordinate
             assert sampler.active_modes == tuple(range(circuit.m))
         rows, cols = sampler.kernel.shape
@@ -774,8 +789,9 @@ def outer_product_precision(circuit, s, gamma, naive=False):
     """The proposal's precision on the free coordinates, assembled as one
     outer product per folded mode (the Gaussian ones, or none for the naive
     proposal): Q_j = Re(a a^H) with a = [U_j, i U_j]."""
-    rate = est._rate(s, gamma, circuit.a_max)
-    exponents = factors.shift_exponents(factors.unshifted_exponents(circuit.variances, s), rate)[0]
+    setup = est.Setup(circuit, s)
+    rate = setup.rate(gamma)
+    exponents = setup.shifted_inputs(rate)[0]
     lam = np.diag(np.nan_to_num(2.0 * exponents))
     for j, out in enumerate(circuit.pattern):
         if out.is_gaussian and not naive:
@@ -790,9 +806,8 @@ def cholesky_reference(circuit, s, gamma):
     """(K K^T, log_prefactor) of the folded sampler through a Cholesky factor
     L of the precision and the solve K = W_af L^{-T}."""
     m = circuit.m
-    rate = est._rate(s, gamma, circuit.a_max)
-    c0 = factors.unshifted_exponents(circuit.variances, s)
-    exponents, log_norms = factors.shift_exponents(c0, rate)
+    setup = est.Setup(circuit, s)
+    exponents, log_norms = setup.shifted_inputs(setup.rate(gamma))
     free = np.flatnonzero(~np.isnan(exponents))
     chol = np.linalg.cholesky(outer_product_precision(circuit, s, gamma))
     log_k = sum(
@@ -843,7 +858,7 @@ class TestFoldPaths:
             s = circuit.s_max - est.S_MAX_MARGIN
             gamma = est.resolve_gamma(est.Setup(circuit, s))
         setup = est.Setup(circuit, s)
-        assert setup.precision("folded")[0].ndim == 1
+        assert setup.precision[0].ndim == 1
         assert len(setup.free_idx) == (2 * m - 2 if name == "frozen-thermal" else 2 * m)
         sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma)
         cov, log_prefactor = cholesky_reference(circuit, s, gamma)
@@ -857,11 +872,11 @@ class TestFoldPaths:
         # the naive proposal folds nothing, so its precision stays diagonal
         circuit, s_spec, gamma = KERNEL_CASES[case]
         s = circuit.s_max if s_spec == "s_max" else circuit.s_max - est.S_MAX_MARGIN
-        setup = est.Setup(circuit, s)
-        base, slope, _ = setup.precision("naive" if naive else "folded")
+        setup = est.Setup(circuit, s, "naive" if naive else "folded")
+        base, slope = setup.precision
         assert base.ndim == (1 if naive else 2)
         expected = outer_product_precision(circuit, s, gamma, naive)
-        got = base + est._rate(s, gamma, circuit.a_max) * slope
+        got = base + setup.rate(gamma) * slope
         got = np.diag(got) if naive else got
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
@@ -907,7 +922,7 @@ def wide_naive_sampler():
         (photon(1), CLICK, photon(2)) + (NOCLICK,) * (m - 3),
     )
     s = circuit.s_max - est.S_MAX_MARGIN
-    sampler = est.build_folded_sampler(est.Setup(circuit, s), 0.2, "naive")
+    sampler = est.build_folded_sampler(est.Setup(circuit, s, "naive"), 0.2)
     assert sampler.kernel.shape == (32, 32)
     return sampler
 
@@ -965,9 +980,10 @@ class TestFusedWeight:
         # one mode through the naive sampler: the weight is the whole factor
         circuit = lo.CircuitSpec(((0.3, 0.4),), lo.identity_interferometer(1), (outcome,))
         s = 0.5
-        rate = est._rate(s, gamma, circuit.a_max)
-        n_j = math.exp(log_norm(mode_variances(circuit, 0), s, rate))
-        sampler = est.build_folded_sampler(est.Setup(circuit, s), gamma, "naive")
+        setup = est.Setup(circuit, s, "naive")
+        rate = setup.rate(gamma)
+        n_j = math.exp(log_norm(circuit, 0, s, rate))
+        sampler = est.build_folded_sampler(setup, gamma)
         # sample-major normals: a sample's two normals are consecutive
         b = sampler.beta_sq(np.random.default_rng(7).standard_normal((4000, 2)).T)[0]
         got = sampler.draw(np.random.default_rng(7), 4000)
@@ -1058,6 +1074,15 @@ class TestFoldedSampler:
 
 
 class TestEstimateProbability:
+    def test_active_modes_are_the_weighed_modes(self):
+        # the folded sampler weighs the non-Gaussian modes, the naive one every mode
+        circuit = squeezed_circuit([0.4, 0.3, 0.2], 5, (photon(1), NOCLICK, MARGINAL))
+        cfg = est.EstimatorConfig(n_samples=256, seed=1)
+        for method, modes in (("folded", (0,)), ("naive", (0, 1, 2))):
+            rep = est.estimate_probability(circuit, cfg, method=method)
+            assert rep.active_modes == modes and rep.as_dict()["active_modes"] == list(modes)
+            assert rep.method == method
+
     def test_odd_parity_outcome(self):
         circuit = lo.CircuitSpec(
             ((0.5, 0.0),), lo.identity_interferometer(1), (photon(1),)
@@ -1204,11 +1229,12 @@ class TestEstimateProbability:
         with pytest.raises(SchemaError, match="^/s: .*finite"):
             est.Setup(circuit, s)
 
-    def test_builder_rejects_unknown_method(self):
+    @pytest.mark.parametrize("method", ["laplace", "bogus", "Folded"])
+    def test_setup_rejects_unknown_method(self, method):
+        # the proposal is chosen once, when the Setup is built
         circuit = squeezed_circuit([0.3], 21)
-        s = circuit.s_max - est.S_MAX_MARGIN
-        with pytest.raises(ValueError, match="method"):
-            est.build_folded_sampler(est.Setup(circuit, s), 0.2, method="bogus")
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            est.Setup(circuit, method=method)
 
     def test_trace_is_cumulative(self):
         circuit = squeezed_circuit([0.3], 21)
@@ -1406,7 +1432,7 @@ class TestTorontonianShift:
         mat = lo.block_b_prime(np.diag([0.45, 0.45]))
         res = est.estimate_torontonian(mat, est.EstimatorConfig(seed=3))
         rep = res.report
-        rate = est._rate(rep.s, rep.shift, lo.embed_torontonian(mat).circuit.a_max)
+        rate = est.Setup(lo.embed_torontonian(mat).circuit, rep.s).rate(rep.shift)
         assert math.isfinite(rate) and abs(rate) < 1e6
         assert abs(res.value - oracles.torontonian_exact(mat.data)) <= res.budget
         near = est.estimate_torontonian(lo.block_b_prime(np.diag([0.45, 0.4500001])))
@@ -1576,9 +1602,9 @@ class TestOneSetupPerEstimate:
         built = []
         init = est.Setup.__init__
 
-        def counting_init(setup, circuit, s=None):
+        def counting_init(setup, circuit, s=None, method="folded"):
             built.append(s)
-            init(setup, circuit, s)
+            init(setup, circuit, s, method)
 
         monkeypatch.setattr(est.Setup, "__init__", counting_init)
         return built

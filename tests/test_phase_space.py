@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from pqdkit import estimator as est
-from pqdkit import factors
 from pqdkit import linear_optics as lo
 from pqdkit import phase_space as ps
 from pqdkit.errors import SchemaError
@@ -31,19 +30,7 @@ def one_mode(r, n, eta=1.0, n_th=0.0):
     return lo.CircuitSpec(((r, n),), lo.identity_interferometer(1), (ps.MARGINAL,), eta, n_th)
 
 
-VACUUM = np.array([1.0, 1.0])  # the [x, p] variances of the vacuum
-
-
-def squeezed_thermal_variances(r, n):
-    """The [x, p] variances of the lossless squeezed thermal input of
-    squeezing r and occupation n."""
-    return one_mode(r, n).variances
-
-
-def stacked(*modes):
-    """The 2M variances of modes given as [x, p] pairs, x of every mode
-    first (the layout of ``CircuitSpec.variances``)."""
-    return np.array([a[0] for a in modes] + [a[1] for a in modes])
+VACUUM = one_mode(0.0, 0.0)
 
 
 def gaussian_pqd(cov, s, x, y):
@@ -55,7 +42,7 @@ def gaussian_pqd(cov, s, x, y):
 
 class TestSpqdGaussian:
     """The input s-PQD as the samplers draw it: a Gaussian of precision
-    2 c per quadrature, c from ``factors.shift_exponents`` at rate 0
+    2 c per quadrature, c from ``Setup.shifted_inputs`` at rate 0
     (``shifted_input_density``)."""
 
     def test_vacuum_wigner_origin(self):
@@ -66,7 +53,8 @@ class TestSpqdGaussian:
 
     def test_matrix_form_agreement(self):
         # independent evaluation from the covariance-matrix expression
-        cov = np.array([math.e**2, math.e**-2])
+        mode = one_mode(1.0, 0.0)
+        cov = mode.variances
         s = 0.5 * math.e**-2
         alpha = 0.3 + 0.1j
         v = np.diag(cov / 2.0)
@@ -75,29 +63,30 @@ class TestSpqdGaussian:
         expected = math.exp(-vec @ np.linalg.inv(shifted) @ vec) / (
             math.pi * math.sqrt(np.linalg.det(shifted))
         )
-        got = shifted_input_density(cov, s, 0.0, alpha.real, alpha.imag)
+        got = shifted_input_density(mode, s, 0.0, alpha.real, alpha.imag)
         assert got == pytest.approx(expected, rel=1e-12)
         assert gaussian_pqd(cov, s, alpha.real, alpha.imag) == pytest.approx(expected, rel=1e-12)
 
     def test_singular_ordering_rejected(self):
         # at s = 1 the vacuum is a delta in phase space (both quadratures
         # frozen), above it no distribution exists
-        exponents, log_norms = factors.shift_exponents(factors.unshifted_exponents(VACUUM, 1.0), 0.0)
+        exponents, log_norms = est.Setup(VACUUM, 1.0).shifted_inputs(0.0)
         assert np.isnan(exponents).all() and log_norms[0] == 0.0
         with pytest.raises(SchemaError, match="^/s: .*exceeds variance"):
-            factors.shift_exponents(factors.unshifted_exponents(VACUUM, 1.0 + 1e-6), 0.0)
+            est.Setup(VACUUM, 1.0 + 1e-6)
 
     def test_normalization_random_covariances(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             r = rng.uniform(0.0, 1.2)
             n = rng.uniform(0.0, 1.5)
-            cov = squeezed_thermal_variances(r, n)
+            mode = one_mode(r, n)
+            cov = mode.variances
             s = rng.uniform(-0.9, cov[1] - 1e-3)
             sx = math.sqrt((cov[0] - s) / 4.0)
             sy = math.sqrt((cov[1] - s) / 4.0)
             total = gauss_2d_integral(
-                lambda x, y: shifted_input_density(cov, s, 0.0, x, y), sx, sy, n=401
+                lambda x, y: shifted_input_density(mode, s, 0.0, x, y), sx, sy, n=401
             )
             assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -323,10 +312,11 @@ def case_log_slope(outcome, s):
     return 4.0 * m / (s * s - 1.0) - 2.0 / (s + 1.0)
 
 
-def shifted_input_density(cov, s, rate, x, y):
-    """Normalized shifted input factor as the samplers draw it: a Gaussian
-    with precision 2 c per quadrature, (c_x, c_y) from shift_exponents."""
-    cx, cy = factors.shift_exponents(factors.unshifted_exponents(cov, s), rate)[0]
+def shifted_input_density(mode, s, rate, x, y):
+    """Normalized shifted input factor of a one-mode circuit as the samplers
+    draw it: a Gaussian with precision 2 c per quadrature, (c_x, c_y) from
+    ``Setup.shifted_inputs``."""
+    cx, cy = est.Setup(mode, s).shifted_inputs(rate)[0]
     return math.sqrt(cx * cy) / math.pi * np.exp(-cx * x * x - cy * y * y)
 
 
@@ -339,31 +329,33 @@ def shifted_meas_factor(outcome, s, rate, n_j=1.0):
 
 class TestShiftedFactors:
     """The shift moves exp(rate |alpha|^2) from the input factor, whose
-    exponents and normalization come from ``factors``, to the measurement
-    factor (``shifted_meas_factor``); ``estimator._rate`` maps a signed
-    normalized gamma to the rate."""
+    exponents and normalization come from ``Setup.shifted_inputs``, to the
+    measurement factor (``shifted_meas_factor``); ``Setup.rate`` maps a
+    signed normalized gamma to the rate."""
 
     def test_zero_shift_reduces_to_plain_pqd(self):
-        cov = squeezed_thermal_variances(0.4, 0.2)
+        mode = one_mode(0.4, 0.2)
+        cov = mode.variances
         s = 0.3
         alpha = 0.5 - 0.2j
-        dens = shifted_input_density(cov, s, 0.0, alpha.real, alpha.imag)
-        log_norms = factors.shift_exponents(factors.unshifted_exponents(cov, s), 0.0)[1]
+        dens = shifted_input_density(mode, s, 0.0, alpha.real, alpha.imag)
+        log_norms = est.Setup(mode, s).shifted_inputs(0.0)[1]
         assert math.exp(log_norms[0]) == pytest.approx(1.0, rel=1e-12)
         assert dens == pytest.approx(gaussian_pqd(cov, s, alpha.real, alpha.imag), rel=1e-12)
 
     @pytest.mark.parametrize("rate", [-0.5, 0.0, 0.3])
     def test_input_exponents_match_per_quadrature_loop(self, rate):
         # s equals the first mode's p variance, freezing that quadrature
-        covs = [squeezed_thermal_variances(0.4, 0.0), squeezed_thermal_variances(0.1, 0.3),
-                np.array([1.2, 1.2])]
-        s = covs[0][1]
-        exponents, log_norms = factors.shift_exponents(factors.unshifted_exponents(stacked(*covs), s), rate)
-        m = len(covs)
-        for i, cov in enumerate(covs):
+        modes = ((0.4, 0.0), (0.1, 0.3), (0.0, 0.1))
+        circuit = lo.CircuitSpec(modes, lo.identity_interferometer(3), (ps.MARGINAL,) * 3)
+        variances, m = circuit.variances, circuit.m
+        s = circuit.s_max
+        exponents, log_norms = est.Setup(circuit, s).shifted_inputs(rate)
+        for i in range(m):
             log_n = 0.0
-            for k, a in zip((i, m + i), cov):
-                if a - s <= factors.FREEZE_TOL:
+            for k in (i, m + i):
+                a = variances[k]
+                if a - s <= est.FREEZE_TOL:
                     assert math.isnan(exponents[k])
                     continue
                 c = 2.0 / (a - s) - rate
@@ -371,49 +363,51 @@ class TestShiftedFactors:
                 log_n += 0.5 * (math.log(2.0 / (a - s)) - math.log(c))
             assert log_norms[i] == pytest.approx(log_n, rel=1e-14, abs=1e-15)
         with pytest.raises(SchemaError, match="^/s: .*exceeds variance"):
-            factors.shift_exponents(factors.unshifted_exponents(stacked(*covs), covs[0][1] + 1e-6), rate)
+            est.Setup(circuit, s + 1e-6)
 
     def test_forward_limit_rejected(self):
-        cov = squeezed_thermal_variances(0.5, 0.0)
-        s = 0.2
+        setup = est.Setup(one_mode(0.5, 0.0), 0.2)
         with pytest.raises(SchemaError, match="^/gamma: "):
-            est._rate(s, 1.0, cov[0])
+            setup.rate(1.0)
         with pytest.raises(SchemaError, match="^/gamma: "):
-            factors.shift_exponents(factors.unshifted_exponents(cov, s), 2.0 / (cov[0] - s))
+            setup.shifted_inputs(2.0 / (setup.a_max - setup.s))
 
     def test_density_and_norm_by_quadrature(self):
         # 2-D quadrature of the unnormalized shifted form; the squeezing sits
         # just inside the ordering that would make the input singular
         r, n_th = 0.4, 0.0
-        cov = squeezed_thermal_variances(r, n_th)
+        mode = one_mode(r, n_th)
+        cov = mode.variances
         s = math.exp(-1.0)
-        rate = est._rate(s, 0.2, cov[0])
+        setup = est.Setup(mode, s)
+        rate = setup.rate(0.2)
         assert rate == pytest.approx(2.0 * 0.2 / (cov[0] - s), rel=1e-15)
         sx = math.sqrt((cov[0] - s) / 4.0 / (1.0 - rate * (cov[0] - s) / 2.0))
         sy = math.sqrt((cov[1] - s) / 4.0)
         raw = lambda x, y: gaussian_pqd(cov, s, x, y) * np.exp(rate * (x * x + y * y))
         n_quad = gauss_2d_integral(raw, sx, sy, n=601)
-        log_norms = factors.shift_exponents(factors.unshifted_exponents(cov, s), rate)[1]
+        log_norms = setup.shifted_inputs(rate)[1]
         assert math.exp(log_norms[0]) == pytest.approx(n_quad, rel=1e-7)
         total = gauss_2d_integral(
-            lambda x, y: shifted_input_density(cov, s, rate, x, y), sx, sy, n=601
+            lambda x, y: shifted_input_density(mode, s, rate, x, y), sx, sy, n=601
         )
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_input_normalization_random_shifts(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            cov = squeezed_thermal_variances(rng.uniform(0, 0.8), rng.uniform(0, 1))
+            mode = one_mode(rng.uniform(0, 0.8), rng.uniform(0, 1))
+            cov = mode.variances
             s = rng.uniform(-0.5, cov[1] - 0.05)
             gamma = rng.uniform(-0.8, 0.8)
-            rate = est._rate(s, gamma, cov[0])
+            rate = est.Setup(mode, s).rate(gamma)
             cx = 2.0 / (cov[0] - s) - rate
             cy = 2.0 / (cov[1] - s) - rate
             if cx <= 0 or cy <= 0:
                 continue
             sx, sy = math.sqrt(0.5 / cx), math.sqrt(0.5 / cy)
             total = gauss_2d_integral(
-                lambda x, y: shifted_input_density(cov, s, rate, x, y), sx, sy, n=401
+                lambda x, y: shifted_input_density(mode, s, rate, x, y), sx, sy, n=401
             )
             assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -423,9 +417,8 @@ class TestShiftedFactors:
 
     def test_threshold_factor_product_form(self):
         s, gamma, beta = 0.5, 0.1, 0.7
-        a_max = s + 3.0
         n_j = 1.2
-        rate = est._rate(s, gamma, a_max)
+        rate = est.Setup(one_mode(0.0, 1.25), s).rate(gamma)  # a_max = 3.5 = s + 3
         expected = (
             n_j
             * (1.0 - (2.0 / (s + 1.0)) * math.exp(-2.0 * abs(beta) ** 2 / (s + 1.0)))
@@ -438,11 +431,11 @@ class TestShiftedFactors:
         # identical pure squeezed modes at the balance-optimal shift
         for lam in (0.2, 0.5, 0.9):
             gamma = optimal_gamma_squeezed([lam])
-            e2r = (1.0 + lam) / (1.0 - lam)
-            s = 1.0 / e2r
-            cov = np.array([e2r, 1.0 / e2r])
-            rate = est._rate(s, gamma, e2r)
-            n_j = math.exp(factors.shift_exponents(factors.unshifted_exponents(cov, s), rate)[1][0])
+            mode = one_mode(math.atanh(lam), 0.0)  # variances (1 + lam) / (1 - lam) and its inverse
+            s = mode.s_max
+            setup = est.Setup(mode, s)
+            rate = setup.rate(gamma)
+            n_j = math.exp(setup.shifted_inputs(rate)[1][0])
             b = np.linspace(0.0, 200.0, 5001)
             vals = shifted_meas_factor(ps.photon(1), s, rate, n_j)(b)
             assert np.max(np.abs(vals)) < 1.0
@@ -459,8 +452,9 @@ class TestPqdParams:
         s, g = 0.2, 0.5
         assert circuit.a_max == pytest.approx(math.exp(1.0))
         assert circuit.s_max == pytest.approx(math.exp(-1.0))
-        assert est._rate(s, -g, circuit.a_max) / -g == pytest.approx(2.0 / 1.2)
-        assert est._rate(s, g, circuit.a_max) / g == pytest.approx(
+        setup = est.Setup(circuit, s)
+        assert setup.rate(-g) / -g == pytest.approx(2.0 / 1.2)
+        assert setup.rate(g) / g == pytest.approx(
             2.0 / (math.exp(1.0) - 0.2)
         )
 
@@ -470,6 +464,35 @@ class TestPqdParams:
             est.estimate_probability(circuit, est.EstimatorConfig(s=1.5))
 
     def test_gamma_window(self):
+        setup = est.Setup(VACUUM, 0.0)
         for gamma in (5.0, -5.0, 1.0, -1.0):
             with pytest.raises(SchemaError, match="^/gamma: "):
-                est._rate(0.0, gamma, 1.0)
+                setup.rate(gamma)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.floats(0.0, 1.5),
+        n=st.floats(0.0, 2.0),
+        frac=st.floats(0.0, 0.99),
+        gamma=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(r=0.3, n=0.2, frac=0.5, gamma=0.0)
+    @example(r=0.0, n=0.0, frac=0.0, gamma=0.5)  # vacuum at s = 1 = a_max
+    @example(r=0.0, n=0.7, frac=0.0, gamma=0.5)  # thermal at s = 2n + 1 = a_max
+    def test_shift_inverts_rate(self, r, n, frac, gamma):
+        # shift and rate are each other's inverse, forward, reverse and at 0,
+        # for any ordering s in (-1, s_max]; where a_max <= s no forward
+        # rate exists and a forward gamma is refused
+        assume(gamma == 0.0 or abs(gamma) > 1e-300)  # a subnormal rate loses digits
+        mode = one_mode(r, n)
+        setup = est.Setup(mode, mode.s_max - frac * (mode.s_max + 1.0))
+        if gamma > 0.0 and setup.a_max <= setup.s:
+            with pytest.raises(SchemaError, match="^/gamma: forward shift needs a_max > s"):
+                setup.rate(gamma)
+            return
+        rate = setup.rate(gamma)
+        assert math.isfinite(rate) and (rate > 0.0) == (gamma > 0.0) and (rate < 0.0) == (gamma < 0.0)
+        back = setup.shift(rate)
+        assert abs(back - gamma) <= 1e-15 * abs(gamma)
+        if abs(back) < 1.0:  # within an ulp of +-1 the round trip may leave the window
+            assert abs(setup.rate(back) - rate) <= 1e-15 * abs(rate)
