@@ -312,6 +312,21 @@ def _require_flags(args, names) -> None:
         _number(getattr(args, name), f"/{flag}", "must be a finite nonnegative number", _nonneg)
 
 
+def _at_flag(err: SchemaError, args, flags) -> SchemaError:
+    """A refusal of what a command builds from ``flags`` (dest names), at
+    one of them: a pointer to one stays, and any other (a circuit or matrix
+    field the command does not read) moves to the occupation flag (--n,
+    --n-th) when its 2n + 1 overflows, else to the spectrum's flag, the
+    last other one (--lambdas, --r-list, --r-max)."""
+    if err.pointer in {"/" + name.replace("_", "-") for name in flags}:
+        return err
+    occupation = [name for name in flags if name in ("n", "n_th")]
+    overflowing = [name for name in occupation if not math.isfinite(2.0 * getattr(args, name) + 1.0)]
+    spectrum = [name for name in flags if name not in occupation][-1]
+    flag = overflowing[0] if overflowing else spectrum
+    return SchemaError("/" + flag.replace("_", "-"), err.message)
+
+
 def _cmd_check_fpras(args) -> int:
     report = _base_report("check-fpras")
     flags = _CONDITION_FLAGS[args.family]
@@ -322,7 +337,10 @@ def _cmd_check_fpras(args) -> int:
     else:
         _require_flags(args, flags)
         values = [getattr(args, name) for name in flags]
-    holds, cert = fpras.check_condition(args.family, *values)
+    try:
+        holds, cert = fpras.check_condition(args.family, *values)
+    except SchemaError as err:
+        raise _at_flag(err, args, flags) from err
     if args.family == "gbs-noise":
         report["noise_threshold"] = fpras.gbs_noise_threshold(args.eta, args.r_max)
     report["family"] = args.family
@@ -347,36 +365,39 @@ def _cmd_bounds(args) -> int:
     family = args.family
     _require_flags(args, _BOUNDS_FLAGS.get(family, ()))
     rep, order = None, None
-    if family in ("hafnian-block-a", "tor-squeezed-thermal"):  # modes in input order
-        spectrum = _parse_float_list(args.r_list, "/r-list")
-        if family == "hafnian-block-a":
-            emb = lo.embed_hafnian_block_a(args.n, spectrum)
-            sandwich = lambda: bounds.hafnian_bounds(args.n, spectrum)
+    try:
+        if family in ("hafnian-block-a", "tor-squeezed-thermal"):  # modes in input order
+            flags = ("n", "r_list")
+            spectrum = _parse_float_list(args.r_list, "/r-list")
+            if family == "hafnian-block-a":
+                emb = lo.embed_hafnian_block_a(args.n, spectrum)
+                sandwich = lambda: bounds.hafnian_bounds(args.n, spectrum)
+            else:
+                interf = lo.identity_interferometer(len(spectrum))
+                emb = lo.embed_squeezed_thermal(args.n, spectrum, interf, CLICK, "torontonian.squeezed_thermal")
+                sandwich = lambda: bounds.torontonian_bounds("squeezed_thermal", n=args.n, r_list=spectrum)
+            try:
+                rep = sandwich()
+            except SchemaError:
+                pass  # the sandwich is derived for a_min >= 1 only; the budget is not
         else:
-            interf = lo.identity_interferometer(len(spectrum))
-            emb = lo.embed_squeezed_thermal(args.n, spectrum, interf, CLICK, "torontonian.squeezed_thermal")
-            sandwich = lambda: bounds.torontonian_bounds(
-                "squeezed_thermal", n=args.n, r_list=spectrum
-            )
-        try:
-            rep = sandwich()
-        except SchemaError:
-            pass  # the sandwich is derived for a_min >= 1 only; the budget is not
-    else:
-        spectrum = _parse_float_list(args.lambdas, "/lambdas")
-        diag = np.diag(spectrum)
-        if family == "permanent":
-            rep = bounds.permanent_bounds(spectrum)
-            emb = lo.embed_permanent(diag)
-        elif family == "tor-thermal":
-            rep = bounds.torontonian_bounds("thermal", lambdas=spectrum)
-            emb = lo.embed_torontonian(lo.block_b_prime(diag))
-        else:  # hafnian-sq
-            emb = lo.embed_hafnian(diag)
-        # the decomposition sorts the spectrum by decreasing modulus
-        order = np.argsort(-np.abs(spectrum), kind="stable")
-    setup = est.Setup(emb.circuit)
-    factors = est.budget_factors(emb, est.mode_sups(setup, est.resolve_gamma(setup)))
+            flags = ("lambdas",)
+            spectrum = _parse_float_list(args.lambdas, "/lambdas")
+            diag = np.diag(spectrum)
+            if family == "permanent":
+                rep = bounds.permanent_bounds(spectrum)
+                emb = lo.embed_permanent(diag)
+            elif family == "tor-thermal":
+                rep = bounds.torontonian_bounds("thermal", lambdas=spectrum)
+                emb = lo.embed_torontonian(lo.block_b_prime(diag))
+            else:  # hafnian-sq
+                emb = lo.embed_hafnian(diag)
+            # the decomposition sorts the spectrum by decreasing modulus
+            order = np.argsort(-np.abs(spectrum), kind="stable")
+        setup = est.Setup(emb.circuit)
+        factors = est.budget_factors(emb, est.mode_sups(setup, est.resolve_gamma(setup)))
+    except SchemaError as err:
+        raise _at_flag(err, args, flags) from err
     if order is not None:
         factors = factors[np.argsort(order, kind="stable")]
     if rep is not None:

@@ -1,45 +1,30 @@
 """Monte-Carlo estimation of circuit probabilities via shifted phase-space
 factorizations, with negativity bounds, optimal shifts, and sample budgeting.
 
-The sampler draws the input phase-space points from the (shifted, normalized)
-Gaussian input factors and averages the product of measurement factors.
-Which factors' exponents move into the input density is a choice of
-proposal, one precision affine in the shift's rate (``Setup.precision``),
-read by the shift search and by the one builder, ``build_folded_sampler``:
-the folded proposal folds the Gaussian measurement factors (vacuum
-projections, no-click, marginalized modes) analytically into one correlated
-2M-dimensional Gaussian, and the naive one folds none.  Folded, only the A
-non-Gaussian factors are averaged, each keeping the shift reweight so the
-per-sample range stays controlled by the modified negativity bound; the
-multiplicative estimator (``fpras``) draws from the same folded sampler at
-the same searched shift.  With nothing to fold (every matrix embedding,
-and the naive proposal) the precision stays diagonal and its square root
-stands in for a Cholesky factor.  A sample
-costs at most 2A standard normals (marginal and other folded modes add
-none) and one exp for all weighted modes together; a click factor keeps
-one exp of its own.  Both estimators lay their samples out one way: sample
-i belongs to chunk i // ``CHUNK`` and is drawn from that chunk's own SFC64
-stream, numpy's spawned child (seed, chunk), and a chunk is one fill of
-sample-major normals, weighed at once, so memory stays bounded whatever
-the sample count.  Every estimate draws through one loop, ``running_sums``,
-on every usable CPU by default; the thread count changes no value.  Setup
-work (decompositions, folds, the kernel's solve and QR) runs on one
-OpenBLAS thread, so no BLAS pool spins while the samples are drawn.
-Per-mode values are computed once per call, and a factor's supremum once
-per distinct outcome.
+The sampler draws the input phase-space points from the (shifted,
+normalized) Gaussian input factors and averages the product of measurement
+factors.  The proposal (``Setup.precision``) decides which factors'
+exponents move into the input density: the folded one folds the Gaussian
+measurement factors (vacuum projections, no-click, marginalized modes)
+analytically into one correlated Gaussian, the naive one folds none.  A
+sample costs at most 2A standard normals for A weighted modes and one exp
+for them all (a click factor keeps one of its own).
+
+One sampling contract serves this additive estimator and the
+multiplicative one (``fpras``): ``build_folded_sampler`` refuses a shift
+that leaves a weighted factor unbounded, so every sampler's ``bound`` is
+finite; every estimate draws at most ``MAX_SAMPLES`` samples through one
+loop, ``running_sums``, in chunks of ``CHUNK`` samples, each one fill from
+its own stream; and ``chunk_sums`` checks every weight against the bound.
+The thread count changes no value, and setup work (decompositions, folds,
+the kernel's solve and QR) runs on one OpenBLAS thread.
 
 One rule picks the shift unless the caller fixes one: ``resolve_gamma``
-searches the rate that minimizes the weight bound of the sampler that runs,
-over the instance's own spectrum.  What an estimate decides once
-(``Setup``: the circuit at one ordering s under one proposal, with the map
-between a shift and its rate and the inputs' exponents at a rate) is built
-once per estimate, and every step after it takes that one ``Setup`` as its
-only circuit argument: the search, the fold, the samplers, the suprema and
-the negativity bound.
-|Haf|^2, Per and Tor share one path through the circuit estimate, and the
-budget is the bound of the sampler that ran (``budget_factors``: each
-mode's prefactor times the run's ``mode_sups``, the numbers its weights
-are checked against), so it covers the run's Hoeffding radius.
+minimizes the weight bound of the sampler that runs.  ``Setup``, what an
+estimate decides once, is the only circuit argument of every step after
+it.  |Haf|^2, Per and Tor share the circuit estimate, and their budget is
+the bound of the sampler that ran (``budget_factors``), so it covers the
+run's Hoeffding radius.
 """
 
 from __future__ import annotations
@@ -476,8 +461,8 @@ class FoldedSampler:
 
     @property
     def bound(self) -> float:
-        """The bound of every weight: the product of the weighted modes'
-        ``mode_sups``, inf where the shift leaves a factor unbounded."""
+        """The bound of every weight, the product of the weighted modes'
+        ``mode_sups``: finite, as the builder refuses an unbounded one."""
         return float(np.prod(self.mode_sups[list(self.active_modes)]))
 
     @property
@@ -486,17 +471,16 @@ class FoldedSampler:
         largest power of two with at most GEMM_PANEL_MNK multiply-adds and
         CHUNK columns, so panels tile a full chunk.  BLAS results can depend
         on a call's shape and on a column's place in it; in calls of one
-        fixed width they do not, so ``draw`` pads a partial chunk's last
-        panel rather than shorten it."""
+        fixed width they do not, so ``draw`` pads its last panel rather
+        than shorten it."""
         rows, f = self.kernel.shape
         cap = min(CHUNK, GEMM_PANEL_MNK // (max(1, rows) * max(1, f)))
         return 1 << (max(1, cap).bit_length() - 1)
 
-    def beta_sq(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def beta_sq(self, z: np.ndarray) -> np.ndarray:
         """|beta_j|^2 of the weighted modes (rows) for normals z (F x n)."""
         a = len(self.active_modes)
-        if out is None:
-            out = np.empty((a, z.shape[1]))
+        out = np.empty((a, z.shape[1]))
         step = self.panel
         for col in range(0, z.shape[1], step):
             y = self.kernel @ z[:, col : col + step]
@@ -507,38 +491,30 @@ class FoldedSampler:
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Sample n weight values (products of the weighted modes' factors).
 
-        Normals are sample-major, drawn from ``rng`` for shape (n, F), so a
-        sample's F normals are consecutive in the stream.  They fill a
-        reused buffer of CHUNK samples, and each fill is weighed at once in
-        BLAS calls of one fixed width.  A sample's weight thus depends only
-        on its normals, not on how a draw from one stream is split, and a
-        draw's temporaries are O(CHUNK * F) besides the n weights.  A sample
-        costs F normals, one exp, and each polynomial (a click's with its
-        own exp).
+        The normals are sample-major, one fill of shape (n, F) from ``rng``
+        (a sample's F normals are consecutive in the stream), weighed in
+        BLAS calls of one fixed width, the last one padded: a sample's
+        weight depends only on its normals, not on how a draw from one
+        stream is split.  A sample costs F normals, one exp, and each
+        polynomial (a click's with its own exp).
         """
         if not self.active_modes:
             return np.ones(n)
         panel = self.panel
-        size = panel * -(-max(1, min(CHUNK, n)) // panel)
-        z = np.empty((size, self.kernel.shape[1]))
-        b = np.empty((len(self.active_modes), size))
-        e = np.empty(size)
-        w = np.empty(n)
+        padded = panel * -(-n // panel)
+        z = np.empty((padded, self.kernel.shape[1]))
+        rng.standard_normal(out=z[:n])
+        z[n:] = 0.0
+        b = self.beta_sq(z.T)
+        e = np.empty(padded)
         neg = -self.exponents
-        for start in range(0, n, size):
-            count = min(size, n - start)
-            rng.standard_normal(out=z[:count])
-            padded = panel * -(-count // panel)
-            z[count:padded] = 0.0
-            self.beta_sq(z[:padded].T, out=b[:, :padded])
-            for col in range(0, padded, panel):
-                np.dot(neg, b[:, col : col + panel], out=e[col : col + panel])
-            w_k = w[start : start + count]
-            np.exp(e[:count], out=w_k)
-            w_k *= self.scale
-            for poly, b_j in zip(self.polys, b[:, :count]):
-                if poly is not None:
-                    w_k *= poly(b_j)
+        for col in range(0, padded, panel):
+            np.dot(neg, b[:, col : col + panel], out=e[col : col + panel])
+        w = np.exp(e[:n])
+        w *= self.scale
+        for poly, b_j in zip(self.polys, b[:, :n]):
+            if poly is not None:
+                w *= poly(b_j)
         return w
 
 
@@ -548,7 +524,10 @@ def build_folded_sampler(setup: Setup, gamma: float) -> FoldedSampler:
     ``Setup.precision`` gives it at the rate of the signed shift ``gamma``.
     A mode leaves the weight when it is folded (so Gaussian); a weighted
     mode j keeps n_j * pi W_j(b) * exp(-rate * b), which its ``mode_sups``
-    entry, kept on the sampler, bounds.  The kernel is K = W_af L^{-T}: W
+    entry, kept on the sampler, bounds; a shift that leaves one unbounded
+    raises ``SchemaError`` at ``/gamma``, after the factorizations below
+    (whose failure raises ``ConditionFailure``), so no sampler's ``bound``
+    is infinite.  The kernel is K = W_af L^{-T}: W
     restricted to the weighted modes' rows and the free columns, L the
     precision's Cholesky factor (one solve here, none per batch; a diagonal
     precision's square root scales the columns).  When K has fewer rows
@@ -579,6 +558,10 @@ def build_folded_sampler(setup: Setup, gamma: float) -> FoldedSampler:
         kernel = np.linalg.solve(root, kernel.T).T
     if 0 < kernel.shape[0] < kernel.shape[1]:
         kernel = np.ascontiguousarray(np.linalg.qr(kernel.T, mode="r").T)
+    sups = mode_sups(setup, gamma)
+    for j in modes:
+        if sups[j] == math.inf:  # no sample count or radius holds for such a weight
+            raise SchemaError("/gamma", f"the shift {gamma} leaves mode {j}'s weighted factor unbounded")
     profiles = [setup.radial[setup.index[j]] for j in modes]
     return FoldedSampler(
         kernel=kernel,
@@ -587,7 +570,7 @@ def build_folded_sampler(setup: Setup, gamma: float) -> FoldedSampler:
         scale=math.prod(f.const * math.exp(log_norms[j]) for f, j in zip(profiles, modes)),
         log_prefactor=log_prefactor,
         active_modes=modes,
-        mode_sups=mode_sups(setup, gamma),
+        mode_sups=sups,
     )
 
 
@@ -619,15 +602,15 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 SAMPLES_PER_WORKER = 1 << 15
 
 
-def chunk_sums(sampler: FoldedSampler, seed: int, first: int, sizes, threads) -> np.ndarray:
-    """Σw and Σw² (rows) of chunks first, first + 1, ... of ``sizes``
-    samples (columns, in chunk order), each drawn in one ``draw`` from its
-    own stream, ``_chunk_rng(seed, chunk)``.  Workers take chunks from a
-    shared counter, one per started SAMPLES_PER_WORKER samples and at most
-    ``threads`` (default: every usable CPU); they change no result.  A |w|
-    above the sampler's ``bound`` (by ``WEIGHT_BOUND_RTOL``) raises
-    ``ConditionFailure``; once a worker raises, no worker takes another
-    chunk."""
+def chunk_sums(sampler: FoldedSampler, seed: int, first_chunk: int, sizes, threads) -> np.ndarray:
+    """Σw and Σw² (rows) of chunks first_chunk, first_chunk + 1, ... of
+    ``sizes`` samples each (columns, in chunk order), each drawn in one
+    ``draw`` from its own stream, ``_chunk_rng(seed, chunk)``.  Workers
+    take chunks from a shared counter, one per started SAMPLES_PER_WORKER
+    samples and at most ``threads`` (default: every usable CPU); they
+    change no result.  A |w| above the sampler's ``bound`` (by
+    ``WEIGHT_BOUND_RTOL``) raises ``ConditionFailure``; once a worker
+    raises, no worker takes another chunk."""
     if threads is None:
         threads = _usable_cpus()
     limit = (1.0 + WEIGHT_BOUND_RTOL) * sampler.bound
@@ -643,7 +626,7 @@ def chunk_sums(sampler: FoldedSampler, seed: int, first: int, sizes, threads) ->
         nonlocal failed
         try:
             while (i := next_chunk()) < len(sizes):
-                w = sampler.draw(_chunk_rng(seed, first + i), sizes[i])
+                w = sampler.draw(_chunk_rng(seed, first_chunk + i), sizes[i])
                 peak = float(np.abs(w).max())
                 if peak > limit and math.isfinite(peak):
                     raise ConditionFailure(f"sample weight {peak:.6e} exceeds the claimed bound {sampler.bound:.6e}")
@@ -670,11 +653,12 @@ def running_sums(sampler: FoldedSampler, seed: int, threads, first: int, cap: in
     order, so a caller may stop after any chunk.  Passes of chunks go through
     ``chunk_sums``: the first to the chunk boundary at or above sample
     ``first``, then about a quarter of the chunks drawn so far (one chunk to
-    2^20 samples).  None reaches past sample ``cap``: only the first may end
-    there, in a partial chunk, and a ``first`` above ``cap`` draws nothing.
-    Passes change no value: a chunk's sums depend only on its stream."""
+    2^20 samples).  None reaches past sample ``cap`` (callers keep ``first``
+    <= ``cap`` <= ``MAX_SAMPLES``): only the first may end there, in a
+    partial chunk.  Passes change no value: a chunk's sums depend only on
+    its stream."""
     n, s1, s2, done = 0, 0.0, 0.0, 0
-    end = min(-(-first // CHUNK) * CHUNK, cap) if first <= cap else 0
+    end = min(-(-first // CHUNK) * CHUNK, cap)
     sizes = [CHUNK] * (end // CHUNK) + ([end % CHUNK] if end % CHUNK else [])
     while sizes:
         for w1, w2, size in zip(*chunk_sums(sampler, seed, done, sizes, threads).tolist(), sizes):
@@ -696,15 +680,11 @@ def estimate_probability(
     weight; the estimate's ``Setup`` holds it (another ``method`` raises
     ``ValueError``), and the report's ``active_modes`` are the modes its
     sampler weighs.  The samples are drawn in one pass of ``running_sums``
-    on ``config.threads`` workers, F normals per sample for a kernel of F
-    columns (at most 2A for A weighted modes when folded, the free
-    coordinates' count when naive), and the trace has one row per chunk.
-    The builder computes the suprema of the measurement factors once per
-    call, for every mode.  With no mode weighed (an all-Gaussian pattern,
-    folded) the estimate is exact at any shift, so the automatic one is
-    rate 0, without a search.  A shift that leaves a weighted mode's factor
-    unbounded raises ``SchemaError`` at ``/gamma`` before any sample is
-    drawn.
+    on ``config.threads`` workers, and the trace has one row per chunk.
+    With no mode weighed (an all-Gaussian pattern, folded) the estimate is
+    exact at any shift, so the automatic one is rate 0, without a search.
+    A shift that leaves a weighted factor unbounded raises the builder's
+    ``SchemaError`` at ``/gamma``.
     """
     setup = Setup(circuit, config.s, method)  # checks s and the method
     with one_blas_thread():  # one thread-count switch for the search and the build
@@ -715,9 +695,6 @@ def estimate_probability(
     c_max = float(np.max(all_sups)) if all_sups.size else 1.0
     neg = negativity_bound(setup)
     active_sups = all_sups[list(sampler.active_modes)]
-    for j, sup in zip(sampler.active_modes, active_sups.tolist()):
-        if sup == math.inf:  # no sample count or radius holds for such a weight
-            raise SchemaError("/gamma", f"the shift {gamma} leaves mode {j}'s weighted factor unbounded")
     log_b_samples = sampler.log_prefactor + float(np.sum(np.log(active_sups)))
     prefactor = math.exp(sampler.log_prefactor)
 

@@ -44,7 +44,6 @@ ESS_PER_EPS_SQ = 50.0
 # flag's pointer, in flag order; the multiplicative one reads ``seed`` and
 # ``threads`` and rejects these unless they keep their defaults
 ADDITIVE_FIELDS = {"n_samples": "/samples", "s": "/s", "gamma": "/gamma"}
-SAMPLE_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -259,19 +258,20 @@ def estimate_multiplicative(
     """Relative-error estimate of the circuit probability for certified
     log-concave integrands.
 
-    Proposal: the folded sampler of ``estimator.estimate_probability`` at
-    its searched shift, ``build_folded_sampler(setup, resolve_gamma(setup))``;
-    the importance weight is exp(log_prefactor) times the sampler's weight,
-    which the sampler's ``bound`` bounds (a larger one raises
-    ``ConditionFailure``), so the sums stay in linear space.  The rule
-    ESS >= ESS_PER_EPS_SQ / epsilon^2 and z * SE / mean <= epsilon is
-    checked on the running sums of ``estimator.running_sums`` after every
-    chunk from the ESS target on, and the estimate stops at the first chunk
-    that meets it; ``config.threads`` changes no result.  The estimator
-    sets its own sample count, ordering and shift: a config that sets one
-    (``ADDITIVE_FIELDS``) raises ``SchemaError`` at the first one's CLI
-    pointer, and one whose epsilon or delta is neither the argument nor the
-    default raises it at ``/epsilon`` or ``/delta``.
+    Proposal: the folded sampler an additive estimate of the circuit builds
+    at its searched shift; the importance weight is exp(log_prefactor) times
+    the sampler's weight, checked against its ``bound``, so the sums stay in
+    linear space.  The rule ESS >= ESS_PER_EPS_SQ / epsilon^2 and
+    z * SE / mean <= epsilon is checked on the sums of
+    ``estimator.running_sums`` after every chunk from the ESS target on; the
+    estimate stops at the first chunk that meets it, or raises
+    ``ConditionFailure`` at ``estimator.MAX_SAMPLES``.  An ESS target above
+    that cap raises ``SchemaError`` at ``/epsilon`` before any draw, as an
+    additive Hoeffding count does.  A config that sets a field of the
+    additive estimator (``ADDITIVE_FIELDS``) raises ``SchemaError`` at its
+    CLI pointer, and one whose epsilon or delta is neither the argument nor
+    the default raises it at ``/epsilon`` or ``/delta``; ``config.threads``
+    changes no result.
     """
     checked = est.EstimatorConfig(epsilon=epsilon, delta=delta)  # both must lie in (0, 1)
     for name, pointer in ADDITIVE_FIELDS.items():
@@ -283,18 +283,20 @@ def estimate_multiplicative(
             raise SchemaError(f"/{name}", f"the config's {value} contradicts the argument {argument}")
     for cert in circuit_certificates(circuit):
         if not cert.holds:
-            raise ConditionFailure(
-                f"certificate failed with margin {cert.margin:.3e} ({cert.family})"
-            )
+            raise ConditionFailure(f"certificate failed with margin {cert.margin:.3e} ({cert.family})")
     if all(out.kind == "marginal" for out in circuit.pattern):
         return MultiplicativeEstimate(1.0, 0.0, 0, math.inf)
+    if epsilon**2 * est.MAX_SAMPLES < ESS_PER_EPS_SQ:  # no division: epsilon^2 may underflow to 0
+        raise SchemaError("/epsilon", f"the effective sample size target 50/epsilon^2 exceeds 2^32 at {epsilon}")
+    ess_target = ESS_PER_EPS_SQ / epsilon**2
 
     setup = est.Setup(circuit)
     with one_blas_thread():  # one thread-count switch for the search and the build
         sampler = est.build_folded_sampler(setup, est.resolve_gamma(setup))
-    z_score = NormalDist().inv_cdf(1.0 - delta / 2.0)
-    ess_target = ESS_PER_EPS_SQ / epsilon**2
-    sums = est.running_sums(sampler, config.seed, config.threads, math.ceil(ess_target), SAMPLE_CAP)
+    # the lower tail: 1 - delta/2 rounds to 1 for delta below about 1e-16;
+    # delta/2 rounds to 0 only at the least subnormal delta
+    z_score = -NormalDist().inv_cdf(max(delta / 2.0, math.ulp(0.0)))
+    sums = est.running_sums(sampler, config.seed, config.threads, math.ceil(ess_target), est.MAX_SAMPLES)
     for n_used, s1, s2 in sums:  # sums past the stopping chunk are discarded
         if n_used < ess_target:  # ESS <= n (Cauchy-Schwarz): no stop yet
             continue
@@ -307,6 +309,4 @@ def estimate_multiplicative(
         if ess >= ess_target and z_score * rel_se <= epsilon:
             value = math.exp(sampler.log_prefactor) * mean
             return MultiplicativeEstimate(value, z_score * rel_se, n_used, ess)
-    raise ConditionFailure(
-        f"effective sample size target {ess_target:.0f} unmet at the {SAMPLE_CAP} cap"
-    )
+    raise ConditionFailure(f"effective sample size target {ess_target:.0f} unmet at the 2^32 cap")

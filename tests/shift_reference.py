@@ -20,6 +20,7 @@ import numpy as np
 
 from pqdkit import estimator as est
 from pqdkit import linear_optics as lo
+from pqdkit.errors import SchemaError
 
 W_INV_E = 0.2784645427610738  # W(1/e) of the principal Lambert W branch: w * exp(w) = 1/e
 SQUEEZED_BRANCH_POINT = W_INV_E / (1.0 - W_INV_E)  # ~= 0.386
@@ -152,8 +153,14 @@ def log_effective_bound(setup, gamma):
     """log B_eff at a shift: the weight bound of the sampler a run of the
     setup's proposal builds, its log prefactor plus the log suprema of its
     weighted modes, from which ``estimate_probability`` sets N and the
-    radius."""
-    sampler = est.build_folded_sampler(setup, gamma)
+    radius; inf where the builder refuses the shift at ``/gamma`` (a
+    weighted factor unbounded, or an input exponent <= 0)."""
+    try:
+        sampler = est.build_folded_sampler(setup, gamma)
+    except SchemaError as err:
+        if err.pointer != "/gamma":
+            raise
+        return math.inf
     sups = est.mode_sups(setup, gamma)[list(sampler.active_modes)]
     return sampler.log_prefactor + float(np.sum(np.log(sups)))
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqdkit import cli
@@ -607,6 +607,10 @@ class TestCommands:
         assert capsys.readouterr().err.startswith(f"input error: {pointer}: ")
 
 
+# a two-mode thermal circuit whose photon factors are certified log-concave
+THERMAL = {"modes": [{"n": 1.5}, {"n": 1.2}], "unitary": {"haar_seed": 2}, "pattern": [1, 1]}
+
+
 def _circuit_json(**changes):
     obj = {"modes": [{"r": 0.4}, {"r": 0.3}], "unitary": {"haar_seed": 5}, "pattern": [1, 1]}
     obj.update(changes)
@@ -955,6 +959,44 @@ class TestInputHardening:
         assert captured.out == ""
         assert captured.err.startswith("input error: /lambdas: ")
 
+    @pytest.mark.parametrize(
+        "argv, pointer",
+        [
+            ("bounds --family hafnian-sq --lambdas 0,0", "/lambdas"),
+            ("check-fpras --family hafnian --n 1e308 --r-max 1", "/n"),
+            ("bounds --family hafnian-block-a --n 1e308 --r-list 0.1", "/n"),
+            ("bounds --family tor-squeezed-thermal --n 1 --r-list 400", "/r-list"),
+            ("check-fpras --family gbs-noise --eta 0.5 --r-max 1 --n-th 1e308", "/n-th"),
+        ],
+    )
+    def test_refused_circuit_points_at_a_flag(self, argv, pointer, capsys):
+        # these commands build their circuit from flags: a refused spectrum
+        # or circuit is reported at a flag they take, not at the matrix or
+        # circuit field (/re, /modes) they never read
+        assert cli.main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {pointer}: ") and captured.err.count("\n") == 1
+
+    def test_multiplicative_epsilon_beyond_the_cap_points_at_epsilon(self, tmp_path, capsys, monkeypatch):
+        # 50 / eps^2 = 5e9 samples exceed MAX_SAMPLES: refused before any
+        # draw, as an additive Hoeffding count above it is
+        monkeypatch.setattr(est, "chunk_sums", lambda *args: pytest.fail("a chunk was drawn"))
+        circ = write_json(tmp_path / "thermal.json", THERMAL)
+        assert cli.main(["estimate-prob", "--circuit", circ, "--multiplicative", "--epsilon", "1e-4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: /epsilon: ")
+
+    def test_multiplicative_takes_a_delta_below_the_ulp_of_one(self, tmp_path, capsys):
+        # 1 - delta/2 rounds to 1 at delta = 1e-17; the z-score comes from
+        # the lower tail, z = -inv_cdf(delta/2) = 8.57
+        circ = write_json(tmp_path / "thermal.json", THERMAL)
+        argv = ["estimate-prob", "--circuit", circ, "--multiplicative", "--epsilon", "0.2", "--delta", "1e-17"]
+        assert cli.main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert 0.0 < result["rel_radius"] <= 0.2 and result["ess"] >= 50.0 / 0.2**2
+
 
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
@@ -1067,6 +1109,34 @@ def _run_documented(argv, doc, tmp_path_factory, flag):
 @given(doc=circuit_documents())
 def test_schema_fuzz_exit_codes(doc, tmp_path_factory):
     _run_documented(["estimate-prob", "--samples", "64"], doc, tmp_path_factory, "--circuit")
+
+
+# --epsilon and --delta values: ordinary ones, ones whose sample count is
+# too large or whose square or half underflows, the ends of (0, 1) and
+# beyond, and non-finite ones; additive at 1e-4 would draw 7e8 samples
+_PROBABILITIES = ["0.3", "0.05", "1e-9", "1e-17", "1e-300", "5e-324", "0", "-0.1", "1", "1.5", "nan", "inf"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    multiplicative=st.booleans(),
+    epsilon=st.sampled_from(_PROBABILITIES + ["1e-4"]),
+    delta=st.sampled_from(_PROBABILITIES),
+)
+@example(multiplicative=True, epsilon="0.3", delta="1e-17")
+@example(multiplicative=True, epsilon="1e-4", delta="0.05")
+@example(multiplicative=True, epsilon="1e-300", delta="0.05")
+def test_epsilon_delta_fuzz_exit_codes(multiplicative, epsilon, delta, tmp_path_factory):
+    # both error kinds on a valid, certified circuit: a run succeeds or
+    # exits 1 at one of the two flags, never 2 or without a pointer
+    assume(multiplicative or epsilon != "1e-4")
+    path = tmp_path_factory.mktemp("fuzz") / "thermal.json"
+    path.write_text(json.dumps(THERMAL))
+    argv = ["estimate-prob", "--circuit", str(path), "--epsilon", epsilon, "--delta", delta]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv + ["--multiplicative"] * multiplicative)
+    flags = ("input error: /epsilon: ", "input error: /delta: ")
+    assert (code, err.getvalue()) == (0, "") or code == 1 and err.getvalue().startswith(flags), err.getvalue()
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

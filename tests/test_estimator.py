@@ -430,10 +430,6 @@ class TestShiftSearch:
             def log_b(rate):
                 try:
                     return ref.log_effective_bound(setup, setup.shift(rate))
-                except SchemaError as err:
-                    if err.pointer != "/gamma":
-                        raise
-                    return math.inf
                 except ConditionFailure:
                     return math.inf
 
@@ -521,6 +517,27 @@ class TestWeightBound:
         for method in ("folded", "naive"):
             with pytest.raises(ConditionFailure):
                 est.estimate_probability(circuit, cfg, method=method)
+
+    @pytest.mark.parametrize("method", ["folded", "naive"])
+    def test_builder_refuses_an_unbounded_factor(self, method):
+        # a reverse shift leaves the click factor unbounded: no sampler with
+        # an infinite bound is built, so none is drawn from unchecked
+        circuit = squeezed_circuit([0.4, 0.3], 17, pattern=(photon(1), CLICK))
+        setup = est.Setup(circuit, method=method)
+        with pytest.raises(SchemaError, match="^/gamma: the shift -0.3 leaves mode 1's weighted factor unbounded$"):
+            est.build_folded_sampler(setup, -0.3)
+
+    def test_failed_factorization_refuses_before_the_unbounded_factor(self, monkeypatch):
+        # the builder checks the bound after its Cholesky factor: a shift
+        # that both refuse fails at the factorization
+        setup = est.Setup(squeezed_circuit([0.4, 0.3], 17, pattern=(NOCLICK, CLICK)))
+
+        def fails(matrix):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails)
+        with pytest.raises(ConditionFailure, match="positive definiteness"):
+            est.build_folded_sampler(setup, -0.3)
 
     def test_planted_wrong_supremum_exits_2(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -931,7 +948,7 @@ class TestDrawPieces:
     @pytest.mark.parametrize("piece", [1, 7, 4096])
     def test_draw_does_not_depend_on_piece_size(self, piece):
         # one stream's draw split into pieces of ``piece`` samples gives the
-        # weights of one draw that fills a whole chunk and then 9 samples
+        # weights of one draw, one fill of all n samples
         sampler = wide_naive_sampler()
         n = est.CHUNK + 9
         reference = sampler.draw(est._chunk_rng(3, 2), n)
@@ -955,13 +972,14 @@ class TestDrawPieces:
         sampler.draw(rng, 64)
         tracemalloc.start()
         try:
-            sampler.draw(rng, 2**15)
+            sampler.draw(rng, est.CHUNK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the weights alone are 256 kB and one chunk's (CHUNK, F) normals
-        # 1 MB; (n, F) normals would be 8 MB
-        assert peak < 4 * 2**20
+        # a chunk's draw, the largest ``running_sums`` asks for, holds its
+        # (CHUNK, F) normals (1 MB) and the weighted modes' |beta|^2 (0.5 MB);
+        # a second copy of the normals would take it past 2.5 MB
+        assert peak < 2 * 2**20
 
 
 FUSED_OUTCOMES = [photon(m) for m in range(5)] + [CLICK, NOCLICK, MARGINAL]
@@ -983,15 +1001,17 @@ class TestFusedWeight:
         setup = est.Setup(circuit, s, "naive")
         rate = setup.rate(gamma)
         n_j = math.exp(log_norm(circuit, 0, s, rate))
+        sup = n_j * pi_w_profile(outcome, s).sup(rate)
+        if sup == math.inf:  # a reverse shift leaves click and marginal factors unbounded
+            with pytest.raises(SchemaError, match="^/gamma: .*mode 0's weighted factor unbounded"):
+                est.build_folded_sampler(setup, gamma)
+            return
         sampler = est.build_folded_sampler(setup, gamma)
         # sample-major normals: a sample's two normals are consecutive
         b = sampler.beta_sq(np.random.default_rng(7).standard_normal((4000, 2)).T)[0]
         got = sampler.draw(np.random.default_rng(7), 4000)
         expected = shifted_profile(outcome, s, rate, n_j)(b)
-        sup = n_j * pi_w_profile(outcome, s).sup(rate)
-        # a reverse shift leaves click and marginal factors unbounded
-        tol = 1e-12 * sup if math.isfinite(sup) else 1e-12 * np.abs(expected)
-        assert np.all(np.abs(got - expected) <= tol)
+        assert np.all(np.abs(got - expected) <= 1e-12 * sup)
 
     def test_wide_marginal_circuit_draws_two_normals(self):
         m = 16

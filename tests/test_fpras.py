@@ -292,7 +292,7 @@ class TestMultiplicative:
     def test_rejects_epsilon_and_delta_outside_unit_interval(self, epsilon, delta):
         # the config's check and message, per field: past it epsilon = 0
         # divides by zero, delta = 0 fails in NormalDist, delta > 1 gives a
-        # negative radius and a negative epsilon draws up to SAMPLE_CAP
+        # negative radius and a negative epsilon draws up to MAX_SAMPLES
         name, value = ("delta", delta) if 0.0 < epsilon < 1.0 else ("epsilon", epsilon)
         with pytest.raises(SchemaError, match=rf"^/{name}: must lie in \(0, 1\), got {value}$"):
             fpras.estimate_multiplicative(CERTIFIED["thermal"], epsilon, delta)
@@ -559,9 +559,10 @@ class TestMultiplicativeReduction:
             raise AssertionError("a chunk was drawn")
 
         monkeypatch.setattr(est, "chunk_sums", no_chunks)
-        # 50 / eps^2 = 2e8 samples, twice SAMPLE_CAP
-        with pytest.raises(ConditionFailure, match="target 200000000 unmet at the 100000000 cap"):
-            fpras.estimate_multiplicative(CERTIFIED["permanent"], 5e-4, 0.05)
+        # 50 / eps^2 = 5e9 samples, above MAX_SAMPLES = 2^32: an input error,
+        # as an additive estimate's Hoeffding count above it is
+        with pytest.raises(SchemaError, match=r"^/epsilon: the effective sample size target 50/epsilon\^2 exceeds 2\^32 at 0.0001$"):
+            fpras.estimate_multiplicative(CERTIFIED["permanent"], 1e-4, 0.05)
 
     def test_passes_run_in_chunk_order_to_the_cap(self, monkeypatch):
         # weights that never meet the stopping rule drive the passes to 2^20
@@ -575,8 +576,8 @@ class TestMultiplicativeReduction:
             return np.zeros((2, len(sizes)))
 
         monkeypatch.setattr(est, "chunk_sums", never_converging)
-        monkeypatch.setattr(fpras, "SAMPLE_CAP", 1 << 24)
-        with pytest.raises(ConditionFailure):
+        monkeypatch.setattr(est, "MAX_SAMPLES", 1 << 24)
+        with pytest.raises(ConditionFailure, match=r"unmet at the 2\^32 cap$"):
             fpras.estimate_multiplicative(CERTIFIED["thermal"], 0.1, 0.05, est.EstimatorConfig(seed=3))
         assert sum(batches) == (1 << 24) // est.CHUNK and max(batches) == (1 << 20) // est.CHUNK
         # the first pass runs to the first boundary that can reach the ESS target

@@ -41,12 +41,13 @@ def write_inputs(directory) -> dict:
 def run(argv, paths) -> tuple:
     """The exit code and report of ``cli.main(argv)``, with input names
     replaced by their paths; a convergence trace becomes its header and
-    rows of numbers, and an invocation that writes nothing has no report."""
-    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+    rows of numbers, and an invocation that writes no report (a refused
+    input) has its error line as its report."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
         code = cli.main([paths.get(arg, arg) for arg in argv])
     text = out.getvalue()
     if not text:
-        return code, None
+        return code, err.getvalue()
     if argv[0] == "convergence":
         header, *rows = text.splitlines()
         return code, [header.split(","), *(json.loads(f"[{row}]") for row in rows)]
