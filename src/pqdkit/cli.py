@@ -290,7 +290,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 # check-fpras family -> the flags of its parameters, in the order its
-# condition and circuit (``fpras.CONDITION_CIRCUITS``) take them
+# circuit (``fpras.CONDITION_CIRCUITS``) takes them
 _CONDITION_FLAGS = {
     "permanent": ("lambdas",),
     "hafnian": ("n", "r_max"),
@@ -338,13 +338,13 @@ def _cmd_check_fpras(args) -> int:
         _require_flags(args, flags)
         values = [getattr(args, name) for name in flags]
     try:
-        holds, cert = fpras.check_condition(args.family, *values)
+        cert = fpras.check_condition(args.family, *values)
     except SchemaError as err:
         raise _at_flag(err, args, flags) from err
     if args.family == "gbs-noise":
         report["noise_threshold"] = fpras.gbs_noise_threshold(args.eta, args.r_max)
     report["family"] = args.family
-    report["holds"] = bool(holds)
+    report["holds"] = cert.holds
     report["certificate"] = {
         "holds": cert.holds,
         "family": cert.family,
@@ -352,7 +352,7 @@ def _cmd_check_fpras(args) -> int:
         "witness_line": list(cert.witness_line) if cert.witness_line else None,
     }
     _emit(report, args.output)
-    return 0 if holds else 2
+    return 0 if cert.holds else 2
 
 
 def _cmd_bounds(args) -> int:

@@ -1,4 +1,4 @@
-"""Log-concavity certificates, the paper's closed-form conditions, and a
+"""Log-concavity certificates, the paper's condition families, and a
 desk-scale multiplicative-error estimator.
 
 The certificates implement two sufficient conditions: a quadratic-prefactor
@@ -11,9 +11,9 @@ certificates in the conservative band report no witness.  A factor that is
 not positive at the origin fails with that margin (a, or a - b).
 
 Every (a, b, c) comes from ``RadialFactor.certificate_form`` of a circuit's
-shifted factors (``circuit_certificates``).  A closed-form condition is
-checked on the circuit of extreme modes it is stated for
-(``CONDITION_CIRCUITS``, ``check_condition``), so a condition and the
+shifted factors (``circuit_certificates``).  A condition family is decided
+by the certificate of the circuit of extreme modes its closed form is stated
+for (``CONDITION_CIRCUITS``, ``check_condition``), so a condition and the
 certificates ``estimate_multiplicative`` requires cannot disagree.
 
 The multiplicative estimator importance-samples the circuit's integrand
@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional
-
-import numpy as np
 
 from . import estimator as est
 from ._blas import one_blas_thread
@@ -122,62 +120,20 @@ def circuit_certificates(circuit: CircuitSpec) -> list[LogConcavityCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# condition families, each checked on the extreme-mode circuit it is stated for
+# condition families, each decided by the certificate of its extreme-mode circuit
 # ---------------------------------------------------------------------------
-
-
-def fpras_condition_permanent(lambdas) -> bool:
-    """True iff lambda_max / lambda_min <= 2 (strictly positive spectrum)."""
-    lam = np.asarray(lambdas, dtype=float)
-    if np.min(lam) <= 0.0:
-        raise SchemaError("/lambdas", "a zero eigenvalue puts the permanent outside this scheme")
-    return float(np.max(lam)) / float(np.min(lam)) <= 2.0
-
-
-def fpras_condition_hafnian(n: float, r_max: float) -> bool:
-    """Shared-occupation threshold for the squeezed-thermal hafnian family."""
-    threshold = 0.25 * (
-        6.0 * math.sinh(2.0 * r_max)
-        + math.sqrt(18.0 * math.cosh(4.0 * r_max) - 14.0)
-        - 2.0
-    )
-    return n >= threshold
-
-
-def _check_thermal_pair(lambda_min: float, lambda_max: float) -> None:
-    if not (0.0 <= lambda_min <= lambda_max < 1.0):
-        pointer = "/lambda-max" if lambda_min >= 0.0 else "/lambda-min"
-        raise SchemaError(pointer, "need 0 <= lambda_min <= lambda_max < 1")
-
-
-def fpras_condition_tor_thermal(lambda_min: float, lambda_max: float) -> bool:
-    _check_thermal_pair(lambda_min, lambda_max)
-    if lambda_min < 0.5:
-        return False
-    return lambda_max <= (-lambda_min**2 + 3.0 * lambda_min - 1.0) / lambda_min
-
-
-def fpras_condition_tor_st(n: float, r_max: float) -> bool:
-    threshold = 0.5 * (
-        math.exp(2.0 * r_max) * math.sqrt(math.exp(8.0 * r_max) + 3.0)
-        + math.exp(6.0 * r_max)
-        - 1.0
-    )
-    return n >= threshold
 
 
 def gbs_noise_threshold(eta: float, r_max: float) -> float:
     """Smallest environment occupation enabling multiplicative estimation."""
     if not (0.0 <= eta < 1.0):
         raise SchemaError("/eta", "eta must lie in [0, 1) for a finite noise threshold")
+    if eta == 0.0:  # only the environment reaches the detector; r_max is unused
+        return 1.0
     return (
         math.exp(-r_max) * eta * math.sinh(r_max)
         + math.sqrt(1.0 + eta * math.sinh(2.0 * r_max))
     ) / (1.0 - eta)
-
-
-def fpras_condition_gbs_noise(eta: float, r_max: float, n_th: float) -> bool:
-    return n_th >= gbs_noise_threshold(eta, r_max)
 
 
 def _circuit(modes, outcome, eta: float = 1.0, n_th: float = 0.0) -> CircuitSpec:
@@ -191,8 +147,17 @@ def _thermal_pair(lambda_min: float, lambda_max: float, outcome) -> CircuitSpec:
     """Thermal modes of eigenvalues lambda_min and lambda_max, occupation
     lambda / (1 - lambda); a permanent's spectrum must first be rescaled
     into (0, 1) as ``embed_permanent`` does."""
-    _check_thermal_pair(lambda_min, lambda_max)
+    if not (0.0 <= lambda_min <= lambda_max < 1.0):
+        pointer = "/lambda-max" if lambda_min >= 0.0 else "/lambda-min"
+        raise SchemaError(pointer, "need 0 <= lambda_min <= lambda_max < 1")
     return _circuit([(0.0, x / (1.0 - x)) for x in (lambda_min, lambda_max)], outcome)
+
+
+def _permanent_pair(lambdas) -> CircuitSpec:
+    """The thermal pair of a permanent spectrum's extremes, one photon each."""
+    if min(lambdas) <= 0.0:
+        raise SchemaError("/lambdas", "a zero eigenvalue puts the permanent outside this scheme")
+    return _thermal_pair(min(lambdas), max(lambdas), photon(1))
 
 
 def _noisy_mode(eta: float, r_max: float, n_th: float) -> CircuitSpec:
@@ -203,29 +168,21 @@ def _noisy_mode(eta: float, r_max: float, n_th: float) -> CircuitSpec:
     return _circuit([(r_max, 0.0)], CLICK, eta, n_th)
 
 
-# condition family -> (closed-form condition, the circuit of extreme modes it
-# is stated for); a family's certificate coefficients are that circuit's
+# condition family -> the circuit of extreme modes its condition is stated for
 CONDITION_CIRCUITS = {
-    "permanent": (
-        fpras_condition_permanent,
-        lambda lambdas: _thermal_pair(min(lambdas), max(lambdas), photon(1)),
-    ),
-    "hafnian": (fpras_condition_hafnian, lambda n, r_max: _circuit([(r_max, n)], photon(1))),
-    "tor-thermal": (
-        fpras_condition_tor_thermal,
-        lambda lambda_min, lambda_max: _thermal_pair(lambda_min, lambda_max, CLICK),
-    ),
-    "tor-squeezed-thermal": (fpras_condition_tor_st, lambda n, r_max: _circuit([(r_max, n)], CLICK)),
-    "gbs-noise": (fpras_condition_gbs_noise, _noisy_mode),
+    "permanent": _permanent_pair,
+    "hafnian": lambda n, r_max: _circuit([(r_max, n)], photon(1)),
+    "tor-thermal": lambda lambda_min, lambda_max: _thermal_pair(lambda_min, lambda_max, CLICK),
+    "tor-squeezed-thermal": lambda n, r_max: _circuit([(r_max, n)], CLICK),
+    "gbs-noise": _noisy_mode,
 }
 
 
-def check_condition(family: str, *params) -> tuple[bool, LogConcavityCertificate]:
-    """A condition family's closed form at ``params`` and the certificate of
-    its extreme-mode circuit, the one ``estimate_multiplicative`` requires
+def check_condition(family: str, *params) -> LogConcavityCertificate:
+    """A condition family's decision at ``params``: the certificate of its
+    extreme-mode circuit, the one ``estimate_multiplicative`` requires
     (every measured mode of that circuit has the same one)."""
-    condition, circuit = CONDITION_CIRCUITS[family]
-    return condition(*params), circuit_certificates(circuit(*params))[0]
+    return circuit_certificates(CONDITION_CIRCUITS[family](*params))[0]
 
 
 # ---------------------------------------------------------------------------

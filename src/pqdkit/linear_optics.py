@@ -348,10 +348,15 @@ def embed_permanent(b_mat: np.ndarray, a: float = 1.001) -> Embedding:
 def squeezed_thermal_k(n: float, r_list) -> tuple[np.ndarray, np.ndarray]:
     """k+-_i = 1/2 + n(n+1) +- (n+1/2) cosh 2r_i of squeezed thermal modes of
     shared occupation n: sqrt k+_i is mode i's normalization (their product
-    is sqrt|V_Q|), and the sandwich bounds need k-_i > 0."""
+    is sqrt|V_Q|), and the sandwich bounds need k-_i > 0.  Raises
+    ``SchemaError`` at ``/n`` when k+- overflow."""
     base = 0.5 + n * (n + 1.0)
-    spread = (n + 0.5) * np.cosh(2.0 * np.asarray(r_list, dtype=float))
-    return base + spread, base - spread
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        spread = (n + 0.5) * np.cosh(2.0 * np.asarray(r_list, dtype=float))
+    k_plus = base + spread
+    if not np.all(np.isfinite(k_plus)):  # k- is finite when k+ is
+        raise SchemaError("/n", "k+- = 1/2 + n(n+1) +- (n+1/2) cosh 2r overflows")
+    return k_plus, base - spread
 
 
 def _st_diagonals(n: float, r_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -453,7 +458,10 @@ def recover_block_a_params(mat: MatrixClass) -> tuple[float, np.ndarray, Interfe
         # d / d' = u sinh(2r) / (2n(n+1)) = 2 u sinh(2r) / (X - 1): unlike
         # cosh 2r, sinh 2r is well conditioned at r = 0
         r_list = 0.5 * np.arcsinh(d * x_minus_1 / (2.0 * u_var * dp))
-    dev = np.max(np.abs(block_a_prime(n, r_list, interf).data - mat.data))
+    try:
+        dev = np.max(np.abs(block_a_prime(n, r_list, interf).data - mat.data))
+    except SchemaError as err:  # (n, r) were read off the matrix
+        raise SchemaError("/re", err.message) from err
     if dev > 1e-8 * max(1.0, np.max(np.abs(mat.data))):
         raise SchemaError("/re", f"(n, r, U) do not rebuild the A' matrix: residual {dev:.3e}")
     return n, r_list, interf

@@ -967,16 +967,60 @@ class TestInputHardening:
             ("bounds --family hafnian-block-a --n 1e308 --r-list 0.1", "/n"),
             ("bounds --family tor-squeezed-thermal --n 1 --r-list 400", "/r-list"),
             ("check-fpras --family gbs-noise --eta 0.5 --r-max 1 --n-th 1e308", "/n-th"),
+            ("check-fpras --family hafnian --n 1 --r-max 400", "/r-max"),
+            ("check-fpras --family gbs-noise --eta 0.5 --r-max 400 --n-th 1", "/r-max"),
+            # k+- = 1/2 + n(n+1) +- (n+1/2) cosh 2r overflow
+            ("bounds --family tor-squeezed-thermal --n 1e300 --r-list 0.1", "/n"),
+            ("bounds --family hafnian-block-a --n 1e300 --r-list 0.1", "/n"),
         ],
     )
     def test_refused_circuit_points_at_a_flag(self, argv, pointer, capsys):
         # these commands build their circuit from flags: a refused spectrum
         # or circuit is reported at a flag they take, not at the matrix or
-        # circuit field (/re, /modes) they never read
-        assert cli.main(argv.split()) == 1
+        # circuit field (/re, /modes) they never read, and warns of nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv.split()) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == "" and not caught
         assert captured.err.startswith(f"input error: {pointer}: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "check-fpras --family tor-squeezed-thermal --n 1 --r-max 100",
+            "check-fpras --family hafnian --n 1 --r-max 200",
+        ],
+    )
+    def test_far_past_the_threshold_reports_a_failed_condition(self, argv, capsys):
+        # the paper's closed forms overflow here (exp(8r), cosh(4r)); the
+        # certificate of the family's circuit decides without them
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["holds"] is False and report["certificate"]["holds"] is False
+        assert captured.err == "" and not caught
+
+    def test_block_a_overflowing_k_points_at_re(self, tmp_path, capsys):
+        # n ~ 5e7 read off the first mode and a second mode with d' = 1e-300
+        # put (n + 1/2) cosh 2r past the largest float
+        d, dp = [0.5 - 2.0**-51, 0.3], [0.5, 1e-300]
+        re = [[dp[0], 0, d[0], 0], [0, dp[1], 0, d[1]], [d[0], 0, dp[0], 0], [0, d[1], 0, dp[1]]]
+        path = write_json(tmp_path / "ap.json", {"m": 2, "re": re, "tag": "A'"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["estimate-tor", "--matrix", path, "--samples", "64"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not caught
+        assert captured.err.startswith("input error: /re: ") and "overflows" in captured.err
+
+    def test_noise_threshold_without_squeezed_light_ignores_r_max(self, capsys):
+        # at eta = 0 the threshold is 1 whatever r_max; sinh(2 r_max) overflowed
+        assert cli.main("check-fpras --family gbs-noise --eta 0 --r-max 400 --n-th 1".split()) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["noise_threshold"] == 1.0 and report["holds"] is True
 
     def test_multiplicative_epsilon_beyond_the_cap_points_at_epsilon(self, tmp_path, capsys, monkeypatch):
         # 50 / eps^2 = 5e9 samples exceed MAX_SAMPLES: refused before any

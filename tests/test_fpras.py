@@ -15,6 +15,7 @@ from pqdkit import phase_space as ps
 from pqdkit.errors import ConditionFailure, SchemaError
 from pqdkit.phase_space import CLICK, MARGINAL, NOCLICK, photon
 
+import condition_reference as cond
 import shift_reference as ref
 
 
@@ -108,39 +109,48 @@ class TestThresholdCertificate:
         assert cert.margin == pytest.approx(-0.1, rel=1e-12)
 
 
+def decided(family, *params) -> bool:
+    """The family's reference closed form at ``params``, checked against the
+    certificate that decides the family."""
+    holds = cond.CONDITIONS[family](*params)
+    assert fpras.check_condition(family, *params).holds == holds
+    return holds
+
+
 class TestConditionFamilies:
     def test_permanent_ratio_boundary(self):
-        assert fpras.fpras_condition_permanent([0.4, 0.8])
-        assert not fpras.fpras_condition_permanent([0.3, 0.7])
-        assert fpras.fpras_condition_permanent([0.55, 0.55, 0.55])
+        assert decided("permanent", [0.4, 0.8])
+        assert not decided("permanent", [0.3, 0.7])
+        assert decided("permanent", [0.55, 0.55, 0.55])
 
     def test_permanent_zero_eigenvalue(self):
         with pytest.raises(SchemaError, match="^/lambdas: "):
-            fpras.fpras_condition_permanent([0.0, 0.5])
+            fpras.check_condition("permanent", [0.0, 0.5])
 
     def test_permanent_boundary_margin_zero(self):
-        holds, cert = fpras.check_condition("permanent", [0.4, 0.8])
-        assert holds and cert.holds
+        cert = fpras.check_condition("permanent", [0.4, 0.8])
+        assert cond.permanent([0.4, 0.8]) and cert.holds
         assert cert.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_hafnian_zero_squeezing_threshold(self):
-        # threshold at r = 0 is (sqrt(4) - 2)/4 = 0
-        assert fpras.fpras_condition_hafnian(0.0, 0.0)
-        assert fpras.fpras_condition_hafnian(0.1, 0.0)
-        assert not fpras.fpras_condition_hafnian(0.0, 0.5)
+        # threshold at r = 0 is (sqrt(4) - 2)/4 = 0; the vacuum (n = 0) has
+        # no certificate (unit classicality)
+        assert cond.hafnian(0.0, 0.0)
+        assert decided("hafnian", 0.1, 0.0)
+        assert not decided("hafnian", 0.0, 0.5)
 
     def test_tor_thermal_boundary(self):
-        assert fpras.fpras_condition_tor_thermal(0.5, 0.5)
-        assert not fpras.fpras_condition_tor_thermal(0.4, 0.45)
+        assert decided("tor-thermal", 0.5, 0.5)
+        assert not decided("tor-thermal", 0.4, 0.45)
         want = (-0.6**2 + 3 * 0.6 - 1.0) / 0.6
-        assert fpras.fpras_condition_tor_thermal(0.6, want - 1e-12)
-        assert not fpras.fpras_condition_tor_thermal(0.6, want + 1e-9)
+        assert decided("tor-thermal", 0.6, want - 1e-12)
+        assert not decided("tor-thermal", 0.6, want + 1e-9)
 
     def test_tor_st_zero_squeezing(self):
         # threshold at r = 0 is (2 + 1 - 1)/2 = 1
-        assert fpras.fpras_condition_tor_st(1.0, 0.0)
-        assert not fpras.fpras_condition_tor_st(0.99, 0.0)
-        assert not fpras.fpras_condition_tor_st(1.0, 0.3)
+        assert decided("tor-squeezed-thermal", 1.0, 0.0)
+        assert not decided("tor-squeezed-thermal", 0.99, 0.0)
+        assert not decided("tor-squeezed-thermal", 1.0, 0.3)
 
     def test_gbs_noise_reference_points(self):
         assert fpras.gbs_noise_threshold(0.5, 1.0) == pytest.approx(3.79, abs=5e-3)
@@ -155,30 +165,25 @@ class TestConditionFamilies:
         rng = np.random.default_rng(1)
         for _ in range(1000):
             lam = np.sort(rng.uniform(0.02, 0.98, 2))
-            closed = lam[1] / lam[0] <= 2.0
-            assert closed == fpras.check_condition("permanent", lam)[1].holds
+            assert (lam[1] / lam[0] <= 2.0) == decided("permanent", lam)
 
             n = float(rng.uniform(0.0, 6.0))
             r_max = float(rng.uniform(0.01, 1.0))
-            holds, cert = fpras.check_condition("hafnian", n, r_max)
-            assert holds == cert.holds
+            decided("hafnian", n, r_max)
 
-            holds, cert = fpras.check_condition("tor-thermal", float(lam[0]), float(lam[1]))
-            assert holds == cert.holds
+            decided("tor-thermal", float(lam[0]), float(lam[1]))
 
             n2 = float(rng.uniform(0.0, 30.0))
             r2 = float(rng.uniform(0.01, 0.5))
-            holds, cert = fpras.check_condition("tor-squeezed-thermal", n2, r2)
-            assert holds == cert.holds
+            decided("tor-squeezed-thermal", n2, r2)
 
             eta = float(rng.uniform(0.0, 0.95))
             nth = float(rng.uniform(0.0, 30.0))
-            holds, cert = fpras.check_condition("gbs-noise", eta, r_max, nth)
-            assert holds == cert.holds
+            decided("gbs-noise", eta, r_max, nth)
 
     def test_passing_hafnian_condition_implies_certificates(self):
         n, r_max = 1.2, 0.2
-        assert fpras.fpras_condition_hafnian(n, r_max)
+        assert cond.hafnian(n, r_max)
         circuit = lo.CircuitSpec(
             ((r_max, n), (0.1, n)), lo.haar_unitary(2, 3), (photon(1),) * 2
         )
@@ -187,7 +192,7 @@ class TestConditionFamilies:
 
     def test_passing_tor_st_condition_implies_certificates(self):
         n, r_max = 20.0, 0.2
-        assert fpras.fpras_condition_tor_st(n, r_max)
+        assert cond.tor_squeezed_thermal(n, r_max)
         circuit = lo.CircuitSpec(
             ((r_max, n), (0.15, n)), lo.haar_unitary(2, 4), (CLICK,) * 2
         )
@@ -218,7 +223,7 @@ class TestMultiplicative:
 
     def test_block_a_hafnian(self):
         n, r_list = 1.2, [0.1, 0.18, 0.15, 0.12]
-        assert fpras.fpras_condition_hafnian(n, max(r_list))
+        assert cond.hafnian(n, max(r_list))
         u = lo.haar_unitary(4, 9)
         mat, sq_vq = ref.block_a(n, r_list, u)
         exact = oracles.hafnian_exact(mat).real
@@ -334,7 +339,7 @@ class TestMultiplicative:
 
     def test_thermal_torontonian_in_band(self):
         lam = np.array([0.55, 0.6, 0.58])
-        assert fpras.fpras_condition_tor_thermal(float(lam.min()), float(lam.max()))
+        assert cond.tor_thermal(float(lam.min()), float(lam.max()))
         q = lo.haar_unitary(3, 15).u
         b_mat = (q * lam) @ q.conj().T
         b_mat = (b_mat + b_mat.conj().T) / 2.0
@@ -637,7 +642,7 @@ class TestConditionBoundary:
     def test_ratio_two_certifies(self):
         # the embedding's rescaling rounds the margin to -1.8e-15
         lam, circuit = boundary_permanent(2.0)
-        assert fpras.fpras_condition_permanent(lam)
+        assert cond.permanent(lam)
         certs = fpras.circuit_certificates(circuit)
         assert all(cert.holds for cert in certs)
         assert min(cert.margin for cert in certs) < 0.0
@@ -655,7 +660,7 @@ class TestConditionBoundary:
 
     def test_ratio_above_two_rejected(self):
         lam, circuit = boundary_permanent(2.01)
-        assert not fpras.fpras_condition_permanent(lam)
+        assert not cond.permanent(lam)
         with pytest.raises(ConditionFailure, match="certificate failed"):
             fpras.estimate_multiplicative(circuit, 0.1, 0.05)
 
@@ -826,12 +831,12 @@ class TestConditionCircuits:
         params = data.draw(C7_PARAMS[family])
         coefficients, kind, condition = HAND_FORMS[family]
         want = coefficients(*params)
-        got_kind, got = circuit_form(fpras.CONDITION_CIRCUITS[family][1](*params))
+        got_kind, got = circuit_form(fpras.CONDITION_CIRCUITS[family](*params))
         assert got_kind == kind
         for x, y in zip(got, want):
             assert x == y or abs(x - y) <= 1e-12 * abs(y)
-        holds, cert = fpras.check_condition(family, *params)
-        assert cert.holds == condition(*want) == holds
+        cert = fpras.check_condition(family, *params)
+        assert cert.holds == condition(*want) == cond.CONDITIONS[family](*params)
 
     @pytest.mark.parametrize(
         "family, params, exact",
@@ -843,9 +848,9 @@ class TestConditionCircuits:
     )
     def test_degenerate_spectra_certify_and_estimate(self, family, params, exact):
         # equal input variances put the full forward shift at c = inf
-        holds, cert = fpras.check_condition(family, *params)
-        assert holds and cert.holds and cert.margin > 0.0
-        circuit = fpras.CONDITION_CIRCUITS[family][1](*params)
+        cert = fpras.check_condition(family, *params)
+        assert cond.CONDITIONS[family](*params) and cert.holds and cert.margin > 0.0
+        circuit = fpras.CONDITION_CIRCUITS[family](*params)
         assert oracles.exact_threshold_probability(circuit, circuit.pattern) == pytest.approx(exact)
         res = fpras.estimate_multiplicative(circuit, 0.1, 0.05, est.EstimatorConfig(seed=1))
         assert abs(res.value / exact - 1.0) <= 0.1
