@@ -6,9 +6,11 @@ normalized) Gaussian input factors and averages the product of measurement
 factors.  The proposal (``Setup.precision``) decides which factors'
 exponents move into the input density: the folded one folds the Gaussian
 measurement factors (vacuum projections, no-click, marginalized modes)
-analytically into one correlated Gaussian, the naive one folds none.  A
-sample costs at most 2A standard normals for A weighted modes and one exp
-for them all (a click factor keeps one of its own).
+analytically into one correlated Gaussian, the naive one folds none.  It
+weighs the other modes (``Setup.weighted``) but those whose factor is
+identically 1 (marginal ones at rate 0): a sample costs at most 2A
+standard normals for A modes weighed and one exp for them all (a click
+factor keeps one of its own), and with none weighed an estimate is exact.
 
 One sampling contract serves this additive estimator and the
 multiplicative one (``fpras``): ``build_folded_sampler`` refuses a shift
@@ -170,11 +172,12 @@ class Setup:
     (``shift``); each quadrature's unshifted exponent 2/(a - s) (NaN where
     frozen), which a rate shifts (``shifted_inputs``); one ``RadialFactor``
     per distinct outcome; W on the free coordinates; the modes the proposal
-    folds, the Gaussian ones ("folded") or none ("naive"); and its
-    precision as an affine function of the rate.  The default ordering is
-    s_max - S_MAX_MARGIN.  Building it checks the method (another raises
-    ``ValueError``) and s: not finite, above an input variance or outside a
-    factor's range, it raises ``SchemaError`` at ``/s``.
+    folds, the Gaussian ones ("folded") or none ("naive"), and every other
+    one (``weighted``); and its precision as an affine function of the
+    rate.  The default ordering is s_max - S_MAX_MARGIN.  Building it checks
+    the method (another raises ``ValueError``) and s: not finite, above an
+    input variance or outside a factor's range, it raises ``SchemaError``
+    at ``/s``.
     """
 
     def __init__(self, circuit: CircuitSpec, s: Optional[float] = None, method: str = "folded"):
@@ -195,6 +198,7 @@ class Setup:
         self.radial = tuple(pi_w_profile(out, s) for out in distinct)
         gaussian = np.array([out.is_gaussian for out in distinct])[self.index]
         self.folded = np.flatnonzero(gaussian) if method == "folded" else np.arange(0)
+        self.weighted = np.flatnonzero(~gaussian) if method == "folded" else np.arange(self.m)
         # a Gaussian factor's decay, which it folds with, and log pi W(0)
         self.decay = np.array([f.decay for f in self.radial])[self.index]
         self.log_w0 = np.array(
@@ -285,16 +289,13 @@ class Setup:
                         + sum over weighted modes of log sup_j(rate),
 
         the input normalizations cancelling between the sampler's prefactor
-        and the weighted modes, which are those the proposal does not fold
-        (every mode, naive).  Everything else is computed here once, so that
-        a probe takes one log-sum (Lambda diagonal, 2 (c0 - rate)) or one
-        Cholesky, and one supremum per distinct weighted outcome."""
+        and the ``weighted`` modes.  Everything else is computed here once,
+        so that a probe takes one log-sum (Lambda diagonal, 2 (c0 - rate))
+        or one Cholesky, and one supremum per distinct weighted outcome."""
         base, slope = self.precision
         folded, c0 = self.folded, self.c0[self.free_idx]
         cap = float(c0.min()) if c0.size else math.inf  # at or above it an exponent is <= 0
-        gone = np.zeros(self.m, dtype=bool)
-        gone[folded] = True
-        counts = np.bincount(self.index[~gone], minlength=len(self.radial)).tolist()
+        counts = np.bincount(self.index[self.weighted], minlength=len(self.radial)).tolist()
         weighted = [(f.sup, n) for f, n in zip(self.radial, counts) if n]
         inf, log, nlog, add = math.inf, math.log, np.log, np.add.reduce
         if folded.size:
@@ -363,7 +364,7 @@ def resolve_gamma(setup: Setup) -> float:
     (``_numeric_gamma``).  With nothing weighed (every mode folded) the
     estimate is exact at any shift, so the choice is rate 0, without a
     search."""
-    if setup.folded.size == setup.m:
+    if not setup.weighted.size:
         return 0.0
     return _numeric_gamma(setup)
 
@@ -448,7 +449,8 @@ class FoldedSampler:
     the input normalizations and the constants, ``exponents`` the sums
     decay_j + rate.  ``build_folded_sampler`` builds one per proposal: the
     folded sampler absorbs the Gaussian measurement factors into the kernel
-    and prefactor, and the naive one folds nothing and weights every mode.
+    and prefactor, and the naive one folds nothing; neither weighs a factor
+    identically 1.
     """
 
     kernel: np.ndarray
@@ -498,8 +500,6 @@ class FoldedSampler:
         stream is split.  A sample costs F normals, one exp, and each
         polynomial (a click's with its own exp).
         """
-        if not self.active_modes:
-            return np.ones(n)
         panel = self.panel
         padded = panel * -(-n // panel)
         z = np.empty((padded, self.kernel.shape[1]))
@@ -522,25 +522,30 @@ class FoldedSampler:
 def build_folded_sampler(setup: Setup, gamma: float) -> FoldedSampler:
     """The sampler of the setup's proposal, which draws from the precision
     ``Setup.precision`` gives it at the rate of the signed shift ``gamma``.
-    A mode leaves the weight when it is folded (so Gaussian); a weighted
-    mode j keeps n_j * pi W_j(b) * exp(-rate * b), which its ``mode_sups``
-    entry, kept on the sampler, bounds; a shift that leaves one unbounded
-    raises ``SchemaError`` at ``/gamma``, after the factorizations below
-    (whose failure raises ``ConditionFailure``), so no sampler's ``bound``
-    is infinite.  The kernel is K = W_af L^{-T}: W
-    restricted to the weighted modes' rows and the free columns, L the
-    precision's Cholesky factor (one solve here, none per batch; a diagonal
-    precision's square root scales the columns).  When K has fewer rows
-    than columns it is replaced by R^T from K^T = QR: R^T z has the law of
-    K z (both covariances are K K^T = R^T R, also for rank-deficient K), so
-    a sample draws at most 2A normals for A weighted modes, not F."""
+    A weighted mode j (``Setup.weighted``) keeps n_j * pi W_j(b) *
+    exp(-rate * b), which its ``mode_sups`` entry, kept on the sampler,
+    bounds, and leaves the kernel where that is identically 1 (a marginal
+    mode at rate 0), which changes neither the bound nor the weight's law;
+    a shift that leaves one unbounded raises ``SchemaError`` at ``/gamma``,
+    after the factorizations below (whose failure raises
+    ``ConditionFailure``), so no sampler's ``bound`` is infinite.  The
+    kernel is K = W_af L^{-T}: W restricted to the kernel's modes' rows and
+    the free columns, L the precision's Cholesky factor (one solve here,
+    none per batch; a diagonal precision's square root scales the columns).
+    When K has fewer rows than columns it is replaced by R^T from K^T = QR:
+    R^T z has the law of K z (both covariances are K K^T = R^T R, also for
+    rank-deficient K), so a sample draws at most 2A normals for A modes in
+    the kernel, not F."""
     base, slope = setup.precision
     rate = setup.rate(gamma)
     exponents, log_norms = setup.shifted_inputs(rate)
-    gone = np.zeros(setup.m, dtype=bool)
-    gone[setup.folded] = True
-    log_prefactor = float(np.sum(log_norms[gone] + setup.log_w0[gone]))
-    modes = tuple(np.flatnonzero(~gone).tolist())
+    folded, weighted = setup.folded, setup.weighted.tolist()
+    log_prefactor = float(np.sum(log_norms[folded] + setup.log_w0[folded]))
+    profiles = {j: setup.radial[setup.index[j]] for j in weighted}
+    scales = {j: f.const * math.exp(log_norms[j]) for j, f in profiles.items()}
+    modes = tuple(
+        j for j, f in profiles.items() if f.poly is not None or f.decay + rate != 0.0 or scales[j] != 1.0
+    )
     kernel = setup.rows(modes)
     if base.ndim == 1:
         kernel = kernel / np.sqrt(base + rate * slope)
@@ -559,15 +564,14 @@ def build_folded_sampler(setup: Setup, gamma: float) -> FoldedSampler:
     if 0 < kernel.shape[0] < kernel.shape[1]:
         kernel = np.ascontiguousarray(np.linalg.qr(kernel.T, mode="r").T)
     sups = mode_sups(setup, gamma)
-    for j in modes:
+    for j in weighted:
         if sups[j] == math.inf:  # no sample count or radius holds for such a weight
             raise SchemaError("/gamma", f"the shift {gamma} leaves mode {j}'s weighted factor unbounded")
-    profiles = [setup.radial[setup.index[j]] for j in modes]
     return FoldedSampler(
         kernel=kernel,
-        exponents=np.array([f.decay + rate for f in profiles]),
-        polys=tuple(f.poly for f in profiles),
-        scale=math.prod(f.const * math.exp(log_norms[j]) for f, j in zip(profiles, modes)),
+        exponents=np.array([profiles[j].decay + rate for j in modes]),
+        polys=tuple(profiles[j].poly for j in modes),
+        scale=math.prod(scales[j] for j in modes),
         log_prefactor=log_prefactor,
         active_modes=modes,
         mode_sups=sups,
@@ -681,9 +685,11 @@ def estimate_probability(
     ``ValueError``), and the report's ``active_modes`` are the modes its
     sampler weighs.  The samples are drawn in one pass of ``running_sums``
     on ``config.threads`` workers, and the trace has one row per chunk.
-    With no mode weighed (an all-Gaussian pattern, folded) the estimate is
-    exact at any shift, so the automatic one is rate 0, without a search.
-    A shift that leaves a weighted factor unbounded raises the builder's
+    A sampler that weighs no mode (an all-Gaussian pattern folded, or an
+    all-marginal one at rate 0) makes the estimate exact: exp(log_prefactor)
+    with radius 0, no sample and an empty trace, before any sample count is
+    refused (and the automatic shift is then rate 0, without a search).  A
+    shift that leaves a weighted factor unbounded raises the builder's
     ``SchemaError`` at ``/gamma``.
     """
     setup = Setup(circuit, config.s, method)  # checks s and the method
@@ -694,23 +700,19 @@ def estimate_probability(
     mod_neg = float(np.prod(all_sups))
     c_max = float(np.max(all_sups)) if all_sups.size else 1.0
     neg = negativity_bound(setup)
-    active_sups = all_sups[list(sampler.active_modes)]
-    log_b_samples = sampler.log_prefactor + float(np.sum(np.log(active_sups)))
     prefactor = math.exp(sampler.log_prefactor)
-
-    if config.n_samples is not None:
-        n_total = config.n_samples
-    elif not sampler.active_modes:  # nothing weighted: the estimate is exact
-        n_total = 1
+    if not sampler.active_modes:  # nothing to weigh: exact, and nothing is drawn
+        n_total, trace, estimate, conf_radius = 0, np.zeros((0, 3)), prefactor, 0.0
     else:
-        n_total = _hoeffding_count(log_b_samples, config.epsilon, config.delta)
-
-    # the sample count and the radius rest on the bound every weight is checked against
-    rows = running_sums(sampler, config.seed, config.threads, n_total, n_total)
-    n_done, running, _ = np.fromiter(rows, (float, 3), -(-n_total // CHUNK)).T
-    radius_scale = math.exp(log_b_samples) * math.sqrt(2.0 * math.log(2.0 / config.delta))
-    trace = np.column_stack([n_done, prefactor * running / n_done, radius_scale / np.sqrt(n_done)])
-    estimate, conf_radius = trace[-1, 1:].tolist()
+        # the weighted modes the kernel left out have suprema of exactly 1
+        log_b_samples = sampler.log_prefactor + float(np.sum(np.log(all_sups[setup.weighted])))
+        n_total = config.n_samples or _hoeffding_count(log_b_samples, config.epsilon, config.delta)
+        # the sample count and the radius rest on the bound every weight is checked against
+        rows = running_sums(sampler, config.seed, config.threads, n_total, n_total)
+        n_done, running, _ = np.fromiter(rows, (float, 3), -(-n_total // CHUNK)).T
+        radius_scale = math.exp(log_b_samples) * math.sqrt(2.0 * math.log(2.0 / config.delta))
+        trace = np.column_stack([n_done, prefactor * running / n_done, radius_scale / np.sqrt(n_done)])
+        estimate, conf_radius = trace[-1, 1:].tolist()
     if not math.isfinite(estimate):
         raise FloatingPointError(f"the estimate is {estimate}; a factor overflowed")
     return EstimateReport(

@@ -222,7 +222,9 @@ def estimate_multiplicative(
     z * SE / mean <= epsilon is checked on the sums of
     ``estimator.running_sums`` after every chunk from the ESS target on; the
     estimate stops at the first chunk that meets it, or raises
-    ``ConditionFailure`` at ``estimator.MAX_SAMPLES``.  An ESS target above
+    ``ConditionFailure`` at ``estimator.MAX_SAMPLES``.  A sampler that
+    weighs no mode (an all-Gaussian pattern) makes the estimate exact:
+    exp(log_prefactor), radius 0, no sample.  Otherwise an ESS target above
     that cap raises ``SchemaError`` at ``/epsilon`` before any draw, as an
     additive Hoeffding count does.  A config that sets a field of the
     additive estimator (``ADDITIVE_FIELDS``) raises ``SchemaError`` at its
@@ -241,15 +243,14 @@ def estimate_multiplicative(
     for cert in circuit_certificates(circuit):
         if not cert.holds:
             raise ConditionFailure(f"certificate failed with margin {cert.margin:.3e} ({cert.family})")
-    if all(out.kind == "marginal" for out in circuit.pattern):
-        return MultiplicativeEstimate(1.0, 0.0, 0, math.inf)
-    if epsilon**2 * est.MAX_SAMPLES < ESS_PER_EPS_SQ:  # no division: epsilon^2 may underflow to 0
-        raise SchemaError("/epsilon", f"the effective sample size target 50/epsilon^2 exceeds 2^32 at {epsilon}")
-    ess_target = ESS_PER_EPS_SQ / epsilon**2
-
     setup = est.Setup(circuit)
     with one_blas_thread():  # one thread-count switch for the search and the build
         sampler = est.build_folded_sampler(setup, est.resolve_gamma(setup))
+    if not sampler.active_modes:  # nothing to weigh: exact, and nothing is drawn
+        return MultiplicativeEstimate(math.exp(sampler.log_prefactor), 0.0, 0, math.inf)
+    if epsilon**2 * est.MAX_SAMPLES < ESS_PER_EPS_SQ:  # no division: epsilon^2 may underflow to 0
+        raise SchemaError("/epsilon", f"the effective sample size target 50/epsilon^2 exceeds 2^32 at {epsilon}")
+    ess_target = ESS_PER_EPS_SQ / epsilon**2
     # the lower tail: 1 - delta/2 rounds to 1 for delta below about 1e-16;
     # delta/2 rounds to 0 only at the least subnormal delta
     z_score = -NormalDist().inv_cdf(max(delta / 2.0, math.ulp(0.0)))

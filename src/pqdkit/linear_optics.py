@@ -353,7 +353,7 @@ def squeezed_thermal_k(n: float, r_list) -> tuple[np.ndarray, np.ndarray]:
     base = 0.5 + n * (n + 1.0)
     with np.errstate(over="ignore"):  # an overflow is refused below
         spread = (n + 0.5) * np.cosh(2.0 * np.asarray(r_list, dtype=float))
-    k_plus = base + spread
+        k_plus = base + spread
     if not np.all(np.isfinite(k_plus)):  # k- is finite when k+ is
         raise SchemaError("/n", "k+- = 1/2 + n(n+1) +- (n+1/2) cosh 2r overflows")
     return k_plus, base - spread
@@ -362,10 +362,8 @@ def squeezed_thermal_k(n: float, r_list) -> tuple[np.ndarray, np.ndarray]:
 def _st_diagonals(n: float, r_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal entries (d, d') of the squeezed-thermal block structure."""
     r_list = np.asarray(r_list, dtype=float)
-    k = 2.0 * squeezed_thermal_k(n, r_list)[0]  # doubling is exact in binary floating point
-    d = (1.0 + 2.0 * n) * np.sinh(2.0 * r_list) / k
-    dp = 2.0 * n * (1.0 + n) / k
-    return d, dp
+    k = squeezed_thermal_k(n, r_list)[0]  # (1 + 2n) / 2k and 2n(1 + n) / 2k, without the 2k that overflows
+    return (n + 0.5) * np.sinh(2.0 * r_list) / k, n * (1.0 + n) / k
 
 
 def block_a_prime(n: float, r_list: Sequence[float], interf: Interferometer) -> MatrixClass:

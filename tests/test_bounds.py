@@ -396,6 +396,33 @@ class TestTorontonianBounds:
             rep = bounds.torontonian_bounds("squeezed_thermal", n=n, r_list=r_list)
             assert rep.lower * (1 - 1e-9) <= tor <= rep.upper * (1 + 1e-9)
 
+    def test_squeezed_thermal_prefactors_square_no_large_term(self):
+        # the closed forms e^{-2r} (u - e^{2r})^2 / 2(1 + e^{2r} + 2n) and
+        # e^r X^2 / Y, where they are finite, and a finite sandwich where
+        # their squares overflow
+        def closed_forms(n, r):
+            u, e2 = 2.0 * n + 1.0, math.exp(2.0 * r)
+            x, y = math.exp(r) * n + math.sinh(r), (1.0 + n) * math.cosh(r) + n * math.sinh(r)
+            return math.exp(-2.0 * r) * (u - e2) ** 2 / (2.0 * (1.0 + e2 + 2.0 * n)), math.exp(r) * x**2 / y
+
+        for n, r in [(1.2, 0.1), (3.0, 0.4), (40.0, 1.5), (1e6, 6.0)]:
+            ratio = math.sqrt(lo.squeezed_thermal_k(n, [r])[0][0] / lo.squeezed_thermal_k(n, [r])[1][0])
+            rep = bounds.torontonian_bounds("squeezed_thermal", n=n, r_list=[r])
+            low, up = closed_forms(n, r)
+            assert rep.lower == pytest.approx(low * ratio, rel=1e-13)
+            assert rep.upper == pytest.approx(up * ratio, rel=1e-13)
+        for n, r in [(1e154, 0.1), (1e103, 118.0)]:
+            with pytest.raises(OverflowError):
+                closed_forms(n, r)
+            rep = bounds.torontonian_bounds("squeezed_thermal", n=n, r_list=[r])
+            assert 0.0 < rep.lower <= rep.upper < math.inf
+            assert math.isfinite(bounds.hafnian_bounds(n, [r]).upper)
+
+    def test_squeezed_thermal_upper_overflow_points_at_n(self):
+        # k+- are finite, but e^r X (X / Y) is not
+        with pytest.raises(SchemaError, match="^/n: the upper bound overflows"):
+            bounds.torontonian_bounds("squeezed_thermal", n=9e153, r_list=[177.56])
+
     def test_unsupported_families(self):
         with pytest.raises(ValueError, match="pure-squeezed"):
             bounds.torontonian_bounds("squeezed", lambdas=[0.3])

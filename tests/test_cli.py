@@ -985,6 +985,28 @@ class TestInputHardening:
         assert captured.out == "" and not caught
         assert captured.err.startswith(f"input error: {pointer}: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("family", ["tor-squeezed-thermal", "hafnian-block-a"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--n 1e154 --r-list 0.1",  # 2 k+ overflows, k+ does not
+            "--n 1e103 --r-list 118",  # (e^r n + sinh r)^2 overflows
+            "--n 9e153 --r-list 177.56",  # e^r X (X / Y) overflows
+        ],
+    )
+    def test_large_finite_squeezed_thermal_flags_warn_of_nothing(self, family, flags, capsys):
+        # the bounds either print a report with nothing on stderr or refuse
+        # at a flag
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["bounds", "--family", family, *flags.split()])
+        captured = capsys.readouterr()
+        assert not caught
+        if code == 0:
+            assert captured.err == "" and math.isfinite(json.loads(captured.out)["budget"]["product"])
+        else:
+            assert code == 1 and captured.err.startswith(("input error: /n: ", "input error: /r-list: "))
+
     @pytest.mark.parametrize(
         "argv",
         [

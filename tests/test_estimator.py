@@ -722,7 +722,29 @@ class TestSamplingKernel:
         assert sampler.active_modes == () and sampler.kernel.shape[0] == 0
         assert np.array_equal(sampler.draw(np.random.default_rng(1), 7), np.ones(7))
         rep = est.estimate_probability(circuit, est.EstimatorConfig(gamma=gamma))
-        assert rep.n_used == 1
+        assert (rep.n_used, rep.conf_radius, rep.trace) == (0, 0.0, [])
+
+    def test_naive_sampler_at_rate_0_weighs_the_measured_modes(self):
+        # a marginal factor at rate 0 is identically 1: it leaves the kernel,
+        # and the bound, prefactor and law of the weight are those of a
+        # kernel over every mode (the builder before the rule)
+        circuit = lo.CircuitSpec(
+            ((0.4, 0.1), (0.3, 0.0), (0.5, 0.2), (0.2, 0.0)),
+            lo.haar_unitary(4, 43),
+            (MARGINAL, photon(1), MARGINAL, NOCLICK),
+            eta=0.8,
+            n_th=0.1,
+        )
+        setup = est.Setup(circuit, method="naive")
+        sampler = est.build_folded_sampler(setup, 0.0)
+        assert sampler.active_modes == (1, 3) and sampler.kernel.shape == (4, 4)
+        assert sampler.bound == float(np.prod(est.mode_sups(setup, 0.0)))
+        assert sampler.log_prefactor == 0.0
+        base, slope = setup.precision
+        every = setup.rows(range(circuit.m)) / np.sqrt(base)
+        block = [1, 3, 5, 7]  # [Re beta; Im beta] of modes 1 and 3
+        expected = (every @ every.T)[np.ix_(block, block)]
+        np.testing.assert_allclose(sampler.kernel @ sampler.kernel.T, expected, rtol=0.0, atol=1e-12)
 
     def test_fused_batches_match_per_chunk_draws(self):
         # each trace row is one chunk: one draw from its own stream, summed
@@ -1046,9 +1068,31 @@ class TestFoldedSampler:
             n_th=0.1,
         )
         rep = est.estimate_probability(circuit, est.EstimatorConfig(seed=3))
-        assert (rep.gamma, rep.direction, rep.n_used) == (0.0, "forward", 1)
+        assert (rep.gamma, rep.direction, rep.n_used) == (0.0, "forward", 0)
         exact = oracles.exact_probability(circuit, [0, 0, "marginal"])
         assert rep.estimate == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("method", ["folded", "naive"])
+    def test_nothing_to_weigh_is_exact_without_a_draw(self, method, monkeypatch):
+        # the folded proposal weighs no Gaussian factor, and the naive one
+        # at its searched rate 0 leaves out the marginal factors; a fixed
+        # sample count and an undrawable epsilon change nothing
+        def no_draw(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(est.FoldedSampler, "draw", no_draw)
+        circuit = lo.CircuitSpec(
+            ((0.4, 0.1), (0.3, 0.0), (0.5, 0.2)),
+            lo.haar_unitary(3, 44),
+            (NOCLICK, NOCLICK, MARGINAL) if method == "folded" else (MARGINAL,) * 3,
+            eta=0.8,
+            n_th=0.1,
+        )
+        exact = oracles.exact_probability(circuit, [0, 0, "marginal"] if method == "folded" else ["marginal"] * 3)
+        for cfg in (est.EstimatorConfig(seed=3), est.EstimatorConfig(n_samples=5, epsilon=1e-9)):
+            rep = est.estimate_probability(circuit, cfg, method=method)
+            assert (rep.n_used, rep.conf_radius, rep.trace, rep.active_modes) == (0, 0.0, [], ())
+            assert rep.estimate == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_all_marginal_is_exact_unity(self):
         circuit = lo.CircuitSpec(
@@ -1057,7 +1101,7 @@ class TestFoldedSampler:
         for gamma in [0.0, 0.4, -0.3]:
             rep = est.estimate_probability(circuit, est.EstimatorConfig(gamma=gamma, seed=1))
             assert rep.estimate == pytest.approx(1.0, abs=1e-10)
-            assert rep.n_used == 1  # deterministic, no sampling variance
+            assert rep.n_used == 0  # exact, nothing drawn
 
     def test_vacuum_all_zero_photons(self):
         circuit = lo.CircuitSpec(
@@ -1095,10 +1139,12 @@ class TestFoldedSampler:
 
 class TestEstimateProbability:
     def test_active_modes_are_the_weighed_modes(self):
-        # the folded sampler weighs the non-Gaussian modes, the naive one every mode
+        # the folded sampler weighs the non-Gaussian modes, the naive one
+        # every mode but those whose factor is identically 1, as a marginal
+        # mode's is at rate 0
         circuit = squeezed_circuit([0.4, 0.3, 0.2], 5, (photon(1), NOCLICK, MARGINAL))
-        cfg = est.EstimatorConfig(n_samples=256, seed=1)
-        for method, modes in (("folded", (0,)), ("naive", (0, 1, 2))):
+        for method, gamma, modes in (("folded", None, (0,)), ("naive", 0.2, (0, 1, 2)), ("naive", 0.0, (0, 1))):
+            cfg = est.EstimatorConfig(n_samples=256, seed=1, gamma=gamma)
             rep = est.estimate_probability(circuit, cfg, method=method)
             assert rep.active_modes == modes and rep.as_dict()["active_modes"] == list(modes)
             assert rep.method == method

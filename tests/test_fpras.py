@@ -208,6 +208,22 @@ class TestMultiplicative:
         res = fpras.estimate_multiplicative(circuit, 0.1, 0.05)
         assert res.value == 1.0 and res.rel_radius == 0.0
 
+    def test_all_noclick_is_exact_without_a_draw(self, monkeypatch):
+        # nothing to weigh: the exact value comes before the ESS target's
+        # refusal, and no sample is drawn
+        def no_draw(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(est.FoldedSampler, "draw", no_draw)
+        circuit = lo.CircuitSpec(
+            ((0.4, 0.1), (0.3, 0.0)), lo.haar_unitary(2, 6), (NOCLICK,) * 2, eta=0.8, n_th=0.1
+        )
+        exact = oracles.exact_probability(circuit, [0, 0])
+        for epsilon in (0.1, 1e-9):
+            res = fpras.estimate_multiplicative(circuit, epsilon, 0.05)
+            assert (res.n_used, res.rel_radius, res.ess) == (0, 0.0, math.inf)
+            assert res.value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_permanent_in_band(self):
         rng = np.random.default_rng(6)
         lam = rng.uniform(1.0, 2.0, 4)
